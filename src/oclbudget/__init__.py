@@ -53,8 +53,10 @@ from .harness import (
 from .metrics import (
     AccuracyMatrix,
     MetricSnapshot,
+    RunningAccuracy,
     Thresholds,
     plasticity,
+    running_snapshot,
     snapshot,
     stability,
 )

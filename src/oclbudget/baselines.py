@@ -33,7 +33,7 @@ from .controller import (
     derive_knobs,
     threshold_at,
 )
-from .metrics import snapshot as build_snapshot
+from .metrics import running_snapshot as build_snapshot
 from .scenario import ScenarioConfig, build_environment
 from .simulator import SimulatedEnvironment
 from .urge import compute_urge, weights_from_preference
@@ -157,8 +157,7 @@ def run_baseline(
             return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
 
         snap = build_snapshot(
-            env.accuracy_matrix,
-            experience,
+            env.accuracy,
             result.latency_s,
             result.memory_peak_mb,
             scenario.thresholds,

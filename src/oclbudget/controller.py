@@ -17,7 +17,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InfeasibleBudgetError
-from .metrics import MetricSnapshot, snapshot as build_snapshot
+from .metrics import MetricSnapshot, running_snapshot as build_snapshot
 from .urge import UrgeScore, compute_urge, weights_from_preference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -323,8 +323,7 @@ def run_control_loop(
         if overhead:
             overhead.start()
         snap = build_snapshot(
-            env.accuracy_matrix,
-            experience,
+            env.accuracy,
             result.latency_s,
             result.memory_peak_mb,
             scenario.thresholds,

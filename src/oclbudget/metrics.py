@@ -9,6 +9,16 @@ accuracy over everything seen so far. Stability is one minus the mean
 forgetting over prior experiences, where forgetting on experience i is
 max(0, a[i][i] - a[K][i]) -- the accuracy lost since experience i was
 trained, clipped at zero. Stability is 1 by definition at K = 1.
+
+A run never needs the whole matrix to score itself. Every off-diagonal entry
+of a row decays by the same per-experience factor, so row k is row k-1
+scaled by that factor with the new diagonal accuracy appended.
+RunningAccuracy keeps only the latest row, the diagonal and the factors:
+O(K) floats for a K-experience run instead of the K(K+1)/2 of the matrix,
+which it rebuilds on demand with the same multiplies in the same order.
+plasticity, stability and snapshot are the reference implementations over
+an AccuracyMatrix; running_snapshot scores a RunningAccuracy through the
+same summation kernels, so both give identical floats.
 """
 
 from __future__ import annotations
@@ -34,10 +44,6 @@ class AccuracyMatrix:
         for row in rows:
             self.add_row(row)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[float]]) -> "AccuracyMatrix":
-        return cls(rows)
-
     def add_row(self, row: Sequence[float]) -> None:
         k = len(self._rows) + 1
         values = tuple(float(v) for v in row)
@@ -46,8 +52,7 @@ class AccuracyMatrix:
                 f"row {k} must contain exactly {k} accuracies, got {len(values)}"
             )
         for v in values:
-            if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"accuracy {v!r} outside [0, 1] in row {k}")
+            _check_unit_interval(v, "accuracy", k)
         self._rows.append(values)
 
     @property
@@ -81,6 +86,53 @@ class AccuracyMatrix:
 
     def __repr__(self) -> str:
         return f"AccuracyMatrix(num_experiences_trained={len(self._rows)})"
+
+
+def _check_unit_interval(value: float, what: str, k: int) -> None:
+    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {value!r} outside [0, 1] in row {k}")
+
+
+class RunningAccuracy:
+    """The latest accuracy-matrix row, advanced one experience at a time.
+
+    Row k is row k-1 with every entry multiplied by experience k's decay
+    factor, plus the new diagonal accuracy. Each step checks the new
+    diagonal and the factor to be finite and in [0, 1]; since products of
+    such values stay in [0, 1], every entry of every row satisfies the same
+    check AccuracyMatrix.add_row applies.
+    """
+
+    def __init__(self):
+        self.row: list[float] = []
+        self.diagonal: list[float] = []
+        self.factors: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.diagonal)
+
+    def advance(self, factor: float, diagonal: float) -> list[float]:
+        """Append experience k's row: row k-1 times factor, then diagonal."""
+        k = len(self.diagonal) + 1
+        factor, diagonal = float(factor), float(diagonal)
+        _check_unit_interval(factor, "decay factor", k)
+        _check_unit_interval(diagonal, "accuracy", k)
+        row = [v * factor for v in self.row]
+        row.append(diagonal)
+        self.row = row
+        self.diagonal.append(diagonal)
+        self.factors.append(factor)
+        return row
+
+    def matrix(self) -> AccuracyMatrix:
+        """Replay the factors into the full lower-triangular matrix."""
+        matrix = AccuracyMatrix()
+        row: list[float] = []
+        for factor, diagonal in zip(self.factors, self.diagonal):
+            row = [v * factor for v in row]
+            row.append(diagonal)
+            matrix.add_row(row)
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -122,12 +174,33 @@ class MetricSnapshot:
             raise ValueError(f"memory peak must be >= 0, got {self.memory_peak_mb}")
 
 
+def _row_plasticity(row: Sequence[float]) -> float:
+    return sum(row) / len(row)
+
+
+def _row_stability(row: Sequence[float], diagonal: Sequence[float]) -> float:
+    """Stability of row k against the diagonal a[1][1], a[2][2], ...
+
+    The diagonal may stop at a[k-1][k-1] or include a[k][k]: that last pair
+    is equal and loses nothing, so the sum is the same either way.
+    """
+    k = len(row)
+    if k == 1:
+        return 1.0
+    total = 0.0
+    for first, current in zip(diagonal, row):
+        lost = first - current
+        if lost > 0.0:
+            total += lost
+    value = 1.0 - total / (k - 1)
+    return min(1.0, max(0.0, value))
+
+
 def plasticity(matrix: AccuracyMatrix, k: int) -> float:
     """Mean accuracy of the current model over all k experiences seen so far."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    row = matrix.row(k)
-    return sum(row) / k
+    return _row_plasticity(matrix.row(k))
 
 
 def stability(matrix: AccuracyMatrix, k: int) -> float:
@@ -138,17 +211,8 @@ def stability(matrix: AccuracyMatrix, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k == 1:
-        matrix.row(1)  # completeness check only
-        return 1.0
     current = matrix.row(k)
-    total = 0.0
-    for i in range(1, k):
-        lost = matrix.get(i, i) - current[i - 1]
-        if lost > 0.0:
-            total += lost
-    value = 1.0 - total / (k - 1)
-    return min(1.0, max(0.0, value))
+    return _row_stability(current, [matrix.get(i, i) for i in range(1, k)])
 
 
 def snapshot(
@@ -162,6 +226,24 @@ def snapshot(
     return MetricSnapshot(
         plasticity=plasticity(matrix, k),
         stability=stability(matrix, k),
+        latency_s=latency_s,
+        memory_peak_mb=memory_peak_mb,
+        thresholds=thresholds,
+    )
+
+
+def running_snapshot(
+    accuracy: RunningAccuracy,
+    latency_s: float,
+    memory_peak_mb: float,
+    thresholds: Thresholds,
+) -> MetricSnapshot:
+    """snapshot() of the latest experience, scored from the running row."""
+    if not accuracy.row:
+        raise IncompleteMatrixError("no experience has been trained yet")
+    return MetricSnapshot(
+        plasticity=_row_plasticity(accuracy.row),
+        stability=_row_stability(accuracy.row, accuracy.diagonal),
         latency_s=latency_s,
         memory_peak_mb=memory_peak_mb,
         thresholds=thresholds,

@@ -17,6 +17,10 @@ new accuracy-matrix row through a small family of response surfaces:
 
 Off-diagonal accuracies decay multiplicatively each experience by
 forgetting_rate * (1 - s(R)): bigger replay buffers attenuate forgetting.
+Because the decay is shared by a whole row, the environment keeps only a
+metrics.RunningAccuracy (the latest row, the diagonal and the per-experience
+factors 1 - decay): O(K) memory for K experiences. The full accuracy matrix
+is rebuilt from it when accuracy_matrix is read.
 
 Out-of-memory is exactly the predicate memory > capacity and is reported as
 an outcome, never a silent clamp. Prefetch staging only changes latency:
@@ -32,11 +36,10 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .controller import Knobs, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
-from .metrics import AccuracyMatrix
+from .metrics import AccuracyMatrix, RunningAccuracy
 from .yamlcfg import Section, check_schema_version, load_yaml_mapping
 
 
@@ -221,15 +224,20 @@ class SimulatedEnvironment:
         self.prefetch = prefetch
         self.samples_per_experience = int(samples_per_experience)
         self.compute_scale = float(compute_scale)
-        self.rng_seed = int(seed)
-        self._rng = np.random.default_rng(self.rng_seed)
-        self._matrix = AccuracyMatrix()
+        self._rng = np.random.default_rng(int(seed))
+        self._accuracy = RunningAccuracy()
         self._staged: set[int] = set()
         self._failed = False
 
     @property
+    def accuracy(self) -> RunningAccuracy:
+        """The running accuracy row the per-experience metrics are read from."""
+        return self._accuracy
+
+    @property
     def accuracy_matrix(self) -> AccuracyMatrix:
-        return self._matrix
+        """The full matrix so far, rebuilt from the running row on each read."""
+        return self._accuracy.matrix()
 
     @property
     def failed(self) -> bool:
@@ -237,12 +245,7 @@ class SimulatedEnvironment:
 
     @property
     def next_experience(self) -> int:
-        return self._matrix.num_experiences_trained + 1
-
-    def n_samples(self, experience: int) -> int:
-        # Constant workload per experience; complexity drift is modeled by
-        # the profile's growth factor instead.
-        return self.samples_per_experience
+        return len(self._accuracy) + 1
 
     def prefetch_next(self, experience: int) -> None:
         """Stage data for an upcoming experience. Idempotent, purely logical."""
@@ -266,7 +269,9 @@ class SimulatedEnvironment:
             self._failed = True
             return TrainResult(None, memory, None, oom=True)
 
-        n = self.n_samples(experience)
+        # Constant workload per experience; complexity drift is modeled by
+        # the profile's growth factor instead.
+        n = self.samples_per_experience
         compute = self.response.compute_latency_s(
             self.profile, b, r, mode, experience, n, self.compute_scale
         )
@@ -282,10 +287,8 @@ class SimulatedEnvironment:
             latency *= 1.0 + jitter * self._rng.uniform(-1.0, 1.0)
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
-        previous = self._matrix.row(experience - 1) if experience > 1 else ()
-        row = tuple(v * (1.0 - decay) for v in previous) + (diagonal,)
-        self._matrix.add_row(row)
-        return TrainResult(latency, memory, row, oom=False)
+        row = self._accuracy.advance(1.0 - decay, diagonal)
+        return TrainResult(latency, memory, tuple(row), oom=False)
 
 
 def estimate_optimizer_ratio(
@@ -402,6 +405,8 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     multiplier and memory delta come directly from the plugin pair. Fails
     with CalibrationError if any group's max relative residual exceeds 20%.
     """
+    from scipy.optimize import least_squares  # slow import, needed only here
+
     _validate_target_shapes(targets)
     n = targets.samples_per_experience
 
