@@ -1,10 +1,11 @@
 """Comparison policies: MAX-A, MAX-P, a fixed-config proxy, and the oracle.
 
-All baselines run the same per-experience loop as the controller but never
-adapt: knobs stay fixed for the whole run. The health score and threshold
-are still computed and recorded as diagnostics, so a fixed policy whose
-knobs equal the controller's initial knobs produces a trace identical to a
-neutral controller (zero sensitivities, unit optimizer ratio).
+All baselines run the controller's per-experience loop, _run_policy, but
+never adapt: knobs stay fixed for the whole run and the budget state only
+advances its step. The health score and threshold are still computed and
+recorded as diagnostics, so a fixed policy whose knobs equal the
+controller's initial knobs produces a trace identical to a neutral
+controller (zero sensitivities, unit optimizer ratio).
 
 The "fixed" policy is a plain fixed-configuration proxy baseline. It stands
 in for latent-replay-style systems in comparisons without claiming to model
@@ -19,7 +20,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -29,14 +30,13 @@ from .controller import (
     OptimizerMode,
     Outcome,
     RunTrace,
-    TraceRecord,
+    _run_policy,
     derive_knobs,
-    threshold_at,
 )
-from .metrics import running_snapshot as build_snapshot
+from .metrics import running_snapshot as build_snapshot  # noqa: F401, patched by perfbench
 from .scenario import ScenarioConfig, build_environment
 from .simulator import SimulatedEnvironment
-from .urge import compute_urge, weights_from_preference
+from .urge import compute_urge  # noqa: F401, patched by perfbench
 
 ORACLE_BATCH_GRID = (16, 32, 64, 128, 256, 512, 1024)
 ORACLE_BUFFER_GRID = (10, 100, 1000, 10000, 100000, 1000000)
@@ -90,38 +90,6 @@ class BaselinePolicy:
         return cls.fixed(presets.fixed.batch, presets.fixed.buffer)
 
 
-def _policy_state(
-    policy: BaselinePolicy, scenario: ScenarioConfig, step: int
-) -> tuple[Knobs, BudgetState]:
-    """Knobs plus the synthetic budget state a fixed policy occupies."""
-    config = scenario.controller
-    if policy.batch is None or policy.buffer is None:
-        state = scenario.initial_budget_state()
-        knobs = derive_knobs(state, config)
-        return knobs, BudgetState(
-            batch_mb=state.batch_mb,
-            replay_mb=state.replay_mb,
-            optimizer_mb=state.optimizer_mb,
-            step=step,
-        )
-    knobs = Knobs(
-        batch_size=policy.batch,
-        buffer_size=policy.buffer,
-        optimizer_mode=policy.optimizer_mode,
-    )
-    optimizer_mb = (
-        config.optimizer_advanced_mb
-        if policy.optimizer_mode is OptimizerMode.ADVANCED
-        else config.optimizer_default_mb
-    )
-    return knobs, BudgetState(
-        batch_mb=policy.batch * config.batch_sample_mb,
-        replay_mb=policy.buffer * config.replay_frame_mb,
-        optimizer_mb=optimizer_mb,
-        step=step,
-    )
-
-
 def run_baseline(
     policy: BaselinePolicy,
     scenario: ScenarioConfig,
@@ -129,59 +97,40 @@ def run_baseline(
 ) -> RunTrace:
     """Run the full experience sequence with fixed knobs; no adaptation.
 
-    OOM is recorded the same way as in the controller loop and is a valid
-    outcome for a baseline, not an exception.
+    The budget state is the one the fixed knobs occupy, and each update only
+    advances its step. OOM is recorded the same way as in the controller loop
+    and is a valid outcome for a baseline, not an exception.
     """
     if env is None:
         env = build_environment(scenario)
     config = scenario.controller
-    weights = weights_from_preference(scenario.preference)
-    records: list[TraceRecord] = []
-
-    for experience in range(1, scenario.num_experiences + 1):
-        knobs, budgets = _policy_state(policy, scenario, step=experience - 1)
-        result = env.train_experience(experience, knobs)
-        if result.oom:
-            records.append(
-                TraceRecord(
-                    experience=experience,
-                    knobs=knobs,
-                    score=None,
-                    threshold=None,
-                    snapshot=None,
-                    budgets=budgets,
-                    memory_peak_mb=result.memory_peak_mb,
-                    oom=True,
-                )
-            )
-            return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
-
-        snap = build_snapshot(
-            env.accuracy,
-            result.latency_s,
-            result.memory_peak_mb,
-            scenario.thresholds,
+    if policy.batch is None or policy.buffer is None:
+        state = scenario.initial_budget_state()
+        knobs = derive_knobs(state, config)
+    else:
+        # Explicit knobs pass through as given: deriving them back from the
+        # budgets could floor one off (floor(15 * 0.045 / 0.045) == 14).
+        knobs = Knobs(
+            batch_size=policy.batch,
+            buffer_size=policy.buffer,
+            optimizer_mode=policy.optimizer_mode,
         )
-        score = compute_urge(snap, weights, scenario.normalize_deviations)
-        theta = threshold_at(config, experience - 1)
-        env.prefetch_next(experience + 1)
-        # Post-step state with the step counter advanced, mirroring the
-        # controller's post-update record.
-        _, post = _policy_state(policy, scenario, step=experience)
-        records.append(
-            TraceRecord(
-                experience=experience,
-                knobs=knobs,
-                score=score,
-                threshold=theta,
-                snapshot=snap,
-                budgets=post,
-                memory_peak_mb=result.memory_peak_mb,
-                oom=False,
-            )
+        state = BudgetState(
+            batch_mb=policy.batch * config.batch_sample_mb,
+            replay_mb=policy.buffer * config.replay_frame_mb,
+            optimizer_mb=(
+                config.optimizer_advanced_mb
+                if policy.optimizer_mode is OptimizerMode.ADVANCED
+                else config.optimizer_default_mb
+            ),
         )
-
-    return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED)
+    return _run_policy(
+        scenario,
+        env,
+        state,
+        lambda _state: knobs,
+        lambda state, _score, _theta: replace(state, step=state.step + 1),
+    )
 
 
 @dataclass(frozen=True)

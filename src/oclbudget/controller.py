@@ -6,6 +6,9 @@ and scales the batch and replay budgets multiplicatively up or down. The
 optimizer budget toggles between a default and an advanced level. A hard
 proportional projection keeps the budget total under a capacity cap with a
 safety margin, because going over capacity is an unrecoverable failure.
+
+That loop, _run_policy, is the only one: the controller and every baseline
+run through it and differ only in how they pick knobs and update the state.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InfeasibleBudgetError
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
@@ -273,36 +276,34 @@ class OverheadRecorder:
         return sum(self.controller_seconds)
 
 
-def run_control_loop(
+def _run_policy(
     scenario: "ScenarioConfig",
     env: "SimulatedEnvironment",
+    state: BudgetState,
+    knobs_for: Callable[[BudgetState], Knobs],
+    update: Callable[[BudgetState, float, float], BudgetState],
     *,
     overhead: OverheadRecorder | None = None,
 ) -> RunTrace:
-    """Run the full per-experience control loop against one environment.
+    """The per-experience loop every policy runs.
 
-    For each experience: derive knobs, train, score the metrics, update the
-    budgets against the decayed threshold, then ask the environment to
-    prefetch the next experience. An OOM report aborts the loop with the
-    trace marked failed at that experience. If the advanced optimizer budget
-    makes an update infeasible, the update retries with the default
-    optimizer (freeing its memory); a second failure propagates with the
-    partial trace attached.
+    For each experience: take the knobs for the current state, train, score
+    the metrics, let update move the state against the decayed threshold,
+    then ask the environment to prefetch the next experience. An OOM report
+    aborts the loop with the trace marked failed at that experience. An
+    InfeasibleBudgetError from update propagates with the partial trace
+    attached. overhead times knob derivation and the snapshot, score,
+    threshold and update of each experience.
     """
     config = scenario.controller
     weights = weights_from_preference(scenario.preference)
-    state = scenario.initial_budget_state()
+    timer = overhead or OverheadRecorder()
     records: list[TraceRecord] = []
-    # Initial score value before any metrics exist; the first real update
-    # uses the score measured on experience 1.
-    score_value = 1.0
 
     for experience in range(1, scenario.num_experiences + 1):
-        if overhead:
-            overhead.start()
-        knobs = derive_knobs(state, config)
-        if overhead:
-            overhead.stop()
+        timer.start()
+        knobs = knobs_for(state)
+        timer.stop()
 
         result = env.train_experience(experience, knobs)
         if result.oom:
@@ -320,8 +321,7 @@ def run_control_loop(
             )
             return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
 
-        if overhead:
-            overhead.start()
+        timer.start()
         snap = build_snapshot(
             env.accuracy,
             result.latency_s,
@@ -329,30 +329,13 @@ def run_control_loop(
             scenario.thresholds,
         )
         score = compute_urge(snap, weights, scenario.normalize_deviations)
-        score_value = score.value
         theta = threshold_at(config, state.step)
         try:
-            state = update_budgets(state, score_value, theta, config)
+            state = update(state, score.value, theta)
         except InfeasibleBudgetError as exc:
-            if score_value >= theta:
-                # Advanced optimizer does not fit; free it and keep the
-                # aggressive batch/replay growth.
-                try:
-                    state = update_budgets(
-                        state, score_value, theta, config, allow_advanced=False
-                    )
-                except InfeasibleBudgetError as fallback_exc:
-                    fallback_exc.partial_trace = RunTrace(
-                        records=tuple(records), outcome=Outcome.INFEASIBLE
-                    )
-                    raise
-            else:
-                exc.partial_trace = RunTrace(
-                    records=tuple(records), outcome=Outcome.INFEASIBLE
-                )
-                raise
-        if overhead:
-            overhead.stop()
+            exc.partial_trace = RunTrace(records=tuple(records), outcome=Outcome.INFEASIBLE)
+            raise
+        timer.stop()
 
         env.prefetch_next(experience + 1)
         records.append(
@@ -369,3 +352,38 @@ def run_control_loop(
         )
 
     return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED)
+
+
+def run_control_loop(
+    scenario: "ScenarioConfig",
+    env: "SimulatedEnvironment",
+    *,
+    overhead: OverheadRecorder | None = None,
+) -> RunTrace:
+    """Run the adaptive controller over every experience of one environment.
+
+    Knobs are derived from the current budgets and the budgets are updated
+    after each experience. If the advanced optimizer budget makes an update
+    infeasible, the update retries with the default optimizer (freeing its
+    memory); a second failure propagates with the partial trace attached.
+    """
+    config = scenario.controller
+
+    def update(state: BudgetState, score: float, theta: float) -> BudgetState:
+        try:
+            return update_budgets(state, score, theta, config)
+        except InfeasibleBudgetError:
+            if score < theta:
+                raise
+            # Advanced optimizer does not fit; free it and keep the
+            # aggressive batch/replay growth.
+            return update_budgets(state, score, theta, config, allow_advanced=False)
+
+    return _run_policy(
+        scenario,
+        env,
+        scenario.initial_budget_state(),
+        lambda state: derive_knobs(state, config),
+        update,
+        overhead=overhead,
+    )

@@ -4,8 +4,12 @@ A scenario names a platform preset and an algorithm profile from the profile
 library, sets the workload size and seed, picks a preference ordering, and
 parameterizes the controller. Per-item memory costs and the optimizer budgets
 default to values consistent with the referenced profile, which is what makes
-the controller's budget arithmetic line up with the simulator's memory model
-(and hence makes the capacity projection an actual OOM guarantee).
+the controller's budget arithmetic line up with the simulator's linear memory
+terms. The capacity projection is an OOM guarantee only while the replay
+buffer stays under the profile's buffer_spike_threshold: above it the
+simulator adds a quadratic residency term the projection does not count.
+The bundled 10-experience horizon stays under it; longer runs can exceed it
+(ROADMAP open item 1).
 """
 
 from __future__ import annotations

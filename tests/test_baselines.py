@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 from oclbudget import (
     ORACLE_BATCH_GRID,
     ORACLE_BUFFER_GRID,
@@ -9,6 +11,7 @@ from oclbudget import (
     Outcome,
     PolicyKind,
     build_environment,
+    bundled_scenario_names,
     load_bundled_scenario,
     run_baseline,
     run_control_loop,
@@ -33,10 +36,19 @@ class TestFixedPolicies:
         assert trace.outcome is Outcome.COMPLETED
         assert len({r.knobs for r in trace.records}) == 1
 
-    def test_fixed_from_initial_budgets_matches_neutral_controller(self):
+    def test_explicit_knobs_pass_through_unchanged(self):
+        # orin-er costs 0.045 MB per frame and 4.2 MB per sample, where
+        # floor(15 * 0.045 / 0.045) == 14 and floor(61 * 4.2 / 4.2) == 60:
+        # the fixed knobs must not be derived back from their budgets.
+        scenario = load_bundled_scenario("orin-er")
+        trace = run_baseline(BaselinePolicy.fixed(batch=61, buffer=15), scenario)
+        assert {(r.knobs.batch_size, r.knobs.buffer_size) for r in trace.records} == {(61, 15)}
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_fixed_from_initial_budgets_matches_neutral_controller(self, name):
         # A fixed policy at the controller's initial knobs is exactly a
         # controller with zero sensitivities and unit optimizer ratio.
-        scenario = neutral(load_bundled_scenario("server-agem"))
+        scenario = neutral(load_bundled_scenario(name))
         fixed = run_baseline(BaselinePolicy.fixed(), scenario)
         controller = run_control_loop(scenario, build_environment(scenario))
         assert fixed == controller

@@ -320,3 +320,21 @@ class TestControlLoop:
         )
         aggressive = [r for r in trace.records if r.score.value >= r.threshold]
         assert aggressive, "expected at least one aggressive step to exercise the fallback"
+
+    def test_infeasible_update_attaches_partial_trace(self):
+        # At 60 experiences xavier-gss drives an update infeasible after 48
+        # recorded experiences; the error carries everything recorded so far.
+        import dataclasses
+
+        scenario = load_bundled_scenario("xavier-gss")
+        long = dataclasses.replace(scenario, num_experiences=60)
+        with pytest.raises(InfeasibleBudgetError) as info:
+            run_control_loop(long, build_environment(long))
+        partial = info.value.partial_trace
+        assert partial.outcome is Outcome.INFEASIBLE
+        assert [r.experience for r in partial.records] == list(range(1, 49))
+        assert not any(r.oom for r in partial.records)
+
+        short = dataclasses.replace(scenario, num_experiences=48)
+        full = run_control_loop(short, build_environment(short))
+        assert partial.records == full.records
