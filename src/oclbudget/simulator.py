@@ -218,13 +218,17 @@ class SimulatedEnvironment:
             raise ValueError("capacity must be > 0")
         if samples_per_experience < 1:
             raise ValueError("samples per experience must be >= 1")
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.profile = profile
         self.response = response
         self.capacity_mb = float(capacity_mb)
         self.prefetch = prefetch
         self.samples_per_experience = int(samples_per_experience)
         self.compute_scale = float(compute_scale)
-        self._rng = np.random.default_rng(int(seed))
+        # Only noisy profiles draw from the generator, so others skip building it.
+        self._rng = np.random.default_rng(seed) if response.noise_fraction > 0.0 else None
         self._accuracy = RunningAccuracy()
         self._staged: set[int] = set()
         self._failed = False
@@ -348,6 +352,12 @@ class CalibrationResult:
 
 _RESIDUAL_LIMIT = 0.20
 
+_MIN_COST_PER_SAMPLE = 1e-12  # lower bound of the fitted latency cost c
+# The stability fit scans R0 in [1, 1e9] on a log grid (20 points per decade),
+# then refines by golden-section search between the best point's neighbours.
+_STABILITY_GRID_POINTS = 181
+_GOLDEN_ITERATIONS = 80
+
 # Defaults for response fields the targets do not constrain.
 _UNCONSTRAINED_DEFAULTS = dict(
     replay_frame_mb=0.045,
@@ -369,6 +379,10 @@ def _validate_target_shapes(targets: CalibrationTargets) -> None:
         raise CalibrationError("need memory targets at >= 3 batch sizes")
     if len(targets.stability_points) < 3:
         raise CalibrationError("need stability targets at >= 3 buffer sizes")
+    if any(v <= 0 for _, v in targets.latency_points):
+        raise CalibrationError("latency targets must be > 0")
+    if any(v <= 0 for _, v in targets.memory_points):
+        raise CalibrationError("memory targets must be > 0")
 
     lat = sorted(targets.latency_points)
     if any(b2 <= b1 for (b1, _), (b2, _) in zip(lat, lat[1:])):
@@ -397,6 +411,84 @@ def _validate_target_shapes(targets: CalibrationTargets) -> None:
         raise CalibrationError("plugin memory must not decrease when enabled")
 
 
+def _fit_latency(
+    n: int, batch: np.ndarray, observed: np.ndarray
+) -> tuple[float, float]:
+    """Least-squares (c, knee) of L(B) = n * c * max(1, knee / B) in relative
+    residuals, with c >= 1e-12 and knee in [1, 16 * max B].
+
+    The residual c * g - 1, with g = n * max(1, knee / B) / L, is linear in c,
+    so for a fixed knee the best c is sum(g) / sum(g^2), clipped to its bound.
+    Between consecutive target batch sizes the points split into a
+    latency-bound set (B <= knee, g = knee * a) and the rest (g = b), and the
+    profile cost m - (Sa*knee + Sb)^2 / (Qa*knee^2 + Qb), with Sa, Qa the sum
+    and sum of squares of a and Sb, Qb those of b, has its only interior
+    optimum at knee = Sa*Qb / (Sb*Qa). Where the clipped c binds, the cost is
+    a quadratic in knee with its minimum at Sa / (c_min * Qa). When every
+    point is on one branch the cost does not depend on the knee, and such a
+    flat valley is represented by its lower end (knee 1, or the largest
+    target batch size; the range up to 16 * max B adds nothing). The exact
+    minimum is therefore among these candidates; ties go to the smaller knee.
+    """
+    edges = np.unique(np.append(np.maximum(batch, 1.0), 1.0))
+    a, b = n / (batch * observed), n / observed
+    knees = list(edges)
+    for lo, hi in zip(edges, edges[1:]):
+        bound = batch <= lo
+        a_sum, a_sq = a[bound].sum(), (a[bound] ** 2).sum()
+        b_sum, b_sq = b[~bound].sum(), (b[~bound] ** 2).sum()
+        if a_sum > 0 and b_sum > 0:
+            free = a_sum * b_sq / (b_sum * a_sq)
+            at_bound = a_sum / (_MIN_COST_PER_SAMPLE * a_sq)
+            knees += [min(max(knee, lo), hi) for knee in (free, at_bound)]
+    knees = np.unique(knees)
+    g = n * np.maximum(1.0, knees[:, None] / batch) / observed
+    c = np.maximum(_MIN_COST_PER_SAMPLE, g.sum(axis=1) / (g * g).sum(axis=1))
+    cost = ((c[:, None] * g - 1.0) ** 2).sum(axis=1)
+    best = int(np.argmin(cost))  # first of equal costs: the smaller knee
+    return float(c[best]), float(knees[best])
+
+
+def _fit_stability(buffer: np.ndarray, observed: np.ndarray) -> tuple[float, float]:
+    """Least-squares (s_max, R0) of s(R) = s_max * (1 - exp(-R / R0)), with
+    s_max in [1e-6, 1] and R0 in [1, 1e9].
+
+    The residual is linear in s_max, so for a fixed R0 the best s_max is
+    sum(h * s) / sum(h^2), h = 1 - exp(-R / R0), clipped to its bounds. The
+    resulting profile over R0 is scanned on a log grid and refined by
+    golden-section search in log R0 between the best grid point's neighbours.
+    """
+
+    def profile(r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = 1.0 - np.exp(-buffer / r0[:, None])
+        s_max = np.clip((h @ observed) / (h * h).sum(axis=1), 1e-6, 1.0)
+        return s_max, ((s_max[:, None] * h - observed) ** 2).sum(axis=1)
+
+    grid = np.logspace(0.0, 9.0, _STABILITY_GRID_POINTS)
+    i = int(np.argmin(profile(grid)[1]))
+    lo, hi = math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, len(grid) - 1)])
+
+    def cost_at(x: float) -> float:
+        return float(profile(np.array([math.exp(x)]))[1][0])
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = cost_at(x1), cost_at(x2)
+    for _ in range(_GOLDEN_ITERATIONS):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = cost_at(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = cost_at(x2)
+    r0 = np.array([grid[i], math.exp(x1 if f1 <= f2 else x2)])
+    s_max, cost = profile(r0)
+    best = int(np.argmin(cost))
+    return float(s_max[best]), float(r0[best])
+
+
 def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     """Least-squares fit of the response surfaces to measured anchors.
 
@@ -404,30 +496,24 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     memory line, and (s_max, R0) to the stability saturation; the optimizer
     multiplier and memory delta come directly from the plugin pair. Fails
     with CalibrationError if any group's max relative residual exceeds 20%.
-    """
-    from scipy.optimize import least_squares  # slow import, needed only here
 
+    The latency and stability models are each linear in one parameter, so
+    each fit is separable: for a fixed knee (or R0) the linear parameter has
+    a closed form clipped to its bound, and the fit reduces to a 1-D problem
+    in the other. The latency profile is minimised exactly from its stationary
+    points between consecutive target batch sizes; the stability profile by a
+    log grid over R0 and golden-section refinement. The memory line is an
+    ordinary least-squares fit.
+    """
     _validate_target_shapes(targets)
     n = targets.samples_per_experience
 
     # Latency: L(B) = n * c * max(1, knee / B), fitted in relative terms.
     lat_b = np.array([b for b, _ in targets.latency_points], dtype=float)
     lat_obs = np.array([v for _, v in targets.latency_points], dtype=float)
-
-    def lat_residual(params):
-        c, knee = params
-        pred = n * c * np.maximum(1.0, knee / lat_b)
-        return (pred - lat_obs) / lat_obs
-
-    c0 = lat_obs.min() / n
-    knee0 = float(lat_b[np.argmin(lat_obs)])
-    fit = least_squares(
-        lat_residual,
-        x0=[c0, knee0],
-        bounds=([1e-12, 1.0], [np.inf, 16.0 * lat_b.max()]),
-    )
-    cost_per_sample, knee = float(fit.x[0]), float(fit.x[1])
-    lat_resid = float(np.max(np.abs(lat_residual(fit.x))))
+    cost_per_sample, knee = _fit_latency(n, lat_b, lat_obs)
+    lat_pred = n * cost_per_sample * np.maximum(1.0, knee / lat_b)
+    lat_resid = float(np.max(np.abs((lat_pred - lat_obs) / lat_obs)))
 
     # Memory: M(B) = base + m_act * B, ordinary least squares.
     mem_b = np.array([b for b, _ in targets.memory_points], dtype=float)
@@ -443,19 +529,10 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     # Stability: s(R) = s_max * (1 - exp(-R / R0)).
     stab_r = np.array([r for r, _ in targets.stability_points], dtype=float)
     stab_obs = np.array([v for _, v in targets.stability_points], dtype=float)
-
-    def stab_residual(params):
-        s_max, r0 = params
-        return s_max * (1.0 - np.exp(-stab_r / r0)) - stab_obs
-
-    fit = least_squares(
-        stab_residual,
-        x0=[max(stab_obs.max(), 0.5), float(np.median(stab_r))],
-        bounds=([1e-6, 1.0], [1.0, 1e9]),
-    )
-    s_max, r0 = float(fit.x[0]), float(fit.x[1])
+    s_max, r0 = _fit_stability(stab_r, stab_obs)
+    stab_pred = s_max * (1.0 - np.exp(-stab_r / r0))
     denom = np.maximum(stab_obs, 1e-3)
-    stab_resid = float(np.max(np.abs(stab_residual(fit.x) / denom)))
+    stab_resid = float(np.max(np.abs((stab_pred - stab_obs) / denom)))
 
     # Plugin costs fall straight out of the on/off pair.
     opt_multiplier = targets.plugin_latency_on_s / targets.plugin_latency_off_s

@@ -10,8 +10,11 @@ from oclbudget import (
     ablate_prefetch,
     bundled_scenario_names,
     bundled_scenario_path,
+    calibrate_profile,
     emit_report,
     load_bundled_scenario,
+    load_calibration_targets,
+    load_profile_library,
     load_scenario,
     measure_overhead,
     parse_report_csv,
@@ -19,6 +22,7 @@ from oclbudget import (
 )
 from oclbudget.cli import main as cli_main
 from oclbudget.harness import CSV_COLUMNS, Report
+from oclbudget.scenario import default_calibration_targets_path
 
 
 def scenario_text(**overrides):
@@ -339,4 +343,8 @@ class TestCli:
         code = cli_main(["calibrate", "--out", str(out)])
         assert code == 0
         assert "optimizer multiplier" in capsys.readouterr().out
-        assert out.exists()
+        fitted = calibrate_profile(load_calibration_targets(default_calibration_targets_path()))
+        assert load_profile_library(out).profiles["calibrated"] == (
+            fitted.profile,
+            fitted.response,
+        )

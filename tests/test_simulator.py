@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,11 @@ class TestTrainExperience:
         b.train_experience(1, knobs(64, 500))
         assert a.accuracy_matrix.get(1, 1) != b.accuracy_matrix.get(1, 1)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_negative_seed_rejected(self, noise):
+        with pytest.raises(ValueError, match="seed"):
+            make_env(seed=-1, noise_fraction=noise)
+
 
 class TestPrefetch:
     def load_model(self, enabled, eff=1.0):
@@ -346,6 +352,20 @@ class TestCalibration:
         )
         with pytest.raises(CalibrationError):
             calibrate_profile(targets)
+
+    @pytest.mark.parametrize(
+        "group, points",
+        [
+            ("latency", ((16, 2160.0), (32, 1080.0), (64, 0.0))),
+            ("memory", ((16, 0.0), (64, 4737.6), (256, 6350.4))),
+        ],
+    )
+    def test_non_positive_anchor_rejected(self, group, points):
+        targets = dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CalibrationError, match=f"{group} targets must be > 0"):
+                calibrate_profile(targets)
 
     def test_poor_fit_rejected(self):
         # Monotone but wildly off the model family: relative residual > 20%.
