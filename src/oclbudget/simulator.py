@@ -26,16 +26,21 @@ Out-of-memory is exactly the predicate memory > capacity and is reported as
 an outcome, never a silent clamp. Prefetch staging only changes latency:
 a staged experience pays max(0, load - overlap_efficiency * compute) instead
 of the full load.
+
+A profile with noise_fraction > 0 scales latency and the new diagonal by
+1 + noise_fraction * u, u uniform in [-1, 1), drawn from a random.Random
+seeded with the run's seed; noise-free profiles build no generator. The
+module, calibration fits included, is plain Python over floats and the math
+module, so importing it loads nothing beyond the standard library and PyYAML.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .controller import Knobs, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
@@ -228,7 +233,7 @@ class SimulatedEnvironment:
         self.samples_per_experience = int(samples_per_experience)
         self.compute_scale = float(compute_scale)
         # Only noisy profiles draw from the generator, so others skip building it.
-        self._rng = np.random.default_rng(seed) if response.noise_fraction > 0.0 else None
+        self._rng = random.Random(seed) if response.noise_fraction > 0.0 else None
         self._accuracy = RunningAccuracy()
         self._staged: set[int] = set()
         self._failed = False
@@ -373,12 +378,16 @@ _UNCONSTRAINED_DEFAULTS = dict(
 
 
 def _validate_target_shapes(targets: CalibrationTargets) -> None:
-    if len(targets.latency_points) < 3:
-        raise CalibrationError("need latency targets at >= 3 batch sizes")
-    if len(targets.memory_points) < 3:
-        raise CalibrationError("need memory targets at >= 3 batch sizes")
-    if len(targets.stability_points) < 3:
-        raise CalibrationError("need stability targets at >= 3 buffer sizes")
+    groups = (
+        ("latency", targets.latency_points, "batch"),
+        ("memory", targets.memory_points, "batch"),
+        ("stability", targets.stability_points, "buffer"),
+    )
+    for group, points, size in groups:
+        if len(points) < 3:
+            raise CalibrationError(f"need {group} targets at >= 3 {size} sizes")
+        if any(s < 1 for s, _ in points):
+            raise CalibrationError(f"{group} targets must use {size} sizes >= 1")
     if any(v <= 0 for _, v in targets.latency_points):
         raise CalibrationError("latency targets must be > 0")
     if any(v <= 0 for _, v in targets.memory_points):
@@ -392,6 +401,8 @@ def _validate_target_shapes(targets: CalibrationTargets) -> None:
             "latency targets must be strictly decreasing in batch size"
         )
     mem = sorted(targets.memory_points)
+    if any(b2 <= b1 for (b1, _), (b2, _) in zip(mem, mem[1:])):
+        raise CalibrationError("memory targets must use distinct batch sizes")
     if any(m2 <= m1 for (_, m1), (_, m2) in zip(mem, mem[1:])):
         raise CalibrationError(
             "memory targets must be strictly increasing in batch size"
@@ -412,10 +423,11 @@ def _validate_target_shapes(targets: CalibrationTargets) -> None:
 
 
 def _fit_latency(
-    n: int, batch: np.ndarray, observed: np.ndarray
+    n: int, batch: Sequence[float], observed: Sequence[float]
 ) -> tuple[float, float]:
     """Least-squares (c, knee) of L(B) = n * c * max(1, knee / B) in relative
-    residuals, with c >= 1e-12 and knee in [1, 16 * max B].
+    residuals, with c >= 1e-12 and knee in [1, 16 * max B]. Batch sizes must
+    be >= 1 and latencies > 0.
 
     The residual c * g - 1, with g = n * max(1, knee / B) / L, is linear in c,
     so for a fixed knee the best c is sum(g) / sum(g^2), clipped to its bound.
@@ -430,46 +442,57 @@ def _fit_latency(
     target batch size; the range up to 16 * max B adds nothing). The exact
     minimum is therefore among these candidates; ties go to the smaller knee.
     """
-    edges = np.unique(np.append(np.maximum(batch, 1.0), 1.0))
-    a, b = n / (batch * observed), n / observed
-    knees = list(edges)
+    points = [(float(b), float(v)) for b, v in zip(batch, observed)]
+    edges = sorted({1.0, *(b for b, _ in points)})
+    knees = set(edges)
     for lo, hi in zip(edges, edges[1:]):
-        bound = batch <= lo
-        a_sum, a_sq = a[bound].sum(), (a[bound] ** 2).sum()
-        b_sum, b_sq = b[~bound].sum(), (b[~bound] ** 2).sum()
+        bound_a = [n / (b * v) for b, v in points if b <= lo]
+        rest_b = [n / v for b, v in points if b > lo]
+        a_sum, a_sq = sum(bound_a), sum(x * x for x in bound_a)
+        b_sum, b_sq = sum(rest_b), sum(x * x for x in rest_b)
         if a_sum > 0 and b_sum > 0:
             free = a_sum * b_sq / (b_sum * a_sq)
             at_bound = a_sum / (_MIN_COST_PER_SAMPLE * a_sq)
-            knees += [min(max(knee, lo), hi) for knee in (free, at_bound)]
-    knees = np.unique(knees)
-    g = n * np.maximum(1.0, knees[:, None] / batch) / observed
-    c = np.maximum(_MIN_COST_PER_SAMPLE, g.sum(axis=1) / (g * g).sum(axis=1))
-    cost = ((c[:, None] * g - 1.0) ** 2).sum(axis=1)
-    best = int(np.argmin(cost))  # first of equal costs: the smaller knee
-    return float(c[best]), float(knees[best])
+            knees.update(min(max(knee, lo), hi) for knee in (free, at_bound))
+
+    best = (math.inf, 0.0, 0.0)
+    for knee in sorted(knees):
+        g = [n * max(1.0, knee / b) / v for b, v in points]
+        c = max(_MIN_COST_PER_SAMPLE, sum(g) / sum(x * x for x in g))
+        cost = sum((c * x - 1.0) ** 2 for x in g)
+        if cost < best[0]:  # strict, so equal costs keep the smaller knee
+            best = (cost, c, knee)
+    return best[1], best[2]
 
 
-def _fit_stability(buffer: np.ndarray, observed: np.ndarray) -> tuple[float, float]:
+def _fit_stability(
+    buffer: Sequence[float], observed: Sequence[float]
+) -> tuple[float, float]:
     """Least-squares (s_max, R0) of s(R) = s_max * (1 - exp(-R / R0)), with
-    s_max in [1e-6, 1] and R0 in [1, 1e9].
+    s_max in [1e-6, 1] and R0 in [1, 1e9]. Buffer sizes must be >= 1.
 
     The residual is linear in s_max, so for a fixed R0 the best s_max is
     sum(h * s) / sum(h^2), h = 1 - exp(-R / R0), clipped to its bounds. The
     resulting profile over R0 is scanned on a log grid and refined by
     golden-section search in log R0 between the best grid point's neighbours.
     """
+    points = [(float(r), float(s)) for r, s in zip(buffer, observed)]
 
-    def profile(r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = 1.0 - np.exp(-buffer / r0[:, None])
-        s_max = np.clip((h @ observed) / (h * h).sum(axis=1), 1e-6, 1.0)
-        return s_max, ((s_max[:, None] * h - observed) ** 2).sum(axis=1)
+    def profile(r0: float) -> tuple[float, float]:
+        """(best s_max, sum of squared residuals) at this R0."""
+        h = [(1.0 - math.exp(-r / r0), s) for r, s in points]
+        s_max = sum(x * s for x, s in h) / sum(x * x for x, _ in h)
+        s_max = min(max(s_max, 1e-6), 1.0)
+        return s_max, sum((s_max * x - s) ** 2 for x, s in h)
 
-    grid = np.logspace(0.0, 9.0, _STABILITY_GRID_POINTS)
-    i = int(np.argmin(profile(grid)[1]))
-    lo, hi = math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, len(grid) - 1)])
+    last = _STABILITY_GRID_POINTS - 1
+    grid = [10.0 ** (9.0 * i / last) for i in range(_STABILITY_GRID_POINTS)]
+    costs = [profile(r0)[1] for r0 in grid]
+    i = costs.index(min(costs))
+    lo, hi = math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, last)])
 
     def cost_at(x: float) -> float:
-        return float(profile(np.array([math.exp(x)]))[1][0])
+        return profile(math.exp(x))[1]
 
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
@@ -483,10 +506,24 @@ def _fit_stability(buffer: np.ndarray, observed: np.ndarray) -> tuple[float, flo
             lo, x1, f1 = x1, x2, f2
             x2 = lo + shrink * (hi - lo)
             f2 = cost_at(x2)
-    r0 = np.array([grid[i], math.exp(x1 if f1 <= f2 else x2)])
-    s_max, cost = profile(r0)
-    best = int(np.argmin(cost))
-    return float(s_max[best]), float(r0[best])
+    refined = math.exp(x1 if f1 <= f2 else x2)
+    (s_grid, c_grid), (s_ref, c_ref) = profile(grid[i]), profile(refined)
+    return (s_ref, refined) if c_ref < c_grid else (s_grid, grid[i])
+
+
+def _fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Ordinary least-squares (slope, intercept) of y = intercept + slope * x.
+    The x values must not all be equal."""
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    slope = sum(d * (v - y_mean) for d, v in zip(dx, y)) / sum(d * d for d in dx)
+    return slope, y_mean - slope * x_mean
+
+
+def _max_relative_residual(
+    predicted: Sequence[float], observed: Sequence[float], floor: float = 0.0
+) -> float:
+    return max(abs(p - o) / max(o, floor) for p, o in zip(predicted, observed))
 
 
 def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
@@ -495,50 +532,54 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     Fits (cost_per_sample, knee) to the latency curve, (base, m_act) to the
     memory line, and (s_max, R0) to the stability saturation; the optimizer
     multiplier and memory delta come directly from the plugin pair. Fails
-    with CalibrationError if any group's max relative residual exceeds 20%.
+    with CalibrationError if the anchors are malformed (fewer than 3 per
+    group, sizes below 1, repeated batch sizes, non-monotone values) or if
+    any group's max relative residual exceeds 20% or is not finite.
 
     The latency and stability models are each linear in one parameter, so
     each fit is separable: for a fixed knee (or R0) the linear parameter has
     a closed form clipped to its bound, and the fit reduces to a 1-D problem
     in the other. The latency profile is minimised exactly from its stationary
     points between consecutive target batch sizes; the stability profile by a
-    log grid over R0 and golden-section refinement. The memory line is an
-    ordinary least-squares fit.
+    log grid over R0 and golden-section refinement. The memory line is the
+    closed-form ordinary least-squares line. All of it is plain Python over
+    a handful of anchor points.
     """
     _validate_target_shapes(targets)
     n = targets.samples_per_experience
 
     # Latency: L(B) = n * c * max(1, knee / B), fitted in relative terms.
-    lat_b = np.array([b for b, _ in targets.latency_points], dtype=float)
-    lat_obs = np.array([v for _, v in targets.latency_points], dtype=float)
+    lat_b = [float(b) for b, _ in targets.latency_points]
+    lat_obs = [float(v) for _, v in targets.latency_points]
     cost_per_sample, knee = _fit_latency(n, lat_b, lat_obs)
-    lat_pred = n * cost_per_sample * np.maximum(1.0, knee / lat_b)
-    lat_resid = float(np.max(np.abs((lat_pred - lat_obs) / lat_obs)))
+    lat_pred = [n * cost_per_sample * max(1.0, knee / b) for b in lat_b]
+    lat_resid = _max_relative_residual(lat_pred, lat_obs)
 
     # Memory: M(B) = base + m_act * B, ordinary least squares.
-    mem_b = np.array([b for b, _ in targets.memory_points], dtype=float)
-    mem_obs = np.array([v for _, v in targets.memory_points], dtype=float)
-    m_act, base = np.polyfit(mem_b, mem_obs, 1)
+    mem_b = [float(b) for b, _ in targets.memory_points]
+    mem_obs = [float(v) for _, v in targets.memory_points]
+    m_act, base = _fit_line(mem_b, mem_obs)
     if m_act <= 0 or base < 0:
         raise CalibrationError(
             f"memory fit produced non-physical parameters (slope {m_act:.4f}, base {base:.1f})"
         )
-    mem_pred = base + m_act * mem_b
-    mem_resid = float(np.max(np.abs((mem_pred - mem_obs) / mem_obs)))
+    mem_resid = _max_relative_residual([base + m_act * b for b in mem_b], mem_obs)
 
     # Stability: s(R) = s_max * (1 - exp(-R / R0)).
-    stab_r = np.array([r for r, _ in targets.stability_points], dtype=float)
-    stab_obs = np.array([v for _, v in targets.stability_points], dtype=float)
+    stab_r = [float(r) for r, _ in targets.stability_points]
+    stab_obs = [float(v) for _, v in targets.stability_points]
     s_max, r0 = _fit_stability(stab_r, stab_obs)
-    stab_pred = s_max * (1.0 - np.exp(-stab_r / r0))
-    denom = np.maximum(stab_obs, 1e-3)
-    stab_resid = float(np.max(np.abs((stab_pred - stab_obs) / denom)))
+    stab_pred = [s_max * (1.0 - math.exp(-r / r0)) for r in stab_r]
+    stab_resid = _max_relative_residual(stab_pred, stab_obs, floor=1e-3)
 
     # Plugin costs fall straight out of the on/off pair.
     opt_multiplier = targets.plugin_latency_on_s / targets.plugin_latency_off_s
     opt_delta = targets.plugin_memory_on_mb - targets.plugin_memory_off_mb
 
     residuals = {"latency": lat_resid, "memory": mem_resid, "stability": stab_resid}
+    for group, resid in residuals.items():
+        if not math.isfinite(resid):
+            raise CalibrationError(f"{group} fit residual is not finite ({resid})")
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > _RESIDUAL_LIMIT:
         raise CalibrationError(
@@ -552,11 +593,11 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         replay_sampling_cost_s=d["replay_sampling_cost_s"],
         optimizer_latency_multiplier=max(1.0, opt_multiplier),
         optimizer_memory_delta_mb=opt_delta,
-        base_memory_mb=float(base),
+        base_memory_mb=base,
         per_experience_growth=d["per_experience_growth"],
     )
     response = ResponseModel(
-        activation_mb_per_sample=float(m_act),
+        activation_mb_per_sample=m_act,
         replay_frame_mb=d["replay_frame_mb"],
         batch_knee=max(1, round(knee)),
         buffer_spike_threshold=d["buffer_spike_threshold"],

@@ -241,6 +241,24 @@ class TestTrainExperience:
         b.train_experience(1, knobs(64, 500))
         assert a.accuracy_matrix.get(1, 1) != b.accuracy_matrix.get(1, 1)
 
+    @pytest.mark.parametrize("noise", [0.05, 0.3])
+    def test_noise_stays_within_its_fraction(self, noise):
+        """Latency and the new diagonal move by at most noise_fraction, both ways."""
+        moves = []
+        for seed in range(200):
+            clean, noisy = make_env(seed=seed), make_env(seed=seed, noise_fraction=noise)
+            for e in range(1, 4):
+                kn = knobs(2 ** (4 + e), 300 * e)
+                a, b = clean.train_experience(e, kn), noisy.train_experience(e, kn)
+                ratio = b.latency_s / a.latency_s - 1.0
+                assert abs(ratio) <= noise * (1.0 + 1e-12), (seed, e, ratio)
+                diagonal = a.accuracy_row[-1]
+                lo = max(0.0, diagonal * (1.0 - noise)) * (1.0 - 1e-12)
+                hi = min(1.0, diagonal * (1.0 + noise) * (1.0 + 1e-12))
+                assert lo <= b.accuracy_row[-1] <= hi, (seed, e, b.accuracy_row[-1])
+                moves.append(ratio)
+        assert min(moves) < -noise / 2 and max(moves) > noise / 2
+
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_negative_seed_rejected(self, noise):
         with pytest.raises(ValueError, match="seed"):
@@ -366,6 +384,38 @@ class TestCalibration:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(CalibrationError, match=f"{group} targets must be > 0"):
                 calibrate_profile(targets)
+
+    @pytest.mark.parametrize(
+        "group, points, size",
+        [
+            ("latency", ((0, 2160.0), (32, 1080.0), (64, 540.0)), "batch"),
+            ("memory", ((0, 4200.0), (64, 4737.6), (256, 6350.4)), "batch"),
+            ("stability", ((0, 0.0), (500, 0.47), (2000, 0.9)), "buffer"),
+        ],
+    )
+    def test_anchor_size_below_one_rejected(self, group, points, size):
+        targets = dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CalibrationError, match=f"{group} targets must use {size} sizes >= 1"):
+                calibrate_profile(targets)
+
+    def test_repeated_memory_batch_size_rejected(self):
+        targets = dataclasses.replace(
+            self.bundled_targets(),
+            memory_points=((64, 4000.0), (64, 4100.0), (64, 4200.0)),
+        )
+        with pytest.raises(CalibrationError, match="memory targets must use distinct batch sizes"):
+            calibrate_profile(targets)
+
+    def test_non_finite_residual_rejected(self):
+        # Anchors near the float maximum overflow the memory line's sums.
+        targets = dataclasses.replace(
+            self.bundled_targets(),
+            memory_points=((16, 1e308), (64, 1.5e308), (256, 1.7e308)),
+        )
+        with pytest.raises(CalibrationError, match="memory fit residual is not finite"):
+            calibrate_profile(targets)
 
     def test_poor_fit_rejected(self):
         # Monotone but wildly off the model family: relative residual > 20%.
