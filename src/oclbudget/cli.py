@@ -19,7 +19,6 @@ from .scenario import (
     PREFERENCE_PRESETS,
     default_calibration_targets_path,
     load_scenario,
-    resolve_preference,
 )
 from .simulator import calibrate_profile, load_calibration_targets
 
@@ -81,7 +80,7 @@ def _load(args):
         pref = args.prefer
         if "," in pref:
             pref = [p.strip() for p in pref.split(",")]
-        scenario = scenario.with_preference(resolve_preference(pref))
+        scenario = scenario.with_preference(pref)
     return scenario
 
 

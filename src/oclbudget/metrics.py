@@ -19,11 +19,22 @@ which it rebuilds on demand with the same multiplies in the same order.
 plasticity, stability and snapshot are the reference implementations over
 an AccuracyMatrix; running_snapshot scores a RunningAccuracy through the
 same summation kernels, so both give identical floats.
+
+The stability kernel sums a[i][i] - a[K][i] in one sum() with no test per
+entry, so it requires that no entry exceeds its diagonal. A running row
+meets that by construction (see RunningAccuracy); the reference first clips
+each entry of an arbitrary matrix to its diagonal, which turns every
+negative difference into an exact 0.0 and leaves the others unchanged. Both
+paths then fold the same values in the same order. On CPython 3.10-3.11
+sum() of floats adds left to right, the same floats as a loop that skips
+non-positive differences; from 3.12 sum() is compensated, and the two paths
+still agree with each other.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,17 +112,22 @@ class RunningAccuracy:
     diagonal and the factor to be finite and in [0, 1]; since products of
     such values stay in [0, 1], every entry of every row satisfies the same
     check AccuracyMatrix.add_row applies.
+
+    No entry ever exceeds its diagonal, which is the contract the stability
+    kernel relies on: under round-to-nearest, fl(v * f) <= v for every
+    v >= 0 and f <= 1, so each multiply can only keep or lower an entry.
+    The row is a tuple, so no caller can edit an entry past its diagonal.
     """
 
     def __init__(self):
-        self.row: list[float] = []
+        self.row: tuple[float, ...] = ()
         self.diagonal: list[float] = []
         self.factors: list[float] = []
 
     def __len__(self) -> int:
         return len(self.diagonal)
 
-    def advance(self, factor: float, diagonal: float) -> list[float]:
+    def advance(self, factor: float, diagonal: float) -> tuple[float, ...]:
         """Append experience k's row: row k-1 times factor, then diagonal."""
         k = len(self.diagonal) + 1
         factor, diagonal = float(factor), float(diagonal)
@@ -119,9 +135,9 @@ class RunningAccuracy:
         _check_unit_interval(diagonal, "accuracy", k)
         row = [v * factor for v in self.row]
         row.append(diagonal)
-        self.row = row
         self.diagonal.append(diagonal)
         self.factors.append(factor)
+        self.row = row = tuple(row)
         return row
 
     def matrix(self) -> AccuracyMatrix:
@@ -181,18 +197,16 @@ def _row_plasticity(row: Sequence[float]) -> float:
 def _row_stability(row: Sequence[float], diagonal: Sequence[float]) -> float:
     """Stability of row k against the diagonal a[1][1], a[2][2], ...
 
-    The diagonal may stop at a[k-1][k-1] or include a[k][k]: that last pair
-    is equal and loses nothing, so the sum is the same either way.
+    Contract: no entry of row exceeds its diagonal, so every a[i][i] - a[k][i]
+    is already the clipped forgetting max(0, ...) and the sum needs no test
+    per entry. The diagonal may stop at a[k-1][k-1] or include a[k][k]: that
+    last pair is equal and adds an exact 0.0, so the sum is the same either
+    way.
     """
     k = len(row)
     if k == 1:
         return 1.0
-    total = 0.0
-    for first, current in zip(diagonal, row):
-        lost = first - current
-        if lost > 0.0:
-            total += lost
-    value = 1.0 - total / (k - 1)
+    value = 1.0 - sum(map(operator.sub, diagonal, row)) / (k - 1)
     return min(1.0, max(0.0, value))
 
 
@@ -206,13 +220,15 @@ def plasticity(matrix: AccuracyMatrix, k: int) -> float:
 def stability(matrix: AccuracyMatrix, k: int) -> float:
     """One minus mean forgetting over experiences 1..k-1; exactly 1 when k = 1.
 
-    Forgetting on experience i is max(0, a[i][i] - a[k][i]). The result is
-    clamped to [0, 1] so it always satisfies the snapshot invariant.
+    Forgetting on experience i is max(0, a[i][i] - a[k][i]): row k is
+    clipped to the diagonal before the kernel sums the differences. The
+    result is clamped to [0, 1] so it always satisfies the snapshot invariant.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     current = matrix.row(k)
-    return _row_stability(current, [matrix.get(i, i) for i in range(1, k)])
+    diagonal = [matrix.get(i, i) for i in range(1, k)]
+    return _row_stability([*map(min, diagonal, current), current[-1]], diagonal)
 
 
 def snapshot(

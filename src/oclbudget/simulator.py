@@ -297,7 +297,7 @@ class SimulatedEnvironment:
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
         row = self._accuracy.advance(1.0 - decay, diagonal)
-        return TrainResult(latency, memory, tuple(row), oom=False)
+        return TrainResult(latency, memory, row, oom=False)
 
 
 def estimate_optimizer_ratio(

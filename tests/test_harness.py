@@ -22,7 +22,7 @@ from oclbudget import (
 )
 from oclbudget.cli import main as cli_main
 from oclbudget.harness import CSV_COLUMNS, Report
-from oclbudget.scenario import default_calibration_targets_path
+from oclbudget.scenario import PREFERENCE_PRESETS, default_calibration_targets_path
 
 
 def scenario_text(**overrides):
@@ -242,27 +242,26 @@ class TestCli:
         assert len(text.splitlines()) == 11
 
     def test_run_prefer_override(self, tmp_path):
+        path = bundled_scenario_path("xavier-er")
         out = tmp_path / "report.csv"
         code = cli_main(
-            [
-                "run",
-                "--scenario",
-                str(bundled_scenario_path("xavier-er")),
-                "--prefer",
-                "prefer-latency",
-                "--out",
-                str(out),
-            ]
+            ["run", "--scenario", str(path), "--prefer", "prefer-latency", "--out", str(out)]
         )
         assert code == 0
+        scenario = load_scenario(path)
+        assert scenario.preference != PREFERENCE_PRESETS["prefer-latency"]
+        expected = run_suite(scenario.with_preference("prefer-latency"), ["controller"])
+        assert out.read_bytes() == emit_report(expected, "csv")
+        assert out.read_bytes() != emit_report(run_suite(scenario, ["controller"]), "csv")
 
     def test_run_explicit_preference_list_seed_and_log_format(self, tmp_path):
+        path = bundled_scenario_path("xavier-er")
         out = tmp_path / "report.jsonl"
         code = cli_main(
             [
                 "run",
                 "--scenario",
-                str(bundled_scenario_path("xavier-er")),
+                str(path),
                 "--prefer",
                 "latency, memory, plasticity, stability",
                 "--seed",
@@ -276,6 +275,29 @@ class TestCli:
         assert code == 0
         first = json.loads(out.read_text().splitlines()[0])
         assert first["experience"] == 1
+        scenario = (
+            load_scenario(path)
+            .with_seed(123)
+            .with_preference(["latency", "memory", "plasticity", "stability"])
+        )
+        assert out.read_bytes() == emit_report(run_suite(scenario, ["controller"]), "log")
+
+    def test_run_unknown_preference_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = cli_main(
+            [
+                "run",
+                "--scenario",
+                str(bundled_scenario_path("xavier-er")),
+                "--prefer",
+                "prefer-memory",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert "unknown preference preset 'prefer-memory'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -112,6 +112,10 @@ class TestStability:
         # Later accuracy above the diagonal clips to zero forgetting.
         m = AccuracyMatrix([[0.5], [0.9, 0.8]])
         assert stability(m, 2) == 1.0
+        # Below the clamp: a[3][1] = 0.8 above a[1][1] = 0.5 forgets nothing,
+        # so only experience 2 (0.7 -> 0.4) counts.
+        m = AccuracyMatrix([[0.5], [0.9, 0.7], [0.8, 0.4, 0.6]])
+        assert stability(m, 3) == 1.0 - (0.7 - 0.4) / 2
 
     def test_incomplete_matrix_raises(self):
         m = AccuracyMatrix([[0.9], [0.5, 0.8]])

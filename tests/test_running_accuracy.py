@@ -45,11 +45,49 @@ def test_running_row_equals_matrix_reference(steps):
         previous = matrix.row(k - 1) if k > 1 else ()
         matrix.add_row(tuple(v * factor for v in previous) + (diagonal,))
 
-        assert tuple(running.row) == matrix.row(k)
+        assert running.row == matrix.row(k)
         snap = running_snapshot(running, 1.0, 1.0, TH)
         assert snap.plasticity == plasticity(matrix, k)
         assert snap.stability == stability(matrix, k)
     assert running.matrix().entries() == matrix.entries()
+
+
+EDGES = [0.0, 1.0, 5e-324]
+edge_unit = st.one_of(st.sampled_from(EDGES), unit)
+_edge = random.Random(301)
+
+
+def _edge_or(value):
+    return _edge.choice(EDGES) if _edge.random() < 0.1 else value
+
+
+# Factors near 1 keep old entries alive across the whole 1000-step run.
+EDGE_STEPS = [(_edge_or(_edge.uniform(0.99, 1.0)), _edge_or(_edge.random())) for _ in range(1000)]
+
+
+def brute_force_stability(row, diagonal):
+    # Independent evaluation with the clip written out; sum() so it folds the
+    # same values in the same order as the kernel on every CPython.
+    k = len(row)
+    if k == 1:
+        return 1.0
+    total = sum(max(0.0, diagonal[i] - row[i]) for i in range(k - 1))
+    return min(1.0, max(0.0, 1.0 - total / (k - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(edge_unit, edge_unit), min_size=1, max_size=1000))
+@example(EDGE_STEPS)
+def test_stability_kernel_contract(steps):
+    """No running entry exceeds its diagonal, and all three stabilities agree."""
+    running = RunningAccuracy()
+    matrix = AccuracyMatrix()
+    for k, (factor, diagonal) in enumerate(steps, start=1):
+        matrix.add_row(running.advance(factor, diagonal))
+        assert all(v <= d for v, d in zip(running.row, running.diagonal))
+        snap = running_snapshot(running, 1.0, 1.0, TH)
+        assert snap.stability == stability(matrix, k)
+        assert snap.stability == brute_force_stability(running.row, running.diagonal)
 
 
 @pytest.mark.parametrize(
@@ -61,7 +99,7 @@ def test_advance_rejects_values_outside_unit_interval(factor, diagonal):
     running.advance(0.9, 0.8)
     with pytest.raises(ValueError):
         running.advance(factor, diagonal)
-    assert len(running) == 1 and running.row == [0.8]
+    assert len(running) == 1 and running.row == (0.8,)
 
 
 def test_running_snapshot_needs_a_trained_experience():
