@@ -22,6 +22,7 @@ from .controller import (
     BudgetState,
     ControllerConfig,
     Knobs,
+    MemoryModel,
     OptimizerMode,
     Outcome,
     RunTrace,
@@ -79,7 +80,6 @@ from .simulator import (
     SimulatedEnvironment,
     TrainResult,
     calibrate_profile,
-    estimate_optimizer_ratio,
     load_calibration_targets,
     load_profile_library,
 )

@@ -5,7 +5,8 @@ never adapt: knobs stay fixed for the whole run and the budget state only
 advances its step. The health score and threshold are still computed and
 recorded as diagnostics, so a fixed policy whose knobs equal the
 controller's initial knobs produces a trace identical to a neutral
-controller (zero sensitivities, unit optimizer ratio).
+controller (zero sensitivities and a threshold no score reaches, so it
+never leaves its initial budgets or the default optimizer).
 
 The "fixed" policy is a plain fixed-configuration proxy baseline. It stands
 in for latent-replay-style systems in comparisons without claiming to model
@@ -116,13 +117,14 @@ def run_baseline(
             optimizer_mode=policy.optimizer_mode,
         )
         state = BudgetState(
-            batch_mb=policy.batch * config.batch_sample_mb,
-            replay_mb=policy.buffer * config.replay_frame_mb,
+            batch_mb=policy.batch * config.memory.sample_mb,
+            replay_mb=policy.buffer * config.memory.frame_mb,
             optimizer_mb=(
                 config.optimizer_advanced_mb
                 if policy.optimizer_mode is OptimizerMode.ADVANCED
                 else config.optimizer_default_mb
             ),
+            optimizer_mode=policy.optimizer_mode,
         )
     return _run_policy(
         scenario,

@@ -143,10 +143,10 @@ def _cmd_calibrate(args) -> int:
         print(f"{group} fit max relative residual: {residual:.3%}")
     print(f"compute cost per sample: {result.profile.compute_cost_per_sample_s:.6g} s")
     print(f"batch knee:              {result.response.batch_knee}")
-    print(f"activation per sample:   {result.response.activation_mb_per_sample:.6g} MB")
-    print(f"base memory:             {result.profile.base_memory_mb:.6g} MB")
+    print(f"activation per sample:   {result.memory.sample_mb:.6g} MB")
+    print(f"base memory:             {result.memory.base_mb:.6g} MB")
     print(f"optimizer multiplier:    {result.profile.optimizer_latency_multiplier:.6g}")
-    print(f"optimizer memory delta:  {result.profile.optimizer_memory_delta_mb:.6g} MB")
+    print(f"optimizer memory delta:  {result.memory.optimizer_delta_mb:.6g} MB")
     print(f"stability gain max:      {result.response.stability_gain_max:.6g}")
     print(f"stability buffer scale:  {result.response.stability_buffer_scale:.6g}")
     if args.out:
@@ -158,14 +158,14 @@ def _cmd_calibrate(args) -> int:
                     "compute_cost_per_sample_s": result.profile.compute_cost_per_sample_s,
                     "replay_sampling_cost_s": result.profile.replay_sampling_cost_s,
                     "optimizer_latency_multiplier": result.profile.optimizer_latency_multiplier,
-                    "optimizer_memory_delta_mb": result.profile.optimizer_memory_delta_mb,
-                    "base_memory_mb": result.profile.base_memory_mb,
+                    "optimizer_memory_delta_mb": result.memory.optimizer_delta_mb,
+                    "base_memory_mb": result.memory.base_mb,
                     "per_experience_growth": result.profile.per_experience_growth,
-                    "activation_mb_per_sample": result.response.activation_mb_per_sample,
-                    "replay_frame_mb": result.response.replay_frame_mb,
+                    "activation_mb_per_sample": result.memory.sample_mb,
+                    "replay_frame_mb": result.memory.frame_mb,
                     "batch_knee": result.response.batch_knee,
-                    "buffer_spike_threshold": result.response.buffer_spike_threshold,
-                    "buffer_spike_coeff": result.response.buffer_spike_coeff,
+                    "buffer_spike_threshold": result.memory.spike_threshold,
+                    "buffer_spike_coeff": result.memory.spike_coeff,
                     "stability_gain_max": result.response.stability_gain_max,
                     "stability_buffer_scale": result.response.stability_buffer_scale,
                     "plasticity_max": result.response.plasticity_max,

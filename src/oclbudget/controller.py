@@ -40,27 +40,71 @@ class Outcome(str, Enum):
 
 
 @dataclass(frozen=True)
+class Knobs:
+    """Actionable training configuration derived from a budget state."""
+
+    batch_size: int
+    buffer_size: int
+    optimizer_mode: OptimizerMode
+
+
+@dataclass(frozen=True)
+class MemoryModel:
+    """Peak device memory of one experience as a function of its knobs:
+
+        base + B * sample + R * frame + optimizer_delta (advanced only)
+             + spike_coeff * max(0, R - spike_threshold)^2
+
+    The last term is the residency blow-up of large replay buffers. The
+    simulator's out-of-memory check and the controller's budget arithmetic
+    read the same instance, so the two cannot disagree on a cost.
+    """
+
+    base_mb: float  # model + framework
+    optimizer_delta_mb: float  # advanced optimizer plugin
+    sample_mb: float  # per batch sample
+    frame_mb: float  # per replay frame
+    spike_threshold: int  # residency term activates above this buffer size
+    spike_coeff: float  # MB per (frame above threshold)^2
+
+    def __post_init__(self):
+        if self.base_mb < 0 or self.optimizer_delta_mb < 0:
+            raise ValueError("memory figures must be >= 0")
+        if self.sample_mb <= 0 or self.frame_mb <= 0:
+            raise ValueError("per-item memory costs must be > 0")
+
+    def memory_mb(self, knobs: Knobs) -> float:
+        plugin = (
+            self.optimizer_delta_mb if knobs.optimizer_mode is OptimizerMode.ADVANCED else 0.0
+        )
+        overhang = max(0, knobs.buffer_size - self.spike_threshold)
+        residency = self.spike_coeff * overhang * overhang
+        return (
+            self.base_mb
+            + knobs.batch_size * self.sample_mb
+            + knobs.buffer_size * self.frame_mb
+            + plugin
+            + residency
+        )
+
+
+@dataclass(frozen=True)
 class ControllerConfig:
     """Static controller parameters for one run.
 
-    batch_sample_mb and replay_frame_mb are the per-item memory costs used to
-    turn budgets into knobs; optimizer_default_mb covers everything that is
-    neither batch nor replay memory, and the advanced level is
-    optimizer_ratio times that.
+    memory is the simulator's own memory model. Its per-item costs turn
+    budgets into knobs, with at least one sample and one frame. Its base
+    memory, everything that is neither batch nor replay memory, is the
+    default optimizer budget; the advanced budget adds the optimizer delta.
     """
 
     initial_threshold: float  # in (0, 1)
     threshold_decay: float  # per experience, >= 0
     batch_sensitivity: float  # alpha, >= 0
     replay_sensitivity: float  # beta, >= 0
-    batch_sample_mb: float
-    replay_frame_mb: float
-    optimizer_default_mb: float
-    optimizer_ratio: float  # >= 1
+    memory: MemoryModel
     capacity_mb: float
     safety_margin: float = 0.05
-    min_batch: int = 1
-    min_buffer: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.initial_threshold < 1.0:
@@ -69,20 +113,18 @@ class ControllerConfig:
             raise ValueError("threshold decay must be >= 0")
         if self.batch_sensitivity < 0 or self.replay_sensitivity < 0:
             raise ValueError("sensitivities must be >= 0")
-        if min(self.batch_sample_mb, self.replay_frame_mb, self.optimizer_default_mb) <= 0:
-            raise ValueError("per-item costs and optimizer budget must be > 0")
-        if self.optimizer_ratio < 1.0:
-            raise ValueError(f"optimizer ratio must be >= 1, got {self.optimizer_ratio}")
         if self.capacity_mb <= self.optimizer_default_mb:
             raise ValueError("capacity must exceed the default optimizer budget")
         if not 0.0 <= self.safety_margin < 1.0:
             raise ValueError("safety margin must be in [0, 1)")
-        if self.min_batch < 1 or self.min_buffer < 1:
-            raise ValueError("minimum knobs must be >= 1")
+
+    @property
+    def optimizer_default_mb(self) -> float:
+        return self.memory.base_mb
 
     @property
     def optimizer_advanced_mb(self) -> float:
-        return self.optimizer_ratio * self.optimizer_default_mb
+        return self.memory.base_mb + self.memory.optimizer_delta_mb
 
     @property
     def budget_cap_mb(self) -> float:
@@ -91,12 +133,18 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class BudgetState:
-    """Memory budgets (MB) for batch processing, replay, and the optimizer."""
+    """Memory budgets (MB) for batch processing, replay, and the optimizer.
+
+    optimizer_mode is the optimizer level the update chose; optimizer_mb is
+    that level's budget. The mode is kept, not read back from the budget,
+    because the two levels can have equal budgets.
+    """
 
     batch_mb: float
     replay_mb: float
     optimizer_mb: float
     step: int = 0
+    optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT
 
     def __post_init__(self):
         if self.batch_mb < 0 or self.replay_mb < 0:
@@ -107,15 +155,6 @@ class BudgetState:
     @property
     def total_mb(self) -> float:
         return self.batch_mb + self.replay_mb + self.optimizer_mb
-
-
-@dataclass(frozen=True)
-class Knobs:
-    """Actionable training configuration derived from a budget state."""
-
-    batch_size: int
-    buffer_size: int
-    optimizer_mode: OptimizerMode
 
 
 def threshold_at(config: ControllerConfig, t: int) -> float:
@@ -144,21 +183,22 @@ def update_budgets(
     If the new total would exceed capacity * (1 - safety_margin), the batch
     and replay budgets are scaled proportionally so the total meets the cap
     exactly; the optimizer budget is never scaled, only toggled. Raises
-    InfeasibleBudgetError when projection cannot leave room for the minimum
-    knobs.
+    InfeasibleBudgetError when projection cannot leave room for one batch
+    sample and one replay frame.
     """
     if score >= threshold:
         gain = score - threshold
         batch_mb = prev.batch_mb * (1.0 + config.batch_sensitivity * gain)
         replay_mb = prev.replay_mb * (1.0 + config.replay_sensitivity * gain)
-        optimizer_mb = (
-            config.optimizer_advanced_mb if allow_advanced else config.optimizer_default_mb
-        )
+        if allow_advanced:
+            mode, optimizer_mb = OptimizerMode.ADVANCED, config.optimizer_advanced_mb
+        else:
+            mode, optimizer_mb = OptimizerMode.DEFAULT, config.optimizer_default_mb
     else:
         drop = threshold - score
         batch_mb = prev.batch_mb * (1.0 - config.batch_sensitivity * drop)
         replay_mb = prev.replay_mb * (1.0 - config.replay_sensitivity * drop)
-        optimizer_mb = config.optimizer_default_mb
+        mode, optimizer_mb = OptimizerMode.DEFAULT, config.optimizer_default_mb
 
     if batch_mb < 0 or replay_mb < 0:
         raise InfeasibleBudgetError(
@@ -182,9 +222,7 @@ def update_budgets(
         while batch_mb + replay_mb + optimizer_mb > cap:
             batch_mb = math.nextafter(batch_mb, 0.0)
             replay_mb = math.nextafter(replay_mb, 0.0)
-        if batch_mb < config.min_batch * config.batch_sample_mb or (
-            replay_mb < config.min_buffer * config.replay_frame_mb
-        ):
+        if batch_mb < config.memory.sample_mb or replay_mb < config.memory.frame_mb:
             raise InfeasibleBudgetError(
                 "projection pushed a budget below its minimum knob requirement "
                 f"(batch {batch_mb:.3f} MB, replay {replay_mb:.3f} MB)"
@@ -195,19 +233,15 @@ def update_budgets(
         replay_mb=replay_mb,
         optimizer_mb=optimizer_mb,
         step=prev.step + 1,
+        optimizer_mode=mode,
     )
 
 
 def derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:
-    """Floor-divide budgets by per-item costs, clamped at the minimum knobs."""
-    batch = max(config.min_batch, math.floor(state.batch_mb / config.batch_sample_mb))
-    buffer = max(config.min_buffer, math.floor(state.replay_mb / config.replay_frame_mb))
-    mode = (
-        OptimizerMode.ADVANCED
-        if state.optimizer_mb == config.optimizer_advanced_mb
-        else OptimizerMode.DEFAULT
-    )
-    return Knobs(batch_size=batch, buffer_size=buffer, optimizer_mode=mode)
+    """Floor-divide budgets by per-item costs, with at least one of each."""
+    batch = max(1, math.floor(state.batch_mb / config.memory.sample_mb))
+    buffer = max(1, math.floor(state.replay_mb / config.memory.frame_mb))
+    return Knobs(batch_size=batch, buffer_size=buffer, optimizer_mode=state.optimizer_mode)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .controller import (
     TraceRecord,
     run_control_loop,
 )
-from .scenario import ScenarioConfig, build_environment, load_scenario  # noqa: F401
+from .scenario import ScenarioConfig, build_environment
 from .urge import weights_from_preference
 
 CSV_COLUMNS = (

@@ -2,14 +2,13 @@
 
 A scenario names a platform preset and an algorithm profile from the profile
 library, sets the workload size and seed, picks a preference ordering, and
-parameterizes the controller. Per-item memory costs and the optimizer budgets
-default to values consistent with the referenced profile, which is what makes
-the controller's budget arithmetic line up with the simulator's linear memory
-terms. The capacity projection is an OOM guarantee only while the replay
-buffer stays under the profile's buffer_spike_threshold: above it the
-simulator adds a quadratic residency term the projection does not count.
-The bundled 10-experience horizon stays under it; longer runs can exceed it
-(ROADMAP open item 1).
+parameterizes the controller. The profile's memory model is handed as one
+object to both the controller and the environment, so the controller's
+per-item costs and optimizer budgets are the simulator's own. The capacity
+projection is an OOM guarantee only while the replay buffer stays under the
+model's spike_threshold: above it the model adds a quadratic residency term
+the projection does not count. The bundled 10-experience horizon stays under
+it; longer runs can exceed it (ROADMAP open item 1).
 """
 
 from __future__ import annotations
@@ -169,7 +168,7 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
             f"{label}.profile: unknown profile {profile_name!r}; "
             f"available: {sorted(library.profiles)}"
         )
-    profile, response = library.profiles[profile_name]
+    profile, response, memory = library.profiles[profile_name]
 
     num_experiences = root.take_int("num_experiences", minimum=1)
     samples = root.take_int("samples_per_experience", minimum=1)
@@ -198,32 +197,14 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     th.finish()
 
     ctrl = root.section("controller")
-    optimizer_default = ctrl.take_number(
-        "optimizer_default_mb", default=profile.base_memory_mb, minimum=1e-9
-    )
-    default_ratio = (
-        (profile.base_memory_mb + profile.optimizer_memory_delta_mb)
-        / profile.base_memory_mb
-        if profile.base_memory_mb > 0
-        else 1.0
-    )
     config = ControllerConfig(
         initial_threshold=ctrl.take_number("initial_threshold", minimum=1e-12, maximum=1.0),
         threshold_decay=ctrl.take_number("threshold_decay", minimum=0.0),
         batch_sensitivity=ctrl.take_number("batch_sensitivity", minimum=0.0),
         replay_sensitivity=ctrl.take_number("replay_sensitivity", minimum=0.0),
-        batch_sample_mb=ctrl.take_number(
-            "batch_sample_mb", default=response.activation_mb_per_sample, minimum=1e-9
-        ),
-        replay_frame_mb=ctrl.take_number(
-            "replay_frame_mb", default=response.replay_frame_mb, minimum=1e-9
-        ),
-        optimizer_default_mb=optimizer_default,
-        optimizer_ratio=ctrl.take_number("optimizer_ratio", default=default_ratio, minimum=1.0),
+        memory=memory,
         capacity_mb=platform.capacity_mb,
         safety_margin=ctrl.take_number("safety_margin", default=0.05, minimum=0.0, maximum=0.99),
-        min_batch=ctrl.take_int("min_batch", default=1, minimum=1),
-        min_buffer=ctrl.take_int("min_buffer", default=1, minimum=1),
     )
     initial_batch_mb = ctrl.take_number("initial_batch_mb", minimum=0.0)
     initial_replay_mb = ctrl.take_number("initial_replay_mb", minimum=0.0)
@@ -286,6 +267,7 @@ def build_environment(scenario: ScenarioConfig) -> SimulatedEnvironment:
     return SimulatedEnvironment(
         profile=scenario.profile,
         response=scenario.response,
+        memory=scenario.controller.memory,
         capacity_mb=scenario.platform.capacity_mb,
         seed=scenario.seed,
         prefetch=scenario.prefetch,

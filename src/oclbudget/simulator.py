@@ -7,9 +7,10 @@ new accuracy-matrix row through a small family of response surfaces:
   with c_iter(B) = cost_per_sample * max(B, knee). Below the knee the device
   is latency-bound and iteration time is flat, so latency falls as 1/B; at
   the knee it goes compute-bound and latency flattens.
-* memory: base + B * m_act + R * m_df + plugin_delta(mode) + residency(R),
-  where residency is a quadratic term that only activates above a buffer
-  threshold (the abrupt blow-up large buffers cause in practice).
+* memory: controller.MemoryModel, base + B * m_act + R * m_df
+  + plugin_delta(mode) + residency(R), where residency is a quadratic term
+  that only activates above a buffer threshold (the abrupt blow-up large
+  buffers cause in practice). The controller budgets with the same instance.
 * stability gain: s(R) = s_max * (1 - exp(-R / R0)), saturating.
 * plasticity: the new diagonal accuracy rises with the number of gradient
   updates n / B with diminishing returns, so very large batches learn almost
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .controller import Knobs, OptimizerMode
+from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
 from .metrics import AccuracyMatrix, RunningAccuracy
 from .yamlcfg import Section, check_schema_version, load_yaml_mapping
@@ -56,8 +57,6 @@ class AlgorithmProfile:
     compute_cost_per_sample_s: float
     replay_sampling_cost_s: float
     optimizer_latency_multiplier: float  # advanced mode, >= 1
-    optimizer_memory_delta_mb: float
-    base_memory_mb: float  # model + framework
     per_experience_growth: float  # workload complexity drift, >= 1
 
     def __post_init__(self):
@@ -65,19 +64,13 @@ class AlgorithmProfile:
             raise ValueError("costs must be >= 0")
         if self.optimizer_latency_multiplier < 1.0 or self.per_experience_growth < 1.0:
             raise ValueError("multipliers must be >= 1")
-        if self.optimizer_memory_delta_mb < 0 or self.base_memory_mb < 0:
-            raise ValueError("memory figures must be >= 0")
 
 
 @dataclass(frozen=True)
 class ResponseModel:
-    """Response-surface parameters mapping knobs to latency/memory/accuracy."""
+    """Response-surface parameters mapping knobs to latency and accuracy."""
 
-    activation_mb_per_sample: float  # per-sample batch memory
-    replay_frame_mb: float  # per-frame replay memory
     batch_knee: int  # compute-bound knee
-    buffer_spike_threshold: int  # residency term activates above this R
-    buffer_spike_coeff: float  # MB per (frame above threshold)^2
     stability_gain_max: float  # s_max in [0, 1]
     stability_buffer_scale: float  # R0
     plasticity_max: float
@@ -87,8 +80,6 @@ class ResponseModel:
     noise_fraction: float = 0.0  # seeded jitter on latency and new accuracy
 
     def __post_init__(self):
-        if self.activation_mb_per_sample <= 0 or self.replay_frame_mb <= 0:
-            raise ValueError("per-item memory costs must be > 0")
         if self.batch_knee < 1:
             raise ValueError("batch knee must be >= 1")
         if not 0.0 <= self.stability_gain_max <= 1.0:
@@ -119,26 +110,6 @@ class ResponseModel:
         stream = (n_samples / batch_size) * c_iter * opt * growth
         replay = buffer_size * profile.replay_sampling_cost_s
         return (stream + replay) * compute_scale
-
-    def memory_mb(
-        self,
-        profile: AlgorithmProfile,
-        batch_size: int,
-        buffer_size: int,
-        mode: OptimizerMode,
-    ) -> float:
-        plugin = (
-            profile.optimizer_memory_delta_mb if mode is OptimizerMode.ADVANCED else 0.0
-        )
-        overhang = max(0, buffer_size - self.buffer_spike_threshold)
-        residency = self.buffer_spike_coeff * overhang * overhang
-        return (
-            profile.base_memory_mb
-            + batch_size * self.activation_mb_per_sample
-            + buffer_size * self.replay_frame_mb
-            + plugin
-            + residency
-        )
 
     def stability_gain(self, buffer_size: int) -> float:
         """Saturating forgetting attenuation in [0, s_max]; 0 at R = 0."""
@@ -213,6 +184,7 @@ class SimulatedEnvironment:
         self,
         profile: AlgorithmProfile,
         response: ResponseModel,
+        memory: MemoryModel,
         capacity_mb: float,
         seed: int,
         prefetch: PrefetchModel,
@@ -228,6 +200,7 @@ class SimulatedEnvironment:
             raise ValueError("seed must be >= 0")
         self.profile = profile
         self.response = response
+        self.memory = memory
         self.capacity_mb = float(capacity_mb)
         self.prefetch = prefetch
         self.samples_per_experience = int(samples_per_experience)
@@ -272,14 +245,14 @@ class SimulatedEnvironment:
         if knobs.batch_size < 1 or knobs.buffer_size < 0:
             raise ValueError(f"invalid knobs {knobs}")
 
-        b, r, mode = knobs.batch_size, knobs.buffer_size, knobs.optimizer_mode
-        memory = self.response.memory_mb(self.profile, b, r, mode)
+        memory = self.memory.memory_mb(knobs)
         if memory > self.capacity_mb:
             self._failed = True
             return TrainResult(None, memory, None, oom=True)
 
         # Constant workload per experience; complexity drift is modeled by
         # the profile's growth factor instead.
+        b, r, mode = knobs.batch_size, knobs.buffer_size, knobs.optimizer_mode
         n = self.samples_per_experience
         compute = self.response.compute_latency_s(
             self.profile, b, r, mode, experience, n, self.compute_scale
@@ -298,30 +271,6 @@ class SimulatedEnvironment:
 
         row = self._accuracy.advance(1.0 - decay, diagonal)
         return TrainResult(latency, memory, row, oom=False)
-
-
-def estimate_optimizer_ratio(
-    profile: AlgorithmProfile,
-    response: ResponseModel,
-    batch_size: int = 32,
-    buffer_size: int = 1000,
-) -> float:
-    """Probe the memory model once per optimizer mode and estimate the ratio
-    between the advanced and default optimizer budgets.
-
-    The non-batch, non-replay remainder is attributed to the optimizer, so
-    the ratio is (base + plugin delta) / base measured from two probes.
-    """
-    per_knobs = batch_size * response.activation_mb_per_sample + (
-        buffer_size * response.replay_frame_mb
-    )
-    m_default = response.memory_mb(profile, batch_size, buffer_size, OptimizerMode.DEFAULT)
-    m_advanced = response.memory_mb(profile, batch_size, buffer_size, OptimizerMode.ADVANCED)
-    default_budget = m_default - per_knobs
-    advanced_budget = m_advanced - per_knobs
-    if default_budget <= 0:
-        raise ValueError("probe batch/buffer too large: nothing left for the optimizer")
-    return advanced_budget / default_budget
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +301,7 @@ class CalibrationTargets:
 class CalibrationResult:
     profile: AlgorithmProfile
     response: ResponseModel
+    memory: MemoryModel
     residuals: dict[str, float]  # max relative residual per fitted group
 
 
@@ -363,11 +313,11 @@ _MIN_COST_PER_SAMPLE = 1e-12  # lower bound of the fitted latency cost c
 _STABILITY_GRID_POINTS = 181
 _GOLDEN_ITERATIONS = 80
 
-# Defaults for response fields the targets do not constrain.
+# Defaults for model fields the targets do not constrain.
 _UNCONSTRAINED_DEFAULTS = dict(
-    replay_frame_mb=0.045,
-    buffer_spike_threshold=20000,
-    buffer_spike_coeff=7.0e-7,
+    frame_mb=0.045,
+    spike_threshold=20000,
+    spike_coeff=7.0e-7,
     plasticity_max=0.9,
     plasticity_updates_scale=45.0,
     advanced_plasticity_bonus=0.04,
@@ -592,16 +542,10 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         compute_cost_per_sample_s=cost_per_sample,
         replay_sampling_cost_s=d["replay_sampling_cost_s"],
         optimizer_latency_multiplier=max(1.0, opt_multiplier),
-        optimizer_memory_delta_mb=opt_delta,
-        base_memory_mb=base,
         per_experience_growth=d["per_experience_growth"],
     )
     response = ResponseModel(
-        activation_mb_per_sample=m_act,
-        replay_frame_mb=d["replay_frame_mb"],
         batch_knee=max(1, round(knee)),
-        buffer_spike_threshold=d["buffer_spike_threshold"],
-        buffer_spike_coeff=d["buffer_spike_coeff"],
         stability_gain_max=s_max,
         stability_buffer_scale=r0,
         plasticity_max=d["plasticity_max"],
@@ -609,7 +553,17 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         advanced_plasticity_bonus=d["advanced_plasticity_bonus"],
         forgetting_rate=d["forgetting_rate"],
     )
-    return CalibrationResult(profile=profile, response=response, residuals=residuals)
+    memory = MemoryModel(
+        base_mb=base,
+        optimizer_delta_mb=opt_delta,
+        sample_mb=m_act,
+        frame_mb=d["frame_mb"],
+        spike_threshold=d["spike_threshold"],
+        spike_coeff=d["spike_coeff"],
+    )
+    return CalibrationResult(
+        profile=profile, response=response, memory=memory, residuals=residuals
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +576,7 @@ class ProfileLibrary:
     """Everything the bundled profiles file provides."""
 
     platforms: dict[str, PlatformPreset]
-    profiles: dict[str, tuple[AlgorithmProfile, ResponseModel]]
+    profiles: dict[str, tuple[AlgorithmProfile, ResponseModel, MemoryModel]]
 
 
 def load_profile_library(path: str | Path) -> ProfileLibrary:
@@ -644,7 +598,7 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
         sec.finish()
     platform_sec.finish()
 
-    profiles: dict[str, tuple[AlgorithmProfile, ResponseModel]] = {}
+    profiles: dict[str, tuple[AlgorithmProfile, ResponseModel, MemoryModel]] = {}
     profile_sec = root.section("profiles")
     for name in profile_sec.keys():
         sec = profile_sec.section(name)
@@ -653,16 +607,18 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
             compute_cost_per_sample_s=sec.take_number("compute_cost_per_sample_s", minimum=0.0),
             replay_sampling_cost_s=sec.take_number("replay_sampling_cost_s", minimum=0.0),
             optimizer_latency_multiplier=sec.take_number("optimizer_latency_multiplier", minimum=1.0),
-            optimizer_memory_delta_mb=sec.take_number("optimizer_memory_delta_mb", minimum=0.0),
-            base_memory_mb=sec.take_number("base_memory_mb", minimum=0.0),
             per_experience_growth=sec.take_number("per_experience_growth", minimum=1.0),
         )
+        memory = MemoryModel(
+            base_mb=sec.take_number("base_memory_mb", minimum=0.0),
+            optimizer_delta_mb=sec.take_number("optimizer_memory_delta_mb", minimum=0.0),
+            sample_mb=sec.take_number("activation_mb_per_sample", minimum=1e-9),
+            frame_mb=sec.take_number("replay_frame_mb", minimum=1e-9),
+            spike_threshold=sec.take_int("buffer_spike_threshold", minimum=0),
+            spike_coeff=sec.take_number("buffer_spike_coeff", minimum=0.0),
+        )
         resp = ResponseModel(
-            activation_mb_per_sample=sec.take_number("activation_mb_per_sample", minimum=1e-9),
-            replay_frame_mb=sec.take_number("replay_frame_mb", minimum=1e-9),
             batch_knee=sec.take_int("batch_knee", minimum=1),
-            buffer_spike_threshold=sec.take_int("buffer_spike_threshold", minimum=0),
-            buffer_spike_coeff=sec.take_number("buffer_spike_coeff", minimum=0.0),
             stability_gain_max=sec.take_number("stability_gain_max", minimum=0.0, maximum=1.0),
             stability_buffer_scale=sec.take_number("stability_buffer_scale", minimum=1e-9),
             plasticity_max=sec.take_number("plasticity_max", minimum=0.0, maximum=1.0),
@@ -672,7 +628,7 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
             noise_fraction=sec.take_number("noise_fraction", default=0.0, minimum=0.0),
         )
         sec.finish()
-        profiles[name] = (prof, resp)
+        profiles[name] = (prof, resp, memory)
     profile_sec.finish()
     root.finish()
     return ProfileLibrary(platforms=platforms, profiles=profiles)

@@ -13,6 +13,8 @@ from oclbudget import (
     BaselinePolicy,
     BudgetState,
     ControllerConfig,
+    Knobs,
+    MemoryModel,
     MetricSnapshot,
     Outcome,
     PolicyKind,
@@ -51,10 +53,14 @@ def test_criterion_01_update_multiplier_exactness():
         threshold_decay=0.0,
         batch_sensitivity=0.1,
         replay_sensitivity=0.2,
-        batch_sample_mb=1.0,
-        replay_frame_mb=1.0,
-        optimizer_default_mb=100.0,
-        optimizer_ratio=1.0,
+        memory=MemoryModel(
+            base_mb=100.0,
+            optimizer_delta_mb=0.0,
+            sample_mb=1.0,
+            frame_mb=1.0,
+            spike_threshold=0,
+            spike_coeff=0.0,
+        ),
         capacity_mb=1e9,
     )
     prev = BudgetState(1000.0, 1000.0, 100.0)
@@ -214,16 +220,16 @@ def test_criterion_08_prefetch_ablation_bands():
 
 def test_criterion_09_calibration_fidelity():
     result = calibrate_profile(load_calibration_targets(default_calibration_targets_path()))
-    profile, response = result.profile, result.response
+    profile, response, model = result.profile, result.response, result.memory
 
     def latency(batch):
         return response.compute_latency_s(profile, batch, 0, OptimizerMode.DEFAULT, 1, 180_000)
 
     def memory(batch):
-        return response.memory_mb(profile, batch, 0, OptimizerMode.DEFAULT)
+        return model.memory_mb(Knobs(batch, 0, OptimizerMode.DEFAULT))
 
     plugin_latency = 73.06 * profile.optimizer_latency_multiplier
-    plugin_memory = 4100.0 + profile.optimizer_memory_delta_mb
+    plugin_memory = 4100.0 + model.optimizer_delta_mb
     table_ok = (
         abs(plugin_latency - 215.13) / 215.13 <= 0.15
         and abs(plugin_memory - 4207.0) / 4207.0 <= 0.15

@@ -20,11 +20,15 @@ from oclbudget import (
 
 
 def neutral(scenario):
+    # Zero sensitivities and a threshold no score reaches (the score is a
+    # product of logistic factors, each below 0.6): every step keeps the
+    # initial budgets and the default optimizer.
     cfg = dataclasses.replace(
         scenario.controller,
         batch_sensitivity=0.0,
         replay_sensitivity=0.0,
-        optimizer_ratio=1.0,
+        initial_threshold=0.999,
+        threshold_decay=0.0,
     )
     return dataclasses.replace(scenario, controller=cfg)
 
@@ -47,7 +51,7 @@ class TestFixedPolicies:
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_fixed_from_initial_budgets_matches_neutral_controller(self, name):
         # A fixed policy at the controller's initial knobs is exactly a
-        # controller with zero sensitivities and unit optimizer ratio.
+        # neutral controller.
         scenario = neutral(load_bundled_scenario(name))
         fixed = run_baseline(BaselinePolicy.fixed(), scenario)
         controller = run_control_loop(scenario, build_environment(scenario))

@@ -1,35 +1,53 @@
 """Controller: threshold decay, budget updates, projection, control loop."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oclbudget import (
     BudgetState,
     ControllerConfig,
     InfeasibleBudgetError,
+    MemoryModel,
     OptimizerMode,
     Outcome,
     build_environment,
+    bundled_scenario_names,
+    bundled_scenario_path,
     derive_knobs,
     load_bundled_scenario,
+    load_scenario,
     run_control_loop,
     threshold_at,
     update_budgets,
 )
+from oclbudget.scenario import default_profile_library_path
+
+MEMORY = dict(
+    base_mb=100.0,
+    optimizer_delta_mb=50.0,
+    sample_mb=1.0,
+    frame_mb=0.05,
+    spike_threshold=20000,
+    spike_coeff=0.0,
+)
 
 
 def make_config(**overrides):
+    """A config with a toy memory model; memory fields override MEMORY."""
+    memory = {key: overrides.pop(key) for key in list(overrides) if key in MEMORY}
     params = dict(
         initial_threshold=0.7,
         threshold_decay=0.1,
         batch_sensitivity=0.1,
         replay_sensitivity=0.2,
-        batch_sample_mb=1.0,
-        replay_frame_mb=0.05,
-        optimizer_default_mb=100.0,
-        optimizer_ratio=1.5,
+        memory=MemoryModel(**{**MEMORY, **memory}),
         capacity_mb=1000.0,
         safety_margin=0.05,
     )
@@ -152,7 +170,7 @@ class TestUpdateBudgets:
             assert state.total_mb <= cfg.budget_cap_mb
 
     def test_advanced_that_cannot_fit_raises(self):
-        cfg = make_config(capacity_mb=160.0, optimizer_ratio=1.6)  # advanced = 160 > cap 152
+        cfg = make_config(capacity_mb=160.0, optimizer_delta_mb=60.0)  # advanced = 160 > cap 152
         prev = BudgetState(10.0, 10.0, 100.0)
         with pytest.raises(InfeasibleBudgetError):
             update_budgets(prev, score=0.9, threshold=0.5, config=cfg)
@@ -162,9 +180,7 @@ class TestUpdateBudgets:
         assert new.batch_mb > prev.batch_mb
 
     def test_projection_below_min_knobs_raises(self):
-        cfg = make_config(
-            capacity_mb=120.0, batch_sample_mb=10.0, min_batch=1, optimizer_ratio=1.0
-        )
+        cfg = make_config(capacity_mb=120.0, sample_mb=10.0, optimizer_delta_mb=0.0)
         # cap = 114, optimizer 100 leaves 14 MB; batch alone needs 10 MB and
         # the projection scales batch to ~9 MB.
         prev = BudgetState(10.0, 5.0, 100.0)
@@ -180,30 +196,33 @@ class TestUpdateBudgets:
 
 class TestDeriveKnobs:
     def test_exact_division(self):
-        cfg = make_config(batch_sample_mb=1.0)
+        cfg = make_config(sample_mb=1.0)
         knobs = derive_knobs(BudgetState(64.0, 50.0, 100.0), cfg)
         assert knobs.batch_size == 64
 
     def test_floor_division(self):
-        cfg = make_config(batch_sample_mb=2.0)
+        cfg = make_config(sample_mb=2.0)
         knobs = derive_knobs(BudgetState(64.9, 50.0, 100.0), cfg)
         assert knobs.batch_size == 32
 
     def test_minimum_floor_applies(self):
-        cfg = make_config(replay_frame_mb=10.0, min_buffer=1)
+        cfg = make_config(frame_mb=10.0)
         knobs = derive_knobs(BudgetState(64.0, 5.0, 100.0), cfg)
         assert knobs.buffer_size == 1
 
     def test_optimizer_mode_from_budget_value(self):
-        cfg = make_config(optimizer_ratio=1.5)
-        assert (
-            derive_knobs(BudgetState(1.0, 1.0, cfg.optimizer_advanced_mb), cfg).optimizer_mode
-            is OptimizerMode.ADVANCED
-        )
-        assert (
-            derive_knobs(BudgetState(1.0, 1.0, cfg.optimizer_default_mb), cfg).optimizer_mode
-            is OptimizerMode.DEFAULT
-        )
+        # The mode is the one the budget state records, not a comparison of
+        # budgets: with a zero optimizer delta both levels cost the same.
+        for delta in (50.0, 0.0):
+            cfg = make_config(optimizer_delta_mb=delta)
+            advanced = BudgetState(
+                1.0, 1.0, cfg.optimizer_advanced_mb, optimizer_mode=OptimizerMode.ADVANCED
+            )
+            assert derive_knobs(advanced, cfg).optimizer_mode is OptimizerMode.ADVANCED
+            assert (
+                derive_knobs(BudgetState(1.0, 1.0, cfg.optimizer_default_mb), cfg).optimizer_mode
+                is OptimizerMode.DEFAULT
+            )
 
 
 class TestConfigValidation:
@@ -213,18 +232,60 @@ class TestConfigValidation:
 
     def test_capacity_must_exceed_optimizer(self):
         with pytest.raises(ValueError):
-            make_config(capacity_mb=50.0, optimizer_default_mb=100.0)
+            make_config(capacity_mb=50.0, base_mb=100.0)
 
-    def test_ratio_below_one_rejected(self):
+    def test_advanced_budget_below_default_rejected(self):
         with pytest.raises(ValueError):
-            make_config(optimizer_ratio=0.5)
+            make_config(optimizer_delta_mb=-1.0)
+
+
+@functools.cache
+def bundled(name):
+    return load_bundled_scenario(name)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_budgets_under_cap_fit_device_below_spike_threshold(data):
+    # The README's guarantee: knobs derived from any budget state under the
+    # cap, with room for one sample and one frame, fit device memory as long
+    # as the buffer stays at or below the spike threshold.
+    scenario = bundled(data.draw(st.sampled_from(bundled_scenario_names()), label="scenario"))
+    margin = data.draw(st.just(0.0) | st.floats(0.0, 0.3), label="safety_margin")
+    config = dataclasses.replace(scenario.controller, safety_margin=margin)
+    memory = config.memory
+    mode = data.draw(st.sampled_from(OptimizerMode), label="mode")
+    optimizer_mb = (
+        config.optimizer_advanced_mb
+        if mode is OptimizerMode.ADVANCED
+        else config.optimizer_default_mb
+    )
+    room = config.budget_cap_mb - optimizer_mb
+    batch_hi = room - memory.frame_mb
+    assume(batch_hi >= memory.sample_mb)
+    whole_samples = st.integers(1, int(batch_hi / memory.sample_mb)).map(
+        lambda n: n * memory.sample_mb
+    )
+    batch_mb = data.draw(
+        whole_samples | st.floats(memory.sample_mb, batch_hi), label="batch_mb"
+    )
+    replay_hi = min(room - batch_mb, (memory.spike_threshold + 1) * memory.frame_mb)
+    assume(replay_hi >= memory.frame_mb)
+    # Budgets that fill the cap exactly are where rounding would show.
+    replay_mb = data.draw(
+        st.just(replay_hi) | st.floats(memory.frame_mb, replay_hi), label="replay_mb"
+    )
+    state = BudgetState(batch_mb, replay_mb, optimizer_mb, optimizer_mode=mode)
+    assume(state.total_mb <= config.budget_cap_mb)
+    knobs = derive_knobs(state, config)
+    assume(knobs.buffer_size <= memory.spike_threshold)
+    assert knobs.optimizer_mode is mode
+    assert memory.memory_mb(knobs) <= config.capacity_mb
 
 
 class TestControlLoop:
     def test_single_experience_scenario(self):
         scenario = load_bundled_scenario("xavier-er")
-        import dataclasses
-
         scenario = dataclasses.replace(scenario, num_experiences=1)
         trace = run_control_loop(scenario, build_environment(scenario))
         assert trace.outcome is Outcome.COMPLETED
@@ -240,14 +301,15 @@ class TestControlLoop:
         assert a == b
 
     def test_neutral_controller_constant_knobs(self):
-        import dataclasses
-
         scenario = load_bundled_scenario("xavier-er")
+        # No score reaches the threshold, so every step is a zero-sensitivity
+        # shrink with the default optimizer.
         neutral = dataclasses.replace(
             scenario.controller,
             batch_sensitivity=0.0,
             replay_sensitivity=0.0,
-            optimizer_ratio=1.0,
+            initial_threshold=0.999,
+            threshold_decay=0.0,
         )
         scenario = dataclasses.replace(scenario, controller=neutral)
         trace = run_control_loop(scenario, build_environment(scenario))
@@ -268,23 +330,18 @@ class TestControlLoop:
             assert record.budgets.total_mb <= cap
 
     def test_oom_aborts_and_marks_trace(self):
-        # A deliberately mis-specified scenario: the controller believes each
-        # batch sample is tiny, so its knobs blow past true device memory.
-        import dataclasses
-
-        scenario = load_bundled_scenario("xavier-er")
-        lying = dataclasses.replace(
-            scenario.controller, batch_sample_mb=0.001, optimizer_default_mb=7000.0
-        )
-        scenario = dataclasses.replace(
-            scenario, controller=lying, initial_batch_mb=700.0, initial_replay_mb=10.0
-        )
+        # At 60 experiences orin-er's replay buffer grows past the spike
+        # threshold, whose residency term the projection does not count, and
+        # experience 46 runs out of memory.
+        scenario = load_bundled_scenario("orin-er")
+        scenario = dataclasses.replace(scenario, num_experiences=60)
         trace = run_control_loop(scenario, build_environment(scenario))
         assert trace.outcome is Outcome.OOM_FAILED
         assert trace.records[-1].oom
         assert trace.records[-1].snapshot is None
         assert trace.records[-1].memory_peak_mb > scenario.platform.capacity_mb
         assert len(trace.records) <= scenario.num_experiences
+        assert len(trace.records) == 46
 
     def test_outcome_completed_iff_full_length_and_no_oom(self):
         scenario = load_bundled_scenario("orin-gem")
@@ -324,8 +381,6 @@ class TestControlLoop:
     def test_infeasible_update_attaches_partial_trace(self):
         # At 60 experiences xavier-gss drives an update infeasible after 48
         # recorded experiences; the error carries everything recorded so far.
-        import dataclasses
-
         scenario = load_bundled_scenario("xavier-gss")
         long = dataclasses.replace(scenario, num_experiences=60)
         with pytest.raises(InfeasibleBudgetError) as info:
@@ -338,3 +393,24 @@ class TestControlLoop:
         short = dataclasses.replace(scenario, num_experiences=48)
         full = run_control_loop(short, build_environment(short))
         assert partial.records == full.records
+
+    def test_optimizer_mode_follows_branch_when_levels_cost_the_same(self, tmp_path):
+        # A zero optimizer delta makes the default and advanced budgets
+        # equal; the mode must still follow the branch that set the budgets.
+        library = yaml.safe_load(default_profile_library_path().read_text())
+        library["profiles"]["er"]["optimizer_memory_delta_mb"] = 0
+        path = tmp_path / "profiles.yaml"
+        path.write_text(yaml.safe_dump(library))
+        scenario = load_scenario(bundled_scenario_path("xavier-er"), library_path=path)
+        cfg = scenario.controller
+        assert cfg.optimizer_advanced_mb == cfg.optimizer_default_mb
+        trace = run_control_loop(scenario, build_environment(scenario))
+        assert trace.outcome is Outcome.COMPLETED
+        assert trace.records[0].knobs.optimizer_mode is OptimizerMode.DEFAULT
+        for prev, record in zip(trace.records, trace.records[1:]):
+            aggressive = prev.score.value >= prev.threshold
+            expected = OptimizerMode.ADVANCED if aggressive else OptimizerMode.DEFAULT
+            assert prev.budgets.optimizer_mode is expected
+            assert record.knobs.optimizer_mode is expected
+        # Both branches occur, so the check above covers each.
+        assert {r.knobs.optimizer_mode for r in trace.records} == set(OptimizerMode)

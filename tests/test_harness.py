@@ -8,6 +8,7 @@ import pytest
 from oclbudget import (
     SchemaError,
     ablate_prefetch,
+    build_environment,
     bundled_scenario_names,
     bundled_scenario_path,
     calibrate_profile,
@@ -97,10 +98,32 @@ class TestLoadScenario:
         path = tmp_path / "ok.yaml"
         path.write_text(scenario_text())
         scenario = load_scenario(path)
-        assert scenario.controller.batch_sample_mb == scenario.response.activation_mb_per_sample
-        assert scenario.controller.optimizer_default_mb == scenario.profile.base_memory_mb
-        expected_ratio = (4200.0 + 107.0) / 4200.0
-        assert scenario.controller.optimizer_ratio == pytest.approx(expected_ratio, rel=1e-12)
+        # One memory model: the environment checks OOM with the very object
+        # the controller budgets with.
+        assert build_environment(scenario).memory is scenario.controller.memory
+        assert scenario.controller.memory.sample_mb == 4.2
+        assert scenario.controller.optimizer_default_mb == 4200.0
+        assert scenario.controller.optimizer_advanced_mb == 4200.0 + 107.0
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "batch_sample_mb: 4.2",
+            "replay_frame_mb: 0.045",
+            "optimizer_default_mb: 4200.0",
+            "optimizer_ratio: 1.0",
+            "min_batch: 1",
+            "min_buffer: 1",
+        ],
+    )
+    def test_removed_memory_keys_rejected(self, tmp_path, key):
+        # The memory model comes from the profile only; the controller
+        # section no longer carries copies of its costs.
+        path = tmp_path / "bad.yaml"
+        path.write_text(scenario_text().replace("controller:", f"controller:\n  {key}"))
+        name = key.split(":")[0]
+        with pytest.raises(SchemaError, match=rf"controller: unknown key\(s\) \['{name}'\]"):
+            load_scenario(path)
 
     def test_infeasible_initial_budgets_rejected(self, tmp_path):
         text = scenario_text().replace("initial_batch_mb: 268.8", "initial_batch_mb: 99999.0")
@@ -307,30 +330,20 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_controller_oom_exit_code(self, tmp_path, capsys):
-        # Mis-specified per-sample cost makes the controller's own run OOM.
-        text = scenario_text().replace(
-            "controller:",
-            "controller:\n  batch_sample_mb: 0.001\n  optimizer_default_mb: 7000.0",
-        ).replace("initial_batch_mb: 268.8", "initial_batch_mb: 700.0")
+        # At 60 experiences orin-er's replay buffer passes the spike
+        # threshold and the controller's own run OOMs at experience 46.
+        text = bundled_scenario_path("orin-er").read_text()
         path = tmp_path / "oom.yaml"
-        path.write_text(text)
+        path.write_text(text.replace("num_experiences: 10", "num_experiences: 60"))
         code = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.csv")])
         assert code == 3
 
     def test_infeasible_budget_exit_code(self, tmp_path, capsys):
-        # The optimizer hogs nearly the whole cap: the first aggressive step
-        # overshoots, and projection cannot leave room for one batch sample.
-        text = (
-            scenario_text()
-            .replace(
-                "controller:",
-                "controller:\n  optimizer_default_mb: 7780.0\n  optimizer_ratio: 1.0",
-            )
-            .replace("initial_batch_mb: 268.8", "initial_batch_mb: 2.0")
-            .replace("initial_replay_mb: 45.0", "initial_replay_mb: 0.4")
-        )
+        # At 60 experiences xavier-gss grows its replay budget until, after
+        # 48 experiences, projection cannot leave room for one batch sample.
+        text = bundled_scenario_path("xavier-gss").read_text()
         path = tmp_path / "infeasible.yaml"
-        path.write_text(text)
+        path.write_text(text.replace("num_experiences: 10", "num_experiences: 60"))
         code = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.csv")])
         assert code == 4
         assert "infeasible" in capsys.readouterr().err
@@ -369,4 +382,5 @@ class TestCli:
         assert load_profile_library(out).profiles["calibrated"] == (
             fitted.profile,
             fitted.response,
+            fitted.memory,
         )

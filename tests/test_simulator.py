@@ -11,6 +11,7 @@ from oclbudget import (
     AlgorithmProfile,
     CalibrationError,
     Knobs,
+    MemoryModel,
     OptimizerMode,
     PrefetchModel,
     ResponseModel,
@@ -18,7 +19,6 @@ from oclbudget import (
     SimulatedEnvironment,
     SimulationStateError,
     calibrate_profile,
-    estimate_optimizer_ratio,
     load_calibration_targets,
     load_profile_library,
 )
@@ -34,8 +34,6 @@ def make_profile(**overrides):
         compute_cost_per_sample_s=0.004,
         replay_sampling_cost_s=0.002,
         optimizer_latency_multiplier=1.4,
-        optimizer_memory_delta_mb=100.0,
-        base_memory_mb=4000.0,
         per_experience_growth=1.03,
     )
     params.update(overrides)
@@ -44,11 +42,7 @@ def make_profile(**overrides):
 
 def make_response(**overrides):
     params = dict(
-        activation_mb_per_sample=4.0,
-        replay_frame_mb=0.05,
         batch_knee=128,
-        buffer_spike_threshold=20000,
-        buffer_spike_coeff=1e-7,
         stability_gain_max=0.95,
         stability_buffer_scale=800.0,
         plasticity_max=0.9,
@@ -61,10 +55,22 @@ def make_response(**overrides):
     return ResponseModel(**params)
 
 
+def make_memory():
+    return MemoryModel(
+        base_mb=4000.0,
+        optimizer_delta_mb=100.0,
+        sample_mb=4.0,
+        frame_mb=0.05,
+        spike_threshold=20000,
+        spike_coeff=1e-7,
+    )
+
+
 def make_env(capacity_mb=10000.0, seed=0, prefetch=None, n=8000, **response_overrides):
     return SimulatedEnvironment(
         profile=make_profile(),
         response=make_response(**response_overrides),
+        memory=make_memory(),
         capacity_mb=capacity_mb,
         seed=seed,
         prefetch=prefetch or PrefetchModel(0.0, 0.85, enabled=True),
@@ -122,29 +128,26 @@ class TestLatencyModel:
 
 class TestMemoryModel:
     def test_strictly_increasing_in_batch_and_buffer(self):
-        response, profile = make_response(), make_profile()
-        m = response.memory_mb(profile, 32, 100, OptimizerMode.DEFAULT)
-        assert response.memory_mb(profile, 33, 100, OptimizerMode.DEFAULT) > m
-        assert response.memory_mb(profile, 32, 101, OptimizerMode.DEFAULT) > m
+        memory = make_memory()
+        m = memory.memory_mb(knobs(32, 100))
+        assert memory.memory_mb(knobs(33, 100)) > m
+        assert memory.memory_mb(knobs(32, 101)) > m
 
     def test_additivity_below_spike_threshold(self):
-        response, profile = make_response(), make_profile()
+        memory = make_memory()
         for r in (0, 1, 100, 5000, 20000):
-            got = response.memory_mb(profile, 64, r, OptimizerMode.DEFAULT)
-            base = response.memory_mb(profile, 64, 0, OptimizerMode.DEFAULT)
+            got = memory.memory_mb(knobs(64, r))
+            base = memory.memory_mb(knobs(64, 0))
             # Exact up to float summation rounding: no residency term below
             # the threshold.
-            assert got - base == pytest.approx(r * response.replay_frame_mb, abs=1e-9)
+            assert got - base == pytest.approx(r * memory.frame_mb, abs=1e-9)
 
     def test_superlinear_spike_above_threshold(self):
-        response, profile = make_response(), make_profile()
+        memory = make_memory()
 
         def overhang(r):
-            linear = (
-                response.memory_mb(profile, 64, 0, OptimizerMode.DEFAULT)
-                + r * response.replay_frame_mb
-            )
-            return response.memory_mb(profile, 64, r, OptimizerMode.DEFAULT) - linear
+            linear = memory.memory_mb(knobs(64, 0)) + r * memory.frame_mb
+            return memory.memory_mb(knobs(64, r)) - linear
 
         assert overhang(20000) == 0.0
         assert overhang(40000) > 0.0
@@ -152,11 +155,11 @@ class TestMemoryModel:
         assert overhang(60000) > 2 * overhang(40000)
 
     def test_advanced_mode_adds_plugin_delta(self):
-        response, profile = make_response(), make_profile()
-        diff = response.memory_mb(profile, 64, 100, OptimizerMode.ADVANCED) - (
-            response.memory_mb(profile, 64, 100, OptimizerMode.DEFAULT)
+        memory = make_memory()
+        diff = memory.memory_mb(knobs(64, 100, OptimizerMode.ADVANCED)) - (
+            memory.memory_mb(knobs(64, 100))
         )
-        assert diff == profile.optimizer_memory_delta_mb
+        assert diff == memory.optimizer_delta_mb
 
 
 class TestStabilityPlasticityResponses:
@@ -201,8 +204,7 @@ class TestTrainExperience:
         assert decayed == pytest.approx(first * (1.0 - 0.3), rel=1e-12)
 
     def test_oom_boundary_is_exact(self):
-        response, profile = make_response(), make_profile()
-        need = response.memory_mb(profile, 64, 100, OptimizerMode.DEFAULT)
+        need = make_memory().memory_mb(knobs(64, 100))
         fits = make_env(capacity_mb=need)
         assert not fits.train_experience(1, knobs(64, 100)).oom
         blows = make_env(capacity_mb=need - 1.0)
@@ -318,14 +320,6 @@ class TestPrefetch:
         assert a.latency_s < b.latency_s
 
 
-class TestOptimizerRatioProbe:
-    def test_two_probe_estimate_recovers_ratio(self):
-        profile, response = make_profile(), make_response()
-        k = estimate_optimizer_ratio(profile, response)
-        expected = (4000.0 + 100.0) / 4000.0
-        assert k == pytest.approx(expected, rel=1e-12)
-
-
 class TestCalibration:
     def bundled_targets(self):
         return load_calibration_targets(default_calibration_targets_path())
@@ -336,8 +330,8 @@ class TestCalibration:
         # The synthetic trend was generated by the model family itself.
         assert result.profile.compute_cost_per_sample_s == pytest.approx(0.001, rel=1e-3)
         assert result.response.batch_knee == pytest.approx(192, abs=2)
-        assert result.response.activation_mb_per_sample == pytest.approx(8.4, rel=1e-6)
-        assert result.profile.base_memory_mb == pytest.approx(4200.0, rel=1e-6)
+        assert result.memory.sample_mb == pytest.approx(8.4, rel=1e-6)
+        assert result.memory.base_mb == pytest.approx(4200.0, rel=1e-6)
         assert result.response.stability_gain_max == pytest.approx(0.95, rel=1e-3)
         assert result.response.stability_buffer_scale == pytest.approx(700.0, rel=1e-2)
 
@@ -346,7 +340,7 @@ class TestCalibration:
         assert result.profile.optimizer_latency_multiplier == pytest.approx(
             215.13 / 73.06, rel=1e-12
         )
-        assert result.profile.optimizer_memory_delta_mb == pytest.approx(107.0, rel=1e-12)
+        assert result.memory.optimizer_delta_mb == pytest.approx(107.0, rel=1e-12)
 
     def test_constant_latency_targets_rejected(self):
         targets = dataclasses.replace(
