@@ -10,7 +10,10 @@ never leaves its initial budgets or the default optimizer).
 
 The "fixed" policy is a plain fixed-configuration proxy baseline. It stands
 in for latent-replay-style systems in comparisons without claiming to model
-their internals.
+their internals. The suite runs each baseline at constant knobs, the same
+for every scenario: MAX-A at batch 32, buffer 1000 with the advanced
+optimizer; MAX-P at batch 1024, buffer 10; the fixed proxy at batch 64,
+buffer 2000.
 
 The oracle is a brute-force offline sweep over a 7 x 6 batch/buffer grid
 (42 runs). Its best configuration maximizes the mean of final plasticity and
@@ -83,12 +86,16 @@ class BaselinePolicy:
 
     @classmethod
     def from_scenario(cls, kind: PolicyKind, scenario: ScenarioConfig) -> "BaselinePolicy":
-        presets = scenario.baselines
+        """The suite's policy of this kind, at its constant knobs.
+
+        scenario is no longer read: the presets do not vary per scenario.
+        The argument stays so existing callers keep working.
+        """
         if kind is PolicyKind.MAX_A:
-            return cls.max_a(presets.max_a.batch, presets.max_a.buffer)
+            return cls.max_a()
         if kind is PolicyKind.MAX_P:
-            return cls.max_p(presets.max_p.batch, presets.max_p.buffer)
-        return cls.fixed(presets.fixed.batch, presets.fixed.buffer)
+            return cls.max_p()
+        return cls.fixed(64, 2000)
 
 
 def run_baseline(

@@ -165,40 +165,36 @@ def threshold_at(config: ControllerConfig, t: int) -> float:
 
 
 def update_budgets(
-    prev: BudgetState,
-    score: float,
-    threshold: float,
-    config: ControllerConfig,
-    *,
-    allow_advanced: bool = True,
+    prev: BudgetState, score: float, threshold: float, config: ControllerConfig
 ) -> BudgetState:
     """One budget update step.
 
     score >= threshold takes the aggressive branch: both budgets scale by
     1 + sensitivity * (score - threshold) and the optimizer moves to the
-    advanced level (unless allow_advanced is False, the fallback a caller
-    uses after an infeasible advanced update). Below threshold both budgets
-    shrink by the mirrored factor and the optimizer drops to default.
+    advanced level when it fits, else stays at the default level with the
+    same grown budgets. Below threshold both budgets shrink by the mirrored
+    factor and the optimizer drops to default.
 
     If the new total would exceed capacity * (1 - safety_margin), the batch
     and replay budgets are scaled proportionally so the total meets the cap
-    exactly; the optimizer budget is never scaled, only toggled. Raises
-    InfeasibleBudgetError when projection cannot leave room for one batch
-    sample and one replay frame.
+    exactly; the optimizer budget is never scaled, only toggled. A level
+    fits when that projection leaves room for one batch sample and one
+    replay frame. Raises InfeasibleBudgetError when the default level does
+    not fit or a budget goes negative.
     """
     if score >= threshold:
         gain = score - threshold
         batch_mb = prev.batch_mb * (1.0 + config.batch_sensitivity * gain)
         replay_mb = prev.replay_mb * (1.0 + config.replay_sensitivity * gain)
-        if allow_advanced:
-            mode, optimizer_mb = OptimizerMode.ADVANCED, config.optimizer_advanced_mb
-        else:
-            mode, optimizer_mb = OptimizerMode.DEFAULT, config.optimizer_default_mb
+        levels = (
+            (OptimizerMode.ADVANCED, config.optimizer_advanced_mb),
+            (OptimizerMode.DEFAULT, config.optimizer_default_mb),
+        )
     else:
         drop = threshold - score
         batch_mb = prev.batch_mb * (1.0 - config.batch_sensitivity * drop)
         replay_mb = prev.replay_mb * (1.0 - config.replay_sensitivity * drop)
-        mode, optimizer_mb = OptimizerMode.DEFAULT, config.optimizer_default_mb
+        levels = ((OptimizerMode.DEFAULT, config.optimizer_default_mb),)
 
     if batch_mb < 0 or replay_mb < 0:
         raise InfeasibleBudgetError(
@@ -207,34 +203,38 @@ def update_budgets(
         )
 
     cap = config.budget_cap_mb
-    if batch_mb + replay_mb + optimizer_mb > cap:
-        available = cap - optimizer_mb
-        scalable = batch_mb + replay_mb
-        if available <= 0 or scalable <= 0:
-            raise InfeasibleBudgetError(
-                f"optimizer budget {optimizer_mb:.1f} MB leaves no room under the "
-                f"{cap:.1f} MB cap"
-            )
-        scale = available / scalable
-        batch_mb *= scale
-        replay_mb *= scale
-        # Rounding can leave the total a few ulps above the cap; nudge down.
-        while batch_mb + replay_mb + optimizer_mb > cap:
-            batch_mb = math.nextafter(batch_mb, 0.0)
-            replay_mb = math.nextafter(replay_mb, 0.0)
-        if batch_mb < config.memory.sample_mb or replay_mb < config.memory.frame_mb:
-            raise InfeasibleBudgetError(
-                "projection pushed a budget below its minimum knob requirement "
-                f"(batch {batch_mb:.3f} MB, replay {replay_mb:.3f} MB)"
-            )
-
-    return BudgetState(
-        batch_mb=batch_mb,
-        replay_mb=replay_mb,
-        optimizer_mb=optimizer_mb,
-        step=prev.step + 1,
-        optimizer_mode=mode,
-    )
+    for mode, optimizer_mb in levels:
+        batch_fit, replay_fit = batch_mb, replay_mb
+        if batch_fit + replay_fit + optimizer_mb > cap:
+            available = cap - optimizer_mb
+            scalable = batch_fit + replay_fit
+            if available <= 0 or scalable <= 0:
+                problem = (
+                    f"optimizer budget {optimizer_mb:.1f} MB leaves no room under the "
+                    f"{cap:.1f} MB cap"
+                )
+                continue
+            scale = available / scalable
+            batch_fit *= scale
+            replay_fit *= scale
+            # Rounding can leave the total a few ulps above the cap; nudge down.
+            while batch_fit + replay_fit + optimizer_mb > cap:
+                batch_fit = math.nextafter(batch_fit, 0.0)
+                replay_fit = math.nextafter(replay_fit, 0.0)
+            if batch_fit < config.memory.sample_mb or replay_fit < config.memory.frame_mb:
+                problem = (
+                    "projection pushed a budget below its minimum knob requirement "
+                    f"(batch {batch_fit:.3f} MB, replay {replay_fit:.3f} MB)"
+                )
+                continue
+        return BudgetState(
+            batch_mb=batch_fit,
+            replay_mb=replay_fit,
+            optimizer_mb=optimizer_mb,
+            step=prev.step + 1,
+            optimizer_mode=mode,
+        )
+    raise InfeasibleBudgetError(problem)
 
 
 def derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:
@@ -362,7 +362,7 @@ def _run_policy(
             result.memory_peak_mb,
             scenario.thresholds,
         )
-        score = compute_urge(snap, weights, scenario.normalize_deviations)
+        score = compute_urge(snap, weights)
         theta = threshold_at(config, state.step)
         try:
             state = update(state, score.value, theta)
@@ -397,27 +397,15 @@ def run_control_loop(
     """Run the adaptive controller over every experience of one environment.
 
     Knobs are derived from the current budgets and the budgets are updated
-    after each experience. If the advanced optimizer budget makes an update
-    infeasible, the update retries with the default optimizer (freeing its
-    memory); a second failure propagates with the partial trace attached.
+    after each experience. An infeasible update propagates with the partial
+    trace attached.
     """
     config = scenario.controller
-
-    def update(state: BudgetState, score: float, theta: float) -> BudgetState:
-        try:
-            return update_budgets(state, score, theta, config)
-        except InfeasibleBudgetError:
-            if score < theta:
-                raise
-            # Advanced optimizer does not fit; free it and keep the
-            # aggressive batch/replay growth.
-            return update_budgets(state, score, theta, config, allow_advanced=False)
-
     return _run_policy(
         scenario,
         env,
         scenario.initial_budget_state(),
         lambda state: derive_knobs(state, config),
-        update,
+        lambda state, score, theta: update_budgets(state, score, theta, config),
         overhead=overhead,
     )

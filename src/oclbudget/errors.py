@@ -20,8 +20,8 @@ class NumericDomainError(OclBudgetError):
 class InfeasibleBudgetError(OclBudgetError):
     """Capacity projection pushed a budget below its minimum knob requirement.
 
-    Callers may retry the update with the default optimizer budget; if even
-    that does not fit, the run cannot continue.
+    Raised only when even the default optimizer budget does not fit (or a
+    budget went negative); the run cannot continue.
     """
 
     def __init__(self, message, partial_trace=None):

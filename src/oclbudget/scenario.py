@@ -2,13 +2,15 @@
 
 A scenario names a platform preset and an algorithm profile from the profile
 library, sets the workload size and seed, picks a preference ordering, and
-parameterizes the controller. The profile's memory model is handed as one
-object to both the controller and the environment, so the controller's
-per-item costs and optimizer budgets are the simulator's own. The capacity
-projection is an OOM guarantee only while the replay buffer stays under the
-model's spike_threshold: above it the model adds a quadratic residency term
-the projection does not count. The bundled 10-experience horizon stays under
-it; longer runs can exceed it (ROADMAP open item 1).
+parameterizes the controller. Nothing else varies per scenario: the MAX-A,
+MAX-P and fixed-proxy baselines use constant knobs, and the prefetch pipeline
+is built from the platform's load rate. The profile's memory model is handed
+as one object to both the controller and the environment, so the
+controller's per-item costs and optimizer budgets are the simulator's own.
+The capacity projection is an OOM guarantee only while the replay buffer
+stays under the model's spike_threshold: above it the model adds a quadratic
+residency term the projection does not count. The bundled 10-experience
+horizon stays under it; longer runs can exceed it (ROADMAP open item 1).
 """
 
 from __future__ import annotations
@@ -41,38 +43,20 @@ PREFERENCE_PRESETS: dict[str, tuple[str, ...]] = {
 
 
 @dataclass(frozen=True)
-class FixedKnobPreset:
-    batch: int
-    buffer: int
-
-
-@dataclass(frozen=True)
-class BaselinePresets:
-    """Fixed-policy knob presets a scenario carries for the baselines."""
-
-    max_a: FixedKnobPreset
-    max_p: FixedKnobPreset
-    fixed: FixedKnobPreset
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     platform: PlatformPreset
-    profile_name: str
     profile: AlgorithmProfile
     response: ResponseModel
     num_experiences: int
     samples_per_experience: int
     seed: int
     preference: tuple[str, str, str, str]
-    normalize_deviations: bool
     prefetch: PrefetchModel
     thresholds: Thresholds
     controller: ControllerConfig
     initial_batch_mb: float
     initial_replay_mb: float
-    baselines: BaselinePresets
 
     def initial_budget_state(self) -> BudgetState:
         return BudgetState(
@@ -174,17 +158,6 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     samples = root.take_int("samples_per_experience", minimum=1)
     seed = root.take_int("seed", minimum=0)
     preference = resolve_preference(root.take("preference", kind=(str, list)))
-    normalize = root.take("normalize_deviations", kind=bool, default=True)
-
-    prefetch_sec = root.section("prefetch")
-    prefetch = PrefetchModel(
-        load_time_per_sample_s=platform.load_time_per_sample_s,
-        overlap_efficiency=prefetch_sec.take_number(
-            "overlap_efficiency", default=0.85, minimum=0.0, maximum=1.0
-        ),
-        enabled=prefetch_sec.take("enabled", kind=bool, default=True),
-    )
-    prefetch_sec.finish()
 
     th = root.section("thresholds")
     memory_mb = th.take_number("memory_mb", default=None, minimum=1.0)
@@ -217,44 +190,22 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
             f"above the {config.budget_cap_mb:.1f} MB cap"
         )
 
-    base_sec = root.section("baselines")
-
-    def knob_preset(key: str, default_batch: int, default_buffer: int) -> FixedKnobPreset:
-        sec = base_sec.section(key, default=None)
-        if sec is None:
-            return FixedKnobPreset(batch=default_batch, buffer=default_buffer)
-        preset = FixedKnobPreset(
-            batch=sec.take_int("batch", minimum=1),
-            buffer=sec.take_int("buffer", minimum=1),
-        )
-        sec.finish()
-        return preset
-
-    baselines = BaselinePresets(
-        max_a=knob_preset("max_a", 32, 1000),
-        max_p=knob_preset("max_p", 1024, 10),
-        fixed=knob_preset("fixed", 64, 2000),
-    )
-    base_sec.finish()
     root.finish()
 
     return ScenarioConfig(
         name=name,
         platform=platform,
-        profile_name=profile_name,
         profile=profile,
         response=response,
         num_experiences=num_experiences,
         samples_per_experience=samples,
         seed=seed,
         preference=preference,
-        normalize_deviations=normalize,
-        prefetch=prefetch,
+        prefetch=PrefetchModel(load_time_per_sample_s=platform.load_time_per_sample_s),
         thresholds=thresholds,
         controller=config,
         initial_batch_mb=initial_batch_mb,
         initial_replay_mb=initial_replay_mb,
-        baselines=baselines,
     )
 
 

@@ -134,7 +134,7 @@ class PrefetchModel:
     """Pipeline overlap of data loading with training compute."""
 
     load_time_per_sample_s: float
-    overlap_efficiency: float  # fraction of compute usable for loading
+    overlap_efficiency: float = 0.85  # fraction of compute usable for loading
     enabled: bool = True
 
     def __post_init__(self):

@@ -169,15 +169,28 @@ class TestUpdateBudgets:
                 continue
             assert state.total_mb <= cfg.budget_cap_mb
 
-    def test_advanced_that_cannot_fit_raises(self):
+    def test_advanced_that_cannot_fit_falls_back_to_default(self):
         cfg = make_config(capacity_mb=160.0, optimizer_delta_mb=60.0)  # advanced = 160 > cap 152
         prev = BudgetState(10.0, 10.0, 100.0)
-        with pytest.raises(InfeasibleBudgetError):
-            update_budgets(prev, score=0.9, threshold=0.5, config=cfg)
-        # The documented fallback: same update with the default optimizer.
-        new = update_budgets(prev, score=0.9, threshold=0.5, config=cfg, allow_advanced=False)
+        # One call: the aggressive growth is kept at the default optimizer.
+        new = update_budgets(prev, score=0.9, threshold=0.5, config=cfg)
+        assert new.optimizer_mode is OptimizerMode.DEFAULT
         assert new.optimizer_mb == cfg.optimizer_default_mb
         assert new.batch_mb > prev.batch_mb
+
+    def test_advanced_projection_below_one_sample_falls_back_to_default(self):
+        cfg = make_config(capacity_mb=200.0, sample_mb=20.0)  # cap 190, advanced 150
+        prev = BudgetState(20.0, 30.0, 100.0)
+        # Grown budgets 20.8 + 32.4 MB: the advanced level leaves 40 MB, but
+        # projecting into it scales batch to ~15.6 MB, under one 20 MB sample.
+        assert cfg.budget_cap_mb - cfg.optimizer_advanced_mb > 0
+        new = update_budgets(prev, score=0.9, threshold=0.5, config=cfg)
+        assert new.optimizer_mode is OptimizerMode.DEFAULT
+        assert new.optimizer_mb == cfg.optimizer_default_mb
+        # The default level fits unprojected, so the growth is kept whole.
+        assert new.batch_mb == pytest.approx(20.0 * (1.0 + 0.1 * 0.4), rel=1e-14)
+        assert new.replay_mb == pytest.approx(30.0 * (1.0 + 0.2 * 0.4), rel=1e-14)
+        assert new.total_mb <= cfg.budget_cap_mb
 
     def test_projection_below_min_knobs_raises(self):
         cfg = make_config(capacity_mb=120.0, sample_mb=10.0, optimizer_delta_mb=0.0)

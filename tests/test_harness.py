@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +42,6 @@ profile: er
 samples_per_experience: 2000
 seed: 7
 preference: balanced
-prefetch: {{enabled: true, overlap_efficiency: 0.85}}
 thresholds: {{plasticity: 0.9, stability: 0.95, latency_s: 30.0, memory_mb: 5000}}
 controller:
   initial_threshold: 0.065
@@ -50,8 +50,6 @@ controller:
   replay_sensitivity: 2.0
   initial_batch_mb: 268.8
   initial_replay_mb: 45.0
-baselines:
-  max_a: {{batch: 32, buffer: 1000}}
 """
 
 
@@ -124,6 +122,31 @@ class TestLoadScenario:
         name = key.split(":")[0]
         with pytest.raises(SchemaError, match=rf"controller: unknown key\(s\) \['{name}'\]"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "normalize_deviations: true",
+            "prefetch: {enabled: true}",
+            "baselines: {max_a: {batch: 32, buffer: 1000}}",
+        ],
+    )
+    def test_removed_fixed_keys_rejected(self, tmp_path, text):
+        # Baseline presets, the prefetch pipeline and deviation normalization
+        # are not scenario settings.
+        path = tmp_path / "bad.yaml"
+        path.write_text(scenario_text() + text + "\n")
+        name = text.split(":")[0]
+        with pytest.raises(SchemaError, match=rf"unknown key\(s\) \['{name}'\]"):
+            load_scenario(path)
+
+    def test_readme_scenario_example_is_bundled_xavier_er(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Scenario files", 1)[1]
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.yaml"
+        path.write_text(example)
+        assert load_scenario(path) == load_bundled_scenario("xavier-er")
 
     def test_infeasible_initial_budgets_rejected(self, tmp_path):
         text = scenario_text().replace("initial_batch_mb: 268.8", "initial_batch_mb: 99999.0")
