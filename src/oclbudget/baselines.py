@@ -24,7 +24,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -66,14 +66,14 @@ class BaselinePolicy:
     optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT
 
     @classmethod
-    def max_a(cls, batch: int = 32, buffer: int = 1000) -> "BaselinePolicy":
-        # Framework-default knobs with both optimization plugins enabled.
-        return cls(PolicyKind.MAX_A, batch, buffer, OptimizerMode.ADVANCED)
+    def max_a(cls) -> "BaselinePolicy":
+        """Framework defaults: batch 32, buffer 1000, advanced optimizer."""
+        return cls(PolicyKind.MAX_A, 32, 1000, OptimizerMode.ADVANCED)
 
     @classmethod
-    def max_p(cls, batch: int = 1024, buffer: int = 10) -> "BaselinePolicy":
-        # Throughput-first: large batch, small buffer, default optimizer.
-        return cls(PolicyKind.MAX_P, batch, buffer, OptimizerMode.DEFAULT)
+    def max_p(cls) -> "BaselinePolicy":
+        """Throughput first: batch 1024, buffer 10, default optimizer."""
+        return cls(PolicyKind.MAX_P, 1024, 10, OptimizerMode.DEFAULT)
 
     @classmethod
     def fixed(
@@ -138,7 +138,9 @@ def run_baseline(
         env,
         state,
         lambda _state: knobs,
-        lambda state, _score, _theta: replace(state, step=state.step + 1),
+        lambda s, _score, _theta: BudgetState(
+            s.batch_mb, s.replay_mb, s.optimizer_mb, s.step + 1, s.optimizer_mode
+        ),
     )
 
 

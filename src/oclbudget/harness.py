@@ -7,8 +7,22 @@ The CSV schema is fixed:
 
 one row per experience record, header always present, floats rendered with
 6 significant digits. Cells that do not exist for a record (score, latency,
-and metrics on an OOM row) are left empty. The structured-log format emits
-one JSON object per record line instead.
+and metrics on an OOM row) are left empty.
+
+The structured-log format (JSONL) emits one JSON object per record line,
+with 16 keys in sorted order:
+
+    batch, budget_batch_mb, budget_optimizer_mb, budget_replay_mb, buffer,
+    experience, latency_s, mem_peak_mb, opt_mode, outcome, plasticity,
+    policy, scenario, score, stability, threshold
+
+Keys and values are separated by ": " and pairs by ", ". Strings are JSON
+strings with non-ASCII characters escaped; integers are written as their
+repr, finite floats as their shortest repr, non-finite floats as NaN,
+Infinity and -Infinity, and cells that do not exist for a record (score,
+threshold, latency and metrics on an OOM record) as null.
+These are the bytes json.dumps(..., sort_keys=True) gives for the same
+values; each line ends with a newline.
 """
 
 from __future__ import annotations
@@ -114,8 +128,9 @@ def run_suite(
     The oracle contributes its full grid of runs. Rows are sorted by policy
     label so the report (and its CSV) is deterministic. With
     include_overhead the report also carries the controller's measured
-    overhead accounting (an extra instrumented controller run; wall times
-    never enter the CSV, so determinism is unaffected).
+    overhead accounting, timed in the report's own controller run (or in an
+    extra controller run when the controller is not requested); wall times
+    never enter the CSV, so determinism is unaffected.
     """
     if not policies:
         raise ValueError("policy list must not be empty")
@@ -123,10 +138,14 @@ def run_suite(
 
     traces: list[tuple[str, RunTrace]] = []
     oracle_best: Optional[tuple[int, int]] = None
+    overhead: Optional[OverheadSummary] = None
     for policy in requested:
         if policy == "controller":
-            trace = run_control_loop(scenario, build_environment(scenario))
+            recorder = OverheadRecorder() if include_overhead else None
+            trace = run_control_loop(scenario, build_environment(scenario), overhead=recorder)
             traces.append(("controller", trace))
+            if recorder is not None:
+                overhead = _overhead_summary(scenario, trace, recorder)
         elif policy == "oracle":
             result = run_oracle(scenario)
             oracle_best = result.best_config
@@ -151,12 +170,14 @@ def run_suite(
         )
         for label, trace in traces
     )
+    if include_overhead and overhead is None:
+        overhead = measure_overhead(scenario)
     return Report(
         scenario_name=scenario.name,
         rows=rows,
         traces=tuple(traces),
         oracle_best=oracle_best,
-        overhead=measure_overhead(scenario) if include_overhead else None,
+        overhead=overhead,
     )
 
 
@@ -185,26 +206,60 @@ def _record_cells(scenario_name: str, policy: str, record: TraceRecord) -> list[
     ]
 
 
-def _record_json(scenario_name: str, policy: str, record: TraceRecord) -> dict:
-    snap = record.snapshot
-    return {
-        "scenario": scenario_name,
-        "policy": policy,
-        "experience": record.experience,
-        "batch": record.knobs.batch_size,
-        "buffer": record.knobs.buffer_size,
-        "opt_mode": record.knobs.optimizer_mode.value,
-        "score": record.score.value if record.score else None,
-        "threshold": record.threshold,
-        "latency_s": snap.latency_s if snap else None,
-        "mem_peak_mb": record.memory_peak_mb,
-        "plasticity": snap.plasticity if snap else None,
-        "stability": snap.stability if snap else None,
-        "budget_batch_mb": record.budgets.batch_mb,
-        "budget_replay_mb": record.budgets.replay_mb,
-        "budget_optimizer_mb": record.budgets.optimizer_mb,
-        "outcome": "oom" if record.oom else "ok",
-    }
+def _json_number(value: Optional[float]) -> str:
+    """value as json.dumps writes it: null, its repr, NaN, Infinity or -Infinity."""
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+# One JSONL line, keys in sorted order. Each slot takes a value already
+# spelled as JSON (an int's str is its repr); the policy and scenario pair,
+# which sorts between plasticity and score, is one slot encoded once per trace.
+_JSONL_LINE = (
+    '{"batch": %s, "budget_batch_mb": %s, "budget_optimizer_mb": %s, '
+    '"budget_replay_mb": %s, "buffer": %s, "experience": %s, "latency_s": %s, '
+    '"mem_peak_mb": %s, "opt_mode": "%s", "outcome": "%s", "plasticity": %s, '
+    '%s, "score": %s, "stability": %s, "threshold": %s}'
+)
+
+
+def _jsonl_lines(scenario_name: str, policy: str, trace: RunTrace) -> list[str]:
+    names = f'"policy": {json.dumps(policy)}, "scenario": {json.dumps(scenario_name)}'
+    number = _json_number
+    lines = []
+    for record in trace.records:
+        snap = record.snapshot
+        knobs = record.knobs
+        budgets = record.budgets
+        score = record.score
+        lines.append(
+            _JSONL_LINE
+            % (
+                knobs.batch_size,
+                number(budgets.batch_mb),
+                number(budgets.optimizer_mb),
+                number(budgets.replay_mb),
+                knobs.buffer_size,
+                record.experience,
+                number(snap.latency_s) if snap else "null",
+                number(record.memory_peak_mb),
+                knobs.optimizer_mode.value,
+                "oom" if record.oom else "ok",
+                number(snap.plasticity) if snap else "null",
+                names,
+                number(score.value) if score else "null",
+                number(snap.stability) if snap else "null",
+                number(record.threshold),
+            )
+        )
+    return lines
 
 
 def emit_report(report: Report, format: str = "csv") -> bytes:
@@ -220,11 +275,9 @@ def emit_report(report: Report, format: str = "csv") -> bytes:
                 out.write(",".join(_record_cells(report.scenario_name, policy, record)) + "\n")
         return out.getvalue().encode("utf-8")
     if format in ("log", "jsonl"):
-        lines = [
-            json.dumps(_record_json(report.scenario_name, policy, record), sort_keys=True)
-            for policy, trace in report.traces
-            for record in trace.records
-        ]
+        lines: list[str] = []
+        for policy, trace in report.traces:
+            lines += _jsonl_lines(report.scenario_name, policy, trace)
         return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}; use 'csv' or 'log'")
 
@@ -250,6 +303,13 @@ def measure_overhead(scenario: ScenarioConfig) -> OverheadSummary:
     """Run the controller once and report its own costs next to simulated time."""
     recorder = OverheadRecorder()
     trace = run_control_loop(scenario, build_environment(scenario), overhead=recorder)
+    return _overhead_summary(scenario, trace, recorder)
+
+
+def _overhead_summary(
+    scenario: ScenarioConfig, trace: RunTrace, recorder: OverheadRecorder
+) -> OverheadSummary:
+    """The overhead accounting of one controller run timed by recorder."""
     simulated = trace.total_latency_s()
     experiences = max(1, len(trace.records))
     final_budgets = trace.records[-1].budgets if trace.records else scenario.initial_budget_state()

@@ -150,16 +150,16 @@ def compute_urge(
                 f"score inputs must be finite, got value={value!r} threshold={threshold!r}"
             )
 
-    def deviation(value: float, threshold: float) -> float:
-        d = value - threshold
-        if normalize_deviations:
-            d /= max(abs(threshold), _NORM_EPS)
-        return d
-
-    d_p = deviation(snapshot.plasticity, th.plasticity)
-    d_s = deviation(snapshot.stability, th.stability)
-    d_l = deviation(snapshot.latency_s, th.latency_s)
-    d_m = deviation(snapshot.memory_peak_mb, th.memory_mb)
+    if normalize_deviations:
+        d_p = (snapshot.plasticity - th.plasticity) / max(abs(th.plasticity), _NORM_EPS)
+        d_s = (snapshot.stability - th.stability) / max(abs(th.stability), _NORM_EPS)
+        d_l = (snapshot.latency_s - th.latency_s) / max(abs(th.latency_s), _NORM_EPS)
+        d_m = (snapshot.memory_peak_mb - th.memory_mb) / max(abs(th.memory_mb), _NORM_EPS)
+    else:
+        d_p = snapshot.plasticity - th.plasticity
+        d_s = snapshot.stability - th.stability
+        d_l = snapshot.latency_s - th.latency_s
+        d_m = snapshot.memory_peak_mb - th.memory_mb
 
     f_p = _logistic(-(weights.k_p * d_p))
     f_s = _logistic(-(weights.k_s * d_s))

@@ -8,6 +8,7 @@ from oclbudget import (
     ORACLE_BATCH_GRID,
     ORACLE_BUFFER_GRID,
     BaselinePolicy,
+    OptimizerMode,
     Outcome,
     PolicyKind,
     build_environment,
@@ -56,6 +57,17 @@ class TestFixedPolicies:
         fixed = run_baseline(BaselinePolicy.fixed(), scenario)
         controller = run_control_loop(scenario, build_environment(scenario))
         assert fixed == controller
+
+    def test_preset_knobs_are_constants(self):
+        scenario = load_bundled_scenario("server-er")
+        assert BaselinePolicy.max_a() == BaselinePolicy(
+            PolicyKind.MAX_A, 32, 1000, OptimizerMode.ADVANCED
+        )
+        assert BaselinePolicy.max_p() == BaselinePolicy(
+            PolicyKind.MAX_P, 1024, 10, OptimizerMode.DEFAULT
+        )
+        assert BaselinePolicy.from_scenario(PolicyKind.MAX_A, scenario) == BaselinePolicy.max_a()
+        assert BaselinePolicy.from_scenario(PolicyKind.MAX_P, scenario) == BaselinePolicy.max_p()
 
     def test_max_p_ooms_on_xavier_gss(self):
         scenario = load_bundled_scenario("xavier-gss")

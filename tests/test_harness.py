@@ -2,12 +2,25 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oclbudget.harness as harness
 from oclbudget import (
+    BudgetState,
+    Knobs,
+    MetricSnapshot,
+    OptimizerMode,
+    Outcome,
+    RunTrace,
     SchemaError,
+    Thresholds,
+    TraceRecord,
+    UrgeScore,
     ablate_prefetch,
     build_environment,
     bundled_scenario_names,
@@ -156,6 +169,20 @@ class TestLoadScenario:
             load_scenario(path)
 
 
+@pytest.fixture
+def control_loop_calls(monkeypatch):
+    """The overhead recorder of each run_control_loop call the harness makes."""
+    calls = []
+    real = harness.run_control_loop
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("overhead"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_control_loop", counting)
+    return calls
+
+
 class TestRunSuite:
     def test_counts_controller_baselines_oracle(self):
         scenario = load_bundled_scenario("orin-er")
@@ -193,8 +220,146 @@ class TestRunSuite:
         plain = run_suite(scenario, ["controller"])
         assert emit_report(report, "csv") == emit_report(plain, "csv")
 
+    def test_overhead_is_timed_in_the_reports_controller_run(self, control_loop_calls):
+        calls = control_loop_calls
+        scenario = load_bundled_scenario("orin-gem")
+        report = run_suite(scenario, ["max_a", "controller", "fixed"], include_overhead=True)
+        assert len(calls) == 1 and calls[0] is not None
+        trace = dict(report.traces)["controller"]
+        overhead = report.overhead
+        assert overhead.simulated_training_seconds == trace.total_latency_s()
+        assert overhead.controller_seconds_total == calls[0].total_seconds > 0
+        assert len(calls[0].controller_seconds) == 2 * len(trace.records)
+        assert overhead.per_experience_seconds == overhead.controller_seconds_total / len(
+            trace.records
+        )
+        assert overhead.state_bytes == measure_overhead(scenario).state_bytes
+
+    def test_overhead_without_the_controller_runs_it_once(self, control_loop_calls):
+        calls = control_loop_calls
+        scenario = load_bundled_scenario("orin-gem")
+        report = run_suite(scenario, ["max_p"], include_overhead=True)
+        assert [label for label, _ in report.traces] == ["max-p"]
+        assert len(calls) == 1 and calls[0] is not None
+        assert report.overhead.simulated_training_seconds > 0
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+# Budgets, memory and thresholds are floats, but the record types take ints too.
+any_float = st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers()
+not_negative = any_float.filter(lambda v: not v < 0)  # nan passes the >= 0 checks
+unit_float = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1.0])
+names = st.text(max_size=12) | st.text(alphabet='"\\/éß—😀\x00\n\u2028 a', max_size=12)
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def urge_scores(draw):
+    if draw(st.booleans()):
+        # Factors this small multiply to 0.0, so any value within 1e-12 of it
+        # passes UrgeScore's product check.
+        value = draw(st.sampled_from([0.0, -0.0, 5e-324]))
+        return UrgeScore(value, 1e-100, 1e-100, 1e-100, 1e-100)
+    f_p, f_s, f_l, f_m = draw(st.tuples(open_unit, open_unit, open_unit, open_unit))
+    return UrgeScore(f_p * f_s * f_l * f_m, f_p, f_s, f_l, f_m)
+
+
+@st.composite
+def trace_records(draw):
+    oom = draw(st.booleans())
+    knobs = Knobs(
+        batch_size=draw(st.integers()),
+        buffer_size=draw(st.integers()),
+        optimizer_mode=draw(st.sampled_from(OptimizerMode)),
+    )
+    budgets = BudgetState(
+        batch_mb=draw(not_negative),
+        replay_mb=draw(not_negative),
+        optimizer_mb=draw(any_float),
+    )
+    snapshot = None
+    if not oom:
+        snapshot = MetricSnapshot(
+            plasticity=draw(unit_float),
+            stability=draw(unit_float),
+            latency_s=draw(not_negative),
+            memory_peak_mb=draw(not_negative),
+            thresholds=Thresholds(0.9, 0.95, 30.0, 5000.0),
+        )
+    return TraceRecord(
+        experience=draw(st.integers()),
+        knobs=knobs,
+        score=None if oom else draw(urge_scores()),
+        threshold=None if oom else draw(any_float),
+        snapshot=snapshot,
+        budgets=budgets,
+        memory_peak_mb=draw(any_float),
+        oom=oom,
+    )
+
+
+def reference_json_line(scenario_name, policy, record):
+    """The record's 16 fields through json.dumps, the spec for a JSONL line."""
+    snap = record.snapshot
+    return json.dumps(
+        {
+            "scenario": scenario_name,
+            "policy": policy,
+            "experience": record.experience,
+            "batch": record.knobs.batch_size,
+            "buffer": record.knobs.buffer_size,
+            "opt_mode": record.knobs.optimizer_mode.value,
+            "score": record.score.value if record.score else None,
+            "threshold": record.threshold,
+            "latency_s": snap.latency_s if snap else None,
+            "mem_peak_mb": record.memory_peak_mb,
+            "plasticity": snap.plasticity if snap else None,
+            "stability": snap.stability if snap else None,
+            "budget_batch_mb": record.budgets.batch_mb,
+            "budget_replay_mb": record.budgets.replay_mb,
+            "budget_optimizer_mb": record.budgets.optimizer_mb,
+            "outcome": "oom" if record.oom else "ok",
+        },
+        sort_keys=True,
+    )
+
 
 class TestEmitReport:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scenario_name=names,
+        traces=st.lists(
+            st.tuples(names, st.lists(trace_records(), min_size=1, max_size=4)), max_size=3
+        ),
+    )
+    def test_jsonl_line_is_json_dumps_of_the_record(self, scenario_name, traces):
+        report = Report(
+            scenario_name=scenario_name,
+            rows=(),
+            traces=tuple(
+                (policy, RunTrace(tuple(records), Outcome.COMPLETED)) for policy, records in traces
+            ),
+        )
+        expected = [
+            reference_json_line(scenario_name, policy, record)
+            for policy, records in traces
+            for record in records
+        ]
+        data = emit_report(report, "jsonl")
+        assert data == "".join(line + "\n" for line in expected).encode("utf-8")
+
+    def test_jsonl_of_bundled_runs_is_json_dumps_of_each_record(self):
+        scenario = load_bundled_scenario("xavier-gss")
+        report = run_suite(scenario, ["controller", "max_a", "max_p", "fixed"])
+        lines = emit_report(report, "jsonl").decode("utf-8").split("\n")
+        expected = [
+            reference_json_line(scenario.name, policy, record)
+            for policy, trace in report.traces
+            for record in trace.records
+        ]
+        assert any(record.oom for _, trace in report.traces for record in trace.records)
+        assert lines == expected + [""]
+
     def test_empty_report_is_header_only(self):
         report = Report(scenario_name="x", rows=(), traces=())
         data = emit_report(report, "csv")
