@@ -1,12 +1,12 @@
 """Comparison policies: MAX-A, MAX-P, a fixed-config proxy, and the oracle.
 
 All baselines run the controller's per-experience loop, _run_policy, but
-never adapt: knobs stay fixed for the whole run and the budget state only
-advances its step. The health score and threshold are still computed and
-recorded as diagnostics, so a fixed policy whose knobs equal the
-controller's initial knobs produces a trace identical to a neutral
-controller (zero sensitivities and a threshold no score reaches, so it
-never leaves its initial budgets or the default optimizer).
+never adapt: knobs and the budget state stay fixed for the whole run, and
+every experience trains with the same Knobs object. The health score and
+threshold are still computed and recorded as diagnostics, so a fixed policy
+whose knobs equal the controller's initial knobs produces a trace identical
+to a neutral controller (zero sensitivities and a threshold no score
+reaches, so it never leaves its initial budgets or the default optimizer).
 
 The "fixed" policy is a plain fixed-configuration proxy baseline. It stands
 in for latent-replay-style systems in comparisons without claiming to model
@@ -105,9 +105,9 @@ def run_baseline(
 ) -> RunTrace:
     """Run the full experience sequence with fixed knobs; no adaptation.
 
-    The budget state is the one the fixed knobs occupy, and each update only
-    advances its step. OOM is recorded the same way as in the controller loop
-    and is a valid outcome for a baseline, not an exception.
+    The budget state is the one the fixed knobs occupy, and each update
+    returns it unchanged. OOM is recorded the same way as in the controller
+    loop and is a valid outcome for a baseline, not an exception.
     """
     if env is None:
         env = build_environment(scenario)
@@ -138,9 +138,7 @@ def run_baseline(
         env,
         state,
         lambda _state: knobs,
-        lambda s, _score, _theta: BudgetState(
-            s.batch_mb, s.replay_mb, s.optimizer_mb, s.step + 1, s.optimizer_mode
-        ),
+        lambda s, _score, _theta: s,
     )
 
 

@@ -9,6 +9,10 @@ safety margin, because going over capacity is an unrecoverable failure.
 
 That loop, _run_policy, is the only one: the controller and every baseline
 run through it and differ only in how they pick knobs and update the state.
+It builds the run's URGE scorer once, takes the threshold of experience e at
+index e - 1, and reads the clock only when the caller passes an
+OverheadRecorder. A BudgetState holds budgets only; the experience a state
+belongs to is the loop's, and each TraceRecord carries it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InfeasibleBudgetError
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
-from .urge import UrgeScore, compute_urge, weights_from_preference
+from .urge import UrgeScore, urge_scorer, weights_from_preference
+from .urge import compute_urge  # noqa: F401, patched by perfbench
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .scenario import ScenarioConfig
@@ -143,14 +148,11 @@ class BudgetState:
     batch_mb: float
     replay_mb: float
     optimizer_mb: float
-    step: int = 0
     optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT
 
     def __post_init__(self):
         if self.batch_mb < 0 or self.replay_mb < 0:
             raise ValueError("budgets must be >= 0")
-        if self.step < 0:
-            raise ValueError("step must be >= 0")
 
     @property
     def total_mb(self) -> float:
@@ -231,7 +233,6 @@ def update_budgets(
             batch_mb=batch_fit,
             replay_mb=replay_fit,
             optimizer_mb=optimizer_mb,
-            step=prev.step + 1,
             optimizer_mode=mode,
         )
     raise InfeasibleBudgetError(problem)
@@ -321,23 +322,26 @@ def _run_policy(
 ) -> RunTrace:
     """The per-experience loop every policy runs.
 
-    For each experience: take the knobs for the current state, train, score
-    the metrics, let update move the state against the decayed threshold,
-    then ask the environment to prefetch the next experience. An OOM report
+    For each experience e: take the knobs for the current state, train, score
+    the metrics, let update move the state against the threshold decayed to
+    index e - 1, then ask the environment to prefetch the next experience.
+    The URGE scorer and its weights are built once per run. An OOM report
     aborts the loop with the trace marked failed at that experience. An
     InfeasibleBudgetError from update propagates with the partial trace
-    attached. overhead times knob derivation and the snapshot, score,
-    threshold and update of each experience.
+    attached. Only when an overhead recorder is given is the clock read: it
+    times knob derivation, and the snapshot, score, threshold and update of
+    each experience, the failing update's included.
     """
     config = scenario.controller
-    weights = weights_from_preference(scenario.preference)
-    timer = overhead or OverheadRecorder()
+    score_of = urge_scorer(scenario.thresholds, weights_from_preference(scenario.preference))
     records: list[TraceRecord] = []
 
     for experience in range(1, scenario.num_experiences + 1):
-        timer.start()
+        if overhead is not None:
+            overhead.start()
         knobs = knobs_for(state)
-        timer.stop()
+        if overhead is not None:
+            overhead.stop()
 
         result = env.train_experience(experience, knobs)
         if result.oom:
@@ -355,21 +359,25 @@ def _run_policy(
             )
             return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
 
-        timer.start()
+        if overhead is not None:
+            overhead.start()
         snap = build_snapshot(
             env.accuracy,
             result.latency_s,
             result.memory_peak_mb,
             scenario.thresholds,
         )
-        score = compute_urge(snap, weights)
-        theta = threshold_at(config, state.step)
+        score = score_of(snap)
+        theta = threshold_at(config, experience - 1)
         try:
             state = update(state, score.value, theta)
         except InfeasibleBudgetError as exc:
+            if overhead is not None:
+                overhead.stop()
             exc.partial_trace = RunTrace(records=tuple(records), outcome=Outcome.INFEASIBLE)
             raise
-        timer.stop()
+        if overhead is not None:
+            overhead.stop()
 
         env.prefetch_next(experience + 1)
         records.append(

@@ -129,10 +129,13 @@ class RunningAccuracy:
 
     def advance(self, factor: float, diagonal: float) -> tuple[float, ...]:
         """Append experience k's row: row k-1 times factor, then diagonal."""
-        k = len(self.diagonal) + 1
         factor, diagonal = float(factor), float(diagonal)
-        _check_unit_interval(factor, "decay factor", k)
-        _check_unit_interval(diagonal, "accuracy", k)
+        # A chained comparison is false for NaN and +-inf, so it is the whole
+        # check; _check_unit_interval only words the error.
+        if not 0.0 <= factor <= 1.0:
+            _check_unit_interval(factor, "decay factor", len(self.diagonal) + 1)
+        if not 0.0 <= diagonal <= 1.0:
+            _check_unit_interval(diagonal, "accuracy", len(self.diagonal) + 1)
         row = [v * factor for v in self.row]
         row.append(diagonal)
         self.diagonal.append(diagonal)

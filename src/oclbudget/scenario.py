@@ -63,7 +63,6 @@ class ScenarioConfig:
             batch_mb=self.initial_batch_mb,
             replay_mb=self.initial_replay_mb,
             optimizer_mb=self.controller.optimizer_default_mb,
-            step=0,
         )
 
     def with_preference(self, preference) -> "ScenarioConfig":

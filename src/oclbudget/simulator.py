@@ -23,6 +23,14 @@ metrics.RunningAccuracy (the latest row, the diagonal and the per-experience
 factors 1 - decay): O(K) memory for K experiences. The full accuracy matrix
 is rebuilt from it when accuracy_matrix is read.
 
+Everything the knobs alone decide (their validity, the memory, the stream
+term before growth, the replay term, the new diagonal before noise and the
+decay factor) is computed once per Knobs object the environment is given and
+kept until a different object arrives. Knobs is frozen, so a policy that
+passes one object for a whole run pays for it once; per experience only the
+growth power, the prefetch overlap, the noise draws and the row advance
+remain.
+
 Out-of-memory is exactly the predicate memory > capacity and is reported as
 an outcome, never a silent clamp. Prefetch staging only changes latency:
 a staged experience pays max(0, load - overlap_efficiency * compute) instead
@@ -89,6 +97,39 @@ class ResponseModel:
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise fraction must be in [0, 1)")
 
+    def knob_latency_terms(
+        self,
+        profile: AlgorithmProfile,
+        batch_size: int,
+        buffer_size: int,
+        mode: OptimizerMode,
+        n_samples: int,
+    ) -> tuple[float, float]:
+        """The latency terms the knobs fix: (stream, replay).
+
+        stream is (n / B) * c_iter(B) * opt_mult(mode), the stream term before
+        the experience's growth factor; replay is R * replay_cost.
+        """
+        c_iter = profile.compute_cost_per_sample_s * max(batch_size, self.batch_knee)
+        opt = (
+            profile.optimizer_latency_multiplier
+            if mode is OptimizerMode.ADVANCED
+            else 1.0
+        )
+        return (n_samples / batch_size) * c_iter * opt, buffer_size * profile.replay_sampling_cost_s
+
+    @staticmethod
+    def latency_s(
+        stream: float,
+        replay: float,
+        profile: AlgorithmProfile,
+        experience: int,
+        compute_scale: float,
+    ) -> float:
+        """Training compute time of one experience from its knob terms."""
+        growth = profile.per_experience_growth ** (experience - 1)
+        return (stream * growth + replay) * compute_scale
+
     def compute_latency_s(
         self,
         profile: AlgorithmProfile,
@@ -100,16 +141,8 @@ class ResponseModel:
         compute_scale: float = 1.0,
     ) -> float:
         """Training compute time, excluding data loading."""
-        c_iter = profile.compute_cost_per_sample_s * max(batch_size, self.batch_knee)
-        opt = (
-            profile.optimizer_latency_multiplier
-            if mode is OptimizerMode.ADVANCED
-            else 1.0
-        )
-        growth = profile.per_experience_growth ** (experience - 1)
-        stream = (n_samples / batch_size) * c_iter * opt * growth
-        replay = buffer_size * profile.replay_sampling_cost_s
-        return (stream + replay) * compute_scale
+        stream, replay = self.knob_latency_terms(profile, batch_size, buffer_size, mode, n_samples)
+        return self.latency_s(stream, replay, profile, experience, compute_scale)
 
     def stability_gain(self, buffer_size: int) -> float:
         """Saturating forgetting attenuation in [0, s_max]; 0 at R = 0."""
@@ -210,6 +243,11 @@ class SimulatedEnvironment:
         self._accuracy = RunningAccuracy()
         self._staged: set[int] = set()
         self._failed = False
+        # The last Knobs trained with and its _knob_terms. Knobs is frozen, so
+        # one object always has the same terms; an identity test is cheaper
+        # than comparing, and the reference held here keeps the id unique.
+        self._knobs: Optional[Knobs] = None
+        self._terms = (0.0, 0.0, 0.0, 0.0, 0.0)
 
     @property
     def accuracy(self) -> RunningAccuracy:
@@ -242,35 +280,49 @@ class SimulatedEnvironment:
             raise SimulationStateError(
                 f"expected experience {self.next_experience}, got {experience}"
             )
-        if knobs.batch_size < 1 or knobs.buffer_size < 0:
-            raise ValueError(f"invalid knobs {knobs}")
-
-        memory = self.memory.memory_mb(knobs)
+        if knobs is not self._knobs:
+            self._terms = self._knob_terms(knobs)
+            self._knobs = knobs
+        memory, stream, replay, diagonal, factor = self._terms
         if memory > self.capacity_mb:
             self._failed = True
             return TrainResult(None, memory, None, oom=True)
 
-        # Constant workload per experience; complexity drift is modeled by
-        # the profile's growth factor instead.
-        b, r, mode = knobs.batch_size, knobs.buffer_size, knobs.optimizer_mode
-        n = self.samples_per_experience
-        compute = self.response.compute_latency_s(
-            self.profile, b, r, mode, experience, n, self.compute_scale
+        compute = self.response.latency_s(
+            stream, replay, self.profile, experience, self.compute_scale
         )
-        load = n * self.prefetch.load_time_per_sample_s
+        load = self.samples_per_experience * self.prefetch.load_time_per_sample_s
         latency = self.prefetch.effective_latency_s(
             compute, load, staged=experience in self._staged
         )
-
-        diagonal = self.response.plasticity_level(b, mode, n)
-        decay = self.response.forgetting_rate * (1.0 - self.response.stability_gain(r))
-        if self.response.noise_fraction > 0.0:
+        if self._rng is not None:
             jitter = self.response.noise_fraction
             latency *= 1.0 + jitter * self._rng.uniform(-1.0, 1.0)
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
-        row = self._accuracy.advance(1.0 - decay, diagonal)
+        row = self._accuracy.advance(factor, diagonal)
         return TrainResult(latency, memory, row, oom=False)
+
+    def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:
+        """Everything train_experience needs that only the knobs decide:
+        (memory, stream, replay, diagonal, decay factor), after checking them.
+
+        The workload is constant per experience; complexity drift is modeled
+        by the profile's growth factor, applied per experience.
+        """
+        if knobs.batch_size < 1 or knobs.buffer_size < 0:
+            raise ValueError(f"invalid knobs {knobs}")
+        b, r, mode = knobs.batch_size, knobs.buffer_size, knobs.optimizer_mode
+        n = self.samples_per_experience
+        stream, replay = self.response.knob_latency_terms(self.profile, b, r, mode, n)
+        decay = self.response.forgetting_rate * (1.0 - self.response.stability_gain(r))
+        return (
+            self.memory.memory_mb(knobs),
+            stream,
+            replay,
+            self.response.plasticity_level(b, mode, n),
+            1.0 - decay,
+        )
 
 
 # ---------------------------------------------------------------------------

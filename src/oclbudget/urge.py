@@ -10,16 +10,20 @@ too close to its memory limit to push harder.
 Weights come from a user preference ordering: with n metrics, position p
 (1-indexed from most important) gets raw weight n + 1 - p, normalized to
 sum 1. For the four metrics this is the 4/3/2/1 rule.
+
+urge_scorer fixes what a run does not change (the thresholds, their
+deviation divisors and finiteness, and the weights) once, and returns the
+per-snapshot score; compute_urge is that scorer built for a single call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidPreferenceError, NumericDomainError
-from .metrics import MetricSnapshot
+from .metrics import MetricSnapshot, Thresholds
 
 METRIC_NAMES = ("memory", "plasticity", "stability", "latency")
 
@@ -116,12 +120,73 @@ def weights_from_preference(order: Sequence[str]) -> Weights:
     )
 
 
-def _logistic(x: float) -> float:
-    if x > _ARG_LIMIT:
-        x = _ARG_LIMIT
-    elif x < -_ARG_LIMIT:
-        x = -_ARG_LIMIT
-    return 1.0 / (1.0 + math.exp(-x))
+def _check_finite(pairs: Sequence[tuple[float, float]]) -> None:
+    for value, threshold in pairs:
+        if not (math.isfinite(value) and math.isfinite(threshold)):
+            raise NumericDomainError(
+                f"score inputs must be finite, got value={value!r} threshold={threshold!r}"
+            )
+
+
+def urge_scorer(
+    thresholds: Thresholds,
+    weights: Weights,
+    normalize_deviations: bool = True,
+) -> Callable[[MetricSnapshot], UrgeScore]:
+    """The health score of one run, with its per-run constants fixed once.
+
+    Returns score(snapshot), which measures each deviation against these
+    thresholds (not the snapshot's own) and scales it by the four weights.
+    With normalize_deviations on (the default), each deviation is divided by
+    the magnitude of its threshold, floored at 1e-9, so that fractions,
+    seconds and megabytes all enter the logistics on comparable scales.
+    Turning it off feeds the raw differences through (the divisors are 1.0,
+    and x / 1.0 == x exactly), which makes the latency and memory factors
+    saturate almost immediately; it exists for fidelity experiments.
+
+    Each factor is the logistic 1 / (1 + exp(-x)) with x clamped to
+    [-36, 36]. The threshold finiteness is decided here; score still raises
+    NumericDomainError on the first (value, threshold) pair, in the order
+    plasticity, stability, latency, memory, where either is not finite.
+    """
+    exp, isfinite = math.exp, math.isfinite
+    th_p, th_s = thresholds.plasticity, thresholds.stability
+    th_l, th_m = thresholds.latency_s, thresholds.memory_mb
+    thresholds_finite = isfinite(th_p) and isfinite(th_s) and isfinite(th_l) and isfinite(th_m)
+    if normalize_deviations:
+        n_p, n_s = max(abs(th_p), _NORM_EPS), max(abs(th_s), _NORM_EPS)
+        n_l, n_m = max(abs(th_l), _NORM_EPS), max(abs(th_m), _NORM_EPS)
+    else:
+        n_p = n_s = n_l = n_m = 1.0
+    k_p, k_s, k_l, k_m = weights.k_p, weights.k_s, weights.k_l, weights.k_m
+    hi, lo = _ARG_LIMIT, -_ARG_LIMIT
+
+    def score(snapshot: MetricSnapshot) -> UrgeScore:
+        p, s = snapshot.plasticity, snapshot.stability
+        l, m = snapshot.latency_s, snapshot.memory_peak_mb
+        if not (thresholds_finite and isfinite(p) and isfinite(s) and isfinite(l) and isfinite(m)):
+            _check_finite(((p, th_p), (s, th_s), (l, th_l), (m, th_m)))
+
+        # Each x is clamped to [lo, hi] by two comparisons, so a NaN argument
+        # passes through unchanged and fails UrgeScore's factor check.
+        x = -(k_p * ((p - th_p) / n_p))
+        f_p = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
+        x = -(k_s * ((s - th_s) / n_s))
+        f_s = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
+        x = k_l * ((l - th_l) / n_l)
+        f_l = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
+        x = -(k_m * ((m - th_m) / n_m))
+        f_m = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
+
+        return UrgeScore(
+            value=f_p * f_s * f_l * f_m,
+            plasticity_factor=f_p,
+            stability_factor=f_s,
+            latency_factor=f_l,
+            memory_factor=f_m,
+        )
+
+    return score
 
 
 def compute_urge(
@@ -131,45 +196,8 @@ def compute_urge(
 ) -> UrgeScore:
     """Evaluate the health score for one metric snapshot.
 
-    With normalize_deviations on (the default), each deviation is divided by
-    the magnitude of its threshold so that fractions, seconds, and megabytes
-    all enter the logistics on comparable scales. Turning it off feeds the
-    raw differences through, which makes the latency and memory factors
-    saturate almost immediately; it exists for fidelity experiments.
+    The one-off form of urge_scorer: the scorer of the snapshot's own
+    thresholds, applied to the snapshot. A loop over many snapshots against
+    the same thresholds builds the scorer once instead.
     """
-    th = snapshot.thresholds
-    pairs = (
-        (snapshot.plasticity, th.plasticity),
-        (snapshot.stability, th.stability),
-        (snapshot.latency_s, th.latency_s),
-        (snapshot.memory_peak_mb, th.memory_mb),
-    )
-    for value, threshold in pairs:
-        if not (math.isfinite(value) and math.isfinite(threshold)):
-            raise NumericDomainError(
-                f"score inputs must be finite, got value={value!r} threshold={threshold!r}"
-            )
-
-    if normalize_deviations:
-        d_p = (snapshot.plasticity - th.plasticity) / max(abs(th.plasticity), _NORM_EPS)
-        d_s = (snapshot.stability - th.stability) / max(abs(th.stability), _NORM_EPS)
-        d_l = (snapshot.latency_s - th.latency_s) / max(abs(th.latency_s), _NORM_EPS)
-        d_m = (snapshot.memory_peak_mb - th.memory_mb) / max(abs(th.memory_mb), _NORM_EPS)
-    else:
-        d_p = snapshot.plasticity - th.plasticity
-        d_s = snapshot.stability - th.stability
-        d_l = snapshot.latency_s - th.latency_s
-        d_m = snapshot.memory_peak_mb - th.memory_mb
-
-    f_p = _logistic(-(weights.k_p * d_p))
-    f_s = _logistic(-(weights.k_s * d_s))
-    f_l = _logistic(weights.k_l * d_l)
-    f_m = _logistic(-(weights.k_m * d_m))
-
-    return UrgeScore(
-        value=f_p * f_s * f_l * f_m,
-        plasticity_factor=f_p,
-        stability_factor=f_s,
-        latency_factor=f_l,
-        memory_factor=f_m,
-    )
+    return urge_scorer(snapshot.thresholds, weights, normalize_deviations)(snapshot)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oclbudget import (
+    BaselinePolicy,
     BudgetState,
     ControllerConfig,
     InfeasibleBudgetError,
@@ -23,10 +24,12 @@ from oclbudget import (
     derive_knobs,
     load_bundled_scenario,
     load_scenario,
+    run_baseline,
     run_control_loop,
     threshold_at,
     update_budgets,
 )
+from oclbudget.controller import OverheadRecorder
 from oclbudget.scenario import default_profile_library_path
 
 MEMORY = dict(
@@ -105,12 +108,11 @@ class TestUpdateBudgets:
 
     def test_conservative_branch_shrinks_and_uses_default(self):
         cfg = make_config()
-        prev = BudgetState(100.0, 50.0, cfg.optimizer_advanced_mb, step=3)
+        prev = BudgetState(100.0, 50.0, cfg.optimizer_advanced_mb)
         new = update_budgets(prev, score=0.5, threshold=0.7, config=cfg)
         assert new.batch_mb == pytest.approx(100.0 * (1 - 0.1 * 0.2), rel=1e-15)
         assert new.replay_mb == pytest.approx(50.0 * (1 - 0.2 * 0.2), rel=1e-15)
         assert new.optimizer_mb == cfg.optimizer_default_mb
-        assert new.step == 4
 
     def test_multiplicative_exactness_property(self):
         rng = np.random.default_rng(17)
@@ -305,7 +307,7 @@ class TestControlLoop:
         assert len(trace.records) == 1
         record = trace.records[0]
         assert record.score is not None
-        assert record.budgets.step == 1
+        assert record.threshold == scenario.controller.initial_threshold
 
     def test_determinism_identical_traces(self):
         scenario = load_bundled_scenario("xavier-er")
@@ -406,6 +408,35 @@ class TestControlLoop:
         short = dataclasses.replace(scenario, num_experiences=48)
         full = run_control_loop(short, build_environment(short))
         assert partial.records == full.records
+
+    def test_infeasible_run_times_its_failing_step(self):
+        # Each attempted experience has two timed regions: knob derivation,
+        # then snapshot, score, threshold and update. The failing update's
+        # region is closed before the error propagates.
+        scenario = load_bundled_scenario("xavier-gss")
+        long = dataclasses.replace(scenario, num_experiences=60)
+        recorder = OverheadRecorder()
+        with pytest.raises(InfeasibleBudgetError) as info:
+            run_control_loop(long, build_environment(long), overhead=recorder)
+        completed = len(info.value.partial_trace.records)
+        assert completed == 48
+        assert len(recorder.controller_seconds) == 2 * (completed + 1)
+        assert all(seconds >= 0.0 for seconds in recorder.controller_seconds)
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_threshold_is_indexed_by_experience(self, name):
+        scenario = load_bundled_scenario(name)
+        config = dataclasses.replace(scenario.controller, threshold_decay=0.1)
+        scenario = dataclasses.replace(scenario, controller=config)
+        traces = [run_control_loop(scenario, build_environment(scenario))]
+        traces += [
+            run_baseline(policy, scenario)
+            for policy in (BaselinePolicy.max_a(), BaselinePolicy.max_p(), BaselinePolicy.fixed())
+        ]
+        scored = [r for trace in traces for r in trace.records if not r.oom]
+        assert len(scored) >= scenario.num_experiences  # the controller's, at least
+        for r in scored:
+            assert r.threshold == threshold_at(config, r.experience - 1)
 
     def test_optimizer_mode_follows_branch_when_levels_cost_the_same(self, tmp_path):
         # A zero optimizer delta makes the default and advanced budgets

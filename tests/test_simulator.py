@@ -22,9 +22,14 @@ from oclbudget import (
     load_calibration_targets,
     load_profile_library,
 )
+from oclbudget.baselines import BaselinePolicy
+from oclbudget.controller import _run_policy
 from oclbudget.scenario import (
+    build_environment,
+    bundled_scenario_names,
     default_calibration_targets_path,
     default_profile_library_path,
+    load_bundled_scenario,
 )
 
 
@@ -265,6 +270,86 @@ class TestTrainExperience:
     def test_negative_seed_rejected(self, noise):
         with pytest.raises(ValueError, match="seed"):
             make_env(seed=-1, noise_fraction=noise)
+
+
+def _fixed_run(scenario, policy, fresh_knobs_each_experience):
+    """A fixed-knob run through the shared loop, passing either one Knobs
+    object for the whole run or a new, equal one every experience."""
+    def make():
+        return knobs(policy.batch, policy.buffer, policy.optimizer_mode)
+
+    same = make()
+    state = scenario.initial_budget_state()
+    return _run_policy(
+        scenario,
+        build_environment(scenario),
+        state,
+        (lambda _state: make()) if fresh_knobs_each_experience else (lambda _state: same),
+        lambda s, _score, _theta: s,
+    )
+
+
+class TestKnobMemo:
+    """The environment computes the knob-only terms once per Knobs object."""
+
+    POLICIES = (BaselinePolicy.max_a(), BaselinePolicy.max_p(), BaselinePolicy.fixed(64, 2000))
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_same_object_equals_fresh_equal_knobs(self, name):
+        scenario = load_bundled_scenario(name)
+        for policy in self.POLICIES:
+            reused = _fixed_run(scenario, policy, fresh_knobs_each_experience=False)
+            fresh = _fixed_run(scenario, policy, fresh_knobs_each_experience=True)
+            assert reused == fresh, (name, policy)
+
+    def test_same_object_equals_fresh_equal_knobs_with_noise(self):
+        scenario = load_bundled_scenario("orin-er")
+        noisy = dataclasses.replace(
+            scenario, response=dataclasses.replace(scenario.response, noise_fraction=0.05)
+        )
+        for policy in self.POLICIES:
+            reused = _fixed_run(noisy, policy, fresh_knobs_each_experience=False)
+            fresh = _fixed_run(noisy, policy, fresh_knobs_each_experience=True)
+            assert reused == fresh, policy
+        # The noise is live: the noisy run differs from the noise-free one.
+        assert _fixed_run(noisy, self.POLICIES[2], False) != _fixed_run(
+            scenario, self.POLICIES[2], False
+        )
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_switching_knobs_back_and_forth(self, noise):
+        a = knobs(64, 500)
+        b = knobs(256, 40, OptimizerMode.ADVANCED)
+        schedule = (a, b, a, a, b, a)
+        env = make_env(seed=9, noise_fraction=noise)
+        reference = make_env(seed=9, noise_fraction=noise)
+        for e, kn in enumerate(schedule, start=1):
+            got = env.train_experience(e, kn)
+            copy = knobs(kn.batch_size, kn.buffer_size, kn.optimizer_mode)
+            assert got == reference.train_experience(e, copy), e
+            if noise == 0.0:
+                # Nothing is staged, so latency is compute plus the full load.
+                compute = env.response.compute_latency_s(
+                    env.profile, kn.batch_size, kn.buffer_size, kn.optimizer_mode,
+                    e, env.samples_per_experience, env.compute_scale,
+                )
+                load = env.samples_per_experience * env.prefetch.load_time_per_sample_s
+                assert got.latency_s == compute + load
+                assert got.memory_peak_mb == env.memory.memory_mb(kn)
+                assert got.accuracy_row[-1] == env.response.plasticity_level(
+                    kn.batch_size, kn.optimizer_mode, env.samples_per_experience
+                )
+
+    @pytest.mark.parametrize("bad", [knobs(0, 10), knobs(16, -1)])
+    def test_invalid_knobs_raise_on_every_call(self, bad):
+        env = make_env()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="invalid knobs"):
+                env.train_experience(1, bad)
+        good = knobs(16, 10)
+        assert not env.train_experience(1, good).oom
+        with pytest.raises(ValueError, match="invalid knobs"):
+            env.train_experience(2, bad)
 
 
 class TestPrefetch:

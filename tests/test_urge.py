@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclbudget import (
     InvalidPreferenceError,
@@ -16,7 +19,7 @@ from oclbudget import (
     compute_urge,
     weights_from_preference,
 )
-from oclbudget.urge import METRIC_NAMES
+from oclbudget.urge import METRIC_NAMES, urge_scorer
 
 TH = Thresholds(plasticity=0.8, stability=0.9, latency_s=100.0, memory_mb=4000.0)
 W = weights_from_preference(["memory", "plasticity", "stability", "latency"])
@@ -143,3 +146,126 @@ class TestScoreBoundsAndMonotonicity:
         assert a.stability_factor == b.stability_factor
         assert a.latency_factor == b.latency_factor
         assert a.memory_factor == b.memory_factor
+
+
+# The single-call kernel as it stood before urge_scorer, kept verbatim as the
+# reference the scorer must reproduce bit for bit.
+_REF_ARG_LIMIT = 36.0
+_REF_NORM_EPS = 1e-9
+
+
+def _reference_logistic(x: float) -> float:
+    if x > _REF_ARG_LIMIT:
+        x = _REF_ARG_LIMIT
+    elif x < -_REF_ARG_LIMIT:
+        x = -_REF_ARG_LIMIT
+    return 1.0 / (1.0 + math.exp(-x))
+
+
+def reference_compute_urge(snapshot, weights, normalize_deviations=True):
+    th = snapshot.thresholds
+    pairs = (
+        (snapshot.plasticity, th.plasticity),
+        (snapshot.stability, th.stability),
+        (snapshot.latency_s, th.latency_s),
+        (snapshot.memory_peak_mb, th.memory_mb),
+    )
+    for value, threshold in pairs:
+        if not (math.isfinite(value) and math.isfinite(threshold)):
+            raise NumericDomainError(
+                f"score inputs must be finite, got value={value!r} threshold={threshold!r}"
+            )
+
+    if normalize_deviations:
+        d_p = (snapshot.plasticity - th.plasticity) / max(abs(th.plasticity), _REF_NORM_EPS)
+        d_s = (snapshot.stability - th.stability) / max(abs(th.stability), _REF_NORM_EPS)
+        d_l = (snapshot.latency_s - th.latency_s) / max(abs(th.latency_s), _REF_NORM_EPS)
+        d_m = (snapshot.memory_peak_mb - th.memory_mb) / max(abs(th.memory_mb), _REF_NORM_EPS)
+    else:
+        d_p = snapshot.plasticity - th.plasticity
+        d_s = snapshot.stability - th.stability
+        d_l = snapshot.latency_s - th.latency_s
+        d_m = snapshot.memory_peak_mb - th.memory_mb
+
+    f_p = _reference_logistic(-(weights.k_p * d_p))
+    f_s = _reference_logistic(-(weights.k_s * d_s))
+    f_l = _reference_logistic(weights.k_l * d_l)
+    f_m = _reference_logistic(-(weights.k_m * d_m))
+
+    return UrgeScore(
+        value=f_p * f_s * f_l * f_m,
+        plasticity_factor=f_p,
+        stability_factor=f_s,
+        latency_factor=f_l,
+        memory_factor=f_m,
+    )
+
+
+def _outcome(fn, *args):
+    """The score, or the type and message of the error fn raised."""
+    try:
+        return fn(*args)
+    except (NumericDomainError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+unit = st.floats(0.0, 1.0)
+# Zero thresholds take the 1e-9 divisor floor; spans of 1e6 against
+# thresholds near 1e-3 push the logistic arguments far past the +-36 clamp.
+magnitude = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-3))
+threshold = st.one_of(st.just(0.0), st.floats(-1e4, 1e4), st.floats(-1e-3, 1e-3))
+weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e3))
+weights_st = st.builds(Weights, weight, weight, weight, weight)
+thresholds_st = st.builds(
+    Thresholds, threshold, threshold, threshold, st.floats(1e-12, 1e7)
+)
+
+
+class TestScorerMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        p=unit, s=unit, lat=magnitude, mem=magnitude,
+        th=thresholds_st, w=weights_st, normalize=st.booleans(),
+    )
+    def test_finite_inputs_score_identically(self, p, s, lat, mem, th, w, normalize):
+        snapshot = MetricSnapshot(p, s, lat, mem, th)
+        expected = _outcome(reference_compute_urge, snapshot, w, normalize)
+        assert _outcome(compute_urge, snapshot, w, normalize) == expected
+        assert _outcome(urge_scorer(th, w, normalize), snapshot) == expected
+
+    def test_clamp_is_reached(self):
+        # Both clamp branches are taken, and the clamped factors still agree.
+        th = Thresholds(0.0, 0.0, 1e-3, 1e-3)
+        heavy = Weights(1e3, 1e3, 1e3, 1e3)
+        for lat, mem in ((1e6, 0.0), (0.0, 1e6)):
+            snapshot = MetricSnapshot(1.0, 1.0, lat, mem, th)
+            for normalize in (True, False):
+                expected = reference_compute_urge(snapshot, heavy, normalize)
+                assert min(expected.components()) < 1e-15 or max(expected.components()) > 1 - 1e-15
+                assert urge_scorer(th, heavy, normalize)(snapshot) == expected
+                assert compute_urge(snapshot, heavy, normalize) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(unit, st.sampled_from([math.nan, math.inf, -math.inf])),
+            min_size=8, max_size=8,
+        ),
+        w=weights_st,
+        normalize=st.booleans(),
+    )
+    def test_non_finite_inputs_name_the_same_first_pair(self, values, w, normalize):
+        # SimpleNamespace stands in for the dataclasses, whose own checks
+        # reject some of these values before scoring sees them.
+        th = SimpleNamespace(
+            plasticity=values[1], stability=values[3], latency_s=values[5], memory_mb=values[7]
+        )
+        snapshot = SimpleNamespace(
+            plasticity=values[0], stability=values[2], latency_s=values[4],
+            memory_peak_mb=values[6], thresholds=th,
+        )
+        expected = _outcome(reference_compute_urge, snapshot, w, normalize)
+        assert _outcome(compute_urge, snapshot, w, normalize) == expected
+        assert _outcome(urge_scorer(th, w, normalize), snapshot) == expected
+        if not all(math.isfinite(v) for v in values):
+            assert expected[0] is NumericDomainError
