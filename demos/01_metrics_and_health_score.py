@@ -49,8 +49,10 @@ thresholds = Thresholds(plasticity=0.85, stability=0.95, latency_s=100.0, memory
 weights = weights_from_preference(["memory", "plasticity", "stability", "latency"])
 print(f"\nweights from [memory, plasticity, stability, latency]: {weights.as_dict()}")
 
-snap = snapshot(matrix, 3, latency_s=140.0, memory_peak_mb=4600.0, thresholds=thresholds)
-score = compute_urge(snap, weights)
+# A snapshot holds only the four measured values; the thresholds are passed
+# to the score, once per run in the controller.
+snap = snapshot(matrix, 3, latency_s=140.0, memory_peak_mb=4600.0)
+score = compute_urge(snap, thresholds, weights)
 print(f"\nsnapshot: P={snap.plasticity:.3f} S={snap.stability:.3f} L={snap.latency_s}s M={snap.memory_peak_mb}MB")
 print(
     f"factors: plasticity={score.plasticity_factor:.4f} stability={score.stability_factor:.4f} "
@@ -61,10 +63,10 @@ print(f"health score = {score.value:.5f}  (neutral point is 0.5^4 = 0.0625)")
 # Sweep one metric at a time to see the monotone response of the score.
 print("\nlatency sweep (all else fixed):")
 for latency in (50.0, 100.0, 200.0, 400.0):
-    s = MetricSnapshot(0.8, 0.9, latency, 4600.0, thresholds)
-    print(f"  latency={latency:6.1f}s -> score {compute_urge(s, weights).value:.5f}")
+    s = MetricSnapshot(0.8, 0.9, latency, 4600.0)
+    print(f"  latency={latency:6.1f}s -> score {compute_urge(s, thresholds, weights).value:.5f}")
 
 print("\nmemory sweep (all else fixed):")
 for memory in (3000.0, 5000.0, 6000.0, 7000.0):
-    s = MetricSnapshot(0.8, 0.9, 140.0, memory, thresholds)
-    print(f"  memory={memory:7.1f}MB -> score {compute_urge(s, weights).value:.5f}")
+    s = MetricSnapshot(0.8, 0.9, 140.0, memory)
+    print(f"  memory={memory:7.1f}MB -> score {compute_urge(s, thresholds, weights).value:.5f}")

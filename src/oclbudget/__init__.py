@@ -4,9 +4,10 @@ harness.
 
 The controller watches four metrics after every training experience --
 plasticity, stability, latency, and memory -- folds them into a single
-URGE health score (a product of logistic factors, so the scarcest factor
-dominates), and reallocates memory among batch processing, the replay
-buffer, and optimizer plugins against a time-decaying threshold.
+URGE health score (a product of four weighted logistic factors, one per
+metric; whether the scarcest factor dominates is open, ROADMAP item 7),
+and reallocates memory among batch processing, the replay buffer, and
+optimizer plugins against a time-decaying threshold.
 """
 
 from .baselines import (
@@ -44,7 +45,6 @@ from .errors import (
 )
 from .harness import (
     Report,
-    SummaryRow,
     ablate_prefetch,
     emit_report,
     measure_overhead,

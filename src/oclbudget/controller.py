@@ -361,12 +361,7 @@ def _run_policy(
 
         if overhead is not None:
             overhead.start()
-        snap = build_snapshot(
-            env.accuracy,
-            result.latency_s,
-            result.memory_peak_mb,
-            scenario.thresholds,
-        )
+        snap = build_snapshot(env.accuracy, result.latency_s, result.memory_peak_mb)
         score = score_of(snap)
         theta = threshold_at(config, experience - 1)
         try:

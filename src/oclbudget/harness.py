@@ -36,7 +36,6 @@ from typing import Optional, Sequence, Union
 
 from .baselines import BaselinePolicy, PolicyKind, run_baseline, run_oracle
 from .controller import (
-    Outcome,
     OverheadRecorder,
     RunTrace,
     TraceRecord,
@@ -65,17 +64,6 @@ KNOWN_POLICIES = ("controller", "max_a", "max_p", "fixed", "oracle")
 
 
 @dataclass(frozen=True)
-class SummaryRow:
-    scenario: str
-    policy: str
-    total_latency_s: float
-    final_plasticity: Optional[float]
-    final_stability: Optional[float]
-    peak_memory_mb: float
-    outcome: Outcome
-
-
-@dataclass(frozen=True)
 class OverheadSummary:
     """Controller-attributable costs measured against simulated training time.
 
@@ -95,8 +83,13 @@ class OverheadSummary:
 
 @dataclass(frozen=True)
 class Report:
+    """One scenario's runs as (policy label, trace) pairs, sorted by label.
+
+    Per-run totals (latency, final plasticity and stability, peak memory,
+    outcome) are computed from each RunTrace on demand.
+    """
+
     scenario_name: str
-    rows: tuple[SummaryRow, ...]
     traces: tuple[tuple[str, RunTrace], ...]
     oracle_best: Optional[tuple[int, int]] = None
     overhead: Optional[OverheadSummary] = None
@@ -123,10 +116,10 @@ def run_suite(
     *,
     include_overhead: bool = False,
 ) -> Report:
-    """Run each requested policy against a fresh environment and summarize.
+    """Run each requested policy against a fresh environment.
 
-    The oracle contributes its full grid of runs. Rows are sorted by policy
-    label so the report (and its CSV) is deterministic. With
+    The oracle contributes its full grid of runs. Traces are sorted by
+    policy label so the report (and its CSV) is deterministic. With
     include_overhead the report also carries the controller's measured
     overhead accounting, timed in the report's own controller run (or in an
     extra controller run when the controller is not requested); wall times
@@ -158,23 +151,10 @@ def run_suite(
             traces.append((_policy_label(kind), trace))
 
     traces.sort(key=lambda item: item[0])
-    rows = tuple(
-        SummaryRow(
-            scenario=scenario.name,
-            policy=label,
-            total_latency_s=trace.total_latency_s(),
-            final_plasticity=trace.final_plasticity(),
-            final_stability=trace.final_stability(),
-            peak_memory_mb=trace.peak_memory_mb(),
-            outcome=trace.outcome,
-        )
-        for label, trace in traces
-    )
     if include_overhead and overhead is None:
         overhead = measure_overhead(scenario)
     return Report(
         scenario_name=scenario.name,
-        rows=rows,
         traces=tuple(traces),
         oracle_best=oracle_best,
         overhead=overhead,
@@ -351,13 +331,20 @@ def ablate_prefetch(scenario: ScenarioConfig) -> PrefetchAblation:
     Measured with a fixed policy at the scenario's initial knobs so the
     comparison isolates the pipeline effect: prefetch changes neither
     training parameters nor accuracy, only how much loading hides behind
-    compute.
+    compute. Raises ValueError when no experience completes at those knobs,
+    since there is then no latency to compare.
     """
     policy = BaselinePolicy.fixed()  # scenario initial knobs
     on = run_baseline(policy, scenario.with_prefetch_enabled(True))
     off = run_baseline(policy, scenario.with_prefetch_enabled(False))
+    latency_off = off.total_latency_s()
+    if latency_off == 0:
+        raise ValueError(
+            f"scenario {scenario.name!r}: no experience completes at the initial "
+            "knobs, so there is no latency to compare"
+        )
     return PrefetchAblation(
         scenario=scenario.name,
         latency_prefetch_on_s=on.total_latency_s(),
-        latency_prefetch_off_s=off.total_latency_s(),
+        latency_prefetch_off_s=latency_off,
     )

@@ -174,13 +174,16 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class MetricSnapshot:
-    """State of the four controlled metrics after one experience."""
+    """State of the four controlled metrics after one experience.
+
+    Only measured values: the thresholds a snapshot is scored against belong
+    to the run and are fixed once in its scorer (urge.urge_scorer).
+    """
 
     plasticity: float
     stability: float
     latency_s: float
     memory_peak_mb: float
-    thresholds: Thresholds
 
     def __post_init__(self):
         if not 0.0 <= self.plasticity <= 1.0:
@@ -239,7 +242,6 @@ def snapshot(
     k: int,
     latency_s: float,
     memory_peak_mb: float,
-    thresholds: Thresholds,
 ) -> MetricSnapshot:
     """Bundle plasticity/stability with the observed latency and memory peak."""
     return MetricSnapshot(
@@ -247,7 +249,6 @@ def snapshot(
         stability=stability(matrix, k),
         latency_s=latency_s,
         memory_peak_mb=memory_peak_mb,
-        thresholds=thresholds,
     )
 
 
@@ -255,7 +256,6 @@ def running_snapshot(
     accuracy: RunningAccuracy,
     latency_s: float,
     memory_peak_mb: float,
-    thresholds: Thresholds,
 ) -> MetricSnapshot:
     """snapshot() of the latest experience, scored from the running row."""
     if not accuracy.row:
@@ -265,5 +265,4 @@ def running_snapshot(
         stability=_row_stability(accuracy.row, accuracy.diagonal),
         latency_s=latency_s,
         memory_peak_mb=memory_peak_mb,
-        thresholds=thresholds,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .controller import BudgetState, ControllerConfig
+from .controller import BudgetState, ControllerConfig, derive_knobs
 from .errors import SchemaError
 from .metrics import Thresholds
 from .simulator import (
@@ -129,7 +129,11 @@ def _library(path: str | Path | None) -> ProfileLibrary:
 
 
 def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -> ScenarioConfig:
-    """Load and validate one scenario file; unknown keys are rejected."""
+    """Load and validate one scenario file; unknown keys are rejected.
+
+    So are initial budgets whose total, or whose knobs' memory with the
+    residency term, is above the controller's cap.
+    """
     library = _library(library_path)
     doc = load_yaml_mapping(path)
     label = str(path)
@@ -182,11 +186,20 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     initial_replay_mb = ctrl.take_number("initial_replay_mb", minimum=0.0)
     ctrl.finish()
 
-    initial_total = initial_batch_mb + initial_replay_mb + config.optimizer_default_mb
-    if initial_total > config.budget_cap_mb:
+    initial_state = BudgetState(initial_batch_mb, initial_replay_mb, config.optimizer_default_mb)
+    if initial_state.total_mb > config.budget_cap_mb:
         raise SchemaError(
-            f"{label}.controller: initial budgets total {initial_total:.1f} MB, "
+            f"{label}.controller: initial budgets total {initial_state.total_mb:.1f} MB, "
             f"above the {config.budget_cap_mb:.1f} MB cap"
+        )
+    # The knobs also pay the residency term, which the budget total omits.
+    initial_knobs = derive_knobs(initial_state, config)
+    initial_memory = memory.memory_mb(initial_knobs)
+    if initial_memory > config.budget_cap_mb:
+        raise SchemaError(
+            f"{label}.controller: the initial knobs (batch {initial_knobs.batch_size}, "
+            f"buffer {initial_knobs.buffer_size}) need {initial_memory:.1f} MB, above the "
+            f"{config.budget_cap_mb:.1f} MB cap"
         )
 
     root.finish()

@@ -200,9 +200,14 @@ class PlatformPreset:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """Latency and peak memory of one experience; latency is None on OOM.
+
+    A trained experience advances the environment's RunningAccuracy; its new
+    row is read through env.accuracy.
+    """
+
     latency_s: Optional[float]
     memory_peak_mb: float
-    accuracy_row: Optional[tuple[float, ...]]
     oom: bool
 
 
@@ -286,7 +291,7 @@ class SimulatedEnvironment:
         memory, stream, replay, diagonal, factor = self._terms
         if memory > self.capacity_mb:
             self._failed = True
-            return TrainResult(None, memory, None, oom=True)
+            return TrainResult(None, memory, oom=True)
 
         compute = self.response.latency_s(
             stream, replay, self.profile, experience, self.compute_scale
@@ -300,8 +305,8 @@ class SimulatedEnvironment:
             latency *= 1.0 + jitter * self._rng.uniform(-1.0, 1.0)
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
-        row = self._accuracy.advance(factor, diagonal)
-        return TrainResult(latency, memory, row, oom=False)
+        self._accuracy.advance(factor, diagonal)
+        return TrainResult(latency, memory, oom=False)
 
     def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:
         """Everything train_experience needs that only the knobs decide:

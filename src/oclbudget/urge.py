@@ -11,6 +11,12 @@ Weights come from a user preference ordering: with n metrics, position p
 (1-indexed from most important) gets raw weight n + 1 - p, normalized to
 sum 1. For the four metrics this is the 4/3/2/1 rule.
 
+Each deviation from its threshold is divided by the threshold's magnitude
+(floored at 1e-9), so fractions, seconds and megabytes enter the logistics
+on comparable scales. The score is the product of the four factors and
+nothing more: how much the smallest factor drives it is measured, not
+assumed (ROADMAP open item 7).
+
 urge_scorer fixes what a run does not change (the thresholds, their
 deviation divisors and finiteness, and the weights) once, and returns the
 per-snapshot score; compute_urge is that scorer built for a single call.
@@ -40,8 +46,8 @@ class Weights:
     """Per-metric sensitivities (k_p, k_s, k_l, k_m).
 
     Weights produced by weights_from_preference are normalized to sum 1;
-    arbitrary non-negative weights are accepted for sensitivity studies
-    (e.g. scaling a single factor), checked via validate_normalized().
+    arbitrary finite non-negative weights are accepted for sensitivity
+    studies (e.g. scaling a single factor).
     """
 
     k_p: float
@@ -59,10 +65,6 @@ class Weights:
 
     def total(self) -> float:
         return self.k_p + self.k_s + self.k_l + self.k_m
-
-    def validate_normalized(self, tol: float = 1e-9) -> None:
-        if abs(self.total() - 1.0) > tol:
-            raise ValueError(f"weights sum to {self.total()!r}, expected 1 within {tol}")
 
 
 @dataclass(frozen=True)
@@ -129,20 +131,13 @@ def _check_finite(pairs: Sequence[tuple[float, float]]) -> None:
 
 
 def urge_scorer(
-    thresholds: Thresholds,
-    weights: Weights,
-    normalize_deviations: bool = True,
+    thresholds: Thresholds, weights: Weights
 ) -> Callable[[MetricSnapshot], UrgeScore]:
     """The health score of one run, with its per-run constants fixed once.
 
     Returns score(snapshot), which measures each deviation against these
-    thresholds (not the snapshot's own) and scales it by the four weights.
-    With normalize_deviations on (the default), each deviation is divided by
-    the magnitude of its threshold, floored at 1e-9, so that fractions,
-    seconds and megabytes all enter the logistics on comparable scales.
-    Turning it off feeds the raw differences through (the divisors are 1.0,
-    and x / 1.0 == x exactly), which makes the latency and memory factors
-    saturate almost immediately; it exists for fidelity experiments.
+    thresholds, divides it by the magnitude of its threshold (floored at
+    1e-9) and scales it by the four weights.
 
     Each factor is the logistic 1 / (1 + exp(-x)) with x clamped to
     [-36, 36]. The threshold finiteness is decided here; score still raises
@@ -153,11 +148,8 @@ def urge_scorer(
     th_p, th_s = thresholds.plasticity, thresholds.stability
     th_l, th_m = thresholds.latency_s, thresholds.memory_mb
     thresholds_finite = isfinite(th_p) and isfinite(th_s) and isfinite(th_l) and isfinite(th_m)
-    if normalize_deviations:
-        n_p, n_s = max(abs(th_p), _NORM_EPS), max(abs(th_s), _NORM_EPS)
-        n_l, n_m = max(abs(th_l), _NORM_EPS), max(abs(th_m), _NORM_EPS)
-    else:
-        n_p = n_s = n_l = n_m = 1.0
+    n_p, n_s = max(abs(th_p), _NORM_EPS), max(abs(th_s), _NORM_EPS)
+    n_l, n_m = max(abs(th_l), _NORM_EPS), max(abs(th_m), _NORM_EPS)
     k_p, k_s, k_l, k_m = weights.k_p, weights.k_s, weights.k_l, weights.k_m
     hi, lo = _ARG_LIMIT, -_ARG_LIMIT
 
@@ -189,15 +181,11 @@ def urge_scorer(
     return score
 
 
-def compute_urge(
-    snapshot: MetricSnapshot,
-    weights: Weights,
-    normalize_deviations: bool = True,
-) -> UrgeScore:
-    """Evaluate the health score for one metric snapshot.
+def compute_urge(snapshot: MetricSnapshot, thresholds: Thresholds, weights: Weights) -> UrgeScore:
+    """Evaluate the health score of one metric snapshot against thresholds.
 
-    The one-off form of urge_scorer: the scorer of the snapshot's own
-    thresholds, applied to the snapshot. A loop over many snapshots against
-    the same thresholds builds the scorer once instead.
+    The one-off form of urge_scorer(thresholds, weights)(snapshot). A loop
+    over many snapshots against the same thresholds builds the scorer once
+    instead.
     """
-    return urge_scorer(snapshot.thresholds, weights, normalize_deviations)(snapshot)
+    return urge_scorer(thresholds, weights)(snapshot)

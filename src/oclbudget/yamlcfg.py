@@ -45,7 +45,7 @@ class Section:
         self._data = dict(data)
         self.path = path
 
-    def take(self, key: str, kind=None, default=..., choices=None):
+    def take(self, key: str, kind=None, default=...):
         if key in self._data:
             value = self._data.pop(key)
         elif default is not ...:
@@ -55,10 +55,6 @@ class Section:
         if kind is not None and not self._check_kind(value, kind):
             raise SchemaError(
                 f"{self.path}.{key}: expected {self._kind_name(kind)}, got {value!r}"
-            )
-        if choices is not None and value not in choices:
-            raise SchemaError(
-                f"{self.path}.{key}: must be one of {sorted(choices)}, got {value!r}"
             )
         return value
 

@@ -97,13 +97,12 @@ def test_criterion_03_score_invariants():
             stability=float(rng.uniform(0.0, 1.0)),
             latency_s=float(rng.uniform(0.0, 5000.0)),
             memory_peak_mb=float(rng.uniform(0.0, 20000.0)),
-            thresholds=th,
         )
-        value = compute_urge(snap, weights).value
+        value = compute_urge(snap, th, weights).value
         in_open_interval &= 0.0 < value < 1.0
 
     th = Thresholds(plasticity=0.8, stability=0.9, latency_s=100.0, memory_mb=4000.0)
-    neutral = compute_urge(MetricSnapshot(0.8, 0.9, 100.0, 4000.0, th), weights).value
+    neutral = compute_urge(MetricSnapshot(0.8, 0.9, 100.0, 4000.0), th, weights).value
     neutral_ok = abs(neutral - 0.0625) <= 1e-12
 
     monotone = True
@@ -118,11 +117,11 @@ def test_criterion_03_score_invariants():
         s = float(rng.uniform(0.05, 0.9))
         lat = float(rng.uniform(1.0, 400.0))
         mem = float(rng.uniform(200.0, 9000.0))
-        base = compute_urge(MetricSnapshot(p, s, lat, mem, th), weights).value
-        monotone &= compute_urge(MetricSnapshot(p + 0.05, s, lat, mem, th), weights).value < base
-        monotone &= compute_urge(MetricSnapshot(p, s + 0.05, lat, mem, th), weights).value < base
-        monotone &= compute_urge(MetricSnapshot(p, s, lat + 10.0, mem, th), weights).value > base
-        monotone &= compute_urge(MetricSnapshot(p, s, lat, mem + 100.0, th), weights).value < base
+        base = compute_urge(MetricSnapshot(p, s, lat, mem), th, weights).value
+        monotone &= compute_urge(MetricSnapshot(p + 0.05, s, lat, mem), th, weights).value < base
+        monotone &= compute_urge(MetricSnapshot(p, s + 0.05, lat, mem), th, weights).value < base
+        monotone &= compute_urge(MetricSnapshot(p, s, lat + 10.0, mem), th, weights).value > base
+        monotone &= compute_urge(MetricSnapshot(p, s, lat, mem + 100.0), th, weights).value < base
 
     check(
         3,

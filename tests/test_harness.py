@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oclbudget.cli as cli_module
 import oclbudget.harness as harness
 from oclbudget import (
     BudgetState,
@@ -18,7 +19,6 @@ from oclbudget import (
     Outcome,
     RunTrace,
     SchemaError,
-    Thresholds,
     TraceRecord,
     UrgeScore,
     ablate_prefetch,
@@ -105,6 +105,19 @@ class TestLoadScenario:
         with pytest.raises(SchemaError, match="nope"):
             load_scenario(path)
 
+    def test_initial_knobs_that_cannot_fit_rejected(self, tmp_path):
+        # batch + replay + base is 6,356 MB, under the 8,192 MB cap, but the
+        # 730,000-frame buffer adds the residency term: 8,380.7 MB in all.
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            scenario_text()
+            .replace("profile: er", "profile: gss")
+            .replace("initial_batch_mb: 268.8", "safety_margin: 0.0\n  initial_batch_mb: 0.0")
+            .replace("initial_replay_mb: 45.0", "initial_replay_mb: 2190")
+        )
+        with pytest.raises(SchemaError, match=r"initial knobs .* need 8380\.7 MB"):
+            load_scenario(path)
+
     def test_defaults_derived_from_profile(self, tmp_path):
         path = tmp_path / "ok.yaml"
         path.write_text(scenario_text())
@@ -187,13 +200,12 @@ class TestRunSuite:
     def test_counts_controller_baselines_oracle(self):
         scenario = load_bundled_scenario("orin-er")
         report = run_suite(scenario, ["controller", "max_a", "max_p", "oracle"])
-        assert len(report.rows) == 1 + 1 + 1 + 42
-        assert len(report.traces) == 45
+        assert len(report.traces) == 1 + 1 + 1 + 42
 
-    def test_rows_sorted_by_policy(self):
+    def test_traces_sorted_by_policy(self):
         scenario = load_bundled_scenario("orin-er")
         report = run_suite(scenario, ["max_p", "controller", "max_a"])
-        assert [r.policy for r in report.rows] == ["controller", "max-a", "max-p"]
+        assert [label for label, _ in report.traces] == ["controller", "max-a", "max-p"]
 
     def test_empty_policy_list_rejected(self):
         with pytest.raises(ValueError):
@@ -202,14 +214,6 @@ class TestRunSuite:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             run_suite(load_bundled_scenario("orin-er"), ["sgd"])
-
-    def test_summary_totals_match_trace_sums(self):
-        scenario = load_bundled_scenario("server-gem")
-        report = run_suite(scenario, ["controller", "max_a"])
-        for row, (label, trace) in zip(report.rows, report.traces):
-            assert row.policy == label
-            assert row.total_latency_s == trace.total_latency_s()
-            assert row.peak_memory_mb == trace.peak_memory_mb()
 
     def test_report_can_carry_overhead_accounting(self):
         scenario = load_bundled_scenario("server-gem")
@@ -284,7 +288,6 @@ def trace_records(draw):
             stability=draw(unit_float),
             latency_s=draw(not_negative),
             memory_peak_mb=draw(not_negative),
-            thresholds=Thresholds(0.9, 0.95, 30.0, 5000.0),
         )
     return TraceRecord(
         experience=draw(st.integers()),
@@ -335,7 +338,6 @@ class TestEmitReport:
     def test_jsonl_line_is_json_dumps_of_the_record(self, scenario_name, traces):
         report = Report(
             scenario_name=scenario_name,
-            rows=(),
             traces=tuple(
                 (policy, RunTrace(tuple(records), Outcome.COMPLETED)) for policy, records in traces
             ),
@@ -361,7 +363,7 @@ class TestEmitReport:
         assert lines == expected + [""]
 
     def test_empty_report_is_header_only(self):
-        report = Report(scenario_name="x", rows=(), traces=())
+        report = Report(scenario_name="x", traces=())
         data = emit_report(report, "csv")
         assert data.decode() == ",".join(CSV_COLUMNS) + "\n"
 
@@ -414,7 +416,7 @@ class TestEmitReport:
         assert float(cells["mem_peak_mb"]) > 8192
 
     def test_unknown_format_rejected(self):
-        report = Report(scenario_name="x", rows=(), traces=())
+        report = Report(scenario_name="x", traces=())
         with pytest.raises(ValueError):
             emit_report(report, "xml")
 
@@ -431,6 +433,23 @@ class TestOverheadAndAblation:
         result = ablate_prefetch(load_bundled_scenario("server-er"))
         assert result.latency_prefetch_on_s < result.latency_prefetch_off_s
         assert 0.0 < result.reduction < 1.0
+
+
+    def test_ablation_without_a_completed_experience_is_a_config_error(
+        self, monkeypatch, capsys
+    ):
+        # At 1000 MB the initial knobs run out of memory at experience 1, so
+        # neither side of the ablation has any latency to compare.
+        scenario = load_bundled_scenario("xavier-er")
+        scenario = dataclasses.replace(
+            scenario, platform=dataclasses.replace(scenario.platform, capacity_mb=1000.0)
+        )
+        with pytest.raises(ValueError, match="xavier-er"):
+            ablate_prefetch(scenario)
+        monkeypatch.setattr(cli_module, "load_scenario", lambda path: scenario)
+        code = cli_main(["ablate-prefetch", "--scenario", "xavier-er.yaml"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: scenario 'xavier-er'")
 
 
 class TestCli:

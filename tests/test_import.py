@@ -63,7 +63,7 @@ scenario = dataclasses.replace(
 env = build_environment(scenario)
 for e in range(1, 6):
     result = env.train_experience(e, Knobs(64, 500, OptimizerMode.DEFAULT))
-    print(repr(result.latency_s), repr(result.accuracy_row))
+    print(repr(result.latency_s), repr(env.accuracy.row))
 """
 
 

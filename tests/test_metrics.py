@@ -13,8 +13,6 @@ from oclbudget import (
     stability,
 )
 
-TH = Thresholds(plasticity=0.8, stability=0.9, latency_s=100.0, memory_mb=4000.0)
-
 
 def brute_force_plasticity(rows, k):
     # Independent evaluation: mean of row k, accumulated in index order.
@@ -145,13 +143,13 @@ def test_metrics_are_pure_and_deterministic():
 class TestSnapshot:
     def test_perfect_matrix_snapshot(self):
         m = AccuracyMatrix([[1.0]])
-        snap = snapshot(m, 1, 10.0, 4000.0, TH)
+        snap = snapshot(m, 1, 10.0, 4000.0)
         assert snap.plasticity == 1.0
         assert snap.stability == 1.0
 
     def test_composes_metric_values(self):
         m = AccuracyMatrix([[0.9], [0.5, 0.7]])
-        snap = snapshot(m, 2, 120.0, 4200.0, TH)
+        snap = snapshot(m, 2, 120.0, 4200.0)
         assert snap.plasticity == pytest.approx(0.6, abs=1e-15)
         assert snap.stability == pytest.approx(0.6, abs=1e-15)
         assert snap.latency_s == 120.0
@@ -160,12 +158,12 @@ class TestSnapshot:
     def test_negative_memory_rejected(self):
         m = AccuracyMatrix([[1.0]])
         with pytest.raises(ValueError):
-            snapshot(m, 1, 10.0, -5.0, TH)
+            snapshot(m, 1, 10.0, -5.0)
 
     def test_propagates_metric_errors(self):
         m = AccuracyMatrix([[1.0]])
         with pytest.raises(IncompleteMatrixError):
-            snapshot(m, 2, 10.0, 10.0, TH)
+            snapshot(m, 2, 10.0, 10.0)
 
     def test_threshold_requires_positive_memory(self):
         with pytest.raises(ValueError):
@@ -173,8 +171,8 @@ class TestSnapshot:
 
     def test_snapshot_bounds_checked(self):
         with pytest.raises(ValueError):
-            MetricSnapshot(1.2, 0.5, 1.0, 1.0, TH)
+            MetricSnapshot(1.2, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            MetricSnapshot(0.5, -0.1, 1.0, 1.0, TH)
+            MetricSnapshot(0.5, -0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            MetricSnapshot(0.5, 0.5, -1.0, 1.0, TH)
+            MetricSnapshot(0.5, 0.5, -1.0, 1.0)

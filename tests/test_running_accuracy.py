@@ -14,7 +14,6 @@ from oclbudget import (
     InfeasibleBudgetError,
     PolicyKind,
     RunningAccuracy,
-    Thresholds,
     build_environment,
     bundled_scenario_names,
     load_bundled_scenario,
@@ -25,7 +24,6 @@ from oclbudget import (
     stability,
 )
 
-TH = Thresholds(plasticity=0.8, stability=0.9, latency_s=100.0, memory_mb=4000.0)
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 _long = random.Random(300)
@@ -46,7 +44,7 @@ def test_running_row_equals_matrix_reference(steps):
         matrix.add_row(tuple(v * factor for v in previous) + (diagonal,))
 
         assert running.row == matrix.row(k)
-        snap = running_snapshot(running, 1.0, 1.0, TH)
+        snap = running_snapshot(running, 1.0, 1.0)
         assert snap.plasticity == plasticity(matrix, k)
         assert snap.stability == stability(matrix, k)
     assert running.matrix().entries() == matrix.entries()
@@ -85,7 +83,7 @@ def test_stability_kernel_contract(steps):
     for k, (factor, diagonal) in enumerate(steps, start=1):
         matrix.add_row(running.advance(factor, diagonal))
         assert all(v <= d for v, d in zip(running.row, running.diagonal))
-        snap = running_snapshot(running, 1.0, 1.0, TH)
+        snap = running_snapshot(running, 1.0, 1.0)
         assert snap.stability == stability(matrix, k)
         assert snap.stability == brute_force_stability(running.row, running.diagonal)
 
@@ -104,7 +102,7 @@ def test_advance_rejects_values_outside_unit_interval(factor, diagonal):
 
 def test_running_snapshot_needs_a_trained_experience():
     with pytest.raises(IncompleteMatrixError):
-        running_snapshot(RunningAccuracy(), 1.0, 1.0, TH)
+        running_snapshot(RunningAccuracy(), 1.0, 1.0)
 
 
 def _long_runs():

@@ -215,7 +215,7 @@ class TestTrainExperience:
         blows = make_env(capacity_mb=need - 1.0)
         result = blows.train_experience(1, knobs(64, 100))
         assert result.oom
-        assert result.latency_s is None and result.accuracy_row is None
+        assert result.latency_s is None and len(blows.accuracy) == 0
         assert result.memory_peak_mb == need
         assert blows.failed
 
@@ -259,10 +259,10 @@ class TestTrainExperience:
                 a, b = clean.train_experience(e, kn), noisy.train_experience(e, kn)
                 ratio = b.latency_s / a.latency_s - 1.0
                 assert abs(ratio) <= noise * (1.0 + 1e-12), (seed, e, ratio)
-                diagonal = a.accuracy_row[-1]
+                diagonal = clean.accuracy.row[-1]
                 lo = max(0.0, diagonal * (1.0 - noise)) * (1.0 - 1e-12)
                 hi = min(1.0, diagonal * (1.0 + noise) * (1.0 + 1e-12))
-                assert lo <= b.accuracy_row[-1] <= hi, (seed, e, b.accuracy_row[-1])
+                assert lo <= noisy.accuracy.row[-1] <= hi, (seed, e, noisy.accuracy.row[-1])
                 moves.append(ratio)
         assert min(moves) < -noise / 2 and max(moves) > noise / 2
 
@@ -327,6 +327,7 @@ class TestKnobMemo:
             got = env.train_experience(e, kn)
             copy = knobs(kn.batch_size, kn.buffer_size, kn.optimizer_mode)
             assert got == reference.train_experience(e, copy), e
+            assert env.accuracy.row == reference.accuracy.row, e
             if noise == 0.0:
                 # Nothing is staged, so latency is compute plus the full load.
                 compute = env.response.compute_latency_s(
@@ -336,7 +337,7 @@ class TestKnobMemo:
                 load = env.samples_per_experience * env.prefetch.load_time_per_sample_s
                 assert got.latency_s == compute + load
                 assert got.memory_peak_mb == env.memory.memory_mb(kn)
-                assert got.accuracy_row[-1] == env.response.plasticity_level(
+                assert env.accuracy.row[-1] == env.response.plasticity_level(
                     kn.batch_size, kn.optimizer_mode, env.samples_per_experience
                 )
 
@@ -401,7 +402,7 @@ class TestPrefetch:
         a = on.train_experience(1, knobs(64, 200))
         b = off.train_experience(1, knobs(64, 200))
         assert a.memory_peak_mb == b.memory_peak_mb
-        assert a.accuracy_row == b.accuracy_row
+        assert on.accuracy.row == off.accuracy.row
         assert a.latency_s < b.latency_s
 
 

@@ -25,8 +25,8 @@ TH = Thresholds(plasticity=0.8, stability=0.9, latency_s=100.0, memory_mb=4000.0
 W = weights_from_preference(["memory", "plasticity", "stability", "latency"])
 
 
-def snap(p=0.8, s=0.9, lat=100.0, mem=4000.0, th=TH):
-    return MetricSnapshot(p, s, lat, mem, th)
+def snap(p=0.8, s=0.9, lat=100.0, mem=4000.0):
+    return MetricSnapshot(p, s, lat, mem)
 
 
 class TestWeightRule:
@@ -50,7 +50,6 @@ class TestWeightRule:
         for order in itertools.permutations(METRIC_NAMES):
             w = weights_from_preference(order)
             assert abs(w.total() - 1.0) <= 1e-9
-            w.validate_normalized()
             assert sorted(w.as_dict().values()) == [0.1, 0.2, 0.3, 0.4]
 
     def test_negative_weight_rejected(self):
@@ -60,7 +59,7 @@ class TestWeightRule:
 
 class TestScoreValues:
     def test_all_deviations_zero_gives_sixteenth(self):
-        score = compute_urge(snap(), W)
+        score = compute_urge(snap(), TH, W)
         assert score.value == pytest.approx(0.0625, abs=1e-12)
         for f in score.components():
             assert f == 0.5
@@ -75,26 +74,26 @@ class TestScoreValues:
                 lat=float(rng.uniform(0, 500)),
                 mem=float(rng.uniform(0, 8000)),
             )
-            assert compute_urge(s, zero).value == 0.0625
+            assert compute_urge(s, TH, zero).value == 0.0625
 
     def test_value_is_product_of_components(self):
-        score = compute_urge(snap(p=0.3, s=0.95, lat=220.0, mem=3500.0), W)
+        score = compute_urge(snap(p=0.3, s=0.95, lat=220.0, mem=3500.0), TH, W)
         assert score.value == pytest.approx(math.prod(score.components()), abs=1e-15)
 
-    def test_raw_deviation_mode_matches_direct_formula(self):
-        # normalize off: the raw differences go straight into the logistics.
+    def test_deviation_divided_by_threshold_matches_direct_formula(self):
+        # Each deviation is divided by its threshold before it is weighted.
         s = snap(p=0.7, s=0.95, lat=140.0, mem=3900.0)
-        score = compute_urge(s, W, normalize_deviations=False)
-        f_p = 1.0 / (1.0 + math.exp(W.k_p * (0.7 - 0.8)))
-        f_s = 1.0 / (1.0 + math.exp(W.k_s * (0.95 - 0.9)))
-        f_l = 1.0 / (1.0 + math.exp(-W.k_l * (140.0 - 100.0)))
-        f_m = 1.0 / (1.0 + math.exp(W.k_m * (3900.0 - 4000.0)))
+        score = compute_urge(s, TH, W)
+        f_p = 1.0 / (1.0 + math.exp(W.k_p * (0.7 - 0.8) / 0.8))
+        f_s = 1.0 / (1.0 + math.exp(W.k_s * (0.95 - 0.9) / 0.9))
+        f_l = 1.0 / (1.0 + math.exp(-W.k_l * (140.0 - 100.0) / 100.0))
+        f_m = 1.0 / (1.0 + math.exp(W.k_m * (3900.0 - 4000.0) / 4000.0))
         assert score.value == pytest.approx(f_p * f_s * f_l * f_m, rel=1e-12)
 
     def test_nonfinite_inputs_rejected(self):
-        bad = MetricSnapshot(0.5, 0.5, float("inf"), 100.0, TH)
+        bad = MetricSnapshot(0.5, 0.5, float("inf"), 100.0)
         with pytest.raises(NumericDomainError):
-            compute_urge(bad, W)
+            compute_urge(bad, TH, W)
 
     def test_score_invariant_validation(self):
         with pytest.raises(ValueError):
@@ -112,7 +111,7 @@ class TestScoreBoundsAndMonotonicity:
             snap(mem=1e12),
         ]
         for s in extreme:
-            score = compute_urge(s, W)
+            score = compute_urge(s, TH, W)
             assert 0.0 < score.value < 1.0
             for f in score.components():
                 assert 0.0 < f < 1.0
@@ -124,32 +123,32 @@ class TestScoreBoundsAndMonotonicity:
             s = float(rng.uniform(0.05, 0.95))
             lat = float(rng.uniform(1.0, 400.0))
             mem = float(rng.uniform(100.0, 7000.0))
-            base = compute_urge(snap(p, s, lat, mem), W).value
+            base = compute_urge(snap(p, s, lat, mem), TH, W).value
             # Higher plasticity, stability, memory lower the score; higher
             # latency raises it.
-            assert compute_urge(snap(p + 0.02, s, lat, mem), W).value < base
-            assert compute_urge(snap(p, min(1.0, s + 0.02), lat, mem), W).value < base
-            assert compute_urge(snap(p, s, lat + 5.0, mem), W).value > base
-            assert compute_urge(snap(p, s, lat, mem + 50.0), W).value < base
+            assert compute_urge(snap(p + 0.02, s, lat, mem), TH, W).value < base
+            assert compute_urge(snap(p, min(1.0, s + 0.02), lat, mem), TH, W).value < base
+            assert compute_urge(snap(p, s, lat + 5.0, mem), TH, W).value > base
+            assert compute_urge(snap(p, s, lat, mem + 50.0), TH, W).value < base
 
     def test_weight_scaling_changes_steepness_not_direction(self):
         # Scaling one sensitivity never flips the sign of the response.
         small = Weights(k_p=0.1, k_s=0.2, k_l=0.3, k_m=0.4)
         big = Weights(k_p=0.8, k_s=0.2, k_l=0.3, k_m=0.4)
         lo, hi = snap(p=0.6), snap(p=0.7)
-        d_small = compute_urge(hi, small).value - compute_urge(lo, small).value
-        d_big = compute_urge(hi, big).value - compute_urge(lo, big).value
+        d_small = compute_urge(hi, TH, small).value - compute_urge(lo, TH, small).value
+        d_big = compute_urge(hi, TH, big).value - compute_urge(lo, TH, big).value
         assert d_small < 0 and d_big < 0
         assert abs(d_big) > abs(d_small)
         # Only the plasticity factor moved.
-        a, b = compute_urge(lo, small), compute_urge(lo, big)
+        a, b = compute_urge(lo, TH, small), compute_urge(lo, TH, big)
         assert a.stability_factor == b.stability_factor
         assert a.latency_factor == b.latency_factor
         assert a.memory_factor == b.memory_factor
 
 
-# The single-call kernel as it stood before urge_scorer, kept verbatim as the
-# reference the scorer must reproduce bit for bit.
+# The single-call kernel as it stood before urge_scorer, kept as the reference
+# the scorer must reproduce bit for bit.
 _REF_ARG_LIMIT = 36.0
 _REF_NORM_EPS = 1e-9
 
@@ -162,8 +161,7 @@ def _reference_logistic(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def reference_compute_urge(snapshot, weights, normalize_deviations=True):
-    th = snapshot.thresholds
+def reference_compute_urge(snapshot, th, weights):
     pairs = (
         (snapshot.plasticity, th.plasticity),
         (snapshot.stability, th.stability),
@@ -176,16 +174,10 @@ def reference_compute_urge(snapshot, weights, normalize_deviations=True):
                 f"score inputs must be finite, got value={value!r} threshold={threshold!r}"
             )
 
-    if normalize_deviations:
-        d_p = (snapshot.plasticity - th.plasticity) / max(abs(th.plasticity), _REF_NORM_EPS)
-        d_s = (snapshot.stability - th.stability) / max(abs(th.stability), _REF_NORM_EPS)
-        d_l = (snapshot.latency_s - th.latency_s) / max(abs(th.latency_s), _REF_NORM_EPS)
-        d_m = (snapshot.memory_peak_mb - th.memory_mb) / max(abs(th.memory_mb), _REF_NORM_EPS)
-    else:
-        d_p = snapshot.plasticity - th.plasticity
-        d_s = snapshot.stability - th.stability
-        d_l = snapshot.latency_s - th.latency_s
-        d_m = snapshot.memory_peak_mb - th.memory_mb
+    d_p = (snapshot.plasticity - th.plasticity) / max(abs(th.plasticity), _REF_NORM_EPS)
+    d_s = (snapshot.stability - th.stability) / max(abs(th.stability), _REF_NORM_EPS)
+    d_l = (snapshot.latency_s - th.latency_s) / max(abs(th.latency_s), _REF_NORM_EPS)
+    d_m = (snapshot.memory_peak_mb - th.memory_mb) / max(abs(th.memory_mb), _REF_NORM_EPS)
 
     f_p = _reference_logistic(-(weights.k_p * d_p))
     f_s = _reference_logistic(-(weights.k_s * d_s))
@@ -225,25 +217,24 @@ class TestScorerMatchesReference:
     @settings(max_examples=600, deadline=None)
     @given(
         p=unit, s=unit, lat=magnitude, mem=magnitude,
-        th=thresholds_st, w=weights_st, normalize=st.booleans(),
+        th=thresholds_st, w=weights_st,
     )
-    def test_finite_inputs_score_identically(self, p, s, lat, mem, th, w, normalize):
-        snapshot = MetricSnapshot(p, s, lat, mem, th)
-        expected = _outcome(reference_compute_urge, snapshot, w, normalize)
-        assert _outcome(compute_urge, snapshot, w, normalize) == expected
-        assert _outcome(urge_scorer(th, w, normalize), snapshot) == expected
+    def test_finite_inputs_score_identically(self, p, s, lat, mem, th, w):
+        snapshot = MetricSnapshot(p, s, lat, mem)
+        expected = _outcome(reference_compute_urge, snapshot, th, w)
+        assert _outcome(compute_urge, snapshot, th, w) == expected
+        assert _outcome(urge_scorer(th, w), snapshot) == expected
 
     def test_clamp_is_reached(self):
         # Both clamp branches are taken, and the clamped factors still agree.
         th = Thresholds(0.0, 0.0, 1e-3, 1e-3)
         heavy = Weights(1e3, 1e3, 1e3, 1e3)
         for lat, mem in ((1e6, 0.0), (0.0, 1e6)):
-            snapshot = MetricSnapshot(1.0, 1.0, lat, mem, th)
-            for normalize in (True, False):
-                expected = reference_compute_urge(snapshot, heavy, normalize)
-                assert min(expected.components()) < 1e-15 or max(expected.components()) > 1 - 1e-15
-                assert urge_scorer(th, heavy, normalize)(snapshot) == expected
-                assert compute_urge(snapshot, heavy, normalize) == expected
+            snapshot = MetricSnapshot(1.0, 1.0, lat, mem)
+            expected = reference_compute_urge(snapshot, th, heavy)
+            assert min(expected.components()) < 1e-15 or max(expected.components()) > 1 - 1e-15
+            assert urge_scorer(th, heavy)(snapshot) == expected
+            assert compute_urge(snapshot, th, heavy) == expected
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -252,9 +243,8 @@ class TestScorerMatchesReference:
             min_size=8, max_size=8,
         ),
         w=weights_st,
-        normalize=st.booleans(),
     )
-    def test_non_finite_inputs_name_the_same_first_pair(self, values, w, normalize):
+    def test_non_finite_inputs_name_the_same_first_pair(self, values, w):
         # SimpleNamespace stands in for the dataclasses, whose own checks
         # reject some of these values before scoring sees them.
         th = SimpleNamespace(
@@ -262,10 +252,10 @@ class TestScorerMatchesReference:
         )
         snapshot = SimpleNamespace(
             plasticity=values[0], stability=values[2], latency_s=values[4],
-            memory_peak_mb=values[6], thresholds=th,
+            memory_peak_mb=values[6],
         )
-        expected = _outcome(reference_compute_urge, snapshot, w, normalize)
-        assert _outcome(compute_urge, snapshot, w, normalize) == expected
-        assert _outcome(urge_scorer(th, w, normalize), snapshot) == expected
+        expected = _outcome(reference_compute_urge, snapshot, th, w)
+        assert _outcome(compute_urge, snapshot, th, w) == expected
+        assert _outcome(urge_scorer(th, w), snapshot) == expected
         if not all(math.isfinite(v) for v in values):
             assert expected[0] is NumericDomainError
