@@ -13,6 +13,11 @@ It builds the run's URGE scorer once, takes the threshold of experience e at
 index e - 1, and reads the clock only when the caller passes an
 OverheadRecorder. A BudgetState holds budgets only; the experience a state
 belongs to is the loop's, and each TraceRecord carries it.
+
+The four objects built per experience, simulator.TrainResult,
+metrics.MetricSnapshot, urge.UrgeScore and TraceRecord, are validated
+immutable tuples (record.Record), not dataclasses: each construction runs
+its checks, and a record equals a plain tuple of the same values.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InfeasibleBudgetError
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
+from .record import Record
 from .urge import UrgeScore, urge_scorer, weights_from_preference
 from .urge import compute_urge  # noqa: F401, patched by perfbench
 
@@ -245,16 +251,17 @@ def derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:
     return Knobs(batch_size=batch, buffer_size=buffer, optimizer_mode=state.optimizer_mode)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Record):
     """Everything observed and decided at one experience boundary.
 
     budgets is the post-update state (the allocation that will drive the next
     experience). score/threshold/snapshot are None on an OOM record because
     no metrics exist for a failed experience; memory_peak_mb is still the
-    amount the attempt would have needed.
+    amount the attempt would have needed. An immutable tuple (record.Record),
+    so a record equals a plain tuple of its eight values.
     """
 
+    __slots__ = ()
     experience: int
     knobs: Knobs
     score: Optional[UrgeScore]
@@ -262,7 +269,14 @@ class TraceRecord:
     snapshot: Optional[MetricSnapshot]
     budgets: BudgetState
     memory_peak_mb: float
-    oom: bool = False
+    oom: bool
+
+    def __new__(
+        cls, experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb, oom=False
+    ):
+        return tuple.__new__(
+            cls, (experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb, oom)
+        )
 
 
 @dataclass(frozen=True)
@@ -343,25 +357,14 @@ def _run_policy(
         if overhead is not None:
             overhead.stop()
 
-        result = env.train_experience(experience, knobs)
-        if result.oom:
-            records.append(
-                TraceRecord(
-                    experience=experience,
-                    knobs=knobs,
-                    score=None,
-                    threshold=None,
-                    snapshot=None,
-                    budgets=state,
-                    memory_peak_mb=result.memory_peak_mb,
-                    oom=True,
-                )
-            )
+        latency, memory, oom = env.train_experience(experience, knobs)
+        if oom:
+            records.append(TraceRecord(experience, knobs, None, None, None, state, memory, True))
             return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
 
         if overhead is not None:
             overhead.start()
-        snap = build_snapshot(env.accuracy, result.latency_s, result.memory_peak_mb)
+        snap = build_snapshot(env.accuracy, latency, memory)
         score = score_of(snap)
         theta = threshold_at(config, experience - 1)
         try:
@@ -375,18 +378,7 @@ def _run_policy(
             overhead.stop()
 
         env.prefetch_next(experience + 1)
-        records.append(
-            TraceRecord(
-                experience=experience,
-                knobs=knobs,
-                score=score,
-                threshold=theta,
-                snapshot=snap,
-                budgets=state,
-                memory_peak_mb=result.memory_peak_mb,
-                oom=False,
-            )
-        )
+        records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory, False))
 
     return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED)
 

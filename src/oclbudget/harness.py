@@ -23,24 +23,25 @@ Infinity and -Infinity, and cells that do not exist for a record (score,
 threshold, latency and metrics on an OOM record) as null.
 These are the bytes json.dumps(..., sort_keys=True) gives for the same
 values; each line ends with a newline.
+
+Both emitters spell each repeated value once. The knob, budget and memory
+cells are spelled once per stretch of records that hold the same Knobs,
+BudgetState and memory objects, so a fixed-knob run, which holds one of
+each, spells them once. A nonzero float threshold is spelled once per
+report. A CSV row with metrics is a single % format. The bytes are the ones
+each value spelled on its own would give.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .baselines import BaselinePolicy, PolicyKind, run_baseline, run_oracle
-from .controller import (
-    OverheadRecorder,
-    RunTrace,
-    TraceRecord,
-    run_control_loop,
-)
+from .controller import OverheadRecorder, RunTrace, run_control_loop
 from .scenario import ScenarioConfig, build_environment
 from .urge import weights_from_preference
 
@@ -161,29 +162,9 @@ def run_suite(
     )
 
 
-def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    return f"{value:.6g}"
-
-
-def _record_cells(scenario_name: str, policy: str, record: TraceRecord) -> list[str]:
-    snap = record.snapshot
-    return [
-        scenario_name,
-        policy,
-        str(record.experience),
-        str(record.knobs.batch_size),
-        str(record.knobs.buffer_size),
-        record.knobs.optimizer_mode.value,
-        _fmt(record.score.value if record.score else None),
-        _fmt(record.threshold),
-        _fmt(snap.latency_s if snap else None),
-        _fmt(record.memory_peak_mb),
-        _fmt(snap.plasticity if snap else None),
-        _fmt(snap.stability if snap else None),
-        "oom" if record.oom else "ok",
-    ]
+def _csv_number(value: Optional[float]) -> str:
+    """A CSV cell: 6 significant digits, or empty for an absent value."""
+    return "" if value is None else f"{value:.6g}"
 
 
 def _json_number(value: Optional[float]) -> str:
@@ -199,46 +180,162 @@ def _json_number(value: Optional[float]) -> str:
     return "Infinity" if value > 0 else "-Infinity"
 
 
-# One JSONL line, keys in sorted order. Each slot takes a value already
-# spelled as JSON (an int's str is its repr); the policy and scenario pair,
-# which sorts between plasticity and score, is one slot encoded once per trace.
-_JSONL_LINE = (
+def _spell_once(spell: Callable[[Optional[float]], str]) -> Callable[[Optional[float]], str]:
+    """spell, remembering its text for each distinct nonzero float.
+
+    A dict finds a key by equality, and values that are equal can be spelled
+    differently: 0.0 and -0.0 everywhere, 1 and 1.0 in JSON. So only nonzero
+    floats are remembered; zeros, ints and None are spelled on every call.
+    """
+    texts: dict[float, str] = {}
+
+    def spelled(value: Optional[float]) -> str:
+        if value.__class__ is float and value:
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = spell(value)
+            return text
+        return spell(value)
+
+    return spelled
+
+
+# A CSV row whose score and snapshot exist, as one format: the "scenario,
+# policy," prefix, experience, the "batch,buffer,opt_mode" cells, score,
+# threshold, latency, memory, plasticity, stability and outcome. %.6g spells
+# a number as f"{value:.6g}" does. A row without metrics spells every cell,
+# leaving the absent ones empty.
+_CSV_ROW = "%s%s,%s,%.6g,%s,%.6g,%s,%.6g,%.6g,%s\n"
+_CSV_SPARSE_ROW = "%s%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+
+
+def _csv_rows(report: Report) -> list[str]:
+    rows = [",".join(CSV_COLUMNS) + "\n"]
+    cell = _csv_number
+    threshold_cell = _spell_once(cell)
+    knobs = memory = object()  # held by no record, so the first one misses
+    for policy, trace in report.traces:
+        prefix = f"{report.scenario_name},{policy},"
+        for experience, record_knobs, score, threshold, snap, _, record_memory, oom in (
+            trace.records
+        ):
+            if record_knobs is not knobs or record_memory is not memory:
+                knobs, memory = record_knobs, record_memory
+                knob_cells = f"{knobs.batch_size},{knobs.buffer_size},{knobs.optimizer_mode.value}"
+                memory_cell = cell(memory)
+            if score is not None and snap is not None:
+                row = _CSV_ROW % (
+                    prefix,
+                    experience,
+                    knob_cells,
+                    score.value,
+                    threshold_cell(threshold),
+                    snap.latency_s,
+                    memory_cell,
+                    snap.plasticity,
+                    snap.stability,
+                    "oom" if oom else "ok",
+                )
+            else:
+                row = _CSV_SPARSE_ROW % (
+                    prefix,
+                    experience,
+                    knob_cells,
+                    "" if score is None else cell(score.value),
+                    threshold_cell(threshold),
+                    "" if snap is None else cell(snap.latency_s),
+                    memory_cell,
+                    "" if snap is None else cell(snap.plasticity),
+                    "" if snap is None else cell(snap.stability),
+                    "oom" if oom else "ok",
+                )
+            rows.append(row)
+    return rows
+
+
+# One JSONL line, keys in sorted order, in three parts. The head (knobs and
+# budgets) and the middle (memory and optimizer mode) are spelled once per
+# stretch of records that hold the same knobs, budgets and memory objects;
+# the line adds the rest. Each %s slot takes a value already spelled as JSON
+# (an int's str is its repr); the policy and scenario pair, which sorts
+# between plasticity and score, is one slot encoded once per trace. When the
+# four metric values are finite floats, the line spells them with %r.
+_JSONL_HEAD = (
     '{"batch": %s, "budget_batch_mb": %s, "budget_optimizer_mb": %s, '
-    '"budget_replay_mb": %s, "buffer": %s, "experience": %s, "latency_s": %s, '
-    '"mem_peak_mb": %s, "opt_mode": "%s", "outcome": "%s", "plasticity": %s, '
-    '%s, "score": %s, "stability": %s, "threshold": %s}'
+    '"budget_replay_mb": %s, "buffer": %s'
+)
+_JSONL_MIDDLE = ', "mem_peak_mb": %s, "opt_mode": "%s"'
+_JSONL_LINE = (
+    '%s, "experience": %s, "latency_s": %s%s, "outcome": "%s", "plasticity": %s, '
+    '%s, "score": %s, "stability": %s, "threshold": %s}\n'
+)
+_JSONL_FINITE_LINE = (
+    '%s, "experience": %s, "latency_s": %r%s, "outcome": "%s", "plasticity": %r, '
+    '%s, "score": %r, "stability": %r, "threshold": %s}\n'
 )
 
 
-def _jsonl_lines(scenario_name: str, policy: str, trace: RunTrace) -> list[str]:
-    names = f'"policy": {json.dumps(policy)}, "scenario": {json.dumps(scenario_name)}'
+def _jsonl_lines(report: Report) -> list[str]:
     number = _json_number
+    threshold_text = _spell_once(number)
+    scenario = json.dumps(report.scenario_name)
+    knobs = budgets = memory = object()  # held by no record, so the first one misses
     lines = []
-    for record in trace.records:
-        snap = record.snapshot
-        knobs = record.knobs
-        budgets = record.budgets
-        score = record.score
-        lines.append(
-            _JSONL_LINE
-            % (
-                knobs.batch_size,
-                number(budgets.batch_mb),
-                number(budgets.optimizer_mb),
-                number(budgets.replay_mb),
-                knobs.buffer_size,
-                record.experience,
-                number(snap.latency_s) if snap else "null",
-                number(record.memory_peak_mb),
-                knobs.optimizer_mode.value,
-                "oom" if record.oom else "ok",
-                number(snap.plasticity) if snap else "null",
-                names,
-                number(score.value) if score else "null",
-                number(snap.stability) if snap else "null",
-                number(record.threshold),
-            )
-        )
+    for policy, trace in report.traces:
+        names = f'"policy": {json.dumps(policy)}, "scenario": {scenario}'
+        for experience, record_knobs, score, threshold, snap, record_budgets, record_memory, oom in (
+            trace.records
+        ):
+            if (
+                record_knobs is not knobs
+                or record_budgets is not budgets
+                or record_memory is not memory
+            ):
+                knobs, budgets, memory = record_knobs, record_budgets, record_memory
+                head = _JSONL_HEAD % (
+                    knobs.batch_size,
+                    number(budgets.batch_mb),
+                    number(budgets.optimizer_mb),
+                    number(budgets.replay_mb),
+                    knobs.buffer_size,
+                )
+                middle = _JSONL_MIDDLE % (number(memory), knobs.optimizer_mode.value)
+            if snap is None or score is None:
+                latency = plasticity = stability = value = None
+            else:
+                plasticity, stability, latency, _ = snap
+                value = score.value
+            # %r spells an exact finite float as number does, and exact floats
+            # with a finite sum are all finite.
+            if latency.__class__ is plasticity.__class__ is stability.__class__ is (
+                value.__class__
+            ) is float and (total := latency + plasticity + stability + value) - total == 0.0:
+                line = _JSONL_FINITE_LINE % (
+                    head,
+                    experience,
+                    latency,
+                    middle,
+                    "oom" if oom else "ok",
+                    plasticity,
+                    names,
+                    value,
+                    stability,
+                    threshold_text(threshold),
+                )
+            else:
+                line = _JSONL_LINE % (
+                    head,
+                    experience,
+                    number(latency),
+                    middle,
+                    "oom" if oom else "ok",
+                    number(plasticity),
+                    names,
+                    number(value),
+                    number(stability),
+                    threshold_text(threshold),
+                )
+            lines.append(line)
     return lines
 
 
@@ -248,17 +345,9 @@ def emit_report(report: Report, format: str = "csv") -> bytes:
     A pure function of the report: identical reports yield identical bytes.
     """
     if format == "csv":
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for policy, trace in report.traces:
-            for record in trace.records:
-                out.write(",".join(_record_cells(report.scenario_name, policy, record)) + "\n")
-        return out.getvalue().encode("utf-8")
+        return "".join(_csv_rows(report)).encode("utf-8")
     if format in ("log", "jsonl"):
-        lines: list[str] = []
-        for policy, trace in report.traces:
-            lines += _jsonl_lines(report.scenario_name, policy, trace)
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+        return "".join(_jsonl_lines(report)).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}; use 'csv' or 'log'")
 
 

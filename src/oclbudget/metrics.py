@@ -29,6 +29,9 @@ paths then fold the same values in the same order. On CPython 3.10-3.11
 sum() of floats adds left to right, the same floats as a loop that skips
 non-positive differences; from 3.12 sum() is compensated, and the two paths
 still agree with each other.
+
+A MetricSnapshot is a validated immutable tuple (record.Record): every
+construction checks its four values, and it equals a plain tuple of them.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import IncompleteMatrixError
+from .record import Record
 
 
 class AccuracyMatrix:
@@ -172,28 +176,31 @@ class Thresholds:
             raise ValueError(f"memory threshold must be > 0, got {self.memory_mb}")
 
 
-@dataclass(frozen=True)
-class MetricSnapshot:
+class MetricSnapshot(Record):
     """State of the four controlled metrics after one experience.
 
     Only measured values: the thresholds a snapshot is scored against belong
-    to the run and are fixed once in its scorer (urge.urge_scorer).
+    to the run and are fixed once in its scorer (urge.urge_scorer). A
+    validated tuple (record.Record): every construction checks the values,
+    and a snapshot equals a plain tuple of the same four values.
     """
 
+    __slots__ = ()
     plasticity: float
     stability: float
     latency_s: float
     memory_peak_mb: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.plasticity <= 1.0:
-            raise ValueError(f"plasticity {self.plasticity} outside [0, 1]")
-        if not 0.0 <= self.stability <= 1.0:
-            raise ValueError(f"stability {self.stability} outside [0, 1]")
-        if self.latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency_s}")
-        if self.memory_peak_mb < 0:
-            raise ValueError(f"memory peak must be >= 0, got {self.memory_peak_mb}")
+    def __new__(cls, plasticity, stability, latency_s, memory_peak_mb):
+        if not 0.0 <= plasticity <= 1.0:
+            raise ValueError(f"plasticity {plasticity} outside [0, 1]")
+        if not 0.0 <= stability <= 1.0:
+            raise ValueError(f"stability {stability} outside [0, 1]")
+        if latency_s < 0:
+            raise ValueError(f"latency must be >= 0, got {latency_s}")
+        if memory_peak_mb < 0:
+            raise ValueError(f"memory peak must be >= 0, got {memory_peak_mb}")
+        return tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
 
 
 def _row_plasticity(row: Sequence[float]) -> float:
@@ -244,12 +251,7 @@ def snapshot(
     memory_peak_mb: float,
 ) -> MetricSnapshot:
     """Bundle plasticity/stability with the observed latency and memory peak."""
-    return MetricSnapshot(
-        plasticity=plasticity(matrix, k),
-        stability=stability(matrix, k),
-        latency_s=latency_s,
-        memory_peak_mb=memory_peak_mb,
-    )
+    return MetricSnapshot(plasticity(matrix, k), stability(matrix, k), latency_s, memory_peak_mb)
 
 
 def running_snapshot(
@@ -258,11 +260,9 @@ def running_snapshot(
     memory_peak_mb: float,
 ) -> MetricSnapshot:
     """snapshot() of the latest experience, scored from the running row."""
-    if not accuracy.row:
+    row = accuracy.row
+    if not row:
         raise IncompleteMatrixError("no experience has been trained yet")
     return MetricSnapshot(
-        plasticity=_row_plasticity(accuracy.row),
-        stability=_row_stability(accuracy.row, accuracy.diagonal),
-        latency_s=latency_s,
-        memory_peak_mb=memory_peak_mb,
+        _row_plasticity(row), _row_stability(row, accuracy.diagonal), latency_s, memory_peak_mb
     )

@@ -54,6 +54,7 @@ from typing import Optional, Sequence
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
 from .metrics import AccuracyMatrix, RunningAccuracy
+from .record import Record
 from .yamlcfg import Section, check_schema_version, load_yaml_mapping
 
 
@@ -198,17 +199,21 @@ class PlatformPreset:
             raise ValueError("load time must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrainResult:
+class TrainResult(Record):
     """Latency and peak memory of one experience; latency is None on OOM.
 
     A trained experience advances the environment's RunningAccuracy; its new
-    row is read through env.accuracy.
+    row is read through env.accuracy. An immutable tuple (record.Record), so
+    it equals a plain (latency_s, memory_peak_mb, oom) tuple.
     """
 
+    __slots__ = ()
     latency_s: Optional[float]
     memory_peak_mb: float
     oom: bool
+
+    def __new__(cls, latency_s, memory_peak_mb, oom):
+        return tuple.__new__(cls, (latency_s, memory_peak_mb, oom))
 
 
 class SimulatedEnvironment:
@@ -291,7 +296,7 @@ class SimulatedEnvironment:
         memory, stream, replay, diagonal, factor = self._terms
         if memory > self.capacity_mb:
             self._failed = True
-            return TrainResult(None, memory, oom=True)
+            return TrainResult(None, memory, True)
 
         compute = self.response.latency_s(
             stream, replay, self.profile, experience, self.compute_scale
@@ -306,7 +311,7 @@ class SimulatedEnvironment:
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
         self._accuracy.advance(factor, diagonal)
-        return TrainResult(latency, memory, oom=False)
+        return TrainResult(latency, memory, False)
 
     def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:
         """Everything train_experience needs that only the knobs decide:

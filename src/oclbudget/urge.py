@@ -20,6 +20,10 @@ assumed (ROADMAP open item 7).
 urge_scorer fixes what a run does not change (the thresholds, their
 deviation divisors and finiteness, and the weights) once, and returns the
 per-snapshot score; compute_urge is that scorer built for a single call.
+weights_from_preference derives each ordering's weights once and hands every
+later caller the same frozen Weights. A score is an UrgeScore, a validated
+tuple (see record): it checks its factors on every construction and equals
+a plain tuple of its five values.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Callable, Sequence
 
 from .errors import InvalidPreferenceError, NumericDomainError
 from .metrics import MetricSnapshot, Thresholds
+from .record import Record
 
 METRIC_NAMES = ("memory", "plasticity", "stability", "latency")
 
@@ -67,36 +72,46 @@ class Weights:
         return self.k_p + self.k_s + self.k_l + self.k_m
 
 
-@dataclass(frozen=True)
-class UrgeScore:
-    """Score value plus the four logistic factors it is the product of."""
+class UrgeScore(Record):
+    """Score value plus the four logistic factors it is the product of.
 
+    A validated tuple (record.Record): every construction checks that each
+    factor lies in (0, 1) and that value is their product within 1e-12.
+    """
+
+    __slots__ = ()
     value: float
     plasticity_factor: float
     stability_factor: float
     latency_factor: float
     memory_factor: float
 
-    def __post_init__(self):
-        for f in self.components():
-            if not 0.0 < f < 1.0:
-                raise ValueError(f"factor {f!r} outside the open interval (0, 1)")
-        product = (
-            self.plasticity_factor
-            * self.stability_factor
-            * self.latency_factor
-            * self.memory_factor
-        )
-        if abs(product - self.value) > 1e-12:
+    def __new__(cls, value, plasticity_factor, stability_factor, latency_factor, memory_factor):
+        if not (
+            0.0 < plasticity_factor < 1.0
+            and 0.0 < stability_factor < 1.0
+            and 0.0 < latency_factor < 1.0
+            and 0.0 < memory_factor < 1.0
+        ):
+            for f in (plasticity_factor, stability_factor, latency_factor, memory_factor):
+                if not 0.0 < f < 1.0:
+                    raise ValueError(f"factor {f!r} outside the open interval (0, 1)")
+        product = plasticity_factor * stability_factor * latency_factor * memory_factor
+        if abs(product - value) > 1e-12:
             raise ValueError("score value does not equal the product of its factors")
+        return tuple.__new__(
+            cls, (value, plasticity_factor, stability_factor, latency_factor, memory_factor)
+        )
 
     def components(self) -> tuple[float, float, float, float]:
-        return (
-            self.plasticity_factor,
-            self.stability_factor,
-            self.latency_factor,
-            self.memory_factor,
-        )
+        """The four factors: plasticity, stability, latency, memory."""
+        return self[1:]
+
+
+# The weights of each valid ordering, derived on its first call. Only
+# orderings that pass the check are stored, so a bad one raises on every
+# call and the table holds at most the 4! = 24 permutations.
+_WEIGHTS_BY_ORDER: dict[tuple[str, ...], Weights] = {}
 
 
 def weights_from_preference(order: Sequence[str]) -> Weights:
@@ -104,22 +119,26 @@ def weights_from_preference(order: Sequence[str]) -> Weights:
 
     Position p (1-indexed) receives raw weight n + 1 - p; raw weights are
     normalized to sum 1. E.g. [memory, plasticity, stability, latency] gives
-    (k_m, k_p, k_s, k_l) = (0.4, 0.3, 0.2, 0.1).
+    (k_m, k_p, k_s, k_l) = (0.4, 0.3, 0.2, 0.1). Every call with the same
+    ordering returns the same Weights object, which is frozen.
     """
-    names = [str(n) for n in order]
-    if sorted(names) != sorted(METRIC_NAMES):
-        raise InvalidPreferenceError(
-            f"preference must name each of {METRIC_NAMES} exactly once, got {names}"
+    names = tuple(map(str, order))
+    weights = _WEIGHTS_BY_ORDER.get(names)
+    if weights is None:
+        if sorted(names) != sorted(METRIC_NAMES):
+            raise InvalidPreferenceError(
+                f"preference must name each of {METRIC_NAMES} exactly once, got {list(names)}"
+            )
+        n = len(names)
+        raw = {name: float(n + 1 - p) for p, name in enumerate(names, start=1)}
+        total = sum(raw.values())
+        weights = _WEIGHTS_BY_ORDER[names] = Weights(
+            k_p=raw["plasticity"] / total,
+            k_s=raw["stability"] / total,
+            k_l=raw["latency"] / total,
+            k_m=raw["memory"] / total,
         )
-    n = len(names)
-    raw = {name: float(n + 1 - p) for p, name in enumerate(names, start=1)}
-    total = sum(raw.values())
-    return Weights(
-        k_p=raw["plasticity"] / total,
-        k_s=raw["stability"] / total,
-        k_l=raw["latency"] / total,
-        k_m=raw["memory"] / total,
-    )
+    return weights
 
 
 def _check_finite(pairs: Sequence[tuple[float, float]]) -> None:
@@ -170,13 +189,7 @@ def urge_scorer(
         x = -(k_m * ((m - th_m) / n_m))
         f_m = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
 
-        return UrgeScore(
-            value=f_p * f_s * f_l * f_m,
-            plasticity_factor=f_p,
-            stability_factor=f_s,
-            latency_factor=f_l,
-            memory_factor=f_m,
-        )
+        return UrgeScore(f_p * f_s * f_l * f_m, f_p, f_s, f_l, f_m)
 
     return score
 

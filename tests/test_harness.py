@@ -327,7 +327,139 @@ def reference_json_line(scenario_name, policy, record):
     )
 
 
+def reference_csv_row(scenario_name, policy, record):
+    """The record's 13 cells, each spelled on its own: the spec for a CSV row."""
+
+    def cell(value):
+        return "" if value is None else f"{value:.6g}"
+
+    snap = record.snapshot
+    return ",".join(
+        [
+            scenario_name,
+            policy,
+            str(record.experience),
+            str(record.knobs.batch_size),
+            str(record.knobs.buffer_size),
+            record.knobs.optimizer_mode.value,
+            cell(record.score.value if record.score is not None else None),
+            cell(record.threshold),
+            cell(snap.latency_s if snap is not None else None),
+            cell(record.memory_peak_mb),
+            cell(snap.plasticity if snap is not None else None),
+            cell(snap.stability if snap is not None else None),
+            "oom" if record.oom else "ok",
+        ]
+    )
+
+
+def reference_reports(scenario_name, traces):
+    """The CSV and JSONL bytes of traces, every record spelled on its own."""
+    records = [(policy, record) for policy, trace in traces for record in trace]
+    csv = [",".join(CSV_COLUMNS)] + [
+        reference_csv_row(scenario_name, policy, record) for policy, record in records
+    ]
+    jsonl = [reference_json_line(scenario_name, policy, record) for policy, record in records]
+    return tuple("".join(line + "\n" for line in lines).encode() for lines in (csv, jsonl))
+
+
+def report_of(scenario_name, traces):
+    return Report(
+        scenario_name=scenario_name,
+        traces=tuple(
+            (policy, RunTrace(tuple(records), Outcome.COMPLETED)) for policy, records in traces
+        ),
+    )
+
+
+# Equal values that a dict would hold under one key but that are spelled
+# differently (0.0 and -0.0; 1 and 1.0 in JSON), NaNs, which a dict finds only
+# by identity, and the infinities.
+TWINS = [0.0, -0.0, 1, 1.0, math.nan, -math.nan, float("nan"), math.inf, -math.inf]
+twin_or_any = st.sampled_from(TWINS) | any_float
+knob_values = st.builds(
+    Knobs,
+    batch_size=st.integers(),
+    buffer_size=st.integers(),
+    optimizer_mode=st.sampled_from(OptimizerMode),
+)
+budget_values = st.builds(
+    BudgetState, batch_mb=not_negative, replay_mb=not_negative, optimizer_mb=any_float
+)
+
+
+@st.composite
+def shared_value_traces(draw):
+    """Traces whose records hold one of a few shared (Knobs, BudgetState,
+    memory) objects, as a fixed-knob run does, with thresholds and memory
+    values drawn from TWINS."""
+    shared = draw(
+        st.lists(st.tuples(knob_values, budget_values, twin_or_any), min_size=1, max_size=3)
+    )
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        records = []
+        for _ in range(draw(st.integers(1, 6))):
+            knobs, budgets, memory = draw(st.sampled_from(shared))
+            drawn = draw(trace_records())
+            threshold = draw(st.none() | twin_or_any)
+            records.append(
+                TraceRecord(
+                    drawn.experience,
+                    knobs,
+                    drawn.score,
+                    threshold,
+                    drawn.snapshot,
+                    budgets,
+                    memory,
+                    drawn.oom,
+                )
+            )
+        traces.append((draw(names), records))
+    return traces
+
+
 class TestEmitReport:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scenario_name=names,
+        traces=st.lists(
+            st.tuples(names, st.lists(trace_records(), min_size=1, max_size=4)), max_size=3
+        ),
+    )
+    def test_csv_row_is_each_cell_spelled(self, scenario_name, traces):
+        csv, _ = reference_reports(scenario_name, traces)
+        assert emit_report(report_of(scenario_name, traces), "csv") == csv
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_name=names, traces=shared_value_traces())
+    def test_shared_values_spelled_as_fresh_ones(self, scenario_name, traces):
+        report = report_of(scenario_name, traces)
+        assert (emit_report(report, "csv"), emit_report(report, "jsonl")) == reference_reports(
+            scenario_name, traces
+        )
+
+    def test_equal_values_spelled_apart(self):
+        knobs = Knobs(64, 2000, OptimizerMode.DEFAULT)
+        budgets = BudgetState(batch_mb=0.0, replay_mb=1, optimizer_mb=-0.0)
+        snap = MetricSnapshot(0.5, 1, 2.0, 0.0)
+        score = UrgeScore(0.0625, 0.5, 0.5, 0.5, 0.5)
+        records = [
+            TraceRecord(e, knobs, score, threshold, snap, budgets, memory)
+            for e, (threshold, memory) in enumerate(
+                [(1, 0.0), (1.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.nan, 1), (-0.0, 1.0)]
+                + [(float("nan"), math.inf), (math.inf, -math.inf), (1.0, 1), (1, 1.0)],
+                start=1,
+            )
+        ]
+        traces = [("fixed-proxy", records), ("max-a", records[::-1])]
+        report = report_of("s", traces)
+        csv, jsonl = emit_report(report, "csv"), emit_report(report, "jsonl")
+        assert (csv, jsonl) == reference_reports("s", traces)
+        assert b'"threshold": 1}' in jsonl and b'"threshold": 1.0}' in jsonl
+        assert b",3,64,2000,default,0.0625,0,2,-0,0.5,1,ok" in csv
+        assert b",4,64,2000,default,0.0625,-0,2,-0,0.5,1,ok" in csv
+
     @settings(max_examples=300, deadline=None)
     @given(
         scenario_name=names,

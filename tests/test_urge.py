@@ -17,8 +17,11 @@ from oclbudget import (
     UrgeScore,
     Weights,
     compute_urge,
+    load_bundled_scenario,
+    run_suite,
     weights_from_preference,
 )
+from oclbudget import urge
 from oclbudget.urge import METRIC_NAMES, urge_scorer
 
 TH = Thresholds(plasticity=0.8, stability=0.9, latency_s=100.0, memory_mb=4000.0)
@@ -55,6 +58,41 @@ class TestWeightRule:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             Weights(-0.1, 0.5, 0.3, 0.3)
+
+    def test_one_weights_object_per_ordering(self):
+        order = ["memory", "plasticity", "stability", "latency"]
+        weights = weights_from_preference(order)
+        assert weights_from_preference(tuple(order)) is weights
+        assert weights_from_preference(iter(order)) is weights
+        assert weights == Weights(k_p=0.3, k_s=0.2, k_l=0.1, k_m=0.4)
+        other = weights_from_preference(["latency", "stability", "plasticity", "memory"])
+        assert other is not weights and other != weights
+
+    def test_bad_ordering_raises_on_every_call(self):
+        for order in (["plasticity", "plasticity", "stability", "latency"], ["memory"]):
+            for _ in range(3):
+                with pytest.raises(InvalidPreferenceError, match="exactly once"):
+                    weights_from_preference(order)
+        assert len(urge._WEIGHTS_BY_ORDER) <= math.factorial(len(METRIC_NAMES))
+
+    def test_suite_derives_each_orderings_weights_once(self, monkeypatch):
+        built = []
+        check = Weights.__post_init__
+
+        def counted_check(weights):
+            built.append(weights)
+            check(weights)
+
+        monkeypatch.setattr(Weights, "__post_init__", counted_check)
+        monkeypatch.setattr(urge, "_WEIGHTS_BY_ORDER", {})
+        scenario = load_bundled_scenario("xavier-er")
+        for preference in ("balanced", "prefer-latency", "balanced"):
+            run_suite(
+                scenario.with_preference(preference),
+                ["controller", "max_a", "max_p", "fixed", "oracle"],
+                include_overhead=True,
+            )
+        assert len(built) == 2
 
 
 class TestScoreValues:
