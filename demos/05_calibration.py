@@ -6,8 +6,9 @@ The simulator's response surfaces are calibrated, not invented: latency and
 memory trends over batch size, the saturating stability gain over buffer
 size, and the cost of enabling the optimization plugins all come from a
 declarative targets file. This demo fits the model, reports residuals, and
-checks the fitted surfaces against the anchors. The fitted memory model is
-the one object both the controller and the simulator read memory costs from.
+checks the fitted surfaces against the anchors. The fit is one algorithm
+profile: a response model for latency and accuracy, and a memory model, the
+one object both the controller and the simulator read memory costs from.
 """
 
 import dataclasses
@@ -21,16 +22,16 @@ print(f"targets: {len(targets.latency_points)} latency points, "
       f"{len(targets.stability_points)} stability points")
 
 result = calibrate_profile(targets)
-profile, response, memory = result.profile, result.response, result.memory
+response, memory = result.response, result.memory
 
 print("\nfit residuals (max relative error per group):")
 for group, residual in sorted(result.residuals.items()):
     print(f"  {group:10s} {residual:.4%}")
 
 print("\nfitted parameters:")
-print(f"  compute cost per sample   {profile.compute_cost_per_sample_s:.6g} s")
+print(f"  compute cost per sample   {response.compute_cost_per_sample_s:.6g} s")
 print(f"  compute-bound batch knee  {response.batch_knee}")
-print(f"  plugin latency multiplier {profile.optimizer_latency_multiplier:.4f}")
+print(f"  plugin latency multiplier {response.optimizer_latency_multiplier:.4f}")
 print(f"  stability gain limit      {response.stability_gain_max:.4f}")
 print(f"  stability buffer scale    {response.stability_buffer_scale:.1f}")
 
@@ -42,7 +43,7 @@ for field in dataclasses.fields(memory):
 n = targets.samples_per_experience
 print("\nfitted latency/memory over batch size:")
 for batch in (16, 32, 64, 128, 256, 512):
-    lat = response.compute_latency_s(profile, batch, 0, OptimizerMode.DEFAULT, 1, n)
+    lat = response.compute_latency_s(batch, 0, OptimizerMode.DEFAULT, 1, n)
     mem = memory.memory_mb(Knobs(batch, 0, OptimizerMode.DEFAULT))
     print(f"  B={batch:4d}  latency {lat:8.1f} s  memory {mem:7.1f} MB")
 

@@ -71,7 +71,6 @@ from .scenario import (
     load_scenario,
 )
 from .simulator import (
-    AlgorithmProfile,
     CalibrationResult,
     CalibrationTargets,
     PlatformPreset,

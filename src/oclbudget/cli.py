@@ -20,7 +20,7 @@ from .scenario import (
     default_calibration_targets_path,
     load_scenario,
 )
-from .simulator import calibrate_profile, load_calibration_targets
+from .simulator import calibrate_profile, load_calibration_targets, profile_document
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,7 +76,7 @@ def _load(args):
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
-    if getattr(args, "prefer", None):
+    if args.prefer is not None:
         pref = args.prefer
         if "," in pref:
             pref = [p.strip() for p in pref.split(",")]
@@ -141,40 +141,16 @@ def _cmd_calibrate(args) -> int:
     result = calibrate_profile(targets)
     for group, residual in sorted(result.residuals.items()):
         print(f"{group} fit max relative residual: {residual:.3%}")
-    print(f"compute cost per sample: {result.profile.compute_cost_per_sample_s:.6g} s")
+    print(f"compute cost per sample: {result.response.compute_cost_per_sample_s:.6g} s")
     print(f"batch knee:              {result.response.batch_knee}")
     print(f"activation per sample:   {result.memory.sample_mb:.6g} MB")
     print(f"base memory:             {result.memory.base_mb:.6g} MB")
-    print(f"optimizer multiplier:    {result.profile.optimizer_latency_multiplier:.6g}")
+    print(f"optimizer multiplier:    {result.response.optimizer_latency_multiplier:.6g}")
     print(f"optimizer memory delta:  {result.memory.optimizer_delta_mb:.6g} MB")
     print(f"stability gain max:      {result.response.stability_gain_max:.6g}")
     print(f"stability buffer scale:  {result.response.stability_buffer_scale:.6g}")
     if args.out:
-        doc = {
-            "schema_version": 1,
-            "platforms": {},
-            "profiles": {
-                "calibrated": {
-                    "compute_cost_per_sample_s": result.profile.compute_cost_per_sample_s,
-                    "replay_sampling_cost_s": result.profile.replay_sampling_cost_s,
-                    "optimizer_latency_multiplier": result.profile.optimizer_latency_multiplier,
-                    "optimizer_memory_delta_mb": result.memory.optimizer_delta_mb,
-                    "base_memory_mb": result.memory.base_mb,
-                    "per_experience_growth": result.profile.per_experience_growth,
-                    "activation_mb_per_sample": result.memory.sample_mb,
-                    "replay_frame_mb": result.memory.frame_mb,
-                    "batch_knee": result.response.batch_knee,
-                    "buffer_spike_threshold": result.memory.spike_threshold,
-                    "buffer_spike_coeff": result.memory.spike_coeff,
-                    "stability_gain_max": result.response.stability_gain_max,
-                    "stability_buffer_scale": result.response.stability_buffer_scale,
-                    "plasticity_max": result.response.plasticity_max,
-                    "plasticity_updates_scale": result.response.plasticity_updates_scale,
-                    "advanced_plasticity_bonus": result.response.advanced_plasticity_bonus,
-                    "forgetting_rate": result.response.forgetting_rate,
-                }
-            },
-        }
+        doc = profile_document("calibrated", result.response, result.memory)
         Path(args.out).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
     return EXIT_OK
 

@@ -196,10 +196,11 @@ class MetricSnapshot(Record):
             raise ValueError(f"plasticity {plasticity} outside [0, 1]")
         if not 0.0 <= stability <= 1.0:
             raise ValueError(f"stability {stability} outside [0, 1]")
-        if latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {latency_s}")
-        if memory_peak_mb < 0:
-            raise ValueError(f"memory peak must be >= 0, got {memory_peak_mb}")
+        # NaN fails every comparison, so these reject NaN as well as inf.
+        if not 0.0 <= latency_s < math.inf:
+            raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
+        if not 0.0 <= memory_peak_mb < math.inf:
+            raise ValueError(f"memory peak must be finite and >= 0, got {memory_peak_mb}")
         return tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
 
 

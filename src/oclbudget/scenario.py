@@ -4,9 +4,11 @@ A scenario names a platform preset and an algorithm profile from the profile
 library, sets the workload size and seed, picks a preference ordering, and
 parameterizes the controller. Nothing else varies per scenario: the MAX-A,
 MAX-P and fixed-proxy baselines use constant knobs, and the prefetch pipeline
-is built from the platform's load rate. The profile's memory model is handed
-as one object to both the controller and the environment, so the
-controller's per-item costs and optimizer budgets are the simulator's own.
+is built from the platform's load rate. A profile is a ResponseModel, kept as
+ScenarioConfig.response, and a MemoryModel, kept in the controller config.
+That memory model is handed as one object to both the controller and the
+environment, so the controller's per-item costs and optimizer budgets are
+the simulator's own.
 The capacity projection is an OOM guarantee only while the replay buffer
 stays under the model's spike_threshold: above it the model adds a quadratic
 residency term the projection does not count. The bundled 10-experience
@@ -24,7 +26,6 @@ from .controller import BudgetState, ControllerConfig, derive_knobs
 from .errors import SchemaError
 from .metrics import Thresholds
 from .simulator import (
-    AlgorithmProfile,
     PlatformPreset,
     PrefetchModel,
     ProfileLibrary,
@@ -46,7 +47,6 @@ PREFERENCE_PRESETS: dict[str, tuple[str, ...]] = {
 class ScenarioConfig:
     name: str
     platform: PlatformPreset
-    profile: AlgorithmProfile
     response: ResponseModel
     num_experiences: int
     samples_per_experience: int
@@ -141,6 +141,11 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     root = Section(doc, label)
 
     name = root.take("name", kind=str)
+    if any(c in name for c in ',"\r\n'):
+        # The CSV report writes the name unquoted in every row.
+        raise SchemaError(
+            f"{label}.name: {name!r} must not contain a comma, a double quote or a line break"
+        )
     platform_name = root.take("platform", kind=str)
     if platform_name not in library.platforms:
         raise SchemaError(
@@ -155,7 +160,7 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
             f"{label}.profile: unknown profile {profile_name!r}; "
             f"available: {sorted(library.profiles)}"
         )
-    profile, response, memory = library.profiles[profile_name]
+    response, memory = library.profiles[profile_name]
 
     num_experiences = root.take_int("num_experiences", minimum=1)
     samples = root.take_int("samples_per_experience", minimum=1)
@@ -207,7 +212,6 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     return ScenarioConfig(
         name=name,
         platform=platform,
-        profile=profile,
         response=response,
         num_experiences=num_experiences,
         samples_per_experience=samples,
@@ -228,7 +232,6 @@ def load_bundled_scenario(name: str) -> ScenarioConfig:
 def build_environment(scenario: ScenarioConfig) -> SimulatedEnvironment:
     """Fresh single-owner environment for one run of this scenario."""
     return SimulatedEnvironment(
-        profile=scenario.profile,
         response=scenario.response,
         memory=scenario.controller.memory,
         capacity_mb=scenario.platform.capacity_mb,

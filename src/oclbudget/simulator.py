@@ -1,7 +1,11 @@
 """Deterministic stand-in for on-device OCL training.
 
-The environment maps (knobs, experience index) to latency, peak memory, and a
-new accuracy-matrix row through a small family of response surfaces:
+One algorithm profile, a profiles.<name> section of the profiles file, is two
+objects: a ResponseModel (latency costs and accuracy surfaces) and a
+controller.MemoryModel. load_profile_library reads that file format and
+profile_document writes it. The environment maps (knobs, experience index) to
+latency, peak memory, and a new accuracy-matrix row through a small family of
+response surfaces:
 
 * latency: (n / B) * c_iter(B) * opt_mult(mode) * growth^(e-1) + R * replay_cost,
   with c_iter(B) = cost_per_sample * max(B, knee). Below the knee the device
@@ -36,9 +40,9 @@ an outcome, never a silent clamp. Prefetch staging only changes latency:
 a staged experience pays max(0, load - overlap_efficiency * compute) instead
 of the full load.
 
-A profile with noise_fraction > 0 scales latency and the new diagonal by
+A response with noise_fraction > 0 scales latency and the new diagonal by
 1 + noise_fraction * u, u uniform in [-1, 1), drawn from a random.Random
-seeded with the run's seed; noise-free profiles build no generator. The
+seeded with the run's seed; noise-free responses build no generator. The
 module, calibration fits included, is plain Python over floats and the math
 module, so importing it loads nothing beyond the standard library and PyYAML.
 """
@@ -59,26 +63,18 @@ from .yamlcfg import Section, check_schema_version, load_yaml_mapping
 
 
 @dataclass(frozen=True)
-class AlgorithmProfile:
-    """Cost profile of one continual-learning algorithm."""
+class ResponseModel:
+    """One algorithm profile's latency and accuracy response to the knobs.
 
-    name: str
+    The four costs and the batch knee set latency; the stability, plasticity
+    and forgetting parameters set accuracy. The profile's memory costs are
+    its MemoryModel, which the controller shares.
+    """
+
     compute_cost_per_sample_s: float
     replay_sampling_cost_s: float
     optimizer_latency_multiplier: float  # advanced mode, >= 1
     per_experience_growth: float  # workload complexity drift, >= 1
-
-    def __post_init__(self):
-        if self.compute_cost_per_sample_s < 0 or self.replay_sampling_cost_s < 0:
-            raise ValueError("costs must be >= 0")
-        if self.optimizer_latency_multiplier < 1.0 or self.per_experience_growth < 1.0:
-            raise ValueError("multipliers must be >= 1")
-
-
-@dataclass(frozen=True)
-class ResponseModel:
-    """Response-surface parameters mapping knobs to latency and accuracy."""
-
     batch_knee: int  # compute-bound knee
     stability_gain_max: float  # s_max in [0, 1]
     stability_buffer_scale: float  # R0
@@ -89,6 +85,10 @@ class ResponseModel:
     noise_fraction: float = 0.0  # seeded jitter on latency and new accuracy
 
     def __post_init__(self):
+        if self.compute_cost_per_sample_s < 0 or self.replay_sampling_cost_s < 0:
+            raise ValueError("costs must be >= 0")
+        if self.optimizer_latency_multiplier < 1.0 or self.per_experience_growth < 1.0:
+            raise ValueError("multipliers must be >= 1")
         if self.batch_knee < 1:
             raise ValueError("batch knee must be >= 1")
         if not 0.0 <= self.stability_gain_max <= 1.0:
@@ -99,41 +99,26 @@ class ResponseModel:
             raise ValueError("noise fraction must be in [0, 1)")
 
     def knob_latency_terms(
-        self,
-        profile: AlgorithmProfile,
-        batch_size: int,
-        buffer_size: int,
-        mode: OptimizerMode,
-        n_samples: int,
+        self, batch_size: int, buffer_size: int, mode: OptimizerMode, n_samples: int
     ) -> tuple[float, float]:
         """The latency terms the knobs fix: (stream, replay).
 
         stream is (n / B) * c_iter(B) * opt_mult(mode), the stream term before
         the experience's growth factor; replay is R * replay_cost.
         """
-        c_iter = profile.compute_cost_per_sample_s * max(batch_size, self.batch_knee)
-        opt = (
-            profile.optimizer_latency_multiplier
-            if mode is OptimizerMode.ADVANCED
-            else 1.0
-        )
-        return (n_samples / batch_size) * c_iter * opt, buffer_size * profile.replay_sampling_cost_s
+        c_iter = self.compute_cost_per_sample_s * max(batch_size, self.batch_knee)
+        opt = self.optimizer_latency_multiplier if mode is OptimizerMode.ADVANCED else 1.0
+        return (n_samples / batch_size) * c_iter * opt, buffer_size * self.replay_sampling_cost_s
 
-    @staticmethod
     def latency_s(
-        stream: float,
-        replay: float,
-        profile: AlgorithmProfile,
-        experience: int,
-        compute_scale: float,
+        self, stream: float, replay: float, experience: int, compute_scale: float
     ) -> float:
         """Training compute time of one experience from its knob terms."""
-        growth = profile.per_experience_growth ** (experience - 1)
+        growth = self.per_experience_growth ** (experience - 1)
         return (stream * growth + replay) * compute_scale
 
     def compute_latency_s(
         self,
-        profile: AlgorithmProfile,
         batch_size: int,
         buffer_size: int,
         mode: OptimizerMode,
@@ -142,8 +127,8 @@ class ResponseModel:
         compute_scale: float = 1.0,
     ) -> float:
         """Training compute time, excluding data loading."""
-        stream, replay = self.knob_latency_terms(profile, batch_size, buffer_size, mode, n_samples)
-        return self.latency_s(stream, replay, profile, experience, compute_scale)
+        stream, replay = self.knob_latency_terms(batch_size, buffer_size, mode, n_samples)
+        return self.latency_s(stream, replay, experience, compute_scale)
 
     def stability_gain(self, buffer_size: int) -> float:
         """Saturating forgetting attenuation in [0, s_max]; 0 at R = 0."""
@@ -187,7 +172,6 @@ class PrefetchModel:
 class PlatformPreset:
     """What a deployment platform contributes: capacity, speed, load rate."""
 
-    name: str
     capacity_mb: float
     compute_scale: float
     load_time_per_sample_s: float
@@ -219,13 +203,14 @@ class TrainResult(Record):
 class SimulatedEnvironment:
     """Single-owner simulated training target for one run.
 
-    Experiences must be trained strictly in order starting at 1. Once an OOM
-    occurs the environment is failed and refuses further work.
+    It reads latency and accuracy from one ResponseModel and peak memory from
+    one MemoryModel, the profile's two objects. Experiences must be trained
+    strictly in order starting at 1. Once an OOM occurs the environment is
+    failed and refuses further work.
     """
 
     def __init__(
         self,
-        profile: AlgorithmProfile,
         response: ResponseModel,
         memory: MemoryModel,
         capacity_mb: float,
@@ -241,14 +226,13 @@ class SimulatedEnvironment:
         seed = int(seed)
         if seed < 0:
             raise ValueError("seed must be >= 0")
-        self.profile = profile
         self.response = response
         self.memory = memory
         self.capacity_mb = float(capacity_mb)
         self.prefetch = prefetch
         self.samples_per_experience = int(samples_per_experience)
         self.compute_scale = float(compute_scale)
-        # Only noisy profiles draw from the generator, so others skip building it.
+        # Only noisy responses draw from the generator, so others skip building it.
         self._rng = random.Random(seed) if response.noise_fraction > 0.0 else None
         self._accuracy = RunningAccuracy()
         self._staged: set[int] = set()
@@ -298,9 +282,7 @@ class SimulatedEnvironment:
             self._failed = True
             return TrainResult(None, memory, True)
 
-        compute = self.response.latency_s(
-            stream, replay, self.profile, experience, self.compute_scale
-        )
+        compute = self.response.latency_s(stream, replay, experience, self.compute_scale)
         load = self.samples_per_experience * self.prefetch.load_time_per_sample_s
         latency = self.prefetch.effective_latency_s(
             compute, load, staged=experience in self._staged
@@ -318,13 +300,13 @@ class SimulatedEnvironment:
         (memory, stream, replay, diagonal, decay factor), after checking them.
 
         The workload is constant per experience; complexity drift is modeled
-        by the profile's growth factor, applied per experience.
+        by the response's growth factor, applied per experience.
         """
         if knobs.batch_size < 1 or knobs.buffer_size < 0:
             raise ValueError(f"invalid knobs {knobs}")
         b, r, mode = knobs.batch_size, knobs.buffer_size, knobs.optimizer_mode
         n = self.samples_per_experience
-        stream, replay = self.response.knob_latency_terms(self.profile, b, r, mode, n)
+        stream, replay = self.response.knob_latency_terms(b, r, mode, n)
         decay = self.response.forgetting_rate * (1.0 - self.response.stability_gain(r))
         return (
             self.memory.memory_mb(knobs),
@@ -361,7 +343,6 @@ class CalibrationTargets:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    profile: AlgorithmProfile
     response: ResponseModel
     memory: MemoryModel
     residuals: dict[str, float]  # max relative residual per fitted group
@@ -599,14 +580,11 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         )
 
     d = _UNCONSTRAINED_DEFAULTS
-    profile = AlgorithmProfile(
-        name="calibrated",
+    response = ResponseModel(
         compute_cost_per_sample_s=cost_per_sample,
         replay_sampling_cost_s=d["replay_sampling_cost_s"],
         optimizer_latency_multiplier=max(1.0, opt_multiplier),
         per_experience_growth=d["per_experience_growth"],
-    )
-    response = ResponseModel(
         batch_knee=max(1, round(knee)),
         stability_gain_max=s_max,
         stability_buffer_scale=r0,
@@ -623,9 +601,7 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         spike_threshold=d["spike_threshold"],
         spike_coeff=d["spike_coeff"],
     )
-    return CalibrationResult(
-        profile=profile, response=response, memory=memory, residuals=residuals
-    )
+    return CalibrationResult(response=response, memory=memory, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +614,7 @@ class ProfileLibrary:
     """Everything the bundled profiles file provides."""
 
     platforms: dict[str, PlatformPreset]
-    profiles: dict[str, tuple[AlgorithmProfile, ResponseModel, MemoryModel]]
+    profiles: dict[str, tuple[ResponseModel, MemoryModel]]
 
 
 def load_profile_library(path: str | Path) -> ProfileLibrary:
@@ -652,7 +628,6 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
     for name in platform_sec.keys():
         sec = platform_sec.section(name)
         platforms[name] = PlatformPreset(
-            name=name,
             capacity_mb=sec.take_number("capacity_mb", minimum=1.0),
             compute_scale=sec.take_number("compute_scale", minimum=1e-9),
             load_time_per_sample_s=sec.take_number("load_time_per_sample_s", minimum=0.0),
@@ -660,26 +635,15 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
         sec.finish()
     platform_sec.finish()
 
-    profiles: dict[str, tuple[AlgorithmProfile, ResponseModel, MemoryModel]] = {}
+    profiles: dict[str, tuple[ResponseModel, MemoryModel]] = {}
     profile_sec = root.section("profiles")
     for name in profile_sec.keys():
         sec = profile_sec.section(name)
-        prof = AlgorithmProfile(
-            name=name,
+        response = ResponseModel(
             compute_cost_per_sample_s=sec.take_number("compute_cost_per_sample_s", minimum=0.0),
             replay_sampling_cost_s=sec.take_number("replay_sampling_cost_s", minimum=0.0),
             optimizer_latency_multiplier=sec.take_number("optimizer_latency_multiplier", minimum=1.0),
             per_experience_growth=sec.take_number("per_experience_growth", minimum=1.0),
-        )
-        memory = MemoryModel(
-            base_mb=sec.take_number("base_memory_mb", minimum=0.0),
-            optimizer_delta_mb=sec.take_number("optimizer_memory_delta_mb", minimum=0.0),
-            sample_mb=sec.take_number("activation_mb_per_sample", minimum=1e-9),
-            frame_mb=sec.take_number("replay_frame_mb", minimum=1e-9),
-            spike_threshold=sec.take_int("buffer_spike_threshold", minimum=0),
-            spike_coeff=sec.take_number("buffer_spike_coeff", minimum=0.0),
-        )
-        resp = ResponseModel(
             batch_knee=sec.take_int("batch_knee", minimum=1),
             stability_gain_max=sec.take_number("stability_gain_max", minimum=0.0, maximum=1.0),
             stability_buffer_scale=sec.take_number("stability_buffer_scale", minimum=1e-9),
@@ -689,11 +653,45 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
             forgetting_rate=sec.take_number("forgetting_rate", minimum=0.0, maximum=1.0),
             noise_fraction=sec.take_number("noise_fraction", default=0.0, minimum=0.0),
         )
+        memory = MemoryModel(
+            base_mb=sec.take_number("base_memory_mb", minimum=0.0),
+            optimizer_delta_mb=sec.take_number("optimizer_memory_delta_mb", minimum=0.0),
+            sample_mb=sec.take_number("activation_mb_per_sample", minimum=1e-9),
+            frame_mb=sec.take_number("replay_frame_mb", minimum=1e-9),
+            spike_threshold=sec.take_int("buffer_spike_threshold", minimum=0),
+            spike_coeff=sec.take_number("buffer_spike_coeff", minimum=0.0),
+        )
         sec.finish()
-        profiles[name] = (prof, resp, memory)
+        profiles[name] = (response, memory)
     profile_sec.finish()
     root.finish()
     return ProfileLibrary(platforms=platforms, profiles=profiles)
+
+
+def profile_document(name: str, response: ResponseModel, memory: MemoryModel) -> dict:
+    """A profiles file holding one profile and no platforms, as a mapping for
+    yaml.safe_dump; load_profile_library reads it back as (response, memory)."""
+    profile = {
+        "compute_cost_per_sample_s": response.compute_cost_per_sample_s,
+        "replay_sampling_cost_s": response.replay_sampling_cost_s,
+        "optimizer_latency_multiplier": response.optimizer_latency_multiplier,
+        "per_experience_growth": response.per_experience_growth,
+        "batch_knee": response.batch_knee,
+        "stability_gain_max": response.stability_gain_max,
+        "stability_buffer_scale": response.stability_buffer_scale,
+        "plasticity_max": response.plasticity_max,
+        "plasticity_updates_scale": response.plasticity_updates_scale,
+        "advanced_plasticity_bonus": response.advanced_plasticity_bonus,
+        "forgetting_rate": response.forgetting_rate,
+        "noise_fraction": response.noise_fraction,
+        "base_memory_mb": memory.base_mb,
+        "optimizer_memory_delta_mb": memory.optimizer_delta_mb,
+        "activation_mb_per_sample": memory.sample_mb,
+        "replay_frame_mb": memory.frame_mb,
+        "buffer_spike_threshold": memory.spike_threshold,
+        "buffer_spike_coeff": memory.spike_coeff,
+    }
+    return {"schema_version": 1, "platforms": {}, "profiles": {name: profile}}
 
 
 def load_calibration_targets(path: str | Path) -> CalibrationTargets:

@@ -97,7 +97,7 @@ class UrgeScore(Record):
                 if not 0.0 < f < 1.0:
                     raise ValueError(f"factor {f!r} outside the open interval (0, 1)")
         product = plasticity_factor * stability_factor * latency_factor * memory_factor
-        if abs(product - value) > 1e-12:
+        if not abs(product - value) <= 1e-12:  # written so a NaN value fails
             raise ValueError("score value does not equal the product of its factors")
         return tuple.__new__(
             cls, (value, plasticity_factor, stability_factor, latency_factor, memory_factor)

@@ -219,15 +219,15 @@ def test_criterion_08_prefetch_ablation_bands():
 
 def test_criterion_09_calibration_fidelity():
     result = calibrate_profile(load_calibration_targets(default_calibration_targets_path()))
-    profile, response, model = result.profile, result.response, result.memory
+    response, model = result.response, result.memory
 
     def latency(batch):
-        return response.compute_latency_s(profile, batch, 0, OptimizerMode.DEFAULT, 1, 180_000)
+        return response.compute_latency_s(batch, 0, OptimizerMode.DEFAULT, 1, 180_000)
 
     def memory(batch):
         return model.memory_mb(Knobs(batch, 0, OptimizerMode.DEFAULT))
 
-    plugin_latency = 73.06 * profile.optimizer_latency_multiplier
+    plugin_latency = 73.06 * response.optimizer_latency_multiplier
     plugin_memory = 4100.0 + model.optimizer_delta_mb
     table_ok = (
         abs(plugin_latency - 215.13) / 215.13 <= 0.15

@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,7 @@ from oclbudget import (
 from oclbudget.cli import main as cli_main
 from oclbudget.harness import CSV_COLUMNS, Report
 from oclbudget.scenario import PREFERENCE_PRESETS, default_calibration_targets_path
+from oclbudget.simulator import profile_document
 
 
 def scenario_text(**overrides):
@@ -97,6 +99,17 @@ class TestLoadScenario:
         path = tmp_path / "bad.yaml"
         path.write_text(scenario_text(num_experiences="num_experiences: 0"))
         with pytest.raises(SchemaError, match="num_experiences"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "name", ['"xavier,gss"', """'say "hi"'""", '"line\\rbreak"', '"line\\nbreak"']
+    )
+    def test_name_the_csv_cannot_hold_rejected(self, tmp_path, name):
+        # The CSV report writes the name unquoted: a comma would add a cell,
+        # a quote or a line break would end or split the row.
+        path = tmp_path / "bad.yaml"
+        path.write_text(scenario_text(name=f"name: {name}"))
+        with pytest.raises(SchemaError, match=r"\.name: .* must not contain"):
             load_scenario(path)
 
     def test_dangling_profile_reference(self, tmp_path):
@@ -173,6 +186,18 @@ class TestLoadScenario:
         path = tmp_path / "readme.yaml"
         path.write_text(example)
         assert load_scenario(path) == load_bundled_scenario("xavier-er")
+
+    def test_readme_library_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Library quick start", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("Outcome.")
+        rows = parse_report_csv((tmp_path / "report.csv").read_bytes())
+        policies = {row["policy"].split("[")[0] for row in rows}
+        assert policies == {"controller", "max-a", "max-p", "oracle"}
+        assert {row["scenario"] for row in rows} == {"xavier-gss"}
 
     def test_infeasible_initial_budgets_rejected(self, tmp_path):
         text = scenario_text().replace("initial_batch_mb: 268.8", "initial_batch_mb: 99999.0")
@@ -252,6 +277,8 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
 # Budgets, memory and thresholds are floats, but the record types take ints too.
 any_float = st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers()
 not_negative = any_float.filter(lambda v: not v < 0)  # nan passes the >= 0 checks
+# A snapshot's latency and memory must be finite as well as >= 0.
+finite_not_negative = not_negative.filter(lambda v: v < math.inf)
 unit_float = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1.0])
 names = st.text(max_size=12) | st.text(alphabet='"\\/éß—😀\x00\n\u2028 a', max_size=12)
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -286,8 +313,8 @@ def trace_records(draw):
         snapshot = MetricSnapshot(
             plasticity=draw(unit_float),
             stability=draw(unit_float),
-            latency_s=draw(not_negative),
-            memory_peak_mb=draw(not_negative),
+            latency_s=draw(finite_not_negative),
+            memory_peak_mb=draw(finite_not_negative),
         )
     return TraceRecord(
         experience=draw(st.integers()),
@@ -661,6 +688,14 @@ class TestCli:
         assert "unknown preference preset 'prefer-memory'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_empty_preference_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        path = str(bundled_scenario_path("xavier-er"))
+        code = cli_main(["run", "--scenario", path, "--prefer", "", "--out", str(out)])
+        assert code == 2
+        assert "config error: unknown preference preset ''" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("schema_version: 1\nname: broken\n")
@@ -718,8 +753,9 @@ class TestCli:
         assert code == 0
         assert "optimizer multiplier" in capsys.readouterr().out
         fitted = calibrate_profile(load_calibration_targets(default_calibration_targets_path()))
-        assert load_profile_library(out).profiles["calibrated"] == (
-            fitted.profile,
-            fitted.response,
-            fitted.memory,
-        )
+        assert load_profile_library(out).profiles["calibrated"] == (fitted.response, fitted.memory)
+        # The writer keeps every response field, noise_fraction included.
+        noisy = dataclasses.replace(fitted.response, noise_fraction=0.1)
+        path = tmp_path / "noisy.yaml"
+        path.write_text(yaml.safe_dump(profile_document("noisy", noisy, fitted.memory)))
+        assert load_profile_library(path).profiles["noisy"] == (noisy, fitted.memory)

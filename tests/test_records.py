@@ -57,13 +57,19 @@ INVALID = [
     (MetricSnapshot, (1.5, 1.0, 2.5, 4096.0), "plasticity 1.5 outside [0, 1]"),
     (MetricSnapshot, (float("nan"), 1.0, 2.5, 4096.0), "plasticity nan outside [0, 1]"),
     (MetricSnapshot, (0.5, -0.25, 2.5, 4096.0), "stability -0.25 outside [0, 1]"),
-    (MetricSnapshot, (0.5, 1.0, -1.0, 4096.0), "latency must be >= 0, got -1.0"),
-    (MetricSnapshot, (0.5, 1.0, 2.5, -3), "memory peak must be >= 0, got -3"),
+    (MetricSnapshot, (0.5, 1.0, -1.0, 4096.0), "latency must be finite and >= 0, got -1.0"),
+    (MetricSnapshot, (0.5, 1.0, 2.5, -3), "memory peak must be finite and >= 0, got -3"),
     (UrgeScore, (0.0, 0.0, 0.5, 0.5, 0.5), "factor 0.0 outside the open interval (0, 1)"),
     # The first factor out of range is named, in the order p, s, l, m.
     (UrgeScore, (0.0, 0.5, 1.0, 0.0, 0.5), "factor 1.0 outside the open interval (0, 1)"),
     (UrgeScore, (0.0, 0.5, 0.5, 0.5, float("inf")), "factor inf outside the open interval (0, 1)"),
     (UrgeScore, (0.5, 0.5, 0.5, 0.5, 0.5), "score value does not equal the product of its factors"),
+    # Non-finite latency, memory and score values.
+    (UrgeScore, (float("nan"), 0.5, 0.5, 0.5, 0.5), "score value does not equal the product of its factors"),
+    (MetricSnapshot, (0.5, 0.5, float("inf"), 4096.0), "latency must be finite and >= 0, got inf"),
+    (MetricSnapshot, (0.5, 0.5, float("nan"), 4096.0), "latency must be finite and >= 0, got nan"),
+    (MetricSnapshot, (0.5, 0.5, 2.5, float("inf")), "memory peak must be finite and >= 0, got inf"),
+    (MetricSnapshot, (0.5, 0.5, 2.5, float("nan")), "memory peak must be finite and >= 0, got nan"),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 

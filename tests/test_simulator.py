@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from oclbudget import (
-    AlgorithmProfile,
     CalibrationError,
     Knobs,
     MemoryModel,
@@ -33,20 +32,12 @@ from oclbudget.scenario import (
 )
 
 
-def make_profile(**overrides):
+def make_response(**overrides):
     params = dict(
-        name="toy",
         compute_cost_per_sample_s=0.004,
         replay_sampling_cost_s=0.002,
         optimizer_latency_multiplier=1.4,
         per_experience_growth=1.03,
-    )
-    params.update(overrides)
-    return AlgorithmProfile(**params)
-
-
-def make_response(**overrides):
-    params = dict(
         batch_knee=128,
         stability_gain_max=0.95,
         stability_buffer_scale=800.0,
@@ -73,7 +64,6 @@ def make_memory():
 
 def make_env(capacity_mb=10000.0, seed=0, prefetch=None, n=8000, **response_overrides):
     return SimulatedEnvironment(
-        profile=make_profile(),
         response=make_response(**response_overrides),
         memory=make_memory(),
         capacity_mb=capacity_mb,
@@ -89,29 +79,29 @@ def knobs(b, r, mode=OptimizerMode.DEFAULT):
 
 class TestLatencyModel:
     def test_doubling_batch_below_knee_strictly_faster(self):
-        response, profile = make_response(), make_profile()
-        lat16 = response.compute_latency_s(profile, 16, 0, OptimizerMode.DEFAULT, 1, 8000)
-        lat32 = response.compute_latency_s(profile, 32, 0, OptimizerMode.DEFAULT, 1, 8000)
+        response = make_response()
+        lat16 = response.compute_latency_s(16, 0, OptimizerMode.DEFAULT, 1, 8000)
+        lat32 = response.compute_latency_s(32, 0, OptimizerMode.DEFAULT, 1, 8000)
         assert lat32 < lat16
 
     def test_flat_above_knee(self):
-        response, profile = make_response(batch_knee=64), make_profile()
-        lat64 = response.compute_latency_s(profile, 64, 0, OptimizerMode.DEFAULT, 1, 8000)
-        lat256 = response.compute_latency_s(profile, 256, 0, OptimizerMode.DEFAULT, 1, 8000)
+        response = make_response(batch_knee=64)
+        lat64 = response.compute_latency_s(64, 0, OptimizerMode.DEFAULT, 1, 8000)
+        lat256 = response.compute_latency_s(256, 0, OptimizerMode.DEFAULT, 1, 8000)
         assert lat64 == pytest.approx(lat256, rel=1e-12)
 
     def test_monotone_until_knee_randomized_profiles(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            profile = make_profile(
+            response = make_response(
                 compute_cost_per_sample_s=float(rng.uniform(0.001, 0.02)),
                 per_experience_growth=float(rng.uniform(1.0, 1.1)),
+                batch_knee=int(rng.integers(32, 512)),
             )
-            response = make_response(batch_knee=int(rng.integers(32, 512)))
             batches = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
             prev = math.inf
             for b in batches:
-                lat = response.compute_latency_s(profile, b, 0, OptimizerMode.DEFAULT, 1, 8000)
+                lat = response.compute_latency_s(b, 0, OptimizerMode.DEFAULT, 1, 8000)
                 if b <= response.batch_knee:
                     assert lat < prev
                 else:
@@ -119,16 +109,40 @@ class TestLatencyModel:
                 prev = lat
 
     def test_advanced_mode_multiplies_stream_term(self):
-        response, profile = make_response(), make_profile()
-        lat_def = response.compute_latency_s(profile, 128, 0, OptimizerMode.DEFAULT, 1, 8000)
-        lat_adv = response.compute_latency_s(profile, 128, 0, OptimizerMode.ADVANCED, 1, 8000)
+        response = make_response()
+        lat_def = response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
+        lat_adv = response.compute_latency_s(128, 0, OptimizerMode.ADVANCED, 1, 8000)
         assert lat_adv == pytest.approx(lat_def * 1.4, rel=1e-12)
 
     def test_replay_term_additive(self):
-        response, profile = make_response(), make_profile()
-        lat0 = response.compute_latency_s(profile, 128, 0, OptimizerMode.DEFAULT, 1, 8000)
-        lat_r = response.compute_latency_s(profile, 128, 500, OptimizerMode.DEFAULT, 1, 8000)
+        response = make_response()
+        lat0 = response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
+        lat_r = response.compute_latency_s(128, 500, OptimizerMode.DEFAULT, 1, 8000)
         assert lat_r - lat0 == pytest.approx(500 * 0.002, rel=1e-12)
+
+
+class TestResponseModelChecks:
+    @pytest.mark.parametrize(
+        "field", ["compute_cost_per_sample_s", "replay_sampling_cost_s"]
+    )
+    def test_negative_cost_rejected(self, field):
+        with pytest.raises(ValueError, match="costs must be >= 0"):
+            make_response(**{field: -1e-9})
+
+    @pytest.mark.parametrize(
+        "field", ["optimizer_latency_multiplier", "per_experience_growth"]
+    )
+    def test_multiplier_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match="multipliers must be >= 1"):
+            make_response(**{field: 0.999})
+
+    def test_zero_costs_and_unit_multipliers_accepted(self):
+        make_response(
+            compute_cost_per_sample_s=0.0,
+            replay_sampling_cost_s=0.0,
+            optimizer_latency_multiplier=1.0,
+            per_experience_growth=1.0,
+        )
 
 
 class TestMemoryModel:
@@ -331,7 +345,7 @@ class TestKnobMemo:
             if noise == 0.0:
                 # Nothing is staged, so latency is compute plus the full load.
                 compute = env.response.compute_latency_s(
-                    env.profile, kn.batch_size, kn.buffer_size, kn.optimizer_mode,
+                    kn.batch_size, kn.buffer_size, kn.optimizer_mode,
                     e, env.samples_per_experience, env.compute_scale,
                 )
                 load = env.samples_per_experience * env.prefetch.load_time_per_sample_s
@@ -361,26 +375,20 @@ class TestPrefetch:
         env = make_env(prefetch=self.load_model(True, eff=1.0))
         env.prefetch_next(1)
         result = env.train_experience(1, knobs(128, 0))
-        compute = env.response.compute_latency_s(
-            env.profile, 128, 0, OptimizerMode.DEFAULT, 1, 8000
-        )
+        compute = env.response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
         assert result.latency_s == pytest.approx(compute, rel=1e-12)
 
     def test_disabled_pays_full_load(self):
         env = make_env(prefetch=self.load_model(False))
         env.prefetch_next(1)
         result = env.train_experience(1, knobs(128, 0))
-        compute = env.response.compute_latency_s(
-            env.profile, 128, 0, OptimizerMode.DEFAULT, 1, 8000
-        )
+        compute = env.response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
         assert result.latency_s == pytest.approx(compute + 8000 * 0.001, rel=1e-12)
 
     def test_unstaged_experience_pays_full_load(self):
         env = make_env(prefetch=self.load_model(True))
         result = env.train_experience(1, knobs(128, 0))
-        compute = env.response.compute_latency_s(
-            env.profile, 128, 0, OptimizerMode.DEFAULT, 1, 8000
-        )
+        compute = env.response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
         assert result.latency_s == pytest.approx(compute + 8.0, rel=1e-12)
 
     def test_partial_overlap_remainder(self):
@@ -414,7 +422,7 @@ class TestCalibration:
         result = calibrate_profile(self.bundled_targets())
         assert max(result.residuals.values()) < 0.01
         # The synthetic trend was generated by the model family itself.
-        assert result.profile.compute_cost_per_sample_s == pytest.approx(0.001, rel=1e-3)
+        assert result.response.compute_cost_per_sample_s == pytest.approx(0.001, rel=1e-3)
         assert result.response.batch_knee == pytest.approx(192, abs=2)
         assert result.memory.sample_mb == pytest.approx(8.4, rel=1e-6)
         assert result.memory.base_mb == pytest.approx(4200.0, rel=1e-6)
@@ -423,7 +431,7 @@ class TestCalibration:
 
     def test_plugin_anchors_recovered(self):
         result = calibrate_profile(self.bundled_targets())
-        assert result.profile.optimizer_latency_multiplier == pytest.approx(
+        assert result.response.optimizer_latency_multiplier == pytest.approx(
             215.13 / 73.06, rel=1e-12
         )
         assert result.memory.optimizer_delta_mb == pytest.approx(107.0, rel=1e-12)

@@ -129,7 +129,11 @@ class TestScoreValues:
         assert score.value == pytest.approx(f_p * f_s * f_l * f_m, rel=1e-12)
 
     def test_nonfinite_inputs_rejected(self):
-        bad = MetricSnapshot(0.5, 0.5, float("inf"), 100.0)
+        # MetricSnapshot itself rejects an infinite latency, so a stand-in
+        # carries it to the scorer.
+        with pytest.raises(ValueError, match="latency must be finite"):
+            MetricSnapshot(0.5, 0.5, float("inf"), 100.0)
+        bad = SimpleNamespace(plasticity=0.5, stability=0.5, latency_s=float("inf"), memory_peak_mb=100.0)
         with pytest.raises(NumericDomainError):
             compute_urge(bad, TH, W)
 
