@@ -20,14 +20,25 @@ plasticity, stability and snapshot are the reference implementations over
 an AccuracyMatrix; running_snapshot scores a RunningAccuracy through the
 same summation kernels, so both give identical floats.
 
+The running row has two forms. While every step has had the same nonzero
+factor and diagonal, as in every fixed-knob run of a noise-free profile,
+RunningAccuracy keeps a chain instead of the row: the diagonal decayed 0, 1,
+2, ... times, and the forgetting of each. An experience then appends one
+entry to each, O(1) work where rescaling the row is O(k), and row k is the
+chain read backwards (see RunningAccuracy). The first step with a different
+factor or diagonal turns the chain into the row once; from then on every
+step rescales the row, as a controller run does after its first knob
+change. Both forms hand the kernels the same floats in the same order, so
+the metrics do not depend on the form.
+
 The stability kernel sums a[i][i] - a[K][i] in one sum() with no test per
 entry, so it requires that no entry exceeds its diagonal. A running row
 meets that by construction (see RunningAccuracy); the reference first clips
 each entry of an arbitrary matrix to its diagonal, which turns every
-negative difference into an exact 0.0 and leaves the others unchanged. Both
+negative difference into an exact 0.0 and leaves the others unchanged. All
 paths then fold the same values in the same order. On CPython 3.10-3.11
 sum() of floats adds left to right, the same floats as a loop that skips
-non-positive differences; from 3.12 sum() is compensated, and the two paths
+non-positive differences; from 3.12 sum() is compensated, and the paths
 still agree with each other.
 
 A MetricSnapshot is a validated immutable tuple (record.Record): every
@@ -39,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import IncompleteMatrixError
 from .record import Record
@@ -120,18 +131,41 @@ class RunningAccuracy:
     No entry ever exceeds its diagonal, which is the contract the stability
     kernel relies on: under round-to-nearest, fl(v * f) <= v for every
     v >= 0 and f <= 1, so each multiply can only keep or lower an entry.
-    The row is a tuple, so no caller can edit an entry past its diagonal.
+    row is read-only, so no caller can edit an entry past its diagonal.
+
+    The row has two forms. While every step so far has had the same
+    nonzero factor f and diagonal d, row k is row k-1 with g(a[k-1][1])
+    put in front, g(x) = fl(x * f): every older entry has already been
+    multiplied by f exactly as often as the entry before it. So the chain
+    form keeps _chain = [d, g(d), g(g(d)), ...] and _gaps, the forgetting
+    d - _chain[j] of each, and a step is one multiply and one subtraction.
+    Row k is _chain reversed, and the forgetting terms of row k are _gaps
+    reversed, so the metric sums see the same floats in the same order as
+    on the row and give the same results, compensated sum() included. The
+    first step that differs turns the chain into the row once, and every
+    later step rescales the row. Both start values are nonzero, so the ==
+    test that keeps the chain going is bit-exact: it cannot mistake -0.0
+    for 0.0.
     """
 
     def __init__(self):
-        self.row: tuple[float, ...] = ()
         self.diagonal: list[float] = []
         self.factors: list[float] = []
+        self._chain: Optional[list[float]] = None
+        self._gaps: list[float] = []
+        self._row: tuple[float, ...] = ()
 
     def __len__(self) -> int:
         return len(self.diagonal)
 
-    def advance(self, factor: float, diagonal: float) -> tuple[float, ...]:
+    @property
+    def row(self) -> tuple[float, ...]:
+        """The latest row, a[k][1] .. a[k][k]."""
+        if self._chain is not None:
+            return tuple(reversed(self._chain))
+        return self._row
+
+    def advance(self, factor: float, diagonal: float) -> None:
         """Append experience k's row: row k-1 times factor, then diagonal."""
         factor, diagonal = float(factor), float(diagonal)
         # A chained comparison is false for NaN and +-inf, so it is the whole
@@ -140,12 +174,34 @@ class RunningAccuracy:
             _check_unit_interval(factor, "decay factor", len(self.diagonal) + 1)
         if not 0.0 <= diagonal <= 1.0:
             _check_unit_interval(diagonal, "accuracy", len(self.diagonal) + 1)
-        row = [v * factor for v in self.row]
-        row.append(diagonal)
         self.diagonal.append(diagonal)
         self.factors.append(factor)
-        self.row = row = tuple(row)
-        return row
+        chain = self._chain
+        if chain is not None:
+            if factor == self.factors[0] and diagonal == chain[0]:
+                decayed = chain[-1] * factor
+                chain.append(decayed)
+                self._gaps.append(diagonal - decayed)
+                return
+            self._row = tuple(reversed(chain))
+            self._chain = None
+        elif len(self.diagonal) == 1 and factor and diagonal:
+            self._chain = [diagonal]
+            self._gaps = [0.0]
+            return
+        row = [v * factor for v in self._row]
+        row.append(diagonal)
+        self._row = tuple(row)
+
+    def _metrics(self) -> tuple[float, float]:
+        """(plasticity, stability) of the latest row."""
+        chain = self._chain
+        if chain is None:
+            row = self._row
+            k = len(row)
+            return _mean(row, k), _stability(map(operator.sub, self.diagonal, row), k)
+        k = len(chain)
+        return _mean(reversed(chain), k), _stability(reversed(self._gaps), k)
 
     def matrix(self) -> AccuracyMatrix:
         """Replay the factors into the full lower-triangular matrix."""
@@ -204,23 +260,21 @@ class MetricSnapshot(Record):
         return tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
 
 
-def _row_plasticity(row: Sequence[float]) -> float:
-    return sum(row) / len(row)
+def _mean(values: Iterable[float], k: int) -> float:
+    return sum(values) / k
 
 
-def _row_stability(row: Sequence[float], diagonal: Sequence[float]) -> float:
-    """Stability of row k against the diagonal a[1][1], a[2][2], ...
+def _stability(forgetting: Iterable[float], k: int) -> float:
+    """One minus the mean of a[i][i] - a[k][i] over i = 1, 2, ... in order.
 
-    Contract: no entry of row exceeds its diagonal, so every a[i][i] - a[k][i]
-    is already the clipped forgetting max(0, ...) and the sum needs no test
-    per entry. The diagonal may stop at a[k-1][k-1] or include a[k][k]: that
-    last pair is equal and adds an exact 0.0, so the sum is the same either
-    way.
+    Contract: no entry of row k exceeds its diagonal, so every term is
+    already the clipped forgetting max(0, ...) and the sum needs no test per
+    entry. The terms may stop at i = k-1 or include i = k: that last pair is
+    equal and adds an exact 0.0, so the sum is the same either way.
     """
-    k = len(row)
     if k == 1:
         return 1.0
-    value = 1.0 - sum(map(operator.sub, diagonal, row)) / (k - 1)
+    value = 1.0 - sum(forgetting) / (k - 1)
     return min(1.0, max(0.0, value))
 
 
@@ -228,7 +282,7 @@ def plasticity(matrix: AccuracyMatrix, k: int) -> float:
     """Mean accuracy of the current model over all k experiences seen so far."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _row_plasticity(matrix.row(k))
+    return _mean(matrix.row(k), k)
 
 
 def stability(matrix: AccuracyMatrix, k: int) -> float:
@@ -242,7 +296,7 @@ def stability(matrix: AccuracyMatrix, k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     current = matrix.row(k)
     diagonal = [matrix.get(i, i) for i in range(1, k)]
-    return _row_stability([*map(min, diagonal, current), current[-1]], diagonal)
+    return _stability(map(operator.sub, diagonal, map(min, diagonal, current)), k)
 
 
 def snapshot(
@@ -260,10 +314,7 @@ def running_snapshot(
     latency_s: float,
     memory_peak_mb: float,
 ) -> MetricSnapshot:
-    """snapshot() of the latest experience, scored from the running row."""
-    row = accuracy.row
-    if not row:
+    """snapshot() of the latest experience, scored from the running accuracy."""
+    if not accuracy.diagonal:
         raise IncompleteMatrixError("no experience has been trained yet")
-    return MetricSnapshot(
-        _row_plasticity(row), _row_stability(row, accuracy.diagonal), latency_s, memory_peak_mb
-    )
+    return MetricSnapshot(*accuracy._metrics(), latency_s, memory_peak_mb)

@@ -58,6 +58,9 @@ class ScenarioConfig:
     initial_batch_mb: float
     initial_replay_mb: float
 
+    def __post_init__(self):
+        _check_name(self.name, "ScenarioConfig.name")
+
     def initial_budget_state(self) -> BudgetState:
         return BudgetState(
             batch_mb=self.initial_batch_mb,
@@ -74,6 +77,14 @@ class ScenarioConfig:
     def with_prefetch_enabled(self, enabled: bool) -> "ScenarioConfig":
         prefetch = dataclasses.replace(self.prefetch, enabled=bool(enabled))
         return dataclasses.replace(self, prefetch=prefetch)
+
+
+def _check_name(name: str, where: str) -> None:
+    # The CSV report writes the name unquoted in every row.
+    if any(c in name for c in ',"\r\n'):
+        raise SchemaError(
+            f"{where}: {name!r} must not contain a comma, a double quote or a line break"
+        )
 
 
 def resolve_preference(preference) -> tuple[str, str, str, str]:
@@ -141,11 +152,7 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     root = Section(doc, label)
 
     name = root.take("name", kind=str)
-    if any(c in name for c in ',"\r\n'):
-        # The CSV report writes the name unquoted in every row.
-        raise SchemaError(
-            f"{label}.name: {name!r} must not contain a comma, a double quote or a line break"
-        )
+    _check_name(name, f"{label}.name")
     platform_name = root.take("platform", kind=str)
     if platform_name not in library.platforms:
         raise SchemaError(

@@ -24,8 +24,10 @@ Off-diagonal accuracies decay multiplicatively each experience by
 forgetting_rate * (1 - s(R)): bigger replay buffers attenuate forgetting.
 Because the decay is shared by a whole row, the environment keeps only a
 metrics.RunningAccuracy (the latest row, the diagonal and the per-experience
-factors 1 - decay): O(K) memory for K experiences. The full accuracy matrix
-is rebuilt from it when accuracy_matrix is read.
+factors 1 - decay): O(K) memory for K experiences. While the factor and the
+new diagonal stay the same (fixed knobs, no noise), it advances without
+touching the older entries: one multiply per experience, not one per entry.
+The full accuracy matrix is rebuilt from it when accuracy_matrix is read.
 
 Everything the knobs alone decide (their validity, the memory, the stream
 term before growth, the replay term, the new diagonal before noise and the
@@ -651,7 +653,7 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
             plasticity_updates_scale=sec.take_number("plasticity_updates_scale", minimum=1e-9),
             advanced_plasticity_bonus=sec.take_number("advanced_plasticity_bonus", minimum=0.0),
             forgetting_rate=sec.take_number("forgetting_rate", minimum=0.0, maximum=1.0),
-            noise_fraction=sec.take_number("noise_fraction", default=0.0, minimum=0.0),
+            noise_fraction=_noise_fraction(sec),
         )
         memory = MemoryModel(
             base_mb=sec.take_number("base_memory_mb", minimum=0.0),
@@ -666,6 +668,14 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
     profile_sec.finish()
     root.finish()
     return ProfileLibrary(platforms=platforms, profiles=profiles)
+
+
+def _noise_fraction(sec: Section) -> float:
+    # A jitter factor 1 + noise_fraction * u must stay positive for u in [-1, 1).
+    value = sec.take_number("noise_fraction", default=0.0, minimum=0.0)
+    if value >= 1.0:
+        raise SchemaError(f"{sec.path}.noise_fraction: must be < 1.0, got {value}")
+    return value
 
 
 def profile_document(name: str, response: ResponseModel, memory: MemoryModel) -> dict:

@@ -112,6 +112,14 @@ class TestLoadScenario:
         with pytest.raises(SchemaError, match=r"\.name: .* must not contain"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("name", ["xavier,gss", 'say "hi"', "line\rbreak", "line\nbreak"])
+    def test_replaced_name_the_csv_cannot_hold_rejected(self, name):
+        # ScenarioConfig itself checks the name, so a scenario built in code
+        # cannot reach emit_report with a name the CSV cannot hold either.
+        scenario = load_bundled_scenario("xavier-gss")
+        with pytest.raises(SchemaError, match=r"ScenarioConfig\.name: .* must not contain"):
+            dataclasses.replace(scenario, name=name)
+
     def test_dangling_profile_reference(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(scenario_text().replace("profile: er", "profile: nope"))

@@ -529,6 +529,16 @@ class TestDeclarativeFiles:
         with pytest.raises(SchemaError, match="extra_key"):
             load_profile_library(bad)
 
+    @pytest.mark.parametrize("value", ["1.0", "1.5"])
+    def test_noise_fraction_of_one_or_more_rejected_with_path(self, tmp_path, value):
+        text = default_profile_library_path().read_text(encoding="utf-8")
+        anchor = "    forgetting_rate: 0.35\n"
+        assert anchor in text  # the er profile, the first in the file
+        bad = tmp_path / "lib.yaml"
+        bad.write_text(text.replace(anchor, anchor + f"    noise_fraction: {value}\n", 1))
+        with pytest.raises(SchemaError, match=r"profiles\.er\.noise_fraction: must be < 1"):
+            load_profile_library(bad)
+
     def test_schema_version_required(self, tmp_path):
         bad = tmp_path / "lib.yaml"
         bad.write_text("platforms: {}\nprofiles: {}\n")
