@@ -118,20 +118,16 @@ def run_baseline(
     else:
         # Explicit knobs pass through as given: deriving them back from the
         # budgets could floor one off (floor(15 * 0.045 / 0.045) == 14).
-        knobs = Knobs(
-            batch_size=policy.batch,
-            buffer_size=policy.buffer,
-            optimizer_mode=policy.optimizer_mode,
-        )
+        knobs = Knobs(policy.batch, policy.buffer, policy.optimizer_mode)
         state = BudgetState(
-            batch_mb=policy.batch * config.memory.sample_mb,
-            replay_mb=policy.buffer * config.memory.frame_mb,
-            optimizer_mb=(
+            policy.batch * config.memory.sample_mb,
+            policy.buffer * config.memory.frame_mb,
+            (
                 config.optimizer_advanced_mb
                 if policy.optimizer_mode is OptimizerMode.ADVANCED
                 else config.optimizer_default_mb
             ),
-            optimizer_mode=policy.optimizer_mode,
+            policy.optimizer_mode,
         )
     return _run_policy(
         scenario,

@@ -14,10 +14,14 @@ index e - 1, and reads the clock only when the caller passes an
 OverheadRecorder. A BudgetState holds budgets only; the experience a state
 belongs to is the loop's, and each TraceRecord carries it.
 
-The four objects built per experience, simulator.TrainResult,
+The objects built per experience, Knobs, BudgetState, simulator.TrainResult,
 metrics.MetricSnapshot, urge.UrgeScore and TraceRecord, are validated
 immutable tuples (record.Record), not dataclasses: each construction runs
 its checks, and a record equals a plain tuple of the same values.
+
+A controller step reads what its config fixes directly: the memory model
+once per call, the cap as capacity_mb * (1 - safety_margin), and each
+experience's threshold by threshold_at's expression inside the timed region.
 """
 
 from __future__ import annotations
@@ -50,13 +54,26 @@ class Outcome(str, Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class Knobs:
-    """Actionable training configuration derived from a budget state."""
+# Module globals: on CPython 3.11 an Enum member lookup costs about 14 times
+# a global read, and the step and the memory model test the mode every call.
+_ADVANCED = OptimizerMode.ADVANCED
+_DEFAULT = OptimizerMode.DEFAULT
 
+
+class Knobs(Record):
+    """Actionable training configuration derived from a budget state.
+
+    An immutable tuple (record.Record), so knobs equal a plain
+    (batch_size, buffer_size, optimizer_mode) tuple.
+    """
+
+    __slots__ = ()
     batch_size: int
     buffer_size: int
     optimizer_mode: OptimizerMode
+
+    def __new__(cls, batch_size, buffer_size, optimizer_mode):
+        return tuple.__new__(cls, (batch_size, buffer_size, optimizer_mode))
 
 
 @dataclass(frozen=True)
@@ -85,9 +102,7 @@ class MemoryModel:
             raise ValueError("per-item memory costs must be > 0")
 
     def memory_mb(self, knobs: Knobs) -> float:
-        plugin = (
-            self.optimizer_delta_mb if knobs.optimizer_mode is OptimizerMode.ADVANCED else 0.0
-        )
+        plugin = self.optimizer_delta_mb if knobs.optimizer_mode is _ADVANCED else 0.0
         overhang = max(0, knobs.buffer_size - self.spike_threshold)
         residency = self.spike_coeff * overhang * overhang
         return (
@@ -142,23 +157,26 @@ class ControllerConfig:
         return self.capacity_mb * (1.0 - self.safety_margin)
 
 
-@dataclass(frozen=True)
-class BudgetState:
+class BudgetState(Record):
     """Memory budgets (MB) for batch processing, replay, and the optimizer.
 
     optimizer_mode is the optimizer level the update chose; optimizer_mb is
     that level's budget. The mode is kept, not read back from the budget,
-    because the two levels can have equal budgets.
+    because the two levels can have equal budgets. A validated immutable
+    tuple (record.Record): every construction checks the two budgets, and a
+    state equals a plain tuple of its four values.
     """
 
+    __slots__ = ()
     batch_mb: float
     replay_mb: float
     optimizer_mb: float
-    optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT
+    optimizer_mode: OptimizerMode
 
-    def __post_init__(self):
-        if self.batch_mb < 0 or self.replay_mb < 0:
+    def __new__(cls, batch_mb, replay_mb, optimizer_mb, optimizer_mode=_DEFAULT):
+        if batch_mb < 0 or replay_mb < 0:
             raise ValueError("budgets must be >= 0")
+        return tuple.__new__(cls, (batch_mb, replay_mb, optimizer_mb, optimizer_mode))
 
     @property
     def total_mb(self) -> float:
@@ -190,19 +208,20 @@ def update_budgets(
     replay frame. Raises InfeasibleBudgetError when the default level does
     not fit or a budget goes negative.
     """
+    memory = config.memory
     if score >= threshold:
         gain = score - threshold
         batch_mb = prev.batch_mb * (1.0 + config.batch_sensitivity * gain)
         replay_mb = prev.replay_mb * (1.0 + config.replay_sensitivity * gain)
         levels = (
-            (OptimizerMode.ADVANCED, config.optimizer_advanced_mb),
-            (OptimizerMode.DEFAULT, config.optimizer_default_mb),
+            (_ADVANCED, memory.base_mb + memory.optimizer_delta_mb),
+            (_DEFAULT, memory.base_mb),
         )
     else:
         drop = threshold - score
         batch_mb = prev.batch_mb * (1.0 - config.batch_sensitivity * drop)
         replay_mb = prev.replay_mb * (1.0 - config.replay_sensitivity * drop)
-        levels = ((OptimizerMode.DEFAULT, config.optimizer_default_mb),)
+        levels = ((_DEFAULT, memory.base_mb),)
 
     if batch_mb < 0 or replay_mb < 0:
         raise InfeasibleBudgetError(
@@ -210,7 +229,7 @@ def update_budgets(
             f"got batch={batch_mb:.3f} replay={replay_mb:.3f}"
         )
 
-    cap = config.budget_cap_mb
+    cap = config.capacity_mb * (1.0 - config.safety_margin)  # budget_cap_mb
     for mode, optimizer_mb in levels:
         batch_fit, replay_fit = batch_mb, replay_mb
         if batch_fit + replay_fit + optimizer_mb > cap:
@@ -229,26 +248,22 @@ def update_budgets(
             while batch_fit + replay_fit + optimizer_mb > cap:
                 batch_fit = math.nextafter(batch_fit, 0.0)
                 replay_fit = math.nextafter(replay_fit, 0.0)
-            if batch_fit < config.memory.sample_mb or replay_fit < config.memory.frame_mb:
+            if batch_fit < memory.sample_mb or replay_fit < memory.frame_mb:
                 problem = (
                     "projection pushed a budget below its minimum knob requirement "
                     f"(batch {batch_fit:.3f} MB, replay {replay_fit:.3f} MB)"
                 )
                 continue
-        return BudgetState(
-            batch_mb=batch_fit,
-            replay_mb=replay_fit,
-            optimizer_mb=optimizer_mb,
-            optimizer_mode=mode,
-        )
+        return BudgetState(batch_fit, replay_fit, optimizer_mb, mode)
     raise InfeasibleBudgetError(problem)
 
 
 def derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:
     """Floor-divide budgets by per-item costs, with at least one of each."""
-    batch = max(1, math.floor(state.batch_mb / config.memory.sample_mb))
-    buffer = max(1, math.floor(state.replay_mb / config.memory.frame_mb))
-    return Knobs(batch_size=batch, buffer_size=buffer, optimizer_mode=state.optimizer_mode)
+    memory = config.memory
+    batch = max(1, math.floor(state.batch_mb / memory.sample_mb))
+    buffer = max(1, math.floor(state.replay_mb / memory.frame_mb))
+    return Knobs(batch, buffer, state.optimizer_mode)
 
 
 class TraceRecord(Record):
@@ -308,17 +323,14 @@ class RunTrace:
 
 
 class OverheadRecorder:
-    """Accumulates the controller's own wall time, kept out of the trace."""
+    """Accumulates the controller's own wall time, kept out of the trace.
+
+    _run_policy appends one time.perf_counter interval to controller_seconds
+    per timed region.
+    """
 
     def __init__(self):
         self.controller_seconds: list[float] = []
-        self._t0 = 0.0
-
-    def start(self) -> None:
-        self._t0 = time.perf_counter()
-
-    def stop(self) -> None:
-        self.controller_seconds.append(time.perf_counter() - self._t0)
 
     @property
     def total_seconds(self) -> float:
@@ -344,38 +356,42 @@ def _run_policy(
     InfeasibleBudgetError from update propagates with the partial trace
     attached. Only when an overhead recorder is given is the clock read: it
     times knob derivation, and the snapshot, score, threshold and update of
-    each experience, the failing update's included.
+    each experience, the failing update's included. The threshold is
+    threshold_at's expression, computed here without its index check.
     """
     config = scenario.controller
+    initial_threshold, threshold_decay = config.initial_threshold, config.threshold_decay
     score_of = urge_scorer(scenario.thresholds, weights_from_preference(scenario.preference))
+    seconds = overhead.controller_seconds if overhead is not None else None
+    clock = time.perf_counter
     records: list[TraceRecord] = []
 
     for experience in range(1, scenario.num_experiences + 1):
-        if overhead is not None:
-            overhead.start()
+        if seconds is not None:
+            start = clock()
         knobs = knobs_for(state)
-        if overhead is not None:
-            overhead.stop()
+        if seconds is not None:
+            seconds.append(clock() - start)
 
         latency, memory, oom = env.train_experience(experience, knobs)
         if oom:
             records.append(TraceRecord(experience, knobs, None, None, None, state, memory, True))
             return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
 
-        if overhead is not None:
-            overhead.start()
+        if seconds is not None:
+            start = clock()
         snap = build_snapshot(env.accuracy, latency, memory)
         score = score_of(snap)
-        theta = threshold_at(config, experience - 1)
+        theta = initial_threshold * math.exp(-threshold_decay * (experience - 1))
         try:
             state = update(state, score.value, theta)
         except InfeasibleBudgetError as exc:
-            if overhead is not None:
-                overhead.stop()
+            if seconds is not None:
+                seconds.append(clock() - start)
             exc.partial_trace = RunTrace(records=tuple(records), outcome=Outcome.INFEASIBLE)
             raise
-        if overhead is not None:
-            overhead.stop()
+        if seconds is not None:
+            seconds.append(clock() - start)
 
         env.prefetch_next(experience + 1)
         records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory, False))

@@ -131,7 +131,9 @@ class RunningAccuracy:
     No entry ever exceeds its diagonal, which is the contract the stability
     kernel relies on: under round-to-nearest, fl(v * f) <= v for every
     v >= 0 and f <= 1, so each multiply can only keep or lower an entry.
-    row is read-only, so no caller can edit an entry past its diagonal.
+    row, diagonal and factors are read-only tuples built on each read from
+    private lists, so no caller can edit an entry past its diagonal or
+    change the factors a later matrix() replays.
 
     The row has two forms. While every step so far has had the same
     nonzero factor f and diagonal d, row k is row k-1 with g(a[k-1][1])
@@ -143,27 +145,37 @@ class RunningAccuracy:
     reversed, so the metric sums see the same floats in the same order as
     on the row and give the same results, compensated sum() included. The
     first step that differs turns the chain into the row once, and every
-    later step rescales the row. Both start values are nonzero, so the ==
-    test that keeps the chain going is bit-exact: it cannot mistake -0.0
-    for 0.0.
+    later step rescales the row, kept as a list. Both start values are
+    nonzero, so the == test that keeps the chain going is bit-exact: it
+    cannot mistake -0.0 for 0.0.
     """
 
     def __init__(self):
-        self.diagonal: list[float] = []
-        self.factors: list[float] = []
+        self._diagonal: list[float] = []
+        self._factors: list[float] = []
         self._chain: Optional[list[float]] = None
         self._gaps: list[float] = []
-        self._row: tuple[float, ...] = ()
+        self._row: list[float] = []
 
     def __len__(self) -> int:
-        return len(self.diagonal)
+        return len(self._diagonal)
 
     @property
     def row(self) -> tuple[float, ...]:
         """The latest row, a[k][1] .. a[k][k]."""
         if self._chain is not None:
             return tuple(reversed(self._chain))
-        return self._row
+        return tuple(self._row)
+
+    @property
+    def diagonal(self) -> tuple[float, ...]:
+        """a[1][1] .. a[k][k], each experience's accuracy when it was trained."""
+        return tuple(self._diagonal)
+
+    @property
+    def factors(self) -> tuple[float, ...]:
+        """The decay factor of each experience, 1 .. k."""
+        return tuple(self._factors)
 
     def advance(self, factor: float, diagonal: float) -> None:
         """Append experience k's row: row k-1 times factor, then diagonal."""
@@ -171,27 +183,29 @@ class RunningAccuracy:
         # A chained comparison is false for NaN and +-inf, so it is the whole
         # check; _check_unit_interval only words the error.
         if not 0.0 <= factor <= 1.0:
-            _check_unit_interval(factor, "decay factor", len(self.diagonal) + 1)
+            _check_unit_interval(factor, "decay factor", len(self._diagonal) + 1)
         if not 0.0 <= diagonal <= 1.0:
-            _check_unit_interval(diagonal, "accuracy", len(self.diagonal) + 1)
-        self.diagonal.append(diagonal)
-        self.factors.append(factor)
+            _check_unit_interval(diagonal, "accuracy", len(self._diagonal) + 1)
+        self._diagonal.append(diagonal)
+        self._factors.append(factor)
         chain = self._chain
         if chain is not None:
-            if factor == self.factors[0] and diagonal == chain[0]:
+            if factor == self._factors[0] and diagonal == chain[0]:
                 decayed = chain[-1] * factor
                 chain.append(decayed)
                 self._gaps.append(diagonal - decayed)
                 return
-            self._row = tuple(reversed(chain))
+            previous = reversed(chain)
             self._chain = None
-        elif len(self.diagonal) == 1 and factor and diagonal:
+        elif len(self._diagonal) == 1 and factor and diagonal:
             self._chain = [diagonal]
             self._gaps = [0.0]
             return
-        row = [v * factor for v in self._row]
+        else:
+            previous = self._row
+        row = [v * factor for v in previous]
         row.append(diagonal)
-        self._row = tuple(row)
+        self._row = row
 
     def _metrics(self) -> tuple[float, float]:
         """(plasticity, stability) of the latest row."""
@@ -199,7 +213,7 @@ class RunningAccuracy:
         if chain is None:
             row = self._row
             k = len(row)
-            return _mean(row, k), _stability(map(operator.sub, self.diagonal, row), k)
+            return _mean(row, k), _stability(map(operator.sub, self._diagonal, row), k)
         k = len(chain)
         return _mean(reversed(chain), k), _stability(reversed(self._gaps), k)
 
@@ -207,7 +221,7 @@ class RunningAccuracy:
         """Replay the factors into the full lower-triangular matrix."""
         matrix = AccuracyMatrix()
         row: list[float] = []
-        for factor, diagonal in zip(self.factors, self.diagonal):
+        for factor, diagonal in zip(self._factors, self._diagonal):
             row = [v * factor for v in row]
             row.append(diagonal)
             matrix.add_row(row)
@@ -315,6 +329,6 @@ def running_snapshot(
     memory_peak_mb: float,
 ) -> MetricSnapshot:
     """snapshot() of the latest experience, scored from the running accuracy."""
-    if not accuracy.diagonal:
+    if not len(accuracy):
         raise IncompleteMatrixError("no experience has been trained yet")
     return MetricSnapshot(*accuracy._metrics(), latency_s, memory_peak_mb)

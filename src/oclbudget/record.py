@@ -1,10 +1,11 @@
 """Validated immutable records: tuple subclasses with named fields.
 
-The per-experience records (metrics.MetricSnapshot, urge.UrgeScore,
-simulator.TrainResult and controller.TraceRecord) are built thousands of
-times a suite pass, so they are tuples, not frozen dataclasses. A record
-class lists its fields as annotations, in order, and defines a __new__ that
-takes the same names, runs the record's checks and returns
+The per-experience records (controller.Knobs, controller.BudgetState,
+metrics.MetricSnapshot, urge.UrgeScore, simulator.TrainResult and
+controller.TraceRecord) are built thousands of times a suite pass, so they
+are tuples, not frozen dataclasses. A record class lists its fields as
+annotations, in order, and defines a __new__ that takes the same names
+(defaults allowed), runs the record's checks and returns
 tuple.__new__(cls, values). Every construction path runs that __new__:
 positional and keyword calls, and pickle and copy, which rebuild a record
 by calling its class with its values. There is no _make or _replace.

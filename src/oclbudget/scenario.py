@@ -63,9 +63,7 @@ class ScenarioConfig:
 
     def initial_budget_state(self) -> BudgetState:
         return BudgetState(
-            batch_mb=self.initial_batch_mb,
-            replay_mb=self.initial_replay_mb,
-            optimizer_mb=self.controller.optimizer_default_mb,
+            self.initial_batch_mb, self.initial_replay_mb, self.controller.optimizer_default_mb
         )
 
     def with_preference(self, preference) -> "ScenarioConfig":

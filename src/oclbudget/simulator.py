@@ -32,7 +32,7 @@ The full accuracy matrix is rebuilt from it when accuracy_matrix is read.
 Everything the knobs alone decide (their validity, the memory, the stream
 term before growth, the replay term, the new diagonal before noise and the
 decay factor) is computed once per Knobs object the environment is given and
-kept until a different object arrives. Knobs is frozen, so a policy that
+kept until a different object arrives. Knobs is immutable, so a policy that
 passes one object for a whole run pays for it once; per experience only the
 growth power, the prefetch overlap, the noise draws and the row advance
 remain.
@@ -62,6 +62,9 @@ from .errors import CalibrationError, SchemaError, SimulationStateError
 from .metrics import AccuracyMatrix, RunningAccuracy
 from .record import Record
 from .yamlcfg import Section, check_schema_version, load_yaml_mapping
+
+# A module global, read per call far more cheaply than the Enum member.
+_ADVANCED = OptimizerMode.ADVANCED
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ class ResponseModel:
         the experience's growth factor; replay is R * replay_cost.
         """
         c_iter = self.compute_cost_per_sample_s * max(batch_size, self.batch_knee)
-        opt = self.optimizer_latency_multiplier if mode is OptimizerMode.ADVANCED else 1.0
+        opt = self.optimizer_latency_multiplier if mode is _ADVANCED else 1.0
         return (n_samples / batch_size) * c_iter * opt, buffer_size * self.replay_sampling_cost_s
 
     def latency_s(
@@ -145,7 +148,7 @@ class ResponseModel:
         level = self.plasticity_max * (
             1.0 - math.exp(-updates / self.plasticity_updates_scale)
         )
-        if mode is OptimizerMode.ADVANCED:
+        if mode is _ADVANCED:
             level += self.advanced_plasticity_bonus
         return min(1.0, max(0.0, level))
 
@@ -236,10 +239,13 @@ class SimulatedEnvironment:
         self.compute_scale = float(compute_scale)
         # Only noisy responses draw from the generator, so others skip building it.
         self._rng = random.Random(seed) if response.noise_fraction > 0.0 else None
+        # Data loading is the same for every experience of the run.
+        self._load_s = self.samples_per_experience * prefetch.load_time_per_sample_s
         self._accuracy = RunningAccuracy()
+        self._next_experience = 1  # one past the rows in _accuracy
         self._staged: set[int] = set()
         self._failed = False
-        # The last Knobs trained with and its _knob_terms. Knobs is frozen, so
+        # The last Knobs trained with and its _knob_terms. Knobs is immutable, so
         # one object always has the same terms; an identity test is cheaper
         # than comparing, and the reference held here keeps the id unique.
         self._knobs: Optional[Knobs] = None
@@ -261,7 +267,7 @@ class SimulatedEnvironment:
 
     @property
     def next_experience(self) -> int:
-        return len(self._accuracy) + 1
+        return self._next_experience
 
     def prefetch_next(self, experience: int) -> None:
         """Stage data for an upcoming experience. Idempotent, purely logical."""
@@ -272,9 +278,9 @@ class SimulatedEnvironment:
     def train_experience(self, experience: int, knobs: Knobs) -> TrainResult:
         if self._failed:
             raise SimulationStateError("environment already failed; cannot train")
-        if experience != self.next_experience:
+        if experience != self._next_experience:
             raise SimulationStateError(
-                f"expected experience {self.next_experience}, got {experience}"
+                f"expected experience {self._next_experience}, got {experience}"
             )
         if knobs is not self._knobs:
             self._terms = self._knob_terms(knobs)
@@ -285,9 +291,8 @@ class SimulatedEnvironment:
             return TrainResult(None, memory, True)
 
         compute = self.response.latency_s(stream, replay, experience, self.compute_scale)
-        load = self.samples_per_experience * self.prefetch.load_time_per_sample_s
         latency = self.prefetch.effective_latency_s(
-            compute, load, staged=experience in self._staged
+            compute, self._load_s, staged=experience in self._staged
         )
         if self._rng is not None:
             jitter = self.response.noise_fraction
@@ -295,6 +300,7 @@ class SimulatedEnvironment:
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
         self._accuracy.advance(factor, diagonal)
+        self._next_experience = experience + 1
         return TrainResult(latency, memory, False)
 
     def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:

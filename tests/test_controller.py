@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from oclbudget import (
     threshold_at,
     update_budgets,
 )
+import oclbudget.controller as controller
 from oclbudget.controller import OverheadRecorder
 from oclbudget.scenario import default_profile_library_path
 
@@ -422,6 +424,71 @@ class TestControlLoop:
         assert completed == 48
         assert len(recorder.controller_seconds) == 2 * (completed + 1)
         assert all(seconds >= 0.0 for seconds in recorder.controller_seconds)
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_recorder_regions_per_experience(self, name):
+        # At K=60 the bundled controller completes, OOMs and turns infeasible
+        # on different scenarios: two regions per scored experience, one for
+        # an OOM experience (its knob derivation), two for the failing one.
+        scenario = dataclasses.replace(load_bundled_scenario(name), num_experiences=60)
+        recorder = OverheadRecorder()
+        try:
+            trace = run_control_loop(scenario, build_environment(scenario), overhead=recorder)
+        except InfeasibleBudgetError as exc:
+            trace = exc.partial_trace
+        scored = sum(1 for r in trace.records if not r.oom)
+        oom = sum(1 for r in trace.records if r.oom)
+        failing = 2 if trace.outcome is Outcome.INFEASIBLE else 0
+        assert oom == (trace.outcome is Outcome.OOM_FAILED)
+        assert len(recorder.controller_seconds) == 2 * scored + oom + failing
+        assert recorder.total_seconds == sum(recorder.controller_seconds)
+
+    @pytest.mark.parametrize("name", ["server-er", "orin-er", "xavier-gss"])
+    def test_every_step_is_inside_a_timed_region(self, name, monkeypatch):
+        # Log the clock reads, the step's calls and the threshold's exp in
+        # order: knobs, snapshot, threshold and update fall between an
+        # opening and a closing read, training outside (completed, OOM and
+        # infeasible runs).
+        events = []
+
+        def logged(event, fn):
+            def call(*args, **kwargs):
+                events.append(event)
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            controller, "time", types.SimpleNamespace(perf_counter=logged("clock", lambda: 0.0))
+        )
+        fake_math = types.SimpleNamespace(
+            exp=logged("threshold", math.exp), floor=math.floor, nextafter=math.nextafter
+        )
+        monkeypatch.setattr(controller, "math", fake_math)
+        for attr, event in [
+            ("derive_knobs", "knobs"),
+            ("build_snapshot", "snapshot"),
+            ("update_budgets", "update"),
+        ]:
+            monkeypatch.setattr(controller, attr, logged(event, getattr(controller, attr)))
+        scenario = dataclasses.replace(load_bundled_scenario(name), num_experiences=60)
+        env = build_environment(scenario)
+        monkeypatch.setattr(env, "train_experience", logged("train", env.train_experience))
+        recorder = OverheadRecorder()
+        try:
+            run_control_loop(scenario, env, overhead=recorder)
+        except InfeasibleBudgetError:
+            pass
+        timed = False
+        for event in events:
+            if event == "clock":
+                timed = not timed
+            else:
+                assert timed is (event != "train"), events
+        assert not timed
+        assert events.count("clock") == 2 * len(recorder.controller_seconds)
+        assert events.count("threshold") == events.count("update") == events.count("snapshot")
+        assert events.count("knobs") == events.count("train") > 0
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_threshold_is_indexed_by_experience(self, name):

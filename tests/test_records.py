@@ -35,6 +35,12 @@ VALID = [
         (0.5 * 0.25 * 0.5 * 0.5, 0.5, 0.25, 0.5, 0.5),
     ),
     (TrainResult, ("latency_s", "memory_peak_mb", "oom"), (12.5, 4300.0, False)),
+    (Knobs, ("batch_size", "buffer_size", "optimizer_mode"), (64, 2000, OptimizerMode.ADVANCED)),
+    (
+        BudgetState,
+        ("batch_mb", "replay_mb", "optimizer_mb", "optimizer_mode"),
+        (2.9, 90.0, 4200.0, OptimizerMode.DEFAULT),
+    ),
     (
         TraceRecord,
         (
@@ -70,6 +76,9 @@ INVALID = [
     (MetricSnapshot, (0.5, 0.5, float("nan"), 4096.0), "latency must be finite and >= 0, got nan"),
     (MetricSnapshot, (0.5, 0.5, 2.5, float("inf")), "memory peak must be finite and >= 0, got inf"),
     (MetricSnapshot, (0.5, 0.5, 2.5, float("nan")), "memory peak must be finite and >= 0, got nan"),
+    (BudgetState, (-1.0, 90.0, 4200.0, OptimizerMode.DEFAULT), "budgets must be >= 0"),
+    (BudgetState, (2.9, -0.5, 4200.0, OptimizerMode.ADVANCED), "budgets must be >= 0"),
+    (BudgetState, (2.9, float("-inf"), 4200.0, OptimizerMode.DEFAULT), "budgets must be >= 0"),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 
@@ -119,7 +128,8 @@ class TestValidRecord:
             assert type(clone) is cls and clone == record
 
     def test_wrong_arity_raises_type_error(self, cls, fields, values):
-        required = len(values) - (cls is TraceRecord)  # oom has a default
+        # TraceRecord.oom and BudgetState.optimizer_mode have defaults.
+        required = len(values) - (cls in (TraceRecord, BudgetState))
         with pytest.raises(TypeError):
             cls(*values[: required - 1])
         with pytest.raises(TypeError):
@@ -138,6 +148,24 @@ def test_trace_record_oom_defaults_to_false():
     record = TraceRecord(1, KNOBS, None, None, None, BUDGETS, 9000.0)
     assert record.oom is False
     assert record == (1, KNOBS, None, None, None, BUDGETS, 9000.0, False)
+
+
+def test_budget_state_mode_defaults_to_default_and_total_is_the_sum():
+    assert BUDGETS.optimizer_mode is OptimizerMode.DEFAULT
+    assert BUDGETS == BudgetState(2.9, 90.0, 4200.0, OptimizerMode.DEFAULT)
+    assert BUDGETS.total_mb == 2.9 + 90.0 + 4200.0
+
+
+def test_knobs_and_budget_state_repr_is_the_dataclass_text():
+    # The text the frozen dataclasses these records replaced wrote.
+    assert repr(KNOBS) == (
+        "Knobs(batch_size=64, buffer_size=2000, "
+        "optimizer_mode=<OptimizerMode.DEFAULT: 'default'>)"
+    )
+    assert repr(BUDGETS) == (
+        "BudgetState(batch_mb=2.9, replay_mb=90.0, optimizer_mb=4200.0, "
+        "optimizer_mode=<OptimizerMode.DEFAULT: 'default'>)"
+    )
 
 
 def test_urge_score_components_are_the_four_factors():

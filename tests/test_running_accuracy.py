@@ -146,6 +146,41 @@ def test_advance_rejects_values_outside_unit_interval(factor, diagonal):
     assert len(running) == 1 and running.row == (0.8,)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [(0.9, 0.8)] * 3,  # chain form
+        [(0.9, 0.8), (0.8, 0.8), (0.9, 0.8)],  # row form
+    ],
+    ids=["chain", "row"],
+)
+def test_callers_cannot_edit_the_running_accuracy(steps):
+    running = RunningAccuracy()
+    for factor, diagonal in steps:
+        running.advance(factor, diagonal)
+    before = running_snapshot(running, 1.0, 1.0)
+    rows = [running.matrix().row(k) for k in range(1, len(steps) + 1)]
+    for name in ("row", "diagonal", "factors"):
+        view = getattr(running, name)
+        assert type(view) is tuple and len(view) == len(steps)
+        with pytest.raises(TypeError):
+            view[0] = 0.1
+        with pytest.raises(AttributeError):
+            setattr(running, name, [0.1] * len(steps))
+        copy = list(view)  # a copy the caller edits is the caller's own
+        copy[0] = 0.1
+    assert running.diagonal == tuple(d for _, d in steps)
+    assert running.factors == tuple(f for f, _ in steps)
+    assert running_snapshot(running, 1.0, 1.0) == before
+    # The next step still extends the untouched history.
+    factor, diagonal = steps[-1]
+    running.advance(factor, diagonal)
+    reference = AccuracyMatrix([*rows, [v * factor for v in rows[-1]] + [diagonal]])
+    k = len(steps) + 1
+    snap = running_snapshot(running, 1.0, 1.0)
+    assert (snap.plasticity, snap.stability) == (plasticity(reference, k), stability(reference, k))
+
+
 def test_running_snapshot_needs_a_trained_experience():
     with pytest.raises(IncompleteMatrixError):
         running_snapshot(RunningAccuracy(), 1.0, 1.0)
