@@ -58,6 +58,7 @@ class Outcome(str, Enum):
 # a global read, and the step and the memory model test the mode every call.
 _ADVANCED = OptimizerMode.ADVANCED
 _DEFAULT = OptimizerMode.DEFAULT
+_INF = math.inf  # likewise a global read, where math.inf is two lookups
 
 
 class Knobs(Record):
@@ -174,8 +175,11 @@ class BudgetState(Record):
     optimizer_mode: OptimizerMode
 
     def __new__(cls, batch_mb, replay_mb, optimizer_mb, optimizer_mode=_DEFAULT):
-        if batch_mb < 0 or replay_mb < 0:
-            raise ValueError("budgets must be >= 0")
+        # NaN fails every comparison, so this rejects NaN as well as inf.
+        if not (0.0 <= batch_mb < _INF and 0.0 <= replay_mb < _INF):
+            if batch_mb < 0 or replay_mb < 0:
+                raise ValueError("budgets must be >= 0")
+            raise ValueError(f"budgets must be finite, got {batch_mb} and {replay_mb}")
         return tuple.__new__(cls, (batch_mb, replay_mb, optimizer_mb, optimizer_mode))
 
     @property
@@ -206,7 +210,7 @@ def update_budgets(
     exactly; the optimizer budget is never scaled, only toggled. A level
     fits when that projection leaves room for one batch sample and one
     replay frame. Raises InfeasibleBudgetError when the default level does
-    not fit or a budget goes negative.
+    not fit or a budget goes negative or overflows to infinity.
     """
     memory = config.memory
     if score >= threshold:
@@ -223,9 +227,10 @@ def update_budgets(
         replay_mb = prev.replay_mb * (1.0 - config.replay_sensitivity * drop)
         levels = ((_DEFAULT, memory.base_mb),)
 
-    if batch_mb < 0 or replay_mb < 0:
+    if not (0.0 <= batch_mb < _INF and 0.0 <= replay_mb < _INF):
+        kind = "negative" if batch_mb < 0 or replay_mb < 0 else "non-finite"
         raise InfeasibleBudgetError(
-            "sensitivity large enough to drive a budget negative; "
+            f"sensitivity large enough to drive a budget {kind}; "
             f"got batch={batch_mb:.3f} replay={replay_mb:.3f}"
         )
 
@@ -356,8 +361,11 @@ def _run_policy(
     InfeasibleBudgetError from update propagates with the partial trace
     attached. Only when an overhead recorder is given is the clock read: it
     times knob derivation, and the snapshot, score, threshold and update of
-    each experience, the failing update's included. The threshold is
-    threshold_at's expression, computed here without its index check.
+    each experience, the failing update's included. The metric sums are
+    the environment's: its training step advances the running accuracy and
+    both sums, so the timed snapshot only divides, clamps and builds the
+    MetricSnapshot. The threshold is threshold_at's expression, computed
+    here without its index check.
     """
     config = scenario.controller
     initial_threshold, threshold_decay = config.initial_threshold, config.threshold_decay

@@ -10,36 +10,43 @@ forgetting over prior experiences, where forgetting on experience i is
 max(0, a[i][i] - a[K][i]) -- the accuracy lost since experience i was
 trained, clipped at zero. Stability is 1 by definition at K = 1.
 
+Every sum adds its terms newest first, i = K, K-1, ..., 1, starting from
+0.0 with plain float +. That order is part of the definition: addition of
+floats is not associative, and the same order with the same operator gives
+the same bits on every CPython, where sum() of floats is compensated from
+3.12 on. plasticity and stability, the reference implementations over an
+AccuracyMatrix, add in an explicit loop.
+
 A run never needs the whole matrix to score itself. Every off-diagonal entry
 of a row decays by the same per-experience factor, so row k is row k-1
 scaled by that factor with the new diagonal accuracy appended.
-RunningAccuracy keeps only the latest row, the diagonal and the factors:
-O(K) floats for a K-experience run instead of the K(K+1)/2 of the matrix,
-which it rebuilds on demand with the same multiplies in the same order.
-plasticity, stability and snapshot are the reference implementations over
-an AccuracyMatrix; running_snapshot scores a RunningAccuracy through the
-same summation kernels, so both give identical floats.
+RunningAccuracy keeps only the latest row, newest entry first, with the
+diagonal and the factors: O(K) floats for a K-experience run instead of the
+K(K+1)/2 of the matrix, which it rebuilds on demand with the same
+multiplies in the same order. Next to the row it keeps the two newest-first
+sums, of the row and of its forgetting terms, and updates them in advance,
+the environment's training step. running_snapshot then only divides and
+clamps, through the same final step as the reference, so both give
+identical floats.
 
 The running row has two forms. While every step has had the same nonzero
 factor and diagonal, as in every fixed-knob run of a noise-free profile,
-RunningAccuracy keeps a chain instead of the row: the diagonal decayed 0, 1,
-2, ... times, and the forgetting of each. An experience then appends one
-entry to each, O(1) work where rescaling the row is O(k), and row k is the
-chain read backwards (see RunningAccuracy). The first step with a different
-factor or diagonal turns the chain into the row once; from then on every
-step rescales the row, as a controller run does after its first knob
-change. Both forms hand the kernels the same floats in the same order, so
-the metrics do not depend on the form.
+row k is row k-1 with one older entry appended at its old end (see
+RunningAccuracy). An experience then appends one entry and adds it and its
+forgetting to the two sums: O(1) work, where rescaling the row is O(k). The
+first step with a different factor or diagonal leaves that form; from then
+on every step rebuilds the row in one pass that rescales each entry, appends
+it and adds it and its forgetting to fresh sums, as a controller run does
+after its first knob change. Both forms add the same floats in the same
+order, so the metrics do not depend on the form.
 
-The stability kernel sums a[i][i] - a[K][i] in one sum() with no test per
-entry, so it requires that no entry exceeds its diagonal. A running row
-meets that by construction (see RunningAccuracy); the reference first clips
-each entry of an arbitrary matrix to its diagonal, which turns every
-negative difference into an exact 0.0 and leaves the others unchanged. All
-paths then fold the same values in the same order. On CPython 3.10-3.11
-sum() of floats adds left to right, the same floats as a loop that skips
-non-positive differences; from 3.12 sum() is compensated, and the paths
-still agree with each other.
+No running entry exceeds its diagonal (see RunningAccuracy), so each running
+forgetting term is already clipped; the reference clips each entry of an
+arbitrary matrix to its diagonal first, which turns every negative
+difference into an exact 0.0 and leaves the others unchanged. Where the two
+differ, it is only in the sign of a zero term, and a sum that starts from
+0.0 is unchanged by a zero of either sign. Neither adds the newest term,
+a[K][K] - a[K][K], which is always 0.0.
 
 A MetricSnapshot is a validated immutable tuple (record.Record): every
 construction checks its four values, and it equals a plain tuple of them.
@@ -48,9 +55,8 @@ construction checks its four values, and it equals a plain tuple of them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import IncompleteMatrixError
 from .record import Record
@@ -128,34 +134,34 @@ class RunningAccuracy:
     such values stay in [0, 1], every entry of every row satisfies the same
     check AccuracyMatrix.add_row applies.
 
-    No entry ever exceeds its diagonal, which is the contract the stability
-    kernel relies on: under round-to-nearest, fl(v * f) <= v for every
-    v >= 0 and f <= 1, so each multiply can only keep or lower an entry.
-    row, diagonal and factors are read-only tuples built on each read from
-    private lists, so no caller can edit an entry past its diagonal or
-    change the factors a later matrix() replays.
+    No entry ever exceeds its diagonal, so every forgetting term a[i][i] -
+    a[k][i] is already clipped at zero: under round-to-nearest,
+    fl(v * f) <= v for every v >= 0 and f <= 1, so each multiply can only
+    keep or lower an entry. row, diagonal and factors are read-only tuples
+    built on each read from private lists, so no caller can edit an entry
+    past its diagonal or change the factors a later matrix() replays.
 
-    The row has two forms. While every step so far has had the same
-    nonzero factor f and diagonal d, row k is row k-1 with g(a[k-1][1])
-    put in front, g(x) = fl(x * f): every older entry has already been
-    multiplied by f exactly as often as the entry before it. So the chain
-    form keeps _chain = [d, g(d), g(g(d)), ...] and _gaps, the forgetting
-    d - _chain[j] of each, and a step is one multiply and one subtraction.
-    Row k is _chain reversed, and the forgetting terms of row k are _gaps
-    reversed, so the metric sums see the same floats in the same order as
-    on the row and give the same results, compensated sum() included. The
-    first step that differs turns the chain into the row once, and every
-    later step rescales the row, kept as a list. Both start values are
-    nonzero, so the == test that keeps the chain going is bit-exact: it
-    cannot mistake -0.0 for 0.0.
+    _row holds row k newest first, a[k][k], a[k][k-1], ..., a[k][1], in
+    both forms, and _sums holds the newest-first sums of that row and of
+    its forgetting terms, which advance keeps up to date. While every step
+    so far has had the same nonzero factor f and diagonal d, row k is row
+    k-1 with g(a[k-1][1]) appended at its old end, g(x) = fl(x * f): every
+    older entry has already been multiplied by f exactly as often as the
+    entry before it. So in this chain form _row is [d, g(d), g(g(d)), ...],
+    and a step is one multiply, one append and two adds, since the entry it
+    appends is also the last term of both sums. The first step that
+    differs leaves the chain form, and from then on every step builds the
+    new row and both sums in one pass. Both start values are nonzero, so
+    the == test that keeps the chain going is bit-exact: it cannot mistake
+    -0.0 for 0.0.
     """
 
     def __init__(self):
         self._diagonal: list[float] = []
         self._factors: list[float] = []
-        self._chain: Optional[list[float]] = None
-        self._gaps: list[float] = []
-        self._row: list[float] = []
+        self._row: list[float] = []  # newest first
+        self._chained = False
+        self._sums = (0.0, 0.0)  # (row, forgetting terms), newest first
 
     def __len__(self) -> int:
         return len(self._diagonal)
@@ -163,9 +169,7 @@ class RunningAccuracy:
     @property
     def row(self) -> tuple[float, ...]:
         """The latest row, a[k][1] .. a[k][k]."""
-        if self._chain is not None:
-            return tuple(reversed(self._chain))
-        return tuple(self._row)
+        return tuple(reversed(self._row))
 
     @property
     def diagonal(self) -> tuple[float, ...]:
@@ -180,42 +184,45 @@ class RunningAccuracy:
     def advance(self, factor: float, diagonal: float) -> None:
         """Append experience k's row: row k-1 times factor, then diagonal."""
         factor, diagonal = float(factor), float(diagonal)
+        diagonals = self._diagonal
         # A chained comparison is false for NaN and +-inf, so it is the whole
         # check; _check_unit_interval only words the error.
         if not 0.0 <= factor <= 1.0:
-            _check_unit_interval(factor, "decay factor", len(self._diagonal) + 1)
+            _check_unit_interval(factor, "decay factor", len(diagonals) + 1)
         if not 0.0 <= diagonal <= 1.0:
-            _check_unit_interval(diagonal, "accuracy", len(self._diagonal) + 1)
-        self._diagonal.append(diagonal)
-        self._factors.append(factor)
-        chain = self._chain
-        if chain is not None:
-            if factor == self._factors[0] and diagonal == chain[0]:
-                decayed = chain[-1] * factor
-                chain.append(decayed)
-                self._gaps.append(diagonal - decayed)
+            _check_unit_interval(diagonal, "accuracy", len(diagonals) + 1)
+        row = self._row
+        if self._chained:
+            if factor == self._factors[0] and diagonal == row[0]:
+                diagonals.append(diagonal)
+                self._factors.append(factor)
+                decayed = row[-1] * factor
+                row.append(decayed)
+                plasticity_sum, forgetting_sum = self._sums
+                self._sums = (plasticity_sum + decayed, forgetting_sum + (diagonal - decayed))
                 return
-            previous = reversed(chain)
-            self._chain = None
-        elif len(self._diagonal) == 1 and factor and diagonal:
-            self._chain = [diagonal]
-            self._gaps = [0.0]
-            return
-        else:
-            previous = self._row
-        row = [v * factor for v in previous]
-        row.append(diagonal)
-        self._row = row
+            self._chained = False
+        elif not row and factor and diagonal:
+            self._chained = True
+        new_row = [diagonal]
+        append = new_row.append
+        plasticity_sum = 0.0 + diagonal  # a sum from 0.0, so -0.0 becomes 0.0
+        forgetting_sum = 0.0
+        for v, d in zip(row, reversed(diagonals)):
+            v *= factor
+            append(v)
+            plasticity_sum += v
+            forgetting_sum += d - v
+        diagonals.append(diagonal)
+        self._factors.append(factor)
+        self._row = new_row
+        self._sums = (plasticity_sum, forgetting_sum)
 
     def _metrics(self) -> tuple[float, float]:
         """(plasticity, stability) of the latest row."""
-        chain = self._chain
-        if chain is None:
-            row = self._row
-            k = len(row)
-            return _mean(row, k), _stability(map(operator.sub, self._diagonal, row), k)
-        k = len(chain)
-        return _mean(reversed(chain), k), _stability(reversed(self._gaps), k)
+        plasticity_sum, forgetting_sum = self._sums
+        k = len(self._row)
+        return plasticity_sum / k, _stability(forgetting_sum, k)
 
     def matrix(self) -> AccuracyMatrix:
         """Replay the factors into the full lower-triangular matrix."""
@@ -274,21 +281,20 @@ class MetricSnapshot(Record):
         return tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
 
 
-def _mean(values: Iterable[float], k: int) -> float:
-    return sum(values) / k
+def _newest_first_sum(values: Sequence[float]) -> float:
+    """values[-1] + values[-2] + ... + values[0], from 0.0, with plain +."""
+    total = 0.0
+    for v in reversed(values):
+        total += v
+    return total
 
 
-def _stability(forgetting: Iterable[float], k: int) -> float:
-    """One minus the mean of a[i][i] - a[k][i] over i = 1, 2, ... in order.
-
-    Contract: no entry of row k exceeds its diagonal, so every term is
-    already the clipped forgetting max(0, ...) and the sum needs no test per
-    entry. The terms may stop at i = k-1 or include i = k: that last pair is
-    equal and adds an exact 0.0, so the sum is the same either way.
-    """
+def _stability(forgetting_sum: float, k: int) -> float:
+    """One minus the mean forgetting over the k - 1 earlier experiences,
+    clamped to [0, 1]; exactly 1 when k = 1."""
     if k == 1:
         return 1.0
-    value = 1.0 - sum(forgetting) / (k - 1)
+    value = 1.0 - forgetting_sum / (k - 1)
     return min(1.0, max(0.0, value))
 
 
@@ -296,21 +302,22 @@ def plasticity(matrix: AccuracyMatrix, k: int) -> float:
     """Mean accuracy of the current model over all k experiences seen so far."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _mean(matrix.row(k), k)
+    return _newest_first_sum(matrix.row(k)) / k
 
 
 def stability(matrix: AccuracyMatrix, k: int) -> float:
     """One minus mean forgetting over experiences 1..k-1; exactly 1 when k = 1.
 
     Forgetting on experience i is max(0, a[i][i] - a[k][i]): row k is
-    clipped to the diagonal before the kernel sums the differences. The
-    result is clamped to [0, 1] so it always satisfies the snapshot invariant.
+    clipped to the diagonal before the differences are added. The result
+    is clamped to [0, 1] so it always satisfies the snapshot invariant.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     current = matrix.row(k)
     diagonal = [matrix.get(i, i) for i in range(1, k)]
-    return _stability(map(operator.sub, diagonal, map(min, diagonal, current)), k)
+    forgetting = [d - min(d, a) for d, a in zip(diagonal, current)]
+    return _stability(_newest_first_sum(forgetting), k)
 
 
 def snapshot(

@@ -23,10 +23,11 @@ response surfaces:
 Off-diagonal accuracies decay multiplicatively each experience by
 forgetting_rate * (1 - s(R)): bigger replay buffers attenuate forgetting.
 Because the decay is shared by a whole row, the environment keeps only a
-metrics.RunningAccuracy (the latest row, the diagonal and the per-experience
-factors 1 - decay): O(K) memory for K experiences. While the factor and the
-new diagonal stay the same (fixed knobs, no noise), it advances without
-touching the older entries: one multiply per experience, not one per entry.
+metrics.RunningAccuracy (the latest row, the diagonal, the per-experience
+factors 1 - decay and the two metric sums): O(K) memory for K experiences.
+While the factor and the new diagonal stay the same (fixed knobs, no
+noise), it advances without touching the older entries: one multiply and
+two adds per experience, not one multiply and two adds per entry.
 The full accuracy matrix is rebuilt from it when accuracy_matrix is read.
 
 Everything the knobs alone decide (their validity, the memory, the stream

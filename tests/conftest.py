@@ -1,0 +1,31 @@
+"""Fixtures shared by the test modules."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def other_interpreters():
+    """One working CPython 3.10-3.13 per minor version other than this one,
+    from PATH or a pyenv installation."""
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found = {}
+    for minor in range(10, 14):
+        if minor == sys.version_info.minor:
+            continue
+        candidates = [shutil.which(f"python3.{minor}")]
+        candidates += sorted(pyenv.glob(f"versions/3.{minor}.*/bin/python3.{minor}"))
+        for exe in filter(None, candidates):
+            probe = subprocess.run(
+                [str(exe), "-c", "import sys; print(sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+            if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})":
+                found[minor] = str(exe)
+                break
+    return [found[minor] for minor in sorted(found)]

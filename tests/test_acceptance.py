@@ -131,9 +131,10 @@ def test_criterion_03_score_invariants():
 
 
 def test_criterion_04_metric_oracle_equivalence():
+    # Both sums add newest first, i = k, k-1, ..., 1, as the metrics define.
     def brute_plasticity(rows, k):
         total = 0.0
-        for i in range(1, k + 1):
+        for i in range(k, 0, -1):
             total += rows[k - 1][i - 1]
         return total / k
 
@@ -141,7 +142,7 @@ def test_criterion_04_metric_oracle_equivalence():
         if k == 1:
             return 1.0
         total = 0.0
-        for i in range(1, k):
+        for i in range(k - 1, 0, -1):
             total += max(0.0, rows[i - 1][i - 1] - rows[k - 1][i - 1])
         return min(1.0, max(0.0, 1.0 - total / (k - 1)))
 

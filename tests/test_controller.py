@@ -411,6 +411,21 @@ class TestControlLoop:
         full = run_control_loop(short, build_environment(short))
         assert partial.records == full.records
 
+    def test_runaway_grow_raises_instead_of_nan_budgets(self):
+        # A grow step with huge sensitivities overflows both budgets to inf,
+        # and projecting inf onto the cap gave NaN budgets (inf * 0); the run
+        # then died in derive_knobs with a bare ValueError.
+        scenario = load_bundled_scenario("xavier-er")
+        config = dataclasses.replace(
+            scenario.controller,
+            batch_sensitivity=1e308,
+            replay_sensitivity=1e308,
+            initial_threshold=0.01,
+        )
+        scenario = dataclasses.replace(scenario, controller=config)
+        with pytest.raises(InfeasibleBudgetError, match="non-finite; got batch=inf replay=inf"):
+            run_control_loop(scenario, build_environment(scenario))
+
     def test_infeasible_run_times_its_failing_step(self):
         # Each attempted experience has two timed regions: knob derivation,
         # then snapshot, score, threshold and update. The failing update's

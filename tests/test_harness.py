@@ -284,9 +284,9 @@ class TestRunSuite:
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
 # Budgets, memory and thresholds are floats, but the record types take ints too.
 any_float = st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers()
-not_negative = any_float.filter(lambda v: not v < 0)  # nan passes the >= 0 checks
-# A snapshot's latency and memory must be finite as well as >= 0.
-finite_not_negative = not_negative.filter(lambda v: v < math.inf)
+# A snapshot's latency and memory, and the batch and replay budgets, must be
+# finite as well as >= 0.
+finite_not_negative = any_float.filter(lambda v: 0 <= v < math.inf)
 unit_float = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1.0])
 names = st.text(max_size=12) | st.text(alphabet='"\\/éß—😀\x00\n\u2028 a', max_size=12)
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -312,8 +312,8 @@ def trace_records(draw):
         optimizer_mode=draw(st.sampled_from(OptimizerMode)),
     )
     budgets = BudgetState(
-        batch_mb=draw(not_negative),
-        replay_mb=draw(not_negative),
+        batch_mb=draw(finite_not_negative),
+        replay_mb=draw(finite_not_negative),
         optimizer_mb=draw(any_float),
     )
     snapshot = None
@@ -419,7 +419,10 @@ knob_values = st.builds(
     optimizer_mode=st.sampled_from(OptimizerMode),
 )
 budget_values = st.builds(
-    BudgetState, batch_mb=not_negative, replay_mb=not_negative, optimizer_mb=any_float
+    BudgetState,
+    batch_mb=finite_not_negative,
+    replay_mb=finite_not_negative,
+    optimizer_mb=any_float,
 )
 
 
@@ -729,6 +732,23 @@ class TestCli:
         code = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.csv")])
         assert code == 4
         assert "infeasible" in capsys.readouterr().err
+
+    def test_non_finite_budget_exit_code(self, tmp_path, capsys):
+        # The first grow step overflows both budgets; that is an infeasible
+        # budget, not a config error from a NaN knob.
+        text = bundled_scenario_path("xavier-er").read_text()
+        for old, new in [
+            ("initial_threshold: 0.0655", "initial_threshold: 0.01"),
+            ("batch_sensitivity: 3.0", "batch_sensitivity: 1.0e+308"),
+            ("replay_sensitivity: 14.0", "replay_sensitivity: 1.0e+308"),
+        ]:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "runaway.yaml"
+        path.write_text(text)
+        code = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         code = cli_main(

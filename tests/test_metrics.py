@@ -15,19 +15,20 @@ from oclbudget import (
 
 
 def brute_force_plasticity(rows, k):
-    # Independent evaluation: mean of row k, accumulated in index order.
+    # Independent evaluation: mean of row k, accumulated newest first.
     total = 0.0
-    for i in range(1, k + 1):
+    for i in range(k, 0, -1):
         total += rows[k - 1][i - 1]
     return total / k
 
 
 def brute_force_stability(rows, k):
-    # Independent evaluation: 1 - mean over i < k of max(0, a[i][i] - a[k][i]).
+    # Independent evaluation: 1 - mean over i < k of max(0, a[i][i] - a[k][i]),
+    # accumulated newest first.
     if k == 1:
         return 1.0
     total = 0.0
-    for i in range(1, k):
+    for i in range(k - 1, 0, -1):
         total += max(0.0, rows[i - 1][i - 1] - rows[k - 1][i - 1])
     value = 1.0 - total / (k - 1)
     return min(1.0, max(0.0, value))

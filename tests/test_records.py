@@ -79,6 +79,10 @@ INVALID = [
     (BudgetState, (-1.0, 90.0, 4200.0, OptimizerMode.DEFAULT), "budgets must be >= 0"),
     (BudgetState, (2.9, -0.5, 4200.0, OptimizerMode.ADVANCED), "budgets must be >= 0"),
     (BudgetState, (2.9, float("-inf"), 4200.0, OptimizerMode.DEFAULT), "budgets must be >= 0"),
+    # NaN and +inf, which a runaway grow step produced before it raised.
+    (BudgetState, (float("nan"), 90.0, 4200.0, OptimizerMode.DEFAULT), "budgets must be finite, got nan and 90.0"),
+    (BudgetState, (2.9, float("inf"), 4200.0, OptimizerMode.DEFAULT), "budgets must be finite, got 2.9 and inf"),
+    (BudgetState, (float("inf"), float("nan"), 4200.0, OptimizerMode.ADVANCED), "budgets must be finite, got inf and nan"),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 

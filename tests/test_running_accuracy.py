@@ -1,11 +1,8 @@
 """The running accuracy row agrees exactly with the full-matrix reference."""
 
 import dataclasses
-import os
 import random
-import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -71,12 +68,14 @@ EDGE_STEPS = [(_edge_or(_edge.uniform(0.99, 1.0)), _edge_or(_edge.random())) for
 
 
 def brute_force_stability(row, diagonal):
-    # Independent evaluation with the clip written out; sum() so it folds the
-    # same values in the same order as the kernel on every CPython.
+    # Independent evaluation with the clip written out, adding the terms
+    # newest first (i = k-1 down to 1) from 0.0 with plain +.
     k = len(row)
     if k == 1:
         return 1.0
-    total = sum(max(0.0, diagonal[i] - row[i]) for i in range(k - 1))
+    total = 0.0
+    for i in range(k - 2, -1, -1):
+        total += max(0.0, diagonal[i] - row[i])
     return min(1.0, max(0.0, 1.0 - total / (k - 1)))
 
 
@@ -132,6 +131,29 @@ def test_chain_form_equals_matrix_reference(runs):
     for k, (row, (p, s)) in enumerate(zip(rows, metrics), start=1):
         assert _bits(row) == _bits(matrix.row(k)), k
         assert _bits((p, s)) == _bits((plasticity(matrix, k), stability(matrix, k))), k
+
+
+@settings(max_examples=20, deadline=None)
+@given(step_runs)
+@example([((0.999, 0.8), 1000)])
+@example([((0.9, 0.8), 1), ((0.9, -0.0), 5), ((0.9, 0.8), 5)])
+@example([((0.5, 0.0), 3), ((0.5, -0.0), 3)])
+@example([((1.0, -0.0), 2), ((0.5, 0.0), 2)])
+def test_running_sums_equal_a_newest_first_loop(runs):
+    """Both running sums, in the chain form, the row form and across the
+    switch, are the plain s += v loop over the row and over its clipped
+    forgetting terms, newest first, bit for bit."""
+    steps = [step for step, length in runs for _ in range(length)][:1000]
+    running = RunningAccuracy()
+    for factor, diagonal in steps:
+        running.advance(factor, diagonal)
+        row = running.row
+        total = 0.0
+        for v in reversed(row):
+            total += v
+        expected = (total / len(row), brute_force_stability(row, running.diagonal))
+        snap = running_snapshot(running, 1.0, 1.0)
+        assert _bits((snap.plasticity, snap.stability)) == _bits(expected), len(row)
 
 
 @pytest.mark.parametrize(
@@ -235,10 +257,10 @@ def test_long_horizon_final_metrics_equal_matrix_reference():
     runs = []
     env = build_environment(fixed)
     runs.append((env, run_baseline(policy, fixed, env)))
-    assert env.accuracy._chain is not None
+    assert env.accuracy._chained
     env = build_environment(controlled)
     runs.append((env, run_control_loop(controlled, env)))
-    assert env.accuracy._chain is None
+    assert not env.accuracy._chained
     for env, trace in runs:
         k = len(env.accuracy)
         matrix = env.accuracy_matrix
@@ -285,34 +307,12 @@ print(sys.version_info[:2], steps_checked)
 """
 
 
-def _other_interpreters():
-    """One working CPython 3.10-3.13 per minor version other than this one,
-    from PATH or a pyenv installation."""
-    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
-    found = {}
-    for minor in range(10, 14):
-        if minor == sys.version_info.minor:
-            continue
-        candidates = [shutil.which(f"python3.{minor}")]
-        candidates += sorted(pyenv.glob(f"versions/3.{minor}.*/bin/python3.{minor}"))
-        for exe in filter(None, candidates):
-            probe = subprocess.run(
-                [str(exe), "-c", "import sys; print(sys.version_info[:2])"],
-                capture_output=True, text=True, timeout=60,
-            )
-            if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})":
-                found[minor] = str(exe)
-                break
-    return [found[minor] for minor in sorted(found)]
-
-
-def test_running_metrics_equal_reference_on_other_interpreters():
+def test_running_metrics_equal_reference_on_other_interpreters(other_interpreters):
     """The README's promise that on every version the running metrics equal
     the full-matrix reference, for both forms of the running row."""
-    interpreters = _other_interpreters()
-    if not interpreters:
+    if not other_interpreters:
         pytest.skip("no other CPython 3.10-3.13 found")
-    for exe in interpreters:
+    for exe in other_interpreters:
         done = subprocess.run(
             [exe, "-c", EQUIVALENCE_SCRIPT, str(SRC)], capture_output=True, text=True, timeout=300
         )
