@@ -74,7 +74,6 @@ from .simulator import (
     CalibrationResult,
     CalibrationTargets,
     PlatformPreset,
-    PrefetchModel,
     ResponseModel,
     SimulatedEnvironment,
     TrainResult,

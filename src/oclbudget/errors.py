@@ -18,10 +18,11 @@ class NumericDomainError(OclBudgetError):
 
 
 class InfeasibleBudgetError(OclBudgetError):
-    """Capacity projection pushed a budget below its minimum knob requirement.
+    """A budget update left no feasible budgets; the run cannot continue.
 
-    Raised only when even the default optimizer budget does not fit (or a
-    budget went negative); the run cannot continue.
+    Raised when even the default optimizer budget does not fit, or a budget
+    went negative or non-finite. Raised in a run, it carries the records so
+    far as partial_trace, a RunTrace marked INFEASIBLE; otherwise that is None.
     """
 
     def __init__(self, message, partial_trace=None):

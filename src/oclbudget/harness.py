@@ -68,11 +68,12 @@ KNOWN_POLICIES = ("controller", "max_a", "max_p", "fixed", "oracle")
 class OverheadSummary:
     """Controller-attributable costs measured against simulated training time.
 
-    controller wall time is real seconds spent in score computation, budget
-    update, and knob derivation; simulated training seconds come from the
-    workload model. state_bytes is the pickled size of the controller's
-    persistent state (budgets, config, weights, thresholds) -- the accuracy
-    bookkeeping lives with the evaluation side and is not counted here.
+    controller wall time is real seconds spent in knob derivation and, per
+    scored experience, in the metric snapshot, score, decayed threshold and
+    budget update; simulated training seconds come from the workload model.
+    state_bytes is the pickled size of the controller's persistent state
+    (budgets, config, weights, thresholds) -- the accuracy bookkeeping lives
+    with the evaluation side and is not counted here.
     """
 
     controller_seconds_total: float
@@ -119,8 +120,9 @@ def run_suite(
 ) -> Report:
     """Run each requested policy against a fresh environment.
 
-    The oracle contributes its full grid of runs. Traces are sorted by
-    policy label so the report (and its CSV) is deterministic. With
+    A policy named twice, in any spelling, raises ValueError: both runs would
+    share one label. The oracle contributes its full grid of runs. Traces are
+    sorted by policy label so the report (and its CSV) is deterministic. With
     include_overhead the report also carries the controller's measured
     overhead accounting, timed in the report's own controller run (or in an
     extra controller run when the controller is not requested); wall times
@@ -129,6 +131,9 @@ def run_suite(
     if not policies:
         raise ValueError("policy list must not be empty")
     requested = [_canonical_policy(p) for p in policies]
+    for i, policy in enumerate(requested):
+        if policy in requested[:i]:
+            raise ValueError(f"policy {policy!r} is requested more than once")
 
     traces: list[tuple[str, RunTrace]] = []
     oracle_best: Optional[tuple[int, int]] = None
@@ -424,8 +429,8 @@ def ablate_prefetch(scenario: ScenarioConfig) -> PrefetchAblation:
     since there is then no latency to compare.
     """
     policy = BaselinePolicy.fixed()  # scenario initial knobs
-    on = run_baseline(policy, scenario.with_prefetch_enabled(True))
-    off = run_baseline(policy, scenario.with_prefetch_enabled(False))
+    on = run_baseline(policy, scenario)
+    off = run_baseline(policy, scenario, build_environment(scenario, prefetch=False))
     latency_off = off.total_latency_s()
     if latency_off == 0:
         raise ValueError(

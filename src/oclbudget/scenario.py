@@ -3,12 +3,12 @@
 A scenario names a platform preset and an algorithm profile from the profile
 library, sets the workload size and seed, picks a preference ordering, and
 parameterizes the controller. Nothing else varies per scenario: the MAX-A,
-MAX-P and fixed-proxy baselines use constant knobs, and the prefetch pipeline
-is built from the platform's load rate. A profile is a ResponseModel, kept as
-ScenarioConfig.response, and a MemoryModel, kept in the controller config.
-That memory model is handed as one object to both the controller and the
-environment, so the controller's per-item costs and optimizer budgets are
-the simulator's own.
+MAX-P and fixed-proxy baselines use constant knobs. A profile is a
+ResponseModel, kept as ScenarioConfig.response, and a MemoryModel, kept in
+the controller config and handed as one object to both the controller and
+the environment, so the controller's per-item costs and optimizer budgets
+are the simulator's own. The environment also holds the platform preset
+itself; build_environment's prefetch flag turns load hiding on or off.
 The capacity projection is an OOM guarantee only while the replay buffer
 stays under the model's spike_threshold: above it the model adds a quadratic
 residency term the projection does not count. The bundled 10-experience
@@ -27,7 +27,6 @@ from .errors import SchemaError
 from .metrics import Thresholds
 from .simulator import (
     PlatformPreset,
-    PrefetchModel,
     ProfileLibrary,
     ResponseModel,
     SimulatedEnvironment,
@@ -45,6 +44,12 @@ PREFERENCE_PRESETS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One validated scenario file. The environment reads the device from
+    platform, but load_scenario copies platform.capacity_mb into
+    controller.capacity_mb, so replacing platform does not move the
+    controller's cap. The copy stays until perfbench stops reading
+    ControllerConfig.budget_cap_mb (ROADMAP open item 10)."""
+
     name: str
     platform: PlatformPreset
     response: ResponseModel
@@ -52,7 +57,6 @@ class ScenarioConfig:
     samples_per_experience: int
     seed: int
     preference: tuple[str, str, str, str]
-    prefetch: PrefetchModel
     thresholds: Thresholds
     controller: ControllerConfig
     initial_batch_mb: float
@@ -71,10 +75,6 @@ class ScenarioConfig:
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=int(seed))
-
-    def with_prefetch_enabled(self, enabled: bool) -> "ScenarioConfig":
-        prefetch = dataclasses.replace(self.prefetch, enabled=bool(enabled))
-        return dataclasses.replace(self, prefetch=prefetch)
 
 
 def _check_name(name: str, where: str) -> None:
@@ -222,7 +222,6 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
         samples_per_experience=samples,
         seed=seed,
         preference=preference,
-        prefetch=PrefetchModel(load_time_per_sample_s=platform.load_time_per_sample_s),
         thresholds=thresholds,
         controller=config,
         initial_batch_mb=initial_batch_mb,
@@ -234,14 +233,13 @@ def load_bundled_scenario(name: str) -> ScenarioConfig:
     return load_scenario(bundled_scenario_path(name))
 
 
-def build_environment(scenario: ScenarioConfig) -> SimulatedEnvironment:
-    """Fresh single-owner environment for one run of this scenario."""
+def build_environment(scenario: ScenarioConfig, *, prefetch: bool = True) -> SimulatedEnvironment:
+    """Fresh single-owner environment for one run; prefetch off hides no load."""
     return SimulatedEnvironment(
         response=scenario.response,
         memory=scenario.controller.memory,
-        capacity_mb=scenario.platform.capacity_mb,
+        platform=scenario.platform,
         seed=scenario.seed,
-        prefetch=scenario.prefetch,
         samples_per_experience=scenario.samples_per_experience,
-        compute_scale=scenario.platform.compute_scale,
+        prefetch=prefetch,
     )

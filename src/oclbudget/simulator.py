@@ -38,10 +38,11 @@ passes one object for a whole run pays for it once; per experience only the
 growth power, the prefetch overlap, the noise draws and the row advance
 remain.
 
-Out-of-memory is exactly the predicate memory > capacity and is reported as
-an outcome, never a silent clamp. Prefetch staging only changes latency:
-a staged experience pays max(0, load - overlap_efficiency * compute) instead
-of the full load.
+The environment holds the device, one PlatformPreset: its capacity, compute
+scale and load rate. Out-of-memory is exactly the predicate memory > capacity
+and is reported as an outcome, never a silent clamp. Prefetch only changes
+latency: with the environment's prefetch flag on, a staged experience pays
+max(0, load - PREFETCH_OVERLAP * compute) instead of the full load.
 
 A response with noise_fraction > 0 scales latency and the new diagonal by
 1 + noise_fraction * u, u uniform in [-1, 1), drawn from a random.Random
@@ -62,10 +63,12 @@ from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
 from .metrics import AccuracyMatrix, RunningAccuracy
 from .record import Record
-from .yamlcfg import Section, check_schema_version, load_yaml_mapping
+from .yamlcfg import Section, check_schema_version, finite_number, load_yaml_mapping
 
 # A module global, read per call far more cheaply than the Enum member.
 _ADVANCED = OptimizerMode.ADVANCED
+
+PREFETCH_OVERLAP = 0.85  # the share of a staged experience's compute that hides its load
 
 
 @dataclass(frozen=True)
@@ -155,26 +158,6 @@ class ResponseModel:
 
 
 @dataclass(frozen=True)
-class PrefetchModel:
-    """Pipeline overlap of data loading with training compute."""
-
-    load_time_per_sample_s: float
-    overlap_efficiency: float = 0.85  # fraction of compute usable for loading
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.load_time_per_sample_s < 0:
-            raise ValueError("load time must be >= 0")
-        if not 0.0 <= self.overlap_efficiency <= 1.0:
-            raise ValueError("overlap efficiency must be in [0, 1]")
-
-    def effective_latency_s(self, compute_s: float, load_s: float, staged: bool) -> float:
-        if self.enabled and staged:
-            return compute_s + max(0.0, load_s - self.overlap_efficiency * compute_s)
-        return compute_s + load_s
-
-
-@dataclass(frozen=True)
 class PlatformPreset:
     """What a deployment platform contributes: capacity, speed, load rate."""
 
@@ -183,10 +166,11 @@ class PlatformPreset:
     load_time_per_sample_s: float
 
     def __post_init__(self):
-        if self.capacity_mb <= 0 or self.compute_scale <= 0:
-            raise ValueError("capacity and compute scale must be > 0")
-        if self.load_time_per_sample_s < 0:
-            raise ValueError("load time must be >= 0")
+        # Chained comparisons, so NaN fails them too.
+        if not (0.0 < self.capacity_mb < math.inf and 0.0 < self.compute_scale < math.inf):
+            raise ValueError("capacity and compute scale must be finite and > 0")
+        if not 0.0 <= self.load_time_per_sample_s < math.inf:
+            raise ValueError("load time must be finite and >= 0")
 
 
 class TrainResult(Record):
@@ -209,24 +193,21 @@ class TrainResult(Record):
 class SimulatedEnvironment:
     """Single-owner simulated training target for one run.
 
-    It reads latency and accuracy from one ResponseModel and peak memory from
-    one MemoryModel, the profile's two objects. Experiences must be trained
-    strictly in order starting at 1. Once an OOM occurs the environment is
-    failed and refuses further work.
+    It reads latency and accuracy from one ResponseModel, peak memory from
+    one MemoryModel (the profile's two objects), and the device from one
+    PlatformPreset. Experiences must be trained strictly in order starting
+    at 1. Once an OOM occurs the environment is failed and refuses further work.
     """
 
     def __init__(
         self,
         response: ResponseModel,
         memory: MemoryModel,
-        capacity_mb: float,
+        platform: PlatformPreset,
         seed: int,
-        prefetch: PrefetchModel,
         samples_per_experience: int,
-        compute_scale: float = 1.0,
+        prefetch: bool = True,
     ):
-        if capacity_mb <= 0:
-            raise ValueError("capacity must be > 0")
         if samples_per_experience < 1:
             raise ValueError("samples per experience must be >= 1")
         seed = int(seed)
@@ -234,14 +215,13 @@ class SimulatedEnvironment:
             raise ValueError("seed must be >= 0")
         self.response = response
         self.memory = memory
-        self.capacity_mb = float(capacity_mb)
-        self.prefetch = prefetch
+        self.platform = platform
+        self.prefetch = bool(prefetch)
         self.samples_per_experience = int(samples_per_experience)
-        self.compute_scale = float(compute_scale)
         # Only noisy responses draw from the generator, so others skip building it.
         self._rng = random.Random(seed) if response.noise_fraction > 0.0 else None
         # Data loading is the same for every experience of the run.
-        self._load_s = self.samples_per_experience * prefetch.load_time_per_sample_s
+        self._load_s = self.samples_per_experience * platform.load_time_per_sample_s
         self._accuracy = RunningAccuracy()
         self._next_experience = 1  # one past the rows in _accuracy
         self._staged: set[int] = set()
@@ -287,14 +267,16 @@ class SimulatedEnvironment:
             self._terms = self._knob_terms(knobs)
             self._knobs = knobs
         memory, stream, replay, diagonal, factor = self._terms
-        if memory > self.capacity_mb:
+        platform = self.platform
+        if memory > platform.capacity_mb:
             self._failed = True
             return TrainResult(None, memory, True)
 
-        compute = self.response.latency_s(stream, replay, experience, self.compute_scale)
-        latency = self.prefetch.effective_latency_s(
-            compute, self._load_s, staged=experience in self._staged
-        )
+        compute = self.response.latency_s(stream, replay, experience, platform.compute_scale)
+        if self.prefetch and experience in self._staged:
+            latency = compute + max(0.0, self._load_s - PREFETCH_OVERLAP * compute)
+        else:
+            latency = compute + self._load_s
         if self._rng is not None:
             jitter = self.response.noise_fraction
             latency *= 1.0 + jitter * self._rng.uniform(-1.0, 1.0)
@@ -728,7 +710,7 @@ def load_calibration_targets(path: str | Path) -> CalibrationTargets:
                 raise SchemaError(f"{label}.{key}[{idx}]: size must be a positive int")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaError(f"{label}.{key}[{idx}]: value must be a number")
-            points.append((size, float(value)))
+            points.append((size, finite_number(value, f"{label}.{key}[{idx}]")))
         return tuple(points)
 
     samples = root.take_int("samples_per_experience", minimum=1)

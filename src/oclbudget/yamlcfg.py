@@ -7,6 +7,7 @@ dotted key path so a typo is immediately visible.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import yaml
@@ -36,6 +37,14 @@ def check_schema_version(doc: dict, path: str) -> None:
         )
 
 
+def finite_number(value, where: str) -> float:
+    """value, an int or float, as a float. NaN passes every bound test, so it,
+    the infinities and ints past the float range raise here, naming where."""
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise SchemaError(f"{where}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 class Section:
     """A mapping being consumed key by key; leftovers are schema errors."""
 
@@ -62,7 +71,7 @@ class Section:
         value = self.take(key, kind=(int, float), default=default)
         if default is not ... and value is default and not isinstance(value, (int, float)):
             return value
-        value = float(value)
+        value = finite_number(value, f"{self.path}.{key}")
         if minimum is not None and value < minimum:
             raise SchemaError(f"{self.path}.{key}: must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:

@@ -248,6 +248,15 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(load_bundled_scenario("orin-er"), ["sgd"])
 
+    @pytest.mark.parametrize(
+        "policies", [["max_a", "max-a"], ["controller", "fixed", " Controller "]]
+    )
+    def test_repeated_policy_rejected(self, policies):
+        # Two runs under one label could not be told apart in the CSV.
+        repeated = policies[-1].strip().lower().replace("-", "_")
+        with pytest.raises(ValueError, match=f"policy '{repeated}' is requested more than once"):
+            run_suite(load_bundled_scenario("orin-er"), policies)
+
     def test_report_can_carry_overhead_accounting(self):
         scenario = load_bundled_scenario("server-gem")
         report = run_suite(scenario, ["controller"], include_overhead=True)
@@ -705,6 +714,16 @@ class TestCli:
         code = cli_main(["run", "--scenario", path, "--prefer", "", "--out", str(out)])
         assert code == 2
         assert "config error: unknown preference preset ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_policy_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        path = str(bundled_scenario_path("xavier-er"))
+        code = cli_main(
+            ["run", "--scenario", path, "--policy", "max_a", "--policy", "max-a", "--out", str(out)]
+        )
+        assert code == 2
+        assert "config error: policy 'max_a' is requested more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):

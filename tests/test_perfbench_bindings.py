@@ -1,12 +1,15 @@
-"""perfbench's span tracer finds, patches and restores every binding it names.
+"""perfbench runs against oclbudget: its tracer's bindings and its workloads.
 
 perfbench/spans.py wraps oclbudget functions under the names each caller
-bound (controller.compute_urge, baselines.build_snapshot, ...). A rename or
-removal in src/ would otherwise surface only in a traced benchmark run.
+bound (controller.compute_urge, baselines.build_snapshot, ...), and each
+workload in perfbench/workloads.py checks its own output. A rename or
+removal in src/ would otherwise surface only in a benchmark run.
 """
 
 import dataclasses
 from pathlib import Path
+
+import pytest
 
 import oclbudget.controller as controller
 from oclbudget import InfeasibleBudgetError, Outcome, build_environment, load_bundled_scenario
@@ -65,3 +68,20 @@ def test_patched_step_sees_every_call_of_a_controller_run(monkeypatch):
         assert counts["controller.derive"] == counts["simulator.train"] == attempted
         assert counts["metrics.snapshot"] == counts["controller.update"] == scored
         assert counts["controller.loop"] == 1
+
+
+@pytest.mark.parametrize("name", ["bundled-suite", "long-horizon", "controller-stress", "cli"])
+def test_one_untraced_pass_of_each_workload_passes_its_checks(monkeypatch, tmp_path, name):
+    # The benchmark's workloads call oclbudget through more of its API than
+    # the traced bindings above (budget_cap_mb, from_scenario, partial_trace,
+    # the CLI); one pass each keeps a break there from reaching the benchmark.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import workloads
+
+    tally = workloads.Tally()
+    workload = workloads.WORKLOADS[name](1, tally, tmp_path, run.child_env())
+    stats = workload.run_pass()
+    assert tally.failed == 0, tally.reasons
+    assert tally.attempted > 0
+    assert stats.ops and workload.quality is not None

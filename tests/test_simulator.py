@@ -12,7 +12,7 @@ from oclbudget import (
     Knobs,
     MemoryModel,
     OptimizerMode,
-    PrefetchModel,
+    PlatformPreset,
     ResponseModel,
     SchemaError,
     SimulatedEnvironment,
@@ -22,14 +22,16 @@ from oclbudget import (
     load_profile_library,
 )
 from oclbudget.baselines import BaselinePolicy
-from oclbudget.controller import _run_policy
+from oclbudget.controller import _run_policy, derive_knobs
 from oclbudget.scenario import (
     build_environment,
     bundled_scenario_names,
     default_calibration_targets_path,
     default_profile_library_path,
     load_bundled_scenario,
+    load_scenario,
 )
+from oclbudget.simulator import PREFETCH_OVERLAP
 
 
 def make_response(**overrides):
@@ -62,14 +64,16 @@ def make_memory():
     )
 
 
-def make_env(capacity_mb=10000.0, seed=0, prefetch=None, n=8000, **response_overrides):
+def make_env(
+    capacity_mb=10000.0, seed=0, n=8000, platform=None, prefetch=True, **response_overrides
+):
     return SimulatedEnvironment(
         response=make_response(**response_overrides),
         memory=make_memory(),
-        capacity_mb=capacity_mb,
+        platform=platform or PlatformPreset(capacity_mb, 1.0, 0.0),
         seed=seed,
-        prefetch=prefetch or PrefetchModel(0.0, 0.85, enabled=True),
         samples_per_experience=n,
+        prefetch=prefetch,
     )
 
 
@@ -346,9 +350,9 @@ class TestKnobMemo:
                 # Nothing is staged, so latency is compute plus the full load.
                 compute = env.response.compute_latency_s(
                     kn.batch_size, kn.buffer_size, kn.optimizer_mode,
-                    e, env.samples_per_experience, env.compute_scale,
+                    e, env.samples_per_experience, env.platform.compute_scale,
                 )
-                load = env.samples_per_experience * env.prefetch.load_time_per_sample_s
+                load = env.samples_per_experience * env.platform.load_time_per_sample_s
                 assert got.latency_s == compute + load
                 assert got.memory_peak_mb == env.memory.memory_mb(kn)
                 assert env.accuracy.row[-1] == env.response.plasticity_level(
@@ -368,43 +372,69 @@ class TestKnobMemo:
 
 
 class TestPrefetch:
-    def load_model(self, enabled, eff=1.0):
-        return PrefetchModel(load_time_per_sample_s=0.001, overlap_efficiency=eff, enabled=enabled)
+    # knobs(128, 0) at the knee: 8000 samples * 0.004 s = 32 s of compute
+    # at compute scale 1, so 0.85 of it hides 27.2 s of loading.
+    KNOBS = knobs(128, 0)
 
-    def test_full_overlap_hides_load(self):
-        env = make_env(prefetch=self.load_model(True, eff=1.0))
+    def env(self, load_per_sample, prefetch=True, compute_scale=1.0):
+        platform = PlatformPreset(10000.0, compute_scale, load_per_sample)
+        return make_env(platform=platform, prefetch=prefetch)
+
+    def compute(self, compute_scale=1.0):
+        return make_response().compute_latency_s(
+            128, 0, OptimizerMode.DEFAULT, 1, 8000, compute_scale
+        )
+
+    def test_overlap_is_85_percent(self):
+        assert PREFETCH_OVERLAP == 0.85
+
+    def test_staged_load_under_the_overlap_is_hidden(self):
+        # 8 s of loading < 27.2 s: the max takes its 0.0 branch.
+        env = self.env(0.001)
         env.prefetch_next(1)
-        result = env.train_experience(1, knobs(128, 0))
-        compute = env.response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
-        assert result.latency_s == pytest.approx(compute, rel=1e-12)
+        compute = self.compute()
+        assert compute == 32.0
+        assert env.train_experience(1, self.KNOBS).latency_s == compute
 
-    def test_disabled_pays_full_load(self):
-        env = make_env(prefetch=self.load_model(False))
+    def test_staged_load_over_the_overlap_pays_the_remainder(self):
+        # 80 s of loading > 27.2 s: the max takes its load - 0.85 * compute branch.
+        env = self.env(0.01)
         env.prefetch_next(1)
-        result = env.train_experience(1, knobs(128, 0))
-        compute = env.response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
-        assert result.latency_s == pytest.approx(compute + 8000 * 0.001, rel=1e-12)
+        compute, load = self.compute(), 8000 * 0.01
+        assert load - 0.85 * compute > 0.0
+        assert env.train_experience(1, self.KNOBS).latency_s == compute + (load - 0.85 * compute)
 
-    def test_unstaged_experience_pays_full_load(self):
-        env = make_env(prefetch=self.load_model(True))
-        result = env.train_experience(1, knobs(128, 0))
-        compute = env.response.compute_latency_s(128, 0, OptimizerMode.DEFAULT, 1, 8000)
-        assert result.latency_s == pytest.approx(compute + 8.0, rel=1e-12)
+    def test_overlap_scales_with_the_platform_compute_scale(self):
+        env = self.env(0.01, compute_scale=0.5)
+        env.prefetch_next(1)
+        compute, load = self.compute(0.5), 8000 * 0.01
+        assert compute == 16.0
+        assert env.train_experience(1, self.KNOBS).latency_s == compute + (load - 0.85 * compute)
 
-    def test_partial_overlap_remainder(self):
-        model = PrefetchModel(load_time_per_sample_s=0.01, overlap_efficiency=0.5, enabled=True)
-        assert model.effective_latency_s(10.0, 80.0, staged=True) == 10.0 + 75.0
+    @pytest.mark.parametrize("load_per_sample", [0.001, 0.01])
+    def test_prefetch_off_pays_full_load(self, load_per_sample):
+        env = self.env(load_per_sample, prefetch=False)
+        env.prefetch_next(1)
+        result = env.train_experience(1, self.KNOBS)
+        assert result.latency_s == self.compute() + 8000 * load_per_sample
+
+    @pytest.mark.parametrize("load_per_sample", [0.001, 0.01])
+    def test_unstaged_experience_pays_full_load(self, load_per_sample):
+        env = self.env(load_per_sample)
+        result = env.train_experience(1, self.KNOBS)
+        assert result.latency_s == self.compute() + 8000 * load_per_sample
 
     def test_idempotent_staging(self):
-        env = make_env(prefetch=self.load_model(True))
+        env = self.env(0.01)
         env.prefetch_next(1)
         env.prefetch_next(1)
-        result = env.train_experience(1, knobs(128, 0))
-        assert result.latency_s is not None
+        once = self.env(0.01)
+        once.prefetch_next(1)
+        assert env.train_experience(1, self.KNOBS) == once.train_experience(1, self.KNOBS)
 
     def test_prefetch_changes_only_latency(self):
-        on = make_env(prefetch=self.load_model(True))
-        off = make_env(prefetch=self.load_model(False))
+        on = self.env(0.001)
+        off = self.env(0.001, prefetch=False)
         for env in (on, off):
             env.prefetch_next(1)
         a = on.train_experience(1, knobs(64, 200))
@@ -412,6 +442,41 @@ class TestPrefetch:
         assert a.memory_peak_mb == b.memory_peak_mb
         assert on.accuracy.row == off.accuracy.row
         assert a.latency_s < b.latency_s
+
+
+class TestPlatform:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(3))
+    def test_non_finite_values_rejected(self, field, bad):
+        values = [8192.0, 1.0, 0.0045]
+        values[field] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            PlatformPreset(*values)
+
+    def test_replaced_platform_reaches_the_environment(self):
+        # Capacity, compute scale and load rate are read from the scenario's
+        # platform when the environment is built, not copied at load.
+        scenario = load_bundled_scenario("xavier-er")
+        start = derive_knobs(scenario.initial_budget_state(), scenario.controller)
+        need = scenario.controller.memory.memory_mb(start)
+        platform = dataclasses.replace(
+            scenario.platform, capacity_mb=need, compute_scale=0.5, load_time_per_sample_s=0.0
+        )
+        env = build_environment(dataclasses.replace(scenario, platform=platform))
+        assert env.platform is platform
+        result = env.train_experience(1, start)
+        assert result.latency_s == scenario.response.compute_latency_s(
+            start.batch_size, start.buffer_size, start.optimizer_mode, 1,
+            scenario.samples_per_experience, 0.5,
+        )
+        below = dataclasses.replace(platform, capacity_mb=need - 1.0)
+        env = build_environment(dataclasses.replace(scenario, platform=below))
+        assert env.train_experience(1, start).oom
+
+    def test_build_environment_prefetch_flag(self):
+        scenario = load_bundled_scenario("xavier-er")
+        assert build_environment(scenario).prefetch is True
+        assert build_environment(scenario, prefetch=False).prefetch is False
 
 
 class TestCalibration:
@@ -538,6 +603,52 @@ class TestDeclarativeFiles:
         bad.write_text(text.replace(anchor, anchor + f"    noise_fraction: {value}\n", 1))
         with pytest.raises(SchemaError, match=r"profiles\.er\.noise_fraction: must be < 1"):
             load_profile_library(bad)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1.0e+400", "1" + "0" * 400])
+    def test_non_finite_capacity_rejected_with_path(self, tmp_path, value):
+        # A NaN capacity used to load, and memory > nan is never true, so
+        # xavier-gss at K=200 completed with a 30,808 MB peak on 8 GB.
+        text = default_profile_library_path().read_text(encoding="utf-8")
+        anchor = "    capacity_mb: 8192\n"
+        assert anchor in text
+        bad = tmp_path / "lib.yaml"
+        bad.write_text(text.replace(anchor, f"    capacity_mb: {value}\n", 1))
+        match = r"platforms\.xavier-class\.capacity_mb: must be a finite number"
+        with pytest.raises(SchemaError, match=match):
+            load_profile_library(bad)
+        with pytest.raises(SchemaError, match=match):
+            load_scenario(
+                default_profile_library_path().parent / "scenarios" / "xavier-gss.yaml",
+                library_path=bad,
+            )
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_scenario_number_rejected_with_path(self, tmp_path, value):
+        # A NaN sensitivity used to load and then raise InfeasibleBudgetError
+        # in the middle of the run.
+        text = (
+            default_profile_library_path().parent / "scenarios" / "xavier-gss.yaml"
+        ).read_text(encoding="utf-8")
+        anchor = "  batch_sensitivity: 3.0\n"
+        assert anchor in text
+        bad = tmp_path / "scenario.yaml"
+        bad.write_text(text.replace(anchor, f"  batch_sensitivity: {value}\n", 1))
+        with pytest.raises(
+            SchemaError, match=r"controller\.batch_sensitivity: must be a finite number"
+        ):
+            load_scenario(bad)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_target_point_rejected_with_path(self, tmp_path, value):
+        text = default_calibration_targets_path().read_text(encoding="utf-8")
+        anchor = "  - [32, 1080.0]\n"
+        assert anchor in text
+        bad = tmp_path / "targets.yaml"
+        bad.write_text(text.replace(anchor, f"  - [32, {value}]\n", 1))
+        with pytest.raises(
+            SchemaError, match=r"latency_points\[1\]: must be a finite number"
+        ):
+            load_calibration_targets(bad)
 
     def test_schema_version_required(self, tmp_path):
         bad = tmp_path / "lib.yaml"
