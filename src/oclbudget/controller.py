@@ -364,14 +364,18 @@ def _run_policy(
     each experience, the failing update's included. The metric sums are
     the environment's: its training step advances the running accuracy and
     both sums, so the timed snapshot only divides, clamps and builds the
-    MetricSnapshot. The threshold is threshold_at's expression, computed
-    here without its index check.
+    MetricSnapshot. The loop reads env.accuracy once, since the environment
+    keeps one RunningAccuracy for its whole run; in the chain form of a
+    fixed-knob run that object holds O(1) floats, so an experience costs
+    the same at K = 1000 as at K = 10. The threshold is threshold_at's
+    expression, computed here without its index check.
     """
     config = scenario.controller
     initial_threshold, threshold_decay = config.initial_threshold, config.threshold_decay
     score_of = urge_scorer(scenario.thresholds, weights_from_preference(scenario.preference))
     seconds = overhead.controller_seconds if overhead is not None else None
     clock = time.perf_counter
+    accuracy = env.accuracy
     records: list[TraceRecord] = []
 
     for experience in range(1, scenario.num_experiences + 1):
@@ -388,7 +392,7 @@ def _run_policy(
 
         if seconds is not None:
             start = clock()
-        snap = build_snapshot(env.accuracy, latency, memory)
+        snap = build_snapshot(accuracy, latency, memory)
         score = score_of(snap)
         theta = initial_threshold * math.exp(-threshold_decay * (experience - 1))
         try:

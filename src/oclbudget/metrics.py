@@ -20,25 +20,27 @@ AccuracyMatrix, add in an explicit loop.
 A run never needs the whole matrix to score itself. Every off-diagonal entry
 of a row decays by the same per-experience factor, so row k is row k-1
 scaled by that factor with the new diagonal accuracy appended.
-RunningAccuracy keeps only the latest row, newest entry first, with the
-diagonal and the factors: O(K) floats for a K-experience run instead of the
-K(K+1)/2 of the matrix, which it rebuilds on demand with the same
-multiplies in the same order. Next to the row it keeps the two newest-first
-sums, of the row and of its forgetting terms, and updates them in advance,
-the environment's training step. running_snapshot then only divides and
+RunningAccuracy keeps only what fixes the latest row, not the K(K+1)/2
+entries of the matrix, which it rebuilds on demand with the same multiplies in the same
+order. Next to the row it keeps k and the two newest-first sums, of the
+row and of its forgetting terms, and updates them in advance, the
+environment's training step. running_snapshot then only divides and
 clamps, through the same final step as the reference, so both give
 identical floats.
 
 The running row has two forms. While every step has had the same nonzero
 factor and diagonal, as in every fixed-knob run of a noise-free profile,
-row k is row k-1 with one older entry appended at its old end (see
-RunningAccuracy). An experience then appends one entry and adds it and its
-forgetting to the two sums: O(1) work, where rescaling the row is O(k). The
-first step with a different factor or diagonal leaves that form; from then
-on every step rebuilds the row in one pass that rescales each entry, appends
-it and adds it and its forgetting to fresh sums, as a controller run does
-after its first knob change. Both forms add the same floats in the same
-order, so the metrics do not depend on the form.
+the row is a chain: d, d*f, (d*f)*f, ..., newest first, so the factor, the
+diagonal, k and the oldest entry fix it, and RunningAccuracy holds only
+those and the two sums (see RunningAccuracy). An experience then multiplies
+the oldest entry once and adds it and its forgetting to the two sums: O(1)
+work and O(1) memory, where rescaling the row is O(k) of each. The first
+step with a different factor or diagonal leaves that form, replaying the
+chain into a list; from then on every step rebuilds the row in one pass
+that rescales each entry, appends it and adds it and its forgetting to
+fresh sums, as a controller run does after its first knob change. Both
+forms add the same floats in the same order, so the metrics do not depend
+on the form.
 
 No running entry exceeds its diagonal (see RunningAccuracy), so each running
 forgetting term is already clipped; the reference clips each entry of an
@@ -138,72 +140,118 @@ class RunningAccuracy:
     a[k][i] is already clipped at zero: under round-to-nearest,
     fl(v * f) <= v for every v >= 0 and f <= 1, so each multiply can only
     keep or lower an entry. row, diagonal and factors are read-only tuples
-    built on each read from private lists, so no caller can edit an entry
-    past its diagonal or change the factors a later matrix() replays.
+    built on each read, so no caller can edit an entry past its diagonal or
+    change the factors a later matrix() replays.
 
-    _row holds row k newest first, a[k][k], a[k][k-1], ..., a[k][1], in
-    both forms, and _sums holds the newest-first sums of that row and of
-    its forgetting terms, which advance keeps up to date. While every step
-    so far has had the same nonzero factor f and diagonal d, row k is row
-    k-1 with g(a[k-1][1]) appended at its old end, g(x) = fl(x * f): every
-    older entry has already been multiplied by f exactly as often as the
-    entry before it. So in this chain form _row is [d, g(d), g(g(d)), ...],
-    and a step is one multiply, one append and two adds, since the entry it
-    appends is also the last term of both sums. The first step that
-    differs leaves the chain form, and from then on every step builds the
-    new row and both sums in one pass. Both start values are nonzero, so
-    the == test that keeps the chain going is bit-exact: it cannot mistake
-    -0.0 for 0.0.
+    Both forms keep k and the newest-first sums of the row and of its
+    forgetting terms as plain floats, which advance keeps up to date and
+    running_snapshot reads. While every step so far has had the same
+    nonzero factor f and diagonal d, row k is row k-1 with g(a[k-1][1])
+    appended at its old end, g(x) = fl(x * f): every older entry has already
+    been multiplied by f exactly as often as the entry before it. So the
+    row, newest first, is d, g(d), g(g(d)), ..., and in this chain form
+    the object holds only f, d, k, the oldest entry a[k][1] and the two
+    sums: O(1) floats however long the run. A step that repeats f and d is
+    one multiply, two adds and a counter increment, since the entry it
+    appends is also the last term of both sums; it needs no range check,
+    because f and d were checked when the chain began. row, diagonal,
+    factors and matrix() replay the chain's entries with the same multiplies
+    in the same order, so every float is the one the lists would hold.
+
+    The first step that differs leaves the chain form for good: it replays
+    the chain into the list _row (newest first) with the diagonal and
+    factor lists, and from then on every step builds the new row and both
+    sums in one pass. _row is None exactly while the form is the chain.
+    Both chain values are nonzero, so the == test that keeps the chain going
+    is bit-exact: it cannot mistake -0.0 for 0.0. Outside the chain form
+    both are NaN, which no value equals.
     """
 
+    __slots__ = (
+        "_k",
+        "_plasticity_sum",
+        "_forgetting_sum",
+        "_chain_factor",
+        "_chain_diagonal",
+        "_oldest",
+        "_row",
+        "_diagonals",
+        "_factors",
+    )
+
     def __init__(self):
-        self._diagonal: list[float] = []
-        self._factors: list[float] = []
-        self._row: list[float] = []  # newest first
-        self._chained = False
-        self._sums = (0.0, 0.0)  # (row, forgetting terms), newest first
+        self._k = 0
+        self._plasticity_sum = 0.0  # newest first
+        self._forgetting_sum = 0.0  # newest first
+        self._chain_factor = self._chain_diagonal = math.nan
+        self._oldest = math.nan  # a[k][1] in the chain form
+        self._row: list[float] | None = []  # newest first; None in the chain form
+        self._diagonals: list[float] | None = []
+        self._factors: list[float] | None = []
 
     def __len__(self) -> int:
-        return len(self._diagonal)
+        return self._k
+
+    def _chain_row(self) -> list[float]:
+        """The chain form's row, newest first, replayed from f, d and k."""
+        factor, value = self._chain_factor, self._chain_diagonal
+        row = []
+        append = row.append
+        for _ in range(self._k):
+            append(value)
+            value *= factor
+        return row
 
     @property
     def row(self) -> tuple[float, ...]:
         """The latest row, a[k][1] .. a[k][k]."""
-        return tuple(reversed(self._row))
+        row = self._chain_row() if self._row is None else self._row
+        return tuple(reversed(row))
 
     @property
     def diagonal(self) -> tuple[float, ...]:
         """a[1][1] .. a[k][k], each experience's accuracy when it was trained."""
-        return tuple(self._diagonal)
+        if self._row is None:
+            return (self._chain_diagonal,) * self._k
+        return tuple(self._diagonals)
 
     @property
     def factors(self) -> tuple[float, ...]:
         """The decay factor of each experience, 1 .. k."""
+        if self._row is None:
+            return (self._chain_factor,) * self._k
         return tuple(self._factors)
 
     def advance(self, factor: float, diagonal: float) -> None:
         """Append experience k's row: row k-1 times factor, then diagonal."""
         factor, diagonal = float(factor), float(diagonal)
-        diagonals = self._diagonal
+        if factor == self._chain_factor and diagonal == self._chain_diagonal:
+            decayed = self._oldest * factor
+            self._oldest = decayed
+            self._plasticity_sum += decayed
+            self._forgetting_sum += diagonal - decayed
+            self._k += 1
+            return
+        k = self._k + 1
         # A chained comparison is false for NaN and +-inf, so it is the whole
         # check; _check_unit_interval only words the error.
         if not 0.0 <= factor <= 1.0:
-            _check_unit_interval(factor, "decay factor", len(diagonals) + 1)
+            _check_unit_interval(factor, "decay factor", k)
         if not 0.0 <= diagonal <= 1.0:
-            _check_unit_interval(diagonal, "accuracy", len(diagonals) + 1)
+            _check_unit_interval(diagonal, "accuracy", k)
         row = self._row
-        if self._chained:
-            if factor == self._factors[0] and diagonal == row[0]:
-                diagonals.append(diagonal)
-                self._factors.append(factor)
-                decayed = row[-1] * factor
-                row.append(decayed)
-                plasticity_sum, forgetting_sum = self._sums
-                self._sums = (plasticity_sum + decayed, forgetting_sum + (diagonal - decayed))
-                return
-            self._chained = False
+        if row is None:
+            row = self._chain_row()
+            self._diagonals = [self._chain_diagonal] * self._k
+            self._factors = [self._chain_factor] * self._k
+            self._chain_factor = self._chain_diagonal = self._oldest = math.nan
         elif not row and factor and diagonal:
-            self._chained = True
+            self._row = self._diagonals = self._factors = None
+            self._chain_factor, self._chain_diagonal, self._oldest = factor, diagonal, diagonal
+            self._plasticity_sum = diagonal  # a nonzero diagonal: 0.0 + diagonal
+            self._k = 1
+            return
+        diagonals = self._diagonals
         new_row = [diagonal]
         append = new_row.append
         plasticity_sum = 0.0 + diagonal  # a sum from 0.0, so -0.0 becomes 0.0
@@ -216,19 +264,15 @@ class RunningAccuracy:
         diagonals.append(diagonal)
         self._factors.append(factor)
         self._row = new_row
-        self._sums = (plasticity_sum, forgetting_sum)
-
-    def _metrics(self) -> tuple[float, float]:
-        """(plasticity, stability) of the latest row."""
-        plasticity_sum, forgetting_sum = self._sums
-        k = len(self._row)
-        return plasticity_sum / k, _stability(forgetting_sum, k)
+        self._plasticity_sum = plasticity_sum
+        self._forgetting_sum = forgetting_sum
+        self._k = k
 
     def matrix(self) -> AccuracyMatrix:
         """Replay the factors into the full lower-triangular matrix."""
         matrix = AccuracyMatrix()
         row: list[float] = []
-        for factor, diagonal in zip(self._factors, self._diagonal):
+        for factor, diagonal in zip(self.factors, self.diagonal):
             row = [v * factor for v in row]
             row.append(diagonal)
             matrix.add_row(row)
@@ -335,7 +379,18 @@ def running_snapshot(
     latency_s: float,
     memory_peak_mb: float,
 ) -> MetricSnapshot:
-    """snapshot() of the latest experience, scored from the running accuracy."""
-    if not len(accuracy):
+    """snapshot() of the latest experience, scored from the running accuracy.
+
+    It reads k and the two running sums the training step keeps, in either
+    form of RunningAccuracy, and only divides and clamps them: the final
+    step of plasticity and of _stability, written out here so a step costs
+    no further call.
+    """
+    k = accuracy._k
+    if k > 1:
+        stability = min(1.0, max(0.0, 1.0 - accuracy._forgetting_sum / (k - 1)))
+    elif k:
+        stability = 1.0
+    else:
         raise IncompleteMatrixError("no experience has been trained yet")
-    return MetricSnapshot(*accuracy._metrics(), latency_s, memory_peak_mb)
+    return MetricSnapshot(accuracy._plasticity_sum / k, stability, latency_s, memory_peak_mb)

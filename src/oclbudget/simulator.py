@@ -26,8 +26,10 @@ Because the decay is shared by a whole row, the environment keeps only a
 metrics.RunningAccuracy (the latest row, the diagonal, the per-experience
 factors 1 - decay and the two metric sums): O(K) memory for K experiences.
 While the factor and the new diagonal stay the same (fixed knobs, no
-noise), it advances without touching the older entries: one multiply and
-two adds per experience, not one multiply and two adds per entry.
+noise), it keeps only those two values, the oldest entry, the count and
+the sums, and advances without touching the older entries: O(1) memory,
+and one multiply and two adds per experience, not one multiply and two
+adds per entry.
 The full accuracy matrix is rebuilt from it when accuracy_matrix is read.
 
 Everything the knobs alone decide (their validity, the memory, the stream

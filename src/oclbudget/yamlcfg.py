@@ -7,6 +7,8 @@ dotted key path so a typo is immediately visible.
 
 from __future__ import annotations
 
+import functools
+import re
 import sys
 from pathlib import Path
 
@@ -16,12 +18,30 @@ from .errors import SchemaError
 
 SCHEMA_VERSION = 1
 
+# PyYAML follows YAML 1.1, whose floats need a dot and a signed exponent,
+# so 1e-3, 1e4 and 1.0e3 would be strings. YAML 1.2 reads them as floats.
+_EXPONENT_FLOAT = r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"
+
+
+@functools.cache
+def _loader() -> type:
+    """yaml.SafeLoader with a second float resolver for exponent forms. Built
+    on first use, so importing this module reads nothing from yaml."""
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float", re.compile(_EXPONENT_FLOAT), list("-+0123456789.")
+    )
+    return Loader
+
 
 def load_yaml_mapping(path: str | Path) -> dict:
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_loader())
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):

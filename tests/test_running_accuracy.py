@@ -1,8 +1,11 @@
 """The running accuracy row agrees exactly with the full-matrix reference."""
 
 import dataclasses
+import math
 import random
 import subprocess
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from oclbudget import (
     running_snapshot,
     stability,
 )
+from oclbudget.metrics import _check_unit_interval, _stability
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -156,6 +160,191 @@ def test_running_sums_equal_a_newest_first_loop(runs):
         assert _bits((snap.plasticity, snap.stability)) == _bits(expected), len(row)
 
 
+# A verbatim copy of RunningAccuracy as it was when the chain form kept the
+# row, the diagonal and the factors as lists that grew by one entry a step;
+# only the class name carries an Old prefix.
+class OldRunningAccuracy:
+    """The latest accuracy-matrix row, advanced one experience at a time.
+
+    Row k is row k-1 with every entry multiplied by experience k's decay
+    factor, plus the new diagonal accuracy. Each step checks the new
+    diagonal and the factor to be finite and in [0, 1]; since products of
+    such values stay in [0, 1], every entry of every row satisfies the same
+    check AccuracyMatrix.add_row applies.
+
+    No entry ever exceeds its diagonal, so every forgetting term a[i][i] -
+    a[k][i] is already clipped at zero: under round-to-nearest,
+    fl(v * f) <= v for every v >= 0 and f <= 1, so each multiply can only
+    keep or lower an entry. row, diagonal and factors are read-only tuples
+    built on each read from private lists, so no caller can edit an entry
+    past its diagonal or change the factors a later matrix() replays.
+
+    _row holds row k newest first, a[k][k], a[k][k-1], ..., a[k][1], in
+    both forms, and _sums holds the newest-first sums of that row and of
+    its forgetting terms, which advance keeps up to date. While every step
+    so far has had the same nonzero factor f and diagonal d, row k is row
+    k-1 with g(a[k-1][1]) appended at its old end, g(x) = fl(x * f): every
+    older entry has already been multiplied by f exactly as often as the
+    entry before it. So in this chain form _row is [d, g(d), g(g(d)), ...],
+    and a step is one multiply, one append and two adds, since the entry it
+    appends is also the last term of both sums. The first step that
+    differs leaves the chain form, and from then on every step builds the
+    new row and both sums in one pass. Both start values are nonzero, so
+    the == test that keeps the chain going is bit-exact: it cannot mistake
+    -0.0 for 0.0.
+    """
+
+    def __init__(self):
+        self._diagonal: list[float] = []
+        self._factors: list[float] = []
+        self._row: list[float] = []  # newest first
+        self._chained = False
+        self._sums = (0.0, 0.0)  # (row, forgetting terms), newest first
+
+    def __len__(self) -> int:
+        return len(self._diagonal)
+
+    @property
+    def row(self) -> tuple[float, ...]:
+        """The latest row, a[k][1] .. a[k][k]."""
+        return tuple(reversed(self._row))
+
+    @property
+    def diagonal(self) -> tuple[float, ...]:
+        """a[1][1] .. a[k][k], each experience's accuracy when it was trained."""
+        return tuple(self._diagonal)
+
+    @property
+    def factors(self) -> tuple[float, ...]:
+        """The decay factor of each experience, 1 .. k."""
+        return tuple(self._factors)
+
+    def advance(self, factor: float, diagonal: float) -> None:
+        """Append experience k's row: row k-1 times factor, then diagonal."""
+        factor, diagonal = float(factor), float(diagonal)
+        diagonals = self._diagonal
+        # A chained comparison is false for NaN and +-inf, so it is the whole
+        # check; _check_unit_interval only words the error.
+        if not 0.0 <= factor <= 1.0:
+            _check_unit_interval(factor, "decay factor", len(diagonals) + 1)
+        if not 0.0 <= diagonal <= 1.0:
+            _check_unit_interval(diagonal, "accuracy", len(diagonals) + 1)
+        row = self._row
+        if self._chained:
+            if factor == self._factors[0] and diagonal == row[0]:
+                diagonals.append(diagonal)
+                self._factors.append(factor)
+                decayed = row[-1] * factor
+                row.append(decayed)
+                plasticity_sum, forgetting_sum = self._sums
+                self._sums = (plasticity_sum + decayed, forgetting_sum + (diagonal - decayed))
+                return
+            self._chained = False
+        elif not row and factor and diagonal:
+            self._chained = True
+        new_row = [diagonal]
+        append = new_row.append
+        plasticity_sum = 0.0 + diagonal  # a sum from 0.0, so -0.0 becomes 0.0
+        forgetting_sum = 0.0
+        for v, d in zip(row, reversed(diagonals)):
+            v *= factor
+            append(v)
+            plasticity_sum += v
+            forgetting_sum += d - v
+        diagonals.append(diagonal)
+        self._factors.append(factor)
+        self._row = new_row
+        self._sums = (plasticity_sum, forgetting_sum)
+
+    def _metrics(self) -> tuple[float, float]:
+        """(plasticity, stability) of the latest row."""
+        plasticity_sum, forgetting_sum = self._sums
+        k = len(self._row)
+        return plasticity_sum / k, _stability(forgetting_sum, k)
+
+    def matrix(self) -> AccuracyMatrix:
+        """Replay the factors into the full lower-triangular matrix."""
+        matrix = AccuracyMatrix()
+        row: list[float] = []
+        for factor, diagonal in zip(self._factors, self._diagonal):
+            row = [v * factor for v in row]
+            row.append(diagonal)
+            matrix.add_row(row)
+        return matrix
+
+
+
+def _raw(values):
+    """The bytes of the floats: equal exactly when every float is bit-identical."""
+    return array("d", values).tobytes()
+
+
+def _matrix_raw(matrix):
+    return [_raw(matrix.row(k)) for k in range(1, len(matrix) + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(step_runs)
+@example([((0.9, 0.8), 1), ((0.5, 0.8), 40)])
+@example([((0.9, 0.8), 2), ((0.9, 0.7), 3), ((0.9, 0.8), 3)])
+@example([((0.999, 0.8), 700), ((0.999, 0.5), 300)])
+@example([((0.9, 0.8), 3), ((0.9, -0.0), 3), ((0.9, 0.0), 3)])
+@example([((1.0 - 2.0**-53, 5e-324), 500), ((5e-324, 1.0), 5)])
+@example([((0.5, -0.0), 3), ((0.5, 0.0), 3)])
+@example([((-0.0, 0.5), 2), ((0.5, 0.5), 2)])
+def test_replay_equals_the_list_keeping_running_accuracy(runs):
+    """The chain form's replayed row, diagonal, factors and matrix, both
+    metrics, and the errors of a bad step, are those of the list-keeping
+    class, bit for bit: in the chain form, across a switch at k = 1, 2 or
+    late, and in the row form. matrix() replays the factors and the
+    diagonal, which are compared at every step, so it is compared in full
+    at every step up to k = 40 and around every switch, and at the end."""
+    steps = [step for step, length in runs for _ in range(length)][:1000]
+    switches = {k for k in range(2, len(steps) + 1) if _raw(steps[k - 1]) != _raw(steps[k - 2])}
+    checked = {k + d for k in switches for d in (-1, 0, 1)} | {len(steps)}
+    new, old = RunningAccuracy(), OldRunningAccuracy()
+    for k, (factor, diagonal) in enumerate(steps, start=1):
+        new.advance(factor, diagonal)
+        old.advance(factor, diagonal)
+        assert len(new) == len(old) == k
+        for name in ("row", "diagonal", "factors"):
+            view = getattr(new, name)
+            assert type(view) is tuple and _raw(view) == _raw(getattr(old, name)), (name, k)
+        snap = running_snapshot(new, 1.0, 1.0)
+        assert _raw((snap.plasticity, snap.stability)) == _raw(old._metrics()), k
+        if k <= 40 or k in checked:
+            assert _matrix_raw(new.matrix()) == _matrix_raw(old.matrix()), k
+    # A bad step raises the same error and changes neither; the second
+    # repeats the chain's factor, so it reaches the range check too.
+    for bad in [(1.5, 0.5), (steps[-1][0], math.nan)]:
+        with pytest.raises(ValueError) as new_error:
+            new.advance(*bad)
+        with pytest.raises(ValueError) as old_error:
+            old.advance(*bad)
+        assert str(new_error.value) == str(old_error.value)
+    assert len(new) == len(steps) and _raw(new.row) == _raw(old.row)
+
+
+def test_constant_steps_hold_constant_memory():
+    """A run of equal steps keeps O(1) state: 10,000 steps leave no more
+    net allocated memory than 10 do, up to a small fixed slack."""
+
+    def net_bytes(steps):
+        running = RunningAccuracy()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(steps):
+                running.advance(0.999, 0.8)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(running) == steps
+        return after - before
+
+    assert net_bytes(10_000) <= net_bytes(10) + 512
+
+
 @pytest.mark.parametrize(
     "factor, diagonal",
     [(1.5, 0.5), (-0.1, 0.5), (0.5, 1.5), (0.5, float("nan")), (float("inf"), 0.5)],
@@ -248,8 +437,8 @@ def test_long_run_snapshots_equal_matrix_reference():
 
 def test_long_horizon_final_metrics_equal_matrix_reference():
     """The long-horizon benchmark's output check: the fixed proxy on server-er
-    at K=1000 keeps the chain form throughout, and the controller at K=200
-    leaves it at its first knob change."""
+    at K=1000 keeps the chain form throughout (no row list), and the
+    controller at K=200 leaves it at its first knob change."""
     base = load_bundled_scenario("server-er")
     fixed = dataclasses.replace(base, num_experiences=1000)
     controlled = dataclasses.replace(base, num_experiences=200)
@@ -257,10 +446,10 @@ def test_long_horizon_final_metrics_equal_matrix_reference():
     runs = []
     env = build_environment(fixed)
     runs.append((env, run_baseline(policy, fixed, env)))
-    assert env.accuracy._chained
+    assert env.accuracy._row is None
     env = build_environment(controlled)
     runs.append((env, run_control_loop(controlled, env)))
-    assert not env.accuracy._chained
+    assert env.accuracy._row is not None
     for env, trace in runs:
         k = len(env.accuracy)
         matrix = env.accuracy_matrix

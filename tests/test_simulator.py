@@ -22,6 +22,7 @@ from oclbudget import (
     load_profile_library,
 )
 from oclbudget.baselines import BaselinePolicy
+from oclbudget.cli import main as cli_main
 from oclbudget.controller import _run_policy, derive_knobs
 from oclbudget.scenario import (
     build_environment,
@@ -635,6 +636,42 @@ class TestDeclarativeFiles:
         bad.write_text(text.replace(anchor, f"  batch_sensitivity: {value}\n", 1))
         with pytest.raises(
             SchemaError, match=r"controller\.batch_sensitivity: must be a finite number"
+        ):
+            load_scenario(bad)
+
+    @pytest.mark.parametrize("value", ["1e-3", "1E-3", "1.0e-3", "10e-4"])
+    def test_exponent_form_number_loads(self, tmp_path, value):
+        # YAML 1.1 wants a dot and a signed exponent, so PyYAML's SafeLoader
+        # read 1e-3 as a string and the scenario was rejected (CLI exit 2).
+        text = (
+            default_profile_library_path().parent / "scenarios" / "xavier-gss.yaml"
+        ).read_text(encoding="utf-8")
+        anchor = "  threshold_decay: 0.001\n"
+        assert anchor in text
+        path = tmp_path / "xavier-gss.yaml"
+        path.write_text(text.replace(anchor, f"  threshold_decay: {value}\n", 1))
+        assert load_scenario(path) == load_bundled_scenario("xavier-gss")
+        out = tmp_path / "report.csv"
+        assert cli_main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("value", ["8192e0", "8.192e3", "8.192E+3"])
+    def test_exponent_form_capacity_loads(self, tmp_path, value):
+        text = default_profile_library_path().read_text(encoding="utf-8")
+        anchor = "    capacity_mb: 8192\n"
+        assert anchor in text
+        path = tmp_path / "lib.yaml"
+        path.write_text(text.replace(anchor, f"    capacity_mb: {value}\n", 1))
+        assert load_profile_library(path) == load_profile_library(default_profile_library_path())
+
+    def test_quoted_exponent_form_is_still_a_string(self, tmp_path):
+        text = (
+            default_profile_library_path().parent / "scenarios" / "xavier-gss.yaml"
+        ).read_text(encoding="utf-8")
+        anchor = "  threshold_decay: 0.001\n"
+        bad = tmp_path / "scenario.yaml"
+        bad.write_text(text.replace(anchor, "  threshold_decay: '1e-3'\n", 1))
+        with pytest.raises(
+            SchemaError, match=r"controller\.threshold_decay: expected a number, got '1e-3'"
         ):
             load_scenario(bad)
 
