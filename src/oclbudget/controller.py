@@ -241,10 +241,6 @@ def update_budgets(
             available = cap - optimizer_mb
             scalable = batch_fit + replay_fit
             if available <= 0 or scalable <= 0:
-                problem = (
-                    f"optimizer budget {optimizer_mb:.1f} MB leaves no room under the "
-                    f"{cap:.1f} MB cap"
-                )
                 continue
             scale = available / scalable
             batch_fit *= scale
@@ -254,13 +250,19 @@ def update_budgets(
                 batch_fit = math.nextafter(batch_fit, 0.0)
                 replay_fit = math.nextafter(replay_fit, 0.0)
             if batch_fit < memory.sample_mb or replay_fit < memory.frame_mb:
-                problem = (
-                    "projection pushed a budget below its minimum knob requirement "
-                    f"(batch {batch_fit:.3f} MB, replay {replay_fit:.3f} MB)"
-                )
                 continue
         return BudgetState(batch_fit, replay_fit, optimizer_mb, mode)
-    raise InfeasibleBudgetError(problem)
+    # No level fits. The loop's variables hold the last level's values, and
+    # the message words why that level failed; a level that fits never
+    # formats one.
+    if available <= 0 or scalable <= 0:
+        raise InfeasibleBudgetError(
+            f"optimizer budget {optimizer_mb:.1f} MB leaves no room under the {cap:.1f} MB cap"
+        )
+    raise InfeasibleBudgetError(
+        "projection pushed a budget below its minimum knob requirement "
+        f"(batch {batch_fit:.3f} MB, replay {replay_fit:.3f} MB)"
+    )
 
 
 def derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:

@@ -18,11 +18,12 @@ horizon stays under it; longer runs can exceed it (ROADMAP open item 1).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .controller import BudgetState, ControllerConfig, derive_knobs
+from .controller import BudgetState, ControllerConfig, OptimizerMode, derive_knobs
 from .errors import SchemaError
 from .metrics import Thresholds
 from .simulator import (
@@ -48,7 +49,9 @@ class ScenarioConfig:
     platform, but load_scenario copies platform.capacity_mb into
     controller.capacity_mb, so replacing platform does not move the
     controller's cap. The copy stays until perfbench stops reading
-    ControllerConfig.budget_cap_mb (ROADMAP open item 10)."""
+    ControllerConfig.budget_cap_mb (ROADMAP open item 10). Every build,
+    dataclasses.replace included, checks the name and that num_experiences
+    keeps the slowest reachable latency finite."""
 
     name: str
     platform: PlatformPreset
@@ -64,6 +67,38 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_name(self.name, "ScenarioConfig.name")
+        self._check_horizon()
+
+    def _check_horizon(self) -> None:
+        """Reject a horizon whose last experience could take an unbounded time.
+
+        Latency grows as growth^(e-1), so the last experience is the slowest.
+        Its bound takes the slowest knobs a run can reach: batch 1, the
+        advanced optimizer and every replay frame the platform's capacity
+        holds beside the base memory and one sample, with the full load and
+        the largest noise factor. If that bound overflows, a run could die
+        mid-way with a non-finite latency.
+        """
+        k, n, platform, memory = (
+            self.num_experiences, self.samples_per_experience, self.platform, self.controller.memory
+        )
+        room = platform.capacity_mb - memory.base_mb - memory.sample_mb
+        buffer = max(0, math.floor(room / memory.frame_mb))
+        try:
+            compute = self.response.compute_latency_s(
+                1, buffer, OptimizerMode.ADVANCED, k, n, platform.compute_scale
+            )
+            latency = (compute + n * platform.load_time_per_sample_s) * (
+                1.0 + self.response.noise_fraction
+            )
+        except OverflowError:
+            latency = math.inf
+        if not latency < math.inf:
+            raise SchemaError(
+                f"ScenarioConfig.num_experiences: {k} experiences overflow the latency "
+                f"model; at batch 1, buffer {buffer} and the advanced optimizer, "
+                f"experience {k} would take {latency} s"
+            )
 
     def initial_budget_state(self) -> BudgetState:
         return BudgetState(

@@ -38,7 +38,11 @@ from oclbudget import (
 )
 from oclbudget.cli import main as cli_main
 from oclbudget.harness import CSV_COLUMNS, Report
-from oclbudget.scenario import PREFERENCE_PRESETS, default_calibration_targets_path
+from oclbudget.scenario import (
+    PREFERENCE_PRESETS,
+    default_calibration_targets_path,
+    default_profile_library_path,
+)
 from oclbudget.simulator import profile_document
 
 
@@ -100,6 +104,43 @@ class TestLoadScenario:
         path.write_text(scenario_text(num_experiences="num_experiences: 0"))
         with pytest.raises(SchemaError, match="num_experiences"):
             load_scenario(path)
+
+    def test_horizon_that_overflows_the_latency_model_rejected(self):
+        # orin-gss grows latency 4% an experience. Its fixed proxy at K=19,000
+        # used to die near experience 18,100 with a bare ValueError from
+        # MetricSnapshot (latency inf); dataclasses.replace runs the check.
+        scenario = load_bundled_scenario("orin-gss")
+        with pytest.raises(
+            SchemaError, match=r"ScenarioConfig\.num_experiences: 19000 experiences overflow"
+        ):
+            dataclasses.replace(scenario, num_experiences=19000)
+        assert dataclasses.replace(scenario, num_experiences=17500).num_experiences == 17500
+
+    def test_growth_that_overflows_the_latency_model_rejected(self, tmp_path):
+        # growth ** 59 overflows, so a fixed run at K=60 used to raise a bare
+        # OverflowError from the latency model.
+        text = default_profile_library_path().read_text(encoding="utf-8")
+        anchor = "    per_experience_growth: 1.03\n"
+        assert anchor in text  # the er profile, the first in the file
+        library = tmp_path / "lib.yaml"
+        library.write_text(text.replace(anchor, "    per_experience_growth: 1.0e+6\n", 1))
+        path = tmp_path / "long.yaml"
+        path.write_text(scenario_text(num_experiences="num_experiences: 60"))
+        with pytest.raises(
+            SchemaError, match=r"ScenarioConfig\.num_experiences: 60 experiences overflow"
+        ):
+            load_scenario(path, library_path=library)
+        short = tmp_path / "short.yaml"
+        short.write_text(scenario_text(num_experiences="num_experiences: 40"))
+        assert load_scenario(short, library_path=library).num_experiences == 40
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_benchmark_horizons_build(self, name):
+        # The bundled K=10 files load; the benchmark runs them at K=200 (the
+        # controller) and server-er at K=500 and K=1000 (the fixed proxy).
+        scenario = load_bundled_scenario(name)
+        for k in (200, 500, 1000):
+            assert dataclasses.replace(scenario, num_experiences=k).num_experiences == k
 
     @pytest.mark.parametrize(
         "name", ['"xavier,gss"', """'say "hi"'""", '"line\\rbreak"', '"line\\nbreak"']

@@ -46,10 +46,26 @@ class TestAccuracyMatrix:
             m.add_row([0.1, 0.2, 0.3])
 
     def test_values_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            AccuracyMatrix([[1.5]])
-        with pytest.raises(ValueError):
-            AccuracyMatrix([[-0.1]])
+        # Each error names the first bad entry of the row and the row, even
+        # where NaN comes after a good entry, which min and max pass over.
+        nan, inf = float("nan"), float("inf")
+        cases = [
+            ([[1.5]], "accuracy 1.5 outside [0, 1] in row 1"),
+            ([[-0.1]], "accuracy -0.1 outside [0, 1] in row 1"),
+            ([[nan]], "accuracy nan outside [0, 1] in row 1"),
+            ([[0.5], [nan, 0.5]], "accuracy nan outside [0, 1] in row 2"),
+            ([[0.5], [0.5, nan]], "accuracy nan outside [0, 1] in row 2"),
+            ([[0.5], [0.5, 0.4], [0.3, nan, 1.5]], "accuracy nan outside [0, 1] in row 3"),
+            ([[0.5], [0.5, 0.4], [0.3, 1.5, nan]], "accuracy 1.5 outside [0, 1] in row 3"),
+            ([[inf]], "accuracy inf outside [0, 1] in row 1"),
+            ([[0.5], [0.2, -inf]], "accuracy -inf outside [0, 1] in row 2"),
+            ([[1.0000000000000002]], "accuracy 1.0000000000000002 outside [0, 1] in row 1"),
+            ([[0.5], [-5e-324, 0.5]], "accuracy -5e-324 outside [0, 1] in row 2"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(ValueError) as error:
+                AccuracyMatrix(rows)
+            assert str(error.value) == message, rows
 
     def test_lower_triangular_completeness(self):
         m = AccuracyMatrix([[0.9], [0.4, 0.8]])

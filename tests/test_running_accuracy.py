@@ -298,14 +298,18 @@ def test_replay_equals_the_list_keeping_running_accuracy(runs):
     class, bit for bit: in the chain form, across a switch at k = 1, 2 or
     late, and in the row form. matrix() replays the factors and the
     diagonal, which are compared at every step, so it is compared in full
-    at every step up to k = 40 and around every switch, and at the end."""
+    at every step up to k = 40 and around every switch, and at the end,
+    where each of its rows is also compared with the old class's row of
+    that step."""
     steps = [step for step, length in runs for _ in range(length)][:1000]
     switches = {k for k in range(2, len(steps) + 1) if _raw(steps[k - 1]) != _raw(steps[k - 2])}
     checked = {k + d for k in switches for d in (-1, 0, 1)} | {len(steps)}
     new, old = RunningAccuracy(), OldRunningAccuracy()
+    old_rows = []
     for k, (factor, diagonal) in enumerate(steps, start=1):
         new.advance(factor, diagonal)
         old.advance(factor, diagonal)
+        old_rows.append(_raw(old.row))
         assert len(new) == len(old) == k
         for name in ("row", "diagonal", "factors"):
             view = getattr(new, name)
@@ -314,6 +318,9 @@ def test_replay_equals_the_list_keeping_running_accuracy(runs):
         assert _raw((snap.plasticity, snap.stability)) == _raw(old._metrics()), k
         if k <= 40 or k in checked:
             assert _matrix_raw(new.matrix()) == _matrix_raw(old.matrix()), k
+    # The packed matrix holds, as array('d') bytes, every row the old class
+    # reported from its own lists: -0.0 and 5e-324 survive the packing.
+    assert _matrix_raw(new.matrix()) == old_rows
     # A bad step raises the same error and changes neither; the second
     # repeats the chain's factor, so it reaches the range check too.
     for bad in [(1.5, 0.5), (steps[-1][0], math.nan)]:
@@ -343,6 +350,26 @@ def test_constant_steps_hold_constant_memory():
         return after - before
 
     assert net_bytes(10_000) <= net_bytes(10) + 512
+
+
+def test_replayed_matrix_holds_packed_rows():
+    """The K=1000 matrix rebuilt after a fixed-proxy run (the long-horizon
+    benchmark's check) holds its 500,500 entries in at most 9 bytes each:
+    8 per packed double plus the row headers and spare room, where tuples
+    of floats held 32."""
+    sc = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=1000)
+    env = build_environment(sc)
+    run_baseline(BaselinePolicy.from_scenario(PolicyKind.FIXED, sc), sc, env)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix = env.accuracy_matrix
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = 1000 * 1001 // 2
+    assert len(matrix) == 1000 and len(matrix.row(1000)) == 1000
+    assert held <= 9 * entries, held / entries
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from oclbudget import (
     load_calibration_targets,
     load_profile_library,
 )
-from oclbudget.baselines import BaselinePolicy
+from oclbudget.baselines import BaselinePolicy, PolicyKind, run_baseline
 from oclbudget.cli import main as cli_main
 from oclbudget.controller import _run_policy, derive_knobs
 from oclbudget.scenario import (
@@ -432,6 +432,23 @@ class TestPrefetch:
         once = self.env(0.01)
         once.prefetch_next(1)
         assert env.train_experience(1, self.KNOBS) == once.train_experience(1, self.KNOBS)
+
+    def test_trained_experiences_are_unstaged(self):
+        # The loop stages experience e + 1 after training e, so a K=1000 run
+        # ends with only K + 1 staged, and staging two ahead hides both loads.
+        scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=1000)
+        env = build_environment(scenario)
+        run_baseline(BaselinePolicy.from_scenario(PolicyKind.FIXED, scenario), scenario, env)
+        assert len(env._staged) <= 1
+        ahead, staged_one_by_one = self.env(0.01), self.env(0.01)
+        ahead.prefetch_next(1)
+        ahead.prefetch_next(2)
+        latencies = [ahead.train_experience(e, self.KNOBS).latency_s for e in (1, 2)]
+        for e in (1, 2):
+            staged_one_by_one.prefetch_next(e)
+            assert staged_one_by_one.train_experience(e, self.KNOBS).latency_s == latencies[e - 1]
+        ahead.prefetch_next(1)  # already trained: nothing to stage
+        assert not ahead._staged
 
     def test_prefetch_changes_only_latency(self):
         on = self.env(0.001)
