@@ -35,7 +35,6 @@ each value spelled on its own would give.
 from __future__ import annotations
 
 import json
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -384,6 +383,8 @@ def _overhead_summary(
     scenario: ScenarioConfig, trace: RunTrace, recorder: OverheadRecorder
 ) -> OverheadSummary:
     """The overhead accounting of one controller run timed by recorder."""
+    import pickle  # only here: a program that never measures overhead skips it
+
     simulated = trace.total_latency_s()
     experiences = max(1, len(trace.records))
     final_budgets = trace.records[-1].budgets if trace.records else scenario.initial_budget_state()

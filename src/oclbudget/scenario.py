@@ -77,7 +77,10 @@ class ScenarioConfig:
         advanced optimizer and every replay frame the platform's capacity
         holds beside the base memory and one sample, with the full load and
         the largest noise factor. If that bound overflows, a run could die
-        mid-way with a non-finite latency.
+        mid-way with a non-finite latency. K times that bound caps the run's
+        total latency (RunTrace.total_latency_s), which overhead and prefetch
+        accounting divide by; it must stay finite too, with a factor of 2 to
+        spare for the rounding of a K-term sum.
         """
         k, n, platform, memory = (
             self.num_experiences, self.samples_per_experience, self.platform, self.controller.memory
@@ -93,11 +96,11 @@ class ScenarioConfig:
             )
         except OverflowError:
             latency = math.inf
-        if not latency < math.inf:
+        if not 2.0 * k * latency < math.inf:
             raise SchemaError(
                 f"ScenarioConfig.num_experiences: {k} experiences overflow the latency "
                 f"model; at batch 1, buffer {buffer} and the advanced optimizer, "
-                f"experience {k} would take {latency} s"
+                f"experience {k} would take {latency} s and the run up to {k * latency} s"
             )
 
     def initial_budget_state(self) -> BudgetState:

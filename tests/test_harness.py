@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oclbudget.cli as cli_module
 import oclbudget.harness as harness
 from oclbudget import (
+    BaselinePolicy,
     BudgetState,
     Knobs,
     MetricSnapshot,
@@ -34,6 +35,7 @@ from oclbudget import (
     load_scenario,
     measure_overhead,
     parse_report_csv,
+    run_baseline,
     run_suite,
 )
 from oclbudget.cli import main as cli_main
@@ -115,6 +117,22 @@ class TestLoadScenario:
         ):
             dataclasses.replace(scenario, num_experiences=19000)
         assert dataclasses.replace(scenario, num_experiences=17500).num_experiences == 17500
+
+    def test_horizon_whose_total_latency_overflows_rejected(self):
+        # K=17,852 passed when only the last experience was bounded, yet the
+        # fixed(1, 2000) run summed its latencies to inf, and measure_overhead
+        # and ablate_prefetch divide by that total. 17,603 is the new limit.
+        scenario = load_bundled_scenario("orin-gss")
+        for k in (17852, 17604):
+            with pytest.raises(
+                SchemaError, match=rf"ScenarioConfig\.num_experiences: {k} experiences overflow"
+            ):
+                dataclasses.replace(scenario, num_experiences=k)
+        longest = dataclasses.replace(scenario, num_experiences=17603)
+        trace = run_baseline(BaselinePolicy.fixed(1, 2000), longest)
+        assert trace.outcome is Outcome.COMPLETED
+        assert len(trace.records) == 17603
+        assert math.isfinite(trace.total_latency_s())
 
     def test_growth_that_overflows_the_latency_model_rejected(self, tmp_path):
         # growth ** 59 overflows, so a fixed run at K=60 used to raise a bare

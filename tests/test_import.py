@@ -1,5 +1,9 @@
-"""The package never loads scipy or numpy: not on import, not when running
-policies or training a noisy environment, and not when calibrating.
+"""What importing the package loads.
+
+It never loads scipy or numpy: not on import, not when running policies or
+training a noisy environment, and not when calibrating. Its own modules load
+on first use, so loading a scenario leaves the harness and the baselines
+unloaded, while every public name still imports as before.
 
 Each check runs in a fresh interpreter. Where a module is blocked with
 ``sys.modules[name] = None``, any attempt to import it raises ImportError.
@@ -7,6 +11,7 @@ Each check runs in a fresh interpreter. Where a module is blocked with
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -98,3 +103,116 @@ def test_calibrate_runs_without_scipy():
 
 def test_calibrate_with_numpy_blocked():
     assert _run(BLOCK_NUMPY + CALIBRATE) == BUNDLED_CALIBRATE_STDOUT
+
+
+# The public names, by the module that defines each.
+EXPORTS = {
+    "baselines": [
+        "ORACLE_BATCH_GRID", "ORACLE_BUFFER_GRID", "BaselinePolicy", "OracleResult",
+        "PolicyKind", "run_baseline", "run_oracle",
+    ],
+    "controller": [
+        "BudgetState", "ControllerConfig", "Knobs", "MemoryModel", "OptimizerMode", "Outcome",
+        "RunTrace", "TraceRecord", "derive_knobs", "run_control_loop", "threshold_at",
+        "update_budgets",
+    ],
+    "errors": [
+        "CalibrationError", "IncompleteMatrixError", "InfeasibleBudgetError",
+        "InvalidPreferenceError", "NumericDomainError", "OclBudgetError", "SchemaError",
+        "SimulationStateError",
+    ],
+    "harness": [
+        "Report", "ablate_prefetch", "emit_report", "measure_overhead", "parse_report_csv",
+        "run_suite",
+    ],
+    "metrics": [
+        "AccuracyMatrix", "MetricSnapshot", "RunningAccuracy", "Thresholds", "plasticity",
+        "running_snapshot", "snapshot", "stability",
+    ],
+    "scenario": [
+        "PREFERENCE_PRESETS", "ScenarioConfig", "build_environment", "bundled_scenario_names",
+        "bundled_scenario_path", "load_bundled_scenario", "load_scenario",
+    ],
+    "simulator": [
+        "CalibrationResult", "CalibrationTargets", "PlatformPreset", "ResponseModel",
+        "SimulatedEnvironment", "TrainResult", "calibrate_profile", "load_calibration_targets",
+        "load_profile_library",
+    ],
+    "urge": ["UrgeScore", "Weights", "compute_urge", "weights_from_preference"],
+}
+ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+SUBMODULES = sorted(EXPORTS) + ["cli", "record", "yamlcfg"]
+
+
+def test_export_list_has_every_public_name():
+    assert len(ALL_NAMES) == 61
+    assert sorted(oclbudget.__all__) == ALL_NAMES
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, oclbudget\nprint([m for m in sys.modules if m.startswith('oclbudget.')])"
+    assert _run(code) == "[]"
+    assert _run("import sys, oclbudget\nprint(vars(oclbudget)['__version__'])") == "0.1.0"
+
+
+def test_loading_a_scenario_leaves_harness_baselines_and_pickle_unloaded():
+    code = (
+        "import sys, oclbudget\n"
+        "oclbudget.load_bundled_scenario('xavier-gss')\n"
+        "print([m for m in ('oclbudget.harness', 'oclbudget.baselines', 'pickle', 'json')"
+        " if m in sys.modules])"
+    )
+    assert _run(code) == "[]"
+
+
+EVERY_NAME_IMPORTS = """\
+import importlib, json, oclbudget
+bad = []
+for module, names in EXPORTS.items():
+    for name in names:
+        if name not in dir(oclbudget) or name not in oclbudget.__all__:
+            bad.append(name)
+        scope = {}
+        exec(f"from oclbudget import {name}", scope)
+        if scope[name] is not getattr(importlib.import_module(f"oclbudget.{module}"), name):
+            bad.append(name)
+print(json.dumps(bad))
+"""
+
+
+def test_every_public_name_imports_from_its_module():
+    assert json.loads(_run(f"EXPORTS = {EXPORTS!r}\n" + EVERY_NAME_IMPORTS)) == []
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "import json\n"
+        "from oclbudget import *\n"
+        "names = [n for n in dir() if not n.startswith('_') and n != 'json']\n"
+        "print(json.dumps(sorted(names)))"
+    )
+    assert json.loads(_run(code)) == ALL_NAMES
+
+
+def test_submodule_resolves_after_bare_import():
+    code = (
+        "import json, types, oclbudget\n"
+        f"print(json.dumps([n for n in {SUBMODULES!r}"
+        " if not isinstance(getattr(oclbudget, n), types.ModuleType)]))"
+    )
+    assert json.loads(_run(code)) == []
+
+
+def test_unknown_name_raises():
+    code = (
+        "import oclbudget\n"
+        "try:\n"
+        "    oclbudget.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    from oclbudget import no_such_name\n"
+        "except ImportError:\n"
+        "    print('ImportError')"
+    )
+    assert _run(code) == "module 'oclbudget' has no attribute 'no_such_name'\nImportError"
