@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import InfeasibleBudgetError
+from .errors import InfeasibleBudgetError, check_ranges, ranges, reject
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
 from .record import Record
 from .urge import UrgeScore, urge_scorer, weights_from_preference
@@ -96,11 +96,13 @@ class MemoryModel:
     spike_threshold: int  # residency term activates above this buffer size
     spike_coeff: float  # MB per (frame above threshold)^2
 
+    _RANGES = ranges({
+        "[0, inf)": "base_mb optimizer_delta_mb spike_threshold spike_coeff",
+        "[1e-9, inf)": "sample_mb frame_mb",
+    })
+
     def __post_init__(self):
-        if self.base_mb < 0 or self.optimizer_delta_mb < 0:
-            raise ValueError("memory figures must be >= 0")
-        if self.sample_mb <= 0 or self.frame_mb <= 0:
-            raise ValueError("per-item memory costs must be > 0")
+        check_ranges(self, self._RANGES)
 
     def memory_mb(self, knobs: Knobs) -> float:
         plugin = self.optimizer_delta_mb if knobs.optimizer_mode is _ADVANCED else 0.0
@@ -125,25 +127,25 @@ class ControllerConfig:
     default optimizer budget; the advanced budget adds the optimizer delta.
     """
 
-    initial_threshold: float  # in (0, 1)
-    threshold_decay: float  # per experience, >= 0
-    batch_sensitivity: float  # alpha, >= 0
-    replay_sensitivity: float  # beta, >= 0
+    initial_threshold: float
+    threshold_decay: float  # per experience
+    batch_sensitivity: float  # alpha
+    replay_sensitivity: float  # beta
     memory: MemoryModel
     capacity_mb: float
     safety_margin: float = 0.05
 
+    _RANGES = ranges({
+        "[1e-12, 1)": "initial_threshold",
+        "[0, inf)": "threshold_decay batch_sensitivity replay_sensitivity",
+        "[0, 0.99]": "safety_margin",
+    })
+
     def __post_init__(self):
-        if not 0.0 < self.initial_threshold < 1.0:
-            raise ValueError(f"initial threshold must be in (0, 1), got {self.initial_threshold}")
-        if self.threshold_decay < 0:
-            raise ValueError("threshold decay must be >= 0")
-        if self.batch_sensitivity < 0 or self.replay_sensitivity < 0:
-            raise ValueError("sensitivities must be >= 0")
-        if self.capacity_mb <= self.optimizer_default_mb:
-            raise ValueError("capacity must exceed the default optimizer budget")
-        if not 0.0 <= self.safety_margin < 1.0:
-            raise ValueError("safety margin must be in [0, 1)")
+        check_ranges(self, self._RANGES)
+        if not self.optimizer_default_mb < self.capacity_mb < _INF:
+            rule = f"must be finite and above the {self.optimizer_default_mb} MB base memory"
+            reject(self, "capacity_mb", f"{rule}, got {self.capacity_mb!r}")
 
     @property
     def optimizer_default_mb(self) -> float:

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check each
+config record runs on its own fields."""
+
+import math
+from operator import attrgetter
 
 
 class OclBudgetError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; reject sets field and rule."""
+
+    field = rule = None
 
 
 class IncompleteMatrixError(OclBudgetError):
@@ -34,8 +40,38 @@ class CalibrationError(OclBudgetError):
     """Calibration targets are infeasible or the fit residual is too large."""
 
 
-class SchemaError(OclBudgetError):
-    """A declarative config file failed validation. Message names the key path."""
+class SchemaError(OclBudgetError, ValueError):
+    """A config value breaks a rule. Its record raises it naming Record.field
+    (reject); a loader re-raises it naming the file's dotted key path."""
+
+
+def reject(record, field: str, rule: str, error: type = SchemaError):
+    """Raise error as "Record.field: rule", keeping field and rule."""
+    exc = error(f"{type(record).__name__}.{field}: {rule}")
+    exc.field, exc.rule = field, rule
+    raise exc
+
+
+def ranges(intervals: dict[str, str]) -> tuple:
+    """Compile {interval: "field field ..."} for check_ranges. An interval is
+    written like "[0, 1)" or "[1e-9, inf)", and an open end is the nearest
+    float inside it, so "inf)" excludes the infinities; a dotted field reads
+    a nested record."""
+    rules = []
+    for text, fields in intervals.items():
+        lo, hi = (float(end) for end in text[1:-1].split(","))
+        lo = lo if text[0] == "[" else math.nextafter(lo, math.inf)
+        hi = hi if text[-1] == "]" else math.nextafter(hi, -math.inf)
+        rules += [(field, attrgetter(field), lo, hi, text) for field in fields.split()]
+    return tuple(rules)
+
+
+def check_ranges(record, rules: tuple, error: type = SchemaError) -> None:
+    """Reject the first field outside its interval (ranges); NaN is in none."""
+    for field, value_of, lo, hi, text in rules:
+        value = value_of(record)
+        if not lo <= value <= hi:
+            reject(record, field, f"must be in {text}, got {value!r}", error)
 
 
 class SimulationStateError(OclBudgetError):

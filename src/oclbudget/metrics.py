@@ -66,7 +66,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import IncompleteMatrixError
+from .errors import IncompleteMatrixError, check_ranges, ranges
 from .record import Record
 
 
@@ -311,9 +311,10 @@ class Thresholds:
     latency_s: float
     memory_mb: float
 
+    _RANGES = ranges({"(0, inf]": "memory_mb"})
+
     def __post_init__(self):
-        if not self.memory_mb > 0:
-            raise ValueError(f"memory threshold must be > 0, got {self.memory_mb}")
+        check_ranges(self, self._RANGES)
 
 
 class MetricSnapshot(Record):

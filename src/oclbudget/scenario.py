@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .controller import BudgetState, ControllerConfig, OptimizerMode, derive_knobs
-from .errors import SchemaError
+from .errors import InvalidPreferenceError, SchemaError, check_ranges, ranges, reject
 from .metrics import Thresholds
 from .simulator import (
     PlatformPreset,
@@ -33,8 +33,8 @@ from .simulator import (
     SimulatedEnvironment,
     load_profile_library,
 )
-from .urge import METRIC_NAMES
-from .yamlcfg import Section, check_schema_version, load_yaml_mapping
+from .urge import weights_from_preference
+from .yamlcfg import Section, build, check_schema_version, load_yaml_mapping
 
 PREFERENCE_PRESETS: dict[str, tuple[str, ...]] = {
     "balanced": ("memory", "plasticity", "stability", "latency"),
@@ -45,13 +45,16 @@ PREFERENCE_PRESETS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One validated scenario file. The environment reads the device from
-    platform, but load_scenario copies platform.capacity_mb into
-    controller.capacity_mb, so replacing platform does not move the
-    controller's cap. The copy stays until perfbench stops reading
-    ControllerConfig.budget_cap_mb (ROADMAP open item 10). Every build,
-    dataclasses.replace included, checks the name and that num_experiences
-    keeps the slowest reachable latency finite."""
+    """One validated scenario. A loaded file, a direct build and
+    dataclasses.replace obey the same rules: each record checks its own
+    fields, and __post_init__ what spans fields, raising a SchemaError that
+    names Record.field (load_scenario names the file's key instead).
+
+    The environment reads the device from platform, but load_scenario
+    copies platform.capacity_mb into controller.capacity_mb, so replacing
+    platform does not move the controller's cap. The copy stays until
+    perfbench stops reading ControllerConfig.budget_cap_mb (ROADMAP open
+    item 10)."""
 
     name: str
     platform: PlatformPreset
@@ -65,8 +68,32 @@ class ScenarioConfig:
     initial_batch_mb: float
     initial_replay_mb: float
 
+    _RANGES = ranges({
+        "[1, inf)": "num_experiences samples_per_experience thresholds.memory_mb",
+        "[0, inf)": "seed thresholds.latency_s initial_batch_mb initial_replay_mb",
+        "[0, 1]": "thresholds.plasticity thresholds.stability",
+    })
+
     def __post_init__(self):
-        _check_name(self.name, "ScenarioConfig.name")
+        # The CSV report writes the name unquoted in every row.
+        if any(c in self.name for c in ',"\r\n'):
+            rule = "must not contain a comma, a double quote or a line break"
+            reject(self, "name", f"{self.name!r} {rule}")
+        check_ranges(self, self._RANGES)
+        try:
+            weights_from_preference(self.preference)
+        except InvalidPreferenceError as exc:
+            reject(self, "preference", str(exc))
+        # The initial budgets, and their knobs' memory with the residency term
+        # the budget total omits, must fit under the controller's cap.
+        state, cap = self.initial_budget_state(), self.controller.budget_cap_mb
+        above = f"above the {cap:.1f} MB cap"
+        if state.total_mb > cap:
+            reject(self, "controller", f"initial budgets total {state.total_mb:.1f} MB, {above}")
+        knobs = derive_knobs(state, self.controller)
+        if (need := self.controller.memory.memory_mb(knobs)) > cap:
+            knob = f"batch {knobs.batch_size}, buffer {knobs.buffer_size}"
+            reject(self, "controller", f"the initial knobs ({knob}) need {need:.1f} MB, {above}")
         self._check_horizon()
 
     def _check_horizon(self) -> None:
@@ -97,11 +124,9 @@ class ScenarioConfig:
         except OverflowError:
             latency = math.inf
         if not 2.0 * k * latency < math.inf:
-            raise SchemaError(
-                f"ScenarioConfig.num_experiences: {k} experiences overflow the latency "
-                f"model; at batch 1, buffer {buffer} and the advanced optimizer, "
-                f"experience {k} would take {latency} s and the run up to {k * latency} s"
-            )
+            slowest = f"at batch 1, buffer {buffer} and the advanced optimizer, experience {k}"
+            rule = f"{k} experiences overflow the latency model; {slowest} would take {latency} s"
+            reject(self, "num_experiences", f"{rule} and the run up to {k * latency} s")
 
     def initial_budget_state(self) -> BudgetState:
         return BudgetState(
@@ -115,16 +140,9 @@ class ScenarioConfig:
         return dataclasses.replace(self, seed=int(seed))
 
 
-def _check_name(name: str, where: str) -> None:
-    # The CSV report writes the name unquoted in every row.
-    if any(c in name for c in ',"\r\n'):
-        raise SchemaError(
-            f"{where}: {name!r} must not contain a comma, a double quote or a line break"
-        )
-
-
-def resolve_preference(preference) -> tuple[str, str, str, str]:
-    """Accept a preset name or an explicit 4-item ordering."""
+def resolve_preference(preference) -> tuple[str, ...]:
+    """A preset name's ordering, or an explicit ordering as a tuple of names;
+    ScenarioConfig checks that it names each metric once."""
     if isinstance(preference, str):
         if preference not in PREFERENCE_PRESETS:
             raise SchemaError(
@@ -132,12 +150,7 @@ def resolve_preference(preference) -> tuple[str, str, str, str]:
                 f"known presets: {sorted(PREFERENCE_PRESETS)}"
             )
         return PREFERENCE_PRESETS[preference]
-    names = tuple(str(p) for p in preference)
-    if sorted(names) != sorted(METRIC_NAMES):
-        raise SchemaError(
-            f"preference must be a permutation of {METRIC_NAMES}, got {list(names)}"
-        )
-    return names
+    return tuple(map(str, preference))
 
 
 def default_profile_library_path() -> Path:
@@ -175,11 +188,23 @@ def _library(path: str | Path | None) -> ProfileLibrary:
     return _library_cache[resolved]
 
 
-def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -> ScenarioConfig:
-    """Load and validate one scenario file; unknown keys are rejected.
+def _lookup(root: Section, key: str, table: dict):
+    name = root.take(key, kind=str)
+    if name not in table:
+        raise SchemaError(
+            f"{root.path}.{key}: unknown {key} {name!r}; available: {sorted(table)}"
+        )
+    return table[name]
 
-    So are initial budgets whose total, or whose knobs' memory with the
-    residency term, is above the controller's cap.
+
+def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -> ScenarioConfig:
+    """Parse one scenario file; unknown keys are rejected.
+
+    It only parses: keys, types, finite numbers, the platform and profile
+    names and the memory_mb default. Every range and cross-field rule is the
+    records' own, the same for a file as for a ScenarioConfig built in
+    code; a rejection is re-raised naming the key, e.g.
+    <file>.controller.initial_threshold.
     """
     library = _library(library_path)
     doc = load_yaml_mapping(path)
@@ -187,84 +212,37 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     check_schema_version(doc, label)
     root = Section(doc, label)
 
-    name = root.take("name", kind=str)
-    _check_name(name, f"{label}.name")
-    platform_name = root.take("platform", kind=str)
-    if platform_name not in library.platforms:
-        raise SchemaError(
-            f"{label}.platform: unknown platform {platform_name!r}; "
-            f"available: {sorted(library.platforms)}"
-        )
-    platform = library.platforms[platform_name]
-
-    profile_name = root.take("profile", kind=str)
-    if profile_name not in library.profiles:
-        raise SchemaError(
-            f"{label}.profile: unknown profile {profile_name!r}; "
-            f"available: {sorted(library.profiles)}"
-        )
-    response, memory = library.profiles[profile_name]
-
-    num_experiences = root.take_int("num_experiences", minimum=1)
-    samples = root.take_int("samples_per_experience", minimum=1)
-    seed = root.take_int("seed", minimum=0)
-    preference = resolve_preference(root.take("preference", kind=(str, list)))
+    platform = _lookup(root, "platform", library.platforms)
+    response, memory = _lookup(root, "profile", library.profiles)
+    values = {"name": root.take("name", kind=str), "platform": platform, "response": response}
+    for key in ("num_experiences", "samples_per_experience", "seed"):
+        values[key] = root.take(key, kind=int)
+    preference = root.take("preference", kind=(str, list))
+    try:
+        values["preference"] = resolve_preference(preference)
+    except SchemaError as exc:  # an unknown preset name
+        raise SchemaError(f"{label}.preference: {exc}") from exc
 
     th = root.section("thresholds")
-    memory_mb = th.take_number("memory_mb", default=None, minimum=1.0)
-    thresholds = Thresholds(
-        plasticity=th.take_number("plasticity", minimum=0.0, maximum=1.0),
-        stability=th.take_number("stability", minimum=0.0, maximum=1.0),
-        latency_s=th.take_number("latency_s", minimum=0.0),
-        memory_mb=platform.capacity_mb if memory_mb is None else memory_mb,
-    )
+    thresholds = {key: th.take_number(key) for key in ("plasticity", "stability", "latency_s")}
+    thresholds["memory_mb"] = th.take_number("memory_mb", default=platform.capacity_mb)
     th.finish()
-
     ctrl = root.section("controller")
-    config = ControllerConfig(
-        initial_threshold=ctrl.take_number("initial_threshold", minimum=1e-12, maximum=1.0),
-        threshold_decay=ctrl.take_number("threshold_decay", minimum=0.0),
-        batch_sensitivity=ctrl.take_number("batch_sensitivity", minimum=0.0),
-        replay_sensitivity=ctrl.take_number("replay_sensitivity", minimum=0.0),
-        memory=memory,
-        capacity_mb=platform.capacity_mb,
-        safety_margin=ctrl.take_number("safety_margin", default=0.05, minimum=0.0, maximum=0.99),
-    )
-    initial_batch_mb = ctrl.take_number("initial_batch_mb", minimum=0.0)
-    initial_replay_mb = ctrl.take_number("initial_replay_mb", minimum=0.0)
+    knobs = ("initial_threshold", "threshold_decay", "batch_sensitivity", "replay_sensitivity")
+    config = {key: ctrl.take_number(key) for key in knobs}
+    config["safety_margin"] = ctrl.take_number("safety_margin", default=0.05)
+    for key in ("initial_batch_mb", "initial_replay_mb"):
+        values[key] = ctrl.take_number(key)
     ctrl.finish()
-
-    initial_state = BudgetState(initial_batch_mb, initial_replay_mb, config.optimizer_default_mb)
-    if initial_state.total_mb > config.budget_cap_mb:
-        raise SchemaError(
-            f"{label}.controller: initial budgets total {initial_state.total_mb:.1f} MB, "
-            f"above the {config.budget_cap_mb:.1f} MB cap"
-        )
-    # The knobs also pay the residency term, which the budget total omits.
-    initial_knobs = derive_knobs(initial_state, config)
-    initial_memory = memory.memory_mb(initial_knobs)
-    if initial_memory > config.budget_cap_mb:
-        raise SchemaError(
-            f"{label}.controller: the initial knobs (batch {initial_knobs.batch_size}, "
-            f"buffer {initial_knobs.buffer_size}) need {initial_memory:.1f} MB, above the "
-            f"{config.budget_cap_mb:.1f} MB cap"
-        )
-
     root.finish()
 
-    return ScenarioConfig(
-        name=name,
-        platform=platform,
-        response=response,
-        num_experiences=num_experiences,
-        samples_per_experience=samples,
-        seed=seed,
-        preference=preference,
-        thresholds=thresholds,
-        controller=config,
-        initial_batch_mb=initial_batch_mb,
-        initial_replay_mb=initial_replay_mb,
-    )
+    values["thresholds"] = build(Thresholds, th.path, thresholds)
+    # A controller key's rule names it; the controller's capacity is the platform's.
+    keys = {key: f"controller.{key}" for key in [*config, "initial_batch_mb", "initial_replay_mb"]}
+    keys["capacity_mb"] = "platform"
+    config.update(memory=memory, capacity_mb=platform.capacity_mb)
+    values["controller"] = build(ControllerConfig, label, config, keys)
+    return build(ScenarioConfig, label, values, keys)
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:

@@ -56,6 +56,7 @@ module, so importing it loads nothing beyond the standard library and PyYAML.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -64,9 +65,10 @@ from typing import Optional, Sequence
 
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
+from .errors import check_ranges, ranges, reject
 from .metrics import AccuracyMatrix, RunningAccuracy
 from .record import Record
-from .yamlcfg import Section, check_schema_version, finite_number, load_yaml_mapping
+from .yamlcfg import Section, build, check_schema_version, finite_number, load_yaml_mapping
 
 # A module global, read per call far more cheaply than the Enum member.
 _ADVANCED = OptimizerMode.ADVANCED
@@ -85,10 +87,10 @@ class ResponseModel:
 
     compute_cost_per_sample_s: float
     replay_sampling_cost_s: float
-    optimizer_latency_multiplier: float  # advanced mode, >= 1
-    per_experience_growth: float  # workload complexity drift, >= 1
+    optimizer_latency_multiplier: float  # advanced mode
+    per_experience_growth: float  # workload complexity drift
     batch_knee: int  # compute-bound knee
-    stability_gain_max: float  # s_max in [0, 1]
+    stability_gain_max: float  # s_max
     stability_buffer_scale: float  # R0
     plasticity_max: float
     plasticity_updates_scale: float  # u0: gradient updates to near-saturation
@@ -96,19 +98,16 @@ class ResponseModel:
     forgetting_rate: float  # per-experience decay at zero replay
     noise_fraction: float = 0.0  # seeded jitter on latency and new accuracy
 
+    _RANGES = ranges({
+        "[0, inf)": "compute_cost_per_sample_s replay_sampling_cost_s advanced_plasticity_bonus",
+        "[1, inf)": "optimizer_latency_multiplier per_experience_growth batch_knee",
+        "[1e-9, inf)": "stability_buffer_scale plasticity_updates_scale",
+        "[0, 1]": "stability_gain_max plasticity_max forgetting_rate",
+        "[0, 1)": "noise_fraction",  # so a jitter factor 1 + noise_fraction * u stays > 0
+    })
+
     def __post_init__(self):
-        if self.compute_cost_per_sample_s < 0 or self.replay_sampling_cost_s < 0:
-            raise ValueError("costs must be >= 0")
-        if self.optimizer_latency_multiplier < 1.0 or self.per_experience_growth < 1.0:
-            raise ValueError("multipliers must be >= 1")
-        if self.batch_knee < 1:
-            raise ValueError("batch knee must be >= 1")
-        if not 0.0 <= self.stability_gain_max <= 1.0:
-            raise ValueError("stability gain bound must be in [0, 1]")
-        if not 0.0 <= self.forgetting_rate <= 1.0:
-            raise ValueError("forgetting rate must be in [0, 1]")
-        if not 0.0 <= self.noise_fraction < 1.0:
-            raise ValueError("noise fraction must be in [0, 1)")
+        check_ranges(self, self._RANGES)
 
     def knob_latency_terms(
         self, batch_size: int, buffer_size: int, mode: OptimizerMode, n_samples: int
@@ -168,12 +167,14 @@ class PlatformPreset:
     compute_scale: float
     load_time_per_sample_s: float
 
+    _RANGES = ranges({
+        "[1, inf)": "capacity_mb",
+        "[1e-9, inf)": "compute_scale",
+        "[0, inf)": "load_time_per_sample_s",
+    })
+
     def __post_init__(self):
-        # Chained comparisons, so NaN fails them too.
-        if not (0.0 < self.capacity_mb < math.inf and 0.0 < self.compute_scale < math.inf):
-            raise ValueError("capacity and compute scale must be finite and > 0")
-        if not 0.0 <= self.load_time_per_sample_s < math.inf:
-            raise ValueError("load time must be finite and >= 0")
+        check_ranges(self, self._RANGES)
 
 
 class TrainResult(Record):
@@ -345,6 +346,48 @@ class CalibrationTargets:
     plugin_memory_off_mb: float
     plugin_memory_on_mb: float
 
+    _RANGES = ranges({
+        "[1, inf)": "samples_per_experience",
+        "(0, inf)": "plugin_latency_off_s plugin_latency_on_s",
+        "[0, inf)": "plugin_memory_off_mb plugin_memory_on_mb",
+    })
+
+    def __post_init__(self):
+        def fail(field, rule):
+            reject(self, field, rule, CalibrationError)
+
+        for group, size in (("latency", "batch"), ("memory", "batch"), ("stability", "buffer")):
+            field = f"{group}_points"
+            points = getattr(self, field)
+            if len(points) < 3:
+                fail(field, f"need {group} targets at >= 3 {size} sizes")
+            if any(s < 1 for s, _ in points):
+                fail(field, f"{group} targets must use {size} sizes >= 1")
+        if any(v <= 0 for _, v in self.latency_points):
+            fail("latency_points", "latency targets must be > 0")
+        if any(v <= 0 for _, v in self.memory_points):
+            fail("memory_points", "memory targets must be > 0")
+        lat = sorted(self.latency_points)
+        if any(b2 <= b1 for (b1, _), (b2, _) in zip(lat, lat[1:])):
+            fail("latency_points", "latency targets must use distinct batch sizes")
+        if any(l2 >= l1 for (_, l1), (_, l2) in zip(lat, lat[1:])):
+            fail("latency_points", "latency targets must be strictly decreasing in batch size")
+        mem = sorted(self.memory_points)
+        if any(b2 <= b1 for (b1, _), (b2, _) in zip(mem, mem[1:])):
+            fail("memory_points", "memory targets must use distinct batch sizes")
+        if any(m2 <= m1 for (_, m1), (_, m2) in zip(mem, mem[1:])):
+            fail("memory_points", "memory targets must be strictly increasing in batch size")
+        stab = sorted(self.stability_points)
+        if any(s2 < s1 for (_, s1), (_, s2) in zip(stab, stab[1:])):
+            fail("stability_points", "stability targets must be non-decreasing in buffer size")
+        if any(not 0.0 <= s <= 1.0 for _, s in stab):
+            fail("stability_points", "stability targets must lie in [0, 1]")
+        check_ranges(self, self._RANGES, CalibrationError)
+        if self.plugin_latency_on_s < self.plugin_latency_off_s:
+            fail("plugin_latency_on_s", "plugin latency must not decrease when enabled")
+        if self.plugin_memory_on_mb < self.plugin_memory_off_mb:
+            fail("plugin_memory_on_mb", "plugin memory must not decrease when enabled")
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -373,51 +416,6 @@ _UNCONSTRAINED_DEFAULTS = dict(
     replay_sampling_cost_s=0.002,
     per_experience_growth=1.03,
 )
-
-
-def _validate_target_shapes(targets: CalibrationTargets) -> None:
-    groups = (
-        ("latency", targets.latency_points, "batch"),
-        ("memory", targets.memory_points, "batch"),
-        ("stability", targets.stability_points, "buffer"),
-    )
-    for group, points, size in groups:
-        if len(points) < 3:
-            raise CalibrationError(f"need {group} targets at >= 3 {size} sizes")
-        if any(s < 1 for s, _ in points):
-            raise CalibrationError(f"{group} targets must use {size} sizes >= 1")
-    if any(v <= 0 for _, v in targets.latency_points):
-        raise CalibrationError("latency targets must be > 0")
-    if any(v <= 0 for _, v in targets.memory_points):
-        raise CalibrationError("memory targets must be > 0")
-
-    lat = sorted(targets.latency_points)
-    if any(b2 <= b1 for (b1, _), (b2, _) in zip(lat, lat[1:])):
-        raise CalibrationError("latency targets must use distinct batch sizes")
-    if any(l2 >= l1 for (_, l1), (_, l2) in zip(lat, lat[1:])):
-        raise CalibrationError(
-            "latency targets must be strictly decreasing in batch size"
-        )
-    mem = sorted(targets.memory_points)
-    if any(b2 <= b1 for (b1, _), (b2, _) in zip(mem, mem[1:])):
-        raise CalibrationError("memory targets must use distinct batch sizes")
-    if any(m2 <= m1 for (_, m1), (_, m2) in zip(mem, mem[1:])):
-        raise CalibrationError(
-            "memory targets must be strictly increasing in batch size"
-        )
-    stab = sorted(targets.stability_points)
-    if any(s2 < s1 for (_, s1), (_, s2) in zip(stab, stab[1:])):
-        raise CalibrationError(
-            "stability targets must be non-decreasing in buffer size"
-        )
-    if any(not 0.0 <= s <= 1.0 for _, s in stab):
-        raise CalibrationError("stability targets must lie in [0, 1]")
-    if targets.plugin_latency_off_s <= 0 or targets.plugin_latency_on_s <= 0:
-        raise CalibrationError("plugin latency targets must be > 0")
-    if targets.plugin_latency_on_s < targets.plugin_latency_off_s:
-        raise CalibrationError("plugin latency must not decrease when enabled")
-    if targets.plugin_memory_on_mb < targets.plugin_memory_off_mb:
-        raise CalibrationError("plugin memory must not decrease when enabled")
 
 
 def _fit_latency(
@@ -530,9 +528,9 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     Fits (cost_per_sample, knee) to the latency curve, (base, m_act) to the
     memory line, and (s_max, R0) to the stability saturation; the optimizer
     multiplier and memory delta come directly from the plugin pair. Fails
-    with CalibrationError if the anchors are malformed (fewer than 3 per
-    group, sizes below 1, repeated batch sizes, non-monotone values) or if
-    any group's max relative residual exceeds 20% or is not finite.
+    with CalibrationError if any group's max relative residual exceeds 20%
+    or is not finite; malformed anchors (fewer than 3 per group, sizes
+    below 1, repeated batch sizes, non-monotone values) cannot be built.
 
     The latency and stability models are each linear in one parameter, so
     each fit is separable: for a fixed knee (or R0) the linear parameter has
@@ -543,7 +541,6 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     closed-form ordinary least-squares line. All of it is plain Python over
     a handful of anchor points.
     """
-    _validate_target_shapes(targets)
     n = targets.samples_per_experience
 
     # Latency: L(B) = n * c * max(1, knee / B), fitted in relative terms.
@@ -622,6 +619,30 @@ class ProfileLibrary:
     profiles: dict[str, tuple[ResponseModel, MemoryModel]]
 
 
+# The profile file format: each key of a profiles.<name> section, in file
+# order, and the ResponseModel or MemoryModel field it sets. ResponseModel's
+# keys are its field names.
+_PROFILE_KEYS: dict[str, tuple[type, str]] = {
+    **{f.name: (ResponseModel, f.name) for f in dataclasses.fields(ResponseModel)},
+    "base_memory_mb": (MemoryModel, "base_mb"),
+    "optimizer_memory_delta_mb": (MemoryModel, "optimizer_delta_mb"),
+    "activation_mb_per_sample": (MemoryModel, "sample_mb"),
+    "replay_frame_mb": (MemoryModel, "frame_mb"),
+    "buffer_spike_threshold": (MemoryModel, "spike_threshold"),
+    "buffer_spike_coeff": (MemoryModel, "spike_coeff"),
+}
+_KEY_OF_FIELD = {field: key for key, (_, field) in _PROFILE_KEYS.items()}
+
+
+def _take_field(sec: Section, key: str, record: type, field: str):
+    """A field's value as its annotation says: an int, or a finite number."""
+    spec = record.__dataclass_fields__[field]
+    if spec.type in (int, "int"):
+        return sec.take(key, kind=int)
+    default = ... if spec.default is dataclasses.MISSING else spec.default
+    return sec.take_number(key, default=default)
+
+
 def load_profile_library(path: str | Path) -> ProfileLibrary:
     doc = load_yaml_mapping(path)
     label = str(path)
@@ -632,78 +653,32 @@ def load_profile_library(path: str | Path) -> ProfileLibrary:
     platform_sec = root.section("platforms")
     for name in platform_sec.keys():
         sec = platform_sec.section(name)
-        platforms[name] = PlatformPreset(
-            capacity_mb=sec.take_number("capacity_mb", minimum=1.0),
-            compute_scale=sec.take_number("compute_scale", minimum=1e-9),
-            load_time_per_sample_s=sec.take_number("load_time_per_sample_s", minimum=0.0),
-        )
+        values = {f.name: sec.take_number(f.name) for f in dataclasses.fields(PlatformPreset)}
         sec.finish()
+        platforms[name] = build(PlatformPreset, sec.path, values)
     platform_sec.finish()
 
     profiles: dict[str, tuple[ResponseModel, MemoryModel]] = {}
     profile_sec = root.section("profiles")
     for name in profile_sec.keys():
         sec = profile_sec.section(name)
-        response = ResponseModel(
-            compute_cost_per_sample_s=sec.take_number("compute_cost_per_sample_s", minimum=0.0),
-            replay_sampling_cost_s=sec.take_number("replay_sampling_cost_s", minimum=0.0),
-            optimizer_latency_multiplier=sec.take_number("optimizer_latency_multiplier", minimum=1.0),
-            per_experience_growth=sec.take_number("per_experience_growth", minimum=1.0),
-            batch_knee=sec.take_int("batch_knee", minimum=1),
-            stability_gain_max=sec.take_number("stability_gain_max", minimum=0.0, maximum=1.0),
-            stability_buffer_scale=sec.take_number("stability_buffer_scale", minimum=1e-9),
-            plasticity_max=sec.take_number("plasticity_max", minimum=0.0, maximum=1.0),
-            plasticity_updates_scale=sec.take_number("plasticity_updates_scale", minimum=1e-9),
-            advanced_plasticity_bonus=sec.take_number("advanced_plasticity_bonus", minimum=0.0),
-            forgetting_rate=sec.take_number("forgetting_rate", minimum=0.0, maximum=1.0),
-            noise_fraction=_noise_fraction(sec),
-        )
-        memory = MemoryModel(
-            base_mb=sec.take_number("base_memory_mb", minimum=0.0),
-            optimizer_delta_mb=sec.take_number("optimizer_memory_delta_mb", minimum=0.0),
-            sample_mb=sec.take_number("activation_mb_per_sample", minimum=1e-9),
-            frame_mb=sec.take_number("replay_frame_mb", minimum=1e-9),
-            spike_threshold=sec.take_int("buffer_spike_threshold", minimum=0),
-            spike_coeff=sec.take_number("buffer_spike_coeff", minimum=0.0),
-        )
+        values = {ResponseModel: {}, MemoryModel: {}}
+        for key, (record, field) in _PROFILE_KEYS.items():
+            values[record][field] = _take_field(sec, key, record, field)
         sec.finish()
-        profiles[name] = (response, memory)
+        profiles[name] = tuple(
+            build(record, sec.path, fields, _KEY_OF_FIELD) for record, fields in values.items()
+        )
     profile_sec.finish()
     root.finish()
     return ProfileLibrary(platforms=platforms, profiles=profiles)
 
 
-def _noise_fraction(sec: Section) -> float:
-    # A jitter factor 1 + noise_fraction * u must stay positive for u in [-1, 1).
-    value = sec.take_number("noise_fraction", default=0.0, minimum=0.0)
-    if value >= 1.0:
-        raise SchemaError(f"{sec.path}.noise_fraction: must be < 1.0, got {value}")
-    return value
-
-
 def profile_document(name: str, response: ResponseModel, memory: MemoryModel) -> dict:
     """A profiles file holding one profile and no platforms, as a mapping for
     yaml.safe_dump; load_profile_library reads it back as (response, memory)."""
-    profile = {
-        "compute_cost_per_sample_s": response.compute_cost_per_sample_s,
-        "replay_sampling_cost_s": response.replay_sampling_cost_s,
-        "optimizer_latency_multiplier": response.optimizer_latency_multiplier,
-        "per_experience_growth": response.per_experience_growth,
-        "batch_knee": response.batch_knee,
-        "stability_gain_max": response.stability_gain_max,
-        "stability_buffer_scale": response.stability_buffer_scale,
-        "plasticity_max": response.plasticity_max,
-        "plasticity_updates_scale": response.plasticity_updates_scale,
-        "advanced_plasticity_bonus": response.advanced_plasticity_bonus,
-        "forgetting_rate": response.forgetting_rate,
-        "noise_fraction": response.noise_fraction,
-        "base_memory_mb": memory.base_mb,
-        "optimizer_memory_delta_mb": memory.optimizer_delta_mb,
-        "activation_mb_per_sample": memory.sample_mb,
-        "replay_frame_mb": memory.frame_mb,
-        "buffer_spike_threshold": memory.spike_threshold,
-        "buffer_spike_coeff": memory.spike_coeff,
-    }
+    records = {ResponseModel: response, MemoryModel: memory}
+    profile = {key: getattr(records[cls], field) for key, (cls, field) in _PROFILE_KEYS.items()}
     return {"schema_version": 1, "platforms": {}, "profiles": {name: profile}}
 
 
@@ -720,28 +695,25 @@ def load_calibration_targets(path: str | Path) -> CalibrationTargets:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SchemaError(f"{label}.{key}[{idx}]: expected a [size, value] pair")
             size, value = pair
-            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-                raise SchemaError(f"{label}.{key}[{idx}]: size must be a positive int")
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise SchemaError(f"{label}.{key}[{idx}]: size must be an int")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaError(f"{label}.{key}[{idx}]: value must be a number")
             points.append((size, finite_number(value, f"{label}.{key}[{idx}]")))
         return tuple(points)
 
-    samples = root.take_int("samples_per_experience", minimum=1)
-    latency_points = point_list("latency_points")
-    memory_points = point_list("memory_points")
-    stability_points = point_list("stability_points")
+    values = {"samples_per_experience": root.take("samples_per_experience", kind=int)}
+    for key in ("latency_points", "memory_points", "stability_points"):
+        values[key] = point_list(key)
     plugin = root.section("plugin")
-    targets = CalibrationTargets(
-        samples_per_experience=samples,
-        latency_points=latency_points,
-        memory_points=memory_points,
-        stability_points=stability_points,
-        plugin_latency_off_s=plugin.take_number("latency_without_s", minimum=0.0),
-        plugin_latency_on_s=plugin.take_number("latency_with_s", minimum=0.0),
-        plugin_memory_off_mb=plugin.take_number("memory_without_mb", minimum=0.0),
-        plugin_memory_on_mb=plugin.take_number("memory_with_mb", minimum=0.0),
-    )
+    keys = {
+        "plugin_latency_off_s": "plugin.latency_without_s",
+        "plugin_latency_on_s": "plugin.latency_with_s",
+        "plugin_memory_off_mb": "plugin.memory_without_mb",
+        "plugin_memory_on_mb": "plugin.memory_with_mb",
+    }
+    for field, key in keys.items():
+        values[field] = plugin.take_number(key.removeprefix("plugin."))
     plugin.finish()
     root.finish()
-    return targets
+    return build(CalibrationTargets, label, values, keys)

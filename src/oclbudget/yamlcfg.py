@@ -1,8 +1,11 @@
 """Strict helpers for the declarative YAML files (profiles, targets, scenarios).
 
-Every loader works on the same principle: read the document, consume known
-keys with type checks, and reject anything left over, reporting the full
-dotted key path so a typo is immediately visible.
+Every loader only parses: it reads the document, consumes known keys with
+type checks, and rejects anything left over, reporting the full dotted key
+path so a typo is immediately visible. Ranges and cross-field rules belong
+to the records the loader builds; build() turns a record's rejection into
+a SchemaError naming the file's key, so a file and a record built in code
+obey the same rules.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import SchemaError
+from .errors import OclBudgetError, SchemaError
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +75,19 @@ def finite_number(value, where: str) -> float:
     return float(value)
 
 
+def build(record: type, path: str, values: dict, keys: dict[str, str] | None = None):
+    """record(**values), built from the section at path. A field the record
+    rejects is re-raised as path.<key>: its rule, with key from keys when it
+    is not the field's name."""
+    try:
+        return record(**values)
+    except OclBudgetError as exc:
+        if exc.field is None:
+            raise
+        key = keys.get(exc.field, exc.field) if keys else exc.field
+        raise SchemaError(f"{path}.{key}: {exc.rule}") from exc
+
+
 class Section:
     """A mapping being consumed key by key; leftovers are schema errors."""
 
@@ -94,24 +110,9 @@ class Section:
             )
         return value
 
-    def take_number(self, key: str, default=..., minimum=None, maximum=None) -> float:
+    def take_number(self, key: str, default=...) -> float:
         value = self.take(key, kind=(int, float), default=default)
-        if default is not ... and value is default and not isinstance(value, (int, float)):
-            return value
-        value = finite_number(value, f"{self.path}.{key}")
-        if minimum is not None and value < minimum:
-            raise SchemaError(f"{self.path}.{key}: must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise SchemaError(f"{self.path}.{key}: must be <= {maximum}, got {value}")
-        return value
-
-    def take_int(self, key: str, default=..., minimum=None) -> int:
-        value = self.take(key, kind=int, default=default)
-        if not isinstance(value, int):
-            return value
-        if minimum is not None and value < minimum:
-            raise SchemaError(f"{self.path}.{key}: must be >= {minimum}, got {value}")
-        return value
+        return finite_number(value, f"{self.path}.{key}")
 
     def keys(self) -> list[str]:
         return list(self._data)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,33 @@ from oclbudget.scenario import (
     default_profile_library_path,
 )
 from oclbudget.simulator import profile_document
+
+
+# `oclbudget calibrate --out` on the bundled targets.
+CALIBRATED_PROFILE_YAML = """\
+schema_version: 1
+platforms: {}
+profiles:
+  calibrated:
+    compute_cost_per_sample_s: 0.0009999999999999998
+    replay_sampling_cost_s: 0.002
+    optimizer_latency_multiplier: 2.944566110046537
+    per_experience_growth: 1.03
+    batch_knee: 192
+    stability_gain_max: 0.949999621752805
+    stability_buffer_scale: 699.9984923548999
+    plasticity_max: 0.9
+    plasticity_updates_scale: 45.0
+    advanced_plasticity_bonus: 0.04
+    forgetting_rate: 0.22
+    noise_fraction: 0.0
+    base_memory_mb: 4200.0
+    optimizer_memory_delta_mb: 107.0
+    activation_mb_per_sample: 8.399999999999999
+    replay_frame_mb: 0.045
+    buffer_spike_threshold: 20000
+    buffer_spike_coeff: 7.0e-07
+"""
 
 
 def scenario_text(**overrides):
@@ -144,8 +172,9 @@ class TestLoadScenario:
         library.write_text(text.replace(anchor, "    per_experience_growth: 1.0e+6\n", 1))
         path = tmp_path / "long.yaml"
         path.write_text(scenario_text(num_experiences="num_experiences: 60"))
+        # The file's error names its key; the rule is ScenarioConfig's own.
         with pytest.raises(
-            SchemaError, match=r"ScenarioConfig\.num_experiences: 60 experiences overflow"
+            SchemaError, match=rf"^{re.escape(str(path))}\.num_experiences: 60 experiences overflow"
         ):
             load_scenario(path, library_path=library)
         short = tmp_path / "short.yaml"
@@ -183,6 +212,13 @@ class TestLoadScenario:
         path = tmp_path / "bad.yaml"
         path.write_text(scenario_text().replace("profile: er", "profile: nope"))
         with pytest.raises(SchemaError, match="nope"):
+            load_scenario(path)
+
+    def test_unknown_preference_preset_names_the_key(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(scenario_text().replace("preference: balanced", "preference: nope"))
+        match = r"bad\.yaml\.preference: unknown preference preset 'nope'"
+        with pytest.raises(SchemaError, match=match):
             load_scenario(path)
 
     def test_initial_knobs_that_cannot_fit_rejected(self, tmp_path):
@@ -865,3 +901,12 @@ class TestCli:
         path = tmp_path / "noisy.yaml"
         path.write_text(yaml.safe_dump(profile_document("noisy", noisy, fitted.memory)))
         assert load_profile_library(path).profiles["noisy"] == (noisy, fitted.memory)
+
+    def test_calibrate_out_bytes_are_pinned(self, tmp_path, capsys):
+        # The profile file format: every key, its order and its value as
+        # yaml.safe_dump writes the bundled fit. A reordered or renamed key
+        # still round-trips, so only the bytes catch it.
+        out = tmp_path / "fitted.yaml"
+        assert cli_main(["calibrate", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == CALIBRATED_PROFILE_YAML

@@ -131,14 +131,14 @@ class TestResponseModelChecks:
         "field", ["compute_cost_per_sample_s", "replay_sampling_cost_s"]
     )
     def test_negative_cost_rejected(self, field):
-        with pytest.raises(ValueError, match="costs must be >= 0"):
+        with pytest.raises(ValueError, match=rf"^ResponseModel\.{field}: must be in \[0, inf\)"):
             make_response(**{field: -1e-9})
 
     @pytest.mark.parametrize(
         "field", ["optimizer_latency_multiplier", "per_experience_growth"]
     )
     def test_multiplier_below_one_rejected(self, field):
-        with pytest.raises(ValueError, match="multipliers must be >= 1"):
+        with pytest.raises(ValueError, match=rf"^ResponseModel\.{field}: must be in \[1, inf\)"):
             make_response(**{field: 0.999})
 
     def test_zero_costs_and_unit_multipliers_accepted(self):
@@ -468,7 +468,8 @@ class TestPlatform:
     def test_non_finite_values_rejected(self, field, bad):
         values = [8192.0, 1.0, 0.0045]
         values[field] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        name = dataclasses.fields(PlatformPreset)[field].name
+        with pytest.raises(ValueError, match=rf"^PlatformPreset\.{name}: must be in \[.*, inf\)"):
             PlatformPreset(*values)
 
     def test_replaced_platform_reaches_the_environment(self):
@@ -519,28 +520,27 @@ class TestCalibration:
         )
         assert result.memory.optimizer_delta_mb == pytest.approx(107.0, rel=1e-12)
 
+    # Malformed anchors are CalibrationTargets' own rules: building them raises,
+    # so calibrate_profile never sees them.
     def test_constant_latency_targets_rejected(self):
-        targets = dataclasses.replace(
-            self.bundled_targets(),
-            latency_points=((16, 100.0), (32, 100.0), (64, 100.0)),
-        )
         with pytest.raises(CalibrationError):
-            calibrate_profile(targets)
+            dataclasses.replace(
+                self.bundled_targets(),
+                latency_points=((16, 100.0), (32, 100.0), (64, 100.0)),
+            )
 
     def test_non_monotone_memory_targets_rejected(self):
-        targets = dataclasses.replace(
-            self.bundled_targets(),
-            memory_points=((16, 5000.0), (64, 4800.0), (256, 6000.0)),
-        )
         with pytest.raises(CalibrationError):
-            calibrate_profile(targets)
+            dataclasses.replace(
+                self.bundled_targets(),
+                memory_points=((16, 5000.0), (64, 4800.0), (256, 6000.0)),
+            )
 
     def test_too_few_points_rejected(self):
-        targets = dataclasses.replace(
-            self.bundled_targets(), stability_points=((10, 0.1), (100, 0.5))
-        )
         with pytest.raises(CalibrationError):
-            calibrate_profile(targets)
+            dataclasses.replace(
+                self.bundled_targets(), stability_points=((10, 0.1), (100, 0.5))
+            )
 
     @pytest.mark.parametrize(
         "group, points",
@@ -550,11 +550,10 @@ class TestCalibration:
         ],
     )
     def test_non_positive_anchor_rejected(self, group, points):
-        targets = dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(CalibrationError, match=f"{group} targets must be > 0"):
-                calibrate_profile(targets)
+                dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
 
     @pytest.mark.parametrize(
         "group, points, size",
@@ -565,19 +564,17 @@ class TestCalibration:
         ],
     )
     def test_anchor_size_below_one_rejected(self, group, points, size):
-        targets = dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(CalibrationError, match=f"{group} targets must use {size} sizes >= 1"):
-                calibrate_profile(targets)
+                dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
 
     def test_repeated_memory_batch_size_rejected(self):
-        targets = dataclasses.replace(
-            self.bundled_targets(),
-            memory_points=((64, 4000.0), (64, 4100.0), (64, 4200.0)),
-        )
         with pytest.raises(CalibrationError, match="memory targets must use distinct batch sizes"):
-            calibrate_profile(targets)
+            dataclasses.replace(
+                self.bundled_targets(),
+                memory_points=((64, 4000.0), (64, 4100.0), (64, 4200.0)),
+            )
 
     def test_non_finite_residual_rejected(self):
         # Anchors near the float maximum overflow the memory line's sums.
@@ -619,7 +616,8 @@ class TestDeclarativeFiles:
         assert anchor in text  # the er profile, the first in the file
         bad = tmp_path / "lib.yaml"
         bad.write_text(text.replace(anchor, anchor + f"    noise_fraction: {value}\n", 1))
-        with pytest.raises(SchemaError, match=r"profiles\.er\.noise_fraction: must be < 1"):
+        match = rf"profiles\.er\.noise_fraction: must be in \[0, 1\), got {value}"
+        with pytest.raises(SchemaError, match=match):
             load_profile_library(bad)
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1.0e+400", "1" + "0" * 400])
