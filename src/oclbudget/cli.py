@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: run, oracle, ablate-prefetch, overhead, calibrate.
+Subcommands: run, oracle, ablate-prefetch, overhead, calibrate. Only run and
+oracle write a report, so only they take --out and --format; ablate-prefetch
+and overhead print a summary to stdout.
 Exit codes: 0 success, 2 config error, 3 OOM in a controller run (baseline
 OOM is data, not failure), 4 infeasible budget.
 """
@@ -35,11 +37,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, policies=False):
+    def add_common(p, report=False, policies=False):
         p.add_argument("--scenario", required=True, help="path to a scenario YAML file")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("csv", "log"), default="csv")
+        if report:
+            p.add_argument("--out", default=None, help="write the report here instead of stdout")
+            p.add_argument("--format", choices=("csv", "log"), default="csv")
         p.add_argument(
             "--prefer",
             default=None,
@@ -57,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="policy to run (repeatable): controller, max_a, max_p, fixed, oracle",
             )
 
-    add_common(sub.add_parser("run", help="run policies on a scenario"), policies=True)
-    add_common(sub.add_parser("oracle", help="run the 42-point offline sweep"))
+    add_common(sub.add_parser("run", help="run policies on a scenario"), report=True, policies=True)
+    add_common(sub.add_parser("oracle", help="run the 42-point offline sweep"), report=True)
     add_common(sub.add_parser("ablate-prefetch", help="compare prefetch on vs off"))
     add_common(sub.add_parser("overhead", help="measure controller overhead"))
 

@@ -12,7 +12,9 @@ run through it and differ only in how they pick knobs and update the state.
 It builds the run's URGE scorer once, takes the threshold of experience e at
 index e - 1, and reads the clock only when the caller passes an
 OverheadRecorder. A BudgetState holds budgets only; the experience a state
-belongs to is the loop's, and each TraceRecord carries it.
+belongs to is the loop's, and each TraceRecord carries it. The loop does not
+stage data: the environment counts every experience after the first as
+staged while the previous one trains.
 
 The objects built per experience, Knobs, BudgetState, simulator.TrainResult,
 metrics.MetricSnapshot, urge.UrgeScore and TraceRecord, are validated
@@ -358,8 +360,9 @@ def _run_policy(
     """The per-experience loop every policy runs.
 
     For each experience e: take the knobs for the current state, train, score
-    the metrics, let update move the state against the threshold decayed to
-    index e - 1, then ask the environment to prefetch the next experience.
+    the metrics and let update move the state against the threshold decayed
+    to index e - 1. Prefetching is the environment's: every experience after
+    the first counts as staged while the previous one trained.
     The URGE scorer and its weights are built once per run. An OOM report
     aborts the loop with the trace marked failed at that experience. An
     InfeasibleBudgetError from update propagates with the partial trace
@@ -409,7 +412,6 @@ def _run_policy(
         if seconds is not None:
             seconds.append(clock() - start)
 
-        env.prefetch_next(experience + 1)
         records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory, False))
 
     return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED)

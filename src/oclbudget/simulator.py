@@ -44,8 +44,10 @@ remain.
 The environment holds the device, one PlatformPreset: its capacity, compute
 scale and load rate. Out-of-memory is exactly the predicate memory > capacity
 and is reported as an outcome, never a silent clamp. Prefetch only changes
-latency: with the environment's prefetch flag on, a staged experience pays
-max(0, load - PREFETCH_OVERLAP * compute) instead of the full load.
+latency. Every experience after the first is staged while the previous one
+trains, so with the environment's prefetch flag on it pays
+max(0, load - PREFETCH_OVERLAP * compute) instead of the full load; the first
+experience always pays the full load.
 
 A response with noise_fraction > 0 scales latency and the new diagonal by
 1 + noise_fraction * u, u uniform in [-1, 1), drawn from a random.Random
@@ -200,7 +202,10 @@ class SimulatedEnvironment:
     It reads latency and accuracy from one ResponseModel, peak memory from
     one MemoryModel (the profile's two objects), and the device from one
     PlatformPreset. Experiences must be trained strictly in order starting
-    at 1. Once an OOM occurs the environment is failed and refuses further work.
+    at 1. The running accuracy's row count is the only record of how far the
+    run has got: next_experience and whether an experience is staged (it is
+    not the first) both follow from it. Once an OOM occurs the environment is
+    failed and refuses further work.
     """
 
     def __init__(
@@ -227,8 +232,6 @@ class SimulatedEnvironment:
         # Data loading is the same for every experience of the run.
         self._load_s = self.samples_per_experience * platform.load_time_per_sample_s
         self._accuracy = RunningAccuracy()
-        self._next_experience = 1  # one past the rows in _accuracy
-        self._staged: set[int] = set()
         self._failed = False
         # The last Knobs trained with and its _knob_terms. Knobs is immutable, so
         # one object always has the same terms; an identity test is cheaper
@@ -253,28 +256,14 @@ class SimulatedEnvironment:
 
     @property
     def next_experience(self) -> int:
-        return self._next_experience
-
-    def prefetch_next(self, experience: int) -> None:
-        """Stage data for an upcoming experience. Idempotent, purely logical.
-
-        Only experiences not yet trained are kept, and training one unstages
-        it, so the staged set never holds more than the experiences staged
-        ahead of the next one.
-        """
-        if self._failed:
-            raise SimulationStateError("environment already failed; cannot prefetch")
-        experience = int(experience)
-        if experience >= self._next_experience:
-            self._staged.add(experience)
+        return len(self._accuracy) + 1
 
     def train_experience(self, experience: int, knobs: Knobs) -> TrainResult:
         if self._failed:
             raise SimulationStateError("environment already failed; cannot train")
-        if experience != self._next_experience:
-            raise SimulationStateError(
-                f"expected experience {self._next_experience}, got {experience}"
-            )
+        trained = len(self._accuracy)
+        if experience != trained + 1:
+            raise SimulationStateError(f"expected experience {trained + 1}, got {experience}")
         if knobs is not self._knobs:
             self._terms = self._knob_terms(knobs)
             self._knobs = knobs
@@ -285,10 +274,7 @@ class SimulatedEnvironment:
             return TrainResult(None, memory, True)
 
         compute = self.response.latency_s(stream, replay, experience, platform.compute_scale)
-        staged = experience in self._staged
-        if staged:
-            self._staged.remove(experience)
-        if staged and self.prefetch:
+        if trained and self.prefetch:
             latency = compute + max(0.0, self._load_s - PREFETCH_OVERLAP * compute)
         else:
             latency = compute + self._load_s
@@ -298,7 +284,6 @@ class SimulatedEnvironment:
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
         self._accuracy.advance(factor, diagonal)
-        self._next_experience = experience + 1
         return TrainResult(latency, memory, False)
 
     def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:

@@ -145,7 +145,6 @@ def old_control_loop(scenario, env):
             state = old_update_budgets(state, score.value, theta, config)
         except InfeasibleBudgetError as exc:
             return RunTrace(records=tuple(records), outcome=Outcome.INFEASIBLE), str(exc)
-        env.prefetch_next(experience + 1)
         records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory, False))
     return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED), None
 

@@ -889,6 +889,20 @@ class TestCli:
         assert code == 0
         assert "overhead ratio" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["ablate-prefetch", "overhead"])
+    @pytest.mark.parametrize("flag", [["--out", "report.out"], ["--format", "log"]])
+    def test_report_options_rejected_where_no_report_is_written(
+        self, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        # These subcommands print a summary and write no report, so an --out
+        # or --format would be ignored; argparse refuses them instead (exit 2).
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--scenario", str(bundled_scenario_path("orin-er")), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_calibrate_subcommand(self, tmp_path, capsys):
         out = tmp_path / "fitted.yaml"
         code = cli_main(["calibrate", "--out", str(out)])

@@ -21,7 +21,7 @@ from oclbudget import (
     load_calibration_targets,
     load_profile_library,
 )
-from oclbudget.baselines import BaselinePolicy, PolicyKind, run_baseline
+from oclbudget.baselines import BaselinePolicy
 from oclbudget.cli import main as cli_main
 from oclbudget.controller import _run_policy, derive_knobs
 from oclbudget.scenario import (
@@ -243,8 +243,6 @@ class TestTrainExperience:
         assert env.train_experience(1, knobs(64, 100)).oom
         with pytest.raises(SimulationStateError):
             env.train_experience(2, knobs(1, 0))
-        with pytest.raises(SimulationStateError):
-            env.prefetch_next(2)
 
     def test_out_of_order_experience_rejected(self):
         env = make_env()
@@ -348,7 +346,8 @@ class TestKnobMemo:
             assert got == reference.train_experience(e, copy), e
             assert env.accuracy.row == reference.accuracy.row, e
             if noise == 0.0:
-                # Nothing is staged, so latency is compute plus the full load.
+                # make_env's platform loads nothing, so whether an experience
+                # is staged or not its latency is the compute plus a zero load.
                 compute = env.response.compute_latency_s(
                     kn.batch_size, kn.buffer_size, kn.optimizer_mode,
                     e, env.samples_per_experience, env.platform.compute_scale,
@@ -373,90 +372,84 @@ class TestKnobMemo:
 
 
 class TestPrefetch:
-    # knobs(128, 0) at the knee: 8000 samples * 0.004 s = 32 s of compute
-    # at compute scale 1, so 0.85 of it hides 27.2 s of loading.
+    # knobs(128, 0) at the knee: 8000 samples * 0.004 s = 32 s of compute for
+    # experience 1 at compute scale 1, and one growth step more, 32 * 1.03 =
+    # 32.96 s, for experience 2, so 0.85 of it hides 28.016 s of loading.
+    # Every experience after the first is staged while the previous one
+    # trains, so these tests train experience 1 and assert on experience 2.
     KNOBS = knobs(128, 0)
 
     def env(self, load_per_sample, prefetch=True, compute_scale=1.0):
         platform = PlatformPreset(10000.0, compute_scale, load_per_sample)
         return make_env(platform=platform, prefetch=prefetch)
 
-    def compute(self, compute_scale=1.0):
+    def compute(self, experience=2, compute_scale=1.0):
         return make_response().compute_latency_s(
-            128, 0, OptimizerMode.DEFAULT, 1, 8000, compute_scale
+            128, 0, OptimizerMode.DEFAULT, experience, 8000, compute_scale
         )
+
+    def second(self, env, kn=KNOBS):
+        """Train experience 1, then return experience 2's result."""
+        env.train_experience(1, kn)
+        return env.train_experience(2, kn)
 
     def test_overlap_is_85_percent(self):
         assert PREFETCH_OVERLAP == 0.85
 
     def test_staged_load_under_the_overlap_is_hidden(self):
-        # 8 s of loading < 27.2 s: the max takes its 0.0 branch.
+        # 8 s of loading < 28.016 s: the max takes its 0.0 branch.
         env = self.env(0.001)
-        env.prefetch_next(1)
         compute = self.compute()
-        assert compute == 32.0
-        assert env.train_experience(1, self.KNOBS).latency_s == compute
+        assert compute == pytest.approx(32.96)
+        assert self.second(env).latency_s == compute
 
     def test_staged_load_over_the_overlap_pays_the_remainder(self):
-        # 80 s of loading > 27.2 s: the max takes its load - 0.85 * compute branch.
+        # 80 s of loading > 28.016 s: the max takes its load - 0.85 * compute branch.
         env = self.env(0.01)
-        env.prefetch_next(1)
         compute, load = self.compute(), 8000 * 0.01
         assert load - 0.85 * compute > 0.0
-        assert env.train_experience(1, self.KNOBS).latency_s == compute + (load - 0.85 * compute)
+        assert self.second(env).latency_s == compute + (load - 0.85 * compute)
 
     def test_overlap_scales_with_the_platform_compute_scale(self):
         env = self.env(0.01, compute_scale=0.5)
-        env.prefetch_next(1)
-        compute, load = self.compute(0.5), 8000 * 0.01
-        assert compute == 16.0
-        assert env.train_experience(1, self.KNOBS).latency_s == compute + (load - 0.85 * compute)
+        compute, load = self.compute(compute_scale=0.5), 8000 * 0.01
+        assert compute == pytest.approx(16.48)
+        assert self.second(env).latency_s == compute + (load - 0.85 * compute)
 
     @pytest.mark.parametrize("load_per_sample", [0.001, 0.01])
     def test_prefetch_off_pays_full_load(self, load_per_sample):
         env = self.env(load_per_sample, prefetch=False)
-        env.prefetch_next(1)
-        result = env.train_experience(1, self.KNOBS)
-        assert result.latency_s == self.compute() + 8000 * load_per_sample
+        assert self.second(env).latency_s == self.compute() + 8000 * load_per_sample
 
     @pytest.mark.parametrize("load_per_sample", [0.001, 0.01])
     def test_unstaged_experience_pays_full_load(self, load_per_sample):
         env = self.env(load_per_sample)
         result = env.train_experience(1, self.KNOBS)
-        assert result.latency_s == self.compute() + 8000 * load_per_sample
+        assert result.latency_s == self.compute(1) + 8000 * load_per_sample
 
-    def test_idempotent_staging(self):
-        env = self.env(0.01)
-        env.prefetch_next(1)
-        env.prefetch_next(1)
-        once = self.env(0.01)
-        once.prefetch_next(1)
-        assert env.train_experience(1, self.KNOBS) == once.train_experience(1, self.KNOBS)
-
-    def test_trained_experiences_are_unstaged(self):
-        # The loop stages experience e + 1 after training e, so a K=1000 run
-        # ends with only K + 1 staged, and staging two ahead hides both loads.
-        scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=1000)
-        env = build_environment(scenario)
-        run_baseline(BaselinePolicy.from_scenario(PolicyKind.FIXED, scenario), scenario, env)
-        assert len(env._staged) <= 1
-        ahead, staged_one_by_one = self.env(0.01), self.env(0.01)
-        ahead.prefetch_next(1)
-        ahead.prefetch_next(2)
-        latencies = [ahead.train_experience(e, self.KNOBS).latency_s for e in (1, 2)]
-        for e in (1, 2):
-            staged_one_by_one.prefetch_next(e)
-            assert staged_one_by_one.train_experience(e, self.KNOBS).latency_s == latencies[e - 1]
-        ahead.prefetch_next(1)  # already trained: nothing to stage
-        assert not ahead._staged
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_staging_follows_from_the_trained_rows(self, prefetch):
+        # A hand-driven environment makes no staging call: experience 1 pays
+        # the full load, and experience 2 is staged exactly when prefetch is on.
+        env = self.env(0.01, prefetch=prefetch)
+        load = 8000 * 0.01
+        assert env.next_experience == len(env.accuracy) + 1 == 1
+        assert env.train_experience(1, self.KNOBS).latency_s == self.compute(1) + load
+        assert env.next_experience == len(env.accuracy) + 1 == 2
+        compute = self.compute(2)
+        paid = max(0.0, load - 0.85 * compute) if prefetch else load
+        assert env.train_experience(2, self.KNOBS).latency_s == compute + paid
+        assert env.next_experience == len(env.accuracy) + 1 == 3
+        # 4000 MB base + 4096 samples * 4 MB is over the 10000 MB capacity.
+        assert env.train_experience(3, knobs(4096, 0)).oom
+        assert env.failed
+        assert env.next_experience == len(env.accuracy) + 1 == 3
 
     def test_prefetch_changes_only_latency(self):
         on = self.env(0.001)
         off = self.env(0.001, prefetch=False)
-        for env in (on, off):
-            env.prefetch_next(1)
-        a = on.train_experience(1, knobs(64, 200))
-        b = off.train_experience(1, knobs(64, 200))
+        a = self.second(on, knobs(64, 200))
+        b = self.second(off, knobs(64, 200))
         assert a.memory_peak_mb == b.memory_peak_mb
         assert on.accuracy.row == off.accuracy.row
         assert a.latency_s < b.latency_s
