@@ -37,6 +37,7 @@ from .controller import (
     _run_policy,
     derive_knobs,
 )
+from .errors import reject
 from .metrics import running_snapshot as build_snapshot  # noqa: F401, patched by perfbench
 from .scenario import ScenarioConfig, build_environment
 from .simulator import SimulatedEnvironment
@@ -58,12 +59,31 @@ class BaselinePolicy:
 
     batch/buffer of None means "use the scenario's initial budgets", which is
     what makes the fixed policy exactly equivalent to a neutral controller.
+    The two are set together or not at all; the initial budgets use the
+    default optimizer, so another optimizer_mode needs explicit knobs. A mode
+    string becomes its OptimizerMode member.
     """
 
     kind: PolicyKind
     batch: Optional[int] = None
     buffer: Optional[int] = None
     optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT
+
+    def __post_init__(self):
+        batch, buffer, mode = self.batch, self.buffer, self.optimizer_mode
+        if mode.__class__ is not OptimizerMode:  # an identity test: members skip the Enum call
+            if mode not in ("default", "advanced"):
+                reject(self, "optimizer_mode", f"must be 'default' or 'advanced', got {mode!r}")
+            mode = OptimizerMode(mode)
+            object.__setattr__(self, "optimizer_mode", mode)
+        if (batch is None) is not (buffer is None):
+            reject(self, "buffer" if buffer is None else "batch", "must be set with the other knob")
+        if batch is None and mode is not OptimizerMode.DEFAULT:
+            reject(self, "optimizer_mode", f"needs explicit knobs, got {mode.value!r}")
+        if batch is not None and not batch >= 1:
+            reject(self, "batch", f"must be >= 1, got {batch!r}")
+        if buffer is not None and not buffer >= 0:
+            reject(self, "buffer", f"must be >= 0, got {buffer!r}")
 
     @classmethod
     def max_a(cls) -> "BaselinePolicy":

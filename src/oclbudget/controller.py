@@ -281,10 +281,10 @@ class TraceRecord(Record):
     """Everything observed and decided at one experience boundary.
 
     budgets is the post-update state (the allocation that will drive the next
-    experience). score/threshold/snapshot are None on an OOM record because
-    no metrics exist for a failed experience; memory_peak_mb is still the
-    amount the attempt would have needed. An immutable tuple (record.Record),
-    so a record equals a plain tuple of its eight values.
+    experience). A scored record has a score, threshold and snapshot; an OOM
+    record (oom reads snapshot is None) has none, but memory_peak_mb is still
+    what the attempt needed. An immutable tuple (record.Record), so a record
+    equals a plain tuple of its seven values.
     """
 
     __slots__ = ()
@@ -295,14 +295,16 @@ class TraceRecord(Record):
     snapshot: Optional[MetricSnapshot]
     budgets: BudgetState
     memory_peak_mb: float
-    oom: bool
 
-    def __new__(
-        cls, experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb, oom=False
-    ):
-        return tuple.__new__(
-            cls, (experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb, oom)
-        )
+    def __new__(cls, experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb):
+        if not (score is None) is (threshold is None) is (snapshot is None):
+            raise ValueError("score, threshold and snapshot must be all set or all None")
+        values = (experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb)
+        return tuple.__new__(cls, values)
+
+    @property
+    def oom(self) -> bool:
+        return self.snapshot is None
 
 
 @dataclass(frozen=True)
@@ -361,10 +363,10 @@ def _run_policy(
 
     For each experience e: take the knobs for the current state, train, score
     the metrics and let update move the state against the threshold decayed
-    to index e - 1. Prefetching is the environment's: every experience after
-    the first counts as staged while the previous one trained.
-    The URGE scorer and its weights are built once per run. An OOM report
-    aborts the loop with the trace marked failed at that experience. An
+    to index e - 1. The environment numbers and stages the experience: each
+    one after the first counts as staged while the previous one trained.
+    The URGE scorer and its weights are built once per run. A result with no
+    latency is an OOM: the loop ends with an OOM record, the trace failed. An
     InfeasibleBudgetError from update propagates with the partial trace
     attached. Only when an overhead recorder is given is the clock read: it
     times knob derivation, and the snapshot, score, threshold and update of
@@ -392,9 +394,9 @@ def _run_policy(
         if seconds is not None:
             seconds.append(clock() - start)
 
-        latency, memory, oom = env.train_experience(experience, knobs)
-        if oom:
-            records.append(TraceRecord(experience, knobs, None, None, None, state, memory, True))
+        latency, memory = env.train_experience(knobs)
+        if latency is None:
+            records.append(TraceRecord(experience, knobs, None, None, None, state, memory))
             return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
 
         if seconds is not None:
@@ -412,7 +414,7 @@ def _run_policy(
         if seconds is not None:
             seconds.append(clock() - start)
 
-        records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory, False))
+        records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory))
 
     return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED)
 

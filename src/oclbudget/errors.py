@@ -75,4 +75,4 @@ def check_ranges(record, rules: tuple, error: type = SchemaError) -> None:
 
 
 class SimulationStateError(OclBudgetError):
-    """The simulated environment was driven out of protocol order."""
+    """The simulated environment was asked to train after an OOM failed it."""

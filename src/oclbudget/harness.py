@@ -6,8 +6,9 @@ The CSV schema is fixed:
     latency_s,mem_peak_mb,plasticity,stability,outcome
 
 one row per experience record, header always present, floats rendered with
-6 significant digits. Cells that do not exist for a record (score, latency,
-and metrics on an OOM row) are left empty.
+6 significant digits. A scored row (outcome ok) sets every cell; an OOM row
+(outcome oom) leaves score, threshold, latency_s, plasticity and stability
+empty, as in xavier-gss,max-a,1,32,1000,advanced,,,,8283,,,oom.
 
 The structured-log format (JSONL) emits one JSON object per record line,
 with 16 keys in sorted order:
@@ -18,18 +19,19 @@ with 16 keys in sorted order:
 
 Keys and values are separated by ": " and pairs by ", ". Strings are JSON
 strings with non-ASCII characters escaped; integers are written as their
-repr, finite floats as their shortest repr, non-finite floats as NaN,
-Infinity and -Infinity, and cells that do not exist for a record (score,
-threshold, latency and metrics on an OOM record) as null.
+repr, finite floats as their shortest repr, and non-finite floats as NaN,
+Infinity and -Infinity. A scored line has outcome "ok" and every value set;
+an OOM line has outcome "oom" and null for score, threshold, latency_s,
+plasticity and stability.
 These are the bytes json.dumps(..., sort_keys=True) gives for the same
 values; each line ends with a newline.
 
 Both emitters spell each repeated value once. The knob, budget and memory
 cells are spelled once per stretch of records that hold the same Knobs,
 BudgetState and memory objects, so a fixed-knob run, which holds one of
-each, spells them once. A nonzero float threshold is spelled once per
-report. A CSV row with metrics is a single % format. The bytes are the ones
-each value spelled on its own would give.
+each, spells them once. A nonzero float JSONL threshold is spelled once per
+report. Each CSV row shape is a single % format. The bytes are the ones each
+value spelled on its own would give.
 """
 
 from __future__ import annotations
@@ -166,15 +168,8 @@ def run_suite(
     )
 
 
-def _csv_number(value: Optional[float]) -> str:
-    """A CSV cell: 6 significant digits, or empty for an absent value."""
-    return "" if value is None else f"{value:.6g}"
-
-
-def _json_number(value: Optional[float]) -> str:
-    """value as json.dumps writes it: null, its repr, NaN, Infinity or -Infinity."""
-    if value is None:
-        return "null"
+def _json_number(value: float) -> str:
+    """value as json.dumps writes it: its repr, NaN, Infinity or -Infinity."""
     if isinstance(value, int):
         return int.__repr__(value)
     if value - value == 0.0:  # finite
@@ -184,16 +179,16 @@ def _json_number(value: Optional[float]) -> str:
     return "Infinity" if value > 0 else "-Infinity"
 
 
-def _spell_once(spell: Callable[[Optional[float]], str]) -> Callable[[Optional[float]], str]:
+def _spell_once(spell: Callable[[float], str]) -> Callable[[float], str]:
     """spell, remembering its text for each distinct nonzero float.
 
     A dict finds a key by equality, and values that are equal can be spelled
     differently: 0.0 and -0.0 everywhere, 1 and 1.0 in JSON. So only nonzero
-    floats are remembered; zeros, ints and None are spelled on every call.
+    floats are remembered; zeros and ints are spelled on every call.
     """
     texts: dict[float, str] = {}
 
-    def spelled(value: Optional[float]) -> str:
+    def spelled(value: float) -> str:
         if value.__class__ is float and value:
             text = texts.get(value)
             if text is None:
@@ -204,54 +199,38 @@ def _spell_once(spell: Callable[[Optional[float]], str]) -> Callable[[Optional[f
     return spelled
 
 
-# A CSV row whose score and snapshot exist, as one format: the "scenario,
-# policy," prefix, experience, the "batch,buffer,opt_mode" cells, score,
-# threshold, latency, memory, plasticity, stability and outcome. %.6g spells
-# a number as f"{value:.6g}" does. A row without metrics spells every cell,
-# leaving the absent ones empty.
-_CSV_ROW = "%s%s,%s,%.6g,%s,%.6g,%s,%.6g,%.6g,%s\n"
-_CSV_SPARSE_ROW = "%s%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+# The two CSV row shapes. A scored row is the "scenario,policy," prefix,
+# experience, the "batch,buffer,opt_mode" cells, score, threshold, latency,
+# memory, plasticity and stability; %.6g spells a number as f"{value:.6g}"
+# does. An OOM row keeps the prefix, experience, knob and memory cells and
+# leaves the score, threshold, latency, plasticity and stability cells empty.
+_CSV_ROW = "%s%s,%s,%.6g,%.6g,%.6g,%s,%.6g,%.6g,ok\n"
+_CSV_OOM_ROW = "%s%s,%s,,,,%s,,,oom\n"
 
 
 def _csv_rows(report: Report) -> list[str]:
     rows = [",".join(CSV_COLUMNS) + "\n"]
-    cell = _csv_number
-    threshold_cell = _spell_once(cell)
     knobs = memory = object()  # held by no record, so the first one misses
     for policy, trace in report.traces:
         prefix = f"{report.scenario_name},{policy},"
-        for experience, record_knobs, score, threshold, snap, _, record_memory, oom in (
-            trace.records
-        ):
+        for experience, record_knobs, score, threshold, snap, _, record_memory in trace.records:
             if record_knobs is not knobs or record_memory is not memory:
                 knobs, memory = record_knobs, record_memory
                 knob_cells = f"{knobs.batch_size},{knobs.buffer_size},{knobs.optimizer_mode.value}"
-                memory_cell = cell(memory)
-            if score is not None and snap is not None:
+                memory_cell = f"{memory:.6g}"
+            if snap is None:
+                row = _CSV_OOM_ROW % (prefix, experience, knob_cells, memory_cell)
+            else:
                 row = _CSV_ROW % (
                     prefix,
                     experience,
                     knob_cells,
                     score.value,
-                    threshold_cell(threshold),
+                    threshold,
                     snap.latency_s,
                     memory_cell,
                     snap.plasticity,
                     snap.stability,
-                    "oom" if oom else "ok",
-                )
-            else:
-                row = _CSV_SPARSE_ROW % (
-                    prefix,
-                    experience,
-                    knob_cells,
-                    "" if score is None else cell(score.value),
-                    threshold_cell(threshold),
-                    "" if snap is None else cell(snap.latency_s),
-                    memory_cell,
-                    "" if snap is None else cell(snap.plasticity),
-                    "" if snap is None else cell(snap.stability),
-                    "oom" if oom else "ok",
                 )
             rows.append(row)
     return rows
@@ -262,19 +241,24 @@ def _csv_rows(report: Report) -> list[str]:
 # stretch of records that hold the same knobs, budgets and memory objects;
 # the line adds the rest. Each %s slot takes a value already spelled as JSON
 # (an int's str is its repr); the policy and scenario pair, which sorts
-# between plasticity and score, is one slot encoded once per trace. When the
-# four metric values are finite floats, the line spells them with %r.
+# between plasticity and score, is one slot encoded once per trace. An OOM
+# line writes null for the score, threshold, latency and metrics. A scored
+# line spells its four metric values with %r when all four are exact floats.
 _JSONL_HEAD = (
     '{"batch": %s, "budget_batch_mb": %s, "budget_optimizer_mb": %s, '
     '"budget_replay_mb": %s, "buffer": %s'
 )
 _JSONL_MIDDLE = ', "mem_peak_mb": %s, "opt_mode": "%s"'
+_JSONL_OOM_LINE = (
+    '%s, "experience": %s, "latency_s": null%s, "outcome": "oom", "plasticity": null, '
+    '%s, "score": null, "stability": null, "threshold": null}\n'
+)
 _JSONL_LINE = (
-    '%s, "experience": %s, "latency_s": %s%s, "outcome": "%s", "plasticity": %s, '
+    '%s, "experience": %s, "latency_s": %s%s, "outcome": "ok", "plasticity": %s, '
     '%s, "score": %s, "stability": %s, "threshold": %s}\n'
 )
 _JSONL_FINITE_LINE = (
-    '%s, "experience": %s, "latency_s": %r%s, "outcome": "%s", "plasticity": %r, '
+    '%s, "experience": %s, "latency_s": %r%s, "outcome": "ok", "plasticity": %r, '
     '%s, "score": %r, "stability": %r, "threshold": %s}\n'
 )
 
@@ -287,7 +271,7 @@ def _jsonl_lines(report: Report) -> list[str]:
     lines = []
     for policy, trace in report.traces:
         names = f'"policy": {json.dumps(policy)}, "scenario": {scenario}'
-        for experience, record_knobs, score, threshold, snap, record_budgets, record_memory, oom in (
+        for experience, record_knobs, score, threshold, snap, record_budgets, record_memory in (
             trace.records
         ):
             if (
@@ -304,22 +288,21 @@ def _jsonl_lines(report: Report) -> list[str]:
                     knobs.buffer_size,
                 )
                 middle = _JSONL_MIDDLE % (number(memory), knobs.optimizer_mode.value)
-            if snap is None or score is None:
-                latency = plasticity = stability = value = None
-            else:
-                plasticity, stability, latency, _ = snap
-                value = score.value
-            # %r spells an exact finite float as number does, and exact floats
-            # with a finite sum are all finite.
+            if snap is None:
+                lines.append(_JSONL_OOM_LINE % (head, experience, middle, names))
+                continue
+            plasticity, stability, latency, _ = snap
+            value = score.value
+            # A snapshot and a score hold finite values only, and %r spells a
+            # finite float as number does.
             if latency.__class__ is plasticity.__class__ is stability.__class__ is (
                 value.__class__
-            ) is float and (total := latency + plasticity + stability + value) - total == 0.0:
+            ) is float:
                 line = _JSONL_FINITE_LINE % (
                     head,
                     experience,
                     latency,
                     middle,
-                    "oom" if oom else "ok",
                     plasticity,
                     names,
                     value,
@@ -332,7 +315,6 @@ def _jsonl_lines(report: Report) -> list[str]:
                     experience,
                     number(latency),
                     middle,
-                    "oom" if oom else "ok",
                     number(plasticity),
                     names,
                     number(value),

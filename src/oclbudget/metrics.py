@@ -105,10 +105,6 @@ class AccuracyMatrix:
                 _check_unit_interval(v, "accuracy", k)
         self._rows.append(values)
 
-    @property
-    def num_experiences_trained(self) -> int:
-        return len(self._rows)
-
     def _packed_row(self, k: int) -> array:
         if k < 1:
             raise ValueError(f"experience index must be >= 1, got {k}")
@@ -138,7 +134,7 @@ class AccuracyMatrix:
         return len(self._rows)
 
     def __repr__(self) -> str:
-        return f"AccuracyMatrix(num_experiences_trained={len(self._rows)})"
+        return f"<AccuracyMatrix of {len(self._rows)} rows>"
 
 
 def _check_unit_interval(value: float, what: str, k: int) -> None:

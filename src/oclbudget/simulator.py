@@ -183,17 +183,20 @@ class TrainResult(Record):
     """Latency and peak memory of one experience; latency is None on OOM.
 
     A trained experience advances the environment's RunningAccuracy; its new
-    row is read through env.accuracy. An immutable tuple (record.Record), so
-    it equals a plain (latency_s, memory_peak_mb, oom) tuple.
+    row is read through env.accuracy; oom reads latency_s is None. An immutable
+    tuple (record.Record), so it equals a plain (latency_s, memory_peak_mb) tuple.
     """
 
     __slots__ = ()
     latency_s: Optional[float]
     memory_peak_mb: float
-    oom: bool
 
-    def __new__(cls, latency_s, memory_peak_mb, oom):
-        return tuple.__new__(cls, (latency_s, memory_peak_mb, oom))
+    def __new__(cls, latency_s, memory_peak_mb):
+        return tuple.__new__(cls, (latency_s, memory_peak_mb))
+
+    @property
+    def oom(self) -> bool:
+        return self.latency_s is None
 
 
 class SimulatedEnvironment:
@@ -201,11 +204,11 @@ class SimulatedEnvironment:
 
     It reads latency and accuracy from one ResponseModel, peak memory from
     one MemoryModel (the profile's two objects), and the device from one
-    PlatformPreset. Experiences must be trained strictly in order starting
-    at 1. The running accuracy's row count is the only record of how far the
-    run has got: next_experience and whether an experience is staged (it is
-    not the first) both follow from it. Once an OOM occurs the environment is
-    failed and refuses further work.
+    PlatformPreset. The running accuracy's row count is the only record of
+    how far the run has got: each train_experience call trains experience
+    len(accuracy) + 1 (next_experience), which sets its growth power and
+    whether it is staged (it is not the first). Once an OOM occurs the
+    environment is failed and refuses further work.
     """
 
     def __init__(
@@ -258,12 +261,10 @@ class SimulatedEnvironment:
     def next_experience(self) -> int:
         return len(self._accuracy) + 1
 
-    def train_experience(self, experience: int, knobs: Knobs) -> TrainResult:
+    def train_experience(self, knobs: Knobs) -> TrainResult:
         if self._failed:
             raise SimulationStateError("environment already failed; cannot train")
         trained = len(self._accuracy)
-        if experience != trained + 1:
-            raise SimulationStateError(f"expected experience {trained + 1}, got {experience}")
         if knobs is not self._knobs:
             self._terms = self._knob_terms(knobs)
             self._knobs = knobs
@@ -271,9 +272,9 @@ class SimulatedEnvironment:
         platform = self.platform
         if memory > platform.capacity_mb:
             self._failed = True
-            return TrainResult(None, memory, True)
+            return TrainResult(None, memory)
 
-        compute = self.response.latency_s(stream, replay, experience, platform.compute_scale)
+        compute = self.response.latency_s(stream, replay, trained + 1, platform.compute_scale)
         if trained and self.prefetch:
             latency = compute + max(0.0, self._load_s - PREFETCH_OVERLAP * compute)
         else:
@@ -284,7 +285,7 @@ class SimulatedEnvironment:
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
         self._accuracy.advance(factor, diagonal)
-        return TrainResult(latency, memory, False)
+        return TrainResult(latency, memory)
 
     def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:
         """Everything train_experience needs that only the knobs decide:

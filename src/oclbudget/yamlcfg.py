@@ -117,11 +117,8 @@ class Section:
     def keys(self) -> list[str]:
         return list(self._data)
 
-    def section(self, key: str, default=...) -> "Section":
-        value = self.take(key, kind=dict, default=default)
-        if not isinstance(value, dict):
-            return value
-        return Section(value, f"{self.path}.{key}")
+    def section(self, key: str) -> "Section":
+        return Section(self.take(key, kind=dict), f"{self.path}.{key}")
 
     def finish(self) -> None:
         if self._data:

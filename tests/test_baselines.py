@@ -11,8 +11,11 @@ from oclbudget import (
     OptimizerMode,
     Outcome,
     PolicyKind,
+    Report,
+    SchemaError,
     build_environment,
     bundled_scenario_names,
+    emit_report,
     load_bundled_scenario,
     run_baseline,
     run_control_loop,
@@ -92,6 +95,41 @@ class TestFixedPolicies:
         trace = run_baseline(BaselinePolicy.fixed(batch=4096, buffer=10), scenario)
         assert trace.outcome is Outcome.OOM_FAILED
         assert trace.records[-1].oom
+
+
+class TestPolicyRules:
+    # Each rule keeps a policy from running something other than it names:
+    # run_baseline falls back to the initial budgets unless both knobs are
+    # set, and tests the mode by identity with the OptimizerMode member.
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((512, None), "BaselinePolicy.buffer: must be set with the other knob"),
+            ((None, 5), "BaselinePolicy.batch: must be set with the other knob"),
+            ((0, 10), "BaselinePolicy.batch: must be >= 1, got 0"),
+            ((16, -1), "BaselinePolicy.buffer: must be >= 0, got -1"),
+            ((16, 10, "fast"), "BaselinePolicy.optimizer_mode: must be 'default' or 'advanced', got 'fast'"),
+            ((None, None, "advanced"), "BaselinePolicy.optimizer_mode: needs explicit knobs, got 'advanced'"),
+        ],
+        ids=["batch-only", "buffer-only", "batch-0", "buffer-negative", "unknown-mode", "mode-only"],
+    )
+    def test_invalid_policy_rejected(self, args, message):
+        with pytest.raises(SchemaError) as info:
+            BaselinePolicy.fixed(*args)
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
+
+    def test_mode_string_becomes_its_member(self):
+        scenario = load_bundled_scenario("server-er")
+        named = BaselinePolicy.fixed(32, 1000, "advanced")
+        member = BaselinePolicy.fixed(32, 1000, OptimizerMode.ADVANCED)
+        assert named.optimizer_mode is OptimizerMode.ADVANCED and named == member
+        trace = run_baseline(named, scenario)
+        assert trace == run_baseline(member, scenario)
+        config = scenario.controller
+        assert {r.budgets.optimizer_mb for r in trace.records} == {config.optimizer_advanced_mb}
+        # The report spells the mode from its member.
+        assert b",1,32,1000,advanced," in emit_report(Report("server-er", (("fixed", trace),)))
 
 
 class TestOracle:

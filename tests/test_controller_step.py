@@ -134,9 +134,9 @@ def old_control_loop(scenario, env):
     records = []
     for experience in range(1, scenario.num_experiences + 1):
         knobs = old_derive_knobs(state, config)
-        latency, memory, oom = env.train_experience(experience, knobs)
-        if oom:
-            records.append(TraceRecord(experience, knobs, None, None, None, state, memory, True))
+        latency, memory = env.train_experience(knobs)
+        if latency is None:
+            records.append(TraceRecord(experience, knobs, None, None, None, state, memory))
             return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED), None
         snap = running_snapshot(env.accuracy, latency, memory)
         score = score_of(snap)
@@ -145,7 +145,7 @@ def old_control_loop(scenario, env):
             state = old_update_budgets(state, score.value, theta, config)
         except InfeasibleBudgetError as exc:
             return RunTrace(records=tuple(records), outcome=Outcome.INFEASIBLE), str(exc)
-        records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory, False))
+        records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory))
     return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED), None
 
 

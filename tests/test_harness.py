@@ -436,7 +436,6 @@ def trace_records(draw):
         snapshot=snapshot,
         budgets=budgets,
         memory_peak_mb=draw(any_float),
-        oom=oom,
     )
 
 
@@ -533,8 +532,8 @@ budget_values = st.builds(
 @st.composite
 def shared_value_traces(draw):
     """Traces whose records hold one of a few shared (Knobs, BudgetState,
-    memory) objects, as a fixed-knob run does, with thresholds and memory
-    values drawn from TWINS."""
+    memory) objects, as a fixed-knob run does, with memory values and the
+    thresholds of scored records drawn from TWINS."""
     shared = draw(
         st.lists(st.tuples(knob_values, budget_values, twin_or_any), min_size=1, max_size=3)
     )
@@ -544,7 +543,7 @@ def shared_value_traces(draw):
         for _ in range(draw(st.integers(1, 6))):
             knobs, budgets, memory = draw(st.sampled_from(shared))
             drawn = draw(trace_records())
-            threshold = draw(st.none() | twin_or_any)
+            threshold = None if drawn.oom else draw(twin_or_any)
             records.append(
                 TraceRecord(
                     drawn.experience,
@@ -554,7 +553,6 @@ def shared_value_traces(draw):
                     drawn.snapshot,
                     budgets,
                     memory,
-                    drawn.oom,
                 )
             )
         traces.append((draw(names), records))
@@ -686,8 +684,12 @@ class TestEmitReport:
         oom_line = lines[-1]
         cells = dict(zip(CSV_COLUMNS, oom_line.split(",")))
         assert cells["outcome"] == "oom"
-        assert cells["score"] == "" and cells["latency_s"] == ""
+        for column in ("score", "threshold", "latency_s", "plasticity", "stability"):
+            assert cells[column] == "", column
         assert float(cells["mem_peak_mb"]) > 8192
+        # The OOM row the README and the harness docstring show.
+        max_a = emit_report(run_suite(scenario, ["max_a"]), "csv").decode()
+        assert max_a.endswith("\nxavier-gss,max-a,1,32,1000,advanced,,,,8283,,,oom\n")
 
     def test_unknown_format_rejected(self):
         report = Report(scenario_name="x", traces=())

@@ -66,8 +66,8 @@ scenario = dataclasses.replace(
     scenario, response=dataclasses.replace(scenario.response, noise_fraction=0.1)
 )
 env = build_environment(scenario)
-for e in range(1, 6):
-    result = env.train_experience(e, Knobs(64, 500, OptimizerMode.DEFAULT))
+for _ in range(5):
+    result = env.train_experience(Knobs(64, 500, OptimizerMode.DEFAULT))
     print(repr(result.latency_s), repr(env.accuracy.row))
 """
 

@@ -69,7 +69,7 @@ class TestAccuracyMatrix:
 
     def test_lower_triangular_completeness(self):
         m = AccuracyMatrix([[0.9], [0.4, 0.8]])
-        assert m.num_experiences_trained == 2
+        assert len(m) == 2
         assert m.entries() == {(1, 1): 0.9, (2, 1): 0.4, (2, 2): 0.8}
         with pytest.raises(ValueError):
             m.get(1, 2)  # upper triangle

@@ -34,7 +34,7 @@ VALID = [
         ("value", "plasticity_factor", "stability_factor", "latency_factor", "memory_factor"),
         (0.5 * 0.25 * 0.5 * 0.5, 0.5, 0.25, 0.5, 0.5),
     ),
-    (TrainResult, ("latency_s", "memory_peak_mb", "oom"), (12.5, 4300.0, False)),
+    (TrainResult, ("latency_s", "memory_peak_mb"), (12.5, 4300.0)),
     (Knobs, ("batch_size", "buffer_size", "optimizer_mode"), (64, 2000, OptimizerMode.ADVANCED)),
     (
         BudgetState,
@@ -51,12 +51,13 @@ VALID = [
             "snapshot",
             "budgets",
             "memory_peak_mb",
-            "oom",
         ),
-        (3, KNOBS, SCORE, 0.06, SNAPSHOT, BUDGETS, 4300.0, False),
+        (3, KNOBS, SCORE, 0.06, SNAPSHOT, BUDGETS, 4300.0),
     ),
 ]
 VALID_IDS = [cls.__name__ for cls, _, _ in VALID]
+
+HALF_SCORED = "score, threshold and snapshot must be all set or all None"
 
 # (type, values, the ValueError message) for each check the types make.
 INVALID = [
@@ -83,6 +84,18 @@ INVALID = [
     (BudgetState, (float("nan"), 90.0, 4200.0, OptimizerMode.DEFAULT), "budgets must be finite, got nan and 90.0"),
     (BudgetState, (2.9, float("inf"), 4200.0, OptimizerMode.DEFAULT), "budgets must be finite, got 2.9 and inf"),
     (BudgetState, (float("inf"), float("nan"), 4200.0, OptimizerMode.ADVANCED), "budgets must be finite, got inf and nan"),
+    # A trace record is scored (score, threshold and snapshot) or OOM (none of them).
+    *(
+        (TraceRecord, (3, KNOBS, *half, BUDGETS, 4300.0), HALF_SCORED)
+        for half in [
+            (SCORE, None, None),
+            (None, 0.06, None),
+            (None, None, SNAPSHOT),
+            (SCORE, 0.06, None),
+            (SCORE, None, SNAPSHOT),
+            (None, 0.06, SNAPSHOT),
+        ]
+    ),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 
@@ -132,8 +145,8 @@ class TestValidRecord:
             assert type(clone) is cls and clone == record
 
     def test_wrong_arity_raises_type_error(self, cls, fields, values):
-        # TraceRecord.oom and BudgetState.optimizer_mode have defaults.
-        required = len(values) - (cls in (TraceRecord, BudgetState))
+        # BudgetState.optimizer_mode has a default.
+        required = len(values) - (cls is BudgetState)
         with pytest.raises(TypeError):
             cls(*values[: required - 1])
         with pytest.raises(TypeError):
@@ -148,10 +161,22 @@ class TestValidRecord:
             dataclasses.replace(cls(*values), **{fields[0]: values[0]})
 
 
-def test_trace_record_oom_defaults_to_false():
+def test_oom_follows_the_metrics_on_both_records():
+    # oom is no field: a training result is an OOM when it has no latency,
+    # a trace record when it has no snapshot.
+    assert TrainResult(12.5, 4300.0).oom is False
+    assert TrainResult(None, 9000.0).oom is True
+    assert TraceRecord(3, KNOBS, SCORE, 0.06, SNAPSHOT, BUDGETS, 4300.0).oom is False
     record = TraceRecord(1, KNOBS, None, None, None, BUDGETS, 9000.0)
-    assert record.oom is False
-    assert record == (1, KNOBS, None, None, None, BUDGETS, 9000.0, False)
+    assert record.oom is True
+    assert record == (1, KNOBS, None, None, None, BUDGETS, 9000.0)
+
+
+def test_oom_is_not_stored():
+    assert "oom" not in TrainResult._fields and "oom" not in TraceRecord._fields
+    assert len(TrainResult._fields) == 2 and len(TraceRecord._fields) == 7
+    with pytest.raises(TypeError):
+        TraceRecord(1, KNOBS, None, None, None, BUDGETS, 9000.0, oom=True)
 
 
 def test_budget_state_mode_defaults_to_default_and_total_is_the_sum():

@@ -214,25 +214,25 @@ class TestTrainExperience:
     def test_batch_doubling_with_headroom(self):
         env_small = make_env()
         env_big = make_env()
-        r_small = env_small.train_experience(1, knobs(16, 100))
-        r_big = env_big.train_experience(1, knobs(32, 100))
+        r_small = env_small.train_experience(knobs(16, 100))
+        r_big = env_big.train_experience(knobs(32, 100))
         assert r_big.latency_s < r_small.latency_s
         assert r_big.memory_peak_mb > r_small.memory_peak_mb
 
     def test_zero_buffer_maximal_forgetting(self):
         env = make_env()
-        env.train_experience(1, knobs(64, 0))
+        env.train_experience(knobs(64, 0))
         first = env.accuracy_matrix.get(1, 1)
-        env.train_experience(2, knobs(64, 0))
+        env.train_experience(knobs(64, 0))
         decayed = env.accuracy_matrix.get(2, 1)
         assert decayed == pytest.approx(first * (1.0 - 0.3), rel=1e-12)
 
     def test_oom_boundary_is_exact(self):
         need = make_memory().memory_mb(knobs(64, 100))
         fits = make_env(capacity_mb=need)
-        assert not fits.train_experience(1, knobs(64, 100)).oom
+        assert not fits.train_experience(knobs(64, 100)).oom
         blows = make_env(capacity_mb=need - 1.0)
-        result = blows.train_experience(1, knobs(64, 100))
+        result = blows.train_experience(knobs(64, 100))
         assert result.oom
         assert result.latency_s is None and len(blows.accuracy) == 0
         assert result.memory_peak_mb == need
@@ -240,29 +240,24 @@ class TestTrainExperience:
 
     def test_failed_env_refuses_further_work(self):
         env = make_env(capacity_mb=10.0)
-        assert env.train_experience(1, knobs(64, 100)).oom
+        assert env.train_experience(knobs(64, 100)).oom
         with pytest.raises(SimulationStateError):
-            env.train_experience(2, knobs(1, 0))
-
-    def test_out_of_order_experience_rejected(self):
-        env = make_env()
-        with pytest.raises(SimulationStateError):
-            env.train_experience(2, knobs(64, 100))
+            env.train_experience(knobs(1, 0))
 
     def test_same_seed_identical_rows_with_noise(self):
         rows = []
         for _ in range(2):
             env = make_env(seed=77, noise_fraction=0.1)
-            for e in range(1, 5):
-                env.train_experience(e, knobs(64, 500))
+            for _ in range(4):
+                env.train_experience(knobs(64, 500))
             rows.append(env.accuracy_matrix.entries())
         assert rows[0] == rows[1]
 
     def test_different_seed_changes_noisy_rows(self):
         a = make_env(seed=1, noise_fraction=0.1)
         b = make_env(seed=2, noise_fraction=0.1)
-        a.train_experience(1, knobs(64, 500))
-        b.train_experience(1, knobs(64, 500))
+        a.train_experience(knobs(64, 500))
+        b.train_experience(knobs(64, 500))
         assert a.accuracy_matrix.get(1, 1) != b.accuracy_matrix.get(1, 1)
 
     @pytest.mark.parametrize("noise", [0.05, 0.3])
@@ -273,7 +268,7 @@ class TestTrainExperience:
             clean, noisy = make_env(seed=seed), make_env(seed=seed, noise_fraction=noise)
             for e in range(1, 4):
                 kn = knobs(2 ** (4 + e), 300 * e)
-                a, b = clean.train_experience(e, kn), noisy.train_experience(e, kn)
+                a, b = clean.train_experience(kn), noisy.train_experience(kn)
                 ratio = b.latency_s / a.latency_s - 1.0
                 assert abs(ratio) <= noise * (1.0 + 1e-12), (seed, e, ratio)
                 diagonal = clean.accuracy.row[-1]
@@ -341,9 +336,9 @@ class TestKnobMemo:
         env = make_env(seed=9, noise_fraction=noise)
         reference = make_env(seed=9, noise_fraction=noise)
         for e, kn in enumerate(schedule, start=1):
-            got = env.train_experience(e, kn)
+            got = env.train_experience(kn)
             copy = knobs(kn.batch_size, kn.buffer_size, kn.optimizer_mode)
-            assert got == reference.train_experience(e, copy), e
+            assert got == reference.train_experience(copy), e
             assert env.accuracy.row == reference.accuracy.row, e
             if noise == 0.0:
                 # make_env's platform loads nothing, so whether an experience
@@ -364,11 +359,11 @@ class TestKnobMemo:
         env = make_env()
         for _ in range(3):
             with pytest.raises(ValueError, match="invalid knobs"):
-                env.train_experience(1, bad)
+                env.train_experience(bad)
         good = knobs(16, 10)
-        assert not env.train_experience(1, good).oom
+        assert not env.train_experience(good).oom
         with pytest.raises(ValueError, match="invalid knobs"):
-            env.train_experience(2, bad)
+            env.train_experience(bad)
 
 
 class TestPrefetch:
@@ -390,8 +385,8 @@ class TestPrefetch:
 
     def second(self, env, kn=KNOBS):
         """Train experience 1, then return experience 2's result."""
-        env.train_experience(1, kn)
-        return env.train_experience(2, kn)
+        env.train_experience(kn)
+        return env.train_experience(kn)
 
     def test_overlap_is_85_percent(self):
         assert PREFETCH_OVERLAP == 0.85
@@ -424,7 +419,7 @@ class TestPrefetch:
     @pytest.mark.parametrize("load_per_sample", [0.001, 0.01])
     def test_unstaged_experience_pays_full_load(self, load_per_sample):
         env = self.env(load_per_sample)
-        result = env.train_experience(1, self.KNOBS)
+        result = env.train_experience(self.KNOBS)
         assert result.latency_s == self.compute(1) + 8000 * load_per_sample
 
     @pytest.mark.parametrize("prefetch", [True, False])
@@ -434,14 +429,14 @@ class TestPrefetch:
         env = self.env(0.01, prefetch=prefetch)
         load = 8000 * 0.01
         assert env.next_experience == len(env.accuracy) + 1 == 1
-        assert env.train_experience(1, self.KNOBS).latency_s == self.compute(1) + load
+        assert env.train_experience(self.KNOBS).latency_s == self.compute(1) + load
         assert env.next_experience == len(env.accuracy) + 1 == 2
         compute = self.compute(2)
         paid = max(0.0, load - 0.85 * compute) if prefetch else load
-        assert env.train_experience(2, self.KNOBS).latency_s == compute + paid
+        assert env.train_experience(self.KNOBS).latency_s == compute + paid
         assert env.next_experience == len(env.accuracy) + 1 == 3
         # 4000 MB base + 4096 samples * 4 MB is over the 10000 MB capacity.
-        assert env.train_experience(3, knobs(4096, 0)).oom
+        assert env.train_experience(knobs(4096, 0)).oom
         assert env.failed
         assert env.next_experience == len(env.accuracy) + 1 == 3
 
@@ -476,14 +471,14 @@ class TestPlatform:
         )
         env = build_environment(dataclasses.replace(scenario, platform=platform))
         assert env.platform is platform
-        result = env.train_experience(1, start)
+        result = env.train_experience(start)
         assert result.latency_s == scenario.response.compute_latency_s(
             start.batch_size, start.buffer_size, start.optimizer_mode, 1,
             scenario.samples_per_experience, 0.5,
         )
         below = dataclasses.replace(platform, capacity_mb=need - 1.0)
         env = build_environment(dataclasses.replace(scenario, platform=below))
-        assert env.train_experience(1, start).oom
+        assert env.train_experience(start).oom
 
     def test_build_environment_prefetch_flag(self):
         scenario = load_bundled_scenario("xavier-er")
