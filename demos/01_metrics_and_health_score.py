@@ -7,6 +7,8 @@ from it, and shows how the four logistic factors of the health score react
 as each metric moves across its threshold.
 """
 
+import dataclasses
+
 from oclbudget import (
     AccuracyMatrix,
     MetricSnapshot,
@@ -47,7 +49,7 @@ for k in (1, 2, 3):
 # down (risky to optimize).
 thresholds = Thresholds(plasticity=0.85, stability=0.95, latency_s=100.0, memory_mb=6000.0)
 weights = weights_from_preference(["memory", "plasticity", "stability", "latency"])
-print(f"\nweights from [memory, plasticity, stability, latency]: {weights.as_dict()}")
+print(f"\nweights from [memory, plasticity, stability, latency]: {dataclasses.asdict(weights)}")
 
 # A snapshot holds only the four measured values; the thresholds are passed
 # to the score, once per run in the controller.

@@ -26,7 +26,7 @@ _EXPORTS = {
     "controller": """BudgetState ControllerConfig Knobs MemoryModel OptimizerMode Outcome
         RunTrace TraceRecord derive_knobs run_control_loop threshold_at update_budgets""",
     "errors": """CalibrationError IncompleteMatrixError InfeasibleBudgetError
-        InvalidPreferenceError NumericDomainError OclBudgetError SchemaError
+        InvalidPreferenceError OclBudgetError SchemaError
         SimulationStateError""",
     "harness": """Report ablate_prefetch emit_report measure_overhead parse_report_csv
         run_suite""",

@@ -37,7 +37,7 @@ from .controller import (
     _run_policy,
     derive_knobs,
 )
-from .errors import reject
+from .errors import check_ints, reject
 from .metrics import running_snapshot as build_snapshot  # noqa: F401, patched by perfbench
 from .scenario import ScenarioConfig, build_environment
 from .simulator import SimulatedEnvironment
@@ -59,12 +59,11 @@ class BaselinePolicy:
 
     batch/buffer of None means "use the scenario's initial budgets", which is
     what makes the fixed policy exactly equivalent to a neutral controller.
-    The two are set together or not at all; the initial budgets use the
-    default optimizer, so another optimizer_mode needs explicit knobs. A mode
-    string becomes its OptimizerMode member.
+    The two are set together, as ints, or not at all; the initial budgets
+    use the default optimizer, so another optimizer_mode needs explicit
+    knobs. A mode string becomes its OptimizerMode member.
     """
 
-    kind: PolicyKind
     batch: Optional[int] = None
     buffer: Optional[int] = None
     optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT
@@ -78,22 +77,25 @@ class BaselinePolicy:
             object.__setattr__(self, "optimizer_mode", mode)
         if (batch is None) is not (buffer is None):
             reject(self, "buffer" if buffer is None else "batch", "must be set with the other knob")
-        if batch is None and mode is not OptimizerMode.DEFAULT:
-            reject(self, "optimizer_mode", f"needs explicit knobs, got {mode.value!r}")
-        if batch is not None and not batch >= 1:
+        if batch is None:
+            if mode is not OptimizerMode.DEFAULT:
+                reject(self, "optimizer_mode", f"needs explicit knobs, got {mode.value!r}")
+            return
+        check_ints(self, "batch buffer")
+        if not batch >= 1:
             reject(self, "batch", f"must be >= 1, got {batch!r}")
-        if buffer is not None and not buffer >= 0:
+        if not buffer >= 0:
             reject(self, "buffer", f"must be >= 0, got {buffer!r}")
 
     @classmethod
     def max_a(cls) -> "BaselinePolicy":
         """Framework defaults: batch 32, buffer 1000, advanced optimizer."""
-        return cls(PolicyKind.MAX_A, 32, 1000, OptimizerMode.ADVANCED)
+        return cls(32, 1000, OptimizerMode.ADVANCED)
 
     @classmethod
     def max_p(cls) -> "BaselinePolicy":
         """Throughput first: batch 1024, buffer 10, default optimizer."""
-        return cls(PolicyKind.MAX_P, 1024, 10, OptimizerMode.DEFAULT)
+        return cls(1024, 10, OptimizerMode.DEFAULT)
 
     @classmethod
     def fixed(
@@ -102,7 +104,7 @@ class BaselinePolicy:
         buffer: Optional[int] = None,
         optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT,
     ) -> "BaselinePolicy":
-        return cls(PolicyKind.FIXED, batch, buffer, optimizer_mode)
+        return cls(batch, buffer, optimizer_mode)
 
     @classmethod
     def from_scenario(cls, kind: PolicyKind, scenario: ScenarioConfig) -> "BaselinePolicy":
@@ -164,10 +166,6 @@ class OracleResult:
 
     best_config: Optional[tuple[int, int]]
     traces: tuple[tuple[tuple[int, int], RunTrace], ...]
-
-    @property
-    def feasible(self) -> bool:
-        return self.best_config is not None
 
     @property
     def run_count(self) -> int:

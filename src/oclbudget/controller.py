@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import InfeasibleBudgetError, check_ranges, ranges, reject
+from .errors import InfeasibleBudgetError, check_ints, check_ranges, ranges, reject
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
 from .record import Record
 from .urge import UrgeScore, urge_scorer, weights_from_preference
@@ -104,6 +104,7 @@ class MemoryModel:
     })
 
     def __post_init__(self):
+        check_ints(self, "spike_threshold")
         check_ranges(self, self._RANGES)
 
     def memory_mb(self, knobs: Knobs) -> float:

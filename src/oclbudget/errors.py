@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the range check each
-config record runs on its own fields."""
+"""Exception types shared across the package, and the range and int checks
+each config record runs on its own fields."""
 
 import math
 from operator import attrgetter
@@ -17,10 +17,6 @@ class IncompleteMatrixError(OclBudgetError):
 
 class InvalidPreferenceError(OclBudgetError):
     """Preference ordering is not a permutation of the four metric names."""
-
-
-class NumericDomainError(OclBudgetError):
-    """A score input was NaN or infinite."""
 
 
 class InfeasibleBudgetError(OclBudgetError):
@@ -55,8 +51,7 @@ def reject(record, field: str, rule: str, error: type = SchemaError):
 def ranges(intervals: dict[str, str]) -> tuple:
     """Compile {interval: "field field ..."} for check_ranges. An interval is
     written like "[0, 1)" or "[1e-9, inf)", and an open end is the nearest
-    float inside it, so "inf)" excludes the infinities; a dotted field reads
-    a nested record."""
+    float inside it, so "inf)" excludes the infinities."""
     rules = []
     for text, fields in intervals.items():
         lo, hi = (float(end) for end in text[1:-1].split(","))
@@ -72,6 +67,15 @@ def check_ranges(record, rules: tuple, error: type = SchemaError) -> None:
         value = value_of(record)
         if not lo <= value <= hi:
             reject(record, field, f"must be in {text}, got {value!r}", error)
+
+
+def check_ints(record, fields: str, error: type = SchemaError) -> None:
+    """Reject the first of the fields "field field ..." whose value is not an
+    int; a bool is not one, as a file's true is not."""
+    for field in fields.split():
+        value = getattr(record, field)
+        if not isinstance(value, int) or isinstance(value, bool):
+            reject(record, field, f"must be an int, got {value!r}", error)
 
 
 class SimulationStateError(OclBudgetError):

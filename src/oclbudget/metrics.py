@@ -122,14 +122,6 @@ class AccuracyMatrix:
             raise ValueError(f"entry ({k}, {i}) is outside the lower triangle")
         return self._packed_row(k)[i - 1]
 
-    def entries(self) -> dict[tuple[int, int], float]:
-        """Dict view {(k, i): accuracy}, mainly for serialization and tests."""
-        return {
-            (k, i): v
-            for k, row in enumerate(self._rows, start=1)
-            for i, v in enumerate(row, start=1)
-        }
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -298,8 +290,10 @@ class RunningAccuracy:
 class Thresholds:
     """Target levels the health score measures deviations against.
 
-    latency_s is the per-experience training latency target; memory_mb is
-    the maximum allowed memory (must be positive).
+    plasticity and stability are in [0, 1]; latency_s, the per-experience
+    training latency target, is finite and >= 0; memory_mb, the maximum
+    allowed memory, is finite and >= 1 MB. Each is finite and >= 0, which
+    urge.urge_scorer relies on.
     """
 
     plasticity: float
@@ -307,7 +301,11 @@ class Thresholds:
     latency_s: float
     memory_mb: float
 
-    _RANGES = ranges({"(0, inf]": "memory_mb"})
+    _RANGES = ranges({
+        "[0, 1]": "plasticity stability",
+        "[0, inf)": "latency_s",
+        "[1, inf)": "memory_mb",
+    })
 
     def __post_init__(self):
         check_ranges(self, self._RANGES)

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .controller import BudgetState, ControllerConfig, OptimizerMode, derive_knobs
-from .errors import InvalidPreferenceError, SchemaError, check_ranges, ranges, reject
+from .errors import InvalidPreferenceError, SchemaError, check_ints, check_ranges, ranges, reject
 from .metrics import Thresholds
 from .simulator import (
     PlatformPreset,
@@ -46,9 +46,11 @@ PREFERENCE_PRESETS: dict[str, tuple[str, ...]] = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One validated scenario. A loaded file, a direct build and
-    dataclasses.replace obey the same rules: each record checks its own
-    fields, and __post_init__ what spans fields, raising a SchemaError that
-    names Record.field (load_scenario names the file's key instead).
+    dataclasses.replace obey the same rules: each record, Thresholds
+    included, checks its own fields, and __post_init__ checks this record's
+    fields (K, samples and seed are ints, not floats or bools) and what
+    spans fields, raising a SchemaError that names Record.field
+    (load_scenario names the file's key instead).
 
     The environment reads the device from platform, but load_scenario
     copies platform.capacity_mb into controller.capacity_mb, so replacing
@@ -69,9 +71,8 @@ class ScenarioConfig:
     initial_replay_mb: float
 
     _RANGES = ranges({
-        "[1, inf)": "num_experiences samples_per_experience thresholds.memory_mb",
-        "[0, inf)": "seed thresholds.latency_s initial_batch_mb initial_replay_mb",
-        "[0, 1]": "thresholds.plasticity thresholds.stability",
+        "[1, inf)": "num_experiences samples_per_experience",
+        "[0, inf)": "seed initial_batch_mb initial_replay_mb",
     })
 
     def __post_init__(self):
@@ -79,6 +80,7 @@ class ScenarioConfig:
         if any(c in self.name for c in ',"\r\n'):
             rule = "must not contain a comma, a double quote or a line break"
             reject(self, "name", f"{self.name!r} {rule}")
+        check_ints(self, "num_experiences samples_per_experience seed")
         check_ranges(self, self._RANGES)
         try:
             weights_from_preference(self.preference)
@@ -137,7 +139,7 @@ class ScenarioConfig:
         return dataclasses.replace(self, preference=resolve_preference(preference))
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return dataclasses.replace(self, seed=int(seed))
+        return dataclasses.replace(self, seed=seed)
 
 
 def resolve_preference(preference) -> tuple[str, ...]:

@@ -67,7 +67,7 @@ from typing import Optional, Sequence
 
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
-from .errors import check_ranges, ranges, reject
+from .errors import check_ints, check_ranges, ranges, reject
 from .metrics import AccuracyMatrix, RunningAccuracy
 from .record import Record
 from .yamlcfg import Section, build, check_schema_version, finite_number, load_yaml_mapping
@@ -109,6 +109,7 @@ class ResponseModel:
     })
 
     def __post_init__(self):
+        check_ints(self, "batch_knee")
         check_ranges(self, self._RANGES)
 
     def knob_latency_terms(
@@ -342,6 +343,7 @@ class CalibrationTargets:
         def fail(field, rule):
             reject(self, field, rule, CalibrationError)
 
+        check_ints(self, "samples_per_experience", CalibrationError)
         for group, size in (("latency", "batch"), ("memory", "batch"), ("stability", "buffer")):
             field = f"{group}_points"
             points = getattr(self, field)

@@ -11,15 +11,18 @@ Weights come from a user preference ordering: with n metrics, position p
 (1-indexed from most important) gets raw weight n + 1 - p, normalized to
 sum 1. For the four metrics this is the 4/3/2/1 rule.
 
-Each deviation from its threshold is divided by the threshold's magnitude
-(floored at 1e-9), so fractions, seconds and megabytes enter the logistics
-on comparable scales. The score is the product of the four factors and
+Each deviation from its threshold is divided by the threshold (floored at
+1e-9), so fractions, seconds and megabytes enter the logistics on
+comparable scales. The score is the product of the four factors and
 nothing more: how much the smallest factor drives it is measured, not
 assumed (ROADMAP open item 7).
 
+Every input is a validated record: a MetricSnapshot, Thresholds and
+Weights each reject a NaN or infinite field, and a threshold or weight
+below 0, when they are built, so the score checks none of them again.
 urge_scorer fixes what a run does not change (the thresholds, their
-deviation divisors and finiteness, and the weights) once, and returns the
-per-snapshot score; compute_urge is that scorer built for a single call.
+deviation divisors and the weights) once, and returns the per-snapshot
+score; compute_urge is that scorer built for a single call.
 weights_from_preference derives each ordering's weights once and hands every
 later caller the same frozen Weights. A score is an UrgeScore, a validated
 tuple (see record): it checks its factors on every construction and equals
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidPreferenceError, NumericDomainError
+from .errors import InvalidPreferenceError, check_ranges, ranges
 from .metrics import MetricSnapshot, Thresholds
 from .record import Record
 
@@ -51,8 +54,9 @@ class Weights:
     """Per-metric sensitivities (k_p, k_s, k_l, k_m).
 
     Weights produced by weights_from_preference are normalized to sum 1;
-    arbitrary finite non-negative weights are accepted for sensitivity
-    studies (e.g. scaling a single factor).
+    any finite weights >= 0 are accepted for sensitivity studies (e.g.
+    scaling a single factor). A weight outside [0, inf) raises a
+    SchemaError naming it.
     """
 
     k_p: float
@@ -60,16 +64,10 @@ class Weights:
     k_l: float
     k_m: float
 
+    _RANGES = ranges({"[0, inf)": "k_p k_s k_l k_m"})
+
     def __post_init__(self):
-        for name, v in self.as_dict().items():
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"weight {name} must be finite and >= 0, got {v}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {"k_p": self.k_p, "k_s": self.k_s, "k_l": self.k_l, "k_m": self.k_m}
-
-    def total(self) -> float:
-        return self.k_p + self.k_s + self.k_l + self.k_m
+        check_ranges(self, self._RANGES)
 
 
 class UrgeScore(Record):
@@ -141,52 +139,41 @@ def weights_from_preference(order: Sequence[str]) -> Weights:
     return weights
 
 
-def _check_finite(pairs: Sequence[tuple[float, float]]) -> None:
-    for value, threshold in pairs:
-        if not (math.isfinite(value) and math.isfinite(threshold)):
-            raise NumericDomainError(
-                f"score inputs must be finite, got value={value!r} threshold={threshold!r}"
-            )
-
-
 def urge_scorer(
     thresholds: Thresholds, weights: Weights
 ) -> Callable[[MetricSnapshot], UrgeScore]:
     """The health score of one run, with its per-run constants fixed once.
 
     Returns score(snapshot), which measures each deviation against these
-    thresholds, divides it by the magnitude of its threshold (floored at
-    1e-9) and scales it by the four weights.
+    thresholds, divides it by its threshold (floored at 1e-9) and scales it
+    by the four weights. Each factor is the logistic 1 / (1 + exp(-x)) with
+    x clamped to [-36, 36].
 
-    Each factor is the logistic 1 / (1 + exp(-x)) with x clamped to
-    [-36, 36]. The threshold finiteness is decided here; score still raises
-    NumericDomainError on the first (value, threshold) pair, in the order
-    plasticity, stability, latency, memory, where either is not finite.
+    Thresholds, Weights and MetricSnapshot have checked every input to be
+    finite, and the thresholds and weights to be >= 0, so nothing is checked
+    here. The memory threshold is >= 1, so it is its own divisor.
     """
-    exp, isfinite = math.exp, math.isfinite
+    exp = math.exp
     th_p, th_s = thresholds.plasticity, thresholds.stability
     th_l, th_m = thresholds.latency_s, thresholds.memory_mb
-    thresholds_finite = isfinite(th_p) and isfinite(th_s) and isfinite(th_l) and isfinite(th_m)
-    n_p, n_s = max(abs(th_p), _NORM_EPS), max(abs(th_s), _NORM_EPS)
-    n_l, n_m = max(abs(th_l), _NORM_EPS), max(abs(th_m), _NORM_EPS)
+    n_p, n_s, n_l = max(th_p, _NORM_EPS), max(th_s, _NORM_EPS), max(th_l, _NORM_EPS)
     k_p, k_s, k_l, k_m = weights.k_p, weights.k_s, weights.k_l, weights.k_m
     hi, lo = _ARG_LIMIT, -_ARG_LIMIT
 
     def score(snapshot: MetricSnapshot) -> UrgeScore:
         p, s = snapshot.plasticity, snapshot.stability
         l, m = snapshot.latency_s, snapshot.memory_peak_mb
-        if not (thresholds_finite and isfinite(p) and isfinite(s) and isfinite(l) and isfinite(m)):
-            _check_finite(((p, th_p), (s, th_s), (l, th_l), (m, th_m)))
 
         # Each x is clamped to [lo, hi] by two comparisons, so a NaN argument
-        # passes through unchanged and fails UrgeScore's factor check.
+        # (a zero weight times a deviation that overflowed to inf) passes
+        # through unchanged and fails UrgeScore's factor check.
         x = -(k_p * ((p - th_p) / n_p))
         f_p = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
         x = -(k_s * ((s - th_s) / n_s))
         f_s = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
         x = k_l * ((l - th_l) / n_l)
         f_l = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
-        x = -(k_m * ((m - th_m) / n_m))
+        x = -(k_m * ((m - th_m) / th_m))
         f_m = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
 
         return UrgeScore(f_p * f_s * f_l * f_m, f_p, f_s, f_l, f_m)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
 criterion. Each criterion is a separate test so a failure pinpoints itself.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -75,7 +76,7 @@ def test_criterion_02_weight_rule():
     w = weights_from_preference(["memory", "plasticity", "stability", "latency"])
     exact = (w.k_m, w.k_p, w.k_s, w.k_l) == (0.4, 0.3, 0.2, 0.1)
     sums_ok = all(
-        abs(weights_from_preference(order).total() - 1.0) <= 1e-9
+        abs(sum(dataclasses.astuple(weights_from_preference(order))) - 1.0) <= 1e-9
         for order in itertools.permutations(METRIC_NAMES)
     )
     check(2, "positional weight rule exact; 24 permutations normalized", exact and sums_ok)

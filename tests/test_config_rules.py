@@ -51,6 +51,12 @@ def _past(*values):
     return st.sampled_from(values) | NON_FINITE
 
 
+def _not_int(*values):
+    """Ints past an int key's range, and a fraction and a bool, which are not
+    ints."""
+    return st.sampled_from(values + (10.5, True))
+
+
 # Every key a scenario draws, as (document, dotted key path): the values in
 # its range and the values past it. None omits an optional key.
 KEYS = {
@@ -61,7 +67,7 @@ KEYS = {
     ("library", "profiles.p.replay_sampling_cost_s"): (_floats(0, 0.01), _past(-1.0)),
     ("library", "profiles.p.optimizer_latency_multiplier"): (_floats(1, 3), _past(0.999)),
     ("library", "profiles.p.per_experience_growth"): (_floats(1, 1.2), _past(0.5)),
-    ("library", "profiles.p.batch_knee"): (st.integers(1, 512), st.sampled_from([0, -3])),
+    ("library", "profiles.p.batch_knee"): (st.integers(1, 512), _not_int(0, -3)),
     ("library", "profiles.p.stability_gain_max"): (_floats(0, 1), _past(-0.1, 1.01)),
     ("library", "profiles.p.stability_buffer_scale"): (_floats(1e-9, 5000), _past(0.0, -1.0)),
     ("library", "profiles.p.plasticity_max"): (_floats(0, 1), _past(5.0, -0.5)),
@@ -73,15 +79,15 @@ KEYS = {
     ("library", "profiles.p.optimizer_memory_delta_mb"): (_floats(0, 500), _past(-1.0)),
     ("library", "profiles.p.activation_mb_per_sample"): (_floats(1e-9, 20), _past(0.0)),
     ("library", "profiles.p.replay_frame_mb"): (_floats(1e-9, 1), _past(0.0, -0.1)),
-    ("library", "profiles.p.buffer_spike_threshold"): (st.integers(0, 50000), st.just(-1)),
+    ("library", "profiles.p.buffer_spike_threshold"): (st.integers(0, 50000), _not_int(-1)),
     ("library", "profiles.p.buffer_spike_coeff"): (_floats(0, 1e-5), _past(-1.0)),
     ("scenario", "name"): (
         st.text("abcxyz-", min_size=1, max_size=8),
         st.sampled_from(["a,b", 'say "hi"', "line\nbreak", "x\ry"]),
     ),
-    ("scenario", "num_experiences"): (st.integers(1, 60), st.sampled_from([0, -1])),
-    ("scenario", "samples_per_experience"): (st.integers(1, 20000), st.sampled_from([0, -5])),
-    ("scenario", "seed"): (st.integers(0, 2**31), st.just(-1)),
+    ("scenario", "num_experiences"): (st.integers(1, 60), _not_int(0, -1)),
+    ("scenario", "samples_per_experience"): (st.integers(1, 20000), _not_int(0, -5)),
+    ("scenario", "seed"): (st.integers(0, 2**31), _not_int(-1)),
     ("scenario", "preference"): (
         st.sampled_from(sorted(PREFERENCE_PRESETS)) | st.permutations(METRIC_NAMES).map(list),
         st.lists(st.sampled_from(METRIC_NAMES), min_size=3, max_size=5).filter(
@@ -307,6 +313,10 @@ HOLES = {
         _replaced("controller", safety_margin=0.9),
         r"^ScenarioConfig\.controller: initial budgets total 4827\.6 MB, above the 819\.2 MB cap$",
     ),
+    "float-experiences": (
+        _replaced("", num_experiences=10.0),
+        r"^ScenarioConfig\.num_experiences: must be an int, got 10\.0$",
+    ),
     "zero-experiences": (
         _replaced("", num_experiences=0),
         r"^ScenarioConfig\.num_experiences: must be in \[1, inf\), got 0$",
@@ -325,11 +335,23 @@ HOLES = {
     ),
     "plasticity-threshold-above-1": (
         _replaced("thresholds", plasticity=1.5),
-        r"^ScenarioConfig\.thresholds\.plasticity: must be in \[0, 1\], got 1\.5$",
+        r"^Thresholds\.plasticity: must be in \[0, 1\], got 1\.5$",
     ),
     "stability-threshold-below-0": (
         _replaced("thresholds", stability=-0.1),
-        r"^ScenarioConfig\.thresholds\.stability: must be in \[0, 1\], got -0\.1$",
+        r"^Thresholds\.stability: must be in \[0, 1\], got -0\.1$",
+    ),
+    "infinite-memory-threshold": (
+        _replaced("thresholds", memory_mb=math.inf),
+        r"^Thresholds\.memory_mb: must be in \[1, inf\), got inf$",
+    ),
+    "nan-plasticity-threshold": (
+        _replaced("thresholds", plasticity=math.nan),
+        r"^Thresholds\.plasticity: must be in \[0, 1\], got nan$",
+    ),
+    "negative-latency-threshold": (
+        _replaced("thresholds", latency_s=-1.0),
+        r"^Thresholds\.latency_s: must be in \[0, inf\), got -1\.0$",
     ),
     "plasticity-max-5": (
         _replaced("response", plasticity_max=5.0),
