@@ -37,7 +37,7 @@ from .controller import (
     _run_policy,
     derive_knobs,
 )
-from .errors import check_ints, reject
+from .errors import SchemaError, reject
 from .metrics import running_snapshot as build_snapshot  # noqa: F401, patched by perfbench
 from .scenario import ScenarioConfig, build_environment
 from .simulator import SimulatedEnvironment
@@ -59,9 +59,9 @@ class BaselinePolicy:
 
     batch/buffer of None means "use the scenario's initial budgets", which is
     what makes the fixed policy exactly equivalent to a neutral controller.
-    The two are set together, as ints, or not at all; the initial budgets
-    use the default optimizer, so another optimizer_mode needs explicit
-    knobs. A mode string becomes its OptimizerMode member.
+    The two are set together or not at all; the initial budgets use the
+    default optimizer, so another optimizer_mode needs explicit knobs. Knobs
+    checks the rest, and its SchemaError is re-raised naming this field.
     """
 
     batch: Optional[int] = None
@@ -70,22 +70,17 @@ class BaselinePolicy:
 
     def __post_init__(self):
         batch, buffer, mode = self.batch, self.buffer, self.optimizer_mode
-        if mode.__class__ is not OptimizerMode:  # an identity test: members skip the Enum call
-            if mode not in ("default", "advanced"):
-                reject(self, "optimizer_mode", f"must be 'default' or 'advanced', got {mode!r}")
-            mode = OptimizerMode(mode)
-            object.__setattr__(self, "optimizer_mode", mode)
         if (batch is None) is not (buffer is None):
             reject(self, "buffer" if buffer is None else "batch", "must be set with the other knob")
-        if batch is None:
-            if mode is not OptimizerMode.DEFAULT:
-                reject(self, "optimizer_mode", f"needs explicit knobs, got {mode.value!r}")
-            return
-        check_ints(self, "batch buffer")
-        if not batch >= 1:
-            reject(self, "batch", f"must be >= 1, got {batch!r}")
-        if not buffer >= 0:
-            reject(self, "buffer", f"must be >= 0, got {buffer!r}")
+        try:
+            # Without knobs the mode is still checked, at the smallest valid ones.
+            knobs = Knobs(1, 0, mode) if batch is None else Knobs(batch, buffer, mode)
+        except SchemaError as exc:  # Knobs.batch_size is the policy's batch
+            reject(self, exc.field.removesuffix("_size"), exc.rule)
+        mode = knobs.optimizer_mode
+        if batch is None and mode is not OptimizerMode.DEFAULT:
+            reject(self, "optimizer_mode", f"needs explicit knobs, got {mode.value!r}")
+        object.__setattr__(self, "optimizer_mode", mode)
 
     @classmethod
     def max_a(cls) -> "BaselinePolicy":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import CalibrationError, InfeasibleBudgetError, OclBudgetError, SchemaError
+from .errors import CalibrationError, InfeasibleBudgetError, OclBudgetError
 from .harness import ablate_prefetch, emit_report, measure_overhead, run_suite
 from .scenario import (
     PREFERENCE_PRESETS,
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SchemaError, CalibrationError, FileNotFoundError, ValueError) as exc:
+    except (CalibrationError, FileNotFoundError, ValueError) as exc:  # SchemaError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OclBudgetError as exc:

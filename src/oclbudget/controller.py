@@ -64,8 +64,9 @@ _INF = math.inf  # likewise a global read, where math.inf is two lookups
 
 
 class Knobs(Record):
-    """Actionable training configuration derived from a budget state.
-
+    """Actionable training configuration derived from a budget state: an int
+    batch_size >= 1, an int buffer_size >= 0 and an OptimizerMode, which
+    "default" or "advanced" becomes; else a SchemaError names the field.
     An immutable tuple (record.Record), so knobs equal a plain
     (batch_size, buffer_size, optimizer_mode) tuple.
     """
@@ -76,7 +77,23 @@ class Knobs(Record):
     optimizer_mode: OptimizerMode
 
     def __new__(cls, batch_size, buffer_size, optimizer_mode):
-        return tuple.__new__(cls, (batch_size, buffer_size, optimizer_mode))
+        knobs = tuple.__new__(cls, (batch_size, buffer_size, optimizer_mode))
+        # A valid triple passes one test with no call; the rest is checked below.
+        if not (
+            batch_size.__class__ is int and batch_size >= 1
+            and buffer_size.__class__ is int and buffer_size >= 0
+            and optimizer_mode.__class__ is OptimizerMode
+        ):
+            check_ints(knobs, "batch_size buffer_size")
+            if batch_size < 1:
+                reject(knobs, "batch_size", f"must be >= 1, got {batch_size!r}")
+            if buffer_size < 0:
+                reject(knobs, "buffer_size", f"must be >= 0, got {buffer_size!r}")
+            if optimizer_mode not in ("default", "advanced"):  # a member equals its value
+                rule = f"must be 'default' or 'advanced', got {optimizer_mode!r}"
+                reject(knobs, "optimizer_mode", rule)
+            knobs = tuple.__new__(cls, (batch_size, buffer_size, OptimizerMode(optimizer_mode)))
+        return knobs
 
 
 @dataclass(frozen=True)

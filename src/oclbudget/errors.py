@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the range and int checks
-each config record runs on its own fields."""
+each record runs on its own fields."""
 
 import math
 from operator import attrgetter
@@ -33,7 +33,8 @@ class InfeasibleBudgetError(OclBudgetError):
 
 
 class CalibrationError(OclBudgetError):
-    """Calibration targets are infeasible or the fit residual is too large."""
+    """The calibration fit failed: non-physical parameters or a residual not
+    finite or too large (malformed targets are CalibrationTargets' SchemaError)."""
 
 
 class SchemaError(OclBudgetError, ValueError):
@@ -41,41 +42,46 @@ class SchemaError(OclBudgetError, ValueError):
     (reject); a loader re-raises it naming the file's dotted key path."""
 
 
-def reject(record, field: str, rule: str, error: type = SchemaError):
-    """Raise error as "Record.field: rule", keeping field and rule."""
-    exc = error(f"{type(record).__name__}.{field}: {rule}")
+def reject(record, field: str, rule: str):
+    """Raise SchemaError("Record.field: rule"), keeping field and rule."""
+    exc = SchemaError(f"{type(record).__name__}.{field}: {rule}")
     exc.field, exc.rule = field, rule
     raise exc
 
 
+def interval(text: str) -> tuple[float, float]:
+    """The closed bounds of an interval written like "[0, 1)" or "[1e-9, inf)":
+    an open end is the nearest float inside it, so "inf)" excludes inf."""
+    lo, hi = (float(end) for end in text[1:-1].split(","))
+    lo = lo if text[0] == "[" else math.nextafter(lo, math.inf)
+    hi = hi if text[-1] == "]" else math.nextafter(hi, -math.inf)
+    return lo, hi
+
+
 def ranges(intervals: dict[str, str]) -> tuple:
-    """Compile {interval: "field field ..."} for check_ranges. An interval is
-    written like "[0, 1)" or "[1e-9, inf)", and an open end is the nearest
-    float inside it, so "inf)" excludes the infinities."""
+    """Compile {interval: "field field ..."} for check_ranges."""
     rules = []
     for text, fields in intervals.items():
-        lo, hi = (float(end) for end in text[1:-1].split(","))
-        lo = lo if text[0] == "[" else math.nextafter(lo, math.inf)
-        hi = hi if text[-1] == "]" else math.nextafter(hi, -math.inf)
+        lo, hi = interval(text)
         rules += [(field, attrgetter(field), lo, hi, text) for field in fields.split()]
     return tuple(rules)
 
 
-def check_ranges(record, rules: tuple, error: type = SchemaError) -> None:
+def check_ranges(record, rules: tuple) -> None:
     """Reject the first field outside its interval (ranges); NaN is in none."""
     for field, value_of, lo, hi, text in rules:
         value = value_of(record)
         if not lo <= value <= hi:
-            reject(record, field, f"must be in {text}, got {value!r}", error)
+            reject(record, field, f"must be in {text}, got {value!r}")
 
 
-def check_ints(record, fields: str, error: type = SchemaError) -> None:
+def check_ints(record, fields: str) -> None:
     """Reject the first of the fields "field field ..." whose value is not an
     int; a bool is not one, as a file's true is not."""
     for field in fields.split():
         value = getattr(record, field)
         if not isinstance(value, int) or isinstance(value, bool):
-            reject(record, field, f"must be an int, got {value!r}", error)
+            reject(record, field, f"must be an int, got {value!r}")
 
 
 class SimulationStateError(OclBudgetError):

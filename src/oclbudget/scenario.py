@@ -180,14 +180,18 @@ def bundled_scenario_path(name: str) -> Path:
     return path
 
 
-_library_cache: dict[str, ProfileLibrary] = {}
+# Keyed by the resolved path, st_mtime_ns and st_size: a relative path names
+# a file in the working directory, and a file rewritten in place is read again.
+_library_cache: dict[tuple[Path, int, int], ProfileLibrary] = {}
 
 
 def _library(path: str | Path | None) -> ProfileLibrary:
-    resolved = str(Path(path) if path is not None else default_profile_library_path())
-    if resolved not in _library_cache:
-        _library_cache[resolved] = load_profile_library(resolved)
-    return _library_cache[resolved]
+    source = Path(path) if path is not None else default_profile_library_path()
+    stat = source.stat()
+    key = (source.resolve(), stat.st_mtime_ns, stat.st_size)
+    if key not in _library_cache:
+        _library_cache[key] = load_profile_library(source)
+    return _library_cache[key]
 
 
 def _lookup(root: Section, key: str, table: dict):
@@ -232,7 +236,8 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     ctrl = root.section("controller")
     knobs = ("initial_threshold", "threshold_decay", "batch_sensitivity", "replay_sensitivity")
     config = {key: ctrl.take_number(key) for key in knobs}
-    config["safety_margin"] = ctrl.take_number("safety_margin", default=0.05)
+    if "safety_margin" in ctrl.keys():  # else ControllerConfig's default
+        config["safety_margin"] = ctrl.take_number("safety_margin")
     for key in ("initial_batch_mb", "initial_replay_mb"):
         values[key] = ctrl.take_number(key)
     ctrl.finish()

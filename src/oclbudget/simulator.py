@@ -33,13 +33,13 @@ adds per entry.
 Reading accuracy_matrix rebuilds the full matrix from it, O(K^2) work each
 time, into packed rows of about 8.5 bytes per entry (4 MiB at K = 1000).
 
-Everything the knobs alone decide (their validity, the memory, the stream
-term before growth, the replay term, the new diagonal before noise and the
-decay factor) is computed once per Knobs object the environment is given and
-kept until a different object arrives. Knobs is immutable, so a policy that
-passes one object for a whole run pays for it once; per experience only the
-growth power, the prefetch overlap, the noise draws and the row advance
-remain.
+Everything the knobs alone decide (the memory, the stream term before
+growth, the replay term, the new diagonal before noise and the decay factor)
+is computed once per Knobs object the environment is given and kept until a
+different object arrives. Knobs checks its own fields when it is built and
+is immutable, so a policy that passes one object for a whole run pays for
+it once; per experience only the growth power, the prefetch overlap, the
+noise draws and the row advance remain.
 
 The environment holds the device, one PlatformPreset: its capacity, compute
 scale and load rate. Out-of-memory is exactly the predicate memory > capacity
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +68,7 @@ from typing import Optional, Sequence
 
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
-from .errors import check_ints, check_ranges, ranges, reject
+from .errors import check_ints, check_ranges, interval, ranges, reject
 from .metrics import AccuracyMatrix, RunningAccuracy
 from .record import Record
 from .yamlcfg import Section, build, check_schema_version, finite_number, load_yaml_mapping
@@ -209,8 +210,11 @@ class SimulatedEnvironment:
     how far the run has got: each train_experience call trains experience
     len(accuracy) + 1 (next_experience), which sets its growth power and
     whether it is staged (it is not the first). Once an OOM occurs the
-    environment is failed and refuses further work.
+    environment is failed and refuses further work. It coerces nothing: the
+    seed is an int >= 0, samples an int >= 1 and prefetch a bool.
     """
+
+    _RANGES = ranges({"[1, inf)": "samples_per_experience", "[0, inf)": "seed"})
 
     def __init__(
         self,
@@ -221,16 +225,16 @@ class SimulatedEnvironment:
         samples_per_experience: int,
         prefetch: bool = True,
     ):
-        if samples_per_experience < 1:
-            raise ValueError("samples per experience must be >= 1")
-        seed = int(seed)
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
         self.response = response
         self.memory = memory
         self.platform = platform
-        self.prefetch = bool(prefetch)
-        self.samples_per_experience = int(samples_per_experience)
+        self.seed = seed
+        self.samples_per_experience = samples_per_experience
+        self.prefetch = prefetch
+        check_ints(self, "samples_per_experience seed")
+        check_ranges(self, self._RANGES)
+        if prefetch.__class__ is not bool:
+            reject(self, "prefetch", f"must be a bool, got {prefetch!r}")
         # Only noisy responses draw from the generator, so others skip building it.
         self._rng = random.Random(seed) if response.noise_fraction > 0.0 else None
         # Data loading is the same for every experience of the run.
@@ -290,13 +294,11 @@ class SimulatedEnvironment:
 
     def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:
         """Everything train_experience needs that only the knobs decide:
-        (memory, stream, replay, diagonal, decay factor), after checking them.
+        (memory, stream, replay, diagonal, decay factor).
 
         The workload is constant per experience; complexity drift is modeled
         by the response's growth factor, applied per experience.
         """
-        if knobs.batch_size < 1 or knobs.buffer_size < 0:
-            raise ValueError(f"invalid knobs {knobs}")
         b, r, mode = knobs.batch_size, knobs.buffer_size, knobs.optimizer_mode
         n = self.samples_per_experience
         stream, replay = self.response.knob_latency_terms(b, r, mode, n)
@@ -321,7 +323,8 @@ class CalibrationTargets:
 
     latency_points and memory_points are (batch_size, value) pairs at a fixed
     workload size; stability_points are (buffer_size, gain) pairs. The plugin
-    pair gives latency/memory with the advanced optimizer off and on.
+    pair gives latency/memory with the advanced optimizer off and on. A
+    broken rule (_RANGES, _POINTS) is a SchemaError naming the field.
     """
 
     samples_per_experience: int
@@ -338,43 +341,38 @@ class CalibrationTargets:
         "(0, inf)": "plugin_latency_off_s plugin_latency_on_s",
         "[0, inf)": "plugin_memory_off_mb plugin_memory_on_mb",
     })
+    # Per group: >= 3 points at int sizes >= 1 named size, values in the
+    # interval and in the order over sizes (a strict one needs distinct sizes).
+    _POINTS = (
+        ("latency", "batch", "(0, inf)", "strictly decreasing", operator.gt),
+        ("memory", "batch", "(0, inf)", "strictly increasing", operator.lt),
+        ("stability", "buffer", "[0, 1]", "non-decreasing", operator.le),
+    )
 
     def __post_init__(self):
-        def fail(field, rule):
-            reject(self, field, rule, CalibrationError)
-
-        check_ints(self, "samples_per_experience", CalibrationError)
-        for group, size in (("latency", "batch"), ("memory", "batch"), ("stability", "buffer")):
-            field = f"{group}_points"
+        check_ints(self, "samples_per_experience")
+        for group, size, values, order, in_order in self._POINTS:
+            field, (lo, hi) = f"{group}_points", interval(values)
             points = getattr(self, field)
             if len(points) < 3:
-                fail(field, f"need {group} targets at >= 3 {size} sizes")
-            if any(s < 1 for s, _ in points):
-                fail(field, f"{group} targets must use {size} sizes >= 1")
-        if any(v <= 0 for _, v in self.latency_points):
-            fail("latency_points", "latency targets must be > 0")
-        if any(v <= 0 for _, v in self.memory_points):
-            fail("memory_points", "memory targets must be > 0")
-        lat = sorted(self.latency_points)
-        if any(b2 <= b1 for (b1, _), (b2, _) in zip(lat, lat[1:])):
-            fail("latency_points", "latency targets must use distinct batch sizes")
-        if any(l2 >= l1 for (_, l1), (_, l2) in zip(lat, lat[1:])):
-            fail("latency_points", "latency targets must be strictly decreasing in batch size")
-        mem = sorted(self.memory_points)
-        if any(b2 <= b1 for (b1, _), (b2, _) in zip(mem, mem[1:])):
-            fail("memory_points", "memory targets must use distinct batch sizes")
-        if any(m2 <= m1 for (_, m1), (_, m2) in zip(mem, mem[1:])):
-            fail("memory_points", "memory targets must be strictly increasing in batch size")
-        stab = sorted(self.stability_points)
-        if any(s2 < s1 for (_, s1), (_, s2) in zip(stab, stab[1:])):
-            fail("stability_points", "stability targets must be non-decreasing in buffer size")
-        if any(not 0.0 <= s <= 1.0 for _, s in stab):
-            fail("stability_points", "stability targets must lie in [0, 1]")
-        check_ranges(self, self._RANGES, CalibrationError)
+                reject(self, field, f"need {group} targets at >= 3 {size} sizes")
+            for at, value in points:
+                if not isinstance(at, int) or isinstance(at, bool) or at < 1:
+                    rule = f"{group} targets must use int {size} sizes >= 1"
+                    reject(self, field, f"{rule}, got {at!r}")
+                if not lo <= value <= hi:
+                    reject(self, field, f"{group} targets must lie in {values}, got {value!r}")
+            ranked = sorted(points)
+            for (at, value), (next_at, next_value) in zip(ranked, ranked[1:]):
+                if at == next_at and order.startswith("strictly"):
+                    reject(self, field, f"{group} targets must use distinct {size} sizes")
+                if not in_order(value, next_value):
+                    reject(self, field, f"{group} targets must be {order} in {size} size")
+        check_ranges(self, self._RANGES)
         if self.plugin_latency_on_s < self.plugin_latency_off_s:
-            fail("plugin_latency_on_s", "plugin latency must not decrease when enabled")
+            reject(self, "plugin_latency_on_s", "plugin latency must not decrease when enabled")
         if self.plugin_memory_on_mb < self.plugin_memory_off_mb:
-            fail("plugin_memory_on_mb", "plugin memory must not decrease when enabled")
+            reject(self, "plugin_memory_on_mb", "plugin memory must not decrease when enabled")
 
 
 @dataclass(frozen=True)
@@ -516,9 +514,9 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     Fits (cost_per_sample, knee) to the latency curve, (base, m_act) to the
     memory line, and (s_max, R0) to the stability saturation; the optimizer
     multiplier and memory delta come directly from the plugin pair. Fails
-    with CalibrationError if any group's max relative residual exceeds 20%
-    or is not finite; malformed anchors (fewer than 3 per group, sizes
-    below 1, repeated batch sizes, non-monotone values) cannot be built.
+    with CalibrationError if the memory line is not physical or a group's
+    max relative residual exceeds 20% or is not finite; malformed anchors
+    (CalibrationTargets' rules) cannot be built.
 
     The latency and stability models are each linear in one parameter, so
     each fit is separable: for a fixed knee (or R0) the linear parameter has
@@ -682,9 +680,7 @@ def load_calibration_targets(path: str | Path) -> CalibrationTargets:
         for idx, pair in enumerate(raw):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SchemaError(f"{label}.{key}[{idx}]: expected a [size, value] pair")
-            size, value = pair
-            if not isinstance(size, int) or isinstance(size, bool):
-                raise SchemaError(f"{label}.{key}[{idx}]: size must be an int")
+            size, value = pair  # CalibrationTargets checks the size
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaError(f"{label}.{key}[{idx}]: value must be a number")
             points.append((size, finite_number(value, f"{label}.{key}[{idx}]")))

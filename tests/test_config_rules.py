@@ -387,3 +387,15 @@ def test_calibration_targets_file_names_the_key_of_a_broken_rule(tmp_path):
     match = r"targets\.yaml\.latency_points: latency targets must be strictly decreasing"
     with pytest.raises(SchemaError, match=match):
         load_calibration_targets(path)
+
+
+def test_calibration_targets_file_with_a_fractional_size_names_the_key(tmp_path):
+    # The loader leaves the int size rule to CalibrationTargets.
+    doc = yaml.safe_load(default_calibration_targets_path().read_text(encoding="utf-8"))
+    doc["stability_points"][1][0] = 500.5
+    path = tmp_path / "targets.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    rule = "stability targets must use int buffer sizes >= 1, got 500.5"
+    with pytest.raises(SchemaError) as info:
+        load_calibration_targets(path)
+    assert str(info.value) == f"{path}.stability_points: {rule}"

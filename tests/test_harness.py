@@ -411,8 +411,8 @@ def urge_scores(draw):
 def trace_records(draw):
     oom = draw(st.booleans())
     knobs = Knobs(
-        batch_size=draw(st.integers()),
-        buffer_size=draw(st.integers()),
+        batch_size=draw(st.integers(min_value=1)),
+        buffer_size=draw(st.integers(min_value=0)),
         optimizer_mode=draw(st.sampled_from(OptimizerMode)),
     )
     budgets = BudgetState(
@@ -517,8 +517,8 @@ TWINS = [0.0, -0.0, 1, 1.0, math.nan, -math.nan, float("nan"), math.inf, -math.i
 twin_or_any = st.sampled_from(TWINS) | any_float
 knob_values = st.builds(
     Knobs,
-    batch_size=st.integers(),
-    buffer_size=st.integers(),
+    batch_size=st.integers(min_value=1),
+    buffer_size=st.integers(min_value=0),
     optimizer_mode=st.sampled_from(OptimizerMode),
 )
 budget_values = st.builds(

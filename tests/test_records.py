@@ -96,6 +96,14 @@ INVALID = [
             (None, 0.06, SNAPSHOT),
         ]
     ),
+    # Knobs: int sizes (a bool is not one), batch >= 1, buffer >= 0, and a mode
+    # that is a member or names one.
+    (Knobs, (0, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be >= 1, got 0"),
+    (Knobs, (16.5, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be an int, got 16.5"),
+    (Knobs, (True, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be an int, got True"),
+    (Knobs, (16, -1, OptimizerMode.DEFAULT), "Knobs.buffer_size: must be >= 0, got -1"),
+    (Knobs, (16, True, OptimizerMode.ADVANCED), "Knobs.buffer_size: must be an int, got True"),
+    (Knobs, (16, 10, "fast"), "Knobs.optimizer_mode: must be 'default' or 'advanced', got 'fast'"),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 
@@ -248,3 +256,14 @@ class TestRecordDefinition:
 
                 def __new__(cls, a):
                     return tuple.__new__(cls, (a,))
+
+
+@pytest.mark.parametrize("mode", list(OptimizerMode), ids=lambda mode: mode.value)
+def test_knobs_mode_string_becomes_its_member(mode):
+    # The simulator and the memory model test the mode by identity.
+    for knobs in (
+        Knobs(32, 1000, mode.value),
+        Knobs(batch_size=32, buffer_size=1000, optimizer_mode=mode.value),
+    ):
+        assert knobs.optimizer_mode is mode and knobs == Knobs(32, 1000, mode)
+        assert pickle.loads(pickle.dumps(knobs)).optimizer_mode is mode

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from oclbudget.controller import _run_policy, derive_knobs
 from oclbudget.scenario import (
     build_environment,
     bundled_scenario_names,
+    bundled_scenario_path,
     default_calibration_targets_path,
     default_profile_library_path,
     load_bundled_scenario,
@@ -281,8 +283,30 @@ class TestTrainExperience:
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_negative_seed_rejected(self, noise):
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(SchemaError) as info:
             make_env(seed=-1, noise_fraction=noise)
+        assert str(info.value) == "SimulatedEnvironment.seed: must be in [0, inf), got -1"
+
+    # The environment coerces nothing: it once truncated a float or bool int
+    # field (10.7 ran 10 samples, 1.9 ran seed 1) and ran prefetch as a truth value.
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n": 10.7}, "samples_per_experience: must be an int, got 10.7"),
+            ({"n": True}, "samples_per_experience: must be an int, got True"),
+            ({"n": 0}, "samples_per_experience: must be in [1, inf), got 0"),
+            ({"seed": 1.9}, "seed: must be an int, got 1.9"),
+            ({"seed": True}, "seed: must be an int, got True"),
+            ({"prefetch": "no"}, "prefetch: must be a bool, got 'no'"),
+            ({"prefetch": 1}, "prefetch: must be a bool, got 1"),
+        ],
+        ids=["samples-float", "samples-bool", "samples-0", "seed-float", "seed-bool",
+             "prefetch-str", "prefetch-int"],
+    )
+    def test_environment_rejects_what_it_would_coerce(self, overrides, message):
+        with pytest.raises(SchemaError) as info:
+            make_env(**overrides)
+        assert str(info.value) == f"SimulatedEnvironment.{message}"
 
 
 def _fixed_run(scenario, policy, fresh_knobs_each_experience):
@@ -355,16 +379,16 @@ class TestKnobMemo:
                     kn.batch_size, kn.optimizer_mode, env.samples_per_experience
                 )
 
-    @pytest.mark.parametrize("bad", [knobs(0, 10), knobs(16, -1)])
-    def test_invalid_knobs_raise_on_every_call(self, bad):
-        env = make_env()
+    def test_mode_string_trains_like_its_member(self):
+        # xavier-er experience 1 at MAX-A's knobs, with the advanced optimizer.
+        scenario = load_bundled_scenario("xavier-er")
+        named, member = Knobs(32, 1000, "advanced"), Knobs(32, 1000, OptimizerMode.ADVANCED)
+        assert named.optimizer_mode is OptimizerMode.ADVANCED
+        env, reference = build_environment(scenario), build_environment(scenario)
         for _ in range(3):
-            with pytest.raises(ValueError, match="invalid knobs"):
-                env.train_experience(bad)
-        good = knobs(16, 10)
-        assert not env.train_experience(good).oom
-        with pytest.raises(ValueError, match="invalid knobs"):
-            env.train_experience(bad)
+            assert env.train_experience(named) == reference.train_experience(member)
+            assert env.accuracy.row == reference.accuracy.row
+        assert build_environment(scenario).train_experience(named) == (218.8, 4486.4)
 
 
 class TestPrefetch:
@@ -509,27 +533,33 @@ class TestCalibration:
         )
         assert result.memory.optimizer_delta_mb == pytest.approx(107.0, rel=1e-12)
 
-    # Malformed anchors are CalibrationTargets' own rules: building them raises,
-    # so calibrate_profile never sees them.
+    # Malformed anchors are CalibrationTargets' own rules: building them raises
+    # a SchemaError naming the field, so calibrate_profile never sees them.
+    def assert_rejected(self, field, points, rule):
+        with pytest.raises(SchemaError) as info:
+            dataclasses.replace(self.bundled_targets(), **{field: points})
+        assert str(info.value) == f"CalibrationTargets.{field}: {rule}"
+
     def test_constant_latency_targets_rejected(self):
-        with pytest.raises(CalibrationError):
-            dataclasses.replace(
-                self.bundled_targets(),
-                latency_points=((16, 100.0), (32, 100.0), (64, 100.0)),
-            )
+        self.assert_rejected(
+            "latency_points",
+            ((16, 100.0), (32, 100.0), (64, 100.0)),
+            "latency targets must be strictly decreasing in batch size",
+        )
 
     def test_non_monotone_memory_targets_rejected(self):
-        with pytest.raises(CalibrationError):
-            dataclasses.replace(
-                self.bundled_targets(),
-                memory_points=((16, 5000.0), (64, 4800.0), (256, 6000.0)),
-            )
+        self.assert_rejected(
+            "memory_points",
+            ((16, 5000.0), (64, 4800.0), (256, 6000.0)),
+            "memory targets must be strictly increasing in batch size",
+        )
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(CalibrationError):
-            dataclasses.replace(
-                self.bundled_targets(), stability_points=((10, 0.1), (100, 0.5))
-            )
+        self.assert_rejected(
+            "stability_points",
+            ((10, 0.1), (100, 0.5)),
+            "need stability targets at >= 3 buffer sizes",
+        )
 
     @pytest.mark.parametrize(
         "group, points",
@@ -541,8 +571,8 @@ class TestCalibration:
     def test_non_positive_anchor_rejected(self, group, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(CalibrationError, match=f"{group} targets must be > 0"):
-                dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
+            rule = f"{group} targets must lie in (0, inf), got 0.0"
+            self.assert_rejected(f"{group}_points", points, rule)
 
     @pytest.mark.parametrize(
         "group, points, size",
@@ -555,15 +585,28 @@ class TestCalibration:
     def test_anchor_size_below_one_rejected(self, group, points, size):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(CalibrationError, match=f"{group} targets must use {size} sizes >= 1"):
-                dataclasses.replace(self.bundled_targets(), **{f"{group}_points": points})
+            rule = f"{group} targets must use int {size} sizes >= 1, got 0"
+            self.assert_rejected(f"{group}_points", points, rule)
+
+    @pytest.mark.parametrize(
+        "group, points, size, size_given",
+        [
+            ("latency", ((16.5, 2160.0), (32.5, 1080.0), (64, 540.0)), "batch", "16.5"),
+            ("memory", ((16, 4200.0), (64.0, 4737.6), (256, 6350.4)), "batch", "64.0"),
+            ("stability", ((100, 0.1), (500, 0.47), (True, 0.9)), "buffer", "True"),
+        ],
+    )
+    def test_anchor_size_not_an_int_rejected(self, group, points, size, size_given):
+        # Only the targets loader checked that sizes are ints, so these built.
+        rule = f"{group} targets must use int {size} sizes >= 1, got {size_given}"
+        self.assert_rejected(f"{group}_points", points, rule)
 
     def test_repeated_memory_batch_size_rejected(self):
-        with pytest.raises(CalibrationError, match="memory targets must use distinct batch sizes"):
-            dataclasses.replace(
-                self.bundled_targets(),
-                memory_points=((64, 4000.0), (64, 4100.0), (64, 4200.0)),
-            )
+        self.assert_rejected(
+            "memory_points",
+            ((64, 4000.0), (64, 4100.0), (64, 4200.0)),
+            "memory targets must use distinct batch sizes",
+        )
 
     def test_non_finite_residual_rejected(self):
         # Anchors near the float maximum overflow the memory line's sums.
@@ -597,6 +640,42 @@ class TestDeclarativeFiles:
         )
         with pytest.raises(SchemaError, match="extra_key"):
             load_profile_library(bad)
+
+    @staticmethod
+    def er_library_texts():
+        """The bundled profiles file, and a copy with the er profile's compute
+        cost doubled (the same number of bytes)."""
+        text = default_profile_library_path().read_text(encoding="utf-8")
+        anchor = "    compute_cost_per_sample_s: 0.004\n"
+        assert text.count(anchor) == 1  # the er profile
+        return text, text.replace(anchor, "    compute_cost_per_sample_s: 0.008\n")
+
+    def test_relative_library_path_reads_the_working_directory(self, tmp_path, monkeypatch):
+        # The library cache once keyed on the path string, so "lib.yaml"
+        # loaded from b returned the library read from a.
+        for directory, text in zip("ab", self.er_library_texts()):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "lib.yaml").write_text(text, encoding="utf-8")
+        costs = []
+        for directory in "ab":
+            monkeypatch.chdir(tmp_path / directory)
+            scenario = load_scenario(bundled_scenario_path("xavier-er"), library_path="lib.yaml")
+            costs.append(scenario.response.compute_cost_per_sample_s)
+        assert costs == [0.004, 0.008]
+
+    def test_library_rewritten_in_place_is_read_again(self, tmp_path):
+        text, doubled = self.er_library_texts()
+        path = tmp_path / "lib.yaml"
+        path.write_text(text, encoding="utf-8")
+        scenario_path = bundled_scenario_path("xavier-er")
+        assert load_scenario(scenario_path, library_path=path).response.compute_cost_per_sample_s == 0.004
+        written = path.stat().st_mtime_ns
+        path.write_text(doubled, encoding="utf-8")
+        # The size is the same, and the file system's clock may not have
+        # ticked since the first write: date the rewrite a second later, as
+        # an edit made by hand would be.
+        os.utime(path, ns=(written + 10**9, written + 10**9))
+        assert load_scenario(scenario_path, library_path=path).response.compute_cost_per_sample_s == 0.008
 
     @pytest.mark.parametrize("value", ["1.0", "1.5"])
     def test_noise_fraction_of_one_or_more_rejected_with_path(self, tmp_path, value):
