@@ -16,13 +16,13 @@ a single adaptive run.
 
 from oclbudget import (
     BaselinePolicy,
-    PolicyKind,
     build_environment,
     load_bundled_scenario,
     run_baseline,
     run_control_loop,
     run_oracle,
 )
+from oclbudget.baselines import SUITE_BASELINES
 
 scenario = load_bundled_scenario("xavier-gss")
 print(f"scenario {scenario.name}: capacity {scenario.platform.capacity_mb:.0f} MB\n")
@@ -45,9 +45,9 @@ def describe(label, trace):
 
 
 describe("controller", run_control_loop(scenario, build_environment(scenario)))
-describe("max-a", run_baseline(BaselinePolicy.from_scenario(PolicyKind.MAX_A, scenario), scenario))
-describe("max-p", run_baseline(BaselinePolicy.from_scenario(PolicyKind.MAX_P, scenario), scenario))
-describe("fixed-proxy", run_baseline(BaselinePolicy.from_scenario(PolicyKind.FIXED, scenario), scenario))
+# A baseline policy is its Knobs; the suite's table names each one's label.
+for label, knobs in SUITE_BASELINES.values():
+    describe(label, run_baseline(BaselinePolicy(knobs), scenario))
 
 # --- The 42-point offline sweep ---------------------------------------------
 

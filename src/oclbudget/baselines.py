@@ -1,19 +1,20 @@
 """Comparison policies: MAX-A, MAX-P, a fixed-config proxy, and the oracle.
 
-All baselines run the controller's per-experience loop, _run_policy, but
-never adapt: knobs and the budget state stay fixed for the whole run, and
-every experience trains with the same Knobs object. The health score and
-threshold are still computed and recorded as diagnostics, so a fixed policy
-whose knobs equal the controller's initial knobs produces a trace identical
-to a neutral controller (zero sensitivities and a threshold no score
-reaches, so it never leaves its initial budgets or the default optimizer).
+A baseline policy is its Knobs. All baselines run the controller's
+per-experience loop, _run_policy, but never adapt: knobs and the budget
+state stay fixed for the whole run, and every experience trains with the
+same Knobs object. The health score and threshold are still computed and
+recorded as diagnostics, so a policy without knobs, which trains at the
+knobs of the scenario's initial budgets, produces a trace identical to a
+neutral controller (zero sensitivities and a threshold no score reaches, so
+it never leaves its initial budgets or the default optimizer).
 
-The "fixed" policy is a plain fixed-configuration proxy baseline. It stands
-in for latent-replay-style systems in comparisons without claiming to model
-their internals. The suite runs each baseline at constant knobs, the same
-for every scenario: MAX-A at batch 32, buffer 1000 with the advanced
-optimizer; MAX-P at batch 1024, buffer 10; the fixed proxy at batch 64,
-buffer 2000.
+SUITE_BASELINES is the one list of the suite's constant baselines: MAX-A
+(framework defaults, the advanced optimizer on), MAX-P (throughput first)
+and the fixed proxy, each with its report label and its knobs, the same for
+every scenario. The fixed proxy is a plain fixed-configuration baseline. It
+stands in for latent-replay-style systems in comparisons without claiming
+to model their internals.
 
 The oracle is a brute-force offline sweep over a 7 x 6 batch/buffer grid
 (42 runs). Its best configuration maximizes the mean of final plasticity and
@@ -37,7 +38,7 @@ from .controller import (
     _run_policy,
     derive_knobs,
 )
-from .errors import SchemaError, reject
+from .errors import reject
 from .metrics import running_snapshot as build_snapshot  # noqa: F401, patched by perfbench
 from .scenario import ScenarioConfig, build_environment
 from .simulator import SimulatedEnvironment
@@ -53,66 +54,37 @@ class PolicyKind(str, Enum):
     FIXED = "fixed"
 
 
+# Each constant baseline of the suite: its report label and its knobs.
+SUITE_BASELINES: dict[PolicyKind, tuple[str, Knobs]] = {
+    PolicyKind.MAX_A: ("max-a", Knobs(32, 1000, OptimizerMode.ADVANCED)),  # framework defaults
+    PolicyKind.MAX_P: ("max-p", Knobs(1024, 10, OptimizerMode.DEFAULT)),  # throughput first
+    PolicyKind.FIXED: ("fixed-proxy", Knobs(64, 2000, OptimizerMode.DEFAULT)),
+}
+
+
 @dataclass(frozen=True)
 class BaselinePolicy:
-    """A non-adaptive policy: fixed knobs for the whole run.
+    """A non-adaptive policy: one Knobs for the whole run.
 
-    batch/buffer of None means "use the scenario's initial budgets", which is
-    what makes the fixed policy exactly equivalent to a neutral controller.
-    The two are set together or not at all; the initial budgets use the
-    default optimizer, so another optimizer_mode needs explicit knobs. Knobs
-    checks the rest, and its SchemaError is re-raised naming this field.
+    knobs of None means the knobs of the scenario's initial budgets, which
+    is what makes the policy exactly equivalent to a neutral controller.
+    Knobs checks its own fields; the policy checks only that it holds one.
     """
 
-    batch: Optional[int] = None
-    buffer: Optional[int] = None
-    optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT
+    knobs: Optional[Knobs] = None
 
     def __post_init__(self):
-        batch, buffer, mode = self.batch, self.buffer, self.optimizer_mode
-        if (batch is None) is not (buffer is None):
-            reject(self, "buffer" if buffer is None else "batch", "must be set with the other knob")
-        try:
-            # Without knobs the mode is still checked, at the smallest valid ones.
-            knobs = Knobs(1, 0, mode) if batch is None else Knobs(batch, buffer, mode)
-        except SchemaError as exc:  # Knobs.batch_size is the policy's batch
-            reject(self, exc.field.removesuffix("_size"), exc.rule)
-        mode = knobs.optimizer_mode
-        if batch is None and mode is not OptimizerMode.DEFAULT:
-            reject(self, "optimizer_mode", f"needs explicit knobs, got {mode.value!r}")
-        object.__setattr__(self, "optimizer_mode", mode)
-
-    @classmethod
-    def max_a(cls) -> "BaselinePolicy":
-        """Framework defaults: batch 32, buffer 1000, advanced optimizer."""
-        return cls(32, 1000, OptimizerMode.ADVANCED)
-
-    @classmethod
-    def max_p(cls) -> "BaselinePolicy":
-        """Throughput first: batch 1024, buffer 10, default optimizer."""
-        return cls(1024, 10, OptimizerMode.DEFAULT)
-
-    @classmethod
-    def fixed(
-        cls,
-        batch: Optional[int] = None,
-        buffer: Optional[int] = None,
-        optimizer_mode: OptimizerMode = OptimizerMode.DEFAULT,
-    ) -> "BaselinePolicy":
-        return cls(batch, buffer, optimizer_mode)
+        if self.knobs is not None and not isinstance(self.knobs, Knobs):
+            reject(self, "knobs", f"must be a Knobs or None, got {self.knobs!r}")
 
     @classmethod
     def from_scenario(cls, kind: PolicyKind, scenario: ScenarioConfig) -> "BaselinePolicy":
-        """The suite's policy of this kind, at its constant knobs.
+        """The suite's policy of this kind, at its SUITE_BASELINES knobs.
 
-        scenario is no longer read: the presets do not vary per scenario.
-        The argument stays so existing callers keep working.
+        scenario is not read: the knobs do not vary per scenario. The
+        signature stays because the benchmark (perfbench) calls it.
         """
-        if kind is PolicyKind.MAX_A:
-            return cls.max_a()
-        if kind is PolicyKind.MAX_P:
-            return cls.max_p()
-        return cls.fixed(64, 2000)
+        return cls(SUITE_BASELINES[kind][1])
 
 
 def run_baseline(
@@ -124,27 +96,29 @@ def run_baseline(
 
     The budget state is the one the fixed knobs occupy, and each update
     returns it unchanged. OOM is recorded the same way as in the controller
-    loop and is a valid outcome for a baseline, not an exception.
+    loop and is a valid outcome for a baseline, not an exception. A given env
+    must not have trained yet (else SimulationStateError).
     """
     if env is None:
         env = build_environment(scenario)
     config = scenario.controller
-    if policy.batch is None or policy.buffer is None:
+    knobs = policy.knobs
+    if knobs is None:
         state = scenario.initial_budget_state()
         knobs = derive_knobs(state, config)
     else:
         # Explicit knobs pass through as given: deriving them back from the
         # budgets could floor one off (floor(15 * 0.045 / 0.045) == 14).
-        knobs = Knobs(policy.batch, policy.buffer, policy.optimizer_mode)
+        mode = knobs.optimizer_mode
         state = BudgetState(
-            policy.batch * config.memory.sample_mb,
-            policy.buffer * config.memory.frame_mb,
+            knobs.batch_size * config.memory.sample_mb,
+            knobs.buffer_size * config.memory.frame_mb,
             (
                 config.optimizer_advanced_mb
-                if policy.optimizer_mode is OptimizerMode.ADVANCED
+                if mode is OptimizerMode.ADVANCED
                 else config.optimizer_default_mb
             ),
-            policy.optimizer_mode,
+            mode,
         )
     return _run_policy(
         scenario,
@@ -179,7 +153,7 @@ def run_oracle(
     traces: list[tuple[tuple[int, int], RunTrace]] = []
     for batch in batch_grid:
         for buffer in buffer_grid:
-            policy = BaselinePolicy.fixed(batch=batch, buffer=buffer)
+            policy = BaselinePolicy(Knobs(batch, buffer, OptimizerMode.DEFAULT))
             trace = run_baseline(policy, scenario)
             traces.append(((batch, buffer), trace))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from .errors import CalibrationError, InfeasibleBudgetError, OclBudgetError
-from .harness import ablate_prefetch, emit_report, measure_overhead, run_suite
+from .harness import KNOWN_POLICIES, ablate_prefetch, emit_report, measure_overhead, run_suite
 from .scenario import (
     PREFERENCE_PRESETS,
     default_calibration_targets_path,
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--policy",
                 action="append",
                 default=None,
-                help="policy to run (repeatable): controller, max_a, max_p, fixed, oracle",
+                help=f"policy to run (repeatable): {', '.join(KNOWN_POLICIES)}",
             )
 
     add_common(sub.add_parser("run", help="run policies on a scenario"), report=True, policies=True)

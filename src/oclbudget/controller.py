@@ -29,12 +29,14 @@ experience's threshold by threshold_at's expression inside the timed region.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import InfeasibleBudgetError, check_ints, check_ranges, ranges, reject
+from .errors import InfeasibleBudgetError, SimulationStateError
+from .errors import check_ints, check_ranges, ranges, reject
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
 from .record import Record
 from .urge import UrgeScore, urge_scorer, weights_from_preference
@@ -61,12 +63,15 @@ class Outcome(str, Enum):
 _ADVANCED = OptimizerMode.ADVANCED
 _DEFAULT = OptimizerMode.DEFAULT
 _INF = math.inf  # likewise a global read, where math.inf is two lookups
+# The largest knob size: the memory and latency models turn sizes into floats.
+_MAX_SIZE = int(sys.float_info.max)
 
 
 class Knobs(Record):
     """Actionable training configuration derived from a budget state: an int
-    batch_size >= 1, an int buffer_size >= 0 and an OptimizerMode, which
-    "default" or "advanced" becomes; else a SchemaError names the field.
+    batch_size >= 1, an int buffer_size >= 0, neither above the largest
+    float (the cost models turn them into floats), and an OptimizerMode,
+    which "default" or "advanced" becomes; else a SchemaError names the field.
     An immutable tuple (record.Record), so knobs equal a plain
     (batch_size, buffer_size, optimizer_mode) tuple.
     """
@@ -80,8 +85,8 @@ class Knobs(Record):
         knobs = tuple.__new__(cls, (batch_size, buffer_size, optimizer_mode))
         # A valid triple passes one test with no call; the rest is checked below.
         if not (
-            batch_size.__class__ is int and batch_size >= 1
-            and buffer_size.__class__ is int and buffer_size >= 0
+            batch_size.__class__ is int and 1 <= batch_size <= _MAX_SIZE
+            and buffer_size.__class__ is int and 0 <= buffer_size <= _MAX_SIZE
             and optimizer_mode.__class__ is OptimizerMode
         ):
             check_ints(knobs, "batch_size buffer_size")
@@ -89,6 +94,10 @@ class Knobs(Record):
                 reject(knobs, "batch_size", f"must be >= 1, got {batch_size!r}")
             if buffer_size < 0:
                 reject(knobs, "buffer_size", f"must be >= 0, got {buffer_size!r}")
+            for field, size in (("batch_size", batch_size), ("buffer_size", buffer_size)):
+                if size > _MAX_SIZE:  # its repr could be too long to write
+                    rule = f"must be <= the largest float, got an int of {size.bit_length()} bits"
+                    reject(knobs, field, rule)
             if optimizer_mode not in ("default", "advanced"):  # a member equals its value
                 rule = f"must be 'default' or 'advanced', got {optimizer_mode!r}"
                 reject(knobs, "optimizer_mode", rule)
@@ -377,12 +386,14 @@ def _run_policy(
     *,
     overhead: OverheadRecorder | None = None,
 ) -> RunTrace:
-    """The per-experience loop every policy runs.
+    """The per-experience loop every policy runs, on a fresh environment.
 
     For each experience e: take the knobs for the current state, train, score
     the metrics and let update move the state against the threshold decayed
     to index e - 1. The environment numbers and stages the experience: each
-    one after the first counts as staged while the previous one trained.
+    one after the first counts as staged while the previous one trained. An
+    environment that has trained already would number its experiences past
+    the loop's, so it raises SimulationStateError before the first one.
     The URGE scorer and its weights are built once per run. A result with no
     latency is an OOM: the loop ends with an OOM record, the trace failed. An
     InfeasibleBudgetError from update propagates with the partial trace
@@ -403,6 +414,8 @@ def _run_policy(
     seconds = overhead.controller_seconds if overhead is not None else None
     clock = time.perf_counter
     accuracy = env.accuracy
+    if len(accuracy):
+        raise SimulationStateError(f"environment has trained {len(accuracy)} experiences already")
     records: list[TraceRecord] = []
 
     for experience in range(1, scenario.num_experiences + 1):

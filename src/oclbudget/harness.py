@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .baselines import BaselinePolicy, PolicyKind, run_baseline, run_oracle
+from .baselines import SUITE_BASELINES, BaselinePolicy, PolicyKind, run_baseline, run_oracle
 from .controller import OverheadRecorder, RunTrace, run_control_loop
 from .scenario import ScenarioConfig, build_environment
 from .urge import weights_from_preference
@@ -62,7 +62,7 @@ CSV_COLUMNS = (
     "outcome",
 )
 
-KNOWN_POLICIES = ("controller", "max_a", "max_p", "fixed", "oracle")
+KNOWN_POLICIES = ("controller", *(kind.value for kind in SUITE_BASELINES), "oracle")
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,6 @@ def _canonical_policy(name: str) -> str:
     if canon not in KNOWN_POLICIES:
         raise ValueError(f"unknown policy {name!r}; known: {list(KNOWN_POLICIES)}")
     return canon
-
-
-def _policy_label(kind: PolicyKind) -> str:
-    return {"max_a": "max-a", "max_p": "max-p", "fixed": "fixed-proxy"}[kind.value]
 
 
 def _oracle_label(batch: int, buffer: int) -> str:
@@ -152,10 +148,8 @@ def run_suite(
             for (batch, buffer), trace in result.traces:
                 traces.append((_oracle_label(batch, buffer), trace))
         else:
-            kind = PolicyKind(policy)
-            baseline = BaselinePolicy.from_scenario(kind, scenario)
-            trace = run_baseline(baseline, scenario)
-            traces.append((_policy_label(kind), trace))
+            label, knobs = SUITE_BASELINES[PolicyKind(policy)]
+            traces.append((label, run_baseline(BaselinePolicy(knobs), scenario)))
 
     traces.sort(key=lambda item: item[0])
     if include_overhead and overhead is None:
@@ -411,7 +405,7 @@ def ablate_prefetch(scenario: ScenarioConfig) -> PrefetchAblation:
     compute. Raises ValueError when no experience completes at those knobs,
     since there is then no latency to compare.
     """
-    policy = BaselinePolicy.fixed()  # scenario initial knobs
+    policy = BaselinePolicy()  # scenario initial knobs
     on = run_baseline(policy, scenario)
     off = run_baseline(policy, scenario, build_environment(scenario, prefetch=False))
     latency_off = off.total_latency_s()

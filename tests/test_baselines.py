@@ -8,11 +8,13 @@ from oclbudget import (
     ORACLE_BATCH_GRID,
     ORACLE_BUFFER_GRID,
     BaselinePolicy,
+    Knobs,
     OptimizerMode,
     Outcome,
     PolicyKind,
     Report,
     SchemaError,
+    SimulationStateError,
     build_environment,
     bundled_scenario_names,
     emit_report,
@@ -21,6 +23,7 @@ from oclbudget import (
     run_control_loop,
     run_oracle,
 )
+from oclbudget.baselines import SUITE_BASELINES
 
 
 def neutral(scenario):
@@ -40,7 +43,7 @@ def neutral(scenario):
 class TestFixedPolicies:
     def test_fixed_never_changes_knobs(self):
         scenario = load_bundled_scenario("orin-er")
-        trace = run_baseline(BaselinePolicy.fixed(batch=64, buffer=500), scenario)
+        trace = run_baseline(BaselinePolicy(Knobs(64, 500, OptimizerMode.DEFAULT)), scenario)
         assert trace.outcome is Outcome.COMPLETED
         assert len({r.knobs for r in trace.records}) == 1
 
@@ -49,7 +52,7 @@ class TestFixedPolicies:
         # floor(15 * 0.045 / 0.045) == 14 and floor(61 * 4.2 / 4.2) == 60:
         # the fixed knobs must not be derived back from their budgets.
         scenario = load_bundled_scenario("orin-er")
-        trace = run_baseline(BaselinePolicy.fixed(batch=61, buffer=15), scenario)
+        trace = run_baseline(BaselinePolicy(Knobs(61, 15, OptimizerMode.DEFAULT)), scenario)
         assert {(r.knobs.batch_size, r.knobs.buffer_size) for r in trace.records} == {(61, 15)}
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
@@ -57,16 +60,20 @@ class TestFixedPolicies:
         # A fixed policy at the controller's initial knobs is exactly a
         # neutral controller.
         scenario = neutral(load_bundled_scenario(name))
-        fixed = run_baseline(BaselinePolicy.fixed(), scenario)
+        fixed = run_baseline(BaselinePolicy(), scenario)
         controller = run_control_loop(scenario, build_environment(scenario))
         assert fixed == controller
 
     def test_preset_knobs_are_constants(self):
-        scenario = load_bundled_scenario("server-er")
-        assert BaselinePolicy.max_a() == BaselinePolicy(32, 1000, OptimizerMode.ADVANCED)
-        assert BaselinePolicy.max_p() == BaselinePolicy(1024, 10, OptimizerMode.DEFAULT)
-        assert BaselinePolicy.from_scenario(PolicyKind.MAX_A, scenario) == BaselinePolicy.max_a()
-        assert BaselinePolicy.from_scenario(PolicyKind.MAX_P, scenario) == BaselinePolicy.max_p()
+        assert SUITE_BASELINES == {
+            PolicyKind.MAX_A: ("max-a", Knobs(32, 1000, OptimizerMode.ADVANCED)),
+            PolicyKind.MAX_P: ("max-p", Knobs(1024, 10, OptimizerMode.DEFAULT)),
+            PolicyKind.FIXED: ("fixed-proxy", Knobs(64, 2000, OptimizerMode.DEFAULT)),
+        }
+        for kind, (_, knobs) in SUITE_BASELINES.items():
+            for name in ("server-er", "xavier-gss"):
+                scenario = load_bundled_scenario(name)
+                assert BaselinePolicy.from_scenario(kind, scenario) == BaselinePolicy(knobs)
 
     def test_max_p_ooms_on_xavier_gss(self):
         scenario = load_bundled_scenario("xavier-gss")
@@ -88,45 +95,59 @@ class TestFixedPolicies:
 
     def test_baseline_oom_is_an_outcome_not_an_exception(self):
         scenario = load_bundled_scenario("xavier-er")
-        trace = run_baseline(BaselinePolicy.fixed(batch=4096, buffer=10), scenario)
+        trace = run_baseline(BaselinePolicy(Knobs(4096, 10, OptimizerMode.DEFAULT)), scenario)
         assert trace.outcome is Outcome.OOM_FAILED
         assert trace.records[-1].oom
 
+    def test_trained_environment_rejected(self):
+        # The loop numbers its experiences from 1: an environment that has
+        # trained already would train experiences 11-20 under records 1-10.
+        scenario = load_bundled_scenario("server-er")
+        policy = BaselinePolicy.from_scenario(PolicyKind.FIXED, scenario)
+        env = build_environment(scenario)
+        run_baseline(policy, scenario, env)
+        with pytest.raises(SimulationStateError, match="has trained 10 experiences already"):
+            run_baseline(policy, scenario, env)
+        with pytest.raises(SimulationStateError):
+            run_control_loop(scenario, env)
+
 
 class TestPolicyRules:
-    # Each rule keeps a policy from running something other than it names:
-    # run_baseline falls back to the initial budgets unless both knobs are
-    # set, tests the mode by identity with the OptimizerMode member, and
-    # writes each knob to the report as an int.
+    # A policy's only rule is that it holds a Knobs, which has checked its
+    # own fields (tests/test_records.py), or None. So a policy with bad
+    # sizes or mode cannot be built: the error names the Knobs field.
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((512, None), "BaselinePolicy.buffer: must be set with the other knob"),
-            ((None, 5), "BaselinePolicy.batch: must be set with the other knob"),
-            ((0, 10), "BaselinePolicy.batch: must be >= 1, got 0"),
-            ((16, -1), "BaselinePolicy.buffer: must be >= 0, got -1"),
-            ((16, 10, "fast"), "BaselinePolicy.optimizer_mode: must be 'default' or 'advanced', got 'fast'"),
-            ((None, None, "advanced"), "BaselinePolicy.optimizer_mode: needs explicit knobs, got 'advanced'"),
-            ((32.5, 1000), "BaselinePolicy.batch: must be an int, got 32.5"),
-            ((32, 1000.0), "BaselinePolicy.buffer: must be an int, got 1000.0"),
-            ((True, 10), "BaselinePolicy.batch: must be an int, got True"),
+            ((0, 10), "Knobs.batch_size: must be >= 1, got 0"),
+            ((16, -1), "Knobs.buffer_size: must be >= 0, got -1"),
+            ((16, 10, "fast"), "Knobs.optimizer_mode: must be 'default' or 'advanced', got 'fast'"),
+            ((32.5, 1000), "Knobs.batch_size: must be an int, got 32.5"),
+            ((32, 1000.0), "Knobs.buffer_size: must be an int, got 1000.0"),
+            ((True, 10), "Knobs.batch_size: must be an int, got True"),
         ],
-        ids=[
-            "batch-only", "buffer-only", "batch-0", "buffer-negative", "unknown-mode", "mode-only",
-            "batch-fractional", "buffer-float", "batch-bool",
-        ],
+        ids=["batch-0", "buffer-negative", "unknown-mode", "batch-fractional", "buffer-float", "batch-bool"],
     )
     def test_invalid_policy_rejected(self, args, message):
+        batch, buffer, *mode = args
         with pytest.raises(SchemaError) as info:
-            BaselinePolicy.fixed(*args)
+            BaselinePolicy(Knobs(batch, buffer, *(mode or ["default"])))
         assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
+
+    def test_plain_tuple_rejected(self):
+        with pytest.raises(SchemaError) as info:
+            BaselinePolicy((32, 1000, "advanced"))
+        assert str(info.value) == (
+            "BaselinePolicy.knobs: must be a Knobs or None, got (32, 1000, 'advanced')"
+        )
         assert isinstance(info.value, ValueError)
 
     def test_mode_string_becomes_its_member(self):
         scenario = load_bundled_scenario("server-er")
-        named = BaselinePolicy.fixed(32, 1000, "advanced")
-        member = BaselinePolicy.fixed(32, 1000, OptimizerMode.ADVANCED)
-        assert named.optimizer_mode is OptimizerMode.ADVANCED and named == member
+        named = BaselinePolicy(Knobs(32, 1000, "advanced"))
+        member = BaselinePolicy(Knobs(32, 1000, OptimizerMode.ADVANCED))
+        assert named.knobs.optimizer_mode is OptimizerMode.ADVANCED and named == member
         trace = run_baseline(named, scenario)
         assert trace == run_baseline(member, scenario)
         config = scenario.controller

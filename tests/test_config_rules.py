@@ -247,7 +247,7 @@ def test_loaded_and_built_scenarios_obey_the_same_rules(tmp_path, drawn):
     assert (load_error is None) == (build_error is None), (load_error, build_error)
     if build_error is None:
         assert loaded == built
-        trace = run_baseline(BaselinePolicy.fixed(), built)
+        trace = run_baseline(BaselinePolicy(), built)
         assert trace.outcome in (Outcome.COMPLETED, Outcome.OOM_FAILED)
         assert trace.outcome is Outcome.OOM_FAILED or len(trace.records) == built.num_experiences
         report = Report(scenario_name=built.name, traces=(("fixed", trace),))

@@ -19,6 +19,7 @@ from oclbudget import (
     MemoryModel,
     OptimizerMode,
     Outcome,
+    PolicyKind,
     build_environment,
     bundled_scenario_names,
     bundled_scenario_path,
@@ -513,7 +514,11 @@ class TestControlLoop:
         traces = [run_control_loop(scenario, build_environment(scenario))]
         traces += [
             run_baseline(policy, scenario)
-            for policy in (BaselinePolicy.max_a(), BaselinePolicy.max_p(), BaselinePolicy.fixed())
+            for policy in (
+                BaselinePolicy.from_scenario(PolicyKind.MAX_A, scenario),
+                BaselinePolicy.from_scenario(PolicyKind.MAX_P, scenario),
+                BaselinePolicy(),
+            )
         ]
         scored = [r for trace in traces for r in trace.records if not r.oom]
         assert len(scored) >= scenario.num_experiences  # the controller's, at least

@@ -148,8 +148,9 @@ class TestLoadScenario:
 
     def test_horizon_whose_total_latency_overflows_rejected(self):
         # K=17,852 passed when only the last experience was bounded, yet the
-        # fixed(1, 2000) run summed its latencies to inf, and measure_overhead
-        # and ablate_prefetch divide by that total. 17,603 is the new limit.
+        # batch-1, buffer-2000 run summed its latencies to inf, and
+        # measure_overhead and ablate_prefetch divide by that total. 17,603 is
+        # the new limit.
         scenario = load_bundled_scenario("orin-gss")
         for k in (17852, 17604):
             with pytest.raises(
@@ -157,7 +158,7 @@ class TestLoadScenario:
             ):
                 dataclasses.replace(scenario, num_experiences=k)
         longest = dataclasses.replace(scenario, num_experiences=17603)
-        trace = run_baseline(BaselinePolicy.fixed(1, 2000), longest)
+        trace = run_baseline(BaselinePolicy(Knobs(1, 2000, OptimizerMode.DEFAULT)), longest)
         assert trace.outcome is Outcome.COMPLETED
         assert len(trace.records) == 17603
         assert math.isfinite(trace.total_latency_s())

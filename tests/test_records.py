@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
@@ -96,14 +97,25 @@ INVALID = [
             (None, 0.06, SNAPSHOT),
         ]
     ),
-    # Knobs: int sizes (a bool is not one), batch >= 1, buffer >= 0, and a mode
-    # that is a member or names one.
+    # Knobs: int sizes (a bool is not one), batch >= 1, buffer >= 0, neither
+    # above the largest float, and a mode that is a member or names one.
     (Knobs, (0, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be >= 1, got 0"),
     (Knobs, (16.5, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be an int, got 16.5"),
     (Knobs, (True, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be an int, got True"),
     (Knobs, (16, -1, OptimizerMode.DEFAULT), "Knobs.buffer_size: must be >= 0, got -1"),
     (Knobs, (16, True, OptimizerMode.ADVANCED), "Knobs.buffer_size: must be an int, got True"),
     (Knobs, (16, 10, "fast"), "Knobs.optimizer_mode: must be 'default' or 'advanced', got 'fast'"),
+    (
+        Knobs,
+        (10**400, 10, OptimizerMode.DEFAULT),
+        "Knobs.batch_size: must be <= the largest float, got an int of 1329 bits",
+    ),
+    (
+        Knobs,
+        (16, int(sys.float_info.max) + 1, OptimizerMode.DEFAULT),
+        "Knobs.buffer_size: must be <= the largest float, got an int of 1024 bits",
+    ),
+    (Knobs, (32, 1000.0, OptimizerMode.DEFAULT), "Knobs.buffer_size: must be an int, got 1000.0"),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 

@@ -22,7 +22,7 @@ from oclbudget import (
     load_calibration_targets,
     load_profile_library,
 )
-from oclbudget.baselines import BaselinePolicy
+from oclbudget.baselines import SUITE_BASELINES, BaselinePolicy
 from oclbudget.cli import main as cli_main
 from oclbudget.controller import _run_policy, derive_knobs
 from oclbudget.scenario import (
@@ -313,7 +313,7 @@ def _fixed_run(scenario, policy, fresh_knobs_each_experience):
     """A fixed-knob run through the shared loop, passing either one Knobs
     object for the whole run or a new, equal one every experience."""
     def make():
-        return knobs(policy.batch, policy.buffer, policy.optimizer_mode)
+        return knobs(*policy.knobs)
 
     same = make()
     state = scenario.initial_budget_state()
@@ -329,7 +329,7 @@ def _fixed_run(scenario, policy, fresh_knobs_each_experience):
 class TestKnobMemo:
     """The environment computes the knob-only terms once per Knobs object."""
 
-    POLICIES = (BaselinePolicy.max_a(), BaselinePolicy.max_p(), BaselinePolicy.fixed(64, 2000))
+    POLICIES = tuple(BaselinePolicy(knobs) for _, knobs in SUITE_BASELINES.values())
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_same_object_equals_fresh_equal_knobs(self, name):
