@@ -25,6 +25,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -96,7 +97,9 @@ def run_baseline(
 
     The budget state is the one the fixed knobs occupy, and each update
     returns it unchanged. OOM is recorded the same way as in the controller
-    loop and is a valid outcome for a baseline, not an exception. A given env
+    loop and is a valid outcome for a baseline, not an exception. Knobs whose
+    batch or replay budget (size times per-item cost) overflows a float have
+    no budget state: a SchemaError names BaselinePolicy.knobs. A given env
     must not have trained yet (else SimulationStateError).
     """
     if env is None:
@@ -110,9 +113,14 @@ def run_baseline(
         # Explicit knobs pass through as given: deriving them back from the
         # budgets could floor one off (floor(15 * 0.045 / 0.045) == 14).
         mode = knobs.optimizer_mode
+        batch_mb = knobs.batch_size * config.memory.sample_mb
+        replay_mb = knobs.buffer_size * config.memory.frame_mb
+        if not (batch_mb < math.inf and replay_mb < math.inf):
+            rule = f"budgets must be finite on {scenario.name!r}, got {batch_mb} and {replay_mb} MB"
+            reject(policy, "knobs", rule)
         state = BudgetState(
-            knobs.batch_size * config.memory.sample_mb,
-            knobs.buffer_size * config.memory.frame_mb,
+            batch_mb,
+            replay_mb,
             (
                 config.optimizer_advanced_mb
                 if mode is OptimizerMode.ADVANCED

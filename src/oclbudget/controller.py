@@ -17,9 +17,15 @@ stage data: the environment counts every experience after the first as
 staged while the previous one trains.
 
 The objects built per experience, Knobs, BudgetState, simulator.TrainResult,
-metrics.MetricSnapshot, urge.UrgeScore and TraceRecord, are validated
-immutable tuples (record.Record), not dataclasses: each construction runs
-its checks, and a record equals a plain tuple of the same values.
+metrics.MetricSnapshot and urge.UrgeScore, are validated immutable tuples
+(record.Record), not dataclasses: each construction runs its checks, and a
+record equals a plain tuple of the same values. A RunTrace does not hold
+them: it keeps one flat plain tuple of ints, floats, strings and None per
+experience (a row), which costs less memory than the five nested records
+and which the garbage collector stops tracking after one collection.
+trace.records builds and validates a TraceRecord per row on every read and
+caches nothing, so a caller that reads the records repeatedly should hold
+the tuple it gets; the summaries, the emitters and the oracle read rows.
 
 A controller step reads what its config fixes directly: the memory model
 once per call, the cap as capacity_mb * (1 - safety_margin), and each
@@ -33,7 +39,7 @@ import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import InfeasibleBudgetError, SimulationStateError
 from .errors import check_ints, check_ranges, ranges, reject
@@ -311,7 +317,8 @@ class TraceRecord(Record):
     experience). A scored record has a score, threshold and snapshot; an OOM
     record (oom reads snapshot is None) has none, but memory_peak_mb is still
     what the attempt needed. An immutable tuple (record.Record), so a record
-    equals a plain tuple of its seven values.
+    equals a plain tuple of its seven values. A RunTrace holds a row per
+    record, not the record: RunTrace.records builds new records on each read.
     """
 
     __slots__ = ()
@@ -334,28 +341,117 @@ class TraceRecord(Record):
         return self.snapshot is None
 
 
-@dataclass(frozen=True)
+# A RunTrace row is one plain tuple per experience, in this order:
+#   0 experience, 1 batch_size, 2 buffer_size, 3 the knobs' optimizer mode,
+#   4 score value, 5-8 plasticity, stability, latency and memory factors,
+#   9 threshold, 10 plasticity, 11 stability, 12 latency_s, 13 the
+#   snapshot's memory_peak_mb, 14 batch_mb, 15 replay_mb, 16 optimizer_mb,
+#   17 the budgets' optimizer mode, 18 the record's memory_peak_mb.
+# Each value is the very object the record held, but an optimizer mode is
+# held as its value: a member has an instance dictionary, which would keep
+# the row tracked by the garbage collector. An OOM row holds None in slots
+# 4-13. In the loop's rows slots 13 and 18 hold one float object.
+_PLASTICITY, _STABILITY, _LATENCY = 10, 11, 12
+_NO_SCORE = (None,) * 10  # slots 4-13 of an OOM row
+# A member equals its value, so a mode given as "default" finds its entry too.
+_MODE_VALUE = {mode: mode.value for mode in OptimizerMode}
+_MODE = {mode.value: mode for mode in OptimizerMode}
+
+
+def _row(experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb) -> tuple:
+    """The row of the TraceRecord these values make (see the layout above)."""
+    batch_size, buffer_size, mode = knobs
+    batch_mb, replay_mb, optimizer_mb, budget_mode = budgets
+    if snapshot is None:
+        scored = _NO_SCORE
+    else:
+        scored = (*score, threshold, *snapshot)
+    return (
+        experience, batch_size, buffer_size, _MODE_VALUE[mode], *scored,
+        batch_mb, replay_mb, optimizer_mb, _MODE_VALUE[budget_mode], memory_peak_mb,
+    )
+
+
+def _record(row: tuple) -> TraceRecord:
+    """The validated TraceRecord of a row; the inverse of _row."""
+    (
+        experience, batch_size, buffer_size, mode, value, f_p, f_s, f_l, f_m, threshold,
+        plasticity, stability, latency_s, snapshot_mb, batch_mb, replay_mb, optimizer_mb,
+        budget_mode, memory_peak_mb,
+    ) = row
+    knobs = Knobs(batch_size, buffer_size, _MODE[mode])
+    budgets = BudgetState(batch_mb, replay_mb, optimizer_mb, _MODE[budget_mode])
+    if value is None:
+        return TraceRecord(experience, knobs, None, None, None, budgets, memory_peak_mb)
+    score = UrgeScore(value, f_p, f_s, f_l, f_m)
+    snapshot = MetricSnapshot(plasticity, stability, latency_s, snapshot_mb)
+    return TraceRecord(experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class RunTrace:
-    records: tuple[TraceRecord, ...]
+    """One run's experiences, held as rows, and how the run ended.
+
+    RunTrace(records, outcome) flattens each TraceRecord into a row (see
+    _row): a plain tuple of the record's values, so a held trace costs about
+    30% less memory than its records would and the garbage collector stops
+    walking it after one collection. rows is that tuple of rows.
+
+    records builds a new tuple of validated TraceRecords from the rows on
+    each read and caches nothing, since a cache would hold the records'
+    memory for any caller that reads them once; a caller that reads them
+    repeatedly should hold the tuple. The summaries read the rows and build
+    no record. Two traces are equal when their rows and outcomes are, which
+    is when their records are; the repr writes the records.
+    """
+
+    rows: tuple[tuple, ...]
     outcome: Outcome
 
+    def __init__(self, records: Iterable[TraceRecord], outcome: Outcome):
+        object.__setattr__(self, "rows", tuple(_row(*record) for record in records))
+        object.__setattr__(self, "outcome", outcome)
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[tuple, ...], outcome: Outcome) -> "RunTrace":
+        """The trace holding these rows, which _run_policy builds with _row."""
+        trace = cls.__new__(cls)
+        object.__setattr__(trace, "rows", rows)
+        object.__setattr__(trace, "outcome", outcome)
+        return trace
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """A new tuple of the validated TraceRecords of the rows, on each read."""
+        return tuple(map(_record, self.rows))
+
+    def __repr__(self) -> str:
+        return f"RunTrace(records={self.records!r}, outcome={self.outcome!r})"
+
     def total_latency_s(self) -> float:
-        return sum(r.snapshot.latency_s for r in self.records if r.snapshot is not None)
+        return sum(row[_LATENCY] for row in self.rows if row[_LATENCY] is not None)
 
     def final_plasticity(self) -> Optional[float]:
-        for r in reversed(self.records):
-            if r.snapshot is not None:
-                return r.snapshot.plasticity
+        for row in reversed(self.rows):
+            if row[_PLASTICITY] is not None:
+                return row[_PLASTICITY]
         return None
 
     def final_stability(self) -> Optional[float]:
-        for r in reversed(self.records):
-            if r.snapshot is not None:
-                return r.snapshot.stability
+        for row in reversed(self.rows):
+            if row[_STABILITY] is not None:
+                return row[_STABILITY]
         return None
 
     def peak_memory_mb(self) -> float:
-        return max((r.memory_peak_mb for r in self.records), default=0.0)
+        return max((row[-1] for row in self.rows), default=0.0)
+
+    def final_budgets(self) -> Optional[BudgetState]:
+        """The last record's budgets, or None for a trace with no records."""
+        if not self.rows:
+            return None
+        *_, batch_mb, replay_mb, optimizer_mb, mode, _ = self.rows[-1]
+        return BudgetState(batch_mb, replay_mb, optimizer_mb, _MODE[mode])
 
     @property
     def completed(self) -> bool:
@@ -389,24 +485,26 @@ def _run_policy(
     """The per-experience loop every policy runs, on a fresh environment.
 
     For each experience e: take the knobs for the current state, train, score
-    the metrics and let update move the state against the threshold decayed
-    to index e - 1. The environment numbers and stages the experience: each
-    one after the first counts as staged while the previous one trained. An
-    environment that has trained already would number its experiences past
-    the loop's, so it raises SimulationStateError before the first one.
-    The URGE scorer and its weights are built once per run. A result with no
-    latency is an OOM: the loop ends with an OOM record, the trace failed. An
-    InfeasibleBudgetError from update propagates with the partial trace
-    attached. Only when an overhead recorder is given is the clock read: it
-    times knob derivation, and the snapshot, score, threshold and update of
-    each experience, the failing update's included. The metric sums are
-    the environment's: its training step advances the running accuracy and
-    both sums, so the timed snapshot only divides, clamps and builds the
-    MetricSnapshot. The loop reads env.accuracy once, since the environment
-    keeps one RunningAccuracy for its whole run; in the chain form of a
-    fixed-knob run that object holds O(1) floats, so an experience costs
-    the same at K = 1000 as at K = 10. The threshold is threshold_at's
-    expression, computed here without its index check.
+    the metrics and let update move the state against the threshold decayed to
+    index e - 1. The environment numbers and stages the experience: each one
+    after the first counts as staged while the previous one trained. An
+    environment that has trained already would number its experiences past the
+    loop's, so it raises SimulationStateError before the first one. The URGE
+    scorer and its weights are built once per run. A result with no latency is
+    an OOM: the loop ends with an OOM record, the trace failed. Each
+    experience's Knobs, MetricSnapshot, UrgeScore and BudgetState are built
+    and checked as records, and the trace keeps their values as one row
+    (_row); no TraceRecord is built. An InfeasibleBudgetError from update
+    propagates with the partial trace attached. Only when an overhead recorder
+    is given is the clock read: it times knob derivation, and the snapshot,
+    score, threshold and update of each experience, the failing update's
+    included. The metric sums are the environment's: its training step
+    advances the running accuracy and both sums, so the timed snapshot only
+    divides, clamps and builds the MetricSnapshot. The loop reads env.accuracy
+    once, since the environment keeps one RunningAccuracy for its whole run;
+    in the chain form of a fixed-knob run that object holds O(1) floats, so an
+    experience costs the same at K = 1000 as at K = 10. The threshold is
+    threshold_at's expression, computed here without its index check.
     """
     config = scenario.controller
     initial_threshold, threshold_decay = config.initial_threshold, config.threshold_decay
@@ -416,7 +514,7 @@ def _run_policy(
     accuracy = env.accuracy
     if len(accuracy):
         raise SimulationStateError(f"environment has trained {len(accuracy)} experiences already")
-    records: list[TraceRecord] = []
+    rows: list[tuple] = []
 
     for experience in range(1, scenario.num_experiences + 1):
         if seconds is not None:
@@ -427,8 +525,8 @@ def _run_policy(
 
         latency, memory = env.train_experience(knobs)
         if latency is None:
-            records.append(TraceRecord(experience, knobs, None, None, None, state, memory))
-            return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED)
+            rows.append(_row(experience, knobs, None, None, None, state, memory))
+            return RunTrace._of_rows(tuple(rows), Outcome.OOM_FAILED)
 
         if seconds is not None:
             start = clock()
@@ -440,14 +538,14 @@ def _run_policy(
         except InfeasibleBudgetError as exc:
             if seconds is not None:
                 seconds.append(clock() - start)
-            exc.partial_trace = RunTrace(records=tuple(records), outcome=Outcome.INFEASIBLE)
+            exc.partial_trace = RunTrace._of_rows(tuple(rows), Outcome.INFEASIBLE)
             raise
         if seconds is not None:
             seconds.append(clock() - start)
 
-        records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory))
+        rows.append(_row(experience, knobs, score, theta, snap, state, memory))
 
-    return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED)
+    return RunTrace._of_rows(tuple(rows), Outcome.COMPLETED)
 
 
 def run_control_loop(

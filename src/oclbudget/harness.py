@@ -26,12 +26,14 @@ plasticity and stability.
 These are the bytes json.dumps(..., sort_keys=True) gives for the same
 values; each line ends with a newline.
 
-Both emitters spell each repeated value once. The knob, budget and memory
-cells are spelled once per stretch of records that hold the same Knobs,
-BudgetState and memory objects, so a fixed-knob run, which holds one of
-each, spells them once. A nonzero float JSONL threshold is spelled once per
-report. Each CSV row shape is a single % format. The bytes are the ones each
-value spelled on its own would give.
+Both emitters read each trace's rows (controller.RunTrace.rows, in the
+layout controller._row documents), not its records, and spell each repeated
+value once. The knob, budget and memory cells are spelled once per stretch
+of rows that hold the same objects in those cells, tested by identity, never
+by ==, since 0.0 == -0.0 and 1 == 1.0; so a fixed-knob run, which holds one
+of each, spells them once. A nonzero float JSONL threshold is spelled once
+per report. Each CSV row shape is a single % format. The bytes are the ones
+each value spelled on its own would give.
 """
 
 from __future__ import annotations
@@ -204,27 +206,35 @@ _CSV_OOM_ROW = "%s%s,%s,,,,%s,,,oom\n"
 
 def _csv_rows(report: Report) -> list[str]:
     rows = [",".join(CSV_COLUMNS) + "\n"]
-    knobs = memory = object()  # held by no record, so the first one misses
+    batch = buffer = mode = memory = object()  # held by no row, so the first one misses
     for policy, trace in report.traces:
         prefix = f"{report.scenario_name},{policy},"
-        for experience, record_knobs, score, threshold, snap, _, record_memory in trace.records:
-            if record_knobs is not knobs or record_memory is not memory:
-                knobs, memory = record_knobs, record_memory
-                knob_cells = f"{knobs.batch_size},{knobs.buffer_size},{knobs.optimizer_mode.value}"
+        for (
+            experience, row_batch, row_buffer, row_mode, value, _, _, _, _, threshold,
+            plasticity, stability, latency, _, _, _, _, _, row_memory,
+        ) in trace.rows:
+            if (
+                row_batch is not batch
+                or row_buffer is not buffer
+                or row_mode is not mode
+                or row_memory is not memory
+            ):
+                batch, buffer, mode, memory = row_batch, row_buffer, row_mode, row_memory
+                knob_cells = f"{batch},{buffer},{mode}"
                 memory_cell = f"{memory:.6g}"
-            if snap is None:
+            if value is None:
                 row = _CSV_OOM_ROW % (prefix, experience, knob_cells, memory_cell)
             else:
                 row = _CSV_ROW % (
                     prefix,
                     experience,
                     knob_cells,
-                    score.value,
+                    value,
                     threshold,
-                    snap.latency_s,
+                    latency,
                     memory_cell,
-                    snap.plasticity,
-                    snap.stability,
+                    plasticity,
+                    stability,
                 )
             rows.append(row)
     return rows
@@ -232,7 +242,7 @@ def _csv_rows(report: Report) -> list[str]:
 
 # One JSONL line, keys in sorted order, in three parts. The head (knobs and
 # budgets) and the middle (memory and optimizer mode) are spelled once per
-# stretch of records that hold the same knobs, budgets and memory objects;
+# stretch of rows that hold the same knob, budget and memory objects;
 # the line adds the rest. Each %s slot takes a value already spelled as JSON
 # (an int's str is its repr); the policy and scenario pair, which sorts
 # between plasticity and score, is one slot encoded once per trace. An OOM
@@ -261,32 +271,38 @@ def _jsonl_lines(report: Report) -> list[str]:
     number = _json_number
     threshold_text = _spell_once(number)
     scenario = json.dumps(report.scenario_name)
-    knobs = budgets = memory = object()  # held by no record, so the first one misses
+    # Held by no row, so the first one misses.
+    batch = buffer = mode = batch_mb = replay_mb = optimizer_mb = memory = object()
     lines = []
     for policy, trace in report.traces:
         names = f'"policy": {json.dumps(policy)}, "scenario": {scenario}'
-        for experience, record_knobs, score, threshold, snap, record_budgets, record_memory in (
-            trace.records
-        ):
+        for (
+            experience, row_batch, row_buffer, row_mode, value, _, _, _, _, threshold,
+            plasticity, stability, latency, _, row_batch_mb, row_replay_mb, row_optimizer_mb, _,
+            row_memory,
+        ) in trace.rows:
             if (
-                record_knobs is not knobs
-                or record_budgets is not budgets
-                or record_memory is not memory
+                row_batch is not batch
+                or row_buffer is not buffer
+                or row_mode is not mode
+                or row_batch_mb is not batch_mb
+                or row_replay_mb is not replay_mb
+                or row_optimizer_mb is not optimizer_mb
+                or row_memory is not memory
             ):
-                knobs, budgets, memory = record_knobs, record_budgets, record_memory
+                batch, buffer, mode, memory = row_batch, row_buffer, row_mode, row_memory
+                batch_mb, replay_mb, optimizer_mb = row_batch_mb, row_replay_mb, row_optimizer_mb
                 head = _JSONL_HEAD % (
-                    knobs.batch_size,
-                    number(budgets.batch_mb),
-                    number(budgets.optimizer_mb),
-                    number(budgets.replay_mb),
-                    knobs.buffer_size,
+                    batch,
+                    number(batch_mb),
+                    number(optimizer_mb),
+                    number(replay_mb),
+                    buffer,
                 )
-                middle = _JSONL_MIDDLE % (number(memory), knobs.optimizer_mode.value)
-            if snap is None:
+                middle = _JSONL_MIDDLE % (number(memory), mode)
+            if value is None:
                 lines.append(_JSONL_OOM_LINE % (head, experience, middle, names))
                 continue
-            plasticity, stability, latency, _ = snap
-            value = score.value
             # A snapshot and a score hold finite values only, and %r spells a
             # finite float as number does.
             if latency.__class__ is plasticity.__class__ is stability.__class__ is (
@@ -362,8 +378,10 @@ def _overhead_summary(
     import pickle  # only here: a program that never measures overhead skips it
 
     simulated = trace.total_latency_s()
-    experiences = max(1, len(trace.records))
-    final_budgets = trace.records[-1].budgets if trace.records else scenario.initial_budget_state()
+    experiences = max(1, len(trace.rows))
+    final_budgets = trace.final_budgets()
+    if final_budgets is None:
+        final_budgets = scenario.initial_budget_state()
     state_bytes = len(
         pickle.dumps(
             (

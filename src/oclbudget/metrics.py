@@ -34,18 +34,18 @@ clamps, through the same final step as the reference, so both give
 identical floats.
 
 The running row has two forms. While every step has had the same nonzero
-factor and diagonal, as in every fixed-knob run of a noise-free profile,
-the row is a chain: d, d*f, (d*f)*f, ..., newest first, so the factor, the
+factor and diagonal, as in every fixed-knob run of a noise-free profile, the
+row is a chain: d, d*f, (d*f)*f, ..., newest first, so the factor, the
 diagonal, k and the oldest entry fix it, and RunningAccuracy holds only
 those and the two sums (see RunningAccuracy). An experience then multiplies
 the oldest entry once and adds it and its forgetting to the two sums: O(1)
 work and O(1) memory, where rescaling the row is O(k) of each. The first
 step with a different factor or diagonal leaves that form, replaying the
-chain into a list; from then on every step rebuilds the row in one pass
-that rescales each entry, appends it and adds it and its forgetting to
-fresh sums, as a controller run does after its first knob change. Both
-forms add the same floats in the same order, so the metrics do not depend
-on the form.
+chain into a list; from then on every step rescales the row with one list
+comprehension, adds each entry and its forgetting to fresh sums in one loop
+and puts the new diagonal in front, as a controller run does after its first
+knob change. Both forms add the same floats in the same order, so the
+metrics do not depend on the form.
 
 No running entry exceeds its diagonal (see RunningAccuracy), so each running
 forgetting term is already clipped; the reference clips each entry of an
@@ -167,8 +167,9 @@ class RunningAccuracy:
 
     The first step that differs leaves the chain form for good: it replays
     the chain into the list _row (newest first) with the diagonal and
-    factor lists, and from then on every step builds the new row and both
-    sums in one pass. _row is None exactly while the form is the chain.
+    factor lists, and from then on every step builds the scaled row, folds
+    both sums over it newest first in one loop and puts the new diagonal in
+    front. _row is None exactly while the form is the chain.
     Both chain values are nonzero, so the == test that keeps the chain going
     is bit-exact: it cannot mistake -0.0 for 0.0. Outside the chain form
     both are NaN, which no value equals.
@@ -259,18 +260,16 @@ class RunningAccuracy:
             self._k = 1
             return
         diagonals = self._diagonals
-        new_row = [diagonal]
-        append = new_row.append
+        scaled = [v * factor for v in row]
         plasticity_sum = 0.0 + diagonal  # a sum from 0.0, so -0.0 becomes 0.0
         forgetting_sum = 0.0
-        for v, d in zip(row, reversed(diagonals)):
-            v *= factor
-            append(v)
+        for v, d in zip(scaled, reversed(diagonals)):
             plasticity_sum += v
             forgetting_sum += d - v
+        scaled.insert(0, diagonal)  # the newest entry comes first
         diagonals.append(diagonal)
         self._factors.append(factor)
-        self._row = new_row
+        self._row = scaled
         self._plasticity_sum = plasticity_sum
         self._forgetting_sum = forgetting_sum
         self._k = k

@@ -1,6 +1,7 @@
 """Baselines: fixed policies, the oracle sweep, and controller equivalence."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -142,6 +143,21 @@ class TestPolicyRules:
             "BaselinePolicy.knobs: must be a Knobs or None, got (32, 1000, 'advanced')"
         )
         assert isinstance(info.value, ValueError)
+
+    def test_budget_overflow_names_the_policy_knobs(self):
+        # The largest size Knobs accepts, times xavier-er's per-sample cost,
+        # overflows the batch budget: there is no budget state to run from.
+        scenario = load_bundled_scenario("xavier-er")
+        policy = BaselinePolicy(Knobs(int(sys.float_info.max), 10, "default"))
+        with pytest.raises(SchemaError) as info:
+            run_baseline(policy, scenario)
+        assert str(info.value).startswith(
+            "BaselinePolicy.knobs: budgets must be finite on 'xavier-er', got inf and "
+        )
+        assert info.value.field == "knobs"
+        # A size whose budget is finite still trains, and runs out of memory.
+        trace = run_baseline(BaselinePolicy(Knobs(10**300, 10, "default")), scenario)
+        assert trace.outcome is Outcome.OOM_FAILED and trace.records[-1].oom
 
     def test_mode_string_becomes_its_member(self):
         scenario = load_bundled_scenario("server-er")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import math
 import types
 
@@ -545,3 +546,35 @@ class TestControlLoop:
             assert record.knobs.optimizer_mode is expected
         # Both branches occur, so the check above covers each.
         assert {r.knobs.optimizer_mode for r in trace.records} == set(OptimizerMode)
+
+
+class TestTraceRows:
+    """A RunTrace holds one plain row per experience and builds records on read."""
+
+    def test_held_trace_is_not_walked_by_the_collector(self):
+        # Each row holds atoms only, so one collection untracks it: holding a
+        # K=200 trace adds O(1) tracked objects, not five tuples per record.
+        scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=200)
+        run_control_loop(scenario, build_environment(scenario))  # warm every per-process cache
+        env = build_environment(scenario)
+        gc.collect()
+        before = len(gc.get_objects())
+        trace = run_control_loop(scenario, env)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert grown < 20, f"{grown} more tracked objects while the trace is held"
+        assert trace.completed and len(trace.records) == 200
+
+    def test_records_are_built_on_each_read(self):
+        scenario = load_bundled_scenario("xavier-gss")
+        trace = run_control_loop(scenario, build_environment(scenario))
+        first, second = trace.records, trace.records
+        assert first == second and first is not second
+        assert all(a is not b for a, b in zip(first, second))
+        assert [type(row) for row in trace.rows] == [tuple] * len(first)
+        # A row holds the record's very objects, its modes as their values.
+        row, record = trace.rows[0], first[0]
+        assert row[1] is record.knobs.batch_size and row[-1] is record.memory_peak_mb
+        assert row[3] is OptimizerMode.DEFAULT.value
+        assert trace.final_budgets() == first[-1].budgets
+        assert controller.RunTrace((), Outcome.INFEASIBLE).final_budgets() is None

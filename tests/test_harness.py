@@ -662,6 +662,23 @@ class TestEmitReport:
             assert row["score"] == pytest.approx(record.score.value, rel=1e-5)
             assert row["latency_s"] == pytest.approx(record.snapshot.latency_s, rel=1e-5)
 
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_records_read_back_rebuild_the_trace_and_the_report(self, name):
+        # A trace holds rows; its records, read back and flattened again,
+        # give the same rows, and a report of those traces the same bytes.
+        scenario = load_bundled_scenario(name)
+        report = run_suite(scenario, list(harness.KNOWN_POLICIES))
+        rebuilt = Report(
+            scenario_name=report.scenario_name,
+            traces=tuple(
+                (label, RunTrace(trace.records, trace.outcome)) for label, trace in report.traces
+            ),
+        )
+        for (label, trace), (_, again) in zip(report.traces, rebuilt.traces):
+            assert again == trace, label
+        for format in ("csv", "jsonl"):
+            assert emit_report(rebuilt, format) == emit_report(report, format)
+
     def test_byte_identical_reruns(self):
         scenario = load_bundled_scenario("orin-gss")
         a = emit_report(run_suite(scenario, ["controller", "max_a", "max_p"]), "csv")
