@@ -20,12 +20,17 @@ The objects built per experience, Knobs, BudgetState, simulator.TrainResult,
 metrics.MetricSnapshot and urge.UrgeScore, are validated immutable tuples
 (record.Record), not dataclasses: each construction runs its checks, and a
 record equals a plain tuple of the same values. A RunTrace does not hold
-them: it keeps one flat plain tuple of ints, floats, strings and None per
-experience (a row), which costs less memory than the five nested records
-and which the garbage collector stops tracking after one collection.
-trace.records builds and validates a TraceRecord per row on every read and
-caches nothing, so a caller that reads the records repeatedly should hold
-the tuple it gets; the summaries, the emitters and the oracle read rows.
+them: the loop packs each experience's values as it goes, its 14 floats
+into an array('d'), its experience number, batch and buffer sizes into an
+array of ints and its two optimizer modes and OOM flag into one byte, about
+150 bytes an experience and no object for the garbage collector to walk.
+A float field is stored as a double, so a float keeps its exact bits and
+an int there reads back as the nearest float; the records reject an int
+beyond the largest float, which no double can hold. trace.records builds
+and validates a TraceRecord per experience on every read and caches
+nothing, so a caller that reads the records repeatedly should hold the
+tuple it gets; the summaries, the emitters and the oracle read the packed
+values.
 
 A controller step reads what its config fixes directly: the memory model
 once per call, the cap as capacity_mb * (1 - safety_margin), and each
@@ -35,14 +40,17 @@ experience's threshold by threshold_at's expression inside the timed region.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from itertools import starmap
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InfeasibleBudgetError, SimulationStateError
-from .errors import check_ints, check_ranges, ranges, reject
+from .errors import MAX_FLOAT, check_floats, check_ints, check_ranges, ranges, reject
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
 from .record import Record
 from .urge import UrgeScore, urge_scorer, weights_from_preference
@@ -70,7 +78,7 @@ _ADVANCED = OptimizerMode.ADVANCED
 _DEFAULT = OptimizerMode.DEFAULT
 _INF = math.inf  # likewise a global read, where math.inf is two lookups
 # The largest knob size: the memory and latency models turn sizes into floats.
-_MAX_SIZE = int(sys.float_info.max)
+_MAX_SIZE = int(MAX_FLOAT)
 
 
 class Knobs(Record):
@@ -200,9 +208,12 @@ class BudgetState(Record):
 
     optimizer_mode is the optimizer level the update chose; optimizer_mb is
     that level's budget. The mode is kept, not read back from the budget,
-    because the two levels can have equal budgets. A validated immutable
-    tuple (record.Record): every construction checks the two budgets, and a
-    state equals a plain tuple of its four values.
+    because the two levels can have equal budgets; as in Knobs, "default"
+    or "advanced" becomes its member. A validated immutable tuple
+    (record.Record): every construction checks the two budgets, finite and
+    >= 0, that a float can hold each of the three and that the mode is one;
+    an int beyond the largest float or an unknown mode makes a SchemaError
+    that names the field. A state equals a plain tuple of its four values.
     """
 
     __slots__ = ()
@@ -212,12 +223,26 @@ class BudgetState(Record):
     optimizer_mode: OptimizerMode
 
     def __new__(cls, batch_mb, replay_mb, optimizer_mb, optimizer_mode=_DEFAULT):
-        # NaN fails every comparison, so this rejects NaN as well as inf.
-        if not (0.0 <= batch_mb < _INF and 0.0 <= replay_mb < _INF):
+        state = tuple.__new__(cls, (batch_mb, replay_mb, optimizer_mb, optimizer_mode))
+        # NaN fails every comparison, so this rejects NaN as well as inf; the
+        # largest float bounds the ints a float can hold.
+        if not (
+            0.0 <= batch_mb <= MAX_FLOAT
+            and 0.0 <= replay_mb <= MAX_FLOAT
+            and optimizer_mb.__class__ is float
+            and optimizer_mode.__class__ is OptimizerMode
+        ):
+            check_floats(state, "batch_mb replay_mb optimizer_mb")
             if batch_mb < 0 or replay_mb < 0:
                 raise ValueError("budgets must be >= 0")
-            raise ValueError(f"budgets must be finite, got {batch_mb} and {replay_mb}")
-        return tuple.__new__(cls, (batch_mb, replay_mb, optimizer_mb, optimizer_mode))
+            if not (batch_mb < _INF and replay_mb < _INF):
+                raise ValueError(f"budgets must be finite, got {batch_mb} and {replay_mb}")
+            if optimizer_mode not in ("default", "advanced"):  # a member equals its value
+                rule = f"must be 'default' or 'advanced', got {optimizer_mode!r}"
+                reject(state, "optimizer_mode", rule)
+            mode = OptimizerMode(optimizer_mode)
+            state = tuple.__new__(cls, (batch_mb, replay_mb, optimizer_mb, mode))
+        return state
 
     @property
     def total_mb(self) -> float:
@@ -316,9 +341,11 @@ class TraceRecord(Record):
     budgets is the post-update state (the allocation that will drive the next
     experience). A scored record has a score, threshold and snapshot; an OOM
     record (oom reads snapshot is None) has none, but memory_peak_mb is still
-    what the attempt needed. An immutable tuple (record.Record), so a record
-    equals a plain tuple of its seven values. A RunTrace holds a row per
-    record, not the record: RunTrace.records builds new records on each read.
+    what the attempt needed. experience is an int, and threshold and
+    memory_peak_mb are floats or ints a float can hold; else a SchemaError
+    names the field. An immutable tuple (record.Record), so a record equals
+    a plain tuple of its seven values. A RunTrace packs a record's values,
+    not the record: RunTrace.records builds new records on each read.
     """
 
     __slots__ = ()
@@ -334,128 +361,197 @@ class TraceRecord(Record):
         if not (score is None) is (threshold is None) is (snapshot is None):
             raise ValueError("score, threshold and snapshot must be all set or all None")
         values = (experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb)
-        return tuple.__new__(cls, values)
+        record = tuple.__new__(cls, values)
+        if not (
+            experience.__class__ is int
+            and memory_peak_mb.__class__ is float
+            and (threshold is None or threshold.__class__ is float)
+        ):
+            check_ints(record, "experience")
+            floats = "memory_peak_mb" if snapshot is None else "threshold memory_peak_mb"
+            check_floats(record, floats)
+        return record
 
     @property
     def oom(self) -> bool:
         return self.snapshot is None
 
 
-# A RunTrace row is one plain tuple per experience, in this order:
-#   0 experience, 1 batch_size, 2 buffer_size, 3 the knobs' optimizer mode,
-#   4 score value, 5-8 plasticity, stability, latency and memory factors,
-#   9 threshold, 10 plasticity, 11 stability, 12 latency_s, 13 the
-#   snapshot's memory_peak_mb, 14 batch_mb, 15 replay_mb, 16 optimizer_mb,
-#   17 the budgets' optimizer mode, 18 the record's memory_peak_mb.
-# Each value is the very object the record held, but an optimizer mode is
-# held as its value: a member has an instance dictionary, which would keep
-# the row tracked by the garbage collector. An OOM row holds None in slots
-# 4-13. In the loop's rows slots 13 and 18 hold one float object.
-_PLASTICITY, _STABILITY, _LATENCY = 10, 11, 12
-_NO_SCORE = (None,) * 10  # slots 4-13 of an OOM row
-# A member equals its value, so a mode given as "default" finds its entry too.
-_MODE_VALUE = {mode: mode.value for mode in OptimizerMode}
-_MODE = {mode.value: mode for mode in OptimizerMode}
+# How a RunTrace packs its experiences, oldest first, in three sequences:
+#   floats, an array('d'), holds _WIDTH doubles per experience: 0 score
+#     value, 1-4 plasticity, stability, latency and memory factors,
+#     5 threshold, 6 plasticity, 7 stability, 8 latency_s, 9 the snapshot's
+#     memory_peak_mb, 10 batch_mb, 11 replay_mb, 12 optimizer_mb, 13 the
+#     record's memory_peak_mb. A slot holds float(value), so a float keeps
+#     its bits (-0.0 and NaN included) and an int becomes its nearest float;
+#     an OOM experience holds 0.0 in slots 0-9.
+#   ints holds experience, batch_size and buffer_size per experience: an
+#     array('q') while each fits in 64 bits, from then on a list of the ints.
+#   flags, a bytearray, holds one byte per experience: _KNOBS_ADVANCED or
+#     _BUDGETS_ADVANCED is set when the knobs' or the budgets' optimizer mode
+#     is ADVANCED, and _OOM when the record has no snapshot.
+# A held experience takes about 150 bytes; a tuple of its values took about 570.
+_WIDTH = 14
+_SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY = 0, 5, 6, 7, 8
+_BATCH_MB, _REPLAY_MB, _OPTIMIZER_MB, _MEMORY = 10, 11, 12, 13
+_KNOBS_ADVANCED, _BUDGETS_ADVANCED, _OOM = 1, 2, 4
+_NO_SCORE = (0.0,) * 10  # slots 0-9 of an OOM experience
+_PACK_FLOATS = struct.Struct(f"{_WIDTH}d").pack
+_PACK_INTS = struct.Struct("3q").pack
+_MODES = (_DEFAULT, _ADVANCED)
 
 
-def _row(experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb) -> tuple:
-    """The row of the TraceRecord these values make (see the layout above)."""
-    batch_size, buffer_size, mode = knobs
-    batch_mb, replay_mb, optimizer_mb, budget_mode = budgets
-    if snapshot is None:
-        scored = _NO_SCORE
-    else:
-        scored = (*score, threshold, *snapshot)
-    return (
-        experience, batch_size, buffer_size, _MODE_VALUE[mode], *scored,
-        batch_mb, replay_mb, optimizer_mb, _MODE_VALUE[budget_mode], memory_peak_mb,
-    )
+def _slot_reader(*slots: int) -> Callable[[array], Iterator[tuple]]:
+    """A reader for RunTrace.rows: it gives the floats in these slots of each
+    experience, in slot order, as one tuple, and builds no float for the
+    other slots (a struct layout that skips them)."""
+    layout = "".join("d" if slot in slots else "8x" for slot in range(_WIDTH))
+    return struct.Struct(layout).iter_unpack
 
 
-def _record(row: tuple) -> TraceRecord:
-    """The validated TraceRecord of a row; the inverse of _row."""
+_EVERY_SLOT = _slot_reader(*range(_WIDTH))
+
+
+def _record(experience, batch_size, buffer_size, flag, floats) -> TraceRecord:
+    """The validated TraceRecord of one of RunTrace.rows()."""
     (
-        experience, batch_size, buffer_size, mode, value, f_p, f_s, f_l, f_m, threshold,
-        plasticity, stability, latency_s, snapshot_mb, batch_mb, replay_mb, optimizer_mb,
-        budget_mode, memory_peak_mb,
-    ) = row
-    knobs = Knobs(batch_size, buffer_size, _MODE[mode])
-    budgets = BudgetState(batch_mb, replay_mb, optimizer_mb, _MODE[budget_mode])
-    if value is None:
+        value, f_p, f_s, f_l, f_m, threshold, plasticity, stability, latency_s, snapshot_mb,
+        batch_mb, replay_mb, optimizer_mb, memory_peak_mb,
+    ) = floats
+    knobs = Knobs(batch_size, buffer_size, _MODES[flag & _KNOBS_ADVANCED])
+    budgets = BudgetState(batch_mb, replay_mb, optimizer_mb, _MODES[flag & _BUDGETS_ADVANCED != 0])
+    if flag & _OOM:
         return TraceRecord(experience, knobs, None, None, None, budgets, memory_peak_mb)
     score = UrgeScore(value, f_p, f_s, f_l, f_m)
     snapshot = MetricSnapshot(plasticity, stability, latency_s, snapshot_mb)
     return TraceRecord(experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class RunTrace:
-    """One run's experiences, held as rows, and how the run ended.
+    """One run's experiences, packed, and how the run ended.
 
-    RunTrace(records, outcome) flattens each TraceRecord into a row (see
-    _row): a plain tuple of the record's values, so a held trace costs about
-    30% less memory than its records would and the garbage collector stops
-    walking it after one collection. rows is that tuple of rows.
+    RunTrace(records, outcome) packs each TraceRecord's values (see the
+    layout above), as _run_policy does while it runs: about 150 bytes an
+    experience, where a tuple of the values took about 570, and no object per
+    experience for the garbage collector to walk. ints, floats and flags
+    are that storage, and outcome how the run ended; treat them as
+    read-only. Every float field reads back as a float, so an int given
+    there reads back as float(int).
 
-    records builds a new tuple of validated TraceRecords from the rows on
-    each read and caches nothing, since a cache would hold the records'
-    memory for any caller that reads them once; a caller that reads them
-    repeatedly should hold the tuple. The summaries read the rows and build
-    no record. Two traces are equal when their rows and outcomes are, which
-    is when their records are; the repr writes the records.
+    records builds a new tuple of validated TraceRecords on each read and
+    caches nothing, since a cache would hold the records' memory for any
+    caller that reads them once; a caller that reads them repeatedly should
+    hold the tuple. rows() gives the packed values one flat tuple per
+    experience; the summaries, the emitters and the oracle read those or
+    the storage and build no record. Two traces are equal when their
+    outcomes and packed bits are, so a trace holding a NaN equals its copy;
+    the repr writes the records.
     """
 
-    rows: tuple[tuple, ...]
-    outcome: Outcome
+    __slots__ = ("_ints", "_floats", "_flags", "_outcome")
+
+    ints = property(attrgetter("_ints"), doc="Experience, batch and buffer size per experience.")
+    floats = property(attrgetter("_floats"), doc="The array('d'), _WIDTH floats per experience.")
+    flags = property(attrgetter("_flags"), doc="The bytearray, one flag byte per experience.")
+    outcome = property(attrgetter("_outcome"), doc="How the run ended.")
 
     def __init__(self, records: Iterable[TraceRecord], outcome: Outcome):
-        object.__setattr__(self, "rows", tuple(_row(*record) for record in records))
-        object.__setattr__(self, "outcome", outcome)
+        self._ints: Sequence[int] = array("q")
+        self._floats = array("d")
+        self._flags = bytearray()
+        self._outcome = outcome
+        for record in records:
+            self._append(*record)
 
-    @classmethod
-    def _of_rows(cls, rows: tuple[tuple, ...], outcome: Outcome) -> "RunTrace":
-        """The trace holding these rows, which _run_policy builds with _row."""
-        trace = cls.__new__(cls)
-        object.__setattr__(trace, "rows", rows)
-        object.__setattr__(trace, "outcome", outcome)
-        return trace
+    def _append(self, experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb):
+        """Pack the values of TraceRecord(experience, knobs, ...) after the
+        others; a float field that cannot be packed raises before anything
+        is added. _run_policy appends while it runs and sets the outcome."""
+        # Knobs and BudgetState hold a member, so identity tests the mode.
+        flag = (knobs[2] is _ADVANCED) | (budgets[3] is _ADVANCED) << 1
+        if snapshot is None:
+            flag |= _OOM
+            floats = _PACK_FLOATS(*_NO_SCORE, budgets[0], budgets[1], budgets[2], memory_peak_mb)
+        else:
+            floats = _PACK_FLOATS(
+                *score, threshold, *snapshot, budgets[0], budgets[1], budgets[2], memory_peak_mb
+            )
+        ints = self._ints
+        if ints.__class__ is list:
+            ints += (experience, knobs[0], knobs[1])
+        else:
+            try:
+                ints.frombytes(_PACK_INTS(experience, knobs[0], knobs[1]))
+            except struct.error:  # an int beyond 64 bits, or no int
+                values = (experience, knobs[0], knobs[1])
+                if not all(isinstance(value, int) for value in values):
+                    raise
+                self._ints = [*ints, *values]
+        self._floats.frombytes(floats)
+        self._flags.append(flag)
+
+    def rows(self, read=_EVERY_SLOT) -> Iterator[tuple]:
+        """One tuple per experience: experience, batch_size, buffer_size, the
+        flag byte and the tuple read gives of its floats, by default all
+        _WIDTH in slot order (see _slot_reader)."""
+        ints = iter(self._ints)
+        return zip(ints, ints, ints, self._flags, read(self._floats))
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         """A new tuple of the validated TraceRecords of the rows, on each read."""
-        return tuple(map(_record, self.rows))
+        return tuple(starmap(_record, self.rows()))
+
+    def __eq__(self, other):
+        if other.__class__ is not RunTrace:
+            return NotImplemented
+        return (
+            self._outcome == other._outcome
+            and self._flags == other._flags
+            and self._ints == other._ints
+            and self._floats.tobytes() == other._floats.tobytes()
+        )
+
+    def __hash__(self):
+        return hash((self._outcome, bytes(self._flags), self._floats.tobytes()))
 
     def __repr__(self) -> str:
-        return f"RunTrace(records={self.records!r}, outcome={self.outcome!r})"
+        return f"RunTrace(records={self.records!r}, outcome={self._outcome!r})"
+
+    def _last_scored(self, slot: int) -> Optional[float]:
+        """The float in slot of the last scored experience, or None."""
+        flags = self._flags
+        index = len(flags) - 1
+        while index >= 0 and flags[index] & _OOM:
+            index -= 1
+        return None if index < 0 else self._floats[index * _WIDTH + slot]
 
     def total_latency_s(self) -> float:
-        return sum(row[_LATENCY] for row in self.rows if row[_LATENCY] is not None)
+        # An OOM experience holds 0.0 here, and adding 0.0 leaves a sum() of
+        # floats as it is, bit for bit: it changes no float but -0.0, which
+        # such a sum, started from 0, never holds.
+        return sum(self._floats[_LATENCY::_WIDTH])
 
     def final_plasticity(self) -> Optional[float]:
-        for row in reversed(self.rows):
-            if row[_PLASTICITY] is not None:
-                return row[_PLASTICITY]
-        return None
+        return self._last_scored(_PLASTICITY)
 
     def final_stability(self) -> Optional[float]:
-        for row in reversed(self.rows):
-            if row[_STABILITY] is not None:
-                return row[_STABILITY]
-        return None
+        return self._last_scored(_STABILITY)
 
     def peak_memory_mb(self) -> float:
-        return max((row[-1] for row in self.rows), default=0.0)
+        return max(self._floats[_MEMORY::_WIDTH], default=0.0)
 
     def final_budgets(self) -> Optional[BudgetState]:
         """The last record's budgets, or None for a trace with no records."""
-        if not self.rows:
+        if not self._flags:
             return None
-        *_, batch_mb, replay_mb, optimizer_mb, mode, _ = self.rows[-1]
-        return BudgetState(batch_mb, replay_mb, optimizer_mb, _MODE[mode])
+        batch_mb, replay_mb, optimizer_mb = self._floats[-4:-1]
+        mode = _MODES[self._flags[-1] & _BUDGETS_ADVANCED != 0]
+        return BudgetState(batch_mb, replay_mb, optimizer_mb, mode)
 
     @property
     def completed(self) -> bool:
-        return self.outcome is Outcome.COMPLETED
+        return self._outcome is Outcome.COMPLETED
 
 
 class OverheadRecorder:
@@ -514,7 +610,8 @@ def _run_policy(
     accuracy = env.accuracy
     if len(accuracy):
         raise SimulationStateError(f"environment has trained {len(accuracy)} experiences already")
-    rows: list[tuple] = []
+    trace = RunTrace((), Outcome.COMPLETED)
+    add = trace._append
 
     for experience in range(1, scenario.num_experiences + 1):
         if seconds is not None:
@@ -525,8 +622,9 @@ def _run_policy(
 
         latency, memory = env.train_experience(knobs)
         if latency is None:
-            rows.append(_row(experience, knobs, None, None, None, state, memory))
-            return RunTrace._of_rows(tuple(rows), Outcome.OOM_FAILED)
+            add(experience, knobs, None, None, None, state, memory)
+            trace._outcome = Outcome.OOM_FAILED
+            return trace
 
         if seconds is not None:
             start = clock()
@@ -538,14 +636,15 @@ def _run_policy(
         except InfeasibleBudgetError as exc:
             if seconds is not None:
                 seconds.append(clock() - start)
-            exc.partial_trace = RunTrace._of_rows(tuple(rows), Outcome.INFEASIBLE)
+            trace._outcome = Outcome.INFEASIBLE
+            exc.partial_trace = trace
             raise
         if seconds is not None:
             seconds.append(clock() - start)
 
-        rows.append(_row(experience, knobs, score, theta, snap, state, memory))
+        add(experience, knobs, score, theta, snap, state, memory)
 
-    return RunTrace._of_rows(tuple(rows), Outcome.COMPLETED)
+    return trace
 
 
 def run_control_loop(

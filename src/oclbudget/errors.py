@@ -1,8 +1,12 @@
-"""Exception types shared across the package, and the range and int checks
-each record runs on its own fields."""
+"""Exception types shared across the package, and the range, int and float
+checks each record runs on its own fields."""
 
 import math
+import sys
 from operator import attrgetter
+
+# The largest float: an int above it in magnitude has no float to be stored as.
+MAX_FLOAT = sys.float_info.max
 
 
 class OclBudgetError(Exception):
@@ -82,6 +86,22 @@ def check_ints(record, fields: str) -> None:
         value = getattr(record, field)
         if not isinstance(value, int) or isinstance(value, bool):
             reject(record, field, f"must be an int, got {value!r}")
+
+
+def check_floats(record, fields: str) -> None:
+    """Reject the first of the fields "field field ..." that a float cannot
+    hold: a value that is neither a float nor an int, or an int beyond the
+    largest float. A trace stores such a field as float(value), so an int
+    reads back as the float nearest to it."""
+    for field in fields.split():
+        value = getattr(record, field)
+        if isinstance(value, float):
+            continue
+        if not isinstance(value, int):
+            reject(record, field, f"must be a float or an int, got {value!r}")
+        if not -MAX_FLOAT <= value <= MAX_FLOAT:  # its repr could be too long to write
+            rule = f"must be within the float range, got an int of {value.bit_length()} bits"
+            reject(record, field, rule)
 
 
 class SimulationStateError(OclBudgetError):

@@ -26,14 +26,17 @@ plasticity and stability.
 These are the bytes json.dumps(..., sort_keys=True) gives for the same
 values; each line ends with a newline.
 
-Both emitters read each trace's rows (controller.RunTrace.rows, in the
-layout controller._row documents), not its records, and spell each repeated
-value once. The knob, budget and memory cells are spelled once per stretch
-of rows that hold the same objects in those cells, tested by identity, never
-by ==, since 0.0 == -0.0 and 1 == 1.0; so a fixed-knob run, which holds one
-of each, spells them once. A nonzero float JSONL threshold is spelled once
-per report. Each CSV row shape is a single % format. The bytes are the ones
-each value spelled on its own would give.
+Both emitters read each trace's packed values (controller.RunTrace.rows,
+in the layout controller documents above RunTrace), not its records, and
+spell each repeated value once. Every float field of a trace is a float, so
+an int given there is written as its float (4370.0, never 4370). The knob,
+budget and memory cells are spelled once per stretch of rows whose values
+in those cells are the same: equal ints and flag bytes, and floats that are
+equal and nonzero, since 0.0 == -0.0 but the two are spelled apart (NaN
+equals nothing and is spelled anew); so a fixed-knob run spells them once.
+A nonzero JSONL threshold is spelled once per report. Each CSV row shape is
+a single % format. The bytes are the ones each value spelled on its own
+would give.
 """
 
 from __future__ import annotations
@@ -44,7 +47,24 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .baselines import SUITE_BASELINES, BaselinePolicy, PolicyKind, run_baseline, run_oracle
-from .controller import OverheadRecorder, RunTrace, run_control_loop
+from .controller import (
+    _BATCH_MB,
+    _KNOBS_ADVANCED,
+    _LATENCY,
+    _MEMORY,
+    _MODES,
+    _OOM,
+    _OPTIMIZER_MB,
+    _PLASTICITY,
+    _REPLAY_MB,
+    _SCORE,
+    _STABILITY,
+    _THRESHOLD,
+    OverheadRecorder,
+    RunTrace,
+    _slot_reader,
+    run_control_loop,
+)
 from .scenario import ScenarioConfig, build_environment
 from .urge import weights_from_preference
 
@@ -165,9 +185,7 @@ def run_suite(
 
 
 def _json_number(value: float) -> str:
-    """value as json.dumps writes it: its repr, NaN, Infinity or -Infinity."""
-    if isinstance(value, int):
-        return int.__repr__(value)
+    """value as json.dumps writes a float: its repr, NaN, Infinity or -Infinity."""
     if value - value == 0.0:  # finite
         return float.__repr__(value)
     if value != value:
@@ -178,14 +196,13 @@ def _json_number(value: float) -> str:
 def _spell_once(spell: Callable[[float], str]) -> Callable[[float], str]:
     """spell, remembering its text for each distinct nonzero float.
 
-    A dict finds a key by equality, and values that are equal can be spelled
-    differently: 0.0 and -0.0 everywhere, 1 and 1.0 in JSON. So only nonzero
-    floats are remembered; zeros and ints are spelled on every call.
+    A dict finds a key by equality, and 0.0 and -0.0 are equal but spelled
+    differently, so zeros are spelled on every call.
     """
     texts: dict[float, str] = {}
 
     def spelled(value: float) -> str:
-        if value.__class__ is float and value:
+        if value:
             text = texts.get(value)
             if text is None:
                 text = texts[value] = spell(value)
@@ -194,6 +211,8 @@ def _spell_once(spell: Callable[[float], str]) -> Callable[[float], str]:
 
     return spelled
 
+
+_MODE_NAMES = tuple(mode.value for mode in _MODES)
 
 # The two CSV row shapes. A scored row is the "scenario,policy," prefix,
 # experience, the "batch,buffer,opt_mode" cells, score, threshold, latency,
@@ -204,25 +223,28 @@ _CSV_ROW = "%s%s,%s,%.6g,%.6g,%.6g,%s,%.6g,%.6g,ok\n"
 _CSV_OOM_ROW = "%s%s,%s,,,,%s,,,oom\n"
 
 
+_CSV_SLOTS = _slot_reader(_SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY, _MEMORY)
+
+
 def _csv_rows(report: Report) -> list[str]:
     rows = [",".join(CSV_COLUMNS) + "\n"]
-    batch = buffer = mode = memory = object()  # held by no row, so the first one misses
+    batch = buffer = flag = memory = None  # equal to no row's values, so the first one misses
     for policy, trace in report.traces:
         prefix = f"{report.scenario_name},{policy},"
         for (
-            experience, row_batch, row_buffer, row_mode, value, _, _, _, _, threshold,
-            plasticity, stability, latency, _, _, _, _, _, row_memory,
-        ) in trace.rows:
-            if (
-                row_batch is not batch
-                or row_buffer is not buffer
-                or row_mode is not mode
-                or row_memory is not memory
+            experience, row_batch, row_buffer, row_flag,
+            (value, threshold, plasticity, stability, latency, row_memory),
+        ) in trace.rows(_CSV_SLOTS):
+            if not (
+                row_batch == batch
+                and row_buffer == buffer
+                and row_flag == flag
+                and row_memory == memory != 0.0
             ):
-                batch, buffer, mode, memory = row_batch, row_buffer, row_mode, row_memory
-                knob_cells = f"{batch},{buffer},{mode}"
+                batch, buffer, flag, memory = row_batch, row_buffer, row_flag, row_memory
+                knob_cells = f"{batch},{buffer},{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"
                 memory_cell = f"{memory:.6g}"
-            if value is None:
+            if row_flag & _OOM:
                 row = _CSV_OOM_ROW % (prefix, experience, knob_cells, memory_cell)
             else:
                 row = _CSV_ROW % (
@@ -242,12 +264,13 @@ def _csv_rows(report: Report) -> list[str]:
 
 # One JSONL line, keys in sorted order, in three parts. The head (knobs and
 # budgets) and the middle (memory and optimizer mode) are spelled once per
-# stretch of rows that hold the same knob, budget and memory objects;
-# the line adds the rest. Each %s slot takes a value already spelled as JSON
-# (an int's str is its repr); the policy and scenario pair, which sorts
-# between plasticity and score, is one slot encoded once per trace. An OOM
-# line writes null for the score, threshold, latency and metrics. A scored
-# line spells its four metric values with %r when all four are exact floats.
+# stretch of rows that hold the same knob, budget and memory values (see the
+# module docstring); the line adds the rest. Each %s slot takes a value
+# already spelled as JSON (an int's str is its repr); the policy and scenario
+# pair, which sorts between plasticity and score, is one slot encoded once
+# per trace. An OOM line writes null for the score, threshold, latency and
+# metrics. A scored line spells its latency, metrics and score with %r: a
+# snapshot and a score hold finite floats only, which %r spells as JSON does.
 _JSONL_HEAD = (
     '{"batch": %s, "budget_batch_mb": %s, "budget_optimizer_mb": %s, '
     '"budget_replay_mb": %s, "buffer": %s'
@@ -258,12 +281,14 @@ _JSONL_OOM_LINE = (
     '%s, "score": null, "stability": null, "threshold": null}\n'
 )
 _JSONL_LINE = (
-    '%s, "experience": %s, "latency_s": %s%s, "outcome": "ok", "plasticity": %s, '
-    '%s, "score": %s, "stability": %s, "threshold": %s}\n'
-)
-_JSONL_FINITE_LINE = (
     '%s, "experience": %s, "latency_s": %r%s, "outcome": "ok", "plasticity": %r, '
     '%s, "score": %r, "stability": %r, "threshold": %s}\n'
+)
+
+
+_JSONL_SLOTS = _slot_reader(
+    _SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY, _BATCH_MB, _REPLAY_MB,
+    _OPTIMIZER_MB, _MEMORY,
 )
 
 
@@ -271,26 +296,28 @@ def _jsonl_lines(report: Report) -> list[str]:
     number = _json_number
     threshold_text = _spell_once(number)
     scenario = json.dumps(report.scenario_name)
-    # Held by no row, so the first one misses.
-    batch = buffer = mode = batch_mb = replay_mb = optimizer_mb = memory = object()
+    # Equal to no row's values, so the first one misses.
+    batch = buffer = flag = batch_mb = replay_mb = optimizer_mb = memory = None
     lines = []
     for policy, trace in report.traces:
         names = f'"policy": {json.dumps(policy)}, "scenario": {scenario}'
         for (
-            experience, row_batch, row_buffer, row_mode, value, _, _, _, _, threshold,
-            plasticity, stability, latency, _, row_batch_mb, row_replay_mb, row_optimizer_mb, _,
-            row_memory,
-        ) in trace.rows:
-            if (
-                row_batch is not batch
-                or row_buffer is not buffer
-                or row_mode is not mode
-                or row_batch_mb is not batch_mb
-                or row_replay_mb is not replay_mb
-                or row_optimizer_mb is not optimizer_mb
-                or row_memory is not memory
+            experience, row_batch, row_buffer, row_flag,
+            (
+                value, threshold, plasticity, stability, latency, row_batch_mb, row_replay_mb,
+                row_optimizer_mb, row_memory,
+            ),
+        ) in trace.rows(_JSONL_SLOTS):
+            if not (
+                row_batch == batch
+                and row_buffer == buffer
+                and row_flag == flag
+                and row_batch_mb == batch_mb != 0.0
+                and row_replay_mb == replay_mb != 0.0
+                and row_optimizer_mb == optimizer_mb != 0.0
+                and row_memory == memory != 0.0
             ):
-                batch, buffer, mode, memory = row_batch, row_buffer, row_mode, row_memory
+                batch, buffer, flag, memory = row_batch, row_buffer, row_flag, row_memory
                 batch_mb, replay_mb, optimizer_mb = row_batch_mb, row_replay_mb, row_optimizer_mb
                 head = _JSONL_HEAD % (
                     batch,
@@ -299,16 +326,13 @@ def _jsonl_lines(report: Report) -> list[str]:
                     number(replay_mb),
                     buffer,
                 )
-                middle = _JSONL_MIDDLE % (number(memory), mode)
-            if value is None:
+                middle = _JSONL_MIDDLE % (number(memory), _MODE_NAMES[flag & _KNOBS_ADVANCED])
+            if row_flag & _OOM:
                 lines.append(_JSONL_OOM_LINE % (head, experience, middle, names))
                 continue
-            # A snapshot and a score hold finite values only, and %r spells a
-            # finite float as number does.
-            if latency.__class__ is plasticity.__class__ is stability.__class__ is (
-                value.__class__
-            ) is float:
-                line = _JSONL_FINITE_LINE % (
+            lines.append(
+                _JSONL_LINE
+                % (
                     head,
                     experience,
                     latency,
@@ -319,19 +343,7 @@ def _jsonl_lines(report: Report) -> list[str]:
                     stability,
                     threshold_text(threshold),
                 )
-            else:
-                line = _JSONL_LINE % (
-                    head,
-                    experience,
-                    number(latency),
-                    middle,
-                    number(plasticity),
-                    names,
-                    number(value),
-                    number(stability),
-                    threshold_text(threshold),
-                )
-            lines.append(line)
+            )
     return lines
 
 
@@ -378,7 +390,7 @@ def _overhead_summary(
     import pickle  # only here: a program that never measures overhead skips it
 
     simulated = trace.total_latency_s()
-    experiences = max(1, len(trace.rows))
+    experiences = max(1, len(trace.flags))
     final_budgets = trace.final_budgets()
     if final_budgets is None:
         final_budgets = scenario.initial_budget_state()

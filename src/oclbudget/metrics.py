@@ -66,7 +66,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import IncompleteMatrixError, check_ranges, ranges
+from .errors import MAX_FLOAT, IncompleteMatrixError, check_floats, check_ranges, ranges
 from .record import Record
 
 
@@ -316,7 +316,10 @@ class MetricSnapshot(Record):
     Only measured values: the thresholds a snapshot is scored against belong
     to the run and are fixed once in its scorer (urge.urge_scorer). A
     validated tuple (record.Record): every construction checks the values,
-    and a snapshot equals a plain tuple of the same four values.
+    and a snapshot equals a plain tuple of the same four values. Latency
+    and memory must be finite and >= 0. A value that is no number, or an
+    int beyond the largest float, which no float can hold, makes a
+    SchemaError that names the field.
     """
 
     __slots__ = ()
@@ -326,16 +329,24 @@ class MetricSnapshot(Record):
     memory_peak_mb: float
 
     def __new__(cls, plasticity, stability, latency_s, memory_peak_mb):
-        if not 0.0 <= plasticity <= 1.0:
-            raise ValueError(f"plasticity {plasticity} outside [0, 1]")
-        if not 0.0 <= stability <= 1.0:
-            raise ValueError(f"stability {stability} outside [0, 1]")
-        # NaN fails every comparison, so these reject NaN as well as inf.
-        if not 0.0 <= latency_s < math.inf:
-            raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
-        if not 0.0 <= memory_peak_mb < math.inf:
+        snapshot = tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
+        # NaN fails every comparison, so this rejects NaN as well as inf; the
+        # largest float bounds the ints a float can hold.
+        if not (
+            0.0 <= plasticity <= 1.0
+            and 0.0 <= stability <= 1.0
+            and 0.0 <= latency_s <= MAX_FLOAT
+            and 0.0 <= memory_peak_mb <= MAX_FLOAT
+        ):
+            check_floats(snapshot, "plasticity stability latency_s memory_peak_mb")
+            if not 0.0 <= plasticity <= 1.0:
+                raise ValueError(f"plasticity {plasticity} outside [0, 1]")
+            if not 0.0 <= stability <= 1.0:
+                raise ValueError(f"stability {stability} outside [0, 1]")
+            if not 0.0 <= latency_s < math.inf:
+                raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
             raise ValueError(f"memory peak must be finite and >= 0, got {memory_peak_mb}")
-        return tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
+        return snapshot
 
 
 def _newest_first_sum(values: Sequence[float]) -> float:

@@ -3,8 +3,8 @@
 The per-experience records (controller.Knobs, controller.BudgetState,
 metrics.MetricSnapshot, urge.UrgeScore and simulator.TrainResult) are built
 thousands of times a suite pass, so they are tuples, not frozen dataclasses;
-controller.TraceRecord, which a RunTrace builds from its rows on each read,
-is one too. A record class lists its fields as
+controller.TraceRecord, which a RunTrace builds from its packed values on
+each read, is one too. A record class lists its fields as
 annotations, in order, and defines a __new__ that takes the same names
 (defaults allowed), runs the record's checks and returns
 tuple.__new__(cls, values). Every construction path runs that __new__:

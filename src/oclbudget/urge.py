@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidPreferenceError, check_ranges, ranges
+from .errors import InvalidPreferenceError, check_floats, check_ranges, ranges
 from .metrics import MetricSnapshot, Thresholds
 from .record import Record
 
@@ -74,7 +74,9 @@ class UrgeScore(Record):
     """Score value plus the four logistic factors it is the product of.
 
     A validated tuple (record.Record): every construction checks that each
-    factor lies in (0, 1) and that value is their product within 1e-12.
+    factor lies in (0, 1) and that value is their product within 1e-12; a
+    field that is no float must be an int a float can hold, else a
+    SchemaError names the field.
     """
 
     __slots__ = ()
@@ -85,21 +87,25 @@ class UrgeScore(Record):
     memory_factor: float
 
     def __new__(cls, value, plasticity_factor, stability_factor, latency_factor, memory_factor):
+        score = tuple.__new__(
+            cls, (value, plasticity_factor, stability_factor, latency_factor, memory_factor)
+        )
         if not (
-            0.0 < plasticity_factor < 1.0
+            value.__class__ is float
+            and 0.0 < plasticity_factor < 1.0
             and 0.0 < stability_factor < 1.0
             and 0.0 < latency_factor < 1.0
             and 0.0 < memory_factor < 1.0
         ):
+            # An int no float can hold would overflow the product test below.
+            check_floats(score, " ".join(cls._fields))
             for f in (plasticity_factor, stability_factor, latency_factor, memory_factor):
                 if not 0.0 < f < 1.0:
                     raise ValueError(f"factor {f!r} outside the open interval (0, 1)")
         product = plasticity_factor * stability_factor * latency_factor * memory_factor
         if not abs(product - value) <= 1e-12:  # written so a NaN value fails
             raise ValueError("score value does not equal the product of its factors")
-        return tuple.__new__(
-            cls, (value, plasticity_factor, stability_factor, latency_factor, memory_factor)
-        )
+        return score
 
     def components(self) -> tuple[float, float, float, float]:
         """The four factors: plasticity, stability, latency, memory."""

@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import gc
 import math
+import tracemalloc
 import types
+from array import array
 
 import numpy as np
 import pytest
@@ -549,11 +551,11 @@ class TestControlLoop:
 
 
 class TestTraceRows:
-    """A RunTrace holds one plain row per experience and builds records on read."""
+    """A RunTrace packs its experiences and builds records on read."""
 
     def test_held_trace_is_not_walked_by_the_collector(self):
-        # Each row holds atoms only, so one collection untracks it: holding a
-        # K=200 trace adds O(1) tracked objects, not five tuples per record.
+        # A trace holds a few packed sequences and no object per experience,
+        # so holding a K=200 trace adds O(1) tracked objects.
         scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=200)
         run_control_loop(scenario, build_environment(scenario))  # warm every per-process cache
         env = build_environment(scenario)
@@ -565,16 +567,36 @@ class TestTraceRows:
         assert grown < 20, f"{grown} more tracked objects while the trace is held"
         assert trace.completed and len(trace.records) == 200
 
+    def test_held_trace_takes_at_most_200_bytes_an_experience(self):
+        # 14 floats of 8 bytes, three 8-byte ints and a flag byte pack an
+        # experience in about 150 bytes; a tuple of its values took about 570.
+        scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=200)
+        run_control_loop(scenario, build_environment(scenario))  # warm every per-process cache
+        env = build_environment(scenario)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_control_loop(scenario, env)
+            del env  # what the run grew in the environment is freed with it
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.completed and len(trace.flags) == 200
+        assert held / 200 <= 200, f"{held / 200:.0f} bytes an experience"
+
     def test_records_are_built_on_each_read(self):
         scenario = load_bundled_scenario("xavier-gss")
         trace = run_control_loop(scenario, build_environment(scenario))
         first, second = trace.records, trace.records
         assert first == second and first is not second
         assert all(a is not b for a, b in zip(first, second))
-        assert [type(row) for row in trace.rows] == [tuple] * len(first)
-        # A row holds the record's very objects, its modes as their values.
-        row, record = trace.rows[0], first[0]
-        assert row[1] is record.knobs.batch_size and row[-1] is record.memory_peak_mb
-        assert row[3] is OptimizerMode.DEFAULT.value
+        # The trace holds packed values, not the records or their objects.
+        assert (type(trace.floats), trace.floats.typecode) == (array, "d")
+        assert len(trace.floats) == 14 * len(first) == 14 * len(trace.flags)
+        assert list(trace.ints) == [
+            n for r in first for n in (r.experience, r.knobs.batch_size, r.knobs.buffer_size)
+        ]
         assert trace.final_budgets() == first[-1].budgets
         assert controller.RunTrace((), Outcome.INFEASIBLE).final_budgets() is None

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import re
+import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -387,8 +389,13 @@ class TestRunSuite:
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
-# Budgets, memory and thresholds are floats, but the record types take ints too.
-any_float = st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers()
+# Budgets, memory and thresholds are floats, but the record types take ints a
+# float can hold too (a trace reads them back as floats); a larger int is
+# rejected (test_int_beyond_the_float_range_is_rejected).
+FLOAT_INT = int(sys.float_info.max)
+any_float = (
+    st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers(-FLOAT_INT, FLOAT_INT)
+)
 # A snapshot's latency and memory, and the batch and replay budgets, must be
 # finite as well as >= 0.
 finite_not_negative = any_float.filter(lambda v: 0 <= v < math.inf)
@@ -440,8 +447,14 @@ def trace_records(draw):
     )
 
 
+def as_float(value):
+    """A float field as a trace holds it: float(value), or None."""
+    return None if value is None else float(value)
+
+
 def reference_json_line(scenario_name, policy, record):
-    """The record's 16 fields through json.dumps, the spec for a JSONL line."""
+    """The record's 16 fields through json.dumps, the spec for a JSONL line;
+    an int in a float field is written as its float."""
     snap = record.snapshot
     return json.dumps(
         {
@@ -451,15 +464,15 @@ def reference_json_line(scenario_name, policy, record):
             "batch": record.knobs.batch_size,
             "buffer": record.knobs.buffer_size,
             "opt_mode": record.knobs.optimizer_mode.value,
-            "score": record.score.value if record.score else None,
-            "threshold": record.threshold,
-            "latency_s": snap.latency_s if snap else None,
-            "mem_peak_mb": record.memory_peak_mb,
-            "plasticity": snap.plasticity if snap else None,
-            "stability": snap.stability if snap else None,
-            "budget_batch_mb": record.budgets.batch_mb,
-            "budget_replay_mb": record.budgets.replay_mb,
-            "budget_optimizer_mb": record.budgets.optimizer_mb,
+            "score": as_float(record.score.value if record.score else None),
+            "threshold": as_float(record.threshold),
+            "latency_s": as_float(snap.latency_s if snap else None),
+            "mem_peak_mb": as_float(record.memory_peak_mb),
+            "plasticity": as_float(snap.plasticity if snap else None),
+            "stability": as_float(snap.stability if snap else None),
+            "budget_batch_mb": as_float(record.budgets.batch_mb),
+            "budget_replay_mb": as_float(record.budgets.replay_mb),
+            "budget_optimizer_mb": as_float(record.budgets.optimizer_mb),
             "outcome": "oom" if record.oom else "ok",
         },
         sort_keys=True,
@@ -470,7 +483,7 @@ def reference_csv_row(scenario_name, policy, record):
     """The record's 13 cells, each spelled on its own: the spec for a CSV row."""
 
     def cell(value):
-        return "" if value is None else f"{value:.6g}"
+        return "" if value is None else f"{float(value):.6g}"
 
     snap = record.snapshot
     return ",".join(
@@ -560,6 +573,140 @@ def shared_value_traces(draw):
     return traces
 
 
+@st.composite
+def packed_records(draw):
+    """Records for one trace, OOM ones at any position: drawn by
+    trace_records, or with the TWINS in their float fields as
+    shared_value_traces draws them."""
+    if draw(st.booleans()):
+        return draw(st.lists(trace_records(), max_size=6))
+    return [record for _, records in draw(shared_value_traces()) for record in records]
+
+
+def float_fields(record):
+    """The record's float fields, None for each one an OOM record lacks."""
+    scored = record.score is not None
+    return (
+        *(record.score if scored else (None,) * 5),
+        record.threshold,
+        *(record.snapshot if scored else (None,) * 4),
+        *record.budgets[:3],
+        record.memory_peak_mb,
+    )
+
+
+def float_bits(value):
+    return None if value is None else struct.pack("<d", float(value))
+
+
+class TestPackedTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(records=packed_records(), outcome=st.sampled_from(Outcome))
+    def test_records_read_back_bit_for_bit(self, records, outcome):
+        trace = RunTrace(records, outcome)
+        back = trace.records
+        assert len(back) == len(records) == len(trace.flags)
+        for read, given in zip(back, records):
+            assert type(read) is TraceRecord and read.oom is given.oom
+            assert (read.experience, *read.knobs[:2]) == (given.experience, *given.knobs[:2])
+            assert {type(read.experience), *map(type, read.knobs[:2])} == {int}
+            assert read.knobs.optimizer_mode is given.knobs.optimizer_mode
+            assert read.budgets.optimizer_mode is OptimizerMode(given.budgets.optimizer_mode)
+            # Every float keeps its bits (-0.0, NaN, the infinities, 5e-324),
+            # and an int in a float field reads back as its float.
+            for value in float_fields(read):
+                assert value is None or type(value) is float
+            assert [float_bits(v) for v in float_fields(read)] == [
+                float_bits(v) for v in float_fields(given)
+            ]
+        # The summaries read the packed floats of the scored records only.
+        scored = [float_fields(r) for r in records if not r.oom]
+        latency = sum(float(f[8]) for f in scored)
+        assert float_bits(trace.total_latency_s()) == float_bits(latency)
+        assert float_bits(trace.peak_memory_mb()) == float_bits(
+            max((float(f[-1]) for f in map(float_fields, records)), default=0.0)
+        )
+        assert float_bits(trace.final_plasticity()) == float_bits(scored[-1][6] if scored else None)
+        # Equality and hashing go by the packed bits, so a trace holding a
+        # NaN equals itself and the trace of its records.
+        again = RunTrace(back, outcome)
+        assert trace == trace and again == trace and hash(again) == hash(trace)
+        other = next(o for o in Outcome if o is not outcome)
+        assert RunTrace(back, other) != trace
+
+    def test_ints_beyond_64_bits_are_kept(self):
+        budgets = BudgetState(1.0, 1.0, 1.0)
+        records = (
+            TraceRecord(1, Knobs(64, 10, "default"), None, None, None, budgets, 2.0),
+            TraceRecord(-(2**70), Knobs(2**64, 10, "advanced"), None, None, None, budgets, 2.0),
+            TraceRecord(3, Knobs(1, 2**63, "default"), None, None, None, budgets, 2.0),
+        )
+        trace = RunTrace(records, Outcome.OOM_FAILED)
+        assert trace.records == records
+        assert list(trace.ints) == [1, 64, 10, -(2**70), 2**64, 10, 3, 1, 2**63]
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_int_costs_write_the_bytes_of_float_costs(self, name):
+        # A config built in code may give an integral cost as an int; the
+        # report must not depend on it, as a budget or memory value is a float.
+        scenario = load_bundled_scenario(name)
+        memory = scenario.controller.memory
+        costs = ("base_mb", "optimizer_delta_mb", "sample_mb", "frame_mb", "spike_coeff")
+        integral = {
+            cost: int(getattr(memory, cost))
+            for cost in costs
+            if float(getattr(memory, cost)).is_integer()
+        }
+        assert {"base_mb", "optimizer_delta_mb"} <= integral.keys()
+        controller = dataclasses.replace(
+            scenario.controller, memory=dataclasses.replace(memory, **integral)
+        )
+        with_ints = dataclasses.replace(scenario, controller=controller)
+        policies = list(harness.KNOWN_POLICIES)
+        floats_report, ints_report = run_suite(scenario, policies), run_suite(with_ints, policies)
+        for format in ("csv", "jsonl"):
+            assert emit_report(ints_report, format) == emit_report(floats_report, format)
+
+
+BEYOND_FLOAT = (
+    st.integers(min_value=FLOAT_INT + 1)
+    | st.integers(max_value=-FLOAT_INT - 1)
+    | st.sampled_from([10**5000, -(10**5000)])  # too long for str() to write
+)
+# Each float field a trace packs, and a record holding a value in it.
+FLOAT_FIELD_RECORDS = {
+    "UrgeScore.value": lambda v: UrgeScore(v, 0.5, 0.5, 0.5, 0.5),
+    "UrgeScore.plasticity_factor": lambda v: UrgeScore(0.0625, v, 0.5, 0.5, 0.5),
+    "UrgeScore.stability_factor": lambda v: UrgeScore(0.0625, 0.5, v, 0.5, 0.5),
+    "UrgeScore.latency_factor": lambda v: UrgeScore(0.0625, 0.5, 0.5, v, 0.5),
+    "UrgeScore.memory_factor": lambda v: UrgeScore(0.0625, 0.5, 0.5, 0.5, v),
+    "MetricSnapshot.plasticity": lambda v: MetricSnapshot(v, 0.5, 1.0, 1.0),
+    "MetricSnapshot.stability": lambda v: MetricSnapshot(0.5, v, 1.0, 1.0),
+    "MetricSnapshot.latency_s": lambda v: MetricSnapshot(0.5, 0.5, v, 1.0),
+    "MetricSnapshot.memory_peak_mb": lambda v: MetricSnapshot(0.5, 0.5, 1.0, v),
+    "BudgetState.batch_mb": lambda v: BudgetState(v, 1.0, 1.0),
+    "BudgetState.replay_mb": lambda v: BudgetState(1.0, v, 1.0),
+    "BudgetState.optimizer_mb": lambda v: BudgetState(1.0, 1.0, v),
+    "TraceRecord.threshold": lambda v: TraceRecord(
+        1, Knobs(1, 1, "default"), UrgeScore(0.0625, 0.5, 0.5, 0.5, 0.5), v,
+        MetricSnapshot(0.5, 0.5, 1.0, 1.0), BudgetState(1.0, 1.0, 1.0), 1.0,
+    ),
+    "TraceRecord.memory_peak_mb": lambda v: TraceRecord(
+        1, Knobs(1, 1, "default"), None, None, None, BudgetState(1.0, 1.0, 1.0), v
+    ),
+}
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELD_RECORDS)
+@settings(max_examples=20, deadline=None)
+@given(value=BEYOND_FLOAT)
+def test_int_beyond_the_float_range_is_rejected(field, value):
+    rule = f"must be within the float range, got an int of {value.bit_length()} bits"
+    with pytest.raises(SchemaError) as info:
+        FLOAT_FIELD_RECORDS[field](value)
+    assert str(info.value) == f"{field}: {rule}"
+
+
 class TestEmitReport:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -597,7 +744,9 @@ class TestEmitReport:
         report = report_of("s", traces)
         csv, jsonl = emit_report(report, "csv"), emit_report(report, "jsonl")
         assert (csv, jsonl) == reference_reports("s", traces)
-        assert b'"threshold": 1}' in jsonl and b'"threshold": 1.0}' in jsonl
+        # An int in a float field is written as its float.
+        assert b'"threshold": 1}' not in jsonl and b'"threshold": 1.0}' in jsonl
+        assert b'"budget_replay_mb": 1,' not in jsonl and b'"budget_replay_mb": 1.0,' in jsonl
         assert b",3,64,2000,default,0.0625,0,2,-0,0.5,1,ok" in csv
         assert b",4,64,2000,default,0.0625,-0,2,-0,0.5,1,ok" in csv
 
@@ -664,8 +813,8 @@ class TestEmitReport:
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_records_read_back_rebuild_the_trace_and_the_report(self, name):
-        # A trace holds rows; its records, read back and flattened again,
-        # give the same rows, and a report of those traces the same bytes.
+        # A trace packs its records; its records, read back and packed again,
+        # give the same trace, and a report of those traces the same bytes.
         scenario = load_bundled_scenario(name)
         report = run_suite(scenario, list(harness.KNOWN_POLICIES))
         rebuilt = Report(

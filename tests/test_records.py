@@ -116,6 +116,74 @@ INVALID = [
         "Knobs.buffer_size: must be <= the largest float, got an int of 1024 bits",
     ),
     (Knobs, (32, 1000.0, OptimizerMode.DEFAULT), "Knobs.buffer_size: must be an int, got 1000.0"),
+    # A float field takes a float or an int a float can hold, as a trace packs
+    # each one as a float; an int beyond the largest float is named.
+    (
+        MetricSnapshot,
+        (0.5, 0.5, 10**400, 1.0),
+        "MetricSnapshot.latency_s: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        MetricSnapshot,
+        (0.5, 0.5, 2.5, int(sys.float_info.max) + 1),
+        "MetricSnapshot.memory_peak_mb: must be within the float range, got an int of 1024 bits",
+    ),
+    (
+        BudgetState,
+        (10**400, 1.0, 1.0, OptimizerMode.DEFAULT),
+        "BudgetState.batch_mb: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        BudgetState,
+        (2.9, 90.0, -(10**400), OptimizerMode.DEFAULT),
+        "BudgetState.optimizer_mb: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        BudgetState,
+        (2.9, 90.0, "4200", OptimizerMode.DEFAULT),
+        "BudgetState.optimizer_mb: must be a float or an int, got '4200'",
+    ),
+    (
+        UrgeScore,
+        (10**400, 0.5, 0.5, 0.5, 0.5),
+        "UrgeScore.value: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        UrgeScore,
+        (0.0625, 0.5, 10**400, 0.5, 0.5),
+        "UrgeScore.stability_factor: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        MetricSnapshot,
+        (10**400, 0.5, 2.5, 1.0),
+        "MetricSnapshot.plasticity: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        TraceRecord,
+        (3, KNOBS, SCORE, 10**400, SNAPSHOT, BUDGETS, 4300.0),
+        "TraceRecord.threshold: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        TraceRecord,
+        (1, KNOBS, None, None, None, BUDGETS, -(10**400)),
+        "TraceRecord.memory_peak_mb: must be within the float range, got an int of 1329 bits",
+    ),
+    (
+        TraceRecord,
+        (1, KNOBS, None, None, None, BUDGETS, None),
+        "TraceRecord.memory_peak_mb: must be a float or an int, got None",
+    ),
+    (
+        TraceRecord,
+        (3.0, KNOBS, SCORE, 0.06, SNAPSHOT, BUDGETS, 4300.0),
+        "TraceRecord.experience: must be an int, got 3.0",
+    ),
+    # A trace packs each optimizer mode as a bit, so a state holds a member.
+    (
+        BudgetState,
+        (2.9, 90.0, 4200.0, "fast"),
+        "BudgetState.optimizer_mode: must be 'default' or 'advanced', got 'fast'",
+    ),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 
@@ -203,6 +271,12 @@ def test_budget_state_mode_defaults_to_default_and_total_is_the_sum():
     assert BUDGETS.optimizer_mode is OptimizerMode.DEFAULT
     assert BUDGETS == BudgetState(2.9, 90.0, 4200.0, OptimizerMode.DEFAULT)
     assert BUDGETS.total_mb == 2.9 + 90.0 + 4200.0
+
+
+def test_budget_state_mode_string_becomes_its_member():
+    state = BudgetState(2.9, 90.0, 4200.0, "advanced")
+    assert state.optimizer_mode is OptimizerMode.ADVANCED
+    assert state == BudgetState(2.9, 90.0, 4200.0, OptimizerMode.ADVANCED)
 
 
 def test_knobs_and_budget_state_repr_is_the_dataclass_text():
