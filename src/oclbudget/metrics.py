@@ -3,11 +3,11 @@
 The accuracy matrix is lower-triangular: entry (k, i) with i <= k holds the
 test accuracy on experience i measured after training experience k. Both
 indices are 1-based to match the usual experience numbering. An
-AccuracyMatrix keeps each row packed as an array('d') of the floats it was
-given: about 8.5 bytes per entry with the row headers and the arrays' spare
-room, where tuples of boxed floats took 32. A K = 1000 matrix, 500,500
-entries, holds about 4 MiB instead of 15.3 MiB; building it is still O(K^2)
-work.
+AccuracyMatrix holds an arbitrary matrix, checking every entry it is given,
+and keeps each row packed as an array('d'): about 8.5 bytes per entry, 4
+MiB for the 500,500 entries of K = 1000. A run's own matrix is never built:
+RunningAccuracy.matrix() returns a ReplayedMatrix, which holds O(K) floats
+and replays a row when it is read.
 
 Plasticity after experience K is the mean of row K: the current model's
 accuracy over everything seen so far. Stability is one minus the mean
@@ -26,8 +26,10 @@ A run never needs the whole matrix to score itself. Every off-diagonal entry
 of a row decays by the same per-experience factor, so row k is row k-1
 scaled by that factor with the new diagonal accuracy appended.
 RunningAccuracy keeps only what fixes the latest row, not the K(K+1)/2
-entries of the matrix, which it rebuilds on demand with the same multiplies in the same
-order. Next to the row it keeps k and the two newest-first sums, of the
+entries of the matrix. Its matrix() is a ReplayedMatrix: a snapshot of the
+factors and diagonals, O(K) floats, which replays any row on demand with the
+same multiplies in the same order, so it reads the floats a stored matrix
+would hold. Next to the row it keeps k and the two newest-first sums, of the
 row and of its forgetting terms, and updates them in advance, the
 environment's training step. running_snapshot then only divides and
 clamps, through the same final step as the reference, so both give
@@ -106,20 +108,14 @@ class AccuracyMatrix:
         self._rows.append(values)
 
     def _packed_row(self, k: int) -> array:
-        if k < 1:
-            raise ValueError(f"experience index must be >= 1, got {k}")
-        if k > len(self._rows):
-            raise IncompleteMatrixError(
-                f"matrix has {len(self._rows)} rows, row {k} was requested"
-            )
+        _check_row_index(k, len(self._rows))
         return self._rows[k - 1]
 
     def row(self, k: int) -> tuple[float, ...]:
         return tuple(self._packed_row(k))
 
     def get(self, k: int, i: int) -> float:
-        if not 1 <= i <= k:
-            raise ValueError(f"entry ({k}, {i}) is outside the lower triangle")
+        _check_entry_index(k, i)
         return self._packed_row(k)[i - 1]
 
     def __len__(self) -> int:
@@ -132,6 +128,92 @@ class AccuracyMatrix:
 def _check_unit_interval(value: float, what: str, k: int) -> None:
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{what} {value!r} outside [0, 1] in row {k}")
+
+
+def _check_row_index(k: int, rows: int) -> None:
+    if k < 1:
+        raise ValueError(f"experience index must be >= 1, got {k}")
+    if k > rows:
+        raise IncompleteMatrixError(f"matrix has {rows} rows, row {k} was requested")
+
+
+def _check_entry_index(k: int, i: int) -> None:
+    if not 1 <= i <= k:
+        raise ValueError(f"entry ({k}, {i}) is outside the lower triangle")
+
+
+class ReplayedMatrix:
+    """A read-only snapshot of a run's accuracy matrix, replayed on demand.
+
+    RunningAccuracy.matrix() returns one. It reads like an AccuracyMatrix
+    (row(k), get(k, i), len, with the same errors) but holds only what
+    fixes every entry: the factors and diagonals as tuples, O(K) floats, or
+    in the chain form only f, d and k. row(k) replays row k with the
+    multiplies RunningAccuracy made, in the same order, so every float is
+    the one a stored matrix would hold, and get(k, k) is the stored
+    diagonal. Every entry lies in [0, 1] (see RunningAccuracy), so no row
+    is checked again as add_row would.
+
+    The view keeps one replayed row, newest first: row(k) and get(k, i)
+    read its first k entries. In the chain form it is the chain itself,
+    d, g(d), g(g(d)), ..., which serves every row up to its length and
+    grows by one multiply an entry, so row(k) is O(k) work. In the row
+    form it is one row, row K to begin with (a copy of the running row):
+    a later row replays forward from it and an earlier one from row 1, so
+    reading rows 1..K in order is O(K^2) work in all and get along one
+    row is O(1) after its first call.
+    """
+
+    __slots__ = ("_k", "_chain", "_factors", "_diagonals", "_cached_k", "_cached")
+
+    def __init__(self, k, chain, factors, diagonals, cached_k, cached):
+        self._k = k
+        self._chain = chain  # (f, d) in the chain form, else None
+        self._factors = factors
+        self._diagonals = diagonals
+        self._cached_k = cached_k
+        self._cached = cached  # newest first; its first _cached_k entries are a row
+
+    def _newest_first(self, k: int) -> list[float]:
+        """A list whose first k entries are row k, newest first."""
+        _check_row_index(k, self._k)
+        cached = self._cached
+        if self._chain is not None:
+            factor, diagonal = self._chain
+            append = cached.append
+            if not cached:
+                append(diagonal)
+            value = cached[-1]
+            for _ in range(k - len(cached)):
+                value *= factor
+                append(value)
+            return cached
+        start = self._cached_k
+        if start == k:
+            return cached
+        if start > k:
+            start, cached = 0, []
+        for factor, diagonal in zip(self._factors[start:k], self._diagonals[start:k]):
+            cached = [v * factor for v in cached]
+            cached.insert(0, diagonal)  # the newest entry comes first
+        self._cached_k, self._cached = k, cached
+        return cached
+
+    def row(self, k: int) -> tuple[float, ...]:
+        return tuple(self._newest_first(k)[k - 1 :: -1])
+
+    def get(self, k: int, i: int) -> float:
+        _check_entry_index(k, i)
+        if i == k:
+            _check_row_index(k, self._k)
+            return self._chain[1] if self._chain is not None else self._diagonals[k - 1]
+        return self._newest_first(k)[k - i]
+
+    def __len__(self) -> int:
+        return self._k
+
+    def __repr__(self) -> str:
+        return f"<ReplayedMatrix of {self._k} rows>"
 
 
 class RunningAccuracy:
@@ -274,15 +356,16 @@ class RunningAccuracy:
         self._forgetting_sum = forgetting_sum
         self._k = k
 
-    def matrix(self) -> AccuracyMatrix:
-        """Replay the factors into the full lower-triangular matrix."""
-        matrix = AccuracyMatrix()
-        row: list[float] = []
-        for factor, diagonal in zip(self.factors, self.diagonal):
-            row = [v * factor for v in row]
-            row.append(diagonal)
-            matrix.add_row(row)
-        return matrix
+    def matrix(self) -> ReplayedMatrix:
+        """The full lower-triangular matrix so far, as a read-only snapshot
+        that replays its rows on demand: O(K) floats, not K(K+1)/2."""
+        if self._row is None:
+            return ReplayedMatrix(
+                self._k, (self._chain_factor, self._chain_diagonal), (), (), 0, []
+            )
+        return ReplayedMatrix(
+            self._k, None, tuple(self._factors), tuple(self._diagonals), self._k, list(self._row)
+        )
 
 
 @dataclass(frozen=True)
@@ -366,14 +449,14 @@ def _stability(forgetting_sum: float, k: int) -> float:
     return min(1.0, max(0.0, value))
 
 
-def plasticity(matrix: AccuracyMatrix, k: int) -> float:
+def plasticity(matrix: AccuracyMatrix | ReplayedMatrix, k: int) -> float:
     """Mean accuracy of the current model over all k experiences seen so far."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return _newest_first_sum(matrix.row(k)) / k
 
 
-def stability(matrix: AccuracyMatrix, k: int) -> float:
+def stability(matrix: AccuracyMatrix | ReplayedMatrix, k: int) -> float:
     """One minus mean forgetting over experiences 1..k-1; exactly 1 when k = 1.
 
     Forgetting on experience i is max(0, a[i][i] - a[k][i]): row k is
@@ -389,7 +472,7 @@ def stability(matrix: AccuracyMatrix, k: int) -> float:
 
 
 def snapshot(
-    matrix: AccuracyMatrix,
+    matrix: AccuracyMatrix | ReplayedMatrix,
     k: int,
     latency_s: float,
     memory_peak_mb: float,

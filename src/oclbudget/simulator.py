@@ -30,8 +30,9 @@ noise), it keeps only those two values, the oldest entry, the count and
 the sums, and advances without touching the older entries: O(1) memory,
 and one multiply and two adds per experience, not one multiply and two
 adds per entry.
-Reading accuracy_matrix rebuilds the full matrix from it, O(K^2) work each
-time, into packed rows of about 8.5 bytes per entry (4 MiB at K = 1000).
+Reading accuracy_matrix builds no matrix: it returns a metrics.ReplayedMatrix,
+a read-only snapshot of the factors and diagonals (O(K) floats, or three
+values in the chain form) that replays a row when it is read.
 
 Everything the knobs alone decide (the memory, the stream term before
 growth, the replay term, the new diagonal before noise and the decay factor)
@@ -69,7 +70,7 @@ from typing import Optional, Sequence
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
 from .errors import check_ints, check_ranges, interval, ranges, reject
-from .metrics import AccuracyMatrix, RunningAccuracy
+from .metrics import ReplayedMatrix, RunningAccuracy
 from .record import Record
 from .yamlcfg import Section, build, check_schema_version, finite_number, load_yaml_mapping
 
@@ -253,9 +254,11 @@ class SimulatedEnvironment:
         return self._accuracy
 
     @property
-    def accuracy_matrix(self) -> AccuracyMatrix:
-        """The full matrix so far, rebuilt from the running row on each read.
-        O(K^2) time, about 8.5 bytes per entry (see metrics.AccuracyMatrix)."""
+    def accuracy_matrix(self) -> ReplayedMatrix:
+        """The full matrix so far, as a read-only snapshot taken on each read.
+        It holds O(K) floats and replays each row it is asked for, bit for
+        bit the stored row (see metrics.ReplayedMatrix); later training does
+        not change it."""
         return self._accuracy.matrix()
 
     @property

@@ -17,6 +17,7 @@ from oclbudget import (
     BaselinePolicy,
     IncompleteMatrixError,
     InfeasibleBudgetError,
+    Knobs,
     PolicyKind,
     RunningAccuracy,
     build_environment,
@@ -355,24 +356,133 @@ def test_constant_steps_hold_constant_memory():
     assert net_bytes(10_000) <= net_bytes(10) + 512
 
 
-def test_replayed_matrix_holds_packed_rows():
-    """The K=1000 matrix rebuilt after a fixed-proxy run (the long-horizon
-    benchmark's check) holds its 500,500 entries in at most 9 bytes each:
-    8 per packed double plus the row headers and spare room, where tuples
-    of floats held 32."""
-    sc = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=1000)
-    env = build_environment(sc)
-    run_baseline(BaselinePolicy.from_scenario(PolicyKind.FIXED, sc), sc, env)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        matrix = env.accuracy_matrix
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    entries = 1000 * 1001 // 2
-    assert len(matrix) == 1000 and len(matrix.row(1000)) == 1000
-    assert held <= 9 * entries, held / entries
+def test_replayed_matrix_holds_o_k_floats():
+    """The matrix a run reads back holds O(K) floats, not K(K+1)/2: at most
+    100 bytes an experience, with row K and both metrics read, for the
+    K=1000 fixed proxy on server-er (the long-horizon benchmark's check,
+    chain form) and a K=200 server-er controller run (row form)."""
+    base = load_bundled_scenario("server-er")
+    fixed = dataclasses.replace(base, num_experiences=1000)
+    controlled = dataclasses.replace(base, num_experiences=200)
+    env = build_environment(fixed)
+    runs = [(env, run_baseline(BaselinePolicy.from_scenario(PolicyKind.FIXED, fixed), fixed, env))]
+    env = build_environment(controlled)
+    runs.append((env, run_control_loop(controlled, env)))
+    for env, trace in runs:
+        k = len(env.accuracy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = env.accuracy_matrix
+            last = matrix.row(k)
+            metrics = (plasticity(matrix, k), stability(matrix, k))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.completed and len(matrix) == k == len(trace.records) and len(last) == k
+        assert metrics == (trace.final_plasticity(), trace.final_stability())
+        assert held <= 100 * k, (k, held / k)
+    assert runs[0][0].accuracy._row is None and runs[1][0].accuracy._row is not None
+
+
+def _train(env, steps):
+    """Trains one experience per Knobs; returns each step's running row."""
+    rows = []
+    for step in steps:
+        env.train_experience(step)
+        rows.append(env.accuracy.row)
+    return rows
+
+
+KEEP, SWITCH = Knobs(64, 500, "default"), Knobs(32, 100, "advanced")
+
+
+@pytest.mark.parametrize(
+    "steps", [[KEEP] * 5, [KEEP, KEEP, SWITCH, KEEP, KEEP]], ids=["chain", "row"]
+)
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_held_matrix_is_a_snapshot(steps, read_first):
+    """A view of 5 rows keeps its length and every bit after the environment
+    trains experiences 6 and 7, whether or not it was read before."""
+    env = build_environment(load_bundled_scenario("server-er"))
+    rows = _train(env, steps)
+    assert (env.accuracy._row is None) == (SWITCH not in steps)
+    matrix = env.accuracy_matrix
+    if read_first:
+        assert [matrix.row(k) for k in (5, 2)] == [rows[4], rows[1]]
+    _train(env, [KEEP, SWITCH])
+    assert len(env.accuracy_matrix) == 7 and len(matrix) == 5
+    assert [_bits(matrix.row(k)) for k in range(1, 6)] == [_bits(row) for row in rows]
+    assert _bits(matrix.get(k, k) for k in range(1, 6)) == _bits(row[-1] for row in rows)
+    with pytest.raises(IncompleteMatrixError):
+        matrix.row(6)
+
+
+def _error(call):
+    with pytest.raises((ValueError, IncompleteMatrixError)) as error:
+        call()
+    return type(error.value), str(error.value)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [[], [(0.9, 0.8)] * 4, [(0.9, 0.8), (0.9, 0.8), (0.5, 0.8), (0.9, 0.7)]],
+    ids=["empty", "chain", "row"],
+)
+def test_replayed_matrix_raises_the_stored_matrix_errors(steps):
+    running = RunningAccuracy()
+    rows = []
+    for factor, diagonal in steps:
+        running.advance(factor, diagonal)
+        rows.append(running.row)
+    replayed, stored = running.matrix(), AccuracyMatrix(rows)
+    n = len(steps)
+    assert len(replayed) == len(stored) == n
+    assert repr(replayed) == f"<ReplayedMatrix of {n} rows>"
+    calls = [
+        lambda m: m.row(0),
+        lambda m: m.row(-1),
+        lambda m: m.row(n + 1),
+        lambda m: m.get(n + 1, 1),
+        lambda m: m.get(n + 1, n + 1),
+        lambda m: m.get(2, 3),
+        lambda m: m.get(2, 0),
+        lambda m: m.get(0, 0),
+        lambda m: m.get(n + 2, n + 3),
+    ]
+    for call in calls:
+        assert _error(lambda: call(replayed)) == _error(lambda: call(stored))
+    assert _error(lambda: replayed.row(0))[0] is ValueError
+    assert _error(lambda: replayed.row(n + 1))[0] is IncompleteMatrixError
+    assert _error(lambda: replayed.get(2, 3))[0] is ValueError
+
+
+@settings(max_examples=25, deadline=None)
+@given(step_runs.map(lambda runs: runs[:3]), st.randoms(use_true_random=False))
+@example([((0.999, 0.8), 150)], random.Random(0))
+@example([((0.9, 0.8), 2), ((0.9, -0.0), 3), ((0.9, 0.8), 3)], random.Random(1))
+@example([((1.0 - 2.0**-53, 5e-324), 40), ((5e-324, 1.0), 5)], random.Random(2))
+def test_rows_read_in_any_order_are_the_rows_read_in_order(runs, rng):
+    """Rows and entries read in a random order, from a fresh view and after
+    other reads, have the float.hex of the rows read in order; and every
+    row passes the range and finiteness check of AccuracyMatrix.add_row,
+    which a replayed row no longer runs."""
+    steps = [step for step, length in runs for _ in range(length)][:150]
+    running = RunningAccuracy()
+    for factor, diagonal in steps:
+        running.advance(factor, diagonal)
+    n = len(steps)
+    in_order = [_bits(running.matrix().row(k)) for k in range(1, n + 1)]
+    assert in_order[-1] == _bits(running.row)
+    matrix = running.matrix()
+    order = list(range(1, n + 1)) * 2
+    rng.shuffle(order)
+    for k in order[:60]:
+        assert _bits(matrix.row(k)) == in_order[k - 1], k
+        i = rng.randint(1, k)
+        assert float.hex(matrix.get(k, i)) == in_order[k - 1][i - 1], (k, i)
+    stored = AccuracyMatrix(matrix.row(k) for k in range(1, n + 1))
+    assert [_bits(stored.row(k)) for k in range(1, n + 1)] == in_order
 
 
 @pytest.mark.parametrize(
