@@ -3,8 +3,9 @@
 Subcommands: run, oracle, ablate-prefetch, overhead, calibrate. Only run and
 oracle write a report, so only they take --out and --format; ablate-prefetch
 and overhead print a summary to stdout.
-Exit codes: 0 success, 2 config error, 3 OOM in a controller run (baseline
-OOM is data, not failure), 4 infeasible budget.
+Exit codes: 0 success, 2 config error (an invalid input, or a file path that
+cannot be read or written), 3 OOM in a controller run (baseline OOM is data,
+not failure), 4 infeasible budget.
 """
 
 from __future__ import annotations
@@ -174,7 +175,9 @@ def main(argv=None) -> int:
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CalibrationError, FileNotFoundError, ValueError) as exc:  # SchemaError is a ValueError
+    # SchemaError is a ValueError; OSError covers a --scenario, --targets or
+    # --out path that is missing, a directory or not permitted, and names it.
+    except (CalibrationError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OclBudgetError as exc:

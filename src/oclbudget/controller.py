@@ -19,11 +19,15 @@ staged while the previous one trains.
 The objects built per experience, Knobs, BudgetState, simulator.TrainResult,
 metrics.MetricSnapshot and urge.UrgeScore, are validated immutable tuples
 (record.Record), not dataclasses: each construction runs its checks, and a
-record equals a plain tuple of the same values. A RunTrace does not hold
-them: the loop packs each experience's values as it goes, its 14 floats
-into an array('d'), its experience number, batch and buffer sizes into an
-array of ints and its two optimizer modes and OOM flag into one byte, about
-150 bytes an experience and no object for the garbage collector to walk.
+record equals a plain tuple of the same values. The step, the loop and
+trace.records build each one through the record's own __new__, bound once
+below (_new_knobs(Knobs, ...) and so on), which runs those same checks
+without the class call's dispatch, and read fields by unpacking the tuple.
+A RunTrace does not hold them: the loop packs each experience's values as
+it goes, its 14 floats into an array('d'), its experience number, batch and
+buffer sizes into an array of ints and its two optimizer modes and OOM flag
+into one byte, about 150 bytes an experience and no object for the garbage
+collector to walk.
 A float field is stored as a double, so a float keeps its exact bits and
 an int there reads back as the nearest float; the records reject an int
 beyond the largest float, which no double can hold. trace.records builds
@@ -148,13 +152,14 @@ class MemoryModel:
         check_ranges(self, self._RANGES)
 
     def memory_mb(self, knobs: Knobs) -> float:
-        plugin = self.optimizer_delta_mb if knobs.optimizer_mode is _ADVANCED else 0.0
-        overhang = max(0, knobs.buffer_size - self.spike_threshold)
+        batch_size, buffer_size, optimizer_mode = knobs
+        plugin = self.optimizer_delta_mb if optimizer_mode is _ADVANCED else 0.0
+        overhang = max(0, buffer_size - self.spike_threshold)
         residency = self.spike_coeff * overhang * overhang
         return (
             self.base_mb
-            + knobs.batch_size * self.sample_mb
-            + knobs.buffer_size * self.frame_mb
+            + batch_size * self.sample_mb
+            + buffer_size * self.frame_mb
             + plugin
             + residency
         )
@@ -275,18 +280,19 @@ def update_budgets(
     not fit or a budget goes negative or overflows to infinity.
     """
     memory = config.memory
+    prev_batch_mb, prev_replay_mb, _, _ = prev
     if score >= threshold:
         gain = score - threshold
-        batch_mb = prev.batch_mb * (1.0 + config.batch_sensitivity * gain)
-        replay_mb = prev.replay_mb * (1.0 + config.replay_sensitivity * gain)
+        batch_mb = prev_batch_mb * (1.0 + config.batch_sensitivity * gain)
+        replay_mb = prev_replay_mb * (1.0 + config.replay_sensitivity * gain)
         levels = (
             (_ADVANCED, memory.base_mb + memory.optimizer_delta_mb),
             (_DEFAULT, memory.base_mb),
         )
     else:
         drop = threshold - score
-        batch_mb = prev.batch_mb * (1.0 - config.batch_sensitivity * drop)
-        replay_mb = prev.replay_mb * (1.0 - config.replay_sensitivity * drop)
+        batch_mb = prev_batch_mb * (1.0 - config.batch_sensitivity * drop)
+        replay_mb = prev_replay_mb * (1.0 - config.replay_sensitivity * drop)
         levels = ((_DEFAULT, memory.base_mb),)
 
     if not (0.0 <= batch_mb < _INF and 0.0 <= replay_mb < _INF):
@@ -313,7 +319,7 @@ def update_budgets(
                 replay_fit = math.nextafter(replay_fit, 0.0)
             if batch_fit < memory.sample_mb or replay_fit < memory.frame_mb:
                 continue
-        return BudgetState(batch_fit, replay_fit, optimizer_mb, mode)
+        return _new_budgets(BudgetState, batch_fit, replay_fit, optimizer_mb, mode)
     # No level fits. The loop's variables hold the last level's values, and
     # the message words why that level failed; a level that fits never
     # formats one.
@@ -330,9 +336,10 @@ def update_budgets(
 def derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:
     """Floor-divide budgets by per-item costs, with at least one of each."""
     memory = config.memory
-    batch = max(1, math.floor(state.batch_mb / memory.sample_mb))
-    buffer = max(1, math.floor(state.replay_mb / memory.frame_mb))
-    return Knobs(batch, buffer, state.optimizer_mode)
+    batch_mb, replay_mb, _, mode = state
+    batch = max(1, math.floor(batch_mb / memory.sample_mb))
+    buffer = max(1, math.floor(replay_mb / memory.frame_mb))
+    return _new_knobs(Knobs, batch, buffer, mode)
 
 
 class TraceRecord(Record):
@@ -377,6 +384,16 @@ class TraceRecord(Record):
         return self.snapshot is None
 
 
+# Each record's own __new__, bound once: _new_knobs(Knobs, ...) runs the same
+# checks and returns the same object as Knobs(...), without the dispatch
+# through type.__call__ that a class call pays on every experience.
+_new_knobs = Knobs.__new__
+_new_budgets = BudgetState.__new__
+_new_snapshot = MetricSnapshot.__new__
+_new_score = UrgeScore.__new__
+_new_record = TraceRecord.__new__
+
+
 # How a RunTrace packs its experiences, oldest first, in three sequences:
 #   floats, an array('d'), holds _WIDTH doubles per experience: 0 score
 #     value, 1-4 plasticity, stability, latency and memory factors,
@@ -418,13 +435,18 @@ def _record(experience, batch_size, buffer_size, flag, floats) -> TraceRecord:
         value, f_p, f_s, f_l, f_m, threshold, plasticity, stability, latency_s, snapshot_mb,
         batch_mb, replay_mb, optimizer_mb, memory_peak_mb,
     ) = floats
-    knobs = Knobs(batch_size, buffer_size, _MODES[flag & _KNOBS_ADVANCED])
-    budgets = BudgetState(batch_mb, replay_mb, optimizer_mb, _MODES[flag & _BUDGETS_ADVANCED != 0])
+    knobs = _new_knobs(Knobs, batch_size, buffer_size, _MODES[flag & _KNOBS_ADVANCED])
+    mode = _MODES[flag & _BUDGETS_ADVANCED != 0]
+    budgets = _new_budgets(BudgetState, batch_mb, replay_mb, optimizer_mb, mode)
     if flag & _OOM:
-        return TraceRecord(experience, knobs, None, None, None, budgets, memory_peak_mb)
-    score = UrgeScore(value, f_p, f_s, f_l, f_m)
-    snapshot = MetricSnapshot(plasticity, stability, latency_s, snapshot_mb)
-    return TraceRecord(experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb)
+        return _new_record(
+            TraceRecord, experience, knobs, None, None, None, budgets, memory_peak_mb
+        )
+    score = _new_score(UrgeScore, value, f_p, f_s, f_l, f_m)
+    snapshot = _new_snapshot(MetricSnapshot, plasticity, stability, latency_s, snapshot_mb)
+    return _new_record(
+        TraceRecord, experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb
+    )
 
 
 class RunTrace:
@@ -589,9 +611,9 @@ def _run_policy(
     scorer and its weights are built once per run. A result with no latency is
     an OOM: the loop ends with an OOM record, the trace failed. Each
     experience's Knobs, MetricSnapshot, UrgeScore and BudgetState are built
-    and checked as records, and the trace keeps their values as one row
-    (_row); no TraceRecord is built. An InfeasibleBudgetError from update
-    propagates with the partial trace attached. Only when an overhead recorder
+    and checked as records, and the trace packs their values
+    (RunTrace._append); no TraceRecord is built. An InfeasibleBudgetError
+    from update propagates with the partial trace attached. Only when an overhead recorder
     is given is the clock read: it times knob derivation, and the snapshot,
     score, threshold and update of each experience, the failing update's
     included. The metric sums are the environment's: its training step
@@ -632,7 +654,7 @@ def _run_policy(
         score = score_of(snap)
         theta = initial_threshold * math.exp(-threshold_decay * (experience - 1))
         try:
-            state = update(state, score.value, theta)
+            state = update(state, score[0], theta)
         except InfeasibleBudgetError as exc:
             if seconds is not None:
                 seconds.append(clock() - start)

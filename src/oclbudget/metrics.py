@@ -59,6 +59,9 @@ a[K][K] - a[K][K], which is always 0.0.
 
 A MetricSnapshot is a validated immutable tuple (record.Record): every
 construction checks its four values, and it equals a plain tuple of them.
+running_snapshot, called once an experience, builds it through
+MetricSnapshot.__new__ directly, which runs the same checks as the class
+call without its dispatch (see record).
 """
 
 from __future__ import annotations
@@ -432,6 +435,9 @@ class MetricSnapshot(Record):
         return snapshot
 
 
+_new_snapshot = MetricSnapshot.__new__  # running_snapshot builds through it; see record
+
+
 def _newest_first_sum(values: Sequence[float]) -> float:
     """values[-1] + values[-2] + ... + values[0], from 0.0, with plain +."""
     total = 0.0
@@ -500,4 +506,5 @@ def running_snapshot(
         stability = 1.0
     else:
         raise IncompleteMatrixError("no experience has been trained yet")
-    return MetricSnapshot(accuracy._plasticity_sum / k, stability, latency_s, memory_peak_mb)
+    plasticity = accuracy._plasticity_sum / k
+    return _new_snapshot(MetricSnapshot, plasticity, stability, latency_s, memory_peak_mb)

@@ -11,6 +11,16 @@ tuple.__new__(cls, values). Every construction path runs that __new__:
 positional and keyword calls, and pickle and copy, which rebuild a record
 by calling its class with its values. There is no _make or _replace.
 
+The per-experience paths call that __new__ directly, through a module-level
+binding such as _new_snapshot = MetricSnapshot.__new__, as
+_new_snapshot(MetricSnapshot, ...). A record defines no __init__, so the
+class call adds only its dispatch, through type.__call__ to the Python
+__new__: the direct call runs the same checks and returns the same object,
+with the same errors. Only a record's own __new__ calls tuple.__new__.
+Those paths also read fields by unpacking the tuple (batch_size,
+buffer_size, optimizer_mode = knobs) rather than through the properties
+below, each of which is a call.
+
 Each field is a read-only property reading its index, and a record has no
 instance dictionary, so assigning a field or any other attribute raises
 AttributeError. repr is Name(field=value, ...), as a dataclass writes it.

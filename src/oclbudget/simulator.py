@@ -202,6 +202,9 @@ class TrainResult(Record):
         return self.latency_s is None
 
 
+_new_result = TrainResult.__new__  # train_experience builds through it; see record
+
+
 class SimulatedEnvironment:
     """Single-owner simulated training target for one run.
 
@@ -272,7 +275,7 @@ class SimulatedEnvironment:
     def train_experience(self, knobs: Knobs) -> TrainResult:
         if self._failed:
             raise SimulationStateError("environment already failed; cannot train")
-        trained = len(self._accuracy)
+        trained = self._accuracy._k  # len(self._accuracy), without the call
         if knobs is not self._knobs:
             self._terms = self._knob_terms(knobs)
             self._knobs = knobs
@@ -280,7 +283,7 @@ class SimulatedEnvironment:
         platform = self.platform
         if memory > platform.capacity_mb:
             self._failed = True
-            return TrainResult(None, memory)
+            return _new_result(TrainResult, None, memory)
 
         compute = self.response.latency_s(stream, replay, trained + 1, platform.compute_scale)
         if trained and self.prefetch:
@@ -293,7 +296,7 @@ class SimulatedEnvironment:
             diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
 
         self._accuracy.advance(factor, diagonal)
-        return TrainResult(latency, memory)
+        return _new_result(TrainResult, latency, memory)
 
     def _knob_terms(self, knobs: Knobs) -> tuple[float, float, float, float, float]:
         """Everything train_experience needs that only the knobs decide:
@@ -302,7 +305,7 @@ class SimulatedEnvironment:
         The workload is constant per experience; complexity drift is modeled
         by the response's growth factor, applied per experience.
         """
-        b, r, mode = knobs.batch_size, knobs.buffer_size, knobs.optimizer_mode
+        b, r, mode = knobs
         n = self.samples_per_experience
         stream, replay = self.response.knob_latency_terms(b, r, mode, n)
         decay = self.response.forgetting_rate * (1.0 - self.response.stability_gain(r))

@@ -26,7 +26,9 @@ score; compute_urge is that scorer built for a single call.
 weights_from_preference derives each ordering's weights once and hands every
 later caller the same frozen Weights. A score is an UrgeScore, a validated
 tuple (see record): it checks its factors on every construction and equals
-a plain tuple of its five values.
+a plain tuple of its five values. The scorer unpacks its snapshot and
+builds each score through UrgeScore.__new__ directly, which runs the same
+checks as the class call.
 """
 
 from __future__ import annotations
@@ -112,6 +114,9 @@ class UrgeScore(Record):
         return self[1:]
 
 
+_new_score = UrgeScore.__new__  # each scorer builds through it; see record
+
+
 # The weights of each valid ordering, derived on its first call. Only
 # orderings that pass the check are stored, so a bad one raises on every
 # call and the table holds at most the 4! = 24 permutations.
@@ -167,8 +172,7 @@ def urge_scorer(
     hi, lo = _ARG_LIMIT, -_ARG_LIMIT
 
     def score(snapshot: MetricSnapshot) -> UrgeScore:
-        p, s = snapshot.plasticity, snapshot.stability
-        l, m = snapshot.latency_s, snapshot.memory_peak_mb
+        p, s, l, m = snapshot
 
         # Each x is clamped to [lo, hi] by two comparisons, so a NaN argument
         # (a zero weight times a deviation that overflowed to inf) passes
@@ -182,7 +186,7 @@ def urge_scorer(
         x = -(k_m * ((m - th_m) / th_m))
         f_m = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
 
-        return UrgeScore(f_p * f_s * f_l * f_m, f_p, f_s, f_l, f_m)
+        return _new_score(UrgeScore, f_p * f_s * f_l * f_m, f_p, f_s, f_l, f_m)
 
     return score
 

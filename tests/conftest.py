@@ -7,6 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run: each test's random
+# generator is seeded from the test itself, so a run's durations and any
+# failure repeat exactly. A test's own @settings (max_examples, deadline)
+# still applies on top of this profile.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

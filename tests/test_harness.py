@@ -997,6 +997,29 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scenario", "{dir}"],
+            ["calibrate", "--targets", "{dir}"],
+            ["run", "--scenario", "{scenario}", "--policy", "max-a", "--out", "{dir}"],
+            ["calibrate", "--out", "{dir}"],
+        ],
+        ids=["run-scenario", "calibrate-targets", "run-out", "calibrate-out"],
+    )
+    def test_a_path_that_cannot_be_read_or_written_is_a_config_error(
+        self, tmp_path, capsys, argv
+    ):
+        # A directory where a file belongs raises IsADirectoryError, an
+        # OSError like the FileNotFoundError of a missing file: exit 2, and
+        # the message names the path.
+        scenario = str(bundled_scenario_path("xavier-er"))
+        args = [arg.format(dir=tmp_path, scenario=scenario) for arg in argv]
+        code = cli_main(args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and repr(str(tmp_path)) in err
+
     def test_controller_oom_exit_code(self, tmp_path, capsys):
         # At 60 experiences orin-er's replay buffer passes the spike
         # threshold and the controller's own run OOMs at experience 46.

@@ -1,12 +1,16 @@
 """Record types: validated immutable tuples built the same way on every path."""
 
+import ast
 import copy
 import dataclasses
+import importlib
 import pickle
 import sys
+from pathlib import Path
 
 import pytest
 
+import oclbudget
 from oclbudget import (
     BudgetState,
     Knobs,
@@ -242,6 +246,12 @@ class TestValidRecord:
         with pytest.raises(TypeError):
             cls(*values[:-1], unknown=values[-1])
 
+    def test_direct_new_builds_what_the_class_call_builds(self, cls, fields, values):
+        # The per-experience paths call a record's __new__ directly.
+        record = cls.__new__(cls, *values)
+        assert type(record) is cls and record == cls(*values)
+        assert cls.__new__(cls, **dict(zip(fields, values))) == record
+
     def test_no_unchecked_construction_path(self, cls, fields, values):
         for name in ("_make", "_replace"):
             assert not hasattr(cls, name)
@@ -320,6 +330,75 @@ class TestInvalidRecord:
             with pytest.raises(ValueError) as info:
                 clone(forged(cls, values))
             assert str(info.value) == message
+
+    def test_direct_new_raises(self, cls, values, message):
+        # What the per-experience paths call, bound once per module.
+        with pytest.raises(ValueError) as info:
+            cls.__new__(cls, *values)
+        assert str(info.value) == message
+
+
+# The module-level bindings the per-experience paths build records through:
+# (module, name, record class). Each must be the class's own __new__.
+NEW_BINDINGS = [
+    ("controller", "_new_knobs", Knobs),
+    ("controller", "_new_budgets", BudgetState),
+    ("controller", "_new_snapshot", MetricSnapshot),
+    ("controller", "_new_score", UrgeScore),
+    ("controller", "_new_record", TraceRecord),
+    ("metrics", "_new_snapshot", MetricSnapshot),
+    ("urge", "_new_score", UrgeScore),
+    ("simulator", "_new_result", TrainResult),
+]
+SOURCES = sorted(Path(oclbudget.__file__).parent.glob("*.py"))
+
+
+def _calls(tree):
+    return (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+
+
+@pytest.mark.parametrize("module, name, cls", NEW_BINDINGS, ids=lambda v: getattr(v, "__name__", v))
+def test_new_binding_is_the_record_classes_own_new(module, name, cls):
+    assert "__new__" in cls.__dict__
+    assert getattr(importlib.import_module(f"oclbudget.{module}"), name) is cls.__new__
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_new_binding_is_called_with_its_own_class(path):
+    # _new_knobs(BudgetState, ...) would build a BudgetState through Knobs'
+    # rules; each call passes the class whose __new__ the name holds.
+    module = importlib.import_module(
+        "oclbudget" if path.stem == "__init__" else f"oclbudget.{path.stem}"
+    )
+    classes = {name: cls.__name__ for owner, name, cls in NEW_BINDINGS if owner == path.stem}
+    assert {name for name in vars(module) if name.startswith("_new_")} == set(classes)
+    for call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(call.func, ast.Name) and call.func.id in classes:
+            first = call.args[0]
+            assert isinstance(first, ast.Name) and first.id == classes[call.func.id], (
+                f"{path.name}:{call.lineno}"
+            )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_a_records_own_new_calls_tuple_new(path):
+    # A bare tuple.__new__(Cls, values) would build a record past its
+    # checks; only the record's __new__ itself may call it.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = {
+        id(call)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__new__"
+        for call in _calls(method)
+    }
+    for call in _calls(tree):
+        func = call.func
+        if (
+            isinstance(func, ast.Attribute) and func.attr == "__new__"
+            and isinstance(func.value, ast.Name) and func.value.id == "tuple"
+        ):
+            assert id(call) in allowed, f"{path.name}:{call.lineno}"
 
 
 class TestRecordDefinition:
