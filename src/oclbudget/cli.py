@@ -11,6 +11,8 @@ not failure), 4 infeasible budget.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -86,6 +88,19 @@ def _load(args):
             pref = [p.strip() for p in pref.split(",")]
         scenario = scenario.with_preference(pref)
     return scenario
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an --out path that cannot be written as a
+    file: an existing directory (an empty path names the working one), or a
+    path whose parent is no directory. Nothing is created, so a config error
+    leaves no file."""
+    if out is None:
+        return
+    if os.path.isdir(out or "."):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise NotADirectoryError(errno.ENOTDIR, "parent is not a directory", out)
 
 
 def _write(payload: bytes, out: str | None) -> None:
@@ -171,6 +186,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return _COMMANDS[args.command](args)
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)

@@ -231,9 +231,9 @@ class RunningAccuracy:
     No entry ever exceeds its diagonal, so every forgetting term a[i][i] -
     a[k][i] is already clipped at zero: under round-to-nearest,
     fl(v * f) <= v for every v >= 0 and f <= 1, so each multiply can only
-    keep or lower an entry. row, diagonal and factors are read-only tuples
-    built on each read, so no caller can edit an entry past its diagonal or
-    change the factors a later matrix() replays.
+    keep or lower an entry. The state is private and matrix() hands out a
+    copy, so no caller can edit an entry past its diagonal or change the
+    factors a later matrix() replays.
 
     Both forms keep k and the newest-first sums of the row and of its
     forgetting terms as plain floats, which advance keeps up to date and
@@ -246,9 +246,9 @@ class RunningAccuracy:
     sums: O(1) floats however long the run. A step that repeats f and d is
     one multiply, two adds and a counter increment, since the entry it
     appends is also the last term of both sums; it needs no range check,
-    because f and d were checked when the chain began. row, diagonal,
-    factors and matrix() replay the chain's entries with the same multiplies
-    in the same order, so every float is the one the lists would hold.
+    because f and d were checked when the chain began. matrix() replays the
+    chain's entries with the same multiplies in the same order, so every
+    float is the one the lists would hold.
 
     The first step that differs leaves the chain form for good: it replays
     the chain into the list _row (newest first) with the diagonal and
@@ -294,26 +294,6 @@ class RunningAccuracy:
             append(value)
             value *= factor
         return row
-
-    @property
-    def row(self) -> tuple[float, ...]:
-        """The latest row, a[k][1] .. a[k][k]."""
-        row = self._chain_row() if self._row is None else self._row
-        return tuple(reversed(row))
-
-    @property
-    def diagonal(self) -> tuple[float, ...]:
-        """a[1][1] .. a[k][k], each experience's accuracy when it was trained."""
-        if self._row is None:
-            return (self._chain_diagonal,) * self._k
-        return tuple(self._diagonals)
-
-    @property
-    def factors(self) -> tuple[float, ...]:
-        """The decay factor of each experience, 1 .. k."""
-        if self._row is None:
-            return (self._chain_factor,) * self._k
-        return tuple(self._factors)
 
     def advance(self, factor: float, diagonal: float) -> None:
         """Append experience k's row: row k-1 times factor, then diagonal."""

@@ -9,12 +9,28 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+import spec
+
 # Property tests draw the same examples on every run: each test's random
 # generator is seeded from the test itself, so a run's durations and any
 # failure repeat exactly. A test's own @settings (max_examples, deadline)
 # still applies on top of this profile.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(scope="session")
+def spec_reports():
+    """name: (CSV bytes, JSONL bytes, oracle best) of the spec's report of
+    each bundled scenario with all five policies, built once per session."""
+    from oclbudget import bundled_scenario_names, load_bundled_scenario
+
+    reports = {}
+    for name in bundled_scenario_names():
+        scenario = load_bundled_scenario(name)
+        runs, best = spec.suite(scenario)
+        reports[name] = (*spec.reports(scenario.name, runs), best)
+    return reports
 
 
 @pytest.fixture(scope="session")

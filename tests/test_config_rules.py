@@ -10,15 +10,18 @@ path of the file. Every accepted draw must then run and report.
 import dataclasses
 import itertools
 import math
+import struct
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import spec
 from oclbudget import (
     BaselinePolicy,
     ControllerConfig,
+    InfeasibleBudgetError,
     MemoryModel,
     Outcome,
     PlatformPreset,
@@ -26,11 +29,13 @@ from oclbudget import (
     ScenarioConfig,
     SchemaError,
     Thresholds,
+    build_environment,
     emit_report,
     load_bundled_scenario,
     load_calibration_targets,
     load_scenario,
     run_baseline,
+    run_control_loop,
 )
 from oclbudget.harness import Report
 from oclbudget.scenario import (
@@ -269,6 +274,31 @@ def test_loaded_and_built_scenarios_obey_the_same_rules(tmp_path, drawn):
     if broken is not None and _outcome(lambda: build_direct(clean))[1] is None:
         assert key_of(str(build_error)) == broken, (build_error, broken)
         assert message.startswith(f"{paths[broken[0]]}.{broken[1]}: "), (message, broken)
+
+
+def _packed(trace, message=None):
+    """A trace's rows with their floats as bytes, its outcome and message."""
+    rows = [(*row[:4], struct.pack("14d", *row[4])) for row in trace.rows()]
+    return rows, trace.outcome.value, message
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_configs())
+def test_every_clean_draw_runs_as_the_spec_runs_it(drawn):
+    """The controller and the initial-knobs baseline run every buildable
+    clean draw (K up to 60, noise included) as tests/spec.py does: every
+    packed row bit for bit, the outcome, and an infeasible run's message and
+    partial trace."""
+    scenario, error = _outcome(lambda: build_direct(drawn[1]))
+    assume(error is None)
+    try:
+        controller = _packed(run_control_loop(scenario, build_environment(scenario)))
+    except InfeasibleBudgetError as exc:
+        controller = _packed(exc.partial_trace, str(exc))
+    baseline = _packed(run_baseline(BaselinePolicy(), scenario))
+    expected = [spec.run_controller(scenario), spec.run_fixed(scenario)]
+    for got, run in zip([controller, baseline], expected):
+        assert got == ([spec.packed(record) for record in run.records], run.outcome, run.message)
 
 
 def _replaced(path: str, **changes):

@@ -1,33 +1,29 @@
-"""The controller step is exact: the same floats, modes and errors as before.
+"""The controller step and loop are exactly the spec's (tests/spec.py): the
+same floats, modes and errors.
 
-old_threshold_at, old_update_budgets and old_derive_knobs below are verbatim
-copies of the step as it was when Knobs and BudgetState were frozen
-dataclasses and the step read the cap and the optimizer budgets through
-ControllerConfig properties (only the names carry an old_ prefix). The step
-now reads its constants directly and the loop computes each threshold
-inline; these tests require bit-identical floats, identical modes, and the
-same exception types and messages, and every controller trace equal to the
-trace of a loop built from the old step.
+Every step below is compared with spec.update_budgets and
+spec.derive_knobs, and every controller run with spec.run_controller:
+bit-identical floats, the same modes, the same error class name and
+message, and for a run that fails its outcome and partial trace. The test
+names keep their earlier wording: "the old step" and "the old loop" are the
+spec's.
 """
 
 import dataclasses
-import math
 import random
+import struct
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spec
 from oclbudget import (
     BudgetState,
     ControllerConfig,
     InfeasibleBudgetError,
-    Knobs,
     MemoryModel,
     OptimizerMode,
-    Outcome,
-    RunTrace,
-    TraceRecord,
     build_environment,
     bundled_scenario_names,
     derive_knobs,
@@ -35,145 +31,37 @@ from oclbudget import (
     run_control_loop,
     update_budgets,
 )
-from oclbudget.metrics import running_snapshot
 from oclbudget.scenario import PREFERENCE_PRESETS
-from oclbudget.urge import urge_scorer, weights_from_preference
 
 
-def old_threshold_at(config: ControllerConfig, t: int) -> float:
-    """Exponentially decaying control setpoint at experience index t (0-based)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return config.initial_threshold * math.exp(-config.threshold_decay * t)
-
-
-def old_update_budgets(
-    prev: BudgetState, score: float, threshold: float, config: ControllerConfig
-) -> BudgetState:
-    """One budget update step.
-
-    score >= threshold takes the aggressive branch: both budgets scale by
-    1 + sensitivity * (score - threshold) and the optimizer moves to the
-    advanced level when it fits, else stays at the default level with the
-    same grown budgets. Below threshold both budgets shrink by the mirrored
-    factor and the optimizer drops to default.
-
-    If the new total would exceed capacity * (1 - safety_margin), the batch
-    and replay budgets are scaled proportionally so the total meets the cap
-    exactly; the optimizer budget is never scaled, only toggled. A level
-    fits when that projection leaves room for one batch sample and one
-    replay frame. Raises InfeasibleBudgetError when the default level does
-    not fit or a budget goes negative.
-    """
-    if score >= threshold:
-        gain = score - threshold
-        batch_mb = prev.batch_mb * (1.0 + config.batch_sensitivity * gain)
-        replay_mb = prev.replay_mb * (1.0 + config.replay_sensitivity * gain)
-        levels = (
-            (OptimizerMode.ADVANCED, config.optimizer_advanced_mb),
-            (OptimizerMode.DEFAULT, config.optimizer_default_mb),
-        )
-    else:
-        drop = threshold - score
-        batch_mb = prev.batch_mb * (1.0 - config.batch_sensitivity * drop)
-        replay_mb = prev.replay_mb * (1.0 - config.replay_sensitivity * drop)
-        levels = ((OptimizerMode.DEFAULT, config.optimizer_default_mb),)
-
-    if batch_mb < 0 or replay_mb < 0:
-        raise InfeasibleBudgetError(
-            "sensitivity large enough to drive a budget negative; "
-            f"got batch={batch_mb:.3f} replay={replay_mb:.3f}"
-        )
-
-    cap = config.budget_cap_mb
-    for mode, optimizer_mb in levels:
-        batch_fit, replay_fit = batch_mb, replay_mb
-        if batch_fit + replay_fit + optimizer_mb > cap:
-            available = cap - optimizer_mb
-            scalable = batch_fit + replay_fit
-            if available <= 0 or scalable <= 0:
-                problem = (
-                    f"optimizer budget {optimizer_mb:.1f} MB leaves no room under the "
-                    f"{cap:.1f} MB cap"
-                )
-                continue
-            scale = available / scalable
-            batch_fit *= scale
-            replay_fit *= scale
-            # Rounding can leave the total a few ulps above the cap; nudge down.
-            while batch_fit + replay_fit + optimizer_mb > cap:
-                batch_fit = math.nextafter(batch_fit, 0.0)
-                replay_fit = math.nextafter(replay_fit, 0.0)
-            if batch_fit < config.memory.sample_mb or replay_fit < config.memory.frame_mb:
-                problem = (
-                    "projection pushed a budget below its minimum knob requirement "
-                    f"(batch {batch_fit:.3f} MB, replay {replay_fit:.3f} MB)"
-                )
-                continue
-        return BudgetState(
-            batch_mb=batch_fit,
-            replay_mb=replay_fit,
-            optimizer_mb=optimizer_mb,
-            optimizer_mode=mode,
-        )
-    raise InfeasibleBudgetError(problem)
-
-
-def old_derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:
-    """Floor-divide budgets by per-item costs, with at least one of each."""
-    batch = max(1, math.floor(state.batch_mb / config.memory.sample_mb))
-    buffer = max(1, math.floor(state.replay_mb / config.memory.frame_mb))
-    return Knobs(batch_size=batch, buffer_size=buffer, optimizer_mode=state.optimizer_mode)
-
-
-def old_control_loop(scenario, env):
-    """The controller loop over the old step: a RunTrace, partial on an error."""
-    config = scenario.controller
-    score_of = urge_scorer(scenario.thresholds, weights_from_preference(scenario.preference))
-    state = scenario.initial_budget_state()
-    records = []
-    for experience in range(1, scenario.num_experiences + 1):
-        knobs = old_derive_knobs(state, config)
-        latency, memory = env.train_experience(knobs)
-        if latency is None:
-            records.append(TraceRecord(experience, knobs, None, None, None, state, memory))
-            return RunTrace(records=tuple(records), outcome=Outcome.OOM_FAILED), None
-        snap = running_snapshot(env.accuracy, latency, memory)
-        score = score_of(snap)
-        theta = old_threshold_at(config, experience - 1)
-        try:
-            state = old_update_budgets(state, score.value, theta, config)
-        except InfeasibleBudgetError as exc:
-            return RunTrace(records=tuple(records), outcome=Outcome.INFEASIBLE), str(exc)
-        records.append(TraceRecord(experience, knobs, score, theta, snap, state, memory))
-    return RunTrace(records=tuple(records), outcome=Outcome.COMPLETED), None
-
-
-def new_control_loop(scenario, env):
+def package_run(run, scenario):
+    """run(scenario, env) as (packed rows, outcome, message); an infeasible
+    run's rows are its partial trace's."""
     try:
-        return run_control_loop(scenario, env), None
+        trace, message = run(scenario, build_environment(scenario)), None
     except InfeasibleBudgetError as exc:
-        return exc.partial_trace, str(exc)
+        trace, message = exc.partial_trace, str(exc)
+    rows = [(*row[:4], struct.pack("14d", *row[4])) for row in trace.rows()]
+    return rows, trace.outcome.value, message
+
+
+def spec_run(result):
+    """A spec.Run as (packed rows, outcome, message)."""
+    return [spec.packed(record) for record in result.records], result.outcome, result.message
 
 
 def assert_same_run(scenario):
-    old = old_control_loop(scenario, build_environment(scenario))
-    new = new_control_loop(scenario, build_environment(scenario))
-    assert new == old
-    # repr spells every float exactly, so -0.0 and 0.0 differ here.
-    assert repr(new) == repr(old)
+    assert package_run(run_control_loop, scenario) == spec_run(spec.run_controller(scenario))
 
 
 def outcome(fn, *args):
-    """fn(*args) as comparable bits: float hex, mode identity, or the error."""
+    """fn(*args) as comparable bits: ints, float hex and mode names, or the
+    error's class name and message."""
     try:
         result = fn(*args)
-    except Exception as exc:  # the type and message are what is compared
-        return "raised", type(exc), str(exc)
-    if isinstance(result, Knobs):
-        return Knobs, result.batch_size, result.buffer_size, id(result.optimizer_mode)
-    batch, replay, optimizer, mode = result
-    return type(result), batch.hex(), replay.hex(), float(optimizer).hex(), id(mode)
+    except Exception as exc:  # the class name and message are what is compared
+        return "raised", type(exc).__name__, str(exc)
+    return tuple(v.hex() if type(v) is float else getattr(v, "value", v) for v in result)
 
 
 # ControllerConfig within the ranges the scenario and profile schemas accept.
@@ -227,7 +115,7 @@ def test_update_budgets_matches_the_old_step(data):
     # Scores below, at and above the threshold.
     score = data.draw(st.just(threshold) | st.floats(0.0, 1.0), label="score")
     assert outcome(update_budgets, prev, score, threshold, config) == outcome(
-        old_update_budgets, prev, score, threshold, config
+        spec.update_budgets, prev, score, threshold, config
     )
 
 
@@ -236,7 +124,7 @@ def test_update_budgets_matches_the_old_step(data):
 def test_derive_knobs_matches_the_old_step(data):
     config = data.draw(configs(), label="config")
     state = data.draw(states(config), label="state")
-    assert outcome(derive_knobs, state, config) == outcome(old_derive_knobs, state, config)
+    assert outcome(derive_knobs, state, config) == outcome(spec.derive_knobs, state, config)
 
 
 # (sample_mb, frame_mb, batch_mb, replay_mb): budgets whose quotient rounds
@@ -258,7 +146,7 @@ def test_derive_knobs_matches_the_old_step_at_rounding_edges(
 ):
     config = toy_config((100.0, 50.0, sample_mb, frame_mb, 20000, 0.0))
     state = BudgetState(batch_mb, replay_mb, 100.0, mode)
-    assert outcome(derive_knobs, state, config) == outcome(old_derive_knobs, state, config)
+    assert outcome(derive_knobs, state, config) == outcome(spec.derive_knobs, state, config)
 
 
 def toy_config(memory=(100.0, 50.0, 1.0, 0.05, 20000, 0.0), **overrides):
@@ -279,7 +167,7 @@ ADVANCED = OptimizerMode.ADVANCED
 SMALL = BudgetState(40.0, 60.0, 100.0)
 LARGE = BudgetState(600.0, 700.0, 100.0)
 
-# name: (config, prev, score, threshold, the path the old step takes).
+# name: (config, prev, score, threshold, the path the step takes).
 PATHS = {
     "zero-budgets": (toy_config(), BudgetState(0.0, 0.0, 100.0), 0.9, 0.5, "fits"),
     "grow": (toy_config(batch_sensitivity=0.5), SMALL, 0.9, 0.5, "fits"),
@@ -346,11 +234,11 @@ def grown_budgets(prev, score, threshold, config):
 @pytest.mark.parametrize("name", PATHS)
 def test_each_path_of_the_step_matches_the_old_step(name):
     config, prev, score, threshold, path = PATHS[name]
-    old = outcome(old_update_budgets, prev, score, threshold, config)
-    assert outcome(update_budgets, prev, score, threshold, config) == old
+    expected = outcome(spec.update_budgets, prev, score, threshold, config)
+    assert outcome(update_budgets, prev, score, threshold, config) == expected
     # Each case takes the path it is named for.
     if path in ("negative", "no room", "below its minimum"):
-        assert old[:2] == ("raised", InfeasibleBudgetError) and path in old[2]
+        assert expected[:2] == ("raised", "InfeasibleBudgetError") and path in expected[2]
         return
     state = update_budgets(prev, score, threshold, config)
     batch_mb, replay_mb = grown_budgets(prev, score, threshold, config)
@@ -365,14 +253,14 @@ def test_each_path_of_the_step_matches_the_old_step(name):
         assert rounded_over is (path == "nudges")
     if name == "advanced-falls-back":
         assert score >= threshold and state.optimizer_mode is OptimizerMode.DEFAULT
-    assert outcome(derive_knobs, state, config) == outcome(old_derive_knobs, state, config)
+    assert outcome(derive_knobs, state, config) == outcome(spec.derive_knobs, state, config)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_controller_runs_match_the_old_loop_for_any_config(data):
     # Any schema-valid threshold and sensitivities on a bundled scenario: the
-    # loop's inline threshold is threshold_at's expression, bit for bit.
+    # loop's inline threshold is the spec's decayed threshold, bit for bit.
     scenario = load_bundled_scenario(data.draw(st.sampled_from(bundled_scenario_names())))
     config = dataclasses.replace(
         scenario.controller,

@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 import oclbudget.cli as cli_module
 import oclbudget.harness as harness
 from oclbudget import (
@@ -447,72 +448,17 @@ def trace_records(draw):
     )
 
 
-def as_float(value):
-    """A float field as a trace holds it: float(value), or None."""
-    return None if value is None else float(value)
+def spec_record(record):
+    """A TraceRecord as the spec holds one: its modes by name."""
+    experience, (batch, buffer, mode), score, threshold, snapshot, budgets, memory = record
+    knobs, budgets = (batch, buffer, mode.value), (*budgets[:3], budgets[3].value)
+    return experience, knobs, score, threshold, snapshot, budgets, memory
 
 
-def reference_json_line(scenario_name, policy, record):
-    """The record's 16 fields through json.dumps, the spec for a JSONL line;
-    an int in a float field is written as its float."""
-    snap = record.snapshot
-    return json.dumps(
-        {
-            "scenario": scenario_name,
-            "policy": policy,
-            "experience": record.experience,
-            "batch": record.knobs.batch_size,
-            "buffer": record.knobs.buffer_size,
-            "opt_mode": record.knobs.optimizer_mode.value,
-            "score": as_float(record.score.value if record.score else None),
-            "threshold": as_float(record.threshold),
-            "latency_s": as_float(snap.latency_s if snap else None),
-            "mem_peak_mb": as_float(record.memory_peak_mb),
-            "plasticity": as_float(snap.plasticity if snap else None),
-            "stability": as_float(snap.stability if snap else None),
-            "budget_batch_mb": as_float(record.budgets.batch_mb),
-            "budget_replay_mb": as_float(record.budgets.replay_mb),
-            "budget_optimizer_mb": as_float(record.budgets.optimizer_mb),
-            "outcome": "oom" if record.oom else "ok",
-        },
-        sort_keys=True,
-    )
-
-
-def reference_csv_row(scenario_name, policy, record):
-    """The record's 13 cells, each spelled on its own: the spec for a CSV row."""
-
-    def cell(value):
-        return "" if value is None else f"{float(value):.6g}"
-
-    snap = record.snapshot
-    return ",".join(
-        [
-            scenario_name,
-            policy,
-            str(record.experience),
-            str(record.knobs.batch_size),
-            str(record.knobs.buffer_size),
-            record.knobs.optimizer_mode.value,
-            cell(record.score.value if record.score is not None else None),
-            cell(record.threshold),
-            cell(snap.latency_s if snap is not None else None),
-            cell(record.memory_peak_mb),
-            cell(snap.plasticity if snap is not None else None),
-            cell(snap.stability if snap is not None else None),
-            "oom" if record.oom else "ok",
-        ]
-    )
-
-
-def reference_reports(scenario_name, traces):
-    """The CSV and JSONL bytes of traces, every record spelled on its own."""
-    records = [(policy, record) for policy, trace in traces for record in trace]
-    csv = [",".join(CSV_COLUMNS)] + [
-        reference_csv_row(scenario_name, policy, record) for policy, record in records
-    ]
-    jsonl = [reference_json_line(scenario_name, policy, record) for policy, record in records]
-    return tuple("".join(line + "\n" for line in lines).encode() for lines in (csv, jsonl))
+def spec_reports(scenario_name, traces):
+    """The spec's CSV and JSONL bytes of (policy, TraceRecords) pairs."""
+    runs = [(policy, list(map(spec_record, records))) for policy, records in traces]
+    return spec.reports(scenario_name, runs)
 
 
 def report_of(scenario_name, traces):
@@ -716,14 +662,14 @@ class TestEmitReport:
         ),
     )
     def test_csv_row_is_each_cell_spelled(self, scenario_name, traces):
-        csv, _ = reference_reports(scenario_name, traces)
+        csv, _ = spec_reports(scenario_name, traces)
         assert emit_report(report_of(scenario_name, traces), "csv") == csv
 
     @settings(max_examples=150, deadline=None)
     @given(scenario_name=names, traces=shared_value_traces())
     def test_shared_values_spelled_as_fresh_ones(self, scenario_name, traces):
         report = report_of(scenario_name, traces)
-        assert (emit_report(report, "csv"), emit_report(report, "jsonl")) == reference_reports(
+        assert (emit_report(report, "csv"), emit_report(report, "jsonl")) == spec_reports(
             scenario_name, traces
         )
 
@@ -743,7 +689,7 @@ class TestEmitReport:
         traces = [("fixed-proxy", records), ("max-a", records[::-1])]
         report = report_of("s", traces)
         csv, jsonl = emit_report(report, "csv"), emit_report(report, "jsonl")
-        assert (csv, jsonl) == reference_reports("s", traces)
+        assert (csv, jsonl) == spec_reports("s", traces)
         # An int in a float field is written as its float.
         assert b'"threshold": 1}' not in jsonl and b'"threshold": 1.0}' in jsonl
         assert b'"budget_replay_mb": 1,' not in jsonl and b'"budget_replay_mb": 1.0,' in jsonl
@@ -758,31 +704,15 @@ class TestEmitReport:
         ),
     )
     def test_jsonl_line_is_json_dumps_of_the_record(self, scenario_name, traces):
-        report = Report(
-            scenario_name=scenario_name,
-            traces=tuple(
-                (policy, RunTrace(tuple(records), Outcome.COMPLETED)) for policy, records in traces
-            ),
-        )
-        expected = [
-            reference_json_line(scenario_name, policy, record)
-            for policy, records in traces
-            for record in records
-        ]
-        data = emit_report(report, "jsonl")
-        assert data == "".join(line + "\n" for line in expected).encode("utf-8")
+        _, jsonl = spec_reports(scenario_name, traces)
+        assert emit_report(report_of(scenario_name, traces), "jsonl") == jsonl
 
     def test_jsonl_of_bundled_runs_is_json_dumps_of_each_record(self):
         scenario = load_bundled_scenario("xavier-gss")
         report = run_suite(scenario, ["controller", "max_a", "max_p", "fixed"])
-        lines = emit_report(report, "jsonl").decode("utf-8").split("\n")
-        expected = [
-            reference_json_line(scenario.name, policy, record)
-            for policy, trace in report.traces
-            for record in trace.records
-        ]
-        assert any(record.oom for _, trace in report.traces for record in trace.records)
-        assert lines == expected + [""]
+        traces = [(policy, trace.records) for policy, trace in report.traces]
+        assert any(record.oom for _, records in traces for record in records)
+        assert emit_report(report, "jsonl") == spec_reports(scenario.name, traces)[1]
 
     def test_empty_report_is_header_only(self):
         report = Report(scenario_name="x", traces=())
@@ -1004,21 +934,32 @@ class TestCli:
             ["calibrate", "--targets", "{dir}"],
             ["run", "--scenario", "{scenario}", "--policy", "max-a", "--out", "{dir}"],
             ["calibrate", "--out", "{dir}"],
+            ["run", "--scenario", "{scenario}", "--out", "{dir}/missing/report.csv"],
+            ["calibrate", "--out", "{dir}/missing/profile.yaml"],
+            ["calibrate", "--out", ""],
         ],
-        ids=["run-scenario", "calibrate-targets", "run-out", "calibrate-out"],
+        ids=[
+            "run-scenario", "calibrate-targets", "run-out", "calibrate-out", "run-out-parent",
+            "calibrate-out-parent", "calibrate-out-empty",
+        ],
     )
     def test_a_path_that_cannot_be_read_or_written_is_a_config_error(
-        self, tmp_path, capsys, argv
+        self, tmp_path, capsys, monkeypatch, argv
     ):
         # A directory where a file belongs raises IsADirectoryError, an
         # OSError like the FileNotFoundError of a missing file: exit 2, and
-        # the message names the path.
+        # the message names the path. An --out is checked before any work:
+        # no policy runs and calibrate prints no summary.
+        calls = []
+        monkeypatch.setattr(cli_module, "run_suite", lambda *args: calls.append(args))
         scenario = str(bundled_scenario_path("xavier-er"))
         args = [arg.format(dir=tmp_path, scenario=scenario) for arg in argv]
         code = cli_main(args)
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and repr(str(tmp_path)) in err
+        out, err = capsys.readouterr()
+        (path,) = [arg for arg in args if arg.startswith(str(tmp_path)) or not arg]
+        assert err.startswith("config error: ") and repr(path) in err
+        assert calls == [] and out == ""
 
     def test_controller_oom_exit_code(self, tmp_path, capsys):
         # At 60 experiences orin-er's replay buffer passes the spike

@@ -9,6 +9,7 @@ Each check runs in a fresh interpreter. Where a module is blocked with
 ``sys.modules[name] = None``, any attempt to import it raises ImportError.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -66,9 +67,9 @@ scenario = dataclasses.replace(
     scenario, response=dataclasses.replace(scenario.response, noise_fraction=0.1)
 )
 env = build_environment(scenario)
-for _ in range(5):
+for e in range(1, 6):
     result = env.train_experience(Knobs(64, 500, OptimizerMode.DEFAULT))
-    print(repr(result.latency_s), repr(env.accuracy.row))
+    print(repr(result.latency_s), repr(env.accuracy_matrix.row(e)))
 """
 
 
@@ -216,3 +217,20 @@ def test_unknown_name_raises():
         "    print('ImportError')"
     )
     assert _run(code) == "module 'oclbudget' has no attribute 'no_such_name'\nImportError"
+
+
+def test_the_spec_imports_only_the_standard_library():
+    """tests/spec.py specifies the package, so it must not call it: every
+    import it makes, anywhere in the file, is of a standard-library module."""
+    tree = ast.parse((Path(__file__).parent / "spec.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "__import__":
+            imported.append("__import__")  # a computed import cannot be checked
+    assert imported and "json" in imported
+    outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == [], outside

@@ -1,8 +1,9 @@
 """Bundled report bytes: sha256 of every scenario's CSV and JSONL report.
 
 The digests were taken from run_suite over all 12 bundled scenarios with all
-five policies, at their bundled seeds. A change that moves any report byte
-fails here; one that means to must say so and record the new digests.
+five policies, at their bundled seeds, and the spec (tests/spec.py) gives the
+same bytes. A change that moves any report byte fails here; one that means
+to edits the spec first, and records the spec's new digests.
 
 The digests hold on CPython 3.10-3.13: every metric sum adds its terms
 newest first with plain float +, never with sum(), which is compensated
@@ -45,11 +46,19 @@ def test_every_bundled_scenario_has_a_digest():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_bytes_unchanged(name):
+def test_report_bytes_unchanged(name, spec_reports):
     report = run_suite(load_bundled_scenario(name), POLICIES)
     csv_digest, jsonl_digest = GOLDEN[name]
     assert hashlib.sha256(emit_report(report, "csv")).hexdigest() == csv_digest
     assert hashlib.sha256(emit_report(report, "log")).hexdigest() == jsonl_digest
+    assert report.oracle_best == spec_reports[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_spec_report_bytes_hash_to_the_digests(name, spec_reports):
+    """The spec's own reports (tests/spec.py) are the package's bytes."""
+    csv, jsonl, _ = spec_reports[name]
+    assert (hashlib.sha256(csv).hexdigest(), hashlib.sha256(jsonl).hexdigest()) == GOLDEN[name]
 
 
 # Runs in a fresh interpreter, which may lack PyYAML: yaml is stubbed before

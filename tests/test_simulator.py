@@ -274,10 +274,10 @@ class TestTrainExperience:
                 a, b = clean.train_experience(kn), noisy.train_experience(kn)
                 ratio = b.latency_s / a.latency_s - 1.0
                 assert abs(ratio) <= noise * (1.0 + 1e-12), (seed, e, ratio)
-                diagonal = clean.accuracy.row[-1]
+                diagonal, moved = clean.accuracy_matrix.get(e, e), noisy.accuracy_matrix.get(e, e)
                 lo = max(0.0, diagonal * (1.0 - noise)) * (1.0 - 1e-12)
                 hi = min(1.0, diagonal * (1.0 + noise) * (1.0 + 1e-12))
-                assert lo <= noisy.accuracy.row[-1] <= hi, (seed, e, noisy.accuracy.row[-1])
+                assert lo <= moved <= hi, (seed, e, moved)
                 moves.append(ratio)
         assert min(moves) < -noise / 2 and max(moves) > noise / 2
 
@@ -364,7 +364,7 @@ class TestKnobMemo:
             got = env.train_experience(kn)
             copy = knobs(kn.batch_size, kn.buffer_size, kn.optimizer_mode)
             assert got == reference.train_experience(copy), e
-            assert env.accuracy.row == reference.accuracy.row, e
+            assert env.accuracy_matrix.row(e) == reference.accuracy_matrix.row(e), e
             if noise == 0.0:
                 # make_env's platform loads nothing, so whether an experience
                 # is staged or not its latency is the compute plus a zero load.
@@ -375,7 +375,7 @@ class TestKnobMemo:
                 load = env.samples_per_experience * env.platform.load_time_per_sample_s
                 assert got.latency_s == compute + load
                 assert got.memory_peak_mb == env.memory.memory_mb(kn)
-                assert env.accuracy.row[-1] == env.response.plasticity_level(
+                assert env.accuracy_matrix.get(e, e) == env.response.plasticity_level(
                     kn.batch_size, kn.optimizer_mode, env.samples_per_experience
                 )
 
@@ -385,9 +385,9 @@ class TestKnobMemo:
         named, member = Knobs(32, 1000, "advanced"), Knobs(32, 1000, OptimizerMode.ADVANCED)
         assert named.optimizer_mode is OptimizerMode.ADVANCED
         env, reference = build_environment(scenario), build_environment(scenario)
-        for _ in range(3):
+        for e in range(1, 4):
             assert env.train_experience(named) == reference.train_experience(member)
-            assert env.accuracy.row == reference.accuracy.row
+            assert env.accuracy_matrix.row(e) == reference.accuracy_matrix.row(e)
         assert build_environment(scenario).train_experience(named) == (218.8, 4486.4)
 
 
@@ -471,7 +471,7 @@ class TestPrefetch:
         a = self.second(on, knobs(64, 200))
         b = self.second(off, knobs(64, 200))
         assert a.memory_peak_mb == b.memory_peak_mb
-        assert on.accuracy.row == off.accuracy.row
+        assert on.accuracy_matrix.row(2) == off.accuracy_matrix.row(2)
         assert a.latency_s < b.latency_s
 
 

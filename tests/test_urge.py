@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 from oclbudget import (
     InvalidPreferenceError,
     MetricSnapshot,
@@ -54,6 +55,7 @@ class TestWeightRule:
             w = weights_from_preference(order)
             assert abs(sum(dataclasses.astuple(w)) - 1.0) <= 1e-9
             assert sorted(dataclasses.astuple(w)) == [0.1, 0.2, 0.3, 0.4]
+            assert dataclasses.astuple(w) == spec.weights(order)
 
     def test_negative_weight_rejected(self):
         for bad in (-0.1, math.nan, math.inf):
@@ -185,48 +187,6 @@ class TestScoreBoundsAndMonotonicity:
         assert a.memory_factor == b.memory_factor
 
 
-# The single-call kernel as it stood before urge_scorer, kept as the reference
-# the scorer must reproduce bit for bit.
-_REF_ARG_LIMIT = 36.0
-_REF_NORM_EPS = 1e-9
-
-
-def _reference_logistic(x: float) -> float:
-    if x > _REF_ARG_LIMIT:
-        x = _REF_ARG_LIMIT
-    elif x < -_REF_ARG_LIMIT:
-        x = -_REF_ARG_LIMIT
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-def reference_compute_urge(snapshot, th, weights):
-    d_p = (snapshot.plasticity - th.plasticity) / max(abs(th.plasticity), _REF_NORM_EPS)
-    d_s = (snapshot.stability - th.stability) / max(abs(th.stability), _REF_NORM_EPS)
-    d_l = (snapshot.latency_s - th.latency_s) / max(abs(th.latency_s), _REF_NORM_EPS)
-    d_m = (snapshot.memory_peak_mb - th.memory_mb) / max(abs(th.memory_mb), _REF_NORM_EPS)
-
-    f_p = _reference_logistic(-(weights.k_p * d_p))
-    f_s = _reference_logistic(-(weights.k_s * d_s))
-    f_l = _reference_logistic(weights.k_l * d_l)
-    f_m = _reference_logistic(-(weights.k_m * d_m))
-
-    return UrgeScore(
-        value=f_p * f_s * f_l * f_m,
-        plasticity_factor=f_p,
-        stability_factor=f_s,
-        latency_factor=f_l,
-        memory_factor=f_m,
-    )
-
-
-def _outcome(fn, *args):
-    """The score, or the type and message of the error fn raised."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 unit = st.floats(0.0, 1.0)
 # Zero thresholds take the 1e-9 divisor floor; spans of 1e6 against
 # thresholds near 1e-3 push the logistic arguments far past the +-36 clamp.
@@ -251,9 +211,9 @@ class TestScorerMatchesReference:
     )
     def test_finite_inputs_score_identically(self, p, s, lat, mem, th, w):
         snapshot = MetricSnapshot(p, s, lat, mem)
-        expected = _outcome(reference_compute_urge, snapshot, th, w)
-        assert _outcome(compute_urge, snapshot, th, w) == expected
-        assert _outcome(urge_scorer(th, w), snapshot) == expected
+        expected = spec.urge(snapshot, th, dataclasses.astuple(w))
+        assert compute_urge(snapshot, th, w) == expected
+        assert urge_scorer(th, w)(snapshot) == expected
 
     def test_clamp_is_reached(self):
         # Both clamp branches are taken, and the clamped factors still agree.
@@ -261,7 +221,7 @@ class TestScorerMatchesReference:
         heavy = Weights(1e3, 1e3, 1e3, 1e3)
         for lat, mem in ((1e6, 0.0), (0.0, 1e6)):
             snapshot = MetricSnapshot(1.0, 1.0, lat, mem)
-            expected = reference_compute_urge(snapshot, th, heavy)
-            assert min(expected.components()) < 1e-15 or max(expected.components()) > 1 - 1e-15
+            expected = spec.urge(snapshot, th, dataclasses.astuple(heavy))
+            assert min(expected[1:]) < 1e-15 or max(expected[1:]) > 1 - 1e-15
             assert urge_scorer(th, heavy)(snapshot) == expected
             assert compute_urge(snapshot, th, heavy) == expected
