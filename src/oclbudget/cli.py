@@ -92,14 +92,17 @@ def _load(args):
 
 def _check_out(out: str | None) -> None:
     """Refuse, before any work, an --out path that cannot be written as a
-    file: an existing directory (an empty path names the working one), or a
-    path whose parent is no directory. Nothing is created, so a config error
-    leaves no file."""
+    file: an existing directory (an empty path names the working one), a
+    path whose parent does not exist, or one whose parent exists but is no
+    directory. Nothing is created, so a config error leaves no file."""
     if out is None:
         return
     if os.path.isdir(out or "."):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-    if not os.path.isdir(os.path.dirname(out) or "."):
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        if not os.path.exists(parent):
+            raise FileNotFoundError(errno.ENOENT, "parent does not exist", out)
         raise NotADirectoryError(errno.ENOTDIR, "parent is not a directory", out)
 
 

@@ -154,7 +154,8 @@ class MemoryModel:
     def memory_mb(self, knobs: Knobs) -> float:
         batch_size, buffer_size, optimizer_mode = knobs
         plugin = self.optimizer_delta_mb if optimizer_mode is _ADVANCED else 0.0
-        overhang = max(0, buffer_size - self.spike_threshold)
+        overhang = buffer_size - self.spike_threshold
+        overhang = overhang if overhang > 0 else 0
         residency = self.spike_coeff * overhang * overhang
         return (
             self.base_mb
@@ -337,9 +338,9 @@ def derive_knobs(state: BudgetState, config: ControllerConfig) -> Knobs:
     """Floor-divide budgets by per-item costs, with at least one of each."""
     memory = config.memory
     batch_mb, replay_mb, _, mode = state
-    batch = max(1, math.floor(batch_mb / memory.sample_mb))
-    buffer = max(1, math.floor(replay_mb / memory.frame_mb))
-    return _new_knobs(Knobs, batch, buffer, mode)
+    batch = math.floor(batch_mb / memory.sample_mb)
+    buffer = math.floor(replay_mb / memory.frame_mb)
+    return _new_knobs(Knobs, batch if batch > 1 else 1, buffer if buffer > 1 else 1, mode)
 
 
 class TraceRecord(Record):

@@ -477,11 +477,15 @@ def running_snapshot(
     It reads k and the two running sums the training step keeps, in either
     form of RunningAccuracy, and only divides and clamps them: the final
     step of plasticity and of _stability, written out here so a step costs
-    no further call.
+    no further call. It runs once an experience for every policy, so it
+    calls no builtin: the clamp min(1.0, max(0.0, value)) is written as
+    comparisons, which return the same object for every value (a NaN or
+    -0.0 becomes 0.0, as max(0.0, value) makes it).
     """
     k = accuracy._k
     if k > 1:
-        stability = min(1.0, max(0.0, 1.0 - accuracy._forgetting_sum / (k - 1)))
+        stability = 1.0 - accuracy._forgetting_sum / (k - 1)
+        stability = (stability if stability < 1.0 else 1.0) if stability > 0.0 else 0.0
     elif k:
         stability = 1.0
     else:

@@ -122,7 +122,8 @@ class ResponseModel:
         stream is (n / B) * c_iter(B) * opt_mult(mode), the stream term before
         the experience's growth factor; replay is R * replay_cost.
         """
-        c_iter = self.compute_cost_per_sample_s * max(batch_size, self.batch_knee)
+        knee = self.batch_knee
+        c_iter = self.compute_cost_per_sample_s * (knee if knee > batch_size else batch_size)
         opt = self.optimizer_latency_multiplier if mode is _ADVANCED else 1.0
         return (n_samples / batch_size) * c_iter * opt, buffer_size * self.replay_sampling_cost_s
 
@@ -161,7 +162,7 @@ class ResponseModel:
         )
         if mode is _ADVANCED:
             level += self.advanced_plasticity_bonus
-        return min(1.0, max(0.0, level))
+        return (level if level < 1.0 else 1.0) if level > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -287,13 +288,15 @@ class SimulatedEnvironment:
 
         compute = self.response.latency_s(stream, replay, trained + 1, platform.compute_scale)
         if trained and self.prefetch:
-            latency = compute + max(0.0, self._load_s - PREFETCH_OVERLAP * compute)
+            hidden = self._load_s - PREFETCH_OVERLAP * compute
+            latency = compute + (hidden if hidden > 0.0 else 0.0)
         else:
             latency = compute + self._load_s
         if self._rng is not None:
             jitter = self.response.noise_fraction
             latency *= 1.0 + jitter * self._rng.uniform(-1.0, 1.0)
-            diagonal = min(1.0, max(0.0, diagonal * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))))
+            diagonal *= 1.0 + jitter * self._rng.uniform(-1.0, 1.0)
+            diagonal = (diagonal if diagonal < 1.0 else 1.0) if diagonal > 0.0 else 0.0
 
         self._accuracy.advance(factor, diagonal)
         return _new_result(TrainResult, latency, memory)

@@ -163,6 +163,18 @@ def urge_scorer(
     Thresholds, Weights and MetricSnapshot have checked every input to be
     finite, and the thresholds and weights to be >= 0, so nothing is checked
     here. The memory threshold is >= 1, so it is its own divisor.
+
+    score runs once an experience, so it calls no min or max builtin: each
+    clamp is two comparisons. It also keeps the last (memory peak, memory
+    factor) pair it computed, as one tuple, and reuses the factor when a
+    snapshot's memory peak is that same object. A fixed-knob run passes the
+    same float every experience (the environment computes a Knobs object's
+    memory once), so it computes the memory logistic once; any other peak,
+    an equal float included, is computed as before and replaces the pair.
+    The factor is a function of the peak alone, so the score is the same
+    either way, bit for bit. The pair is read and replaced as one tuple, so
+    a scorer shared between threads never matches a peak with another
+    peak's factor.
     """
     exp = math.exp
     th_p, th_s = thresholds.plasticity, thresholds.stability
@@ -170,8 +182,10 @@ def urge_scorer(
     n_p, n_s, n_l = max(th_p, _NORM_EPS), max(th_s, _NORM_EPS), max(th_l, _NORM_EPS)
     k_p, k_s, k_l, k_m = weights.k_p, weights.k_s, weights.k_l, weights.k_m
     hi, lo = _ARG_LIMIT, -_ARG_LIMIT
+    memo = (None, 0.0)  # (memory peak, its factor); no snapshot holds None
 
     def score(snapshot: MetricSnapshot) -> UrgeScore:
+        nonlocal memo
         p, s, l, m = snapshot
 
         # Each x is clamped to [lo, hi] by two comparisons, so a NaN argument
@@ -183,8 +197,11 @@ def urge_scorer(
         f_s = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
         x = k_l * ((l - th_l) / n_l)
         f_l = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
-        x = -(k_m * ((m - th_m) / th_m))
-        f_m = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
+        peak, f_m = memo
+        if m is not peak:
+            x = -(k_m * ((m - th_m) / th_m))
+            f_m = 1.0 / (1.0 + exp(-(hi if x > hi else lo if x < lo else x)))
+            memo = (m, f_m)
 
         return _new_score(UrgeScore, f_p * f_s * f_l * f_m, f_p, f_s, f_l, f_m)
 

@@ -928,30 +928,39 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, reason",
         [
-            ["run", "--scenario", "{dir}"],
-            ["calibrate", "--targets", "{dir}"],
-            ["run", "--scenario", "{scenario}", "--policy", "max-a", "--out", "{dir}"],
-            ["calibrate", "--out", "{dir}"],
-            ["run", "--scenario", "{scenario}", "--out", "{dir}/missing/report.csv"],
-            ["calibrate", "--out", "{dir}/missing/profile.yaml"],
-            ["calibrate", "--out", ""],
+            (["run", "--scenario", "{dir}"], None),
+            (["calibrate", "--targets", "{dir}"], None),
+            (["run", "--scenario", "{scenario}", "--policy", "max-a", "--out", "{dir}"], None),
+            (["calibrate", "--out", "{dir}"], None),
+            (
+                ["run", "--scenario", "{scenario}", "--out", "{dir}/missing/report.csv"],
+                "[Errno 2] parent does not exist",
+            ),
+            (
+                ["run", "--scenario", "{scenario}", "--out", "{dir}/file/report.csv"],
+                "[Errno 20] parent is not a directory",
+            ),
+            (["calibrate", "--out", "{dir}/missing/profile.yaml"], "[Errno 2] parent does not exist"),
+            (["calibrate", "--out", ""], None),
         ],
         ids=[
             "run-scenario", "calibrate-targets", "run-out", "calibrate-out", "run-out-parent",
-            "calibrate-out-parent", "calibrate-out-empty",
+            "run-out-parent-file", "calibrate-out-parent", "calibrate-out-empty",
         ],
     )
     def test_a_path_that_cannot_be_read_or_written_is_a_config_error(
-        self, tmp_path, capsys, monkeypatch, argv
+        self, tmp_path, capsys, monkeypatch, argv, reason
     ):
         # A directory where a file belongs raises IsADirectoryError, an
         # OSError like the FileNotFoundError of a missing file: exit 2, and
         # the message names the path. An --out is checked before any work:
-        # no policy runs and calibrate prints no summary.
+        # no policy runs and calibrate prints no summary. A missing parent
+        # and a parent that is a file each give their own errno.
         calls = []
         monkeypatch.setattr(cli_module, "run_suite", lambda *args: calls.append(args))
+        (tmp_path / "file").write_text("")
         scenario = str(bundled_scenario_path("xavier-er"))
         args = [arg.format(dir=tmp_path, scenario=scenario) for arg in argv]
         code = cli_main(args)
@@ -959,6 +968,8 @@ class TestCli:
         out, err = capsys.readouterr()
         (path,) = [arg for arg in args if arg.startswith(str(tmp_path)) or not arg]
         assert err.startswith("config error: ") and repr(path) in err
+        if reason is not None:
+            assert err == f"config error: {reason}: {path!r}\n"
         assert calls == [] and out == ""
 
     def test_controller_oom_exit_code(self, tmp_path, capsys):

@@ -4,6 +4,7 @@
 import dataclasses
 import math
 import random
+import struct
 import subprocess
 import tracemalloc
 from array import array
@@ -315,7 +316,9 @@ def test_running_snapshot_needs_a_trained_experience():
 
 
 def _long_runs():
-    """K=300 fixed-proxy and controller runs of every bundled scenario."""
+    """K=300 fixed-proxy and controller runs of every bundled scenario and
+    of a noisy copy of the first: each as (name, packed rows, outcome,
+    message) from the package, then from the spec."""
     scenarios = [
         dataclasses.replace(load_bundled_scenario(name), num_experiences=300)
         for name in bundled_scenario_names()
@@ -327,28 +330,31 @@ def _long_runs():
         )
     )
     for sc in scenarios:
-        env = build_environment(sc)
         fixed = BaselinePolicy.from_scenario(PolicyKind.FIXED, sc)
-        yield sc, env, run_baseline(fixed, sc, env)
-        env = build_environment(sc)
+        trace = run_baseline(fixed, sc, build_environment(sc))
+        yield sc.name, _packed(trace), spec.run_fixed(sc, spec.SUITE_KNOBS["fixed-proxy"])
         try:
-            trace = run_control_loop(sc, env)
+            trace, message = run_control_loop(sc, build_environment(sc)), None
         except InfeasibleBudgetError as exc:
-            trace = exc.partial_trace
-        yield sc, env, trace
+            trace, message = exc.partial_trace, str(exc)
+        yield sc.name, _packed(trace, message), spec.run_controller(sc)
+
+
+def _packed(trace, message=None):
+    """A trace's rows with their floats as bytes, its outcome and message."""
+    rows = [(*row[:4], struct.pack("14d", *row[4])) for row in trace.rows()]
+    return rows, trace.outcome.value, message
 
 
 def test_long_run_snapshots_equal_matrix_reference():
+    """Every record of the 26 K=300 runs, its snapshot included, is the
+    spec's over its explicit matrix, bit for bit: both forms of the running
+    row, the noisy clamp of the diagonal, and each run's outcome."""
     checked = 0
-    for sc, env, trace in _long_runs():
-        matrix = env.accuracy_matrix
-        for record in trace.records:
-            if record.snapshot is None:
-                continue
-            k = record.experience
-            assert record.snapshot.plasticity == plasticity(matrix, k), (sc.name, k)
-            assert record.snapshot.stability == stability(matrix, k), (sc.name, k)
-            checked += 1
+    for name, got, run in _long_runs():
+        expected = [spec.packed(record) for record in run.records], run.outcome, run.message
+        assert got == expected, name
+        checked += sum(record[4] is not None for record in run.records)
     assert checked >= 13 * 300  # every fixed-proxy run completes
 
 
