@@ -34,16 +34,17 @@ budget and memory cells are spelled once per stretch of rows whose values
 in those cells are the same: equal ints and flag bytes, and floats that are
 equal and nonzero, since 0.0 == -0.0 but the two are spelled apart (NaN
 equals nothing and is spelled anew); so a fixed-knob run spells them once.
-A nonzero JSONL threshold is spelled once per report. Each CSV row shape is
-a single % format. The bytes are the ones each value spelled on its own
-would give.
+Each nonzero threshold (CSV and JSONL) is spelled once per report, keyed by
+value; zeros are spelled anew each time. Each CSV row shape is a single %
+format and each JSONL line one f-string. The bytes are the ones each value
+spelled on its own would give.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from typing import Callable, Optional, Sequence, Union
 
 from .baselines import SUITE_BASELINES, BaselinePolicy, PolicyKind, run_baseline, run_oracle
@@ -193,33 +194,36 @@ def _json_number(value: float) -> str:
     return "Infinity" if value > 0 else "-Infinity"
 
 
-def _spell_once(spell: Callable[[float], str]) -> Callable[[float], str]:
-    """spell, remembering its text for each distinct nonzero float.
+class _SpelledOnce(dict):
+    """self[value] is spell(value), remembered for each distinct nonzero float.
 
-    A dict finds a key by equality, and 0.0 and -0.0 are equal but spelled
-    differently, so zeros are spelled on every call.
+    A hit is a plain dict lookup. A dict finds a key by equality, and 0.0 and
+    -0.0 are equal but spelled differently, so zeros are never stored and are
+    spelled on every lookup.
     """
-    texts: dict[float, str] = {}
 
-    def spelled(value: float) -> str:
+    __slots__ = ("spell",)
+
+    def __init__(self, spell: Callable[[float], str]):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, value: float) -> str:
+        text = self.spell(value)
         if value:
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = spell(value)
-            return text
-        return spell(value)
-
-    return spelled
+            self[value] = text
+        return text
 
 
 _MODE_NAMES = tuple(mode.value for mode in _MODES)
 
 # The two CSV row shapes. A scored row is the "scenario,policy," prefix,
-# experience, the "batch,buffer,opt_mode" cells, score, threshold, latency,
-# memory, plasticity and stability; %.6g spells a number as f"{value:.6g}"
-# does. An OOM row keeps the prefix, experience, knob and memory cells and
-# leaves the score, threshold, latency, plasticity and stability cells empty.
-_CSV_ROW = "%s%s,%s,%.6g,%.6g,%.6g,%s,%.6g,%.6g,ok\n"
+# experience, the "batch,buffer,opt_mode" cells, score, threshold (spelled
+# once per report), latency, memory, plasticity and stability; %.6g spells a
+# number as f"{value:.6g}" does. An OOM row keeps the prefix, experience,
+# knob and memory cells and leaves the score, threshold, latency, plasticity
+# and stability cells empty.
+_CSV_ROW = "%s%s,%s,%.6g,%s,%.6g,%s,%.6g,%.6g,ok\n"
 _CSV_OOM_ROW = "%s%s,%s,,,,%s,,,oom\n"
 
 
@@ -228,6 +232,7 @@ _CSV_SLOTS = _slot_reader(_SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY,
 
 def _csv_rows(report: Report) -> list[str]:
     rows = [",".join(CSV_COLUMNS) + "\n"]
+    thresholds = _SpelledOnce("%.6g".__mod__)
     batch = buffer = flag = memory = None  # equal to no row's values, so the first one misses
     for policy, trace in report.traces:
         prefix = f"{report.scenario_name},{policy},"
@@ -252,7 +257,7 @@ def _csv_rows(report: Report) -> list[str]:
                     experience,
                     knob_cells,
                     value,
-                    threshold,
+                    thresholds[threshold],
                     latency,
                     memory_cell,
                     plasticity,
@@ -262,30 +267,15 @@ def _csv_rows(report: Report) -> list[str]:
     return rows
 
 
-# One JSONL line, keys in sorted order, in three parts. The head (knobs and
-# budgets) and the middle (memory and optimizer mode) are spelled once per
-# stretch of rows that hold the same knob, budget and memory values (see the
-# module docstring); the line adds the rest. Each %s slot takes a value
-# already spelled as JSON (an int's str is its repr); the policy and scenario
-# pair, which sorts between plasticity and score, is one slot encoded once
-# per trace. An OOM line writes null for the score, threshold, latency and
-# metrics. A scored line spells its latency, metrics and score with %r: a
-# snapshot and a score hold finite floats only, which %r spells as JSON does.
-_JSONL_HEAD = (
-    '{"batch": %s, "budget_batch_mb": %s, "budget_optimizer_mb": %s, '
-    '"budget_replay_mb": %s, "buffer": %s'
-)
-_JSONL_MIDDLE = ', "mem_peak_mb": %s, "opt_mode": "%s"'
-_JSONL_OOM_LINE = (
-    '%s, "experience": %s, "latency_s": null%s, "outcome": "oom", "plasticity": null, '
-    '%s, "score": null, "stability": null, "threshold": null}\n'
-)
-_JSONL_LINE = (
-    '%s, "experience": %s, "latency_s": %r%s, "outcome": "ok", "plasticity": %r, '
-    '%s, "score": %r, "stability": %r, "threshold": %s}\n'
-)
-
-
+# One JSONL line, keys in sorted order, is one f-string in three parts. The
+# head (knobs and budgets) and the middle (memory and optimizer mode) are
+# spelled once per stretch of rows that hold the same knob, budget and memory
+# values (see the module docstring); the line adds the rest. An int is
+# written as its str, which is its repr. The policy and scenario pair, which
+# sorts between plasticity and score, is encoded once per trace. An OOM line
+# writes null for the score, threshold, latency and metrics. A scored line
+# spells its latency, metrics and score with !r: a snapshot and a score hold
+# finite floats only, which repr spells as JSON does.
 _JSONL_SLOTS = _slot_reader(
     _SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY, _BATCH_MB, _REPLAY_MB,
     _OPTIMIZER_MB, _MEMORY,
@@ -294,13 +284,13 @@ _JSONL_SLOTS = _slot_reader(
 
 def _jsonl_lines(report: Report) -> list[str]:
     number = _json_number
-    threshold_text = _spell_once(number)
-    scenario = json.dumps(report.scenario_name)
+    thresholds = _SpelledOnce(number)
+    scenario = _json_string(report.scenario_name)
     # Equal to no row's values, so the first one misses.
     batch = buffer = flag = batch_mb = replay_mb = optimizer_mb = memory = None
     lines = []
     for policy, trace in report.traces:
-        names = f'"policy": {json.dumps(policy)}, "scenario": {scenario}'
+        names = f'"policy": {_json_string(policy)}, "scenario": {scenario}'
         for (
             experience, row_batch, row_buffer, row_flag,
             (
@@ -319,31 +309,28 @@ def _jsonl_lines(report: Report) -> list[str]:
             ):
                 batch, buffer, flag, memory = row_batch, row_buffer, row_flag, row_memory
                 batch_mb, replay_mb, optimizer_mb = row_batch_mb, row_replay_mb, row_optimizer_mb
-                head = _JSONL_HEAD % (
-                    batch,
-                    number(batch_mb),
-                    number(optimizer_mb),
-                    number(replay_mb),
-                    buffer,
+                head = (
+                    f'{{"batch": {batch}, "budget_batch_mb": {number(batch_mb)}, '
+                    f'"budget_optimizer_mb": {number(optimizer_mb)}, '
+                    f'"budget_replay_mb": {number(replay_mb)}, "buffer": {buffer}'
                 )
-                middle = _JSONL_MIDDLE % (number(memory), _MODE_NAMES[flag & _KNOBS_ADVANCED])
+                middle = (
+                    f', "mem_peak_mb": {number(memory)}, '
+                    f'"opt_mode": "{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"'
+                )
             if row_flag & _OOM:
-                lines.append(_JSONL_OOM_LINE % (head, experience, middle, names))
-                continue
-            lines.append(
-                _JSONL_LINE
-                % (
-                    head,
-                    experience,
-                    latency,
-                    middle,
-                    plasticity,
-                    names,
-                    value,
-                    stability,
-                    threshold_text(threshold),
+                lines.append(
+                    f'{head}, "experience": {experience}, "latency_s": null{middle}, '
+                    f'"outcome": "oom", "plasticity": null, {names}, "score": null, '
+                    '"stability": null, "threshold": null}\n'
                 )
-            )
+            else:
+                lines.append(
+                    f'{head}, "experience": {experience}, "latency_s": {latency!r}'
+                    f'{middle}, "outcome": "ok", "plasticity": {plasticity!r}, {names}, '
+                    f'"score": {value!r}, "stability": {stability!r}, '
+                    f'"threshold": {thresholds[threshold]}}}\n'
+                )
     return lines
 
 

@@ -69,13 +69,17 @@ from typing import Optional, Sequence
 
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
-from .errors import check_ints, check_ranges, interval, ranges, reject
+from .errors import MAX_FLOAT, check_ints, check_ranges, interval, ranges, reject
 from .metrics import ReplayedMatrix, RunningAccuracy
 from .record import Record
 from .yamlcfg import Section, build, check_schema_version, finite_number, load_yaml_mapping
 
 # A module global, read per call far more cheaply than the Enum member.
 _ADVANCED = OptimizerMode.ADVANCED
+
+# The largest int an "inf)" interval holds: check_ranges compares an int with
+# the largest float, which is this int's exact value.
+_MAX_INT = int(MAX_FLOAT)
 
 PREFETCH_OVERLAP = 0.85  # the share of a staged experience's compute that hides its load
 
@@ -236,10 +240,16 @@ class SimulatedEnvironment:
         self.seed = seed
         self.samples_per_experience = samples_per_experience
         self.prefetch = prefetch
-        check_ints(self, "samples_per_experience seed")
-        check_ranges(self, self._RANGES)
-        if prefetch.__class__ is not bool:
-            reject(self, "prefetch", f"must be a bool, got {prefetch!r}")
+        # Valid inputs pass one test with no call; the rest are checked below.
+        if not (
+            seed.__class__ is int and 0 <= seed <= _MAX_INT
+            and samples_per_experience.__class__ is int and 1 <= samples_per_experience <= _MAX_INT
+            and prefetch.__class__ is bool
+        ):
+            check_ints(self, "samples_per_experience seed")
+            check_ranges(self, self._RANGES)
+            if prefetch.__class__ is not bool:
+                reject(self, "prefetch", f"must be a bool, got {prefetch!r}")
         # Only noisy responses draw from the generator, so others skip building it.
         self._rng = random.Random(seed) if response.noise_fraction > 0.0 else None
         # Data loading is the same for every experience of the run.

@@ -24,11 +24,11 @@ urge_scorer fixes what a run does not change (the thresholds, their
 deviation divisors and the weights) once, and returns the per-snapshot
 score; compute_urge is that scorer built for a single call.
 weights_from_preference derives each ordering's weights once and hands every
-later caller the same frozen Weights. A score is an UrgeScore, a validated
-tuple (see record): it checks its factors on every construction and equals
-a plain tuple of its five values. The scorer unpacks its snapshot and
-builds each score through UrgeScore.__new__ directly, which runs the same
-checks as the class call.
+later caller the same frozen Weights; a tuple ordering is looked up before
+it is normalised. A score is an UrgeScore, a validated tuple (see record):
+it checks its factors on every construction and equals a plain tuple of its
+five values. The scorer unpacks its snapshot and builds each score through
+UrgeScore.__new__ directly, which runs the same checks as the class call.
 """
 
 from __future__ import annotations
@@ -131,8 +131,13 @@ def weights_from_preference(order: Sequence[str]) -> Weights:
     (k_m, k_p, k_s, k_l) = (0.4, 0.3, 0.2, 0.1). Every call with the same
     ordering returns the same Weights object, which is frozen.
     """
-    names = tuple(map(str, order))
-    weights = _WEIGHTS_BY_ORDER.get(names)
+    try:  # a tuple is looked up as it is, before it is normalised
+        weights = _WEIGHTS_BY_ORDER.get(order) if order.__class__ is tuple else None
+    except TypeError:  # it holds an element that cannot be hashed
+        weights = None
+    if weights is None:
+        names = tuple(map(str, order))
+        weights = _WEIGHTS_BY_ORDER.get(names)
     if weights is None:
         if sorted(names) != sorted(METRIC_NAMES):
             raise InvalidPreferenceError(
@@ -179,7 +184,10 @@ def urge_scorer(
     exp = math.exp
     th_p, th_s = thresholds.plasticity, thresholds.stability
     th_l, th_m = thresholds.latency_s, thresholds.memory_mb
-    n_p, n_s, n_l = max(th_p, _NORM_EPS), max(th_s, _NORM_EPS), max(th_l, _NORM_EPS)
+    # max(th, eps) as the builtin returns it: th unless eps is strictly greater.
+    n_p = _NORM_EPS if _NORM_EPS > th_p else th_p
+    n_s = _NORM_EPS if _NORM_EPS > th_s else th_s
+    n_l = _NORM_EPS if _NORM_EPS > th_l else th_l
     k_p, k_s, k_l, k_m = weights.k_p, weights.k_s, weights.k_l, weights.k_m
     hi, lo = _ARG_LIMIT, -_ARG_LIMIT
     memo = (None, 0.0)  # (memory peak, its factor); no snapshot holds None

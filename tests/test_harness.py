@@ -475,6 +475,8 @@ def report_of(scenario_name, traces):
 # by identity, and the infinities.
 TWINS = [0.0, -0.0, 1, 1.0, math.nan, -math.nan, float("nan"), math.inf, -math.inf]
 twin_or_any = st.sampled_from(TWINS) | any_float
+# The twins a snapshot holds: it rejects NaN and the infinities.
+snapshot_twins = st.sampled_from([0.0, -0.0, 1, 1.0])
 knob_values = st.builds(
     Knobs,
     batch_size=st.integers(min_value=1),
@@ -493,7 +495,8 @@ budget_values = st.builds(
 def shared_value_traces(draw):
     """Traces whose records hold one of a few shared (Knobs, BudgetState,
     memory) objects, as a fixed-knob run does, with memory values and the
-    thresholds of scored records drawn from TWINS."""
+    thresholds of scored records drawn from TWINS and their snapshot
+    latencies from a small pool of twins, so values repeat within a report."""
     shared = draw(
         st.lists(st.tuples(knob_values, budget_values, twin_or_any), min_size=1, max_size=3)
     )
@@ -503,14 +506,18 @@ def shared_value_traces(draw):
         for _ in range(draw(st.integers(1, 6))):
             knobs, budgets, memory = draw(st.sampled_from(shared))
             drawn = draw(trace_records())
-            threshold = None if drawn.oom else draw(twin_or_any)
+            threshold = snapshot = None
+            if not drawn.oom:
+                threshold = draw(twin_or_any)
+                plasticity, stability, _, memory_peak = drawn.snapshot
+                snapshot = MetricSnapshot(plasticity, stability, draw(snapshot_twins), memory_peak)
             records.append(
                 TraceRecord(
                     drawn.experience,
                     knobs,
                     drawn.score,
                     threshold,
-                    drawn.snapshot,
+                    snapshot,
                     budgets,
                     memory,
                 )
@@ -677,9 +684,11 @@ class TestEmitReport:
         knobs = Knobs(64, 2000, OptimizerMode.DEFAULT)
         budgets = BudgetState(batch_mb=0.0, replay_mb=1, optimizer_mb=-0.0)
         snap = MetricSnapshot(0.5, 1, 2.0, 0.0)
+        # Snapshot latencies -0.0 and 0.0 in one report, each more than once.
+        snaps = [snap, MetricSnapshot(0.5, 1, -0.0, 0.0), MetricSnapshot(0.5, 1, 0.0, 0.0)]
         score = UrgeScore(0.0625, 0.5, 0.5, 0.5, 0.5)
         records = [
-            TraceRecord(e, knobs, score, threshold, snap, budgets, memory)
+            TraceRecord(e, knobs, score, threshold, snaps[e % 3], budgets, memory)
             for e, (threshold, memory) in enumerate(
                 [(1, 0.0), (1.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.nan, 1), (-0.0, 1.0)]
                 + [(float("nan"), math.inf), (math.inf, -math.inf), (1.0, 1), (1, 1.0)],
@@ -694,7 +703,12 @@ class TestEmitReport:
         assert b'"threshold": 1}' not in jsonl and b'"threshold": 1.0}' in jsonl
         assert b'"budget_replay_mb": 1,' not in jsonl and b'"budget_replay_mb": 1.0,' in jsonl
         assert b",3,64,2000,default,0.0625,0,2,-0,0.5,1,ok" in csv
-        assert b",4,64,2000,default,0.0625,-0,2,-0,0.5,1,ok" in csv
+        assert b",4,64,2000,default,0.0625,-0,-0,-0,0.5,1,ok" in csv
+        assert b",5,64,2000,default,0.0625,nan,0,1,0.5,1,ok" in csv
+        assert b'"experience": 1, "latency_s": -0.0,' in jsonl
+        assert b'"experience": 2, "latency_s": 0.0,' in jsonl
+        assert b'"experience": 3, "latency_s": 2.0,' in jsonl
+        assert b'"experience": 4, "latency_s": -0.0,' in jsonl
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -307,6 +308,27 @@ class TestTrainExperience:
         with pytest.raises(SchemaError) as info:
             make_env(**overrides)
         assert str(info.value) == f"SimulatedEnvironment.{message}"
+
+    def test_environment_accepts_what_its_checks_accept(self):
+        # Exact ints in range pass one test; an int subclass (not bool) takes
+        # the checks and is accepted as before, and runs as its int does.
+        class Count(int):
+            pass
+
+        plain = make_env(seed=3, n=8000, noise_fraction=0.1)
+        subclassed = make_env(seed=Count(3), n=Count(8000), noise_fraction=0.1)
+        assert subclassed.seed == 3 and subclassed.samples_per_experience == 8000
+        kn = knobs(32, 500)
+        assert subclassed.train_experience(kn) == plain.train_experience(kn)
+        # The largest int each "inf)" interval holds is accepted, the next refused.
+        largest = int(sys.float_info.max)
+        make_env(seed=largest, n=largest)
+        for overrides, field in (
+            ({"seed": largest + 1}, "seed"),
+            ({"n": largest + 1}, "samples_per_experience"),
+        ):
+            with pytest.raises(SchemaError, match=rf"^SimulatedEnvironment\.{field}: must be in"):
+                make_env(**overrides)
 
 
 def _fixed_run(scenario, policy, fresh_knobs_each_experience):

@@ -1,5 +1,6 @@
 """Health score: weight rule, logistic factors, monotonicity, bounds."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -70,6 +71,33 @@ class TestWeightRule:
         assert weights == Weights(k_p=0.3, k_s=0.2, k_l=0.1, k_m=0.4)
         other = weights_from_preference(["latency", "stability", "plasticity", "memory"])
         assert other is not weights and other != weights
+
+    @pytest.mark.parametrize("first", ["list", "namedtuple", "str-subclass", "tuple"])
+    def test_every_ordering_form_finds_the_same_weights(self, monkeypatch, first):
+        # A tuple is looked up before it is normalised; each form, called
+        # first on an empty table or after another form, gets one object.
+        class Name(str):
+            pass
+
+        Order = collections.namedtuple("Order", "first second third fourth")
+        order = ("stability", "memory", "latency", "plasticity")
+        forms = {
+            "list": list(order),
+            "namedtuple": Order(*order),
+            "str-subclass": tuple(map(Name, order)),
+            "tuple": order,
+        }
+        monkeypatch.setattr(urge, "_WEIGHTS_BY_ORDER", {})
+        weights = weights_from_preference(forms[first])
+        assert dataclasses.astuple(weights) == spec.weights(order)
+        for form in forms.values():
+            assert weights_from_preference(form) is weights
+        # The table is keyed by plain str tuples only.
+        assert [tuple(map(type, key)) for key in urge._WEIGHTS_BY_ORDER] == [(str,) * 4]
+
+    def test_a_tuple_holding_an_unhashable_name_is_refused_as_before(self):
+        with pytest.raises(InvalidPreferenceError, match="exactly once"):
+            weights_from_preference((["memory"], "plasticity", "stability", "latency"))
 
     def test_bad_ordering_raises_on_every_call(self):
         for order in (["plasticity", "plasticity", "stability", "latency"], ["memory"]):
