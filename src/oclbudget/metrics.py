@@ -6,8 +6,8 @@ indices are 1-based to match the usual experience numbering. An
 AccuracyMatrix holds an arbitrary matrix, checking every entry it is given,
 and keeps each row packed as an array('d'): about 8.5 bytes per entry, 4
 MiB for the 500,500 entries of K = 1000. A run's own matrix is never built:
-RunningAccuracy.matrix() returns a ReplayedMatrix, which holds O(K) floats
-and replays a row when it is read.
+its RunningAccuracy reads only the latest row and the diagonal, which is
+all the two metrics take.
 
 Plasticity after experience K is the mean of row K: the current model's
 accuracy over everything seen so far. Stability is one minus the mean
@@ -25,15 +25,15 @@ AccuracyMatrix, add in an explicit loop.
 A run never needs the whole matrix to score itself. Every off-diagonal entry
 of a row decays by the same per-experience factor, so row k is row k-1
 scaled by that factor with the new diagonal accuracy appended.
-RunningAccuracy keeps only what fixes the latest row, not the K(K+1)/2
-entries of the matrix. Its matrix() is a ReplayedMatrix: a snapshot of the
-factors and diagonals, O(K) floats, which replays any row on demand with the
-same multiplies in the same order, so it reads the floats a stored matrix
-would hold. Next to the row it keeps k and the two newest-first sums, of the
-row and of its forgetting terms, and updates them in advance, the
-environment's training step. running_snapshot then only divides and
-clamps, through the same final step as the reference, so both give
-identical floats.
+RunningAccuracy keeps only what fixes the latest row and the diagonal, not
+the K(K+1)/2 entries of the matrix, and reads like an AccuracyMatrix for
+exactly those: row(k) and get(k, i) of the latest k, and get(i, i) of every
+trained i, so plasticity and stability take it as they take a stored
+matrix. An earlier row is gone once the next one is made. Next to the row
+it keeps k and the two newest-first sums, of the row and of its forgetting
+terms, and updates them in advance, the environment's training step.
+running_snapshot then only divides and clamps, through the same final step
+as the reference, so both give identical floats.
 
 The running row has two forms. While every step has had the same nonzero
 factor and diagonal, as in every fixed-knob run of a noise-free profile, the
@@ -145,80 +145,6 @@ def _check_entry_index(k: int, i: int) -> None:
         raise ValueError(f"entry ({k}, {i}) is outside the lower triangle")
 
 
-class ReplayedMatrix:
-    """A read-only snapshot of a run's accuracy matrix, replayed on demand.
-
-    RunningAccuracy.matrix() returns one. It reads like an AccuracyMatrix
-    (row(k), get(k, i), len, with the same errors) but holds only what
-    fixes every entry: the factors and diagonals as tuples, O(K) floats, or
-    in the chain form only f, d and k. row(k) replays row k with the
-    multiplies RunningAccuracy made, in the same order, so every float is
-    the one a stored matrix would hold, and get(k, k) is the stored
-    diagonal. Every entry lies in [0, 1] (see RunningAccuracy), so no row
-    is checked again as add_row would.
-
-    The view keeps one replayed row, newest first: row(k) and get(k, i)
-    read its first k entries. In the chain form it is the chain itself,
-    d, g(d), g(g(d)), ..., which serves every row up to its length and
-    grows by one multiply an entry, so row(k) is O(k) work. In the row
-    form it is one row, row K to begin with (a copy of the running row):
-    a later row replays forward from it and an earlier one from row 1, so
-    reading rows 1..K in order is O(K^2) work in all and get along one
-    row is O(1) after its first call.
-    """
-
-    __slots__ = ("_k", "_chain", "_factors", "_diagonals", "_cached_k", "_cached")
-
-    def __init__(self, k, chain, factors, diagonals, cached_k, cached):
-        self._k = k
-        self._chain = chain  # (f, d) in the chain form, else None
-        self._factors = factors
-        self._diagonals = diagonals
-        self._cached_k = cached_k
-        self._cached = cached  # newest first; its first _cached_k entries are a row
-
-    def _newest_first(self, k: int) -> list[float]:
-        """A list whose first k entries are row k, newest first."""
-        _check_row_index(k, self._k)
-        cached = self._cached
-        if self._chain is not None:
-            factor, diagonal = self._chain
-            append = cached.append
-            if not cached:
-                append(diagonal)
-            value = cached[-1]
-            for _ in range(k - len(cached)):
-                value *= factor
-                append(value)
-            return cached
-        start = self._cached_k
-        if start == k:
-            return cached
-        if start > k:
-            start, cached = 0, []
-        for factor, diagonal in zip(self._factors[start:k], self._diagonals[start:k]):
-            cached = [v * factor for v in cached]
-            cached.insert(0, diagonal)  # the newest entry comes first
-        self._cached_k, self._cached = k, cached
-        return cached
-
-    def row(self, k: int) -> tuple[float, ...]:
-        return tuple(self._newest_first(k)[k - 1 :: -1])
-
-    def get(self, k: int, i: int) -> float:
-        _check_entry_index(k, i)
-        if i == k:
-            _check_row_index(k, self._k)
-            return self._chain[1] if self._chain is not None else self._diagonals[k - 1]
-        return self._newest_first(k)[k - i]
-
-    def __len__(self) -> int:
-        return self._k
-
-    def __repr__(self) -> str:
-        return f"<ReplayedMatrix of {self._k} rows>"
-
-
 class RunningAccuracy:
     """The latest accuracy-matrix row, advanced one experience at a time.
 
@@ -231,9 +157,14 @@ class RunningAccuracy:
     No entry ever exceeds its diagonal, so every forgetting term a[i][i] -
     a[k][i] is already clipped at zero: under round-to-nearest,
     fl(v * f) <= v for every v >= 0 and f <= 1, so each multiply can only
-    keep or lower an entry. The state is private and matrix() hands out a
-    copy, so no caller can edit an entry past its diagonal or change the
-    factors a later matrix() replays.
+    keep or lower an entry. The state is private and every read hands out
+    floats or a new tuple, so no caller can edit an entry past its diagonal.
+
+    It reads like an AccuracyMatrix for what the metrics take, with the same
+    errors: row(k) and get(k, i) of the latest row, k = len(self), and
+    get(i, i) of every diagonal entry. An earlier row is not kept, so
+    asking for one, or for an entry of one below its diagonal, raises
+    ValueError.
 
     Both forms keep k and the newest-first sums of the row and of its
     forgetting terms as plain floats, which advance keeps up to date and
@@ -246,15 +177,15 @@ class RunningAccuracy:
     sums: O(1) floats however long the run. A step that repeats f and d is
     one multiply, two adds and a counter increment, since the entry it
     appends is also the last term of both sums; it needs no range check,
-    because f and d were checked when the chain began. matrix() replays the
+    because f and d were checked when the chain began. row(k) replays the
     chain's entries with the same multiplies in the same order, so every
-    float is the one the lists would hold.
+    float is the one the list would hold.
 
     The first step that differs leaves the chain form for good: it replays
-    the chain into the list _row (newest first) with the diagonal and
-    factor lists, and from then on every step builds the scaled row, folds
-    both sums over it newest first in one loop and puts the new diagonal in
-    front. _row is None exactly while the form is the chain.
+    the chain into the list _row (newest first) and the diagonal list, and
+    from then on every step builds the scaled row, folds both sums over it
+    newest first in one loop and puts the new diagonal in front. _row is
+    None exactly while the form is the chain.
     Both chain values are nonzero, so the == test that keeps the chain going
     is bit-exact: it cannot mistake -0.0 for 0.0. Outside the chain form
     both are NaN, which no value equals.
@@ -269,7 +200,6 @@ class RunningAccuracy:
         "_oldest",
         "_row",
         "_diagonals",
-        "_factors",
     )
 
     def __init__(self):
@@ -279,8 +209,7 @@ class RunningAccuracy:
         self._chain_factor = self._chain_diagonal = math.nan
         self._oldest = math.nan  # a[k][1] in the chain form
         self._row: list[float] | None = []  # newest first; None in the chain form
-        self._diagonals: list[float] | None = []
-        self._factors: list[float] | None = []
+        self._diagonals: list[float] | None = []  # oldest first; None in the chain form
 
     def __len__(self) -> int:
         return self._k
@@ -316,10 +245,9 @@ class RunningAccuracy:
         if row is None:
             row = self._chain_row()
             self._diagonals = [self._chain_diagonal] * self._k
-            self._factors = [self._chain_factor] * self._k
             self._chain_factor = self._chain_diagonal = self._oldest = math.nan
         elif not row and factor and diagonal:
-            self._row = self._diagonals = self._factors = None
+            self._row = self._diagonals = None
             self._chain_factor, self._chain_diagonal, self._oldest = factor, diagonal, diagonal
             self._plasticity_sum = diagonal  # a nonzero diagonal: 0.0 + diagonal
             self._k = 1
@@ -333,22 +261,29 @@ class RunningAccuracy:
             forgetting_sum += d - v
         scaled.insert(0, diagonal)  # the newest entry comes first
         diagonals.append(diagonal)
-        self._factors.append(factor)
         self._row = scaled
         self._plasticity_sum = plasticity_sum
         self._forgetting_sum = forgetting_sum
         self._k = k
 
-    def matrix(self) -> ReplayedMatrix:
-        """The full lower-triangular matrix so far, as a read-only snapshot
-        that replays its rows on demand: O(K) floats, not K(K+1)/2."""
-        if self._row is None:
-            return ReplayedMatrix(
-                self._k, (self._chain_factor, self._chain_diagonal), (), (), 0, []
-            )
-        return ReplayedMatrix(
-            self._k, None, tuple(self._factors), tuple(self._diagonals), self._k, list(self._row)
-        )
+    def _latest_row(self, k: int) -> list[float]:
+        """Row k, newest first; k must be the latest row's index."""
+        _check_row_index(k, self._k)
+        if k < self._k:
+            raise ValueError(f"only the latest row, {self._k}, is kept; row {k} was requested")
+        return self._chain_row() if self._row is None else self._row
+
+    def row(self, k: int) -> tuple[float, ...]:
+        """The latest row, oldest entry first, as AccuracyMatrix.row gives it."""
+        return tuple(reversed(self._latest_row(k)))
+
+    def get(self, k: int, i: int) -> float:
+        """Entry (k, i) of the latest row, or the diagonal entry of any row."""
+        _check_entry_index(k, i)
+        if i == k:
+            _check_row_index(k, self._k)
+            return self._chain_diagonal if self._row is None else self._diagonals[k - 1]
+        return self._latest_row(k)[k - i]
 
 
 @dataclass(frozen=True)
@@ -435,14 +370,14 @@ def _stability(forgetting_sum: float, k: int) -> float:
     return min(1.0, max(0.0, value))
 
 
-def plasticity(matrix: AccuracyMatrix | ReplayedMatrix, k: int) -> float:
+def plasticity(matrix: AccuracyMatrix | RunningAccuracy, k: int) -> float:
     """Mean accuracy of the current model over all k experiences seen so far."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return _newest_first_sum(matrix.row(k)) / k
 
 
-def stability(matrix: AccuracyMatrix | ReplayedMatrix, k: int) -> float:
+def stability(matrix: AccuracyMatrix | RunningAccuracy, k: int) -> float:
     """One minus mean forgetting over experiences 1..k-1; exactly 1 when k = 1.
 
     Forgetting on experience i is max(0, a[i][i] - a[k][i]): row k is
@@ -458,7 +393,7 @@ def stability(matrix: AccuracyMatrix | ReplayedMatrix, k: int) -> float:
 
 
 def snapshot(
-    matrix: AccuracyMatrix | ReplayedMatrix,
+    matrix: AccuracyMatrix | RunningAccuracy,
     k: int,
     latency_s: float,
     memory_peak_mb: float,

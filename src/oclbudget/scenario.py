@@ -76,6 +76,8 @@ class ScenarioConfig:
     })
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            reject(self, "name", f"must be a str, got {self.name!r}")
         # The CSV report writes the name unquoted in every row.
         if any(c in self.name for c in ',"\r\n'):
             rule = "must not contain a comma, a double quote or a line break"
@@ -86,6 +88,9 @@ class ScenarioConfig:
             weights_from_preference(self.preference)
         except InvalidPreferenceError as exc:
             reject(self, "preference", str(exc))
+        except TypeError:  # not iterable
+            rule = f"must be a sequence of metric names, got {self.preference!r}"
+            reject(self, "preference", rule)
         # The initial budgets, and their knobs' memory with the residency term
         # the budget total omits, must fit under the controller's cap.
         state, cap = self.initial_budget_state(), self.controller.budget_cap_mb

@@ -23,16 +23,14 @@ response surfaces:
 Off-diagonal accuracies decay multiplicatively each experience by
 forgetting_rate * (1 - s(R)): bigger replay buffers attenuate forgetting.
 Because the decay is shared by a whole row, the environment keeps only a
-metrics.RunningAccuracy (the latest row, the diagonal, the per-experience
-factors 1 - decay and the two metric sums): O(K) memory for K experiences.
-While the factor and the new diagonal stay the same (fixed knobs, no
-noise), it keeps only those two values, the oldest entry, the count and
-the sums, and advances without touching the older entries: O(1) memory,
-and one multiply and two adds per experience, not one multiply and two
-adds per entry.
-Reading accuracy_matrix builds no matrix: it returns a metrics.ReplayedMatrix,
-a read-only snapshot of the factors and diagonals (O(K) floats, or three
-values in the chain form) that replays a row when it is read.
+metrics.RunningAccuracy (the latest row, the diagonal and the two metric
+sums): O(K) memory for K experiences. While the factor 1 - decay and the
+new diagonal stay the same (fixed knobs, no noise), it keeps only those two
+values, the oldest entry, the count and the sums, and advances without
+touching the older entries: O(1) memory, and one multiply and two adds per
+experience, not one multiply and two adds per entry. env.accuracy reads the
+latest row and every diagonal entry, which is all the metrics take; no
+earlier row is kept.
 
 Everything the knobs alone decide (the memory, the stream term before
 growth, the replay term, the new diagonal before noise and the decay factor)
@@ -70,7 +68,7 @@ from typing import Optional, Sequence
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
 from .errors import MAX_FLOAT, check_ints, check_ranges, interval, ranges, reject
-from .metrics import ReplayedMatrix, RunningAccuracy
+from .metrics import RunningAccuracy
 from .record import Record
 from .yamlcfg import Section, build, check_schema_version, finite_number, load_yaml_mapping
 
@@ -268,12 +266,9 @@ class SimulatedEnvironment:
         return self._accuracy
 
     @property
-    def accuracy_matrix(self) -> ReplayedMatrix:
-        """The full matrix so far, as a read-only snapshot taken on each read.
-        It holds O(K) floats and replays each row it is asked for, bit for
-        bit the stored row (see metrics.ReplayedMatrix); later training does
-        not change it."""
-        return self._accuracy.matrix()
+    def accuracy_matrix(self) -> RunningAccuracy:
+        """The running accuracy itself, under the name perfbench reads."""
+        return self._accuracy
 
     @property
     def failed(self) -> bool:

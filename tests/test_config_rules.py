@@ -88,7 +88,7 @@ KEYS = {
     ("library", "profiles.p.buffer_spike_coeff"): (_floats(0, 1e-5), _past(-1.0)),
     ("scenario", "name"): (
         st.text("abcxyz-", min_size=1, max_size=8),
-        st.sampled_from(["a,b", 'say "hi"', "line\nbreak", "x\ry"]),
+        st.sampled_from(["a,b", 'say "hi"', "line\nbreak", "x\ry", 5]),
     ),
     ("scenario", "num_experiences"): (st.integers(1, 60), _not_int(0, -1)),
     ("scenario", "samples_per_experience"): (st.integers(1, 20000), _not_int(0, -5)),
@@ -97,7 +97,8 @@ KEYS = {
         st.sampled_from(sorted(PREFERENCE_PRESETS)) | st.permutations(METRIC_NAMES).map(list),
         st.lists(st.sampled_from(METRIC_NAMES), min_size=3, max_size=5).filter(
             lambda names: sorted(names) != sorted(METRIC_NAMES)
-        ),
+        )
+        | st.just(5),
     ),
     ("scenario", "thresholds.plasticity"): (_floats(0, 1), _past(-0.1, 1.5)),
     ("scenario", "thresholds.stability"): (_floats(0, 1), _past(-0.1, 1.5)),
@@ -190,7 +191,7 @@ def build_direct(values: dict) -> ScenarioConfig:
     initial_replay_mb = ctrl.pop("initial_replay_mb")
     controller = ControllerConfig(memory=memory, capacity_mb=platform.capacity_mb, **ctrl)
     preference = top["preference"]
-    if not isinstance(preference, str):
+    if isinstance(preference, list):
         preference = tuple(preference)
     return ScenarioConfig(
         name=top["name"],
@@ -358,6 +359,14 @@ HOLES = {
     "zero-samples": (
         _replaced("", samples_per_experience=0),
         r"^ScenarioConfig\.samples_per_experience: must be in \[1, inf\), got 0$",
+    ),
+    "int-name": (
+        _replaced("", name=5),
+        r"^ScenarioConfig\.name: must be a str, got 5$",
+    ),
+    "int-preference": (
+        _replaced("", preference=5),
+        r"^ScenarioConfig\.preference: must be a sequence of metric names, got 5$",
     ),
     "negative-initial-batch": (
         _replaced("", initial_batch_mb=-5.0),

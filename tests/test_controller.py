@@ -23,6 +23,7 @@ from oclbudget import (
     OptimizerMode,
     Outcome,
     PolicyKind,
+    SchemaError,
     build_environment,
     bundled_scenario_names,
     bundled_scenario_path,
@@ -209,10 +210,14 @@ class TestUpdateBudgets:
             update_budgets(prev, score=0.9, threshold=0.5, config=cfg)
 
     def test_runaway_sensitivity_raises(self):
+        # A shrink drives the batch budget negative; a grow overflows it to
+        # inf, which the finiteness test must stop before the projection
+        # scales inf onto the cap.
         cfg = make_config(batch_sensitivity=50.0)
-        prev = BudgetState(100.0, 10.0, 100.0)
-        with pytest.raises(InfeasibleBudgetError):
-            update_budgets(prev, score=0.1, threshold=0.7, config=cfg)
+        for batch_mb, score, kind in [(100.0, 0.1, "negative"), (1e308, 0.9, "non-finite")]:
+            prev = BudgetState(batch_mb, 10.0, 100.0)
+            with pytest.raises(InfeasibleBudgetError, match=f"drive a budget {kind}; got batch="):
+                update_budgets(prev, score=score, threshold=0.7, config=cfg)
 
 
 class TestDeriveKnobs:
@@ -252,8 +257,12 @@ class TestConfigValidation:
             make_config(initial_threshold=1.5)
 
     def test_capacity_must_exceed_optimizer(self):
-        with pytest.raises(ValueError):
-            make_config(capacity_mb=50.0, base_mb=100.0)
+        # A capacity equal to the base memory is refused too.
+        for capacity in (50.0, 100.0):
+            with pytest.raises(SchemaError) as info:
+                make_config(capacity_mb=capacity, base_mb=100.0)
+            rule = f"must be finite and above the 100.0 MB base memory, got {capacity}"
+            assert str(info.value) == f"ControllerConfig.capacity_mb: {rule}"
 
     def test_advanced_budget_below_default_rejected(self):
         with pytest.raises(ValueError):

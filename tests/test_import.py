@@ -69,7 +69,7 @@ scenario = dataclasses.replace(
 env = build_environment(scenario)
 for e in range(1, 6):
     result = env.train_experience(Knobs(64, 500, OptimizerMode.DEFAULT))
-    print(repr(result.latency_s), repr(env.accuracy_matrix.row(e)))
+    print(repr(result.latency_s), repr(env.accuracy.row(e)))
 """
 
 

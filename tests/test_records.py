@@ -425,10 +425,13 @@ class TestRecordDefinition:
 
 @pytest.mark.parametrize("mode", list(OptimizerMode), ids=lambda mode: mode.value)
 def test_knobs_mode_string_becomes_its_member(mode):
-    # The simulator and the memory model test the mode by identity.
-    for knobs in (
-        Knobs(32, 1000, mode.value),
-        Knobs(batch_size=32, buffer_size=1000, optimizer_mode=mode.value),
-    ):
-        assert knobs.optimizer_mode is mode and knobs == Knobs(32, 1000, mode)
-        assert pickle.loads(pickle.dumps(knobs)).optimizer_mode is mode
+    # The simulator and the memory model test the mode by identity. A mode
+    # string takes the slow path, which must accept batch 1 and buffer 0,
+    # the least each may be, as the fast path does.
+    for batch, buffer in ((32, 1000), (1, 0)):
+        for knobs in (
+            Knobs(batch, buffer, mode.value),
+            Knobs(batch_size=batch, buffer_size=buffer, optimizer_mode=mode.value),
+        ):
+            assert knobs.optimizer_mode is mode and knobs == Knobs(batch, buffer, mode)
+            assert pickle.loads(pickle.dumps(knobs)).optimizer_mode is mode

@@ -1,5 +1,5 @@
 """The running accuracy row agrees exactly with the spec's explicit matrix
-(tests/spec.py): its metrics, the matrix it replays and its errors."""
+(tests/spec.py): its metrics, its latest row and diagonal, and its errors."""
 
 import dataclasses
 import math
@@ -20,7 +20,6 @@ from oclbudget import (
     BaselinePolicy,
     IncompleteMatrixError,
     InfeasibleBudgetError,
-    Knobs,
     PolicyKind,
     RunningAccuracy,
     build_environment,
@@ -43,10 +42,6 @@ def _raw(values):
     return array("d", values).tobytes()
 
 
-def _bits(values):
-    return [float.hex(v) for v in values]
-
-
 def spec_rows(steps):
     """The spec's matrix of (factor, diagonal) steps, a list of rows."""
     rows = []
@@ -57,9 +52,10 @@ def spec_rows(steps):
 
 def check_against_spec(steps):
     """Advance a RunningAccuracy through (factor, diagonal) steps. Each
-    snapshot, and at k <= 40, around each change of step and at the end the
-    replayed matrix's row k and metrics, are the spec's, bit for bit; at the
-    end every replayed row is, and a bad step raises and changes nothing."""
+    snapshot and each row k, read as it becomes the latest, are the spec's,
+    bit for bit; so are, at k <= 40, around each change of step and at the
+    end, the diagonal, entries of row k and the metrics computed over the
+    running accuracy. A bad step raises and changes nothing."""
     switches = {k for k in range(2, len(steps) + 1) if _raw(steps[k - 1]) != _raw(steps[k - 2])}
     checked = {k + d for k in switches for d in (-1, 0, 1)} | set(range(1, 41)) | {len(steps)}
     running, rows = RunningAccuracy(), []
@@ -71,13 +67,15 @@ def check_against_spec(steps):
         expected = _raw((spec.plasticity(rows, k), spec.stability(rows, k)))
         snap = running_snapshot(running, 1.0, 1.0)
         assert _raw((snap.plasticity, snap.stability)) == expected, k
+        # -0.0 and 5e-324 survive in every row, as in a stored matrix.
+        assert _raw(running.row(k)) == _raw(rows[-1]), k
         if k in checked:
-            matrix = running.matrix()
-            assert _raw(matrix.row(k)) == _raw(rows[-1]), k
-            assert _raw((plasticity(matrix, k), stability(matrix, k))) == expected, k
-    # -0.0 and 5e-324 survive in every replayed row and in a stored matrix.
-    n, matrix, stored = len(steps), running.matrix(), AccuracyMatrix(rows)
-    assert [_raw(matrix.row(k)) for k in range(1, n + 1)] == list(map(_raw, rows))
+            diagonal = _raw(running.get(i, i) for i in range(1, k + 1))
+            assert diagonal == _raw(row[-1] for row in rows), k
+            some = sorted({1, (k + 1) // 2, k})
+            assert _raw(running.get(k, i) for i in some) == _raw(rows[-1][i - 1] for i in some), k
+            assert _raw((plasticity(running, k), stability(running, k))) == expected, k
+    n, stored = len(steps), AccuracyMatrix(rows)
     assert _raw((plasticity(stored, n), stability(stored, n))) == expected
     # The second bad step repeats the chain's factor, so it reaches the range check too.
     bad_steps = [((1.5, 0.5), "decay factor 1.5"), ((steps[-1][0], math.nan), "accuracy nan")]
@@ -86,7 +84,7 @@ def check_against_spec(steps):
             running.advance(*bad)
         assert str(error.value) == f"{message} outside [0, 1] in row {n + 1}"
     assert len(running) == n and running_snapshot(running, 1.0, 1.0) == snap
-    assert _raw(running.matrix().row(n)) == _raw(rows[-1])
+    assert _raw(running.row(n)) == _raw(rows[-1])
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -172,10 +170,11 @@ def test_constant_steps_hold_constant_memory():
 
 
 def test_replayed_matrix_holds_o_k_floats():
-    """The matrix a run reads back holds O(K) floats, not K(K+1)/2: at most
-    100 bytes an experience, with row K and both metrics read, for the
+    """Reading a run's accuracy back holds O(K) floats, not K(K+1)/2: at
+    most 100 bytes an experience, with row K and both metrics read, for the
     K=1000 fixed proxy on server-er (the long-horizon benchmark's check,
-    chain form) and a K=200 server-er controller run (row form)."""
+    chain form, whose row K is replayed from the chain) and a K=200
+    server-er controller run (row form)."""
     base = load_bundled_scenario("server-er")
     fixed = dataclasses.replace(base, num_experiences=1000)
     controlled = dataclasses.replace(base, num_experiences=200)
@@ -188,49 +187,16 @@ def test_replayed_matrix_holds_o_k_floats():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            matrix = env.accuracy_matrix
-            last = matrix.row(k)
-            metrics = (plasticity(matrix, k), stability(matrix, k))
+            running = env.accuracy
+            last = running.row(k)
+            metrics = (plasticity(running, k), stability(running, k))
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert trace.completed and len(matrix) == k == len(trace.records) and len(last) == k
+        assert trace.completed and len(running) == k == len(trace.records) and len(last) == k
         assert metrics == (trace.final_plasticity(), trace.final_stability())
         assert held <= 100 * k, (k, held / k)
     assert runs[0][0].accuracy._row is None and runs[1][0].accuracy._row is not None
-
-
-def _train(env, steps):
-    """Trains one experience per Knobs; returns each step's newest row."""
-    rows = []
-    for step in steps:
-        env.train_experience(step)
-        rows.append(env.accuracy_matrix.row(len(env.accuracy)))
-    return rows
-
-
-KEEP, SWITCH = Knobs(64, 500, "default"), Knobs(32, 100, "advanced")
-
-
-@pytest.mark.parametrize(
-    "steps", [[KEEP] * 5, [KEEP, KEEP, SWITCH, KEEP, KEEP]], ids=["chain", "row"]
-)
-@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
-def test_held_matrix_is_a_snapshot(steps, read_first):
-    """A view of 5 rows keeps its length and every bit after the environment
-    trains experiences 6 and 7, whether or not it was read before."""
-    env = build_environment(load_bundled_scenario("server-er"))
-    rows = _train(env, steps)
-    assert (env.accuracy._row is None) == (SWITCH not in steps)
-    matrix = env.accuracy_matrix
-    if read_first:
-        assert [matrix.row(k) for k in (5, 2)] == [rows[4], rows[1]]
-    _train(env, [KEEP, SWITCH])
-    assert len(env.accuracy_matrix) == 7 and len(matrix) == 5
-    assert [_bits(matrix.row(k)) for k in range(1, 6)] == [_bits(row) for row in rows]
-    assert _bits(matrix.get(k, k) for k in range(1, 6)) == _bits(row[-1] for row in rows)
-    with pytest.raises(IncompleteMatrixError):
-        matrix.row(6)
 
 
 def _error(call):
@@ -245,13 +211,15 @@ def _error(call):
     ids=["empty", "chain", "row"],
 )
 def test_replayed_matrix_raises_the_stored_matrix_errors(steps):
+    """The running accuracy raises what a stored matrix raises for a request
+    outside it, and ValueError for the rows before the latest, which it no
+    longer holds; their diagonal entries it still reads."""
     running = RunningAccuracy()
     for factor, diagonal in steps:
         running.advance(factor, diagonal)
-    replayed, stored = running.matrix(), AccuracyMatrix(spec_rows(steps))
+    stored = AccuracyMatrix(spec_rows(steps))
     n = len(steps)
-    assert len(replayed) == len(stored) == n
-    assert repr(replayed) == f"<ReplayedMatrix of {n} rows>"
+    assert len(running) == len(stored) == n
     calls = [
         lambda m: m.row(0),
         lambda m: m.row(-1),
@@ -264,38 +232,16 @@ def test_replayed_matrix_raises_the_stored_matrix_errors(steps):
         lambda m: m.get(n + 2, n + 3),
     ]
     for call in calls:
-        assert _error(lambda: call(replayed)) == _error(lambda: call(stored))
-    assert _error(lambda: replayed.row(0))[0] is ValueError
-    assert _error(lambda: replayed.row(n + 1))[0] is IncompleteMatrixError
-    assert _error(lambda: replayed.get(2, 3))[0] is ValueError
-
-
-@settings(max_examples=25, deadline=None)
-@given(step_runs.map(lambda runs: runs[:3]), st.randoms(use_true_random=False))
-@example([((0.999, 0.8), 150)], random.Random(0))
-@example([((0.9, 0.8), 2), ((0.9, -0.0), 3), ((0.9, 0.8), 3)], random.Random(1))
-@example([((1.0 - 2.0**-53, 5e-324), 40), ((5e-324, 1.0), 5)], random.Random(2))
-def test_rows_read_in_any_order_are_the_rows_read_in_order(runs, rng):
-    """Rows and entries read in a random order, from a fresh view and after
-    other reads, have the float.hex of the rows read in order; and every
-    row passes the range and finiteness check of AccuracyMatrix.add_row,
-    which a replayed row no longer runs."""
-    steps = [step for step, length in runs for _ in range(length)][:150]
-    running = RunningAccuracy()
-    for factor, diagonal in steps:
-        running.advance(factor, diagonal)
-    n = len(steps)
-    in_order = [_bits(running.matrix().row(k)) for k in range(1, n + 1)]
-    assert in_order == list(map(_bits, spec_rows(steps)))
-    matrix = running.matrix()
-    order = list(range(1, n + 1)) * 2
-    rng.shuffle(order)
-    for k in order[:60]:
-        assert _bits(matrix.row(k)) == in_order[k - 1], k
-        i = rng.randint(1, k)
-        assert float.hex(matrix.get(k, i)) == in_order[k - 1][i - 1], (k, i)
-    stored = AccuracyMatrix(matrix.row(k) for k in range(1, n + 1))
-    assert [_bits(stored.row(k)) for k in range(1, n + 1)] == in_order
+        assert _error(lambda: call(running)) == _error(lambda: call(stored))
+    assert _error(lambda: running.row(0))[0] is ValueError
+    assert _error(lambda: running.row(n + 1))[0] is IncompleteMatrixError
+    assert _error(lambda: running.get(2, 3))[0] is ValueError
+    for k in range(1, n):  # an earlier row keeps only its diagonal entry
+        message = f"only the latest row, {n}, is kept; row {k} was requested"
+        assert _error(lambda: running.row(k)) == (ValueError, message)
+        if k > 1:
+            assert _error(lambda: running.get(k, 1)) == (ValueError, message)
+        assert running.get(k, k) == stored.get(k, k)
 
 
 @pytest.mark.parametrize(
@@ -307,7 +253,7 @@ def test_advance_rejects_values_outside_unit_interval(factor, diagonal):
     running.advance(0.9, 0.8)
     with pytest.raises(ValueError):
         running.advance(factor, diagonal)
-    assert len(running) == 1 and running.matrix().row(1) == (0.8,)
+    assert len(running) == 1 and running.row(1) == (0.8,)
 
 
 def test_running_snapshot_needs_a_trained_experience():
@@ -359,8 +305,8 @@ def test_long_run_snapshots_equal_matrix_reference():
 
 
 def test_long_horizon_final_metrics_equal_matrix_reference():
-    """perfbench's long-horizon check reads env.accuracy_matrix and
-    plasticity and stability over it. Row K, every get(i, i) and both
+    """perfbench's long-horizon check reads env.accuracy_matrix, the running
+    accuracy itself, and plasticity and stability over it. Row K, every get(i, i) and both
     metrics equal the spec's, bit for bit, for the fixed proxy on server-er
     at K=500 and K=1000 (chain form throughout) and the controller at K=200
     (row form from its first knob change)."""
@@ -377,6 +323,7 @@ def test_long_horizon_final_metrics_equal_matrix_reference():
             expected = spec.run_controller(scenario)
         assert (env.accuracy._row is None) is (policy == "fixed")
         matrix, rows = env.accuracy_matrix, expected.matrix
+        assert matrix is env.accuracy
         assert trace.completed and expected.outcome == "completed"
         assert len(matrix) == len(rows) == k
         assert _raw(matrix.row(k)) == _raw(rows[-1])
@@ -413,7 +360,7 @@ for sequence in range(16):
         running.advance(factor, diagonal)
         rows.append(spec.next_row(rows, factor, diagonal))
         snap = running_snapshot(running, 1.0, 1.0)
-        got = (snap.plasticity, snap.stability, *running.matrix().row(k))
+        got = (snap.plasticity, snap.stability, *running.row(k))
         expected = (spec.plasticity(rows, k), spec.stability(rows, k), *rows[-1])
         if list(map(float.hex, got)) != list(map(float.hex, expected)):
             sys.exit(f"sequence {sequence}, k={k}: {got} != {expected}")

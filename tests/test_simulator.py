@@ -225,9 +225,9 @@ class TestTrainExperience:
     def test_zero_buffer_maximal_forgetting(self):
         env = make_env()
         env.train_experience(knobs(64, 0))
-        first = env.accuracy_matrix.get(1, 1)
+        first = env.accuracy.get(1, 1)
         env.train_experience(knobs(64, 0))
-        decayed = env.accuracy_matrix.get(2, 1)
+        decayed = env.accuracy.get(2, 1)
         assert decayed == pytest.approx(first * (1.0 - 0.3), rel=1e-12)
 
     def test_oom_boundary_is_exact(self):
@@ -251,10 +251,11 @@ class TestTrainExperience:
         rows = []
         for _ in range(2):
             env = make_env(seed=77, noise_fraction=0.1)
-            for _ in range(4):
+            newest = []
+            for k in range(1, 5):
                 env.train_experience(knobs(64, 500))
-            matrix = env.accuracy_matrix
-            rows.append([matrix.row(k) for k in range(1, len(matrix) + 1)])
+                newest.append(env.accuracy.row(k))
+            rows.append(newest)
         assert rows[0] == rows[1]
 
     def test_different_seed_changes_noisy_rows(self):
@@ -262,7 +263,7 @@ class TestTrainExperience:
         b = make_env(seed=2, noise_fraction=0.1)
         a.train_experience(knobs(64, 500))
         b.train_experience(knobs(64, 500))
-        assert a.accuracy_matrix.get(1, 1) != b.accuracy_matrix.get(1, 1)
+        assert a.accuracy.get(1, 1) != b.accuracy.get(1, 1)
 
     @pytest.mark.parametrize("noise", [0.05, 0.3])
     def test_noise_stays_within_its_fraction(self, noise):
@@ -275,7 +276,7 @@ class TestTrainExperience:
                 a, b = clean.train_experience(kn), noisy.train_experience(kn)
                 ratio = b.latency_s / a.latency_s - 1.0
                 assert abs(ratio) <= noise * (1.0 + 1e-12), (seed, e, ratio)
-                diagonal, moved = clean.accuracy_matrix.get(e, e), noisy.accuracy_matrix.get(e, e)
+                diagonal, moved = clean.accuracy.get(e, e), noisy.accuracy.get(e, e)
                 lo = max(0.0, diagonal * (1.0 - noise)) * (1.0 - 1e-12)
                 hi = min(1.0, diagonal * (1.0 + noise) * (1.0 + 1e-12))
                 assert lo <= moved <= hi, (seed, e, moved)
@@ -386,7 +387,7 @@ class TestKnobMemo:
             got = env.train_experience(kn)
             copy = knobs(kn.batch_size, kn.buffer_size, kn.optimizer_mode)
             assert got == reference.train_experience(copy), e
-            assert env.accuracy_matrix.row(e) == reference.accuracy_matrix.row(e), e
+            assert env.accuracy.row(e) == reference.accuracy.row(e), e
             if noise == 0.0:
                 # make_env's platform loads nothing, so whether an experience
                 # is staged or not its latency is the compute plus a zero load.
@@ -397,7 +398,7 @@ class TestKnobMemo:
                 load = env.samples_per_experience * env.platform.load_time_per_sample_s
                 assert got.latency_s == compute + load
                 assert got.memory_peak_mb == env.memory.memory_mb(kn)
-                assert env.accuracy_matrix.get(e, e) == env.response.plasticity_level(
+                assert env.accuracy.get(e, e) == env.response.plasticity_level(
                     kn.batch_size, kn.optimizer_mode, env.samples_per_experience
                 )
 
@@ -409,7 +410,7 @@ class TestKnobMemo:
         env, reference = build_environment(scenario), build_environment(scenario)
         for e in range(1, 4):
             assert env.train_experience(named) == reference.train_experience(member)
-            assert env.accuracy_matrix.row(e) == reference.accuracy_matrix.row(e)
+            assert env.accuracy.row(e) == reference.accuracy.row(e)
         assert build_environment(scenario).train_experience(named) == (218.8, 4486.4)
 
 
@@ -493,7 +494,7 @@ class TestPrefetch:
         a = self.second(on, knobs(64, 200))
         b = self.second(off, knobs(64, 200))
         assert a.memory_peak_mb == b.memory_peak_mb
-        assert on.accuracy_matrix.row(2) == off.accuracy_matrix.row(2)
+        assert on.accuracy.row(2) == off.accuracy.row(2)
         assert a.latency_s < b.latency_s
 
 
@@ -629,6 +630,15 @@ class TestCalibration:
             ((64, 4000.0), (64, 4100.0), (64, 4200.0)),
             "memory targets must use distinct batch sizes",
         )
+
+    def test_memory_fit_through_the_origin_accepted(self):
+        # A fitted base of exactly 0 MB is physical; only a negative one is not.
+        targets = dataclasses.replace(
+            self.bundled_targets(), memory_points=((16, 16.0), (32, 32.0), (64, 64.0))
+        )
+        result = calibrate_profile(targets)
+        assert (result.memory.base_mb, result.memory.sample_mb) == (0.0, 1.0)
+        assert result.residuals["memory"] == 0.0
 
     def test_non_finite_residual_rejected(self):
         # Anchors near the float maximum overflow the memory line's sums.
