@@ -57,7 +57,7 @@ from .errors import InfeasibleBudgetError, SimulationStateError
 from .errors import MAX_FLOAT, check_floats, check_ints, check_ranges, ranges, reject
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
 from .record import Record
-from .urge import UrgeScore, urge_scorer, weights_from_preference
+from .urge import UrgeScore, urge_scorer
 from .urge import compute_urge  # noqa: F401, patched by perfbench
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -232,12 +232,16 @@ class BudgetState(Record):
         state = tuple.__new__(cls, (batch_mb, replay_mb, optimizer_mb, optimizer_mode))
         # NaN fails every comparison, so this rejects NaN as well as inf; the
         # largest float bounds the ints a float can hold.
-        if not (
-            0.0 <= batch_mb <= MAX_FLOAT
-            and 0.0 <= replay_mb <= MAX_FLOAT
-            and optimizer_mb.__class__ is float
-            and optimizer_mode.__class__ is OptimizerMode
-        ):
+        try:
+            valid = (
+                0.0 <= batch_mb <= MAX_FLOAT
+                and 0.0 <= replay_mb <= MAX_FLOAT
+                and optimizer_mb.__class__ is float
+                and optimizer_mode.__class__ is OptimizerMode
+            )
+        except TypeError:  # a budget no float compares with; check_floats names it
+            valid = False
+        if not valid:
             check_floats(state, "batch_mb replay_mb optimizer_mb")
             if batch_mb < 0 or replay_mb < 0:
                 raise ValueError("budgets must be >= 0")
@@ -627,7 +631,7 @@ def _run_policy(
     """
     config = scenario.controller
     initial_threshold, threshold_decay = config.initial_threshold, config.threshold_decay
-    score_of = urge_scorer(scenario.thresholds, weights_from_preference(scenario.preference))
+    score_of = urge_scorer(scenario.thresholds, scenario.weights)
     seconds = overhead.controller_seconds if overhead is not None else None
     clock = time.perf_counter
     accuracy = env.accuracy

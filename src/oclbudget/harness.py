@@ -67,7 +67,6 @@ from .controller import (
     run_control_loop,
 )
 from .scenario import ScenarioConfig, build_environment
-from .urge import weights_from_preference
 
 CSV_COLUMNS = (
     "scenario",
@@ -122,7 +121,7 @@ class Report:
 
 
 def _canonical_policy(name: str) -> str:
-    canon = name.strip().lower().replace("-", "_")
+    canon = name.strip().lower().replace("-", "_") if isinstance(name, str) else None
     if canon not in KNOWN_POLICIES:
         raise ValueError(f"unknown policy {name!r}; known: {list(KNOWN_POLICIES)}")
     return canon
@@ -140,16 +139,20 @@ def run_suite(
 ) -> Report:
     """Run each requested policy against a fresh environment.
 
-    A policy named twice, in any spelling, raises ValueError: both runs would
-    share one label. The oracle contributes its full grid of runs. Traces are
-    sorted by policy label so the report (and its CSV) is deterministic. With
-    include_overhead the report also carries the controller's measured
-    overhead accounting, timed in the report's own controller run (or in an
-    extra controller run when the controller is not requested); wall times
-    never enter the CSV, so determinism is unaffected.
+    policies is a list or tuple of names, not one str. A str, an unknown or
+    non-str name, and a policy named twice in any spelling (both runs would
+    share one label) raise ValueError. The oracle contributes its full grid
+    of runs. Traces are sorted by policy label so the report (and its CSV)
+    is deterministic. With include_overhead the report also carries the
+    controller's measured overhead accounting, timed in the report's own
+    controller run (or in an extra controller run when the controller is
+    not requested); wall times never enter the CSV, so determinism is
+    unaffected.
     """
     if not policies:
         raise ValueError("policy list must not be empty")
+    if isinstance(policies, str):  # its characters are no policy names
+        raise ValueError(f"policies must be a list of names, not the str {policies!r}")
     requested = [_canonical_policy(p) for p in policies]
     for i, policy in enumerate(requested):
         if policy in requested[:i]:
@@ -386,7 +389,7 @@ def _overhead_summary(
             (
                 final_budgets,
                 scenario.controller,
-                weights_from_preference(scenario.preference),
+                scenario.weights,
                 scenario.thresholds,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,

@@ -333,12 +333,16 @@ class MetricSnapshot(Record):
         snapshot = tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
         # NaN fails every comparison, so this rejects NaN as well as inf; the
         # largest float bounds the ints a float can hold.
-        if not (
-            0.0 <= plasticity <= 1.0
-            and 0.0 <= stability <= 1.0
-            and 0.0 <= latency_s <= MAX_FLOAT
-            and 0.0 <= memory_peak_mb <= MAX_FLOAT
-        ):
+        try:
+            valid = (
+                0.0 <= plasticity <= 1.0
+                and 0.0 <= stability <= 1.0
+                and 0.0 <= latency_s <= MAX_FLOAT
+                and 0.0 <= memory_peak_mb <= MAX_FLOAT
+            )
+        except TypeError:  # a value no float compares with; check_floats names it
+            valid = False
+        if not valid:
             check_floats(snapshot, "plasticity stability latency_s memory_peak_mb")
             if not 0.0 <= plasticity <= 1.0:
                 raise ValueError(f"plasticity {plasticity} outside [0, 1]")

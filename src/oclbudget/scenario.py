@@ -1,14 +1,17 @@
 """Scenario files: the declarative description of one simulated OCL run.
 
 A scenario names a platform preset and an algorithm profile from the profile
-library, sets the workload size and seed, picks a preference ordering, and
-parameterizes the controller. Nothing else varies per scenario: the MAX-A,
-MAX-P and fixed-proxy baselines use constant knobs. A profile is a
-ResponseModel, kept as ScenarioConfig.response, and a MemoryModel, kept in
-the controller config and handed as one object to both the controller and
-the environment, so the controller's per-item costs and optimizer budgets
-are the simulator's own. The environment also holds the platform preset
-itself; build_environment's prefetch flag turns load hiding on or off.
+library, sets the workload size and seed, picks a preference (a preset name
+or an ordering of the four metrics), and parameterizes the controller. The
+ScenarioConfig resolves the preference once: it keeps the ordering and the
+URGE weights derived from it, which each run reads as scenario.weights.
+Nothing else varies per scenario: the MAX-A, MAX-P and fixed-proxy
+baselines use constant knobs. A profile is a ResponseModel, kept as
+ScenarioConfig.response, and a MemoryModel, kept in the controller config
+and handed as one object to both the controller and the environment, so
+the controller's per-item costs and optimizer budgets are the simulator's
+own. The environment also holds the platform preset itself;
+build_environment's prefetch flag turns load hiding on or off.
 The capacity projection is an OOM guarantee only while the replay buffer
 stays under the model's spike_threshold: above it the model adds a quadratic
 residency term the projection does not count. The bundled 10-experience
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -33,7 +36,7 @@ from .simulator import (
     SimulatedEnvironment,
     load_profile_library,
 )
-from .urge import weights_from_preference
+from .urge import Weights, weights_from_preference
 from .yamlcfg import Section, build, check_schema_version, load_yaml_mapping
 
 PREFERENCE_PRESETS: dict[str, tuple[str, ...]] = {
@@ -52,6 +55,11 @@ class ScenarioConfig:
     spans fields, raising a SchemaError that names Record.field
     (load_scenario names the file's key instead).
 
+    preference is given as a preset name (PREFERENCE_PRESETS) or as a list
+    or tuple naming each metric once, most important first. The record
+    keeps it as the ordering, a tuple of str, and keeps the Weights derived
+    from it as weights, which is not a constructor argument.
+
     The environment reads the device from platform, but load_scenario
     copies platform.capacity_mb into controller.capacity_mb, so replacing
     platform does not move the controller's cap. The copy stays until
@@ -69,6 +77,7 @@ class ScenarioConfig:
     controller: ControllerConfig
     initial_batch_mb: float
     initial_replay_mb: float
+    weights: Weights = field(init=False, repr=False, compare=False)
 
     _RANGES = ranges({
         "[1, inf)": "num_experiences samples_per_experience",
@@ -84,13 +93,22 @@ class ScenarioConfig:
             reject(self, "name", f"{self.name!r} {rule}")
         check_ints(self, "num_experiences samples_per_experience seed")
         check_ranges(self, self._RANGES)
+        preference = self.preference
+        if isinstance(preference, str):
+            if preference not in PREFERENCE_PRESETS:
+                known = f"known presets: {sorted(PREFERENCE_PRESETS)}"
+                reject(self, "preference", f"unknown preference preset {preference!r}; {known}")
+            preference = PREFERENCE_PRESETS[preference]
+        elif not isinstance(preference, (list, tuple)):  # a set's order moves with the hash seed
+            rule = "must be a preset name, or a list or tuple of metric names"
+            reject(self, "preference", f"{rule}, got {preference!r}")
+        order = tuple(map(str, preference))
         try:
-            weights_from_preference(self.preference)
+            weights = weights_from_preference(order)
         except InvalidPreferenceError as exc:
             reject(self, "preference", str(exc))
-        except TypeError:  # not iterable
-            rule = f"must be a sequence of metric names, got {self.preference!r}"
-            reject(self, "preference", rule)
+        object.__setattr__(self, "preference", order)
+        object.__setattr__(self, "weights", weights)
         # The initial budgets, and their knobs' memory with the residency term
         # the budget total omits, must fit under the controller's cap.
         state, cap = self.initial_budget_state(), self.controller.budget_cap_mb
@@ -119,8 +137,11 @@ class ScenarioConfig:
         k, n, platform, memory = (
             self.num_experiences, self.samples_per_experience, self.platform, self.controller.memory
         )
-        room = platform.capacity_mb - memory.base_mb - memory.sample_mb
-        buffer = max(0, math.floor(room / memory.frame_mb))
+        frames = (platform.capacity_mb - memory.base_mb - memory.sample_mb) / memory.frame_mb
+        if not frames < math.inf:
+            rule = f"holds more replay frames of {memory.frame_mb} MB than a float can count"
+            reject(self, "platform", f"its {platform.capacity_mb} MB capacity {rule}")
+        buffer = max(0, math.floor(frames))
         try:
             compute = self.response.compute_latency_s(
                 1, buffer, OptimizerMode.ADVANCED, k, n, platform.compute_scale
@@ -141,23 +162,10 @@ class ScenarioConfig:
         )
 
     def with_preference(self, preference) -> "ScenarioConfig":
-        return dataclasses.replace(self, preference=resolve_preference(preference))
+        return dataclasses.replace(self, preference=preference)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=seed)
-
-
-def resolve_preference(preference) -> tuple[str, ...]:
-    """A preset name's ordering, or an explicit ordering as a tuple of names;
-    ScenarioConfig checks that it names each metric once."""
-    if isinstance(preference, str):
-        if preference not in PREFERENCE_PRESETS:
-            raise SchemaError(
-                f"unknown preference preset {preference!r}; "
-                f"known presets: {sorted(PREFERENCE_PRESETS)}"
-            )
-        return PREFERENCE_PRESETS[preference]
-    return tuple(map(str, preference))
 
 
 def default_profile_library_path() -> Path:
@@ -228,11 +236,7 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
     values = {"name": root.take("name", kind=str), "platform": platform, "response": response}
     for key in ("num_experiences", "samples_per_experience", "seed"):
         values[key] = root.take(key, kind=int)
-    preference = root.take("preference", kind=(str, list))
-    try:
-        values["preference"] = resolve_preference(preference)
-    except SchemaError as exc:  # an unknown preset name
-        raise SchemaError(f"{label}.preference: {exc}") from exc
+    values["preference"] = root.take("preference")
 
     th = root.section("thresholds")
     thresholds = {key: th.take_number(key) for key in ("plasticity", "stability", "latency_s")}

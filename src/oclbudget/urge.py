@@ -22,12 +22,12 @@ Weights each reject a NaN or infinite field, and a threshold or weight
 below 0, when they are built, so the score checks none of them again.
 urge_scorer fixes what a run does not change (the thresholds, their
 deviation divisors and the weights) once, and returns the per-snapshot
-score; compute_urge is that scorer built for a single call.
-weights_from_preference derives each ordering's weights once and hands every
-later caller the same frozen Weights; a tuple ordering is looked up before
-it is normalised. A score is an UrgeScore, a validated tuple (see record):
-it checks its factors on every construction and equals a plain tuple of its
-five values. The scorer unpacks its snapshot and builds each score through
+score; compute_urge is that scorer built for a single call. A run's
+weights are derived once, by weights_from_preference when its
+ScenarioConfig resolves its preference, and held as scenario.weights.
+A score is an UrgeScore, a validated tuple (see record): it checks its
+factors on every construction and equals a plain tuple of its five
+values. The scorer unpacks its snapshot and builds each score through
 UrgeScore.__new__ directly, which runs the same checks as the class call.
 """
 
@@ -92,13 +92,17 @@ class UrgeScore(Record):
         score = tuple.__new__(
             cls, (value, plasticity_factor, stability_factor, latency_factor, memory_factor)
         )
-        if not (
-            value.__class__ is float
-            and 0.0 < plasticity_factor < 1.0
-            and 0.0 < stability_factor < 1.0
-            and 0.0 < latency_factor < 1.0
-            and 0.0 < memory_factor < 1.0
-        ):
+        try:
+            valid = (
+                value.__class__ is float
+                and 0.0 < plasticity_factor < 1.0
+                and 0.0 < stability_factor < 1.0
+                and 0.0 < latency_factor < 1.0
+                and 0.0 < memory_factor < 1.0
+            )
+        except TypeError:  # a factor no float compares with; check_floats names it
+            valid = False
+        if not valid:
             # An int no float can hold would overflow the product test below.
             check_floats(score, " ".join(cls._fields))
             for f in (plasticity_factor, stability_factor, latency_factor, memory_factor):
@@ -117,42 +121,21 @@ class UrgeScore(Record):
 _new_score = UrgeScore.__new__  # each scorer builds through it; see record
 
 
-# The weights of each valid ordering, derived on its first call. Only
-# orderings that pass the check are stored, so a bad one raises on every
-# call and the table holds at most the 4! = 24 permutations.
-_WEIGHTS_BY_ORDER: dict[tuple[str, ...], Weights] = {}
-
-
 def weights_from_preference(order: Sequence[str]) -> Weights:
     """Derive normalized weights from a most-important-first metric ordering.
 
     Position p (1-indexed) receives raw weight n + 1 - p; raw weights are
     normalized to sum 1. E.g. [memory, plasticity, stability, latency] gives
-    (k_m, k_p, k_s, k_l) = (0.4, 0.3, 0.2, 0.1). Every call with the same
-    ordering returns the same Weights object, which is frozen.
+    (k_m, k_p, k_s, k_l) = (0.4, 0.3, 0.2, 0.1).
     """
-    try:  # a tuple is looked up as it is, before it is normalised
-        weights = _WEIGHTS_BY_ORDER.get(order) if order.__class__ is tuple else None
-    except TypeError:  # it holds an element that cannot be hashed
-        weights = None
-    if weights is None:
-        names = tuple(map(str, order))
-        weights = _WEIGHTS_BY_ORDER.get(names)
-    if weights is None:
-        if sorted(names) != sorted(METRIC_NAMES):
-            raise InvalidPreferenceError(
-                f"preference must name each of {METRIC_NAMES} exactly once, got {list(names)}"
-            )
-        n = len(names)
-        raw = {name: float(n + 1 - p) for p, name in enumerate(names, start=1)}
-        total = sum(raw.values())
-        weights = _WEIGHTS_BY_ORDER[names] = Weights(
-            k_p=raw["plasticity"] / total,
-            k_s=raw["stability"] / total,
-            k_l=raw["latency"] / total,
-            k_m=raw["memory"] / total,
+    names = tuple(map(str, order))
+    if sorted(names) != sorted(METRIC_NAMES):
+        raise InvalidPreferenceError(
+            f"preference must name each of {METRIC_NAMES} exactly once, got {list(names)}"
         )
-    return weights
+    raw = {name: float(len(names) - i) for i, name in enumerate(names)}  # i is p - 1
+    total = sum(raw.values())
+    return Weights(*(raw[name] / total for name in ("plasticity", "stability", "latency", "memory")))
 
 
 def urge_scorer(

@@ -9,7 +9,9 @@ path of the file. Every accepted draw must then run and report.
 
 import dataclasses
 import itertools
+import json
 import math
+import re
 import struct
 
 import pytest
@@ -42,6 +44,7 @@ from oclbudget.scenario import (
     PREFERENCE_PRESETS,
     bundled_scenario_path,
     default_calibration_targets_path,
+    default_profile_library_path,
 )
 from oclbudget.urge import METRIC_NAMES
 
@@ -190,9 +193,6 @@ def build_direct(values: dict) -> ScenarioConfig:
     initial_batch_mb = ctrl.pop("initial_batch_mb")
     initial_replay_mb = ctrl.pop("initial_replay_mb")
     controller = ControllerConfig(memory=memory, capacity_mb=platform.capacity_mb, **ctrl)
-    preference = top["preference"]
-    if isinstance(preference, list):
-        preference = tuple(preference)
     return ScenarioConfig(
         name=top["name"],
         platform=platform,
@@ -200,7 +200,7 @@ def build_direct(values: dict) -> ScenarioConfig:
         num_experiences=top["num_experiences"],
         samples_per_experience=top["samples_per_experience"],
         seed=top["seed"],
-        preference=PREFERENCE_PRESETS.get(preference, preference),
+        preference=top["preference"],
         thresholds=thresholds,
         controller=controller,
         initial_batch_mb=initial_batch_mb,
@@ -325,6 +325,26 @@ def _file_initial_threshold_of_one(tmp_path):
     return load_scenario(path)
 
 
+def _frames_past_the_float_range(tmp_path):
+    # Both values are in range, but the capacity over the frame size is inf.
+    scenario = load_bundled_scenario("xavier-er")
+    memory = dataclasses.replace(scenario.controller.memory, frame_mb=1e-9)
+    controller = dataclasses.replace(scenario.controller, memory=memory, capacity_mb=1e300)
+    platform = dataclasses.replace(scenario.platform, capacity_mb=1e300)
+    return dataclasses.replace(scenario, platform=platform, controller=controller)
+
+
+def _file_frames_past_the_float_range(tmp_path):
+    library = yaml.safe_load(default_profile_library_path().read_text(encoding="utf-8"))
+    library["platforms"]["xavier-class"]["capacity_mb"] = 1e300
+    library["profiles"]["er"]["replay_frame_mb"] = 1e-9
+    library_path = tmp_path / "profiles.yaml"
+    library_path.write_text(yaml.safe_dump(library), encoding="utf-8")
+    path = tmp_path / "xavier-er.yaml"
+    path.write_text(bundled_scenario_path("xavier-er").read_text(encoding="utf-8"), encoding="utf-8")
+    return load_scenario(path, library_path=library_path)
+
+
 # Configs that were accepted, or rejected naming no field, before each record
 # stated its own rules; each now raises at construction, naming the field.
 HOLES = {
@@ -366,7 +386,23 @@ HOLES = {
     ),
     "int-preference": (
         _replaced("", preference=5),
-        r"^ScenarioConfig\.preference: must be a sequence of metric names, got 5$",
+        r"^ScenarioConfig\.preference: must be a preset name, or a list or tuple of metric "
+        r"names, got 5$",
+    ),
+    "set-preference": (
+        _replaced("", preference=set(METRIC_NAMES)),
+        r"^ScenarioConfig\.preference: must be a preset name, or a list or tuple of metric "
+        r"names, got \{",
+    ),
+    "frames-past-the-float-range": (
+        _frames_past_the_float_range,
+        r"^ScenarioConfig\.platform: its 1e\+300 MB capacity holds more replay frames of "
+        r"1e-09 MB than a float can count$",
+    ),
+    "file-frames-past-the-float-range": (
+        _file_frames_past_the_float_range,
+        r"xavier-er\.yaml\.platform: its 1e\+300 MB capacity holds more replay frames of "
+        r"1e-09 MB than a float can count$",
     ),
     "negative-initial-batch": (
         _replaced("", initial_batch_mb=-5.0),
@@ -414,6 +450,55 @@ def test_hole_rejected_at_construction_naming_the_field(tmp_path, case):
     make, match = HOLES[case]
     with pytest.raises(SchemaError, match=match):
         make(tmp_path)
+
+
+def _file_with_preference(tmp_path, preference):
+    """xavier-er's file with its preference written as given (JSON is YAML)."""
+    text = bundled_scenario_path("xavier-er").read_text(encoding="utf-8")
+    assert "preference: balanced\n" in text
+    path = tmp_path / "xavier-er.yaml"
+    text = text.replace("preference: balanced\n", f"preference: {json.dumps(preference)}\n")
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("preset", sorted(PREFERENCE_PRESETS))
+def test_every_form_of_a_preference_builds_the_same_scenario(tmp_path, preset):
+    # ScenarioConfig resolves a preset name, a list and a tuple alike, by
+    # each way of building one, and holds the weights the ordering gives.
+    order = PREFERENCE_PRESETS[preset]
+    base = load_bundled_scenario("xavier-er")
+    values = {f.name: getattr(base, f.name) for f in dataclasses.fields(base) if f.init}
+    forms = [preset, list(order), tuple(order)]
+    scenarios = [ScenarioConfig(**{**values, "preference": form}) for form in forms]
+    scenarios += [dataclasses.replace(base, preference=form) for form in forms]
+    scenarios += [base.with_preference(form) for form in forms]
+    scenarios += [load_scenario(_file_with_preference(tmp_path, form)) for form in forms[:2]]
+    for scenario in scenarios:
+        assert scenario == scenarios[0]
+        assert type(scenario.preference) is tuple and scenario.preference == order
+        assert dataclasses.astuple(scenario.weights) == spec.weights(order)
+    assert "weights" not in repr(scenarios[0])
+
+
+def test_a_preference_is_refused_by_the_record_whichever_way_it_comes(tmp_path):
+    base = load_bundled_scenario("xavier-er")
+    known = r"known presets: \['balanced', 'prefer-latency', 'prefer-ps'\]$"
+    for build in (
+        lambda: dataclasses.replace(base, preference="nope"),
+        lambda: base.with_preference("nope"),
+    ):
+        with pytest.raises(SchemaError, match=rf"^ScenarioConfig\.preference: .*'nope'; {known}"):
+            build()
+    file_key = rf"^{re.escape(str(tmp_path))}/xavier-er\.yaml\.preference"
+    with pytest.raises(SchemaError, match=rf"{file_key}: .*'nope'; {known}"):
+        load_scenario(_file_with_preference(tmp_path, "nope"))
+    # Only a str, a list or a tuple is taken; a set is a HOLES case.
+    for preference in (frozenset(METRIC_NAMES), dict.fromkeys(METRIC_NAMES)):
+        with pytest.raises(SchemaError, match=r"^ScenarioConfig\.preference: must be a preset"):
+            base.with_preference(preference)
+    with pytest.raises(SchemaError, match=r"xavier-er\.yaml\.preference: must be a preset"):
+        load_scenario(_file_with_preference(tmp_path, 5))
 
 
 def test_calibration_targets_file_names_the_key_of_a_broken_rule(tmp_path):

@@ -348,6 +348,21 @@ class TestRunSuite:
             run_suite(load_bundled_scenario("orin-er"), ["sgd"])
 
     @pytest.mark.parametrize(
+        "policies, message",
+        [
+            ("controller", "policies must be a list of names, not the str 'controller'"),
+            ([5], "unknown policy 5; known: "),
+            (["controller", None], "unknown policy None; known: "),
+        ],
+    )
+    def test_str_policy_list_or_non_str_name_rejected_whole(self, policies, message):
+        # A str is not walked one character at a time, and a name that is no
+        # str is named as it was given.
+        with pytest.raises(ValueError) as info:
+            run_suite(load_bundled_scenario("orin-er"), policies)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize(
         "policies", [["max_a", "max-a"], ["controller", "fixed", " Controller "]]
     )
     def test_repeated_policy_rejected(self, policies):
@@ -921,7 +936,8 @@ class TestCli:
         path = str(bundled_scenario_path("xavier-er"))
         code = cli_main(["run", "--scenario", path, "--prefer", "", "--out", str(out)])
         assert code == 2
-        assert "config error: unknown preference preset ''" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: ScenarioConfig.preference: unknown preference preset ''" in err
         assert not out.exists()
 
     def test_repeated_policy_exit_code(self, tmp_path, capsys):

@@ -188,6 +188,38 @@ INVALID = [
         (2.9, 90.0, 4200.0, "fast"),
         "BudgetState.optimizer_mode: must be 'default' or 'advanced', got 'fast'",
     ),
+    # A value no float compares with fails the one-expression test by a
+    # TypeError, and the field checks name it.
+    (
+        BudgetState,
+        ("x", 1.0, 1.0, OptimizerMode.DEFAULT),
+        "BudgetState.batch_mb: must be a float or an int, got 'x'",
+    ),
+    (
+        BudgetState,
+        (2.9, None, 4200.0, OptimizerMode.DEFAULT),
+        "BudgetState.replay_mb: must be a float or an int, got None",
+    ),
+    (
+        MetricSnapshot,
+        (None, 0.5, 1.0, 1.0),
+        "MetricSnapshot.plasticity: must be a float or an int, got None",
+    ),
+    (
+        MetricSnapshot,
+        (0.5, 0.5, 1.0, "4300"),
+        "MetricSnapshot.memory_peak_mb: must be a float or an int, got '4300'",
+    ),
+    (
+        UrgeScore,
+        (0.5, "x", 0.5, 0.5, 0.5),
+        "UrgeScore.plasticity_factor: must be a float or an int, got 'x'",
+    ),
+    (
+        UrgeScore,
+        (0.0625, 0.5, 0.5, 0.5, [0.5]),
+        "UrgeScore.memory_factor: must be a float or an int, got [0.5]",
+    ),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
 

@@ -23,7 +23,6 @@ from oclbudget import (
     run_suite,
     weights_from_preference,
 )
-from oclbudget import urge
 from oclbudget.urge import METRIC_NAMES, urge_scorer
 
 TH = Thresholds(plasticity=0.8, stability=0.9, latency_s=100.0, memory_mb=4000.0)
@@ -64,18 +63,20 @@ class TestWeightRule:
                 Weights(0.2, bad, 0.3, 0.3)
 
     def test_one_weights_object_per_ordering(self):
+        # Each call derives the weights anew; equal orderings give equal weights.
         order = ["memory", "plasticity", "stability", "latency"]
         weights = weights_from_preference(order)
-        assert weights_from_preference(tuple(order)) is weights
-        assert weights_from_preference(iter(order)) is weights
+        assert weights_from_preference(tuple(order)) == weights
+        assert weights_from_preference(iter(order)) == weights
         assert weights == Weights(k_p=0.3, k_s=0.2, k_l=0.1, k_m=0.4)
+        assert dataclasses.astuple(weights) == spec.weights(order)
         other = weights_from_preference(["latency", "stability", "plasticity", "memory"])
-        assert other is not weights and other != weights
+        assert other != weights
 
     @pytest.mark.parametrize("first", ["list", "namedtuple", "str-subclass", "tuple"])
-    def test_every_ordering_form_finds_the_same_weights(self, monkeypatch, first):
-        # A tuple is looked up before it is normalised; each form, called
-        # first on an empty table or after another form, gets one object.
+    def test_every_ordering_form_finds_the_same_weights(self, first):
+        # Every form of one ordering gives the spec's weights, and a scenario
+        # given it stores the ordering as a tuple of plain str.
         class Name(str):
             pass
 
@@ -87,13 +88,15 @@ class TestWeightRule:
             "str-subclass": tuple(map(Name, order)),
             "tuple": order,
         }
-        monkeypatch.setattr(urge, "_WEIGHTS_BY_ORDER", {})
         weights = weights_from_preference(forms[first])
         assert dataclasses.astuple(weights) == spec.weights(order)
         for form in forms.values():
-            assert weights_from_preference(form) is weights
-        # The table is keyed by plain str tuples only.
-        assert [tuple(map(type, key)) for key in urge._WEIGHTS_BY_ORDER] == [(str,) * 4]
+            assert weights_from_preference(form) == weights
+        scenario = load_bundled_scenario("xavier-er").with_preference(forms[first])
+        assert scenario.preference == order
+        assert [type(name) for name in scenario.preference] == [str] * 4
+        assert type(scenario.preference) is tuple
+        assert scenario.weights == weights
 
     def test_a_tuple_holding_an_unhashable_name_is_refused_as_before(self):
         with pytest.raises(InvalidPreferenceError, match="exactly once"):
@@ -104,9 +107,12 @@ class TestWeightRule:
             for _ in range(3):
                 with pytest.raises(InvalidPreferenceError, match="exactly once"):
                     weights_from_preference(order)
-        assert len(urge._WEIGHTS_BY_ORDER) <= math.factorial(len(METRIC_NAMES))
 
     def test_suite_derives_each_orderings_weights_once(self, monkeypatch):
+        # A scenario derives its weights when it is built; a suite run reads
+        # scenario.weights and builds no Weights of its own.
+        scenario = load_bundled_scenario("xavier-er")
+        variants = [scenario.with_preference(p) for p in ("balanced", "prefer-latency")]
         built = []
         check = Weights.__post_init__
 
@@ -115,15 +121,16 @@ class TestWeightRule:
             check(weights)
 
         monkeypatch.setattr(Weights, "__post_init__", counted_check)
-        monkeypatch.setattr(urge, "_WEIGHTS_BY_ORDER", {})
-        scenario = load_bundled_scenario("xavier-er")
-        for preference in ("balanced", "prefer-latency", "balanced"):
+        for variant in variants:
             run_suite(
-                scenario.with_preference(preference),
+                variant,
                 ["controller", "max_a", "max_p", "fixed", "oracle"],
                 include_overhead=True,
             )
-        assert len(built) == 2
+        assert built == []
+        assert [dataclasses.astuple(v.weights) for v in variants] == [
+            spec.weights(v.preference) for v in variants
+        ]
 
 
 class TestScoreValues:
