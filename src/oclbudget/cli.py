@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import CalibrationError, InfeasibleBudgetError, OclBudgetError
+from .errors import CalibrationError, InfeasibleBudgetError, OclBudgetError, SchemaError
 from .harness import KNOWN_POLICIES, ablate_prefetch, emit_report, measure_overhead, run_suite
 from .scenario import (
     PREFERENCE_PRESETS,
@@ -86,7 +86,10 @@ def _load(args):
         pref = args.prefer
         if "," in pref:
             pref = [p.strip() for p in pref.split(",")]
-        scenario = scenario.with_preference(pref)
+        try:
+            scenario = scenario.with_preference(pref)
+        except SchemaError as exc:  # it names the record's field; the user wrote --prefer
+            raise SchemaError(f"--prefer: {exc.rule}") from None
     return scenario
 
 

@@ -24,10 +24,12 @@ trace.records build each one through the record's own __new__, bound once
 below (_new_knobs(Knobs, ...) and so on), which runs those same checks
 without the class call's dispatch, and read fields by unpacking the tuple.
 A RunTrace does not hold them: the loop packs each experience's values as
-it goes, its 14 floats into an array('d'), its experience number, batch and
-buffer sizes into an array of ints and its two optimizer modes and OOM flag
-into one byte, about 150 bytes an experience and no object for the garbage
-collector to walk.
+it goes, the ten floats of its score, threshold and snapshot into an
+array('d'), and its knobs, budgets and memory peak once per stretch of
+experiences that share those objects, as a fixed-knob run does from start
+to end: 80 bytes an experience there, 137 where every experience starts a
+stretch, as a controller's does, and no object for the garbage collector
+to walk.
 A float field is stored as a double, so a float keeps its exact bits and
 an int there reads back as the nearest float; the records reject an int
 beyond the largest float, which no double can hold. trace.records builds
@@ -49,7 +51,6 @@ import time
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import starmap
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -399,34 +400,40 @@ _new_score = UrgeScore.__new__
 _new_record = TraceRecord.__new__
 
 
-# How a RunTrace packs its experiences, oldest first, in three sequences:
-#   floats, an array('d'), holds _WIDTH doubles per experience: 0 score
-#     value, 1-4 plasticity, stability, latency and memory factors,
-#     5 threshold, 6 plasticity, 7 stability, 8 latency_s, 9 the snapshot's
-#     memory_peak_mb, 10 batch_mb, 11 replay_mb, 12 optimizer_mb, 13 the
-#     record's memory_peak_mb. A slot holds float(value), so a float keeps
-#     its bits (-0.0 and NaN included) and an int becomes its nearest float;
-#     an OOM experience holds 0.0 in slots 0-9.
-#   ints holds experience, batch_size and buffer_size per experience: an
-#     array('q') while each fits in 64 bits, from then on a list of the ints.
-#   flags, a bytearray, holds one byte per experience: _KNOBS_ADVANCED or
-#     _BUDGETS_ADVANCED is set when the knobs' or the budgets' optimizer mode
-#     is ADVANCED, and _OOM when the record has no snapshot.
-# A held experience takes about 150 bytes; a tuple of its values took about 570.
-_WIDTH = 14
+# How a RunTrace packs its experiences, oldest first, in two tables:
+#   floats, an array('d'), holds _WIDTH doubles per experience (its row):
+#     0 score value, 1-4 plasticity, stability, latency and memory factors,
+#     5 threshold, 6 plasticity, 7 stability, 8 latency_s and 9 the
+#     snapshot's memory_peak_mb; an OOM experience holds 0.0 in each.
+#   the stretch table holds an entry per stretch of rows whose Knobs,
+#     BudgetState and memory peak are the same objects: the stretch's first
+#     row, then batch_mb, replay_mb, optimizer_mb, the record's
+#     memory_peak_mb, batch_size, buffer_size and a flag byte, packed by
+#     _STRETCH into an array('B') while each int fits in 64 bits, from then on
+#     a list of the entries as tuples. The flag sets _KNOBS_ADVANCED or
+#     _BUDGETS_ADVANCED when the knobs' or the budgets' optimizer mode is
+#     ADVANCED, and _OOM when the record has no snapshot; an OOM row is a
+#     stretch of its own.
+# A float slot holds float(value), so a float keeps its bits (-0.0 and NaN
+# included) and an int becomes its nearest float. An experience's number is
+# its row plus one. A fixed-knob run is one stretch, about 80 bytes an
+# experience; a controller run, whose knobs are new every experience, adds
+# a 57-byte entry to every row, 137 bytes; a tuple of its values took 570.
+_WIDTH = 10
 _SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY = 0, 5, 6, 7, 8
-_BATCH_MB, _REPLAY_MB, _OPTIMIZER_MB, _MEMORY = 10, 11, 12, 13
 _KNOBS_ADVANCED, _BUDGETS_ADVANCED, _OOM = 1, 2, 4
-_NO_SCORE = (0.0,) * 10  # slots 0-9 of an OOM experience
-_PACK_FLOATS = struct.Struct(f"{_WIDTH}d").pack
-_PACK_INTS = struct.Struct("3q").pack
+_PACK_ROW = struct.Struct(f"{_WIDTH}d").pack
+_NO_SCORE = bytes(8 * _WIDTH)  # the row of an OOM experience, ten 0.0
+_STRETCH = struct.Struct("=q4d2qB")
+_PACK_STRETCH = _STRETCH.pack
+_FLOATS = struct.Struct("4d")
 _MODES = (_DEFAULT, _ADVANCED)
 
 
 def _slot_reader(*slots: int) -> Callable[[array], Iterator[tuple]]:
-    """A reader for RunTrace.rows: it gives the floats in these slots of each
-    experience, in slot order, as one tuple, and builds no float for the
-    other slots (a struct layout that skips them)."""
+    """A reader of RunTrace.floats: it gives the floats in these slots of
+    each row, in slot order, as one tuple, and builds no float for the other
+    slots (a struct layout that skips them)."""
     layout = "".join("d" if slot in slots else "8x" for slot in range(_WIDTH))
     return struct.Struct(layout).iter_unpack
 
@@ -434,124 +441,184 @@ def _slot_reader(*slots: int) -> Callable[[array], Iterator[tuple]]:
 _EVERY_SLOT = _slot_reader(*range(_WIDTH))
 
 
-def _record(experience, batch_size, buffer_size, flag, floats) -> TraceRecord:
-    """The validated TraceRecord of one of RunTrace.rows()."""
-    (
-        value, f_p, f_s, f_l, f_m, threshold, plasticity, stability, latency_s, snapshot_mb,
-        batch_mb, replay_mb, optimizer_mb, memory_peak_mb,
-    ) = floats
-    knobs = _new_knobs(Knobs, batch_size, buffer_size, _MODES[flag & _KNOBS_ADVANCED])
-    mode = _MODES[flag & _BUDGETS_ADVANCED != 0]
-    budgets = _new_budgets(BudgetState, batch_mb, replay_mb, optimizer_mb, mode)
-    if flag & _OOM:
-        return _new_record(
-            TraceRecord, experience, knobs, None, None, None, budgets, memory_peak_mb
-        )
-    score = _new_score(UrgeScore, value, f_p, f_s, f_l, f_m)
-    snapshot = _new_snapshot(MetricSnapshot, plasticity, stability, latency_s, snapshot_mb)
-    return _new_record(
-        TraceRecord, experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb
-    )
+def _listed(entry: tuple) -> tuple:
+    """A stretch entry as the list form of the table holds it: each float
+    field as the double _STRETCH would pack (raising where it would)."""
+    start, batch_mb, replay_mb, optimizer_mb, memory_peak_mb, batch, buffer, flag = entry
+    floats = _FLOATS.unpack(_FLOATS.pack(batch_mb, replay_mb, optimizer_mb, memory_peak_mb))
+    return (start, *floats, batch, buffer, flag)
 
 
 class RunTrace:
     """One run's experiences, packed, and how the run ended.
 
     RunTrace(records, outcome) packs each TraceRecord's values (see the
-    layout above), as _run_policy does while it runs: about 150 bytes an
-    experience, where a tuple of the values took about 570, and no object per
-    experience for the garbage collector to walk. ints, floats and flags
-    are that storage, and outcome how the run ended; treat them as
+    layout above), as _run_policy does while it runs: a row of ten floats
+    per experience and one entry per stretch of experiences that share
+    their knobs, budgets and memory peak, so no object per experience for
+    the garbage collector to walk. The records must be numbered 1..n in
+    order, else ValueError. floats is the rows' storage, stretches() reads
+    the stretch table and outcome is how the run ended; treat them as
     read-only. Every float field reads back as a float, so an int given
     there reads back as float(int).
 
     records builds a new tuple of validated TraceRecords on each read and
     caches nothing, since a cache would hold the records' memory for any
     caller that reads them once; a caller that reads them repeatedly should
-    hold the tuple. rows() gives the packed values one flat tuple per
-    experience; the summaries, the emitters and the oracle read those or
-    the storage and build no record. Two traces are equal when their
-    outcomes and packed bits are, so a trace holding a NaN equals its copy;
-    the repr writes the records.
+    hold the tuple. The records of one stretch share its Knobs, BudgetState
+    and memory peak, so packing them again gives the same stretches. rows()
+    gives the values one flat tuple per experience; the summaries, the
+    emitters and the oracle read those or the storage and build no record.
+    len() is the number of experiences. Two traces are equal when their
+    outcomes are and their rows are, bit for bit, however the rows are
+    split into stretches, so a trace holding a NaN equals its copy; the
+    repr writes the records.
     """
 
-    __slots__ = ("_ints", "_floats", "_flags", "_outcome")
+    __slots__ = ("_floats", "_stretches", "_outcome", "_knobs", "_budgets", "_memory")
 
-    ints = property(attrgetter("_ints"), doc="Experience, batch and buffer size per experience.")
     floats = property(attrgetter("_floats"), doc="The array('d'), _WIDTH floats per experience.")
-    flags = property(attrgetter("_flags"), doc="The bytearray, one flag byte per experience.")
     outcome = property(attrgetter("_outcome"), doc="How the run ended.")
 
     def __init__(self, records: Iterable[TraceRecord], outcome: Outcome):
-        self._ints: Sequence[int] = array("q")
         self._floats = array("d")
-        self._flags = bytearray()
-        self._outcome = outcome
-        for record in records:
-            self._append(*record)
+        self._stretches: array | list[tuple] = array("B")
+        # The last row's objects while rows are appended: a row holding
+        # others starts a stretch.
+        self._knobs = self._budgets = self._memory = None
+        append = self._append
+        for row, (experience, *values) in enumerate(records, 1):
+            if experience.__class__ is not int or experience != row:
+                raise ValueError(f"record {row} must be experience {row}, got {experience!r}")
+            append(*values)
+        self._end(outcome)
 
-    def _append(self, experience, knobs, score, threshold, snapshot, budgets, memory_peak_mb):
-        """Pack the values of TraceRecord(experience, knobs, ...) after the
-        others; a float field that cannot be packed raises before anything
-        is added. _run_policy appends while it runs and sets the outcome."""
-        # Knobs and BudgetState hold a member, so identity tests the mode.
-        flag = (knobs[2] is _ADVANCED) | (budgets[3] is _ADVANCED) << 1
+    def _end(self, outcome: Outcome) -> None:
+        """Set how the run ended, and let go of the last row's objects, which
+        only _append reads: a row appended after this starts a stretch."""
+        self._outcome = outcome
+        self._knobs = self._budgets = self._memory = None
+
+    def _append(self, knobs, score, threshold, snapshot, budgets, memory_peak_mb):
+        """Pack the values of the next TraceRecord(experience, knobs, ...);
+        a value that cannot be packed raises before anything is added.
+        _run_policy appends while it runs and ends the trace (_end)."""
         if snapshot is None:
-            flag |= _OOM
-            floats = _PACK_FLOATS(*_NO_SCORE, budgets[0], budgets[1], budgets[2], memory_peak_mb)
+            flag = _OOM
+            row = _NO_SCORE
         else:
-            floats = _PACK_FLOATS(
-                *score, threshold, *snapshot, budgets[0], budgets[1], budgets[2], memory_peak_mb
-            )
-        ints = self._ints
-        if ints.__class__ is list:
-            ints += (experience, knobs[0], knobs[1])
+            row = _PACK_ROW(*(score + (threshold,) + snapshot))
+            if knobs is self._knobs and budgets is self._budgets and memory_peak_mb is self._memory:
+                self._floats.frombytes(row)
+                return
+            flag = 0
+        # A new stretch. Knobs and BudgetState hold a member, so identity
+        # tests the mode.
+        flag |= (knobs[2] is _ADVANCED) | (budgets[3] is _ADVANCED) << 1
+        floats, stretches = self._floats, self._stretches
+        entry = (len(floats) // _WIDTH, budgets[0], budgets[1], budgets[2], memory_peak_mb,
+                 knobs[0], knobs[1], flag)
+        if stretches.__class__ is list:
+            stretches.append(_listed(entry))
         else:
             try:
-                ints.frombytes(_PACK_INTS(experience, knobs[0], knobs[1]))
-            except struct.error:  # an int beyond 64 bits, or no int
-                values = (experience, knobs[0], knobs[1])
-                if not all(isinstance(value, int) for value in values):
+                stretches.frombytes(_PACK_STRETCH(*entry))
+            except struct.error:  # an int beyond 64 bits, or no number
+                if not (isinstance(knobs[0], int) and isinstance(knobs[1], int)):
                     raise
-                self._ints = [*ints, *values]
-        self._floats.frombytes(floats)
-        self._flags.append(flag)
+                self._stretches = [*_STRETCH.iter_unpack(stretches), _listed(entry)]
+        floats.frombytes(row)
+        # An OOM row ends its stretch: the next row starts one whatever it holds.
+        self._knobs = None if flag & _OOM else knobs
+        self._budgets, self._memory = budgets, memory_peak_mb
 
-    def rows(self, read=_EVERY_SLOT) -> Iterator[tuple]:
+    def _entries(self) -> Sequence[tuple]:
+        """The stretch table's entries as tuples, oldest first."""
+        table = self._stretches
+        return table if table.__class__ is list else list(_STRETCH.iter_unpack(table))
+
+    def stretches(self) -> Iterator[tuple]:
+        """(stop, entry) per stretch, oldest first: the entry is (start,
+        batch_mb, replay_mb, optimizer_mb, memory_peak_mb, batch_size,
+        buffer_size, flag), and the stretch holds rows start to stop - 1,
+        the experiences start + 1 to stop."""
+        entries = self._entries()
+        stops = [entry[0] for entry in entries[1:]]
+        stops.append(len(self._floats) // _WIDTH)
+        return zip(stops, entries)
+
+    def rows(self) -> Iterator[tuple]:
         """One tuple per experience: experience, batch_size, buffer_size, the
-        flag byte and the tuple read gives of its floats, by default all
-        _WIDTH in slot order (see _slot_reader)."""
-        ints = iter(self._ints)
-        return zip(ints, ints, ints, self._flags, read(self._floats))
+        flag byte and a tuple of its 14 float fields: the row's ten slots,
+        then batch_mb, replay_mb, optimizer_mb and memory_peak_mb."""
+        rows = _EVERY_SLOT(self._floats)
+        for stop, (start, *stretch_floats, batch, buffer, flag) in self.stretches():
+            stretch_floats = tuple(stretch_floats)
+            for experience, row in zip(range(start + 1, stop + 1), rows):
+                yield experience, batch, buffer, flag, row + stretch_floats
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         """A new tuple of the validated TraceRecords of the rows, on each read."""
-        return tuple(starmap(_record, self.rows()))
+        records = []
+        add = records.append
+        rows = _EVERY_SLOT(self._floats)
+        for stop, (start, batch_mb, replay_mb, optimizer_mb, memory, batch, buffer, flag) in (
+            self.stretches()
+        ):
+            knobs = _new_knobs(Knobs, batch, buffer, _MODES[flag & _KNOBS_ADVANCED])
+            mode = _MODES[flag & _BUDGETS_ADVANCED != 0]
+            budgets = _new_budgets(BudgetState, batch_mb, replay_mb, optimizer_mb, mode)
+            experiences = zip(range(start + 1, stop + 1), rows)
+            if flag & _OOM:
+                for e, _ in experiences:
+                    add(_new_record(TraceRecord, e, knobs, None, None, None, budgets, memory))
+                continue
+            for e, (value, f_p, f_s, f_l, f_m, threshold, *metrics) in experiences:
+                score = _new_score(UrgeScore, value, f_p, f_s, f_l, f_m)
+                snapshot = _new_snapshot(MetricSnapshot, *metrics)
+                add(_new_record(TraceRecord, e, knobs, score, threshold, snapshot, budgets, memory))
+        return tuple(records)
+
+    def __len__(self) -> int:
+        return len(self._floats) // _WIDTH
+
+    def _split_free(self) -> list[tuple]:
+        """The stretch entries with the next one merged into each one whose
+        values it repeats bit for bit: equal for two traces of the same rows
+        however they split them."""
+        merged = []
+        last = None
+        for _, (start, *floats, batch, buffer, flag) in self.stretches():
+            values = (_FLOATS.pack(*floats), batch, buffer, flag)
+            if values != last:
+                merged.append((start, values))
+                last = values
+        return merged
 
     def __eq__(self, other):
         if other.__class__ is not RunTrace:
             return NotImplemented
         return (
             self._outcome == other._outcome
-            and self._flags == other._flags
-            and self._ints == other._ints
             and self._floats.tobytes() == other._floats.tobytes()
+            and self._split_free() == other._split_free()
         )
 
     def __hash__(self):
-        return hash((self._outcome, bytes(self._flags), self._floats.tobytes()))
+        return hash((self._outcome, self._floats.tobytes(), tuple(self._split_free())))
 
     def __repr__(self) -> str:
         return f"RunTrace(records={self.records!r}, outcome={self._outcome!r})"
 
     def _last_scored(self, slot: int) -> Optional[float]:
         """The float in slot of the last scored experience, or None."""
-        flags = self._flags
-        index = len(flags) - 1
-        while index >= 0 and flags[index] & _OOM:
-            index -= 1
-        return None if index < 0 else self._floats[index * _WIDTH + slot]
+        stop = len(self._floats) // _WIDTH
+        for start, *_, flag in reversed(self._entries()):
+            if not flag & _OOM:
+                return self._floats[(stop - 1) * _WIDTH + slot]
+            stop = start
+        return None
 
     def total_latency_s(self) -> float:
         # An OOM experience holds 0.0 here, and adding 0.0 leaves a sum() of
@@ -566,14 +633,16 @@ class RunTrace:
         return self._last_scored(_STABILITY)
 
     def peak_memory_mb(self) -> float:
-        return max(self._floats[_MEMORY::_WIDTH], default=0.0)
+        # A stretch repeats one value, which cannot change what max() picks.
+        return max([entry[4] for entry in self._entries()], default=0.0)
 
     def final_budgets(self) -> Optional[BudgetState]:
         """The last record's budgets, or None for a trace with no records."""
-        if not self._flags:
+        entries = self._entries()
+        if not entries:
             return None
-        batch_mb, replay_mb, optimizer_mb = self._floats[-4:-1]
-        mode = _MODES[self._flags[-1] & _BUDGETS_ADVANCED != 0]
+        _, batch_mb, replay_mb, optimizer_mb, _, _, _, flag = entries[-1]
+        mode = _MODES[flag & _BUDGETS_ADVANCED != 0]
         return BudgetState(batch_mb, replay_mb, optimizer_mb, mode)
 
     @property
@@ -649,8 +718,8 @@ def _run_policy(
 
         latency, memory = env.train_experience(knobs)
         if latency is None:
-            add(experience, knobs, None, None, None, state, memory)
-            trace._outcome = Outcome.OOM_FAILED
+            add(knobs, None, None, None, state, memory)
+            trace._end(Outcome.OOM_FAILED)
             return trace
 
         if seconds is not None:
@@ -663,14 +732,15 @@ def _run_policy(
         except InfeasibleBudgetError as exc:
             if seconds is not None:
                 seconds.append(clock() - start)
-            trace._outcome = Outcome.INFEASIBLE
+            trace._end(Outcome.INFEASIBLE)
             exc.partial_trace = trace
             raise
         if seconds is not None:
             seconds.append(clock() - start)
 
-        add(experience, knobs, score, theta, snap, state, memory)
+        add(knobs, score, theta, snap, state, memory)
 
+    trace._end(Outcome.COMPLETED)
     return trace
 
 

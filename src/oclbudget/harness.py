@@ -26,14 +26,12 @@ plasticity and stability.
 These are the bytes json.dumps(..., sort_keys=True) gives for the same
 values; each line ends with a newline.
 
-Both emitters read each trace's packed values (controller.RunTrace.rows,
-in the layout controller documents above RunTrace), not its records, and
-spell each repeated value once. Every float field of a trace is a float, so
-an int given there is written as its float (4370.0, never 4370). The knob,
-budget and memory cells are spelled once per stretch of rows whose values
-in those cells are the same: equal ints and flag bytes, and floats that are
-equal and nonzero, since 0.0 == -0.0 but the two are spelled apart (NaN
-equals nothing and is spelled anew); so a fixed-knob run spells them once.
+Both emitters read each trace's packed values (controller.RunTrace.floats
+and RunTrace.stretches, in the layout controller documents above
+RunTrace), not its records, and spell each repeated value once. Every float
+field of a trace is a float, so an int given there is written as its float
+(4370.0, never 4370). The knob, budget and memory cells are spelled once
+per stretch of the trace, so a fixed-knob run spells them once.
 Each nonzero threshold (CSV and JSONL) is spelled once per report, keyed by
 value; zeros are spelled anew each time. Each CSV row shape is a single %
 format and each JSONL line one f-string. The bytes are the ones each value
@@ -49,15 +47,11 @@ from typing import Callable, Optional, Sequence, Union
 
 from .baselines import SUITE_BASELINES, BaselinePolicy, PolicyKind, run_baseline, run_oracle
 from .controller import (
-    _BATCH_MB,
     _KNOBS_ADVANCED,
     _LATENCY,
-    _MEMORY,
     _MODES,
     _OOM,
-    _OPTIMIZER_MB,
     _PLASTICITY,
-    _REPLAY_MB,
     _SCORE,
     _STABILITY,
     _THRESHOLD,
@@ -139,20 +133,21 @@ def run_suite(
 ) -> Report:
     """Run each requested policy against a fresh environment.
 
-    policies is a list or tuple of names, not one str. A str, an unknown or
-    non-str name, and a policy named twice in any spelling (both runs would
-    share one label) raise ValueError. The oracle contributes its full grid
-    of runs. Traces are sorted by policy label so the report (and its CSV)
+    policies is a list or tuple of names. Any other value (one str, a set,
+    an iterator), an empty list, an unknown or non-str name, and a policy
+    named twice in any spelling (both runs would share one label) raise
+    ValueError. The oracle contributes its full grid of runs. Traces are sorted by policy label so the report (and its CSV)
     is deterministic. With include_overhead the report also carries the
     controller's measured overhead accounting, timed in the report's own
     controller run (or in an extra controller run when the controller is
     not requested); wall times never enter the CSV, so determinism is
     unaffected.
     """
+    if not isinstance(policies, (list, tuple)):  # a str's characters are no policy names
+        kind = type(policies).__name__
+        raise ValueError(f"policies must be a list of names, not the {kind} {policies!r}")
     if not policies:
         raise ValueError("policy list must not be empty")
-    if isinstance(policies, str):  # its characters are no policy names
-        raise ValueError(f"policies must be a list of names, not the str {policies!r}")
     requested = [_canonical_policy(p) for p in policies]
     for i, policy in enumerate(requested):
         if policy in requested[:i]:
@@ -230,105 +225,85 @@ _CSV_ROW = "%s%s,%s,%.6g,%s,%.6g,%s,%.6g,%.6g,ok\n"
 _CSV_OOM_ROW = "%s%s,%s,,,,%s,,,oom\n"
 
 
-_CSV_SLOTS = _slot_reader(_SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY, _MEMORY)
+# The five row slots both emitters read: score, threshold, plasticity,
+# stability and latency, in that order.
+_SCORED_SLOTS = _slot_reader(_SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY)
 
 
 def _csv_rows(report: Report) -> list[str]:
     rows = [",".join(CSV_COLUMNS) + "\n"]
+    add = rows.append
     thresholds = _SpelledOnce("%.6g".__mod__)
-    batch = buffer = flag = memory = None  # equal to no row's values, so the first one misses
     for policy, trace in report.traces:
         prefix = f"{report.scenario_name},{policy},"
-        for (
-            experience, row_batch, row_buffer, row_flag,
-            (value, threshold, plasticity, stability, latency, row_memory),
-        ) in trace.rows(_CSV_SLOTS):
-            if not (
-                row_batch == batch
-                and row_buffer == buffer
-                and row_flag == flag
-                and row_memory == memory != 0.0
-            ):
-                batch, buffer, flag, memory = row_batch, row_buffer, row_flag, row_memory
-                knob_cells = f"{batch},{buffer},{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"
-                memory_cell = f"{memory:.6g}"
-            if row_flag & _OOM:
-                row = _CSV_OOM_ROW % (prefix, experience, knob_cells, memory_cell)
-            else:
-                row = _CSV_ROW % (
-                    prefix,
-                    experience,
-                    knob_cells,
-                    value,
-                    thresholds[threshold],
-                    latency,
-                    memory_cell,
-                    plasticity,
-                    stability,
+        scored = _SCORED_SLOTS(trace.floats)
+        for stop, (start, _, _, _, memory, batch, buffer, flag) in trace.stretches():
+            knob_cells = f"{batch},{buffer},{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"
+            memory_cell = f"{memory:.6g}"
+            experiences = zip(range(start + 1, stop + 1), scored)
+            if flag & _OOM:
+                for experience, _ in experiences:
+                    add(_CSV_OOM_ROW % (prefix, experience, knob_cells, memory_cell))
+                continue
+            for experience, (value, threshold, plasticity, stability, latency) in experiences:
+                add(
+                    _CSV_ROW
+                    % (
+                        prefix,
+                        experience,
+                        knob_cells,
+                        value,
+                        thresholds[threshold],
+                        latency,
+                        memory_cell,
+                        plasticity,
+                        stability,
+                    )
                 )
-            rows.append(row)
     return rows
 
 
 # One JSONL line, keys in sorted order, is one f-string in three parts. The
 # head (knobs and budgets) and the middle (memory and optimizer mode) are
-# spelled once per stretch of rows that hold the same knob, budget and memory
-# values (see the module docstring); the line adds the rest. An int is
+# spelled once per stretch of the trace; the line adds the rest. An int is
 # written as its str, which is its repr. The policy and scenario pair, which
 # sorts between plasticity and score, is encoded once per trace. An OOM line
 # writes null for the score, threshold, latency and metrics. A scored line
 # spells its latency, metrics and score with !r: a snapshot and a score hold
 # finite floats only, which repr spells as JSON does.
-_JSONL_SLOTS = _slot_reader(
-    _SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY, _BATCH_MB, _REPLAY_MB,
-    _OPTIMIZER_MB, _MEMORY,
-)
 
 
 def _jsonl_lines(report: Report) -> list[str]:
     number = _json_number
     thresholds = _SpelledOnce(number)
     scenario = _json_string(report.scenario_name)
-    # Equal to no row's values, so the first one misses.
-    batch = buffer = flag = batch_mb = replay_mb = optimizer_mb = memory = None
     lines = []
+    add = lines.append
     for policy, trace in report.traces:
         names = f'"policy": {_json_string(policy)}, "scenario": {scenario}'
-        for (
-            experience, row_batch, row_buffer, row_flag,
-            (
-                value, threshold, plasticity, stability, latency, row_batch_mb, row_replay_mb,
-                row_optimizer_mb, row_memory,
-            ),
-        ) in trace.rows(_JSONL_SLOTS):
-            if not (
-                row_batch == batch
-                and row_buffer == buffer
-                and row_flag == flag
-                and row_batch_mb == batch_mb != 0.0
-                and row_replay_mb == replay_mb != 0.0
-                and row_optimizer_mb == optimizer_mb != 0.0
-                and row_memory == memory != 0.0
-            ):
-                batch, buffer, flag, memory = row_batch, row_buffer, row_flag, row_memory
-                batch_mb, replay_mb, optimizer_mb = row_batch_mb, row_replay_mb, row_optimizer_mb
-                head = (
-                    f'{{"batch": {batch}, "budget_batch_mb": {number(batch_mb)}, '
-                    f'"budget_optimizer_mb": {number(optimizer_mb)}, '
-                    f'"budget_replay_mb": {number(replay_mb)}, "buffer": {buffer}'
-                )
-                middle = (
-                    f', "mem_peak_mb": {number(memory)}, '
-                    f'"opt_mode": "{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"'
-                )
-            if row_flag & _OOM:
-                lines.append(
-                    f'{head}, "experience": {experience}, "latency_s": null{middle}, '
-                    f'"outcome": "oom", "plasticity": null, {names}, "score": null, '
-                    '"stability": null, "threshold": null}\n'
-                )
-            else:
-                lines.append(
+        scored = _SCORED_SLOTS(trace.floats)
+        for stop, entry in trace.stretches():
+            start, batch_mb, replay_mb, optimizer_mb, memory, batch, buffer, flag = entry
+            head = (
+                f'{{"batch": {batch}, "budget_batch_mb": {number(batch_mb)}, '
+                f'"budget_optimizer_mb": {number(optimizer_mb)}, '
+                f'"budget_replay_mb": {number(replay_mb)}, "buffer": {buffer}'
+            )
+            middle = (
+                f', "mem_peak_mb": {number(memory)}, '
+                f'"opt_mode": "{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"'
+            )
+            experiences = zip(range(start + 1, stop + 1), scored)
+            if flag & _OOM:
+                for experience, _ in experiences:
+                    add(
+                        f'{head}, "experience": {experience}, "latency_s": null{middle}, '
+                        f'"outcome": "oom", "plasticity": null, {names}, "score": null, '
+                        '"stability": null, "threshold": null}\n'
+                    )
+                continue
+            for experience, (value, threshold, plasticity, stability, latency) in experiences:
+                add(
                     f'{head}, "experience": {experience}, "latency_s": {latency!r}'
                     f'{middle}, "outcome": "ok", "plasticity": {plasticity!r}, {names}, '
                     f'"score": {value!r}, "stability": {stability!r}, '
@@ -380,7 +355,7 @@ def _overhead_summary(
     import pickle  # only here: a program that never measures overhead skips it
 
     simulated = trace.total_latency_s()
-    experiences = max(1, len(trace.flags))
+    experiences = max(1, len(trace))
     final_budgets = trace.final_budgets()
     if final_budgets is None:
         final_budgets = scenario.initial_budget_state()

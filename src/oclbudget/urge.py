@@ -126,8 +126,14 @@ def weights_from_preference(order: Sequence[str]) -> Weights:
 
     Position p (1-indexed) receives raw weight n + 1 - p; raw weights are
     normalized to sum 1. E.g. [memory, plasticity, stability, latency] gives
-    (k_m, k_p, k_s, k_l) = (0.4, 0.3, 0.2, 0.1).
+    (k_m, k_p, k_s, k_l) = (0.4, 0.3, 0.2, 0.1). order must be a list or a
+    tuple: another iterable, such as a set, whose order can change from run
+    to run, raises InvalidPreferenceError naming its type.
     """
+    if not isinstance(order, (list, tuple)):
+        raise InvalidPreferenceError(
+            f"preference must be a list or tuple, got a {type(order).__name__}: {order!r}"
+        )
     names = tuple(map(str, order))
     if sorted(names) != sorted(METRIC_NAMES):
         raise InvalidPreferenceError(

@@ -576,24 +576,42 @@ class TestTraceRows:
         assert grown < 20, f"{grown} more tracked objects while the trace is held"
         assert trace.completed and len(trace.records) == 200
 
-    def test_held_trace_takes_at_most_200_bytes_an_experience(self):
-        # 14 floats of 8 bytes, three 8-byte ints and a flag byte pack an
-        # experience in about 150 bytes; a tuple of its values took about 570.
-        scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=200)
-        run_control_loop(scenario, build_environment(scenario))  # warm every per-process cache
+    @staticmethod
+    def held_bytes(scenario, run):
+        """The bytes a trace of run(scenario, env) holds, by tracemalloc."""
+        run(scenario, build_environment(scenario))  # warm every per-process cache
         env = build_environment(scenario)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trace = run_control_loop(scenario, env)
+            trace = run(scenario, env)
             del env  # what the run grew in the environment is freed with it
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert trace.completed and len(trace.flags) == 200
+        return trace, held
+
+    def test_held_trace_takes_at_most_200_bytes_an_experience(self):
+        # Ten floats of 8 bytes a row, and, since a controller's knobs are
+        # new every experience, a 57-byte stretch entry a row: 137 bytes an
+        # experience; a tuple of its values took about 570.
+        scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=200)
+        trace, held = self.held_bytes(scenario, run_control_loop)
+        assert trace.completed and len(trace) == 200
         assert held / 200 <= 200, f"{held / 200:.0f} bytes an experience"
+
+    def test_held_fixed_knob_trace_is_one_stretch_of_at_most_90_bytes_an_experience(self):
+        # A fixed-knob run passes the same Knobs, BudgetState and memory
+        # peak every experience, so its trace is one stretch: a row of ten
+        # floats, 80 bytes, per experience.
+        scenario = dataclasses.replace(load_bundled_scenario("server-er"), num_experiences=1000)
+        policy = BaselinePolicy.from_scenario(PolicyKind.FIXED, scenario)
+        trace, held = self.held_bytes(scenario, lambda sc, env: run_baseline(policy, sc, env))
+        assert trace.completed and len(trace) == 1000
+        assert [(start, stop) for stop, (start, *_) in trace.stretches()] == [(0, 1000)]
+        assert held / 1000 <= 90, f"{held / 1000:.0f} bytes an experience"
 
     def test_records_are_built_on_each_read(self):
         scenario = load_bundled_scenario("xavier-gss")
@@ -601,11 +619,15 @@ class TestTraceRows:
         first, second = trace.records, trace.records
         assert first == second and first is not second
         assert all(a is not b for a, b in zip(first, second))
-        # The trace holds packed values, not the records or their objects.
+        # The trace holds packed values, not the records or their objects:
+        # ten floats a row and, as the controller's knobs are new every
+        # experience, one stretch a row, holding its knobs.
         assert (type(trace.floats), trace.floats.typecode) == (array, "d")
-        assert len(trace.floats) == 14 * len(first) == 14 * len(trace.flags)
-        assert list(trace.ints) == [
-            n for r in first for n in (r.experience, r.knobs.batch_size, r.knobs.buffer_size)
+        assert len(trace.floats) == 10 * len(first) == 10 * len(trace)
+        stretches = list(trace.stretches())
+        assert [(start, stop) for stop, (start, *_) in stretches] == [
+            (row, row + 1) for row in range(len(first))
         ]
+        assert [entry[5:7] for _, entry in stretches] == [r.knobs[:2] for r in first]
         assert trace.final_budgets() == first[-1].budgets
         assert controller.RunTrace((), Outcome.INFEASIBLE).final_budgets() is None

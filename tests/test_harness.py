@@ -353,6 +353,11 @@ class TestRunSuite:
             ("controller", "policies must be a list of names, not the str 'controller'"),
             ([5], "unknown policy 5; known: "),
             (["controller", None], "unknown policy None; known: "),
+            (5, "policies must be a list of names, not the int 5"),
+            (None, "policies must be a list of names, not the NoneType None"),
+            # An empty iterator is not taken for a non-empty list.
+            (iter([]), "policies must be a list of names, not the list_iterator <"),
+            ({"controller"}, "policies must be a list of names, not the set {'controller'}"),
         ],
     )
     def test_str_policy_list_or_non_str_name_rejected_whole(self, policies, message):
@@ -476,6 +481,11 @@ def spec_reports(scenario_name, traces):
     return spec.reports(scenario_name, runs)
 
 
+def numbered(records):
+    """The records renumbered 1..n, as a trace numbers its experiences."""
+    return [TraceRecord(row, *record[1:]) for row, record in enumerate(records, 1)]
+
+
 def report_of(scenario_name, traces):
     return Report(
         scenario_name=scenario_name,
@@ -528,7 +538,7 @@ def shared_value_traces(draw):
                 snapshot = MetricSnapshot(plasticity, stability, draw(snapshot_twins), memory_peak)
             records.append(
                 TraceRecord(
-                    drawn.experience,
+                    len(records) + 1,
                     knobs,
                     drawn.score,
                     threshold,
@@ -543,12 +553,13 @@ def shared_value_traces(draw):
 
 @st.composite
 def packed_records(draw):
-    """Records for one trace, OOM ones at any position: drawn by
-    trace_records, or with the TWINS in their float fields as
-    shared_value_traces draws them."""
+    """Records for one trace, numbered 1..n, OOM ones at any position:
+    drawn by trace_records, or with the TWINS in their float fields as
+    shared_value_traces draws them, so runs of records share their knobs,
+    budgets and memory peak objects."""
     if draw(st.booleans()):
-        return draw(st.lists(trace_records(), max_size=6))
-    return [record for _, records in draw(shared_value_traces()) for record in records]
+        return numbered(draw(st.lists(trace_records(), max_size=6)))
+    return numbered(record for _, records in draw(shared_value_traces()) for record in records)
 
 
 def float_fields(record):
@@ -563,6 +574,11 @@ def float_fields(record):
     )
 
 
+def spans(trace):
+    """(first row, row after the last) of each stretch of the trace."""
+    return [(start, stop) for stop, (start, *_) in trace.stretches()]
+
+
 def float_bits(value):
     return None if value is None else struct.pack("<d", float(value))
 
@@ -573,7 +589,7 @@ class TestPackedTrace:
     def test_records_read_back_bit_for_bit(self, records, outcome):
         trace = RunTrace(records, outcome)
         back = trace.records
-        assert len(back) == len(records) == len(trace.flags)
+        assert len(back) == len(records) == len(trace)
         for read, given in zip(back, records):
             assert type(read) is TraceRecord and read.oom is given.oom
             assert (read.experience, *read.knobs[:2]) == (given.experience, *given.knobs[:2])
@@ -596,22 +612,82 @@ class TestPackedTrace:
         )
         assert float_bits(trace.final_plasticity()) == float_bits(scored[-1][6] if scored else None)
         # Equality and hashing go by the packed bits, so a trace holding a
-        # NaN equals itself and the trace of its records.
+        # NaN equals itself and the trace of its records, whose stretches
+        # are its own; and they go by rows, so one stretch a row, as records
+        # that share no object give, is the same trace.
         again = RunTrace(back, outcome)
-        assert trace == trace and again == trace and hash(again) == hash(trace)
+        assert spans(again) == spans(trace)
+        split = RunTrace([TraceRecord(r[0], Knobs(*r.knobs), *r[2:]) for r in back], outcome)
+        assert spans(split) == [(row, row + 1) for row in range(len(back))]
+        for same in (trace, again, split):
+            assert same == trace and hash(same) == hash(trace)
         other = next(o for o in Outcome if o is not outcome)
         assert RunTrace(back, other) != trace
 
+    def test_rows_sharing_their_objects_are_one_stretch(self):
+        knobs, budgets, memory = Knobs(64, 10, "default"), BudgetState(1.0, 1.0, 1.0), 2.0
+        score, snapshot = UrgeScore(0.0625, 0.5, 0.5, 0.5, 0.5), MetricSnapshot(0.5, 0.5, 1.0, 1.0)
+        scored = [TraceRecord(e, knobs, score, 0.5, snapshot, budgets, memory) for e in (1, 2, 3)]
+        oom = TraceRecord(4, knobs, None, None, None, budgets, memory)
+        trace = RunTrace([*scored, oom], Outcome.OOM_FAILED)
+        # An OOM row is a stretch of its own, though it shares the objects.
+        assert spans(trace) == [(0, 3), (3, 4)]
+        assert [flag for _, (*_, flag) in trace.stretches()] == [0, 4]
+        # A row holding an equal but other memory peak starts a stretch;
+        # the trace still equals one that shares it.
+        other_peak = TraceRecord(3, *scored[2][1:6], float("2"))
+        apart = RunTrace([*scored[:2], other_peak], Outcome.COMPLETED)
+        shared = RunTrace(scored, Outcome.COMPLETED)
+        assert (spans(apart), spans(shared)) == ([(0, 2), (2, 3)], [(0, 3)])
+        assert apart == shared and hash(apart) == hash(shared)
+        # A -0.0 where the other holds 0.0 is another trace, as it is another row.
+        zero, negative_zero = (
+            RunTrace(
+                [TraceRecord(1, knobs, score, 0.5, snapshot, BudgetState(v, 1.0, 1.0), memory)],
+                Outcome.COMPLETED,
+            )
+            for v in (0.0, -0.0)
+        )
+        assert zero != negative_zero
+
+    @pytest.mark.parametrize(
+        "experiences", [[0], [2], [1, 1], [1, 3], [2, 1], [-(2**70)], [True], [1.0]]
+    )
+    def test_experiences_must_be_numbered_from_1(self, experiences):
+        # An experience's number is its row; a TraceRecord takes only ints,
+        # and a trace of plain tuples refuses any other type too.
+        budgets = BudgetState(1.0, 1.0, 1.0)
+        knobs = Knobs(64, 10, "default")
+        records = [(e, knobs, None, None, None, budgets, 2.0) for e in experiences]
+        with pytest.raises(ValueError, match=r"record \d+ must be experience \d+, got"):
+            RunTrace(records, Outcome.OOM_FAILED)
+
+    def test_buffer_0_from_a_mode_string_reads_back(self):
+        # Knobs(1, 0, "default") takes the slow path, which must accept the
+        # least batch and buffer as the fast path does, and build the member.
+        knobs = Knobs(1, 0, "default")
+        assert knobs.optimizer_mode is OptimizerMode.DEFAULT
+        record = TraceRecord(1, knobs, None, None, None, BudgetState(0.0, 0.0, 1.0), 3.0)
+        trace = RunTrace([record], Outcome.OOM_FAILED)
+        assert trace.records == (record,)
+        assert [row[:4] for row in trace.rows()] == [(1, 1, 0, 4)]
+
     def test_ints_beyond_64_bits_are_kept(self):
+        # The stretch table packs its ints as 64-bit ints until one does
+        # not fit; from then on it holds its entries as tuples.
         budgets = BudgetState(1.0, 1.0, 1.0)
         records = (
             TraceRecord(1, Knobs(64, 10, "default"), None, None, None, budgets, 2.0),
-            TraceRecord(-(2**70), Knobs(2**64, 10, "advanced"), None, None, None, budgets, 2.0),
-            TraceRecord(3, Knobs(1, 2**63, "default"), None, None, None, budgets, 2.0),
+            TraceRecord(2, Knobs(2**64, 10, "advanced"), None, None, None, budgets, 2.0),
+            TraceRecord(3, Knobs(1, 2**63, "default"), None, None, None, budgets, 2),
         )
         trace = RunTrace(records, Outcome.OOM_FAILED)
         assert trace.records == records
-        assert list(trace.ints) == [1, 64, 10, -(2**70), 2**64, 10, 3, 1, 2**63]
+        assert [entry[4:7] for _, entry in trace.stretches()] == [
+            (2.0, 64, 10), (2.0, 2**64, 10), (2.0, 1, 2**63)
+        ]
+        assert {type(entry[4]) for _, entry in trace.stretches()} == {float}
+        assert trace == RunTrace(trace.records, Outcome.OOM_FAILED)
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_int_costs_write_the_bytes_of_float_costs(self, name):
@@ -680,7 +756,8 @@ class TestEmitReport:
     @given(
         scenario_name=names,
         traces=st.lists(
-            st.tuples(names, st.lists(trace_records(), min_size=1, max_size=4)), max_size=3
+            st.tuples(names, st.lists(trace_records(), min_size=1, max_size=4).map(numbered)),
+            max_size=3,
         ),
     )
     def test_csv_row_is_each_cell_spelled(self, scenario_name, traces):
@@ -710,7 +787,7 @@ class TestEmitReport:
                 start=1,
             )
         ]
-        traces = [("fixed-proxy", records), ("max-a", records[::-1])]
+        traces = [("fixed-proxy", records), ("max-a", numbered(records[::-1]))]
         report = report_of("s", traces)
         csv, jsonl = emit_report(report, "csv"), emit_report(report, "jsonl")
         assert (csv, jsonl) == spec_reports("s", traces)
@@ -729,7 +806,8 @@ class TestEmitReport:
     @given(
         scenario_name=names,
         traces=st.lists(
-            st.tuples(names, st.lists(trace_records(), min_size=1, max_size=4)), max_size=3
+            st.tuples(names, st.lists(trace_records(), min_size=1, max_size=4).map(numbered)),
+            max_size=3,
         ),
     )
     def test_jsonl_line_is_json_dumps_of_the_record(self, scenario_name, traces):
@@ -937,8 +1015,40 @@ class TestCli:
         code = cli_main(["run", "--scenario", path, "--prefer", "", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "config error: ScenarioConfig.preference: unknown preference preset ''" in err
+        assert "config error: --prefer: unknown preference preset ''" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "prefer, rule",
+        [
+            ("nope", "unknown preference preset 'nope'; "),
+            ("memory,latency", "preference must name each of "),
+            ("memory,memory,latency,stability", "preference must name each of "),
+        ],
+    )
+    def test_prefer_errors_name_the_option(self, tmp_path, capsys, prefer, rule):
+        # The option, not the record field it sets, is what the user wrote.
+        out = tmp_path / "report.csv"
+        path = str(bundled_scenario_path("xavier-er"))
+        code = cli_main(["run", "--scenario", path, "--prefer", prefer, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --prefer: {rule}") and "ScenarioConfig" not in err
+        assert not out.exists()
+
+    def test_scenario_file_preference_error_names_the_file_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            bundled_scenario_path("xavier-er").read_text().replace(
+                "preference: balanced", "preference: nope"
+            )
+        )
+        assert "preference: nope" in path.read_text()
+        code = cli_main(["run", "--scenario", str(path), "--prefer", "balanced"])
+        assert code == 2
+        err = capsys.readouterr().err
+        key = f"{path}.preference"
+        assert err.startswith(f"config error: {key}: unknown preference preset 'nope'")
 
     def test_repeated_policy_exit_code(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

@@ -67,7 +67,6 @@ class TestWeightRule:
         order = ["memory", "plasticity", "stability", "latency"]
         weights = weights_from_preference(order)
         assert weights_from_preference(tuple(order)) == weights
-        assert weights_from_preference(iter(order)) == weights
         assert weights == Weights(k_p=0.3, k_s=0.2, k_l=0.1, k_m=0.4)
         assert dataclasses.astuple(weights) == spec.weights(order)
         other = weights_from_preference(["latency", "stability", "plasticity", "memory"])
@@ -97,6 +96,23 @@ class TestWeightRule:
         assert [type(name) for name in scenario.preference] == [str] * 4
         assert type(scenario.preference) is tuple
         assert scenario.weights == weights
+
+    @pytest.mark.parametrize(
+        "form, kind",
+        [
+            (set, "set"),
+            (frozenset, "frozenset"),
+            (iter, "list_iterator"),
+            (dict.fromkeys, "dict"),
+            (",".join, "str"),
+        ],
+    )
+    def test_an_ordering_that_is_no_list_or_tuple_is_refused(self, form, kind):
+        # A set's order moves with the hash seed, so its weights would too.
+        order = form(["memory", "plasticity", "stability", "latency"])
+        rule = f"^preference must be a list or tuple, got a {kind}: "
+        with pytest.raises(InvalidPreferenceError, match=rule):
+            weights_from_preference(order)
 
     def test_a_tuple_holding_an_unhashable_name_is_refused_as_before(self):
         with pytest.raises(InvalidPreferenceError, match="exactly once"):
