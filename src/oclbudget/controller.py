@@ -26,17 +26,16 @@ without the class call's dispatch, and read fields by unpacking the tuple.
 A RunTrace does not hold them: the loop packs each experience's values as
 it goes, the ten floats of its score, threshold and snapshot into an
 array('d'), and its knobs, budgets and memory peak once per stretch of
-experiences that share those objects, as a fixed-knob run does from start
-to end: 80 bytes an experience there, 137 where every experience starts a
-stretch, as a controller's does, and no object for the garbage collector
-to walk.
-A float field is stored as a double, so a float keeps its exact bits and
-an int there reads back as the nearest float; the records reject an int
-beyond the largest float, which no double can hold. trace.records builds
-and validates a TraceRecord per experience on every read and caches
-nothing, so a caller that reads the records repeatedly should hold the
-tuple it gets; the summaries, the emitters and the oracle read the packed
-values.
+experiences whose packed values are the same, as a fixed-knob run's are from
+start to end, with no object for the garbage collector to walk.
+Every value is stored as a double: a float keeps its exact bits and an int
+in a float field reads back as the nearest float. The records reject such
+an int beyond the largest float, and a knob size no double holds exactly,
+so a size reads back as the int it was.
+trace.records builds and validates a TraceRecord per experience on every
+read and caches nothing, so a caller that reads the records repeatedly
+should hold the tuple it gets; the summaries, the emitters and the oracle
+read the packed values.
 
 A controller step reads what its config fixes directly: the memory model
 once per call, the cap as capacity_mb * (1 - safety_margin), and each
@@ -52,7 +51,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import InfeasibleBudgetError, SimulationStateError
 from .errors import MAX_FLOAT, check_floats, check_ints, check_ranges, ranges, reject
@@ -82,17 +81,17 @@ class Outcome(str, Enum):
 _ADVANCED = OptimizerMode.ADVANCED
 _DEFAULT = OptimizerMode.DEFAULT
 _INF = math.inf  # likewise a global read, where math.inf is two lookups
-# The largest knob size: the memory and latency models turn sizes into floats.
-_MAX_SIZE = int(MAX_FLOAT)
+# Every int up to 2**53 is a double; a larger knob size must equal its float.
+_EXACT_INTS = 2**53
 
 
 class Knobs(Record):
     """Actionable training configuration derived from a budget state: an int
-    batch_size >= 1, an int buffer_size >= 0, neither above the largest
-    float (the cost models turn them into floats), and an OptimizerMode,
-    which "default" or "advanced" becomes; else a SchemaError names the field.
-    An immutable tuple (record.Record), so knobs equal a plain
-    (batch_size, buffer_size, optimizer_mode) tuple.
+    batch_size >= 1, an int buffer_size >= 0, each one a double holds
+    exactly (any int up to 2**53, or a larger one equal to its float), and
+    an OptimizerMode, which "default" or "advanced" becomes; else a
+    SchemaError names the field. An immutable tuple (record.Record), so
+    knobs equal a plain (batch_size, buffer_size, optimizer_mode) tuple.
     """
 
     __slots__ = ()
@@ -104,8 +103,8 @@ class Knobs(Record):
         knobs = tuple.__new__(cls, (batch_size, buffer_size, optimizer_mode))
         # A valid triple passes one test with no call; the rest is checked below.
         if not (
-            batch_size.__class__ is int and 1 <= batch_size <= _MAX_SIZE
-            and buffer_size.__class__ is int and 0 <= buffer_size <= _MAX_SIZE
+            batch_size.__class__ is int and 1 <= batch_size <= _EXACT_INTS
+            and buffer_size.__class__ is int and 0 <= buffer_size <= _EXACT_INTS
             and optimizer_mode.__class__ is OptimizerMode
         ):
             check_ints(knobs, "batch_size buffer_size")
@@ -114,9 +113,10 @@ class Knobs(Record):
             if buffer_size < 0:
                 reject(knobs, "buffer_size", f"must be >= 0, got {buffer_size!r}")
             for field, size in (("batch_size", batch_size), ("buffer_size", buffer_size)):
-                if size > _MAX_SIZE:  # its repr could be too long to write
-                    rule = f"must be <= the largest float, got an int of {size.bit_length()} bits"
-                    reject(knobs, field, rule)
+                # Its repr could be too long to write, and float() could overflow.
+                if size > MAX_FLOAT or float(size) != size:
+                    rule = "must be an int a double holds exactly"
+                    reject(knobs, field, f"{rule}, got an int of {size.bit_length()} bits")
             if optimizer_mode not in ("default", "advanced"):  # a member equals its value
                 rule = f"must be 'default' or 'advanced', got {optimizer_mode!r}"
                 reject(knobs, "optimizer_mode", rule)
@@ -405,28 +405,29 @@ _new_record = TraceRecord.__new__
 #     0 score value, 1-4 plasticity, stability, latency and memory factors,
 #     5 threshold, 6 plasticity, 7 stability, 8 latency_s and 9 the
 #     snapshot's memory_peak_mb; an OOM experience holds 0.0 in each.
-#   the stretch table holds an entry per stretch of rows whose Knobs,
-#     BudgetState and memory peak are the same objects: the stretch's first
-#     row, then batch_mb, replay_mb, optimizer_mb, the record's
-#     memory_peak_mb, batch_size, buffer_size and a flag byte, packed by
-#     _STRETCH into an array('B') while each int fits in 64 bits, from then on
-#     a list of the entries as tuples. The flag sets _KNOBS_ADVANCED or
-#     _BUDGETS_ADVANCED when the knobs' or the budgets' optimizer mode is
-#     ADVANCED, and _OOM when the record has no snapshot; an OOM row is a
-#     stretch of its own.
-# A float slot holds float(value), so a float keeps its bits (-0.0 and NaN
-# included) and an int becomes its nearest float. An experience's number is
-# its row plus one. A fixed-knob run is one stretch, about 80 bytes an
-# experience; a controller run, whose knobs are new every experience, adds
-# a 57-byte entry to every row, 137 bytes; a tuple of its values took 570.
+#   the stretch table, an array('B'), holds a 57-byte entry (_STRETCH) per
+#     stretch of rows whose entry values pack to the same bytes: the
+#     stretch's first row, then the doubles batch_mb, replay_mb,
+#     optimizer_mb, the record's memory_peak_mb, batch_size and buffer_size,
+#     and a flag byte. The flag sets _KNOBS_ADVANCED or _BUDGETS_ADVANCED
+#     when the knobs' or the budgets' optimizer mode is ADVANCED, and _OOM
+#     when the record has no snapshot.
+# A double slot holds float(value), so a float keeps its bits (-0.0 and NaN
+# included) and a knob size, an exact double, its value. A stretch starts
+# exactly where the packed values change, so equal records pack to equal
+# bytes. An experience's number is its row plus one. A fixed-knob run is one
+# stretch; a controller run, whose budgets change every experience, adds an
+# entry to every row. README gives the bytes a held trace takes.
 _WIDTH = 10
 _SCORE, _THRESHOLD, _PLASTICITY, _STABILITY, _LATENCY = 0, 5, 6, 7, 8
 _KNOBS_ADVANCED, _BUDGETS_ADVANCED, _OOM = 1, 2, 4
 _PACK_ROW = struct.Struct(f"{_WIDTH}d").pack
 _NO_SCORE = bytes(8 * _WIDTH)  # the row of an OOM experience, ten 0.0
-_STRETCH = struct.Struct("=q4d2qB")
-_PACK_STRETCH = _STRETCH.pack
-_FLOATS = struct.Struct("4d")
+_STRETCH = struct.Struct("=q6dB")
+# An entry packs in two parts: its values, which _append compares with the
+# last stretch's, and, for a new stretch, the start row before them.
+_PACK_START = struct.Struct("=q").pack
+_PACK_VALUES = struct.Struct("=6dB").pack
 _MODES = (_DEFAULT, _ADVANCED)
 
 
@@ -441,61 +442,53 @@ def _slot_reader(*slots: int) -> Callable[[array], Iterator[tuple]]:
 _EVERY_SLOT = _slot_reader(*range(_WIDTH))
 
 
-def _listed(entry: tuple) -> tuple:
-    """A stretch entry as the list form of the table holds it: each float
-    field as the double _STRETCH would pack (raising where it would)."""
-    start, batch_mb, replay_mb, optimizer_mb, memory_peak_mb, batch, buffer, flag = entry
-    floats = _FLOATS.unpack(_FLOATS.pack(batch_mb, replay_mb, optimizer_mb, memory_peak_mb))
-    return (start, *floats, batch, buffer, flag)
-
-
 class RunTrace:
     """One run's experiences, packed, and how the run ended.
 
     RunTrace(records, outcome) packs each TraceRecord's values (see the
     layout above), as _run_policy does while it runs: a row of ten floats
-    per experience and one entry per stretch of experiences that share
-    their knobs, budgets and memory peak, so no object per experience for
-    the garbage collector to walk. The records must be numbered 1..n in
-    order, else ValueError. floats is the rows' storage, stretches() reads
-    the stretch table and outcome is how the run ended; treat them as
-    read-only. Every float field reads back as a float, so an int given
-    there reads back as float(int).
+    per experience and one entry per stretch of experiences whose knobs,
+    budgets and memory peak pack to the same bytes, so no object per
+    experience for the garbage collector to walk. The records must be
+    numbered 1..n in order, else ValueError, and their knobs and budgets
+    are checked as Knobs and BudgetState are. floats is the rows' storage,
+    stretches() reads the stretch table and outcome is how the run ended;
+    treat them as read-only. Every float field reads back as a float, so an
+    int given there reads back as float(int).
 
     records builds a new tuple of validated TraceRecords on each read and
     caches nothing, since a cache would hold the records' memory for any
     caller that reads them once; a caller that reads them repeatedly should
-    hold the tuple. The records of one stretch share its Knobs, BudgetState
-    and memory peak, so packing them again gives the same stretches. rows()
-    gives the values one flat tuple per experience; the summaries, the
-    emitters and the oracle read those or the storage and build no record.
-    len() is the number of experiences. Two traces are equal when their
-    outcomes are and their rows are, bit for bit, however the rows are
-    split into stretches, so a trace holding a NaN equals its copy; the
-    repr writes the records.
+    hold the tuple. The summaries, the emitters and the oracle read the
+    storage and build no record. len() is the number of experiences. Equal
+    records pack to the same bytes, whatever objects they hold, so two
+    traces are equal when their outcomes are and their two tables are, byte
+    for byte: a trace holding a NaN equals its copy, and a -0.0 where the
+    other holds 0.0 makes another trace. The repr writes the records.
     """
 
-    __slots__ = ("_floats", "_stretches", "_outcome", "_knobs", "_budgets", "_memory")
+    __slots__ = ("_floats", "_stretches", "_outcome", "_knobs", "_budgets", "_memory", "_values")
 
     floats = property(attrgetter("_floats"), doc="The array('d'), _WIDTH floats per experience.")
     outcome = property(attrgetter("_outcome"), doc="How the run ended.")
 
     def __init__(self, records: Iterable[TraceRecord], outcome: Outcome):
         self._floats = array("d")
-        self._stretches: array | list[tuple] = array("B")
-        # The last row's objects while rows are appended: a row holding
-        # others starts a stretch.
-        self._knobs = self._budgets = self._memory = None
+        self._stretches = array("B")
+        # The last row's objects and its stretch's packed values, which the
+        # next row's are compared with.
+        self._knobs = self._budgets = self._memory = self._values = None
         append = self._append
-        for row, (experience, *values) in enumerate(records, 1):
+        for row, (experience, knobs, *values, budgets, memory) in enumerate(records, 1):
             if experience.__class__ is not int or experience != row:
                 raise ValueError(f"record {row} must be experience {row}, got {experience!r}")
-            append(*values)
+            # A plain tuple of knobs or budgets is checked, its mode made a member.
+            append(_new_knobs(Knobs, *knobs), *values, _new_budgets(BudgetState, *budgets), memory)
         self._end(outcome)
 
     def _end(self, outcome: Outcome) -> None:
         """Set how the run ended, and let go of the last row's objects, which
-        only _append reads: a row appended after this starts a stretch."""
+        only _append reads."""
         self._outcome = outcome
         self._knobs = self._budgets = self._memory = None
 
@@ -508,54 +501,40 @@ class RunTrace:
             row = _NO_SCORE
         else:
             row = _PACK_ROW(*(score + (threshold,) + snapshot))
+            # The same objects as a scored last row pack to the same values.
             if knobs is self._knobs and budgets is self._budgets and memory_peak_mb is self._memory:
                 self._floats.frombytes(row)
                 return
             flag = 0
-        # A new stretch. Knobs and BudgetState hold a member, so identity
-        # tests the mode.
+        # Knobs and BudgetState hold a member, so identity tests the mode.
         flag |= (knobs[2] is _ADVANCED) | (budgets[3] is _ADVANCED) << 1
-        floats, stretches = self._floats, self._stretches
-        entry = (len(floats) // _WIDTH, budgets[0], budgets[1], budgets[2], memory_peak_mb,
-                 knobs[0], knobs[1], flag)
-        if stretches.__class__ is list:
-            stretches.append(_listed(entry))
-        else:
-            try:
-                stretches.frombytes(_PACK_STRETCH(*entry))
-            except struct.error:  # an int beyond 64 bits, or no number
-                if not (isinstance(knobs[0], int) and isinstance(knobs[1], int)):
-                    raise
-                self._stretches = [*_STRETCH.iter_unpack(stretches), _listed(entry)]
+        values = _PACK_VALUES(
+            budgets[0], budgets[1], budgets[2], memory_peak_mb, knobs[0], knobs[1], flag
+        )
+        floats = self._floats
+        if values != self._values:
+            self._stretches.frombytes(_PACK_START(len(floats) // _WIDTH) + values)
+            self._values = values
         floats.frombytes(row)
-        # An OOM row ends its stretch: the next row starts one whatever it holds.
+        # An OOM row's objects are not kept: a scored row holding them packs
+        # another flag.
         self._knobs = None if flag & _OOM else knobs
         self._budgets, self._memory = budgets, memory_peak_mb
 
-    def _entries(self) -> Sequence[tuple]:
+    def _entries(self) -> list[tuple]:
         """The stretch table's entries as tuples, oldest first."""
-        table = self._stretches
-        return table if table.__class__ is list else list(_STRETCH.iter_unpack(table))
+        return list(_STRETCH.iter_unpack(self._stretches))
 
     def stretches(self) -> Iterator[tuple]:
         """(stop, entry) per stretch, oldest first: the entry is (start,
         batch_mb, replay_mb, optimizer_mb, memory_peak_mb, batch_size,
-        buffer_size, flag), and the stretch holds rows start to stop - 1,
-        the experiences start + 1 to stop."""
+        buffer_size, flag), every value but start and flag a float, and
+        the stretch holds rows start to stop - 1, the experiences start + 1
+        to stop."""
         entries = self._entries()
         stops = [entry[0] for entry in entries[1:]]
         stops.append(len(self._floats) // _WIDTH)
         return zip(stops, entries)
-
-    def rows(self) -> Iterator[tuple]:
-        """One tuple per experience: experience, batch_size, buffer_size, the
-        flag byte and a tuple of its 14 float fields: the row's ten slots,
-        then batch_mb, replay_mb, optimizer_mb and memory_peak_mb."""
-        rows = _EVERY_SLOT(self._floats)
-        for stop, (start, *stretch_floats, batch, buffer, flag) in self.stretches():
-            stretch_floats = tuple(stretch_floats)
-            for experience, row in zip(range(start + 1, stop + 1), rows):
-                yield experience, batch, buffer, flag, row + stretch_floats
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
@@ -566,7 +545,7 @@ class RunTrace:
         for stop, (start, batch_mb, replay_mb, optimizer_mb, memory, batch, buffer, flag) in (
             self.stretches()
         ):
-            knobs = _new_knobs(Knobs, batch, buffer, _MODES[flag & _KNOBS_ADVANCED])
+            knobs = _new_knobs(Knobs, int(batch), int(buffer), _MODES[flag & _KNOBS_ADVANCED])
             mode = _MODES[flag & _BUDGETS_ADVANCED != 0]
             budgets = _new_budgets(BudgetState, batch_mb, replay_mb, optimizer_mb, mode)
             experiences = zip(range(start + 1, stop + 1), rows)
@@ -583,30 +562,17 @@ class RunTrace:
     def __len__(self) -> int:
         return len(self._floats) // _WIDTH
 
-    def _split_free(self) -> list[tuple]:
-        """The stretch entries with the next one merged into each one whose
-        values it repeats bit for bit: equal for two traces of the same rows
-        however they split them."""
-        merged = []
-        last = None
-        for _, (start, *floats, batch, buffer, flag) in self.stretches():
-            values = (_FLOATS.pack(*floats), batch, buffer, flag)
-            if values != last:
-                merged.append((start, values))
-                last = values
-        return merged
-
     def __eq__(self, other):
         if other.__class__ is not RunTrace:
             return NotImplemented
         return (
             self._outcome == other._outcome
             and self._floats.tobytes() == other._floats.tobytes()
-            and self._split_free() == other._split_free()
+            and self._stretches.tobytes() == other._stretches.tobytes()
         )
 
     def __hash__(self):
-        return hash((self._outcome, self._floats.tobytes(), tuple(self._split_free())))
+        return hash((self._outcome, self._floats.tobytes(), self._stretches.tobytes()))
 
     def __repr__(self) -> str:
         return f"RunTrace(records={self.records!r}, outcome={self._outcome!r})"

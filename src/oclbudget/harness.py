@@ -30,8 +30,9 @@ Both emitters read each trace's packed values (controller.RunTrace.floats
 and RunTrace.stretches, in the layout controller documents above
 RunTrace), not its records, and spell each repeated value once. Every float
 field of a trace is a float, so an int given there is written as its float
-(4370.0, never 4370). The knob, budget and memory cells are spelled once
-per stretch of the trace, so a fixed-knob run spells them once.
+(4370.0, never 4370); a knob size, an exact double, is written with :.0f
+(64, never 64.0). The knob, budget and memory cells are spelled once per
+stretch of the trace, so a fixed-knob run spells them once.
 Each nonzero threshold (CSV and JSONL) is spelled once per report, keyed by
 value; zeros are spelled anew each time. Each CSV row shape is a single %
 format and each JSONL line one f-string. The bytes are the ones each value
@@ -238,7 +239,7 @@ def _csv_rows(report: Report) -> list[str]:
         prefix = f"{report.scenario_name},{policy},"
         scored = _SCORED_SLOTS(trace.floats)
         for stop, (start, _, _, _, memory, batch, buffer, flag) in trace.stretches():
-            knob_cells = f"{batch},{buffer},{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"
+            knob_cells = f"{batch:.0f},{buffer:.0f},{_MODE_NAMES[flag & _KNOBS_ADVANCED]}"
             memory_cell = f"{memory:.6g}"
             experiences = zip(range(start + 1, stop + 1), scored)
             if flag & _OOM:
@@ -265,8 +266,9 @@ def _csv_rows(report: Report) -> list[str]:
 
 # One JSONL line, keys in sorted order, is one f-string in three parts. The
 # head (knobs and budgets) and the middle (memory and optimizer mode) are
-# spelled once per stretch of the trace; the line adds the rest. An int is
-# written as its str, which is its repr. The policy and scenario pair, which
+# spelled once per stretch of the trace; the line adds the rest. An
+# experience is written as its str, and a size as its double with :.0f,
+# both an int's repr. The policy and scenario pair, which
 # sorts between plasticity and score, is encoded once per trace. An OOM line
 # writes null for the score, threshold, latency and metrics. A scored line
 # spells its latency, metrics and score with !r: a snapshot and a score hold
@@ -285,9 +287,9 @@ def _jsonl_lines(report: Report) -> list[str]:
         for stop, entry in trace.stretches():
             start, batch_mb, replay_mb, optimizer_mb, memory, batch, buffer, flag = entry
             head = (
-                f'{{"batch": {batch}, "budget_batch_mb": {number(batch_mb)}, '
+                f'{{"batch": {batch:.0f}, "budget_batch_mb": {number(batch_mb)}, '
                 f'"budget_optimizer_mb": {number(optimizer_mb)}, '
-                f'"budget_replay_mb": {number(replay_mb)}, "buffer": {buffer}'
+                f'"budget_replay_mb": {number(replay_mb)}, "buffer": {buffer:.0f}'
             )
             middle = (
                 f', "mem_peak_mb": {number(memory)}, '

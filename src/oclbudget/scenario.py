@@ -109,6 +109,7 @@ class ScenarioConfig:
             reject(self, "preference", str(exc))
         object.__setattr__(self, "preference", order)
         object.__setattr__(self, "weights", weights)
+        self._check_horizon()
         # The initial budgets, and their knobs' memory with the residency term
         # the budget total omits, must fit under the controller's cap.
         state, cap = self.initial_budget_state(), self.controller.budget_cap_mb
@@ -119,10 +120,12 @@ class ScenarioConfig:
         if (need := self.controller.memory.memory_mb(knobs)) > cap:
             knob = f"batch {knobs.batch_size}, buffer {knobs.buffer_size}"
             reject(self, "controller", f"the initial knobs ({knob}) need {need:.1f} MB, {above}")
-        self._check_horizon()
 
     def _check_horizon(self) -> None:
-        """Reject a horizon whose last experience could take an unbounded time.
+        """Reject a horizon whose last experience could take an unbounded time,
+        and a capacity that holds more replay frames or batch samples than a
+        float can count, which derive_knobs, from the initial budgets on,
+        could not floor to a size.
 
         Latency grows as growth^(e-1), so the last experience is the slowest.
         Its bound takes the slowest knobs a run can reach: batch 1, the
@@ -137,10 +140,18 @@ class ScenarioConfig:
         k, n, platform, memory = (
             self.num_experiences, self.samples_per_experience, self.platform, self.controller.memory
         )
-        frames = (platform.capacity_mb - memory.base_mb - memory.sample_mb) / memory.frame_mb
-        if not frames < math.inf:
-            rule = f"holds more replay frames of {memory.frame_mb} MB than a float can count"
-            reject(self, "platform", f"its {platform.capacity_mb} MB capacity {rule}")
+        capacity = platform.capacity_mb
+        frames = (capacity - memory.base_mb - memory.sample_mb) / memory.frame_mb
+        # The batch budget can take all the capacity beside the base memory,
+        # and derive_knobs floors it over the per-sample cost.
+        samples = (capacity - memory.base_mb) / memory.sample_mb
+        for count, items, item_mb in (
+            (frames, "replay frames", memory.frame_mb),
+            (samples, "batch samples", memory.sample_mb),
+        ):
+            if not count < math.inf:
+                rule = f"holds more {items} of {item_mb} MB than a float can count"
+                reject(self, "platform", f"its {capacity} MB capacity {rule}")
         buffer = max(0, math.floor(frames))
         try:
             compute = self.response.compute_latency_s(

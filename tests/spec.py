@@ -2,7 +2,8 @@
 
 Plain code over the standard library: it never imports oclbudget. It reads
 only the public fields of a ScenarioConfig (and of the records those fields
-hold) and computes each run in the most direct form: one loop for every
+hold), and packed_trace the records and outcome of a package trace, and
+computes each run in the most direct form: one loop for every
 policy, the environment step written out, the accuracy matrix kept as an
 explicit list of rows, every metric sum added newest first with plain +,
 URGE, the controller step with its exact errors, the oracle's ranking, and
@@ -326,10 +327,17 @@ def reports(scenario_name, runs):
 
 
 def packed(record):
-    """The record as RunTrace.rows() holds it, its 14 floats as their bytes:
-    (experience, batch, buffer, flag, bytes), flag 1 for advanced knobs, 2
-    for advanced budgets and 4 for OOM, an OOM record's first ten floats 0.0."""
+    """The record's values with its 14 floats as their bytes: (experience,
+    batch, buffer, flag, bytes), flag 1 for advanced knobs, 2 for advanced
+    budgets and 4 for OOM, an OOM record's first ten floats 0.0."""
     e, (batch, buffer, mode), score, threshold, snapshot, budgets, memory = record
     flag = (mode == "advanced") | (budgets[3] == "advanced") << 1 | (snapshot is None) << 2
     scored = (0.0,) * 10 if snapshot is None else (*score, threshold, *snapshot)
     return e, batch, buffer, flag, struct.pack("14d", *scored, *budgets[:3], memory)
+
+
+def packed_trace(trace, message=None):
+    """A package RunTrace as (its records packed, its outcome's name,
+    message), as a Run's are compared: a package TraceRecord is the tuple a
+    record is here, and its modes equal their names."""
+    return [packed(record) for record in trace.records], trace.outcome.value, message

@@ -156,7 +156,7 @@ class TestPolicyRules:
         )
         assert info.value.field == "knobs"
         # A size whose budget is finite still trains, and runs out of memory.
-        trace = run_baseline(BaselinePolicy(Knobs(10**300, 10, "default")), scenario)
+        trace = run_baseline(BaselinePolicy(Knobs(int(1e300), 10, "default")), scenario)
         assert trace.outcome is Outcome.OOM_FAILED and trace.records[-1].oom
 
     def test_mode_string_becomes_its_member(self):

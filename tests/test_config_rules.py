@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import re
-import struct
 
 import pytest
 import yaml
@@ -277,12 +276,6 @@ def test_loaded_and_built_scenarios_obey_the_same_rules(tmp_path, drawn):
         assert message.startswith(f"{paths[broken[0]]}.{broken[1]}: "), (message, broken)
 
 
-def _packed(trace, message=None):
-    """A trace's rows with their floats as bytes, its outcome and message."""
-    rows = [(*row[:4], struct.pack("14d", *row[4])) for row in trace.rows()]
-    return rows, trace.outcome.value, message
-
-
 @settings(max_examples=100, deadline=None)
 @given(drawn_configs())
 def test_every_clean_draw_runs_as_the_spec_runs_it(drawn):
@@ -293,10 +286,10 @@ def test_every_clean_draw_runs_as_the_spec_runs_it(drawn):
     scenario, error = _outcome(lambda: build_direct(drawn[1]))
     assume(error is None)
     try:
-        controller = _packed(run_control_loop(scenario, build_environment(scenario)))
+        controller = spec.packed_trace(run_control_loop(scenario, build_environment(scenario)))
     except InfeasibleBudgetError as exc:
-        controller = _packed(exc.partial_trace, str(exc))
-    baseline = _packed(run_baseline(BaselinePolicy(), scenario))
+        controller = spec.packed_trace(exc.partial_trace, str(exc))
+    baseline = spec.packed_trace(run_baseline(BaselinePolicy(), scenario))
     expected = [spec.run_controller(scenario), spec.run_fixed(scenario)]
     for got, run in zip([controller, baseline], expected):
         assert got == ([spec.packed(record) for record in run.records], run.outcome, run.message)
@@ -325,24 +318,38 @@ def _file_initial_threshold_of_one(tmp_path):
     return load_scenario(path)
 
 
-def _frames_past_the_float_range(tmp_path):
-    # Both values are in range, but the capacity over the frame size is inf.
-    scenario = load_bundled_scenario("xavier-er")
-    memory = dataclasses.replace(scenario.controller.memory, frame_mb=1e-9)
-    controller = dataclasses.replace(scenario.controller, memory=memory, capacity_mb=1e300)
-    platform = dataclasses.replace(scenario.platform, capacity_mb=1e300)
-    return dataclasses.replace(scenario, platform=platform, controller=controller)
+def _past_the_float_range(cost, **controller_changes):
+    """xavier-er on a 1e300 MB platform with a 1e-9 MB cost: both values are
+    in range, but the capacity over the cost is inf."""
+
+    def make(tmp_path):
+        scenario = load_bundled_scenario("xavier-er")
+        memory = dataclasses.replace(scenario.controller.memory, **{cost: 1e-9})
+        controller = dataclasses.replace(
+            scenario.controller, memory=memory, capacity_mb=1e300, **controller_changes
+        )
+        platform = dataclasses.replace(scenario.platform, capacity_mb=1e300)
+        return dataclasses.replace(scenario, platform=platform, controller=controller)
+
+    return make
 
 
-def _file_frames_past_the_float_range(tmp_path):
-    library = yaml.safe_load(default_profile_library_path().read_text(encoding="utf-8"))
-    library["platforms"]["xavier-class"]["capacity_mb"] = 1e300
-    library["profiles"]["er"]["replay_frame_mb"] = 1e-9
-    library_path = tmp_path / "profiles.yaml"
-    library_path.write_text(yaml.safe_dump(library), encoding="utf-8")
-    path = tmp_path / "xavier-er.yaml"
-    path.write_text(bundled_scenario_path("xavier-er").read_text(encoding="utf-8"), encoding="utf-8")
-    return load_scenario(path, library_path=library_path)
+def _file_past_the_float_range(profile_key):
+    """_past_the_float_range as files: the profile library's cost and
+    capacity, loaded through load_scenario."""
+
+    def make(tmp_path):
+        library = yaml.safe_load(default_profile_library_path().read_text(encoding="utf-8"))
+        library["platforms"]["xavier-class"]["capacity_mb"] = 1e300
+        library["profiles"]["er"][profile_key] = 1e-9
+        library_path = tmp_path / "profiles.yaml"
+        library_path.write_text(yaml.safe_dump(library), encoding="utf-8")
+        path = tmp_path / "xavier-er.yaml"
+        text = bundled_scenario_path("xavier-er").read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        return load_scenario(path, library_path=library_path)
+
+    return make
 
 
 # Configs that were accepted, or rejected naming no field, before each record
@@ -395,13 +402,27 @@ HOLES = {
         r"names, got \{",
     ),
     "frames-past-the-float-range": (
-        _frames_past_the_float_range,
+        _past_the_float_range("frame_mb"),
         r"^ScenarioConfig\.platform: its 1e\+300 MB capacity holds more replay frames of "
         r"1e-09 MB than a float can count$",
     ),
     "file-frames-past-the-float-range": (
-        _file_frames_past_the_float_range,
+        _file_past_the_float_range("replay_frame_mb"),
         r"xavier-er\.yaml\.platform: its 1e\+300 MB capacity holds more replay frames of "
+        r"1e-09 MB than a float can count$",
+    ),
+    # The controller grew its batch budget to the cap and died mid-run, in
+    # derive_knobs, with a bare OverflowError.
+    "samples-past-the-float-range": (
+        _past_the_float_range(
+            "sample_mb", batch_sensitivity=1e306, replay_sensitivity=1e306, initial_threshold=0.01
+        ),
+        r"^ScenarioConfig\.platform: its 1e\+300 MB capacity holds more batch samples of "
+        r"1e-09 MB than a float can count$",
+    ),
+    "file-samples-past-the-float-range": (
+        _file_past_the_float_range("activation_mb_per_sample"),
+        r"xavier-er\.yaml\.platform: its 1e\+300 MB capacity holds more batch samples of "
         r"1e-09 MB than a float can count$",
     ),
     "negative-initial-batch": (

@@ -19,6 +19,7 @@ from oclbudget import (
     BudgetState,
     ControllerConfig,
     InfeasibleBudgetError,
+    Knobs,
     MemoryModel,
     OptimizerMode,
     Outcome,
@@ -249,6 +250,34 @@ class TestDeriveKnobs:
                 derive_knobs(BudgetState(1.0, 1.0, cfg.optimizer_default_mb), cfg).optimizer_mode
                 is OptimizerMode.DEFAULT
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sizes_are_exact_doubles_on_every_reachable_state(self, data):
+        # A loaded config's capacity holds a countable number of samples and
+        # frames (ScenarioConfig._check_horizon), and an update keeps the
+        # budgets under the cap beside the base memory. On any such state
+        # derive_knobs floors a double, so Knobs' exact-double rule never
+        # fires mid-run, down to 1e-9 MB costs and up to the largest cap.
+        capacity = data.draw(st.floats(1.0, 1e300) | st.sampled_from([1.0, 1e300]))
+        base = data.draw(st.floats(0.0, 0.95 * capacity))
+        least = max(1e-9, capacity / 1e308)  # every count under the largest float
+        sample_mb, frame_mb = (
+            data.draw(st.floats(least, 1e6) | st.just(least), label=cost)
+            for cost in ("sample_mb", "frame_mb")
+        )
+        assume((capacity - base) / sample_mb < math.inf)
+        assume((capacity - base - sample_mb) / frame_mb < math.inf)
+        memory = MemoryModel(base, 0.0, sample_mb, frame_mb, 0, 0.0)
+        config = ControllerConfig(0.5, 0.0, 1.0, 1.0, memory, capacity)
+        room_mb = config.budget_cap_mb - base
+        assume(room_mb >= 0.0)
+        room = st.floats(0.0, room_mb) | st.just(room_mb)
+        state = BudgetState(data.draw(room), data.draw(room), base)
+        knobs = derive_knobs(state, config)
+        for size in knobs[:2]:
+            assert type(size) is int and float(size) == size
+        assert Knobs(*knobs) == knobs
 
 
 class TestConfigValidation:

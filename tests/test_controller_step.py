@@ -11,7 +11,6 @@ spec's.
 
 import dataclasses
 import random
-import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,8 +40,7 @@ def package_run(run, scenario):
         trace, message = run(scenario, build_environment(scenario)), None
     except InfeasibleBudgetError as exc:
         trace, message = exc.partial_trace, str(exc)
-    rows = [(*row[:4], struct.pack("14d", *row[4])) for row in trace.rows()]
-    return rows, trace.outcome.value, message
+    return spec.packed_trace(trace, message)
 
 
 def spec_run(result):

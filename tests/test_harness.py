@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spec
@@ -417,6 +417,10 @@ FLOAT_INT = int(sys.float_info.max)
 any_float = (
     st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers(-FLOAT_INT, FLOAT_INT)
 )
+# A knob size is an int a double holds exactly: any up to 2**53, or a larger
+# one equal to its float.
+EXACT_INTS = 2**53
+exact_sizes = st.integers(0, EXACT_INTS) | st.floats(EXACT_INTS, sys.float_info.max).map(int)
 # A snapshot's latency and memory, and the batch and replay budgets, must be
 # finite as well as >= 0.
 finite_not_negative = any_float.filter(lambda v: 0 <= v < math.inf)
@@ -440,8 +444,8 @@ def urge_scores(draw):
 def trace_records(draw):
     oom = draw(st.booleans())
     knobs = Knobs(
-        batch_size=draw(st.integers(min_value=1)),
-        buffer_size=draw(st.integers(min_value=0)),
+        batch_size=draw(exact_sizes.filter(bool)),
+        buffer_size=draw(exact_sizes),
         optimizer_mode=draw(st.sampled_from(OptimizerMode)),
     )
     budgets = BudgetState(
@@ -504,8 +508,8 @@ twin_or_any = st.sampled_from(TWINS) | any_float
 snapshot_twins = st.sampled_from([0.0, -0.0, 1, 1.0])
 knob_values = st.builds(
     Knobs,
-    batch_size=st.integers(min_value=1),
-    buffer_size=st.integers(min_value=0),
+    batch_size=exact_sizes.filter(bool),
+    buffer_size=exact_sizes,
     optimizer_mode=st.sampled_from(OptimizerMode),
 )
 budget_values = st.builds(
@@ -583,6 +587,45 @@ def float_bits(value):
     return None if value is None else struct.pack("<d", float(value))
 
 
+def copied(record):
+    """The record with equal values, each in an object of its own."""
+
+    def fresh(value):  # a float of the same bits, NaN payload and sign included
+        return None if value is None else struct.unpack("d", struct.pack("d", value))[0]
+
+    e, knobs, score, threshold, snapshot, budgets, memory = record
+    return TraceRecord(
+        e,
+        Knobs(*knobs),
+        None if score is None else UrgeScore(*map(fresh, score)),
+        fresh(threshold),
+        None if snapshot is None else MetricSnapshot(*map(fresh, snapshot)),
+        BudgetState(*map(fresh, budgets[:3]), budgets[3]),
+        fresh(memory),
+    )
+
+
+# The float fields that can hold a zero (an URGE factor cannot), each as the
+# record's index and the index within the record it holds, or None; an OOM
+# record holds only the last four.
+ZERO_FIELDS = [(2, 0), (3, None), (4, 0), (4, 1), (4, 2), (4, 3), (5, 0), (5, 1), (5, 2), (6, None)]
+
+
+def with_zero(record, field, zero):
+    """The record with zero in the float field (ZERO_FIELDS)."""
+    index, inner = field
+    values = list(record)
+    if inner is None:
+        values[index] = zero
+    elif index == 2:  # factors this small multiply to 0.0
+        values[index] = UrgeScore(zero, 1e-100, 1e-100, 1e-100, 1e-100)
+    else:
+        part = list(record[index])
+        part[inner] = zero
+        values[index] = type(record[index])(*part)
+    return TraceRecord(*values)
+
+
 class TestPackedTrace:
     @settings(max_examples=300, deadline=None)
     @given(records=packed_records(), outcome=st.sampled_from(Outcome))
@@ -611,44 +654,71 @@ class TestPackedTrace:
             max((float(f[-1]) for f in map(float_fields, records)), default=0.0)
         )
         assert float_bits(trace.final_plasticity()) == float_bits(scored[-1][6] if scored else None)
-        # Equality and hashing go by the packed bits, so a trace holding a
-        # NaN equals itself and the trace of its records, whose stretches
-        # are its own; and they go by rows, so one stretch a row, as records
-        # that share no object give, is the same trace.
+        # A stretch starts exactly where a record's packed sizes, flag,
+        # budgets or memory peak change, so the trace of its records, and
+        # records that share no object, pack the same; equality and hashing
+        # go by the packed bytes, so a trace holding a NaN equals its copy.
+        entries = [(*row[1:4], row[4][80:]) for row in map(spec.packed, records)]
+        starts = [row for row, entry in enumerate(entries) if not row or entry != entries[row - 1]]
+        assert spans(trace) == list(zip(starts, [*starts[1:], len(entries)]))
         again = RunTrace(back, outcome)
-        assert spans(again) == spans(trace)
-        split = RunTrace([TraceRecord(r[0], Knobs(*r.knobs), *r[2:]) for r in back], outcome)
-        assert spans(split) == [(row, row + 1) for row in range(len(back))]
-        for same in (trace, again, split):
+        fresh = RunTrace([TraceRecord(r[0], Knobs(*r.knobs), *r[2:]) for r in back], outcome)
+        for same in (trace, again, fresh):
+            assert spans(same) == spans(trace)
             assert same == trace and hash(same) == hash(trace)
         other = next(o for o in Outcome if o is not outcome)
         assert RunTrace(back, other) != trace
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=packed_records(), data=st.data())
+    def test_equal_values_pack_to_equal_bytes(self, records, data):
+        # Records of equal values give byte-equal tables and equal hashes,
+        # whether they share their objects or each holds its own.
+        trace = RunTrace(records, Outcome.COMPLETED)
+        copy = RunTrace(map(copied, records), Outcome.COMPLETED)
+        assert copy.floats.tobytes() == trace.floats.tobytes() and spans(copy) == spans(trace)
+        assert copy == trace and hash(copy) == hash(trace)
+        # A zero of the other sign in any float field of any record is
+        # another trace.
+        assume(records)
+        row = data.draw(st.integers(0, len(records) - 1), label="row")
+        fields = ZERO_FIELDS[-4:] if records[row].oom else ZERO_FIELDS
+        field = data.draw(st.sampled_from(fields), label="field")
+        zero, negative_zero = (
+            RunTrace(
+                [*records[:row], with_zero(records[row], field, z), *records[row + 1:]],
+                Outcome.COMPLETED,
+            )
+            for z in (0.0, -0.0)
+        )
+        assert zero != negative_zero
 
     def test_rows_sharing_their_objects_are_one_stretch(self):
         knobs, budgets, memory = Knobs(64, 10, "default"), BudgetState(1.0, 1.0, 1.0), 2.0
         score, snapshot = UrgeScore(0.0625, 0.5, 0.5, 0.5, 0.5), MetricSnapshot(0.5, 0.5, 1.0, 1.0)
         scored = [TraceRecord(e, knobs, score, 0.5, snapshot, budgets, memory) for e in (1, 2, 3)]
         oom = TraceRecord(4, knobs, None, None, None, budgets, memory)
-        trace = RunTrace([*scored, oom], Outcome.OOM_FAILED)
-        # An OOM row is a stretch of its own, though it shares the objects.
-        assert spans(trace) == [(0, 3), (3, 4)]
+        trace = RunTrace([*scored, oom, TraceRecord(5, *oom[1:])], Outcome.OOM_FAILED)
+        # An OOM row packs another flag, so it starts a stretch though it
+        # shares the objects; the OOM rows after it repeat its values.
+        assert spans(trace) == [(0, 3), (3, 5)]
         assert [flag for _, (*_, flag) in trace.stretches()] == [0, 4]
-        # A row holding an equal but other memory peak starts a stretch;
-        # the trace still equals one that shares it.
+        # Stretches go by value: a row holding an equal but other memory
+        # peak, or equal knobs, continues the stretch.
         other_peak = TraceRecord(3, *scored[2][1:6], float("2"))
-        apart = RunTrace([*scored[:2], other_peak], Outcome.COMPLETED)
+        other_knobs = TraceRecord(2, Knobs(64, 10, "default"), *scored[1][2:])
+        apart = RunTrace([scored[0], other_knobs, other_peak], Outcome.COMPLETED)
         shared = RunTrace(scored, Outcome.COMPLETED)
-        assert (spans(apart), spans(shared)) == ([(0, 2), (2, 3)], [(0, 3)])
+        assert spans(apart) == spans(shared) == [(0, 3)]
         assert apart == shared and hash(apart) == hash(shared)
-        # A -0.0 where the other holds 0.0 is another trace, as it is another row.
+        # A -0.0 where the other holds 0.0 starts a stretch, and is another trace.
         zero, negative_zero = (
-            RunTrace(
-                [TraceRecord(1, knobs, score, 0.5, snapshot, BudgetState(v, 1.0, 1.0), memory)],
-                Outcome.COMPLETED,
-            )
+            TraceRecord(1, knobs, score, 0.5, snapshot, BudgetState(v, 1.0, 1.0), memory)
             for v in (0.0, -0.0)
         )
-        assert zero != negative_zero
+        both = RunTrace(numbered([zero, negative_zero]), Outcome.COMPLETED)
+        assert spans(both) == [(0, 1), (1, 2)]
+        assert RunTrace([zero], Outcome.COMPLETED) != RunTrace([negative_zero], Outcome.COMPLETED)
 
     @pytest.mark.parametrize(
         "experiences", [[0], [2], [1, 1], [1, 3], [2, 1], [-(2**70)], [True], [1.0]]
@@ -670,23 +740,37 @@ class TestPackedTrace:
         record = TraceRecord(1, knobs, None, None, None, BudgetState(0.0, 0.0, 1.0), 3.0)
         trace = RunTrace([record], Outcome.OOM_FAILED)
         assert trace.records == (record,)
-        assert [row[:4] for row in trace.rows()] == [(1, 1, 0, 4)]
+        assert [row[:4] for row in spec.packed_trace(trace)[0]] == [(1, 1, 0, 4)]
+
+    def test_plain_tuple_knobs_and_budgets_are_checked(self):
+        # A trace packs a size as a double and a mode as a flag bit, so a
+        # plain tuple in a record is checked as Knobs and BudgetState are:
+        # 64.5 is refused, not read back as 64, and a mode string as its member.
+        knobs, budgets = (64, 10, "advanced"), (1.0, 1.0, 1.0, "advanced")
+        record = TraceRecord(1, knobs, None, None, None, budgets, 2.0)
+        (record,) = RunTrace([record], Outcome.OOM_FAILED).records
+        assert record.knobs == Knobs(64, 10, OptimizerMode.ADVANCED)
+        assert record.budgets.optimizer_mode is OptimizerMode.ADVANCED
+        with pytest.raises(SchemaError, match=r"^Knobs\.batch_size: must be an int, got 64\.5$"):
+            RunTrace([TraceRecord(1, (64.5, 10, "default"), *record[2:])], Outcome.OOM_FAILED)
 
     def test_ints_beyond_64_bits_are_kept(self):
-        # The stretch table packs its ints as 64-bit ints until one does
-        # not fit; from then on it holds its entries as tuples.
+        # The stretch table packs a size as the double that holds it
+        # exactly (Knobs takes no other), and the records read back the int.
         budgets = BudgetState(1.0, 1.0, 1.0)
+        largest = int(sys.float_info.max)
         records = (
             TraceRecord(1, Knobs(64, 10, "default"), None, None, None, budgets, 2.0),
             TraceRecord(2, Knobs(2**64, 10, "advanced"), None, None, None, budgets, 2.0),
-            TraceRecord(3, Knobs(1, 2**63, "default"), None, None, None, budgets, 2),
+            TraceRecord(3, Knobs(1, largest, "default"), None, None, None, budgets, 2),
         )
         trace = RunTrace(records, Outcome.OOM_FAILED)
         assert trace.records == records
         assert [entry[4:7] for _, entry in trace.stretches()] == [
-            (2.0, 64, 10), (2.0, 2**64, 10), (2.0, 1, 2**63)
+            (2.0, 64.0, 10.0), (2.0, 2.0**64, 10.0), (2.0, 1.0, sys.float_info.max)
         ]
-        assert {type(entry[4]) for _, entry in trace.stretches()} == {float}
+        assert {type(value) for _, entry in trace.stretches() for value in entry[4:7]} == {float}
+        assert {type(size) for record in trace.records for size in record.knobs[:2]} == {int}
         assert trace == RunTrace(trace.records, Outcome.OOM_FAILED)
 
     @pytest.mark.parametrize("name", bundled_scenario_names())

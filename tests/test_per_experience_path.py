@@ -11,7 +11,6 @@ the sign and the bit, and the scorer's memo to compute_urge.
 import ast
 import dataclasses
 import math
-import struct
 from pathlib import Path
 
 import pytest
@@ -102,16 +101,13 @@ def same(got, expected):
         assert got == expected
 
 
-def packed(trace):
-    return [(*row[:4], struct.pack("14d", *row[4])) for row in trace.rows()], trace.outcome.value
-
-
 def assert_runs_as_the_spec(scenario, knobs, prefetch=True):
     """A fixed-knob run of scenario is the spec's, every packed row bit for bit."""
     env = build_environment(scenario, prefetch=prefetch)
     trace = run_baseline(BaselinePolicy(Knobs(*knobs)), scenario, env)
     run = spec.run_fixed(scenario, knobs, prefetch)
-    assert packed(trace) == ([spec.packed(record) for record in run.records], run.outcome)
+    expected = [spec.packed(record) for record in run.records], run.outcome, run.message
+    assert spec.packed_trace(trace) == expected
     return run
 
 

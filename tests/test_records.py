@@ -101,8 +101,8 @@ INVALID = [
             (None, 0.06, SNAPSHOT),
         ]
     ),
-    # Knobs: int sizes (a bool is not one), batch >= 1, buffer >= 0, neither
-    # above the largest float, and a mode that is a member or names one.
+    # Knobs: int sizes (a bool is not one), batch >= 1, buffer >= 0, each one
+    # a double holds exactly, and a mode that is a member or names one.
     (Knobs, (0, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be >= 1, got 0"),
     (Knobs, (16.5, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be an int, got 16.5"),
     (Knobs, (True, 10, OptimizerMode.DEFAULT), "Knobs.batch_size: must be an int, got True"),
@@ -112,12 +112,12 @@ INVALID = [
     (
         Knobs,
         (10**400, 10, OptimizerMode.DEFAULT),
-        "Knobs.batch_size: must be <= the largest float, got an int of 1329 bits",
+        "Knobs.batch_size: must be an int a double holds exactly, got an int of 1329 bits",
     ),
     (
         Knobs,
         (16, int(sys.float_info.max) + 1, OptimizerMode.DEFAULT),
-        "Knobs.buffer_size: must be <= the largest float, got an int of 1024 bits",
+        "Knobs.buffer_size: must be an int a double holds exactly, got an int of 1024 bits",
     ),
     (Knobs, (32, 1000.0, OptimizerMode.DEFAULT), "Knobs.buffer_size: must be an int, got 1000.0"),
     # A float field takes a float or an int a float can hold, as a trace packs
@@ -219,6 +219,17 @@ INVALID = [
         UrgeScore,
         (0.0625, 0.5, 0.5, 0.5, [0.5]),
         "UrgeScore.memory_factor: must be a float or an int, got [0.5]",
+    ),
+    # A knob size above 2**53 must equal its float.
+    (
+        Knobs,
+        (2**53 + 1, 10, OptimizerMode.DEFAULT),
+        "Knobs.batch_size: must be an int a double holds exactly, got an int of 54 bits",
+    ),
+    (
+        Knobs,
+        (16, 10**300, OptimizerMode.DEFAULT),
+        "Knobs.buffer_size: must be an int a double holds exactly, got an int of 997 bits",
     ),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]

@@ -4,7 +4,6 @@
 import dataclasses
 import math
 import random
-import struct
 import subprocess
 import tracemalloc
 from array import array
@@ -278,18 +277,12 @@ def _long_runs():
     for sc in scenarios:
         fixed = BaselinePolicy.from_scenario(PolicyKind.FIXED, sc)
         trace = run_baseline(fixed, sc, build_environment(sc))
-        yield sc.name, _packed(trace), spec.run_fixed(sc, spec.SUITE_KNOBS["fixed-proxy"])
+        yield sc.name, spec.packed_trace(trace), spec.run_fixed(sc, spec.SUITE_KNOBS["fixed-proxy"])
         try:
             trace, message = run_control_loop(sc, build_environment(sc)), None
         except InfeasibleBudgetError as exc:
             trace, message = exc.partial_trace, str(exc)
-        yield sc.name, _packed(trace, message), spec.run_controller(sc)
-
-
-def _packed(trace, message=None):
-    """A trace's rows with their floats as bytes, its outcome and message."""
-    rows = [(*row[:4], struct.pack("14d", *row[4])) for row in trace.rows()]
-    return rows, trace.outcome.value, message
+        yield sc.name, spec.packed_trace(trace, message), spec.run_controller(sc)
 
 
 def test_long_run_snapshots_equal_matrix_reference():
