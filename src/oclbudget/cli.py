@@ -11,6 +11,7 @@ not failure), 4 infeasible budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import os
 import sys
@@ -80,16 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
-    if args.prefer is not None:
-        pref = args.prefer
-        if "," in pref:
-            pref = [p.strip() for p in pref.split(",")]
-        try:
-            scenario = scenario.with_preference(pref)
-        except SchemaError as exc:  # it names the record's field; the user wrote --prefer
-            raise SchemaError(f"--prefer: {exc.rule}") from None
+    prefer = args.prefer
+    if prefer is not None and "," in prefer:
+        prefer = [p.strip() for p in prefer.split(",")]
+    for option, field, value in (("--seed", "seed", args.seed), ("--prefer", "preference", prefer)):
+        if value is not None:
+            try:
+                scenario = dataclasses.replace(scenario, **{field: value})
+            except SchemaError as exc:  # it names the record's field; the user wrote the option
+                raise SchemaError(f"{option}: {exc.rule}") from None
     return scenario
 
 

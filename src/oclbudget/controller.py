@@ -54,7 +54,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import InfeasibleBudgetError, SimulationStateError
-from .errors import MAX_FLOAT, check_floats, check_ints, check_ranges, ranges, reject
+from .errors import MAX_FLOAT, check_ints, check_number, check_ranges, ranges, reject
 from .metrics import MetricSnapshot, running_snapshot as build_snapshot
 from .record import Record
 from .urge import UrgeScore, urge_scorer
@@ -175,6 +175,8 @@ class ControllerConfig:
     budgets into knobs, with at least one sample and one frame. Its base
     memory, everything that is neither batch nor replay memory, is the
     default optimizer budget; the advanced budget adds the optimizer delta.
+    capacity_mb is above the base memory and holds no more samples or
+    frames than a float can count, as derive_knobs floors budgets up to it.
     """
 
     initial_threshold: float
@@ -187,15 +189,26 @@ class ControllerConfig:
 
     _RANGES = ranges({
         "[1e-12, 1)": "initial_threshold",
-        "[0, inf)": "threshold_decay batch_sensitivity replay_sensitivity",
+        "[0, inf)": "threshold_decay batch_sensitivity replay_sensitivity capacity_mb",
         "[0, 0.99]": "safety_margin",
     })
 
     def __post_init__(self):
         check_ranges(self, self._RANGES)
-        if not self.optimizer_default_mb < self.capacity_mb < _INF:
-            rule = f"must be finite and above the {self.optimizer_default_mb} MB base memory"
-            reject(self, "capacity_mb", f"{rule}, got {self.capacity_mb!r}")
+        memory, capacity = self.memory, self.capacity_mb
+        if not memory.base_mb < capacity:
+            rule = f"must be finite and above the {memory.base_mb} MB base memory"
+            reject(self, "capacity_mb", f"{rule}, got {capacity!r}")
+        # derive_knobs floors a budget, at most the capacity, over its per-item
+        # cost: a quotient past the float range has no int to floor to.
+        free = capacity - memory.base_mb
+        for items, item_mb, budget in (
+            ("replay frames", memory.frame_mb, free - memory.sample_mb),
+            ("batch samples", memory.sample_mb, free),
+        ):
+            if not budget / item_mb < _INF:
+                rule = f"holds more {items} of {item_mb} MB than a float can count"
+                reject(self, "capacity_mb", f"its {capacity} MB capacity {rule}")
 
     @property
     def optimizer_default_mb(self) -> float:
@@ -217,10 +230,10 @@ class BudgetState(Record):
     that level's budget. The mode is kept, not read back from the budget,
     because the two levels can have equal budgets; as in Knobs, "default"
     or "advanced" becomes its member. A validated immutable tuple
-    (record.Record): every construction checks the two budgets, finite and
-    >= 0, that a float can hold each of the three and that the mode is one;
-    an int beyond the largest float or an unknown mode makes a SchemaError
-    that names the field. A state equals a plain tuple of its four values.
+    (record.Record): every construction checks the two budgets against
+    _RANGES (numbers, finite and >= 0), that the optimizer budget is a
+    number a float can hold and that the mode is one; else a SchemaError
+    names the field. A state equals a plain tuple of its four values.
     """
 
     __slots__ = ()
@@ -228,6 +241,8 @@ class BudgetState(Record):
     replay_mb: float
     optimizer_mb: float
     optimizer_mode: OptimizerMode
+
+    _RANGES = ranges({"[0, inf)": "batch_mb replay_mb"})
 
     def __new__(cls, batch_mb, replay_mb, optimizer_mb, optimizer_mode=_DEFAULT):
         state = tuple.__new__(cls, (batch_mb, replay_mb, optimizer_mb, optimizer_mode))
@@ -240,14 +255,11 @@ class BudgetState(Record):
                 and optimizer_mb.__class__ is float
                 and optimizer_mode.__class__ is OptimizerMode
             )
-        except TypeError:  # a budget no float compares with; check_floats names it
+        except TypeError:  # a budget no float compares with; check_ranges names it
             valid = False
         if not valid:
-            check_floats(state, "batch_mb replay_mb optimizer_mb")
-            if batch_mb < 0 or replay_mb < 0:
-                raise ValueError("budgets must be >= 0")
-            if not (batch_mb < _INF and replay_mb < _INF):
-                raise ValueError(f"budgets must be finite, got {batch_mb} and {replay_mb}")
+            check_ranges(state, cls._RANGES)
+            check_number(state, "optimizer_mb", optimizer_mb)
             if optimizer_mode not in ("default", "advanced"):  # a member equals its value
                 rule = f"must be 'default' or 'advanced', got {optimizer_mode!r}"
                 reject(state, "optimizer_mode", rule)
@@ -355,10 +367,11 @@ class TraceRecord(Record):
     experience). A scored record has a score, threshold and snapshot; an OOM
     record (oom reads snapshot is None) has none, but memory_peak_mb is still
     what the attempt needed. experience is an int, and threshold and
-    memory_peak_mb are floats or ints a float can hold; else a SchemaError
-    names the field. An immutable tuple (record.Record), so a record equals
-    a plain tuple of its seven values. A RunTrace packs a record's values,
-    not the record: RunTrace.records builds new records on each read.
+    memory_peak_mb are numbers a float can hold (errors.check_number); else
+    a SchemaError names the field. An immutable tuple (record.Record), so a
+    record equals a plain tuple of its seven values. A RunTrace packs a
+    record's values, not the record: RunTrace.records builds new records on
+    each read.
     """
 
     __slots__ = ()
@@ -381,8 +394,9 @@ class TraceRecord(Record):
             and (threshold is None or threshold.__class__ is float)
         ):
             check_ints(record, "experience")
-            floats = "memory_peak_mb" if snapshot is None else "threshold memory_peak_mb"
-            check_floats(record, floats)
+            if threshold is not None:
+                check_number(record, "threshold", threshold)
+            check_number(record, "memory_peak_mb", memory_peak_mb)
         return record
 
     @property

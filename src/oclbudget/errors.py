@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the range, int and float
-checks each record runs on its own fields."""
+"""Exception types shared across the package, and the number, range and int
+checks each record runs on its own fields.
+
+check_ranges is the one rule for a number field, in a file or in code: the
+value must be a number a float can hold (check_number) and lie in the
+field's interval. The loaders check no number themselves."""
 
 import math
 import sys
@@ -71,10 +75,26 @@ def ranges(intervals: dict[str, str]) -> tuple:
     return tuple(rules)
 
 
+def check_number(record, field: str, value) -> None:
+    """Reject value unless it is a number a float can hold: a float, or an
+    int within the float range. A bool, a str or None is no number, as a
+    file's true is not; an int beyond the largest float is named by its bit
+    length, as its repr could be too long to write."""
+    if isinstance(value, float):
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        reject(record, field, f"must be a number, got {value!r}")
+    if not -MAX_FLOAT <= value <= MAX_FLOAT:
+        rule = f"must be within the float range, got an int of {value.bit_length()} bits"
+        reject(record, field, rule)
+
+
 def check_ranges(record, rules: tuple) -> None:
-    """Reject the first field outside its interval (ranges); NaN is in none."""
+    """Reject the first field that is no number (check_number) or lies
+    outside its interval (ranges); NaN is in none."""
     for field, value_of, lo, hi, text in rules:
         value = value_of(record)
+        check_number(record, field, value)
         if not lo <= value <= hi:
             reject(record, field, f"must be in {text}, got {value!r}")
 
@@ -86,22 +106,6 @@ def check_ints(record, fields: str) -> None:
         value = getattr(record, field)
         if not isinstance(value, int) or isinstance(value, bool):
             reject(record, field, f"must be an int, got {value!r}")
-
-
-def check_floats(record, fields: str) -> None:
-    """Reject the first of the fields "field field ..." that a float cannot
-    hold: a value that is neither a float nor an int, or an int beyond the
-    largest float. A trace stores such a field as float(value), so an int
-    reads back as the float nearest to it."""
-    for field in fields.split():
-        value = getattr(record, field)
-        if isinstance(value, float):
-            continue
-        if not isinstance(value, int):
-            reject(record, field, f"must be a float or an int, got {value!r}")
-        if not -MAX_FLOAT <= value <= MAX_FLOAT:  # its repr could be too long to write
-            rule = f"must be within the float range, got an int of {value.bit_length()} bits"
-            reject(record, field, rule)
 
 
 class SimulationStateError(OclBudgetError):

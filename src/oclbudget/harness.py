@@ -327,13 +327,16 @@ def emit_report(report: Report, format: str = "csv") -> bytes:
 
 
 def parse_report_csv(data: bytes) -> list[dict[str, Union[str, float, int, None]]]:
-    """Parse emit_report CSV output back into typed row dicts (round-trip aid)."""
+    """Parse emit_report CSV output back into typed row dicts (round-trip aid).
+    A row of other than one cell per column raises ValueError naming its line."""
     text = data.decode("utf-8").splitlines()
     if not text or text[0] != ",".join(CSV_COLUMNS):
         raise ValueError("not a report CSV: header mismatch")
     rows = []
-    for line in text[1:]:
+    for number, line in enumerate(text[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"line {number} has {len(cells)} cells, not {len(CSV_COLUMNS)}")
         row: dict[str, Union[str, float, int, None]] = dict(zip(CSV_COLUMNS, cells))
         for key in ("experience", "batch", "buffer"):
             row[key] = int(row[key])

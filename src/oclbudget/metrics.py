@@ -71,7 +71,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MAX_FLOAT, IncompleteMatrixError, check_floats, check_ranges, ranges
+from .errors import MAX_FLOAT, IncompleteMatrixError, check_ranges, ranges
 from .record import Record
 
 
@@ -317,10 +317,10 @@ class MetricSnapshot(Record):
     Only measured values: the thresholds a snapshot is scored against belong
     to the run and are fixed once in its scorer (urge.urge_scorer). A
     validated tuple (record.Record): every construction checks the values,
-    and a snapshot equals a plain tuple of the same four values. Latency
-    and memory must be finite and >= 0. A value that is no number, or an
-    int beyond the largest float, which no float can hold, makes a
-    SchemaError that names the field.
+    and a snapshot equals a plain tuple of the same four values. Each value
+    is a number in its _RANGES interval: plasticity and stability in
+    [0, 1], latency and memory finite and >= 0; else a SchemaError names
+    the field.
     """
 
     __slots__ = ()
@@ -328,6 +328,8 @@ class MetricSnapshot(Record):
     stability: float
     latency_s: float
     memory_peak_mb: float
+
+    _RANGES = ranges({"[0, 1]": "plasticity stability", "[0, inf)": "latency_s memory_peak_mb"})
 
     def __new__(cls, plasticity, stability, latency_s, memory_peak_mb):
         snapshot = tuple.__new__(cls, (plasticity, stability, latency_s, memory_peak_mb))
@@ -340,17 +342,10 @@ class MetricSnapshot(Record):
                 and 0.0 <= latency_s <= MAX_FLOAT
                 and 0.0 <= memory_peak_mb <= MAX_FLOAT
             )
-        except TypeError:  # a value no float compares with; check_floats names it
+        except TypeError:  # a value no float compares with; check_ranges names it
             valid = False
         if not valid:
-            check_floats(snapshot, "plasticity stability latency_s memory_peak_mb")
-            if not 0.0 <= plasticity <= 1.0:
-                raise ValueError(f"plasticity {plasticity} outside [0, 1]")
-            if not 0.0 <= stability <= 1.0:
-                raise ValueError(f"stability {stability} outside [0, 1]")
-            if not 0.0 <= latency_s < math.inf:
-                raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
-            raise ValueError(f"memory peak must be finite and >= 0, got {memory_peak_mb}")
+            check_ranges(snapshot, cls._RANGES)
         return snapshot
 
 

@@ -123,9 +123,9 @@ class ScenarioConfig:
 
     def _check_horizon(self) -> None:
         """Reject a horizon whose last experience could take an unbounded time,
-        and a capacity that holds more replay frames or batch samples than a
-        float can count, which derive_knobs, from the initial budgets on,
-        could not floor to a size.
+        and a platform capacity that holds more replay frames than a float
+        can count, for which the bound below has no buffer size. The
+        controller's own capacity is ControllerConfig's to check.
 
         Latency grows as growth^(e-1), so the last experience is the slowest.
         Its bound takes the slowest knobs a run can reach: batch 1, the
@@ -142,16 +142,9 @@ class ScenarioConfig:
         )
         capacity = platform.capacity_mb
         frames = (capacity - memory.base_mb - memory.sample_mb) / memory.frame_mb
-        # The batch budget can take all the capacity beside the base memory,
-        # and derive_knobs floors it over the per-sample cost.
-        samples = (capacity - memory.base_mb) / memory.sample_mb
-        for count, items, item_mb in (
-            (frames, "replay frames", memory.frame_mb),
-            (samples, "batch samples", memory.sample_mb),
-        ):
-            if not count < math.inf:
-                rule = f"holds more {items} of {item_mb} MB than a float can count"
-                reject(self, "platform", f"its {capacity} MB capacity {rule}")
+        if not frames < math.inf:
+            rule = f"holds more replay frames of {memory.frame_mb} MB than a float can count"
+            reject(self, "platform", f"its {capacity} MB capacity {rule}")
         buffer = max(0, math.floor(frames))
         try:
             compute = self.response.compute_latency_s(
@@ -230,11 +223,11 @@ def _lookup(root: Section, key: str, table: dict):
 def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -> ScenarioConfig:
     """Parse one scenario file; unknown keys are rejected.
 
-    It only parses: keys, types, finite numbers, the platform and profile
-    names and the memory_mb default. Every range and cross-field rule is the
-    records' own, the same for a file as for a ScenarioConfig built in
-    code; a rejection is re-raised naming the key, e.g.
-    <file>.controller.initial_threshold.
+    It only reads: keys, sections, the platform and profile names and the
+    memory_mb default. Every value rule (a number's type and range, a
+    name's form) and every cross-field rule is the records' own, the same
+    for a file as for a ScenarioConfig built in code; a rejection is
+    re-raised naming the key, e.g. <file>.controller.initial_threshold.
     """
     library = _library(library_path)
     doc = load_yaml_mapping(path)
@@ -244,10 +237,9 @@ def load_scenario(path: str | Path, *, library_path: str | Path | None = None) -
 
     platform = _lookup(root, "platform", library.platforms)
     response, memory = _lookup(root, "profile", library.profiles)
-    values = {"name": root.take("name", kind=str), "platform": platform, "response": response}
-    for key in ("num_experiences", "samples_per_experience", "seed"):
-        values[key] = root.take(key, kind=int)
-    values["preference"] = root.take("preference")
+    values = {"name": root.take("name"), "platform": platform, "response": response}
+    for key in ("num_experiences", "samples_per_experience", "seed", "preference"):
+        values[key] = root.take(key)
 
     th = root.section("thresholds")
     thresholds = {key: th.take_number(key) for key in ("plasticity", "stability", "latency_s")}

@@ -67,10 +67,10 @@ from typing import Optional, Sequence
 
 from .controller import Knobs, MemoryModel, OptimizerMode
 from .errors import CalibrationError, SchemaError, SimulationStateError
-from .errors import MAX_FLOAT, check_ints, check_ranges, interval, ranges, reject
+from .errors import MAX_FLOAT, check_ints, check_number, check_ranges, interval, ranges, reject
 from .metrics import RunningAccuracy
 from .record import Record
-from .yamlcfg import Section, build, check_schema_version, finite_number, load_yaml_mapping
+from .yamlcfg import Section, as_float, build, check_schema_version, load_yaml_mapping
 
 # A module global, read per call far more cheaply than the Enum member.
 _ADVANCED = OptimizerMode.ADVANCED
@@ -374,6 +374,7 @@ class CalibrationTargets:
                 if not isinstance(at, int) or isinstance(at, bool) or at < 1:
                     rule = f"{group} targets must use int {size} sizes >= 1"
                     reject(self, field, f"{rule}, got {at!r}")
+                check_number(self, field, value)
                 if not lo <= value <= hi:
                     reject(self, field, f"{group} targets must lie in {values}, got {value!r}")
             ranked = sorted(points)
@@ -635,12 +636,12 @@ _KEY_OF_FIELD = {field: key for key, (_, field) in _PROFILE_KEYS.items()}
 
 
 def _take_field(sec: Section, key: str, record: type, field: str):
-    """A field's value as its annotation says: an int, or a finite number."""
+    """A field's value, or its default; an int for a float field becomes
+    that float (Section.take_number). The record checks the value."""
     spec = record.__dataclass_fields__[field]
-    if spec.type in (int, "int"):
-        return sec.take(key, kind=int)
     default = ... if spec.default is dataclasses.MISSING else spec.default
-    return sec.take_number(key, default=default)
+    take = sec.take if spec.type in (int, "int") else sec.take_number
+    return take(key, default=default)
 
 
 def load_profile_library(path: str | Path) -> ProfileLibrary:
@@ -694,13 +695,11 @@ def load_calibration_targets(path: str | Path) -> CalibrationTargets:
         for idx, pair in enumerate(raw):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SchemaError(f"{label}.{key}[{idx}]: expected a [size, value] pair")
-            size, value = pair  # CalibrationTargets checks the size
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise SchemaError(f"{label}.{key}[{idx}]: value must be a number")
-            points.append((size, finite_number(value, f"{label}.{key}[{idx}]")))
+            size, value = pair  # CalibrationTargets checks both
+            points.append((size, as_float(value)))
         return tuple(points)
 
-    values = {"samples_per_experience": root.take("samples_per_experience", kind=int)}
+    values = {"samples_per_experience": root.take("samples_per_experience")}
     for key in ("latency_points", "memory_points", "stability_points"):
         values[key] = point_list(key)
     plugin = root.section("plugin")

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidPreferenceError, check_floats, check_ranges, ranges
+from .errors import InvalidPreferenceError, check_number, check_ranges, ranges, reject
 from .metrics import MetricSnapshot, Thresholds
 from .record import Record
 
@@ -76,9 +76,9 @@ class UrgeScore(Record):
     """Score value plus the four logistic factors it is the product of.
 
     A validated tuple (record.Record): every construction checks that each
-    factor lies in (0, 1) and that value is their product within 1e-12; a
-    field that is no float must be an int a float can hold, else a
-    SchemaError names the field.
+    factor is a number in (0, 1) (_RANGES), that value is a number a float
+    can hold and that it is their product within 1e-12; else a SchemaError
+    names the field.
     """
 
     __slots__ = ()
@@ -87,6 +87,8 @@ class UrgeScore(Record):
     stability_factor: float
     latency_factor: float
     memory_factor: float
+
+    _RANGES = ranges({"(0, 1)": "plasticity_factor stability_factor latency_factor memory_factor"})
 
     def __new__(cls, value, plasticity_factor, stability_factor, latency_factor, memory_factor):
         score = tuple.__new__(
@@ -100,17 +102,15 @@ class UrgeScore(Record):
                 and 0.0 < latency_factor < 1.0
                 and 0.0 < memory_factor < 1.0
             )
-        except TypeError:  # a factor no float compares with; check_floats names it
+        except TypeError:  # a factor no float compares with; check_ranges names it
             valid = False
         if not valid:
             # An int no float can hold would overflow the product test below.
-            check_floats(score, " ".join(cls._fields))
-            for f in (plasticity_factor, stability_factor, latency_factor, memory_factor):
-                if not 0.0 < f < 1.0:
-                    raise ValueError(f"factor {f!r} outside the open interval (0, 1)")
+            check_number(score, "value", value)
+            check_ranges(score, cls._RANGES)
         product = plasticity_factor * stability_factor * latency_factor * memory_factor
         if not abs(product - value) <= 1e-12:  # written so a NaN value fails
-            raise ValueError("score value does not equal the product of its factors")
+            reject(score, "value", f"must equal the product of its factors, got {value!r}")
         return score
 
     def components(self) -> tuple[float, float, float, float]:

@@ -1,23 +1,24 @@
 """Strict helpers for the declarative YAML files (profiles, targets, scenarios).
 
-Every loader only parses: it reads the document, consumes known keys with
-type checks, and rejects anything left over, reporting the full dotted key
-path so a typo is immediately visible. Ranges and cross-field rules belong
-to the records the loader builds; build() turns a record's rejection into
-a SchemaError naming the file's key, so a file and a record built in code
-obey the same rules.
+Every loader only reads: it consumes known keys, checks the structure (a
+section is a mapping, a point list a list of pairs, a name a str), looks up
+names and fills defaults, and rejects anything left over, reporting the full
+dotted key path so a typo is immediately visible. It checks no value: every
+value rule, a number's type and range included, belongs to the record the
+loader builds, and build() turns a record's rejection into a SchemaError
+naming the file's key, so a file and a record built in code obey the same
+rules.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import sys
 from pathlib import Path
 
 import yaml
 
-from .errors import OclBudgetError, SchemaError
+from .errors import MAX_FLOAT, OclBudgetError, SchemaError
 
 SCHEMA_VERSION = 1
 
@@ -67,12 +68,13 @@ def check_schema_version(doc: dict, path: str) -> None:
         )
 
 
-def finite_number(value, where: str) -> float:
-    """value, an int or float, as a float. NaN passes every bound test, so it,
-    the infinities and ints past the float range raise here, naming where."""
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise SchemaError(f"{where}: must be a finite number, got {value!r}")
-    return float(value)
+def as_float(value):
+    """value as a file's float field is stored: an int a float can hold
+    becomes that float, so a file's 8192 loads as 8192.0; anything else, a
+    bool included, is returned as it is for the record to check."""
+    if value.__class__ is int and -MAX_FLOAT <= value <= MAX_FLOAT:
+        return float(value)
+    return value
 
 
 def build(record: type, path: str, values: dict, keys: dict[str, str] | None = None):
@@ -97,22 +99,23 @@ class Section:
         self._data = dict(data)
         self.path = path
 
-    def take(self, key: str, kind=None, default=...):
+    def take(self, key: str, kind: type | None = None, default=...):
+        """The value at key, or default when it is missing. kind is a
+        structural type (dict, list or str); a value's own rules are its
+        record's."""
         if key in self._data:
             value = self._data.pop(key)
         elif default is not ...:
             return default
         else:
             raise SchemaError(f"{self.path}.{key}: required key is missing")
-        if kind is not None and not self._check_kind(value, kind):
-            raise SchemaError(
-                f"{self.path}.{key}: expected {self._kind_name(kind)}, got {value!r}"
-            )
+        if kind is not None and not isinstance(value, kind):
+            raise SchemaError(f"{self.path}.{key}: expected a {kind.__name__}, got {value!r}")
         return value
 
-    def take_number(self, key: str, default=...) -> float:
-        value = self.take(key, kind=(int, float), default=default)
-        return finite_number(value, f"{self.path}.{key}")
+    def take_number(self, key: str, default=...):
+        """The value at key for a float field, through as_float."""
+        return as_float(self.take(key, default=default))
 
     def keys(self) -> list[str]:
         return list(self._data)
@@ -124,18 +127,3 @@ class Section:
         if self._data:
             unknown = sorted(self._data)
             raise SchemaError(f"{self.path}: unknown key(s) {unknown}")
-
-    @staticmethod
-    def _check_kind(value, kind) -> bool:
-        if kind == (int, float):
-            # bool is an int subclass but never a valid number here
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if kind is int:
-            return isinstance(value, int) and not isinstance(value, bool)
-        return isinstance(value, kind)
-
-    @staticmethod
-    def _kind_name(kind) -> str:
-        if kind == (int, float):
-            return "a number"
-        return f"a {getattr(kind, '__name__', kind)}"

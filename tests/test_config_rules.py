@@ -318,17 +318,21 @@ def _file_initial_threshold_of_one(tmp_path):
     return load_scenario(path)
 
 
-def _past_the_float_range(cost, **controller_changes):
-    """xavier-er on a 1e300 MB platform with a 1e-9 MB cost: both values are
-    in range, but the capacity over the cost is inf."""
+def _past_the_float_range(cost, capacities=("platform", "controller"), **controller_changes):
+    """xavier-er with a 1e-9 MB cost and a 1e300 MB capacity for each record
+    named in capacities (the other keeps 8192 MB): both values are in range,
+    but the capacity over the cost is inf."""
 
     def make(tmp_path):
         scenario = load_bundled_scenario("xavier-er")
         memory = dataclasses.replace(scenario.controller.memory, **{cost: 1e-9})
-        controller = dataclasses.replace(
-            scenario.controller, memory=memory, capacity_mb=1e300, **controller_changes
-        )
-        platform = dataclasses.replace(scenario.platform, capacity_mb=1e300)
+        changes = dict(controller_changes, memory=memory)
+        if "controller" in capacities:
+            changes["capacity_mb"] = 1e300
+        controller = dataclasses.replace(scenario.controller, **changes)
+        platform = scenario.platform
+        if "platform" in capacities:
+            platform = dataclasses.replace(platform, capacity_mb=1e300)
         return dataclasses.replace(scenario, platform=platform, controller=controller)
 
     return make
@@ -403,6 +407,13 @@ HOLES = {
     ),
     "frames-past-the-float-range": (
         _past_the_float_range("frame_mb"),
+        r"^ControllerConfig\.capacity_mb: its 1e\+300 MB capacity holds more replay frames of "
+        r"1e-09 MB than a float can count$",
+    ),
+    # The latency bound reads the platform's capacity, which baselines train
+    # against; the controller's stays at 8192 MB.
+    "platform-frames-past-the-float-range": (
+        _past_the_float_range("frame_mb", capacities=("platform",)),
         r"^ScenarioConfig\.platform: its 1e\+300 MB capacity holds more replay frames of "
         r"1e-09 MB than a float can count$",
     ),
@@ -417,7 +428,20 @@ HOLES = {
         _past_the_float_range(
             "sample_mb", batch_sensitivity=1e306, replay_sensitivity=1e306, initial_threshold=0.01
         ),
-        r"^ScenarioConfig\.platform: its 1e\+300 MB capacity holds more batch samples of "
+        r"^ControllerConfig\.capacity_mb: its 1e\+300 MB capacity holds more batch samples of "
+        r"1e-09 MB than a float can count$",
+    ),
+    # The same with the platform left at 8192 MB: the controller's cap bounds
+    # the budgets derive_knobs floors.
+    "controller-samples-past-the-float-range": (
+        _past_the_float_range(
+            "sample_mb",
+            capacities=("controller",),
+            batch_sensitivity=1e306,
+            replay_sensitivity=1e306,
+            initial_threshold=0.01,
+        ),
+        r"^ControllerConfig\.capacity_mb: its 1e\+300 MB capacity holds more batch samples of "
         r"1e-09 MB than a float can count$",
     ),
     "file-samples-past-the-float-range": (
@@ -463,6 +487,44 @@ HOLES = {
         _replaced("controller", batch_sensitivity=math.inf),
         r"^ControllerConfig\.batch_sensitivity: must be in \[0, inf\), got inf$",
     ),
+    # A bool, a str or None in a number field, built in code, as a file's
+    # true, "3" or null is refused: each record checks a number's type.
+    "bool-sensitivity": (
+        _replaced("controller", batch_sensitivity=True),
+        r"^ControllerConfig\.batch_sensitivity: must be a number, got True$",
+    ),
+    "str-capacity": (
+        _replaced("controller", capacity_mb="8192"),
+        r"^ControllerConfig\.capacity_mb: must be a number, got '8192'$",
+    ),
+    "none-safety-margin": (
+        _replaced("controller", safety_margin=None),
+        r"^ControllerConfig\.safety_margin: must be a number, got None$",
+    ),
+    "bool-latency-threshold": (
+        _replaced("thresholds", latency_s=False),
+        r"^Thresholds\.latency_s: must be a number, got False$",
+    ),
+    "str-plasticity-threshold": (
+        _replaced("thresholds", plasticity="0.5"),
+        r"^Thresholds\.plasticity: must be a number, got '0\.5'$",
+    ),
+    "none-memory-threshold": (
+        _replaced("thresholds", memory_mb=None),
+        r"^Thresholds\.memory_mb: must be a number, got None$",
+    ),
+    "bool-initial-batch": (
+        _replaced("", initial_batch_mb=True),
+        r"^ScenarioConfig\.initial_batch_mb: must be a number, got True$",
+    ),
+    "str-initial-replay": (
+        _replaced("", initial_replay_mb="3"),
+        r"^ScenarioConfig\.initial_replay_mb: must be a number, got '3'$",
+    ),
+    "none-initial-batch": (
+        _replaced("", initial_batch_mb=None),
+        r"^ScenarioConfig\.initial_batch_mb: must be a number, got None$",
+    ),
 }
 
 
@@ -471,6 +533,15 @@ def test_hole_rejected_at_construction_naming_the_field(tmp_path, case):
     make, match = HOLES[case]
     with pytest.raises(SchemaError, match=match):
         make(tmp_path)
+
+
+def test_platform_capacity_past_the_sample_count_runs(tmp_path):
+    # derive_knobs floors budgets under the controller's capacity, not the
+    # platform's, so a platform that holds more samples than a float can
+    # count breaks no rule: the controller runs to the end.
+    scenario = _past_the_float_range("sample_mb", capacities=("platform",))(tmp_path)
+    trace = run_control_loop(scenario, build_environment(scenario))
+    assert trace.outcome is Outcome.COMPLETED and len(trace) == scenario.num_experiences
 
 
 def _file_with_preference(tmp_path, preference):

@@ -932,6 +932,15 @@ class TestEmitReport:
             assert row["score"] == pytest.approx(record.score.value, rel=1e-5)
             assert row["latency_s"] == pytest.approx(record.snapshot.latency_s, rel=1e-5)
 
+    @pytest.mark.parametrize("cells", [12, 14])
+    def test_parse_refuses_a_row_of_another_cell_count(self, cells):
+        scenario = dataclasses.replace(load_bundled_scenario("xavier-er"), num_experiences=2)
+        header, first, second = emit_report(run_suite(scenario, ["max_a"]), "csv").splitlines()
+        row = b",".join((second.split(b",") + [b""])[:cells])
+        with pytest.raises(ValueError) as info:
+            parse_report_csv(b"\n".join([header, first, row]) + b"\n")
+        assert str(info.value) == f"line 3 has {cells} cells, not 13"
+
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_records_read_back_rebuild_the_trace_and_the_report(self, name):
         # A trace packs its records; its records, read back and packed again,
@@ -1102,22 +1111,27 @@ class TestCli:
         assert "config error: --prefer: unknown preference preset ''" in err
         assert not out.exists()
 
+    # (option, value, the rule its error gives); a case's id is "value-rule".
+    OPTION_ERRORS = [
+        ("--prefer", "nope", "unknown preference preset 'nope'; "),
+        ("--prefer", "memory,latency", "preference must name each of "),
+        ("--prefer", "memory,memory,latency,stability", "preference must name each of "),
+        ("--seed", "-1", "must be in [0, inf), got -1"),
+    ]
+
     @pytest.mark.parametrize(
-        "prefer, rule",
-        [
-            ("nope", "unknown preference preset 'nope'; "),
-            ("memory,latency", "preference must name each of "),
-            ("memory,memory,latency,stability", "preference must name each of "),
-        ],
+        "option, value, rule",
+        OPTION_ERRORS,
+        ids=[f"{value}-{rule}" for _, value, rule in OPTION_ERRORS],
     )
-    def test_prefer_errors_name_the_option(self, tmp_path, capsys, prefer, rule):
+    def test_prefer_errors_name_the_option(self, tmp_path, capsys, option, value, rule):
         # The option, not the record field it sets, is what the user wrote.
         out = tmp_path / "report.csv"
         path = str(bundled_scenario_path("xavier-er"))
-        code = cli_main(["run", "--scenario", path, "--prefer", prefer, "--out", str(out)])
+        code = cli_main(["run", "--scenario", path, option, value, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: --prefer: {rule}") and "ScenarioConfig" not in err
+        assert err.startswith(f"config error: {option}: {rule}") and "ScenarioConfig" not in err
         assert not out.exists()
 
     def test_scenario_file_preference_error_names_the_file_key(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from oclbudget import (
     Knobs,
     MetricSnapshot,
     OptimizerMode,
+    SchemaError,
     TraceRecord,
     TrainResult,
     UrgeScore,
@@ -64,31 +65,32 @@ VALID_IDS = [cls.__name__ for cls, _, _ in VALID]
 
 HALF_SCORED = "score, threshold and snapshot must be all set or all None"
 
-# (type, values, the ValueError message) for each check the types make.
+# (type, values, the ValueError message) for each check the types make; each
+# but the half-scored trace record's is a SchemaError naming the field.
 INVALID = [
-    (MetricSnapshot, (1.5, 1.0, 2.5, 4096.0), "plasticity 1.5 outside [0, 1]"),
-    (MetricSnapshot, (float("nan"), 1.0, 2.5, 4096.0), "plasticity nan outside [0, 1]"),
-    (MetricSnapshot, (0.5, -0.25, 2.5, 4096.0), "stability -0.25 outside [0, 1]"),
-    (MetricSnapshot, (0.5, 1.0, -1.0, 4096.0), "latency must be finite and >= 0, got -1.0"),
-    (MetricSnapshot, (0.5, 1.0, 2.5, -3), "memory peak must be finite and >= 0, got -3"),
-    (UrgeScore, (0.0, 0.0, 0.5, 0.5, 0.5), "factor 0.0 outside the open interval (0, 1)"),
+    (MetricSnapshot, (1.5, 1.0, 2.5, 4096.0), "MetricSnapshot.plasticity: must be in [0, 1], got 1.5"),
+    (MetricSnapshot, (float("nan"), 1.0, 2.5, 4096.0), "MetricSnapshot.plasticity: must be in [0, 1], got nan"),
+    (MetricSnapshot, (0.5, -0.25, 2.5, 4096.0), "MetricSnapshot.stability: must be in [0, 1], got -0.25"),
+    (MetricSnapshot, (0.5, 1.0, -1.0, 4096.0), "MetricSnapshot.latency_s: must be in [0, inf), got -1.0"),
+    (MetricSnapshot, (0.5, 1.0, 2.5, -3), "MetricSnapshot.memory_peak_mb: must be in [0, inf), got -3"),
+    (UrgeScore, (0.0, 0.0, 0.5, 0.5, 0.5), "UrgeScore.plasticity_factor: must be in (0, 1), got 0.0"),
     # The first factor out of range is named, in the order p, s, l, m.
-    (UrgeScore, (0.0, 0.5, 1.0, 0.0, 0.5), "factor 1.0 outside the open interval (0, 1)"),
-    (UrgeScore, (0.0, 0.5, 0.5, 0.5, float("inf")), "factor inf outside the open interval (0, 1)"),
-    (UrgeScore, (0.5, 0.5, 0.5, 0.5, 0.5), "score value does not equal the product of its factors"),
+    (UrgeScore, (0.0, 0.5, 1.0, 0.0, 0.5), "UrgeScore.stability_factor: must be in (0, 1), got 1.0"),
+    (UrgeScore, (0.0, 0.5, 0.5, 0.5, float("inf")), "UrgeScore.memory_factor: must be in (0, 1), got inf"),
+    (UrgeScore, (0.5, 0.5, 0.5, 0.5, 0.5), "UrgeScore.value: must equal the product of its factors, got 0.5"),
     # Non-finite latency, memory and score values.
-    (UrgeScore, (float("nan"), 0.5, 0.5, 0.5, 0.5), "score value does not equal the product of its factors"),
-    (MetricSnapshot, (0.5, 0.5, float("inf"), 4096.0), "latency must be finite and >= 0, got inf"),
-    (MetricSnapshot, (0.5, 0.5, float("nan"), 4096.0), "latency must be finite and >= 0, got nan"),
-    (MetricSnapshot, (0.5, 0.5, 2.5, float("inf")), "memory peak must be finite and >= 0, got inf"),
-    (MetricSnapshot, (0.5, 0.5, 2.5, float("nan")), "memory peak must be finite and >= 0, got nan"),
-    (BudgetState, (-1.0, 90.0, 4200.0, OptimizerMode.DEFAULT), "budgets must be >= 0"),
-    (BudgetState, (2.9, -0.5, 4200.0, OptimizerMode.ADVANCED), "budgets must be >= 0"),
-    (BudgetState, (2.9, float("-inf"), 4200.0, OptimizerMode.DEFAULT), "budgets must be >= 0"),
+    (UrgeScore, (float("nan"), 0.5, 0.5, 0.5, 0.5), "UrgeScore.value: must equal the product of its factors, got nan"),
+    (MetricSnapshot, (0.5, 0.5, float("inf"), 4096.0), "MetricSnapshot.latency_s: must be in [0, inf), got inf"),
+    (MetricSnapshot, (0.5, 0.5, float("nan"), 4096.0), "MetricSnapshot.latency_s: must be in [0, inf), got nan"),
+    (MetricSnapshot, (0.5, 0.5, 2.5, float("inf")), "MetricSnapshot.memory_peak_mb: must be in [0, inf), got inf"),
+    (MetricSnapshot, (0.5, 0.5, 2.5, float("nan")), "MetricSnapshot.memory_peak_mb: must be in [0, inf), got nan"),
+    (BudgetState, (-1.0, 90.0, 4200.0, OptimizerMode.DEFAULT), "BudgetState.batch_mb: must be in [0, inf), got -1.0"),
+    (BudgetState, (2.9, -0.5, 4200.0, OptimizerMode.ADVANCED), "BudgetState.replay_mb: must be in [0, inf), got -0.5"),
+    (BudgetState, (2.9, float("-inf"), 4200.0, OptimizerMode.DEFAULT), "BudgetState.replay_mb: must be in [0, inf), got -inf"),
     # NaN and +inf, which a runaway grow step produced before it raised.
-    (BudgetState, (float("nan"), 90.0, 4200.0, OptimizerMode.DEFAULT), "budgets must be finite, got nan and 90.0"),
-    (BudgetState, (2.9, float("inf"), 4200.0, OptimizerMode.DEFAULT), "budgets must be finite, got 2.9 and inf"),
-    (BudgetState, (float("inf"), float("nan"), 4200.0, OptimizerMode.ADVANCED), "budgets must be finite, got inf and nan"),
+    (BudgetState, (float("nan"), 90.0, 4200.0, OptimizerMode.DEFAULT), "BudgetState.batch_mb: must be in [0, inf), got nan"),
+    (BudgetState, (2.9, float("inf"), 4200.0, OptimizerMode.DEFAULT), "BudgetState.replay_mb: must be in [0, inf), got inf"),
+    (BudgetState, (float("inf"), float("nan"), 4200.0, OptimizerMode.ADVANCED), "BudgetState.batch_mb: must be in [0, inf), got inf"),
     # A trace record is scored (score, threshold and snapshot) or OOM (none of them).
     *(
         (TraceRecord, (3, KNOBS, *half, BUDGETS, 4300.0), HALF_SCORED)
@@ -120,8 +122,8 @@ INVALID = [
         "Knobs.buffer_size: must be an int a double holds exactly, got an int of 1024 bits",
     ),
     (Knobs, (32, 1000.0, OptimizerMode.DEFAULT), "Knobs.buffer_size: must be an int, got 1000.0"),
-    # A float field takes a float or an int a float can hold, as a trace packs
-    # each one as a float; an int beyond the largest float is named.
+    # A float field takes a number a float can hold, as a trace packs each
+    # one as a float; an int beyond the largest float is named.
     (
         MetricSnapshot,
         (0.5, 0.5, 10**400, 1.0),
@@ -145,7 +147,7 @@ INVALID = [
     (
         BudgetState,
         (2.9, 90.0, "4200", OptimizerMode.DEFAULT),
-        "BudgetState.optimizer_mb: must be a float or an int, got '4200'",
+        "BudgetState.optimizer_mb: must be a number, got '4200'",
     ),
     (
         UrgeScore,
@@ -175,7 +177,7 @@ INVALID = [
     (
         TraceRecord,
         (1, KNOBS, None, None, None, BUDGETS, None),
-        "TraceRecord.memory_peak_mb: must be a float or an int, got None",
+        "TraceRecord.memory_peak_mb: must be a number, got None",
     ),
     (
         TraceRecord,
@@ -193,32 +195,32 @@ INVALID = [
     (
         BudgetState,
         ("x", 1.0, 1.0, OptimizerMode.DEFAULT),
-        "BudgetState.batch_mb: must be a float or an int, got 'x'",
+        "BudgetState.batch_mb: must be a number, got 'x'",
     ),
     (
         BudgetState,
         (2.9, None, 4200.0, OptimizerMode.DEFAULT),
-        "BudgetState.replay_mb: must be a float or an int, got None",
+        "BudgetState.replay_mb: must be a number, got None",
     ),
     (
         MetricSnapshot,
         (None, 0.5, 1.0, 1.0),
-        "MetricSnapshot.plasticity: must be a float or an int, got None",
+        "MetricSnapshot.plasticity: must be a number, got None",
     ),
     (
         MetricSnapshot,
         (0.5, 0.5, 1.0, "4300"),
-        "MetricSnapshot.memory_peak_mb: must be a float or an int, got '4300'",
+        "MetricSnapshot.memory_peak_mb: must be a number, got '4300'",
     ),
     (
         UrgeScore,
         (0.5, "x", 0.5, 0.5, 0.5),
-        "UrgeScore.plasticity_factor: must be a float or an int, got 'x'",
+        "UrgeScore.plasticity_factor: must be a number, got 'x'",
     ),
     (
         UrgeScore,
         (0.0625, 0.5, 0.5, 0.5, [0.5]),
-        "UrgeScore.memory_factor: must be a float or an int, got [0.5]",
+        "UrgeScore.memory_factor: must be a number, got [0.5]",
     ),
     # A knob size above 2**53 must equal its float.
     (
@@ -230,6 +232,19 @@ INVALID = [
         Knobs,
         (16, 10**300, OptimizerMode.DEFAULT),
         "Knobs.buffer_size: must be an int a double holds exactly, got an int of 997 bits",
+    ),
+    # A bool is no number, as a file's true is not, wherever a value takes
+    # the field checks.
+    (
+        BudgetState,
+        (2.9, 90.0, True, OptimizerMode.DEFAULT),
+        "BudgetState.optimizer_mb: must be a number, got True",
+    ),
+    (UrgeScore, (True, 0.5, 0.5, 0.5, 0.5), "UrgeScore.value: must be a number, got True"),
+    (
+        TraceRecord,
+        (3, KNOBS, SCORE, False, SNAPSHOT, BUDGETS, 4300.0),
+        "TraceRecord.threshold: must be a number, got False",
     ),
 ]
 INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
@@ -355,6 +370,8 @@ class TestInvalidRecord:
         with pytest.raises(ValueError) as info:
             cls(*values)
         assert str(info.value) == message
+        # A message naming Record.field is a SchemaError's.
+        assert isinstance(info.value, SchemaError) == message.startswith(f"{cls.__name__}.")
 
     def test_keyword_construction_raises(self, cls, values, message):
         with pytest.raises(ValueError) as info:

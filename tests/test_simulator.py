@@ -328,7 +328,8 @@ class TestTrainExperience:
             ({"seed": largest + 1}, "seed"),
             ({"n": largest + 1}, "samples_per_experience"),
         ):
-            with pytest.raises(SchemaError, match=rf"^SimulatedEnvironment\.{field}: must be in"):
+            rule = "must be within the float range, got an int of 1024 bits"
+            with pytest.raises(SchemaError, match=rf"^SimulatedEnvironment\.{field}: {rule}$"):
                 make_env(**overrides)
 
 
@@ -729,7 +730,12 @@ class TestDeclarativeFiles:
         assert anchor in text
         bad = tmp_path / "lib.yaml"
         bad.write_text(text.replace(anchor, f"    capacity_mb: {value}\n", 1))
-        match = r"platforms\.xavier-class\.capacity_mb: must be a finite number"
+        # 1.0e+400 reads as inf; the 401-digit int is named by its bit length.
+        got = {".nan": "nan", "-.inf": "-inf"}.get(value, "inf")
+        rule = rf"must be in \[1, inf\), got {got}"
+        if value.isdigit():
+            rule = "must be within the float range, got an int of 1329 bits"
+        match = rf"platforms\.xavier-class\.capacity_mb: {rule}$"
         with pytest.raises(SchemaError, match=match):
             load_profile_library(bad)
         with pytest.raises(SchemaError, match=match):
@@ -749,9 +755,8 @@ class TestDeclarativeFiles:
         assert anchor in text
         bad = tmp_path / "scenario.yaml"
         bad.write_text(text.replace(anchor, f"  batch_sensitivity: {value}\n", 1))
-        with pytest.raises(
-            SchemaError, match=r"controller\.batch_sensitivity: must be a finite number"
-        ):
+        rule = rf"must be in \[0, inf\), got {value[1:]}$"
+        with pytest.raises(SchemaError, match=rf"controller\.batch_sensitivity: {rule}"):
             load_scenario(bad)
 
     @pytest.mark.parametrize("value", ["1e-3", "1E-3", "1.0e-3", "10e-4"])
@@ -786,7 +791,7 @@ class TestDeclarativeFiles:
         bad = tmp_path / "scenario.yaml"
         bad.write_text(text.replace(anchor, "  threshold_decay: '1e-3'\n", 1))
         with pytest.raises(
-            SchemaError, match=r"controller\.threshold_decay: expected a number, got '1e-3'"
+            SchemaError, match=r"controller\.threshold_decay: must be a number, got '1e-3'$"
         ):
             load_scenario(bad)
 
@@ -797,9 +802,8 @@ class TestDeclarativeFiles:
         assert anchor in text
         bad = tmp_path / "targets.yaml"
         bad.write_text(text.replace(anchor, f"  - [32, {value}]\n", 1))
-        with pytest.raises(
-            SchemaError, match=r"latency_points\[1\]: must be a finite number"
-        ):
+        rule = rf"latency targets must lie in \(0, inf\), got {value.replace('.', '')}$"
+        with pytest.raises(SchemaError, match=rf"targets\.yaml\.latency_points: {rule}"):
             load_calibration_targets(bad)
 
     def test_schema_version_required(self, tmp_path):

@@ -183,7 +183,8 @@ class TestScoreValues:
         assert score.value == pytest.approx(f_p * f_s * f_l * f_m, rel=1e-12)
 
     def test_nonfinite_inputs_rejected(self):
-        with pytest.raises(ValueError, match="latency must be finite"):
+        match = r"^MetricSnapshot\.latency_s: must be in \[0, inf\), got inf$"
+        with pytest.raises(SchemaError, match=match):
             MetricSnapshot(0.5, 0.5, float("inf"), 100.0)
 
     def test_score_invariant_validation(self):
